@@ -1,10 +1,4 @@
-"""Hot numeric kernels with two interchangeable backends.
-
-Every kernel exists twice: a pure-numpy implementation and a numba
-``@njit`` one. The active backend is chosen at import time from the
-``RANKONE_BACKEND`` environment variable (``numba`` or ``numpy``);
-default is numba when importable, numpy otherwise. Both backends are
-kept importable side by side so tests and benchmarks can compare them.
+"""Hot numeric kernels, in numpy.
 
 Label-word convention used throughout: entries >= 0 are reference-level
 indices, entries < 0 are spacers (value -m marks a spacer inserted at
@@ -13,16 +7,13 @@ stage m).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "RANKONE_BACKEND"
+# Recorded by the benchmark's machine facts.
+BACKEND = "numpy"
 
 
-# ---------------------------------------------------------------- numpy
-
-def _sieve_mobius_np(n_max: int) -> np.ndarray:
+def sieve_mobius(n_max: int) -> np.ndarray:
     """mu(0..n_max) as int8; entry 0 is unused and left 0."""
     mu = np.ones(n_max + 1, dtype=np.int8)
     mu[0] = 0
@@ -41,7 +32,7 @@ def _sieve_mobius_np(n_max: int) -> np.ndarray:
     return mu
 
 
-def _build_word_np(base_len, r_arr, s_flat, s_ptr, marks, total_len):
+def build_word(base_len, r_arr, s_flat, s_ptr, marks, total_len):
     """Expand the level word of a stage through later cutting stages.
 
     Starts from the identity word [0..base_len) and, for each stage m,
@@ -66,7 +57,7 @@ def _build_word_np(base_len, r_arr, s_flat, s_ptr, marks, total_len):
     return word
 
 
-def _pair_counts_np(labels, shift, n_ref):
+def pair_counts(labels, shift, n_ref):
     """Count label pairs (labels[l], labels[l+shift]) into a dense
     (n_ref+1)x(n_ref+1) matrix; spacers are aggregated into class n_ref."""
     n = labels.shape[0]
@@ -83,13 +74,13 @@ def _pair_counts_np(labels, shift, n_ref):
     return flat.reshape(side, side).astype(np.int64)
 
 
-def _class_counts_np(labels, n_ref):
+def class_counts(labels, n_ref):
     """Occurrences of each class (reference levels plus the spacer class)."""
     c = np.where(labels >= 0, labels, n_ref)
     return np.bincount(c, minlength=n_ref + 1).astype(np.int64)
 
 
-def _weighted_mobius_sums_np(values, mu, checkpoints):
+def weighted_mobius_sums(values, mu, checkpoints):
     """Partial sums S_n = sum_{i<=n} values[i-1]*mu(i) at each checkpoint.
 
     ``values[i-1]`` holds the observable along the orbit at time i;
@@ -104,186 +95,9 @@ def _weighted_mobius_sums_np(values, mu, checkpoints):
     return out
 
 
-def _strided_mobius_sum_np(values, mu, stride, count):
+def strided_mobius_sum(values, mu, stride, count):
     """sum_{k=1..count} values[stride*k - 1] * mu(k), exact in int64."""
     if count <= 0:
         return 0
     idx = stride * np.arange(1, count + 1, dtype=np.int64) - 1
     return int(np.dot(values[idx], mu[1 : count + 1].astype(np.int64)))
-
-
-# ---------------------------------------------------------------- numba
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _sieve_mobius_nb(n_max):
-        # linear sieve: each composite is struck once by its smallest prime
-        mu = np.zeros(n_max + 1, dtype=np.int8)
-        if n_max >= 1:
-            mu[1] = 1
-        is_comp = np.zeros(n_max + 1, dtype=np.bool_)
-        primes = np.empty(max(n_max, 1), dtype=np.int64)
-        n_primes = 0
-        for i in range(2, n_max + 1):
-            if not is_comp[i]:
-                primes[n_primes] = i
-                n_primes += 1
-                mu[i] = -1
-            for j in range(n_primes):
-                p = primes[j]
-                ip = i * p
-                if ip > n_max:
-                    break
-                is_comp[ip] = True
-                if i % p == 0:
-                    mu[ip] = 0
-                    break
-                mu[ip] = -mu[i]
-        return mu
-
-    @njit(cache=True)
-    def _build_word_nb(base_len, r_arr, s_flat, s_ptr, marks, total_len):
-        word = np.empty(total_len, dtype=np.int64)
-        for i in range(base_len):
-            word[i] = i
-        cur = base_len
-        for st in range(len(r_arr)):
-            r = r_arr[st]
-            mark = -marks[st]
-            pos = cur
-            for i in range(r):
-                if i > 0:
-                    for t in range(cur):
-                        word[pos + t] = word[t]
-                    pos += cur
-                ns = s_flat[s_ptr[st] + i]
-                for t in range(ns):
-                    word[pos + t] = mark
-                pos += ns
-            cur = pos
-        return word
-
-    @njit(cache=True)
-    def _pair_counts_nb(labels, shift, n_ref):
-        n = labels.shape[0]
-        side = n_ref + 1
-        counts = np.zeros((side, side), dtype=np.int64)
-        if shift >= 0:
-            lo, hi = 0, n - shift
-        else:
-            lo, hi = -shift, n
-        for l in range(lo, hi):
-            a = labels[l]
-            b = labels[l + shift]
-            ca = a if a >= 0 else n_ref
-            cb = b if b >= 0 else n_ref
-            counts[ca, cb] += 1
-        return counts
-
-    @njit(cache=True)
-    def _class_counts_nb(labels, n_ref):
-        counts = np.zeros(n_ref + 1, dtype=np.int64)
-        for l in range(labels.shape[0]):
-            a = labels[l]
-            counts[a if a >= 0 else n_ref] += 1
-        return counts
-
-    @njit(cache=True)
-    def _weighted_mobius_sums_nb(values, mu, checkpoints):
-        out = np.empty(len(checkpoints), dtype=np.int64)
-        acc = 0
-        k = 0
-        for i in range(1, values.shape[0] + 1):
-            acc += values[i - 1] * mu[i]
-            while k < len(checkpoints) and checkpoints[k] == i:
-                out[k] = acc
-                k += 1
-        while k < len(checkpoints):
-            out[k] = 0 if checkpoints[k] == 0 else acc
-            k += 1
-        return out
-
-    @njit(cache=True)
-    def _strided_mobius_sum_nb(values, mu, stride, count):
-        acc = 0
-        for k in range(1, count + 1):
-            acc += values[stride * k - 1] * mu[k]
-        return acc
-
-
-_NUMPY_IMPL = {
-    "sieve_mobius": _sieve_mobius_np,
-    "build_word": _build_word_np,
-    "pair_counts": _pair_counts_np,
-    "class_counts": _class_counts_np,
-    "weighted_mobius_sums": _weighted_mobius_sums_np,
-    "strided_mobius_sum": _strided_mobius_sum_np,
-}
-
-IMPLEMENTATIONS = {"numpy": _NUMPY_IMPL}
-if _HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "sieve_mobius": _sieve_mobius_nb,
-        "build_word": _build_word_nb,
-        "pair_counts": _pair_counts_nb,
-        "class_counts": _class_counts_nb,
-        "weighted_mobius_sums": _weighted_mobius_sums_nb,
-        "strided_mobius_sum": _strided_mobius_sum_nb,
-    }
-
-
-def _pick_backend() -> str:
-    requested = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if requested:
-        if requested not in IMPLEMENTATIONS:
-            raise ValueError(
-                f"{_ENV_FLAG}={requested!r} not available; "
-                f"choose from {sorted(IMPLEMENTATIONS)}"
-            )
-        return requested
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-BACKEND = _pick_backend()
-
-sieve_mobius = IMPLEMENTATIONS[BACKEND]["sieve_mobius"]
-build_word = IMPLEMENTATIONS[BACKEND]["build_word"]
-pair_counts = IMPLEMENTATIONS[BACKEND]["pair_counts"]
-class_counts = IMPLEMENTATIONS[BACKEND]["class_counts"]
-weighted_mobius_sums = IMPLEMENTATIONS[BACKEND]["weighted_mobius_sums"]
-strided_mobius_sum = IMPLEMENTATIONS[BACKEND]["strided_mobius_sum"]
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the active backend on tiny inputs."""
-    labels = np.array([0, 1, -1, 0], dtype=np.int64)
-    sieve_mobius(10)
-    build_word(
-        2,
-        np.array([2], dtype=np.int64),
-        np.array([0, 1], dtype=np.int64),
-        np.array([0], dtype=np.int64),
-        np.array([1], dtype=np.int64),
-        5,
-    )
-    pair_counts(labels, 1, 2)
-    class_counts(labels, 2)
-    weighted_mobius_sums(
-        np.array([1, 0, 1], dtype=np.int64),
-        np.array([0, 1, -1, -1], dtype=np.int8),
-        np.array([3], dtype=np.int64),
-    )
-    strided_mobius_sum(
-        np.array([1, 0, 1, 1], dtype=np.int64),
-        np.array([0, 1, -1, -1, 0], dtype=np.int8),
-        2,
-        2,
-    )

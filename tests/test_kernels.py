@@ -1,71 +1,40 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from rankone import _kernels
 from rankone import construction as cons
-from rankone import tower
+from rankone.mobius import mobius_direct
 
-HAVE_BOTH = set(_kernels.IMPLEMENTATIONS) >= {"numpy", "numba"}
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_BOTH, reason="numba backend unavailable"
+def cut_and_stack(params, K):
+    """Stage-1 level word at depth K, built one stage at a time."""
+    word = list(range(params.h1 + 1))
+    for m in range(1, K):
+        st = params.stage(m)
+        new = []
+        for i in range(st.r):
+            new += word
+            new += [-m] * st.s[i]
+        word = new
+    return word
+
+
+@pytest.mark.parametrize(
+    "params, K",
+    [
+        (cons.chacon(), 8),
+        (cons.ConstructionParams.random_bounded(1, 4, 3, seed=5), 6),
+    ],
 )
-
-
-def impls(name):
-    return (
-        _kernels.IMPLEMENTATIONS["numpy"][name],
-        _kernels.IMPLEMENTATIONS["numba"][name],
-    )
-
-
-def test_sieve_backends_agree():
-    np_impl, nb_impl = impls("sieve_mobius")
-    assert np.array_equal(np_impl(10_000), nb_impl(10_000))
-
-
-def test_build_word_backends_agree():
-    params = cons.chacon()
-    table = cons.heights(params, 8)
-    n_st = 7
-    r_arr = np.array([params.stage(m).r for m in range(1, 8)], dtype=np.int64)
-    marks = np.arange(1, 8, dtype=np.int64)
-    s_flat = np.array(
-        [x for m in range(1, 8) for x in params.stage(m).s], dtype=np.int64
-    )
-    s_ptr = np.array([3 * t for t in range(n_st)], dtype=np.int64)
-    np_impl, nb_impl = impls("build_word")
-    a = np_impl(table.L(1), r_arr, s_flat, s_ptr, marks, table.L(8))
-    b = nb_impl(table.L(1), r_arr, s_flat, s_ptr, marks, table.L(8))
-    assert np.array_equal(a, b)
-
-
-def test_pair_and_class_counts_backends_agree():
-    rng = np.random.default_rng(0)
-    labels = rng.integers(-3, 7, size=5000).astype(np.int64)
-    np_pc, nb_pc = impls("pair_counts")
-    np_cc, nb_cc = impls("class_counts")
-    for shift in (-17, -1, 0, 1, 42):
-        assert np.array_equal(np_pc(labels, shift, 7), nb_pc(labels, shift, 7))
-    assert np.array_equal(np_cc(labels, 7), nb_cc(labels, 7))
-
-
-def test_weighted_sum_backends_agree():
-    rng = np.random.default_rng(1)
-    vals = rng.integers(-5, 6, size=3000).astype(np.int64)
-    mu = _kernels.IMPLEMENTATIONS["numpy"]["sieve_mobius"](3000)
-    checkpoints = np.array([100, 1000, 3000], dtype=np.int64)
-    np_ws, nb_ws = impls("weighted_mobius_sums")
-    assert np.array_equal(
-        np_ws(vals, mu, checkpoints), nb_ws(vals, mu, checkpoints)
-    )
-    np_ss, nb_ss = impls("strided_mobius_sum")
-    for stride, count in ((2, 1500), (7, 428), (100, 30)):
-        assert np_ss(vals, mu, stride, count) == nb_ss(vals, mu, stride, count)
+def test_build_word_matches_cut_and_stack(params, K):
+    table = cons.heights(params, K)
+    stages = [params.stage(m) for m in range(1, K)]
+    r_arr = np.array([st.r for st in stages], dtype=np.int64)
+    s_flat = np.array([x for st in stages for x in st.s], dtype=np.int64)
+    s_ptr = np.cumsum([0] + [st.r for st in stages[:-1]]).astype(np.int64)
+    marks = np.arange(1, K, dtype=np.int64)
+    got = _kernels.build_word(table.L(1), r_arr, s_flat, s_ptr, marks, table.L(K))
+    assert got.tolist() == cut_and_stack(params, K)
 
 
 def test_pair_counts_match_python_bruteforce():
@@ -81,36 +50,40 @@ def test_pair_counts_match_python_bruteforce():
         assert np.array_equal(got, want)
 
 
-def test_env_flag_selects_backend():
-    code = "import rankone._kernels as k; print(k.BACKEND)"
-    for choice in ("numpy", "numba"):
-        env = dict(os.environ, RANKONE_BACKEND=choice)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+def test_class_counts_match_python_count():
+    rng = np.random.default_rng(0)
+    labels = rng.integers(-3, 7, size=5000).astype(np.int64)
+    want = [int(np.sum(labels == c)) for c in range(7)]
+    want.append(int(np.sum(labels < 0)))
+    assert _kernels.class_counts(labels, 7).tolist() == want
+
+
+def mu_direct(n_max):
+    return np.array(
+        [0] + [mobius_direct(n) for n in range(1, n_max + 1)], dtype=np.int8
+    )
+
+
+def test_weighted_mobius_sums_match_running_sum():
+    rng = np.random.default_rng(1)
+    vals = rng.integers(-5, 6, size=3000).astype(np.int64)
+    checkpoints = [0, 1, 100, 1000, 3000]
+    running, acc = {0: 0}, 0
+    for i in range(1, 3001):
+        acc += int(vals[i - 1]) * mobius_direct(i)
+        running[i] = acc
+    got = _kernels.weighted_mobius_sums(
+        vals, mu_direct(3000), np.array(checkpoints, dtype=np.int64)
+    )
+    assert got.tolist() == [running[n] for n in checkpoints]
+
+
+def test_strided_mobius_sum_matches_python_loop():
+    rng = np.random.default_rng(2)
+    vals = rng.integers(-5, 6, size=3000).astype(np.int64)
+    mu = mu_direct(1500)
+    for stride, count in ((2, 1500), (7, 428), (100, 30), (5, 1), (3, 0)):
+        want = sum(
+            int(vals[stride * k - 1]) * int(mu[k]) for k in range(1, count + 1)
         )
-        assert out.stdout.strip() == choice
-
-
-def test_env_flag_rejects_unknown_backend():
-    env = dict(os.environ, RANKONE_BACKEND="fortran")
-    out = subprocess.run(
-        [sys.executable, "-c", "import rankone._kernels"],
-        env=env, capture_output=True, text=True,
-    )
-    assert out.returncode != 0
-    assert "RANKONE_BACKEND" in out.stderr
-
-
-def test_numpy_backend_runs_full_pipeline():
-    code = (
-        "from rankone import construction as C, tower as T;"
-        "m = T.build_labels(C.chacon(), 1, 3);"
-        "print(m.labels.tolist())"
-    )
-    env = dict(os.environ, RANKONE_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.stdout.strip() == str(
-        tower.build_labels(cons.chacon(), 1, 3).labels.tolist()
-    )
+        assert _kernels.strided_mobius_sum(vals, mu, stride, count) == want
