@@ -7,6 +7,8 @@ stage m).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Recorded by the benchmark's machine facts.
@@ -14,21 +16,33 @@ BACKEND = "numpy"
 
 
 def sieve_mobius(n_max: int) -> np.ndarray:
-    """mu(0..n_max) as int8; entry 0 is unused and left 0."""
+    """mu(0..n_max) as int8; entry 0 is unused and left 0.
+
+    Only the primes p <= sqrt(n_max) are struck, one strided pass each:
+    mu[p::p] changes sign, prod[p::p] gains the factor p and
+    mu[p*p::p*p] is zeroed, so prod[n] is the product of the distinct
+    small primes dividing n. A squarefree n with prod[n] < n has exactly
+    one prime factor above sqrt(n_max); one vector step flips its sign.
+    Cost: pi(sqrt(n_max)) numpy passes, 331 at n_max = 5e6.
+    """
     mu = np.ones(n_max + 1, dtype=np.int8)
     mu[0] = 0
     if n_max < 2:
         return mu
-    is_prime = np.ones(n_max + 1, dtype=bool)
+    root = math.isqrt(n_max)
+    is_prime = np.ones(root + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, n_max + 1):
-        if not is_prime[p]:
-            continue
-        is_prime[2 * p :: p] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    # exact: the product of the distinct primes dividing n is at most n
+    dtype = np.int32 if n_max < 2**31 else np.int64
+    prod = np.ones(n_max + 1, dtype=dtype)
+    for p in np.flatnonzero(is_prime).tolist():
         mu[p::p] *= -1
-        sq = p * p
-        if sq <= n_max:
-            mu[sq::sq] = 0
+        prod[p::p] *= p
+        mu[p * p :: p * p] = 0
+    mu[prod < np.arange(n_max + 1, dtype=dtype)] *= -1
     return mu
 
 

@@ -415,6 +415,7 @@ def _cmd_mobius_sum(cfg, out, report):
                  default=_depth_for(cfg.construction, start + N + 2, stage),
                  minimum=stage)
     levels = _levels_param(p, [0], "params")
+    tower.checked_heights(cfg.construction, K)
     obs = sarnak.Observable.indicator(cfg.construction, stage, levels)
     table = mobius.sieve_mobius(N)
     res = sarnak.mobius_weighted_sum(cfg.construction, obs, start, N, K, table)
@@ -432,7 +433,7 @@ def _cmd_telescope(cfg, out, report):
     start = _get_int(p, "start", "params", default=0, minimum=0)
     K = _get_int(p, "K", "params",
                  default=_depth_for(cfg.construction, start + N + 2), minimum=1)
-    L_K = cons.heights(cfg.construction, K).L(K)
+    L_K = tower.checked_heights(cfg.construction, K).L(K)
     levels = _levels_param(p, list(range(0, L_K, d)), "params")
     obs = sarnak.Observable.indicator(cfg.construction, K, levels)
     table = mobius.sieve_mobius(N)

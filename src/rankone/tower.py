@@ -97,8 +97,9 @@ class TowerModel:
         return _kernels.class_counts(self.labels, self.n_levels)
 
 
-@lru_cache(maxsize=8)
-def _cached_labels(params: ConstructionParams, j: int, K: int) -> np.ndarray:
+def checked_heights(params: ConstructionParams, K: int) -> HeightTable:
+    """Heights through stage K; ValueError if the stage-K word would
+    exceed MAX_WORD_LENGTH."""
     table = heights(params, K)
     total = table.L(K)
     if total > MAX_WORD_LENGTH:
@@ -106,6 +107,13 @@ def _cached_labels(params: ConstructionParams, j: int, K: int) -> np.ndarray:
             f"stage-{K} word has {total} levels, over the "
             f"{MAX_WORD_LENGTH} in-memory limit; lower K"
         )
+    return table
+
+
+@lru_cache(maxsize=8)
+def _cached_labels(params: ConstructionParams, j: int, K: int) -> np.ndarray:
+    table = checked_heights(params, K)
+    total = table.L(K)
     n_st = K - j
     r_arr = np.empty(n_st, dtype=np.int64)
     marks = np.empty(n_st, dtype=np.int64)

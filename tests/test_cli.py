@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from rankone import cli
+from rankone import _kernels, cli
 from rankone.errors import ConfigError
 
 
@@ -191,6 +191,28 @@ def test_computation_error_exit_code(tmp_path):
     )
     assert code == 3
     assert "DepthTooShallow" in out
+
+
+@pytest.mark.parametrize(
+    "construction,command,params",
+    [
+        ({"preset": "chacon"}, "mobius-sum", {"N": 55_000_000}),
+        ({"preset": "class4"}, "telescope", {"d": 2, "N": 55_000_000}),
+    ],
+)
+def test_oversized_orbit_fails_before_sieving(tmp_path, monkeypatch,
+                                              construction, command, params):
+    def no_sieve(n_max):
+        raise AssertionError("sieved before the word-length check")
+
+    monkeypatch.setattr(_kernels, "sieve_mobius", no_sieve)
+    code, out, _ = run_config(
+        tmp_path,
+        make_config(construction=construction, command=command, params=params),
+    )
+    assert code == 3
+    assert "error[ValueError]: stage-" in out
+    assert "over the 50000000 in-memory limit; lower K" in out
 
 
 def test_factor_odometer_exit_code(tmp_path):

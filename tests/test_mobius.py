@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankone import _kernels
 from rankone.mobius import (
     MobiusTable,
     gcd_all,
@@ -15,6 +16,7 @@ from rankone.mobius import (
 
 TABLE = sieve_mobius(10_000)
 TABLE_BIG = sieve_mobius(50_000)
+DIRECT = [0] + [mobius_direct(n) for n in range(1, 20_001)]
 
 
 @pytest.mark.parametrize(
@@ -35,6 +37,60 @@ def test_sum_up_to_100():
 
 def test_sieve_matches_direct_oracle():
     assert all(TABLE.mu(n) == mobius_direct(n) for n in range(1, 10_001))
+
+
+@given(st.integers(1, 20_000))
+@settings(max_examples=60, deadline=None)
+def test_sieve_matches_direct_at_any_size(n_max):
+    assert sieve_mobius(n_max).values.tolist() == DIRECT[: n_max + 1]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 97])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_sieve_at_prime_square_boundaries(p, offset):
+    # n_max around p^2 moves p in or out of the struck primes <= sqrt(n_max)
+    n_max = p * p + offset
+    assert _kernels.sieve_mobius(n_max).tolist() == DIRECT[: n_max + 1]
+
+
+@given(st.integers(1, 50_000))
+@settings(max_examples=60, deadline=None)
+def test_sieve_prefix_consistency(m):
+    assert np.array_equal(sieve_mobius(m).values, TABLE_BIG.values[: m + 1])
+
+
+def _is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_sieve_at_one_million_large_prime_path():
+    n_max = 1_000_000
+    mu = _kernels.sieve_mobius(n_max)
+    rng = np.random.default_rng(20_000)
+    sample = rng.integers(1, n_max + 1, size=2000).tolist()
+    # n = p*q (times a small squarefree or square cofactor) with
+    # p <= 1000 < q: only the final vector step can see q
+    for p in (2, 3, 31, 991):
+        top = n_max // p
+        qs = [q for q in range(1001, min(1200, top) + 1) if _is_prime(q)]
+        qs += [q for q in range(top, max(1000, top - 300), -1) if _is_prime(q)]
+        for q in qs:
+            sample += [p * q, q]
+            if p * q * 5 <= n_max:
+                sample.append(p * q * 5)
+            if p * p * q <= n_max:
+                sample.append(p * p * q)
+    assert len(sample) > 2100
+    for n in sample:
+        assert mu[n] == mobius_direct(n), n
+
+
+@pytest.mark.parametrize("n_max,expected", [(1, [0, 1]), (2, [0, 1, -1])])
+def test_sieve_dtype_and_length_at_tiny_sizes(n_max, expected):
+    mu = _kernels.sieve_mobius(n_max)
+    assert mu.dtype == np.int8
+    assert mu.shape == (n_max + 1,)
+    assert mu.tolist() == expected
 
 
 def test_squareful_entries_vanish():
