@@ -13,6 +13,10 @@ Config schema (single JSON object):
       "output": {"dir": "out"}                        # optional
     }
 
+Each command's params are declared once, in ``COMMANDS``. That table
+checks the JSON keys, kinds and minimums, fills the defaults, and gives
+every param the flag ``--name`` (``_`` spelled ``-``) of its subcommand.
+
 Exit codes: 0 success, 2 config error, 3 computation error.
 """
 
@@ -21,8 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from copy import copy
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import construction as cons
 from . import limits, mobius, sarnak, tower
@@ -43,36 +49,91 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
     _expect(not unknown, f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
 
 
-def _get_int(obj, key, where, default=None, minimum=None):
-    if key not in obj:
-        _expect(default is not None, f"missing required key '{key}' in {where}")
-        return default
-    v = obj[key]
-    _expect(isinstance(v, int) and not isinstance(v, bool),
-            f"'{key}' in {where} must be an integer, got {v!r}")
-    if minimum is not None:
-        _expect(v >= minimum, f"'{key}' in {where} must be >= {minimum}, got {v}")
+# Param kinds: each checks the JSON value of ``key`` in ``where`` and
+# returns it in the form the handlers use. Exact type tests keep JSON
+# booleans out of integers and numbers.
+
+def _int(v, key, where) -> int:
+    _expect(type(v) is int, f"'{key}' in {where} must be an integer, got {v!r}")
     return v
 
 
-def _get_number(obj, key, where, default):
-    if key not in obj:
-        return default
-    v = obj[key]
-    _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
-            f"'{key}' in {where} must be a number, got {v!r}")
+def _float(v, key, where) -> float:
+    _expect(type(v) in (int, float), f"'{key}' in {where} must be a number, got {v!r}")
+    _expect(abs(v) <= sys.float_info.max, f"'{key}' in {where} must be finite, got {v!r}")
     return float(v)
+
+
+def _ints(v, key, where) -> list[int]:
+    # one pass: telescope levels run to ~1e4 entries
+    _expect(type(v) is list and all(type(x) is int for x in v),
+            f"'{key}' in {where} must be a list of integers")
+    return v
+
+
+def _poly(v, key, where) -> limits.LimitPolynomial:
+    where = f"{where}.{key}"
+    _expect(isinstance(v, dict), f"{where} must be an object")
+    _check_keys(v, {"coeffs", "theta"}, where)
+    raw = v.get("coeffs", {})
+    _expect(isinstance(raw, dict), f"'{where}.coeffs' must be an object")
+    coeffs = {}
+    for k, c in raw.items():
+        try:
+            z = int(k)
+        except ValueError:
+            raise ConfigError(f"'{where}.coeffs' key {k!r} is not an integer") from None
+        coeffs[z] = _float(c, f"coeffs[{k}]", where)
+    theta = _float(v["theta"], "theta", where) if "theta" in v else 0.0
+    window = max((abs(z) for z in coeffs), default=0)
+    return limits.LimitPolynomial(window=window, coeffs=coeffs, theta=theta,
+                                  fit_residual=0.0)
+
+
+REQUIRED = object()  # default of a param that must be given
+
+
+class Param(NamedTuple):
+    """One param: JSON key ``name``, checked by ``kind``. A ``default``
+    of None leaves the value unset (or to the handler, which derives
+    it from the construction). ``minimum`` is a number or the name of
+    an earlier param of the same command."""
+
+    name: str
+    kind: Callable
+    default: object = REQUIRED
+    minimum: int | str | None = None
+
+
+def _resolve(obj: dict, specs: tuple[Param, ...], where: str) -> dict:
+    """Every param's value from ``obj``, kind and minimum checked, with
+    the defaults filled in."""
+    out = {}
+    for s in specs:
+        if s.name in obj:
+            v = s.kind(obj[s.name], s.name, where)
+            floor = out[s.minimum] if isinstance(s.minimum, str) else s.minimum
+            _expect(floor is None or v >= floor,
+                    f"'{s.name}' in {where} must be >= {floor}, got {v}")
+        else:
+            _expect(s.default is not REQUIRED, f"missing required key '{s.name}' in {where}")
+            v = copy(s.default)
+        out[s.name] = v
+    return out
+
+
+_H1 = Param("h1", _int, REQUIRED, 0)
+_STAGE = (Param("r", _int), Param("s", _ints))
+_RANDOM = (Param("r_max", _int, REQUIRED, 2), Param("s_max", _int, REQUIRED, 0),
+           Param("seed", _int, 0))
 
 
 def _parse_stage(entry, where) -> cons.StageParams:
     _expect(isinstance(entry, dict), f"{where} must be an object with 'r' and 's'")
     _check_keys(entry, {"r", "s"}, where)
-    r = _get_int(entry, "r", where)
-    s = entry.get("s")
-    _expect(isinstance(s, list) and all(isinstance(x, int) for x in s),
-            f"'s' in {where} must be a list of integers")
+    v = _resolve(entry, _STAGE, where)
     try:
-        return cons.StageParams(r, tuple(s))
+        return cons.StageParams(v["r"], tuple(v["s"]))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -88,7 +149,7 @@ def _parse_construction(obj) -> cons.ConstructionParams:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     _check_keys(obj, {"h1", "stages"}, where)
-    h1 = _get_int(obj, "h1", where, minimum=0)
+    h1 = _resolve(obj, (_H1,), where)["h1"]
     stages = obj.get("stages")
     _expect(isinstance(stages, dict), f"'{where}.stages' must be an object")
     kind = stages.get("kind")
@@ -98,11 +159,7 @@ def _parse_construction(obj) -> cons.ConstructionParams:
         _check_keys(stages, {"kind", "r_max", "s_max", "seed"}, f"{where}.stages")
         try:
             return cons.ConstructionParams.random_bounded(
-                h1,
-                _get_int(stages, "r_max", f"{where}.stages", minimum=2),
-                _get_int(stages, "s_max", f"{where}.stages", minimum=0),
-                _get_int(stages, "seed", f"{where}.stages", default=0),
-            )
+                h1, **_resolve(stages, _RANDOM, f"{where}.stages"))
         except ValueError as exc:
             raise ConfigError(f"{where}.stages: {exc}") from None
     key = "pattern" if kind == "periodic" else "stages"
@@ -118,27 +175,38 @@ def _parse_construction(obj) -> cons.ConstructionParams:
     return maker(h1, parsed)
 
 
-_COMMAND_KEYS = {
-    "heights": {"J"},
-    "classify": {"horizon", "bound"},
-    "labels": {"j", "K", "max_rows"},
-    "correlate": {"j", "K", "n"},
-    "weak-limit": {"d", "m", "Z", "tau", "min_levels", "shift_factor",
-                   "max_shift", "fit_count", "horizon", "ref_stage"},
-    "similarity": {"Q", "P", "p", "q", "tol", "tau"},
-    "disjointness": {"p", "q", "Z", "min_levels", "shift_factor", "max_shift",
-                     "fit_count", "horizon", "ref_stage", "tau", "coeff_tol",
-                     "stability_tol", "residual_tol"},
-    "cascade": {"p", "levels", "Z", "tau", "min_levels", "shift_factor",
-                "max_shift", "fit_count", "horizon", "ref_stage"},
-    "mobius-sum": {"N", "stage", "levels", "start", "K"},
-    "telescope": {"d", "N", "M", "start", "levels", "K"},
-    "factor": {"horizon", "K"},
-}
+# Param groups shared by several commands, with the library's defaults.
+_DP, _FT = limits.DEFAULT_POLICY, limits.DEFAULT_TOLERANCES
+#: the fields of limits.DepthPolicy
+_POLICY = (
+    Param("min_levels", _int, _DP.min_levels, 2),
+    Param("shift_factor", _int, _DP.shift_factor, 1),
+    Param("max_shift", _int, _DP.max_shift, 1),
+    Param("fit_count", _int, _DP.fit_count, 1),
+    Param("horizon", _int, _DP.horizon, 2),
+    Param("ref_stage", _int, _DP.ref_stage, 1),
+)
+_TAU = Param("tau", _float, _FT.support_tau)
+#: the fields of limits.FitTolerances, in order
+_TOLERANCES = (
+    _TAU,
+    Param("coeff_tol", _float, _FT.coeff_tol),
+    Param("stability_tol", _float, _FT.stability_tol),
+    Param("residual_tol", _float, _FT.residual_tol),
+)
+_PQ = (Param("p", _int, REQUIRED, 1), Param("q", _int, REQUIRED, 1))
+_Z = Param("Z", _int, 8, 1)
+_HORIZON = Param("horizon", _int, 40, 1)  # classification horizon
+_START = Param("start", _int, 0, 0)
+_K = Param("K", _int, None, 1)
+_K_FROM_J = Param("K", _int, None, "j")
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run; ``params`` holds every param of the command,
+    resolved by ``parse_config_dict``."""
+
     construction: cons.ConstructionParams
     command: str
     params: dict
@@ -162,11 +230,13 @@ def parse_config_dict(obj) -> RunConfig:
     _expect("command" in obj, "missing required key 'command' in config")
     construction = _parse_construction(obj["construction"])
     command = obj["command"]
-    _expect(command in _COMMAND_KEYS,
-            f"unknown command {command!r}; valid commands: {sorted(_COMMAND_KEYS)}")
+    _expect(isinstance(command, str) and command in COMMANDS,
+            f"unknown command {command!r}; valid commands: {sorted(COMMANDS)}")
     params = obj.get("params", {})
     _expect(isinstance(params, dict), "'params' must be an object")
-    _check_keys(params, _COMMAND_KEYS[command], f"params for command '{command}'")
+    specs = COMMANDS[command].params
+    _check_keys(params, {s.name for s in specs}, f"params for command '{command}'")
+    params = _resolve(params, specs, "params")
     out_dir = "."
     if "output" in obj:
         _expect(isinstance(obj["output"], dict), "'output' must be an object")
@@ -186,71 +256,39 @@ def _write_csv(path: Path, header: tuple[str, ...], rows):
             fh.write(",".join(str(x) for x in row) + CSV_NEWLINE)
 
 
-def _depth_for(params, minimum_levels: int, at_least_stage: int = 1) -> int:
-    K = at_least_stage
-    while cons.heights(params, K).L(K) < minimum_levels:
-        K += 1
-    return K
+def _depth_for(cfg: RunConfig, minimum_levels: int, at_least_stage: int = 1) -> int:
+    """The given depth K, else the first stage >= at_least_stage with
+    L_K >= minimum_levels."""
+    K = cfg.params["K"]
+    if K is not None:
+        return K
+    return cons.first_stage_reaching(cfg.construction, minimum_levels, at_least_stage)
 
 
-def _policy_from(p: dict) -> limits.DepthPolicy:
-    base = limits.DEFAULT_POLICY
-    return limits.DepthPolicy(
-        min_levels=_get_int(p, "min_levels", "params", default=base.min_levels, minimum=2),
-        shift_factor=_get_int(p, "shift_factor", "params", default=base.shift_factor, minimum=1),
-        max_shift=_get_int(p, "max_shift", "params", default=base.max_shift, minimum=1),
-        fit_count=_get_int(p, "fit_count", "params", default=base.fit_count, minimum=1),
-        horizon=_get_int(p, "horizon", "params", default=base.horizon, minimum=2),
-        ref_stage=(_get_int(p, "ref_stage", "params", minimum=1)
-                   if "ref_stage" in p else None),
-    )
+def _policy(p: dict) -> limits.DepthPolicy:
+    return limits.DepthPolicy(**{s.name: p[s.name] for s in _POLICY})
 
 
-def _tolerances_from(p: dict) -> limits.FitTolerances:
-    base = limits.DEFAULT_TOLERANCES
-    return limits.FitTolerances(
-        support_tau=_get_number(p, "tau", "params", base.support_tau),
-        coeff_tol=_get_number(p, "coeff_tol", "params", base.coeff_tol),
-        stability_tol=_get_number(p, "stability_tol", "params", base.stability_tol),
-        residual_tol=_get_number(p, "residual_tol", "params", base.residual_tol),
-    )
+def _conventions(specs: tuple[Param, ...], p: dict) -> str:
+    """The tolerances and depth policy of a run: the command's own
+    values, and the defaults of the ones it does not take."""
+    def value(s):
+        return p[s.name] if s in specs else s.default
 
-
-def _conventions(tols: limits.FitTolerances, policy: limits.DepthPolicy) -> str:
     return "\n".join([
         "conventions:",
         "  level count L_j = h_j + 1; return powers H_j = -(L_j + min s_j(1..r_j-1))",
-        f"  tolerances: tau={tols.support_tau} coeff={tols.coeff_tol} "
-        f"stability={tols.stability_tol} residual={tols.residual_tol}",
-        f"  depth policy: min_levels={policy.min_levels} "
-        f"shift_factor={policy.shift_factor} max_shift={policy.max_shift} "
-        f"fit_count={policy.fit_count} horizon={policy.horizon}",
+        "  tolerances: " + " ".join(
+            f"{s.name.removesuffix('_tol')}={value(s)}" for s in _TOLERANCES),
+        "  depth policy: " + " ".join(
+            f"{s.name}={value(s)}" for s in _POLICY if s.name != "ref_stage"),
     ])
-
-
-def _poly_from_json(obj, where) -> limits.LimitPolynomial:
-    _expect(isinstance(obj, dict), f"{where} must be an object")
-    _check_keys(obj, {"coeffs", "theta"}, where)
-    raw = obj.get("coeffs", {})
-    _expect(isinstance(raw, dict), f"'{where}.coeffs' must be an object")
-    coeffs = {}
-    for k, v in raw.items():
-        try:
-            z = int(k)
-        except ValueError:
-            raise ConfigError(f"'{where}.coeffs' key {k!r} is not an integer") from None
-        _expect(isinstance(v, (int, float)), f"'{where}.coeffs[{k}]' must be a number")
-        coeffs[z] = float(v)
-    theta = _get_number(obj, "theta", where, 0.0)
-    window = max((abs(z) for z in coeffs), default=0)
-    return limits.LimitPolynomial(window=window, coeffs=coeffs, theta=theta,
-                                  fit_residual=0.0)
 
 
 # -------------------------------------------------------------- commands
 
 def _cmd_heights(cfg, out, report):
-    J = _get_int(cfg.params, "J", "params", default=30, minimum=1)
+    J = cfg.params["J"]
     table = cons.heights(cfg.construction, J)
     _write_csv(out / "heights.csv", ("j", "L", "h"),
                ((j, table.L(j), table.h(j)) for j in range(1, J + 1)))
@@ -258,9 +296,7 @@ def _cmd_heights(cfg, out, report):
 
 
 def _cmd_classify(cfg, out, report):
-    horizon = _get_int(cfg.params, "horizon", "params", default=40, minimum=1)
-    bound = (_get_int(cfg.params, "bound", "params", minimum=1)
-             if "bound" in cfg.params else None)
+    horizon, bound = cfg.params["horizon"], cfg.params["bound"]
     label = cons.classify(cfg.construction, horizon, bound)
     profile = cons.bounded_profile(cfg.construction, horizon, bound)
     _write_csv(out / "classification.csv", ("field", "value"), [
@@ -276,12 +312,10 @@ def _cmd_classify(cfg, out, report):
 
 
 def _cmd_labels(cfg, out, report):
-    j = _get_int(cfg.params, "j", "params", default=1, minimum=1)
-    K = _get_int(cfg.params, "K", "params",
-                 default=_depth_for(cfg.construction, 10_000, j), minimum=j)
-    max_rows = _get_int(cfg.params, "max_rows", "params", default=10_000, minimum=1)
+    j = cfg.params["j"]
+    K = _depth_for(cfg, 10_000, j)
     model = tower.build_labels(cfg.construction, j, K)
-    n = min(model.length, max_rows)
+    n = min(model.length, cfg.params["max_rows"])
 
     def rows():
         for pos in range(n):
@@ -297,11 +331,9 @@ def _cmd_labels(cfg, out, report):
 
 
 def _cmd_correlate(cfg, out, report):
-    j = _get_int(cfg.params, "j", "params", default=2, minimum=1)
-    n = _get_int(cfg.params, "n", "params")
+    j, n = cfg.params["j"], cfg.params["n"]
     need = max(10_000, limits.DEFAULT_POLICY.shift_factor * abs(n), abs(n) + 2)
-    K = _get_int(cfg.params, "K", "params",
-                 default=_depth_for(cfg.construction, need, j), minimum=j)
+    K = _depth_for(cfg, need, j)
     mat = tower.correlation_matrix(cfg.construction, j, K, n)
     _write_csv(out / "correlation.csv", ("A", "B", "value", "error"),
                mat.to_csv_rows())
@@ -311,12 +343,8 @@ def _cmd_correlate(cfg, out, report):
 
 def _cmd_weak_limit(cfg, out, report):
     p = cfg.params
-    d = _get_int(p, "d", "params", default=1, minimum=1)
-    m = _get_int(p, "m", "params", default=0, minimum=0)
-    Z = _get_int(p, "Z", "params", default=8, minimum=1)
-    tau = _get_number(p, "tau", "params", limits.DEFAULT_TOLERANCES.support_tau)
-    policy = _policy_from(p)
-    res = limits.weak_limit(cfg.construction, d, m, policy=policy, Z=Z)
+    d, m, tau = p["d"], p["m"], p["tau"]
+    res = limits.weak_limit(cfg.construction, d, m, policy=_policy(p), Z=p["Z"])
     _write_csv(out / "weak_limit.csv", ("z", "a_z"),
                res.polynomial.to_csv_rows())
     report.append(f"weak limit of T^({d}*H_(j+{m})): {res.polynomial}")
@@ -329,15 +357,9 @@ def _cmd_weak_limit(cfg, out, report):
 
 def _cmd_similarity(cfg, out, report):
     p = cfg.params
-    _expect("Q" in p and "P" in p, "similarity needs 'Q' and 'P' polynomials")
-    Q = _poly_from_json(p["Q"], "params.Q")
-    P = _poly_from_json(p["P"], "params.P")
-    pp = _get_int(p, "p", "params", minimum=1)
-    qq = _get_int(p, "q", "params", minimum=1)
-    tol = _get_number(p, "tol", "params", limits.DEFAULT_TOLERANCES.coeff_tol)
-    tau = _get_number(p, "tau", "params", limits.DEFAULT_TOLERANCES.support_tau)
     try:
-        verdict = limits.is_pq_similar(Q, P, pp, qq, tol=tol, tau=tau)
+        verdict = limits.is_pq_similar(p["Q"], p["P"], p["p"], p["q"],
+                                       tol=p["tol"], tau=p["tau"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     witness = sorted((verdict.witness or {}).items())
@@ -349,14 +371,11 @@ def _cmd_similarity(cfg, out, report):
 
 def _cmd_disjointness(cfg, out, report):
     p = cfg.params
-    pp = _get_int(p, "p", "params", minimum=1)
-    qq = _get_int(p, "q", "params", minimum=1)
-    Z = _get_int(p, "Z", "params", default=8, minimum=1)
-    policy = _policy_from(p)
-    tols = _tolerances_from(p)
+    tols = limits.FitTolerances(*(p[s.name] for s in _TOLERANCES))
     try:
         verdict = limits.disjointness_certificate(
-            cfg.construction, pp, qq, policy=policy, tolerances=tols, Z=Z
+            cfg.construction, p["p"], p["q"], policy=_policy(p), tolerances=tols,
+            Z=p["Z"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -369,15 +388,12 @@ def _cmd_disjointness(cfg, out, report):
 
 def _cmd_cascade(cfg, out, report):
     p = cfg.params
-    prime = _get_int(p, "p", "params", minimum=2)
-    n_levels = _get_int(p, "levels", "params", default=3, minimum=1)
-    Z = _get_int(p, "Z", "params", default=8, minimum=1)
-    tau = _get_number(p, "tau", "params", limits.DEFAULT_TOLERANCES.support_tau)
-    policy = _policy_from(p)
+    prime, tau = p["p"], p["tau"]
+    policy = _policy(p)
     windows = limits.full_window(policy.horizon)
     supports = []
-    for m in range(1, n_levels + 1):
-        res = limits.weak_limit(cfg.construction, 1, m, windows, policy, Z)
+    for m in range(1, p["levels"] + 1):
+        res = limits.weak_limit(cfg.construction, 1, m, windows, policy, p["Z"])
         supports.append(limits.SupportSet(m, res.polynomial.support(tau), tau))
         report.append(f"P(1,{m}) fit: {res.polynomial} "
                       f"support {sorted(supports[-1].zs)}")
@@ -399,22 +415,10 @@ def _cmd_cascade(cfg, out, report):
     )
 
 
-def _levels_param(params, default, where) -> list[int]:
-    levels = params.get("levels", default)
-    _expect(isinstance(levels, list) and all(isinstance(x, int) for x in levels),
-            f"'levels' in {where} must be a list of integers")
-    return levels
-
-
 def _cmd_mobius_sum(cfg, out, report):
     p = cfg.params
-    N = _get_int(p, "N", "params", default=100_000, minimum=1)
-    stage = _get_int(p, "stage", "params", default=1, minimum=1)
-    start = _get_int(p, "start", "params", default=0, minimum=0)
-    K = _get_int(p, "K", "params",
-                 default=_depth_for(cfg.construction, start + N + 2, stage),
-                 minimum=stage)
-    levels = _levels_param(p, [0], "params")
+    N, stage, start, levels = p["N"], p["stage"], p["start"], p["levels"]
+    K = _depth_for(cfg, start + N + 2, stage)
     tower.checked_heights(cfg.construction, K)
     obs = sarnak.Observable.indicator(cfg.construction, stage, levels)
     table = mobius.sieve_mobius(N)
@@ -427,14 +431,10 @@ def _cmd_mobius_sum(cfg, out, report):
 
 def _cmd_telescope(cfg, out, report):
     p = cfg.params
-    d = _get_int(p, "d", "params", minimum=2)
-    N = _get_int(p, "N", "params", default=10_000, minimum=1)
-    M = _get_int(p, "M", "params", default=1, minimum=1)
-    start = _get_int(p, "start", "params", default=0, minimum=0)
-    K = _get_int(p, "K", "params",
-                 default=_depth_for(cfg.construction, start + N + 2), minimum=1)
+    d, N, M, start = p["d"], p["N"], p["M"], p["start"]
+    K = _depth_for(cfg, start + N + 2)
     L_K = tower.checked_heights(cfg.construction, K).L(K)
-    levels = _levels_param(p, list(range(0, L_K, d)), "params")
+    levels = p["levels"] if p["levels"] is not None else list(range(0, L_K, d))
     obs = sarnak.Observable.indicator(cfg.construction, K, levels)
     table = mobius.sieve_mobius(N)
     if M == 1 and sarnak._is_prime(d):
@@ -467,11 +467,8 @@ def _cmd_telescope(cfg, out, report):
 
 
 def _cmd_factor(cfg, out, report):
-    p = cfg.params
-    horizon = _get_int(p, "horizon", "params", default=40, minimum=1)
-    K = _get_int(p, "K", "params",
-                 default=_depth_for(cfg.construction, 10_000), minimum=1)
-    part = sarnak.compact_factor(cfg.construction, horizon, K)
+    K = _depth_for(cfg, 10_000)
+    part = sarnak.compact_factor(cfg.construction, cfg.params["horizon"], K)
     table = cons.heights(cfg.construction, part.checked_through_stage)
 
     def rows():
@@ -487,18 +484,38 @@ def _cmd_factor(cfg, out, report):
                   f"offsets verified through stage {part.checked_through_stage}")
 
 
-_DISPATCH = {
-    "heights": _cmd_heights,
-    "classify": _cmd_classify,
-    "labels": _cmd_labels,
-    "correlate": _cmd_correlate,
-    "weak-limit": _cmd_weak_limit,
-    "similarity": _cmd_similarity,
-    "disjointness": _cmd_disjointness,
-    "cascade": _cmd_cascade,
-    "mobius-sum": _cmd_mobius_sum,
-    "telescope": _cmd_telescope,
-    "factor": _cmd_factor,
+class Command(NamedTuple):
+    run: Callable
+    params: tuple[Param, ...]
+
+
+#: every command's handler and params, in validation order
+COMMANDS = {
+    "heights": Command(_cmd_heights, (Param("J", _int, 30, 1),)),
+    "classify": Command(_cmd_classify, (_HORIZON, Param("bound", _int, None, 1))),
+    "labels": Command(_cmd_labels, (Param("j", _int, 1, 1), _K_FROM_J,
+                                    Param("max_rows", _int, 10_000, 1))),
+    "correlate": Command(_cmd_correlate, (Param("j", _int, 2, 1), Param("n", _int),
+                                          _K_FROM_J)),
+    "weak-limit": Command(_cmd_weak_limit, (Param("d", _int, 1, 1),
+                                            Param("m", _int, 0, 0), _Z, _TAU,
+                                            *_POLICY)),
+    "similarity": Command(_cmd_similarity, (Param("Q", _poly), Param("P", _poly),
+                                            *_PQ, Param("tol", _float, _FT.coeff_tol),
+                                            _TAU)),
+    "disjointness": Command(_cmd_disjointness, (*_PQ, _Z, *_POLICY, *_TOLERANCES)),
+    "cascade": Command(_cmd_cascade, (Param("p", _int, REQUIRED, 2),
+                                      Param("levels", _int, 3, 1), _Z, _TAU,
+                                      *_POLICY)),
+    "mobius-sum": Command(_cmd_mobius_sum, (Param("N", _int, 100_000, 1),
+                                            Param("stage", _int, 1, 1), _START,
+                                            Param("K", _int, None, "stage"),
+                                            Param("levels", _ints, [0]))),
+    "telescope": Command(_cmd_telescope, (Param("d", _int, REQUIRED, 2),
+                                          Param("N", _int, 10_000, 1),
+                                          Param("M", _int, 1, 1), _START, _K,
+                                          Param("levels", _ints, None))),
+    "factor": Command(_cmd_factor, (_HORIZON, _K)),
 }
 
 
@@ -507,15 +524,14 @@ def run(config: RunConfig, stream=None) -> int:
     stream = stream or sys.stdout
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    tols = _tolerances_from(config.params)
-    policy = _policy_from(config.params)
+    command = COMMANDS[config.command]
     report: list[str] = [
         f"construction: {config.construction.describe()}",
         f"command: {config.command}",
-        _conventions(tols, policy),
+        _conventions(command.params, config.params),
     ]
     try:
-        _DISPATCH[config.command](config, out, report)
+        command.run(config, out, report)
     except ConfigError:
         raise
     except RankOneError as exc:
@@ -532,6 +548,32 @@ def run(config: RunConfig, stream=None) -> int:
 
 # ------------------------------------------------------------------ main
 
+#: argparse arguments of each kind's flag
+_FLAG_ARGS = {
+    _int: {"type": int},
+    _float: {"type": float},
+    _ints: {"type": int, "nargs": "+"},
+    _poly: {"metavar": "JSON"},
+}
+
+
+def _flag(s: Param) -> str:
+    return "--" + s.name.replace("_", "-")
+
+
+def _flag_help(s: Param) -> str:
+    text = ("required" if s.default is REQUIRED
+            else "optional" if s.default is None else f"default {s.default}")
+    return text if s.minimum is None else f"{text}; >= {s.minimum}"
+
+
+def _json_arg(flag: str, text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{flag} is not valid JSON: {exc}") from None
+
+
 def _add_construction_flags(sp):
     sp.add_argument("--preset", choices=sorted(cons.PRESETS))
     sp.add_argument("--construction-json",
@@ -541,37 +583,10 @@ def _add_construction_flags(sp):
 
 def _construction_obj(args) -> dict:
     if args.construction_json:
-        try:
-            return json.loads(args.construction_json)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--construction-json is not valid JSON: {exc}") from None
+        return _json_arg("--construction-json", args.construction_json)
     if args.preset:
         return {"preset": args.preset}
     raise ConfigError("give either --preset or --construction-json")
-
-
-_FLAG_SPECS = {
-    "heights": [("--J", int)],
-    "classify": [("--horizon", int), ("--bound", int)],
-    "labels": [("--j", int), ("--K", int), ("--max-rows", int)],
-    "correlate": [("--j", int), ("--K", int), ("--n", int)],
-    "weak-limit": [("--d", int), ("--m", int), ("--Z", int), ("--tau", float),
-                   ("--min-levels", int), ("--shift-factor", int),
-                   ("--max-shift", int), ("--fit-count", int),
-                   ("--horizon", int), ("--ref-stage", int)],
-    "disjointness": [("--p", int), ("--q", int), ("--Z", int), ("--tau", float),
-                     ("--min-levels", int), ("--shift-factor", int),
-                     ("--max-shift", int), ("--fit-count", int),
-                     ("--horizon", int), ("--ref-stage", int),
-                     ("--coeff-tol", float), ("--stability-tol", float),
-                     ("--residual-tol", float)],
-    "cascade": [("--p", int), ("--levels", int), ("--Z", int), ("--tau", float),
-                ("--horizon", int), ("--max-shift", int)],
-    "mobius-sum": [("--N", int), ("--stage", int), ("--start", int), ("--K", int)],
-    "telescope": [("--d", int), ("--N", int), ("--M", int), ("--start", int),
-                  ("--K", int)],
-    "factor": [("--horizon", int), ("--K", int)],
-}
 
 
 def main(argv=None) -> int:
@@ -586,17 +601,11 @@ def main(argv=None) -> int:
     run_p.add_argument("--out", default=None,
                        help="override the config's output directory")
 
-    for name, flags in _FLAG_SPECS.items():
+    for name, command in COMMANDS.items():
         sp = sub.add_parser(name)
         _add_construction_flags(sp)
-        for flag, typ in flags:
-            sp.add_argument(flag, type=typ)
-    sim = sub.add_parser("similarity")
-    _add_construction_flags(sim)
-    for flag, typ in [("--p", int), ("--q", int), ("--tol", float), ("--tau", float)]:
-        sim.add_argument(flag, type=typ)
-    sim.add_argument("--Q", help="JSON polynomial {\"coeffs\": {...}, \"theta\": c}")
-    sim.add_argument("--P", help="JSON polynomial")
+        for s in command.params:
+            sp.add_argument(_flag(s), help=_flag_help(s), **_FLAG_ARGS[s.kind])
 
     args = parser.parse_args(argv)
     try:
@@ -609,23 +618,10 @@ def main(argv=None) -> int:
                                    config.params, args.out)
         else:
             params = {}
-            for flag, _ in _FLAG_SPECS.get(args.cmd, []):
-                key = flag.lstrip("-").replace("-", "_")
-                val = getattr(args, key, None)
+            for s in COMMANDS[args.cmd].params:
+                val = getattr(args, s.name)
                 if val is not None:
-                    params[key] = val
-            if args.cmd == "similarity":
-                for key in ("p", "q", "tol", "tau"):
-                    val = getattr(args, key, None)
-                    if val is not None:
-                        params[key] = val
-                for key in ("Q", "P"):
-                    val = getattr(args, key, None)
-                    if val is not None:
-                        try:
-                            params[key] = json.loads(val)
-                        except json.JSONDecodeError as exc:
-                            raise ConfigError(f"--{key} is not valid JSON: {exc}")
+                    params[s.name] = _json_arg(_flag(s), val) if s.kind is _poly else val
             config = parse_config_dict({
                 "construction": _construction_obj(args),
                 "command": args.cmd,

@@ -227,6 +227,14 @@ def heights(params: ConstructionParams, J: int) -> HeightTable:
     return HeightTable(_levels_through(params, J))
 
 
+def first_stage_reaching(params: ConstructionParams, n: int, start: int = 1) -> int:
+    """Smallest stage K >= start whose level count L_K is at least n."""
+    K = start
+    while heights(params, K).L(K) < n:
+        K += 1
+    return K
+
+
 # ---------------------------------------------------- bounded / windows
 
 @dataclass(frozen=True)

@@ -22,7 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .construction import ConstructionParams, Window, WindowSet, heights
+from .construction import (
+    ConstructionParams, Window, WindowSet, first_stage_reaching, heights,
+)
 from .tower import CorrelationMatrix, build_labels, correlation_matrix
 
 MAX_SOLVER_ITERATIONS = 10_000
@@ -273,24 +275,12 @@ def _select_stages(
     return usable[-policy.fit_count:]
 
 
-def _depth_for_shift(params: ConstructionParams, j_ref: int, n: int,
-                     policy: DepthPolicy) -> int:
-    need = max(policy.min_levels, policy.shift_factor * abs(n))
-    K = j_ref
-    while heights(params, K).L(K) < need:
-        K += 1
-    return K
-
-
 def auto_ref_stage(params: ConstructionParams, Z: int) -> int:
     """Smallest reference stage whose level count exceeds 2Z+1, so that
     the basis shifts |z| <= Z stay distinct even on periodic words
     (odometer words repeat with period L_j, aliasing C_z with
     C_{z mod L_j})."""
-    j = 1
-    while heights(params, j).L(j) < 2 * Z + 2:
-        j += 1
-    return j
+    return first_stage_reaching(params, 2 * Z + 2)
 
 
 def _ref_stage(params: ConstructionParams, Z: int, policy: DepthPolicy) -> int:
@@ -319,7 +309,8 @@ def _fit_series(
     j_ref = _ref_stage(params, Z, policy)
     fits = []
     for n in shifts:
-        K = _depth_for_shift(params, j_ref, n, policy)
+        need = max(policy.min_levels, policy.shift_factor * abs(n))
+        K = first_stage_reaching(params, need, j_ref)
         fits.append(fit_for_shift(params, j_ref, K, n, Z))
     gap = max(
         (coefficient_distance(a, b) for a, b in zip(fits, fits[1:])),

@@ -197,14 +197,15 @@ def _verify_offsets(params: ConstructionParams, d: int, j0: int, j1: int) -> Non
 
 def compact_factor(params: ConstructionParams, horizon: int, K: int) -> FactorPartition:
     """Cyclic factor E, TE, ..., T^{d-1}E at depth K, with d taken from
-    the classification; verifies that every column offset through
-    stage K+1 is divisible by d."""
+    the classification; verifies that the column offsets of stages K and
+    K+1, which restack the stage-K levels, are divisible by d. Offsets
+    of earlier stages do not move stage-K levels between classes."""
     label = classify(params, horizon)
     if label.kind is ClassKind.ODOMETER:
         raise OdometerCase("odometer has no finite maximal cyclic factor")
     d = label.d
     checked = K + 1
-    _verify_offsets(params, d, 1, checked)
+    _verify_offsets(params, d, K, checked)
     return FactorPartition(
         d=d, depth=K, length=heights(params, K).L(K),
         checked_through_stage=checked,

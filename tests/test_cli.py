@@ -1,6 +1,7 @@
 import filecmp
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,11 @@ def test_r_below_two_rejected():
 def test_unknown_command_lists_valid_ones():
     with pytest.raises(ConfigError, match="classify"):
         cli.parse_config(make_config(command="frobnicate"))
+
+
+def test_non_string_command_rejected():
+    with pytest.raises(ConfigError, match="unknown command"):
+        cli.parse_config(make_config(command=["classify"]))
 
 
 def test_unknown_param_key_rejected():
@@ -276,3 +282,75 @@ def test_main_disjointness_flags(tmp_path, capsys):
     assert "EvidenceDisjoint" in out
     assert (tmp_path / "limit_q.csv").exists()
     assert (tmp_path / "limit_p.csv").exists()
+
+
+def test_main_classify_horizon_one(tmp_path, capsys):
+    code = cli.main(["classify", "--preset", "chacon", "--horizon", "1",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "(horizon 1)" in out
+    assert "fit_count=3 horizon=60" in out  # the default policy, not classify's
+
+
+@pytest.mark.parametrize(
+    "construction,command,params,message",
+    [
+        ({"h1": 0, "stages": {"kind": "periodic",
+                              "pattern": [{"r": 3, "s": [0, True, 0]}]}},
+         "heights", {}, "'s' in construction.stages.pattern[0]"),
+        ({"preset": "chacon"}, "mobius-sum", {"levels": [0, True]},
+         "'levels' in params"),
+        ({"preset": "chacon"}, "similarity",
+         {"Q": {"coeffs": {"0": True}}, "P": {"coeffs": {"0": 1}}, "p": 2, "q": 3},
+         "'coeffs[0]' in params.Q"),
+        ({"preset": "chacon"}, "disjointness", {"p": 2, "q": 3, "tau": float("nan")},
+         "'tau' in params must be finite"),
+        ({"preset": "chacon"}, "disjointness",
+         {"p": 2, "q": 3, "coeff_tol": float("nan")}, "'coeff_tol' in params"),
+        ({"preset": "chacon"}, "weak-limit", {"tau": float("inf")}, "'tau' in params"),
+        ({"preset": "chacon"}, "weak-limit", {"tau": 10**400}, "'tau' in params"),
+        ({"preset": "chacon"}, "similarity",
+         {"Q": {"coeffs": {"0": 1}, "theta": float("-inf")}, "P": {"coeffs": {"0": 1}},
+          "p": 2, "q": 3}, "'theta' in params.Q"),
+    ],
+)
+def test_booleans_and_non_finite_numbers_rejected(construction, command, params,
+                                                  message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cli.parse_config(make_config(construction=construction, command=command,
+                                     params=params))
+
+
+# sample JSON value and flag words of each param kind; every int is >= all
+# minimums and differs from every default
+SAMPLES = {
+    cli._int: (7, ["7"]),
+    cli._float: (0.125, ["0.125"]),
+    cli._ints: ([0, 2], ["0", "2"]),
+    cli._poly: ({"coeffs": {"0": 0.5, "3": 0.5}, "theta": 0.25},
+                ['{"coeffs": {"0": 0.5, "3": 0.5}, "theta": 0.25}']),
+}
+FLAG_CASES = [(name, spec) for name, command in cli.COMMANDS.items()
+              for spec in command.params]
+
+
+@pytest.mark.parametrize("command,spec", FLAG_CASES,
+                         ids=[f"{c}-{s.name}" for c, s in FLAG_CASES])
+def test_flags_and_json_give_the_same_params(tmp_path, monkeypatch, command, spec):
+    specs = [s for s in cli.COMMANDS[command].params
+             if s.default is cli.REQUIRED or s == spec]
+    json_params, argv = {}, [command, "--preset", "class4", "--out", str(tmp_path)]
+    for s in specs:
+        value, words = SAMPLES[s.kind]
+        json_params[s.name] = value
+        argv += ["--" + s.name.replace("_", "-"), *words]
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or 0)
+    assert cli.main(argv) == 0
+    expected = cli.parse_config_dict({
+        "construction": {"preset": "class4"}, "command": command,
+        "params": json_params, "output": {"dir": str(tmp_path)},
+    })
+    assert seen == [expected]
+    assert expected.params[spec.name] != spec.default

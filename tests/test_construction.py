@@ -76,6 +76,17 @@ def test_height_recursion_exact(h1, stages):
         assert table.L(j + 1) >= 2 * table.L(j)
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_first_stage_reaching_is_the_smallest(name):
+    params = cons.preset(name)
+    table = cons.heights(params, 40)
+    for start in (1, 2, 5):
+        for n in (1, 2, 17, 10_000, 10**6):
+            K = cons.first_stage_reaching(params, n, start)
+            assert K >= start and table.L(K) >= n
+            assert K == start or table.L(K - 1) < n
+
+
 # ------------------------------------------------- bounded/windows/flat
 
 def test_bounded_profile_examples():

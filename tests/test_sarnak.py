@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -125,13 +126,30 @@ def test_compact_factor_offsets_even_for_class4():
 
 
 def test_consistency_failure_detected():
-    # tail forces d=2 but the first stage has an odd column offset
+    # tail forces d=2 but the first stage has an odd column offset, so
+    # the stage-1 partition is not cyclic
     stages = [cons.StageParams(2, (1, 1))] + [cons.StageParams(2, (0, 2))] * 29
     params = cons.ConstructionParams.explicit(1, stages)
     label = cons.classify(params, 30)
     assert label.d == 2
     with pytest.raises(ConsistencyFailure):
-        sarnak.compact_factor(params, 30, 8)
+        sarnak.compact_factor(params, 30, 1)
+    # from stage 2 on every offset is even, so deeper partitions hold
+    assert sarnak.compact_factor(params, 30, 8).d == 2
+
+
+def test_compact_factor_label_implies_partition():
+    # one-stage periodic constructions, h1 <= 3, r in {2, 3}, s_i <= 4
+    labelled = 0
+    for h1 in range(4):
+        for r in (2, 3):
+            for s in itertools.product(range(5), repeat=r):
+                params = cons.ConstructionParams.periodic(h1, [cons.StageParams(r, s)])
+                label = cons.classify(params, 40)
+                if label.kind is cons.ClassKind.NON_FLAT_COMPACT_FACTOR:
+                    labelled += 1
+                    assert sarnak.compact_factor(params, 40, 40).d == label.d
+    assert labelled == 98
 
 
 def test_decompose_observable():
