@@ -437,7 +437,7 @@ def _cmd_telescope(cfg, out, report):
     levels = p["levels"] if p["levels"] is not None else list(range(0, L_K, d))
     obs = sarnak.Observable.indicator(cfg.construction, K, levels)
     table = mobius.sieve_mobius(N)
-    if M == 1 and sarnak._is_prime(d):
+    if M == 1 and mobius.prime_factors(d) == [d]:
         res = sarnak.telescope_identity_check(
             cfg.construction, obs, d, start, N, K, table
         )
@@ -472,7 +472,7 @@ def _cmd_factor(cfg, out, report):
     table = cons.heights(cfg.construction, part.checked_through_stage)
 
     def rows():
-        for j in range(1, part.checked_through_stage + 1):
+        for j in range(part.depth, part.checked_through_stage + 1):
             for col, off in enumerate(
                 sarnak._column_offsets(cfg.construction, j, table.L(j)), start=2
             ):
@@ -481,7 +481,8 @@ def _cmd_factor(cfg, out, report):
     _write_csv(out / "factor.csv", ("stage", "column", "offset", "offset_mod_d"),
                rows())
     report.append(f"cyclic factor: d={part.d}, depth {K} (L_K={part.length}), "
-                  f"offsets verified through stage {part.checked_through_stage}")
+                  f"offsets verified for stages {part.depth}.."
+                  f"{part.checked_through_stage}")
 
 
 class Command(NamedTuple):

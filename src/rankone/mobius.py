@@ -3,7 +3,8 @@
 mu(1) = 1, mu(n) = (-1)^k when n is a product of k distinct primes,
 mu(n) = 0 when a square divides n. The sieve is the production path;
 ``mobius_direct`` is the independent trial-division oracle kept for
-testing the sieve against.
+testing the sieve against, built on the trial-division factoriser
+``prime_factors``.
 """
 
 from __future__ import annotations
@@ -50,22 +51,29 @@ def sieve_mobius(n_max: int) -> MobiusTable:
     return MobiusTable(n_max=n_max, values=values)
 
 
+def prime_factors(n: int) -> list[int]:
+    """Prime factors of n with multiplicity, nondecreasing, by trial
+    division; empty for n <= 1."""
+    out = []
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def mobius_direct(n: int) -> int:
     """mu(n) by trial division; exact for any n >= 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            k += 1
-        d += 1 if d == 2 else 2
-    if n > 1:
-        k += 1
-    return -1 if k % 2 else 1
+    factors = prime_factors(n)
+    if len(set(factors)) < len(factors):
+        return 0
+    return -1 if len(factors) % 2 else 1
 
 
 def residue_mertens(table: MobiusTable, p: int, n: int) -> int:

@@ -6,6 +6,12 @@ evaluated in exact integer arithmetic (rational observable
 coefficients are cleared to a common denominator first): the
 telescoping chain is an algebraic identity and its check must not
 depend on rounding. Only the decay traces |S_N|/N are floats.
+
+There is one telescoping chain, ``_unfold``. It unfolds S_N on the
+cyclic factor of order d M times when d is prime, carrying the sum
+over times d^2 m, and once per prime factor when d is composite,
+carrying the sum over the new stride; the single telescoping step and
+the prime-extension report both read it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from . import _kernels
 from .construction import ClassKind, ConstructionParams, classify, heights
 from .errors import ConsistencyFailure, DepthTooShallow, OdometerCase
-from .mobius import MobiusTable
+from .mobius import MobiusTable, prime_factors
 from .tower import build_labels
 
 _INT64_SAFE = 2**62
@@ -227,17 +233,6 @@ def decompose_observable(F: Observable, partition: FactorPartition) -> list[Obse
 
 # ------------------------------------------------- telescoping identity
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _require_supported_on_base(obs: Observable, d: int, start: int) -> None:
     bad = [a for a, c in enumerate(obs.coeffs) if c != 0 and a % d != 0]
     if bad:
@@ -249,12 +244,42 @@ def _require_supported_on_base(obs: Observable, d: int, start: int) -> None:
         raise ValueError(f"start level {start} not in E (residue {start % d})")
 
 
-def _prepare_exact_orbit(params, obs, d, start, N, K, table):
+def _unfold(params, obs, d, primes, start, N, K, table):
+    """The telescoping chain of S_N = sum_{i<=N} f(T^i x) mu(i) for f
+    supported on E and x in E, in int64 units of 1/denom.
+
+    Starting from cur = S_N at stride s = 1, the step for the prime p
+    computes
+
+        F = sum_{k<=N/(sp)}   f(T^{spk} x)    mu(k)
+        G = sum_{m<=N/(sp^2)} f(T^{sp^2 m} x) mu(pm)
+
+    and checks cur = mu(p)(F - G), that is mu(pk) = mu(p)mu(k) for p
+    not dividing k and mu(p^2 m) = 0: S_N and a carried F only see
+    times divisible by d, as f vanishes off E, and a carried G already
+    has the weight mu(pm). The stride becomes sp and cur becomes G when
+    p = d (G is the rest of S_N) or F when p is a proper factor of d
+    (the next factor splits F). Returns denom, S_N, the (p, stride, F,
+    G) rows, the last cur and whether every step held.
+    """
     if N > table.n_max:
         raise ValueError(f"table covers mu up to {table.n_max}, need {N}")
     _require_supported_on_base(obs, d, start)
     _verify_offsets(params, d, obs.stage, K)
-    return _orbit_values(params, obs, start, N, K)
+    vals, denom = _orbit_values(params, obs, start, N, K)
+    mu = table.values
+    s_n = int(_kernels.weighted_mobius_sums(vals, mu, np.array([N], np.int64))[0])
+    cur, stride, rows, holds = s_n, 1, [], True
+    for p in primes:
+        F = _kernels.strided_mobius_sum(vals, mu, stride * p, N // (stride * p))
+        G = _kernels.strided_mobius_sum(
+            vals, mu[::p], stride * p * p, N // (stride * p * p)
+        )
+        holds &= cur == -(F - G)  # mu(p) = -1
+        stride *= p
+        rows.append((p, stride, F, G))
+        cur = G if p == d else F
+    return denom, s_n, rows, cur, holds
 
 
 @dataclass(frozen=True)
@@ -286,30 +311,18 @@ def telescope_identity_check(
             - sum_{0<m<=N/d^2} f(S^{dm} x) mu(d) mu(dm)
 
     which holds because f vanishes off E (so only i = dk contribute),
-    mu(dk) = mu(d)mu(k) for k coprime to d, and mu(d^2 k) = 0.
+    mu(dk) = mu(d)mu(k) for k coprime to d, and mu(d^2 k) = 0. The two
+    sums are mu(d)F and mu(d)G of the first step of the chain.
     """
-    if not _is_prime(d):
+    if prime_factors(d) != [d]:
         raise ValueError(f"d={d} must be prime")
-    vals, denom = _prepare_exact_orbit(params, obs, d, start, N, K, table)
-    mu = table.values
-    mu_d = int(mu[d])
-
-    lhs = int(_kernels.weighted_mobius_sums(vals, mu, np.array([N], np.int64))[0])
-    n_first = N // d
-    n_second = N // (d * d)
-    sum_k = int(_kernels.strided_mobius_sum(vals, mu, d, n_first))
-    # second sum: f(S^{dm} x) mu(dm) over m <= N/d^2, position stride d*d
-    second_raw = 0
-    for m in range(1, n_second + 1):
-        second_raw += int(vals[d * d * m - 1]) * int(mu[d * m])
-    first = mu_d * sum_k
-    second = mu_d * second_raw
-    rhs = first - second
+    denom, lhs, [(_, _, F, G)], _, _ = _unfold(params, obs, d, [d], start, N, K, table)
+    first, second = -F, -G  # mu(d) = -1
     return TelescopeResult(
         d=d, N=N,
-        lhs=_exact(lhs, denom), rhs=_exact(rhs, denom),
+        lhs=_exact(lhs, denom), rhs=_exact(first - second, denom),
         first_term=_exact(first, denom), second_term=_exact(second, denom),
-        n_first=n_first, n_second=n_second,
+        n_first=N // d, n_second=N // (d * d),
     )
 
 
@@ -327,8 +340,8 @@ class ExtensionStep:
 
 @dataclass(frozen=True)
 class PrimeExtensionReport:
-    """M-fold unfolding S_N = -sum_u C_u + remainder, with the crude
-    tail bound N*||f||/d^M alongside the exact remainder."""
+    """Unfolding S_N = sum_u term_u + remainder (prime d) with the crude
+    tail bound alongside the exact remainder."""
 
     d: int
     N: int
@@ -345,107 +358,40 @@ def prime_extension_report(
     params: ConstructionParams, obs: Observable, d: int, start: int,
     N: int, M: int, K: int, table: MobiusTable,
 ) -> PrimeExtensionReport:
-    """Iterate the telescoping M times for prime d.
+    """Unfold S_N along the telescoping chain: M times for prime d, once
+    per prime factor (nondecreasing) for composite d, M then being the
+    number of factors.
 
-    Step u contributes C_u = sum_{k<=N/d^u} f(S^{d^{u-1}k} x) mu(k) and
-    the exact remainder after M steps is
-    sum_{k<=N/d^{M+1}} f(S^{d^M k} x) mu(dk); for composite d the chain
-    runs one unfolding per prime factor in nondecreasing order (M is
-    then the number of prime factors).
+    Step u, at stride p_1...p_u, records the term mu(p_u) F_u with
+    F_u = sum_{k<=N/stride} f(T^{stride k} x) mu(k). For prime d the
+    chain carries G, so S_N = sum_u term_u + remainder with remainder
+    sum_{m<=N/d^{M+1}} f(T^{d^{M+1} m} x) mu(dm) and bound N*||f||/d^M.
+    For composite d it carries F, the remainder is the last F and its
+    bound (N//d)*||f||. A step's crude bound is N*||f||/stride.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     if d < 2:
         raise ValueError("d must be >= 2")
-    if not _is_prime(d):
-        return _composite_extension_report(params, obs, d, start, N, K, table)
-    vals, denom = _prepare_exact_orbit(params, obs, d, start, N, K, table)
-    mu = table.values
-    norm = obs.sup_norm
-
-    s_n = int(_kernels.weighted_mobius_sums(vals, mu, np.array([N], np.int64))[0])
-    steps = []
-    terms_raw = []
-    for u in range(1, M + 1):
-        stride = d**u
-        n_terms = N // stride
-        c_u = int(_kernels.strided_mobius_sum(vals, mu, stride, n_terms))
-        terms_raw.append(-c_u)
-        steps.append(
-            ExtensionStep(
-                depth=u, prime=d, stride=stride, n_terms=n_terms,
-                term=_exact(-c_u, denom),
-                crude_bound=Fraction(N) * Fraction(norm) / d**u,
-            )
+    factors = prime_factors(d)
+    prime = factors == [d]
+    primes = [d] * M if prime else factors
+    denom, s_n, rows, rem, holds = _unfold(params, obs, d, primes, start, N, K, table)
+    norm = Fraction(obs.sup_norm)
+    steps = tuple(
+        ExtensionStep(
+            depth=u, prime=p, stride=stride, n_terms=N // stride,
+            term=_exact(-F, denom),  # mu(p) = -1
+            crude_bound=N * norm / stride,
         )
-    rem_stride = d ** (M + 1)
-    rem = 0
-    for k in range(1, N // rem_stride + 1):
-        rem += int(vals[rem_stride * k - 1]) * int(mu[d * k])
-
-    identity = s_n == sum(terms_raw) + rem
-    bound = Fraction(N) * Fraction(norm) / d**M
-    triangle = abs(Fraction(s_n, denom)) <= sum(
-        abs(Fraction(st.term)) for st in steps
-    ) + bound
-    return PrimeExtensionReport(
-        d=d, N=N, M=M, s_n=_exact(s_n, denom), steps=tuple(steps),
-        remainder=_exact(rem, denom), remainder_bound=bound,
-        identity_holds=identity, triangle_holds=triangle,
+        for u, (p, stride, F, _) in enumerate(rows, 1)
     )
-
-
-def _composite_extension_report(
-    params, obs, d: int, start: int, N: int, K: int, table: MobiusTable
-) -> PrimeExtensionReport:
-    """Chain one telescoping step per prime factor of d (nondecreasing):
-    sum over T^{sigma}-orbits unfolds through T^{sigma*p} until the
-    stride reaches d itself."""
-    factors = []
-    rest = d
-    f = 2
-    while f * f <= rest:
-        while rest % f == 0:
-            factors.append(f)
-            rest //= f
-        f += 1
-    if rest > 1:
-        factors.append(rest)
-
-    vals, denom = _prepare_exact_orbit(params, obs, d, start, N, K, table)
-    mu = table.values
-    norm = obs.sup_norm
-    s_n = int(_kernels.weighted_mobius_sums(vals, mu, np.array([N], np.int64))[0])
-
-    steps = []
-    stride = 1
-    n_cur = N
-    cur = s_n  # current sum: sum_{k<=n_cur} f(T^{stride*k} x) mu(k)
-    identity = True
-    for p in factors:
-        n_next = n_cur // p
-        c_v = int(_kernels.strided_mobius_sum(vals, mu, stride * p, n_next))
-        t2 = 0
-        for m in range(1, n_cur // (p * p) + 1):
-            t2 += int(vals[stride * p * p * m - 1]) * int(mu[p * m])
-        if cur != int(mu[p]) * (c_v - t2):
-            identity = False
-        steps.append(
-            ExtensionStep(
-                depth=len(steps) + 1, prime=p, stride=stride * p,
-                n_terms=n_next, term=_exact(int(mu[p]) * c_v, denom),
-                crude_bound=Fraction(n_next) * Fraction(norm),
-            )
-        )
-        stride *= p
-        n_cur = n_next
-        cur = c_v
-    bound = Fraction(N) * Fraction(norm) / d
+    stride = steps[-1].stride
+    bound = N * norm / stride if prime else (N // stride) * norm
     return PrimeExtensionReport(
-        d=d, N=N, M=len(factors), s_n=_exact(s_n, denom), steps=tuple(steps),
-        remainder=_exact(cur, denom),
-        remainder_bound=Fraction(n_cur) * Fraction(norm),
-        identity_holds=identity,
+        d=d, N=N, M=len(steps), s_n=_exact(s_n, denom), steps=steps,
+        remainder=_exact(rem, denom), remainder_bound=bound,
+        identity_holds=holds,
         triangle_holds=abs(Fraction(s_n, denom))
         <= sum(abs(Fraction(st.term)) for st in steps) + bound,
     )

@@ -27,13 +27,6 @@ def ok(num, text):
     print(f"ACCEPTANCE {num:02d} PASS - {text}")
 
 
-def depth_with_levels(params, needed, at_least=1):
-    K = at_least
-    while cons.heights(params, K).L(K) < needed:
-        K += 1
-    return K
-
-
 def test_c01_height_recursion_exact():
     t0 = time.perf_counter()
     all_params = [cons.preset(n) for n in PRESET_NAMES]
@@ -80,7 +73,7 @@ def test_c03_measure_preservation():
     t0 = time.perf_counter()
     for name in PRESET_NAMES:
         params = cons.preset(name)
-        K = depth_with_levels(params, 10_000, at_least=2)
+        K = cons.first_stage_reaching(params, 10_000, start=2)
         model = tower.build_labels(params, 2, K)
         nu = model.class_counts() / model.length
         for n in range(-50, 51):
@@ -97,7 +90,7 @@ def test_c04_correlation_depth_stability():
     rng = np.random.default_rng(7)
     for name in PRESET_NAMES:
         params = cons.preset(name)
-        K = depth_with_levels(params, 10_000, at_least=2)
+        K = cons.first_stage_reaching(params, 10_000, start=2)
         n_classes = cons.heights(params, 2).L(2) + 1
         for _ in range(10):
             n = int(rng.integers(-120, 121))
@@ -119,7 +112,7 @@ def test_c05_fit_constraints():
         params = cons.preset(name)
         Z = 4
         j = limits.auto_ref_stage(params, Z)
-        K = depth_with_levels(params, 10_000, at_least=j)
+        K = cons.first_stage_reaching(params, 10_000, start=j)
         poly = limits.fit_for_shift(params, j, K, 0, Z=Z)
         tail = tower.tail_bound(params, K)
         assert poly.a(0) >= 1 - tail - 1e-6
@@ -257,7 +250,7 @@ def test_c12_telescoping_exact():
     table = mobius.sieve_mobius(10_000)
     for d in (2, 3, 5):
         params = cons.cyclic_factor_preset(d)  # class4 preset when d=2
-        K = depth_with_levels(params, 21_000)
+        K = cons.first_stage_reaching(params, 21_000)
         L = cons.heights(params, K).L(K)
         rng = random.Random(100 + d)
         for _ in range(100):
@@ -275,7 +268,7 @@ def test_c12_telescoping_exact():
 
 def test_c13_factor_cyclicity():
     params = cons.class4()
-    K = depth_with_levels(params, 10_000)
+    K = cons.first_stage_reaching(params, 10_000)
     part = sarnak.compact_factor(params, 30, K)
     assert part.length >= 10_000
     asg = part.assignments()
@@ -292,7 +285,7 @@ def test_c14_decay_trend():
     params = cons.chacon()
     obs = sarnak.Observable.indicator(params, 1, [0], "base")
     table = mobius.sieve_mobius(10**5)
-    K = depth_with_levels(params, 10**5 + 2)
+    K = cons.first_stage_reaching(params, 10**5 + 2)
     res = sarnak.mobius_weighted_sum(params, obs, 0, 10**5, K, table)
     by_n = dict(res.checkpoints)
     rate_1e3 = abs(by_n[1000]) / 1000

@@ -190,6 +190,37 @@ def test_factor_run(tmp_path):
     assert all(line.endswith(",0") for line in lines[1:])
 
 
+def test_factor_lists_only_the_checked_stages(tmp_path):
+    # stage 1 has the odd offset 1; only stages K..K+1 are checked
+    construction = {"h1": 0, "stages": {"kind": "periodic",
+                                        "pattern": [{"r": 2, "s": [0, 2]}]}}
+    code, out, outdir = run_config(
+        tmp_path,
+        make_config(construction=construction, command="factor",
+                    params={"K": 10}),
+    )
+    assert code == 0
+    assert "offsets verified for stages 10..11" in out
+    rows = (outdir / "factor.csv").read_text().splitlines()[1:]
+    assert rows and all(row.endswith(",0") for row in rows)
+    assert {row.split(",")[0] for row in rows} == {"10", "11"}
+
+
+@pytest.mark.parametrize("d,M", [(2, 1), (7, 1), (6, 1), (4, 2)])
+def test_telescope_with_d_beyond_N(tmp_path, d, M):
+    construction = {"h1": d - 1, "stages": {"kind": "periodic",
+                                            "pattern": [{"r": 2, "s": [0, d]}]}}
+    code, out, outdir = run_config(
+        tmp_path,
+        make_config(construction=construction, command="telescope",
+                    params={"d": d, "N": 1, "M": M}),
+    )
+    assert code == 0
+    rows = dict(line.split(",") for line in
+                (outdir / "telescope.csv").read_text().splitlines()[1:])
+    assert rows.get("equal", rows.get("identity_holds")) == "True"
+
+
 def test_computation_error_exit_code(tmp_path):
     code, out, _ = run_config(
         tmp_path,

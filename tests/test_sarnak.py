@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rankone import construction as cons
-from rankone import sarnak
+from rankone import sarnak, tower
 from rankone.errors import ConsistencyFailure, DepthTooShallow, OdometerCase
-from rankone.mobius import sieve_mobius
+from rankone.mobius import mobius_direct, sieve_mobius
 
 TABLE = sieve_mobius(20_000)
 
@@ -17,13 +17,6 @@ MU10 = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 # the 13-letter chacon word again (1 = base level, 0 = spacer)
 CHACON_BASE = [1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1]
-
-
-def depth_for(params, needed):
-    K = 1
-    while cons.heights(params, K).L(K) < needed:
-        K += 1
-    return K
 
 
 # ---------------------------------------------------------- weighted sums
@@ -54,7 +47,7 @@ def test_constant_observable_reduces_to_mertens():
 
 def test_linearity_in_coefficients():
     params = cons.class4()
-    K = depth_for(params, 300)
+    K = cons.first_stage_reaching(params, 300)
     rng = random.Random(3)
     n_levels = cons.heights(params, 2).L(2)
     a = tuple(rng.randint(-3, 3) for _ in range(n_levels))
@@ -181,7 +174,7 @@ def indicator_of_base(params, d, K):
 
 def test_telescope_d2_example():
     params = cons.class4()
-    K = depth_for(params, 20)
+    K = cons.first_stage_reaching(params, 20)
     obs = indicator_of_base(params, 2, K)
     res = sarnak.telescope_identity_check(params, obs, 2, 0, 4, K, TABLE)
     assert (res.lhs, res.rhs) == (-1, -1)
@@ -190,7 +183,7 @@ def test_telescope_d2_example():
 
 def test_telescope_d3_example():
     params = cons.cyclic_factor_preset(3)
-    K = depth_for(params, 20)
+    K = cons.first_stage_reaching(params, 20)
     obs = indicator_of_base(params, 3, K)
     res = sarnak.telescope_identity_check(params, obs, 3, 0, 9, K, TABLE)
     assert (res.lhs, res.rhs) == (0, 0)
@@ -199,7 +192,7 @@ def test_telescope_d3_example():
 
 def test_telescope_zero_observable():
     params = cons.class4()
-    K = depth_for(params, 20)
+    K = cons.first_stage_reaching(params, 20)
     obs = sarnak.Observable(K, (0,) * cons.heights(params, K).L(K))
     res = sarnak.telescope_identity_check(params, obs, 2, 0, 10, K, TABLE)
     assert res.lhs == res.rhs == 0
@@ -207,7 +200,7 @@ def test_telescope_zero_observable():
 
 def test_telescope_validation():
     params = cons.class4()
-    K = depth_for(params, 200)
+    K = cons.first_stage_reaching(params, 200)
     obs = indicator_of_base(params, 2, K)
     with pytest.raises(ValueError):
         sarnak.telescope_identity_check(params, obs, 4, 0, 50, K, TABLE)
@@ -221,7 +214,7 @@ def test_telescope_validation():
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_telescope_randomized_exact(d):
     params = cons.cyclic_factor_preset(d)
-    K = depth_for(params, 4000)
+    K = cons.first_stage_reaching(params, 4000)
     L = cons.heights(params, K).L(K)
     rng = random.Random(d)
     for _ in range(25):
@@ -235,7 +228,7 @@ def test_telescope_randomized_exact(d):
 
 def test_prime_extension_single_step_matches_telescope():
     params = cons.class4()
-    K = depth_for(params, 200)
+    K = cons.first_stage_reaching(params, 200)
     obs = indicator_of_base(params, 2, K)
     tele = sarnak.telescope_identity_check(params, obs, 2, 0, 64, K, TABLE)
     rep = sarnak.prime_extension_report(params, obs, 2, 0, 64, 1, K, TABLE)
@@ -245,7 +238,7 @@ def test_prime_extension_single_step_matches_telescope():
 
 def test_prime_extension_example_bound():
     params = cons.class4()
-    K = depth_for(params, 40)
+    K = cons.first_stage_reaching(params, 40)
     obs = indicator_of_base(params, 2, K)
     rep = sarnak.prime_extension_report(params, obs, 2, 0, 16, 2, K, TABLE)
     assert rep.remainder_bound == Fraction(16, 4)
@@ -255,7 +248,7 @@ def test_prime_extension_example_bound():
 
 def test_prime_extension_strides_exceed_range():
     params = cons.class4()
-    K = depth_for(params, 40)
+    K = cons.first_stage_reaching(params, 40)
     obs = indicator_of_base(params, 2, K)
     rep = sarnak.prime_extension_report(params, obs, 2, 0, 10, 4, K, TABLE)
     assert rep.remainder == 0  # no k <= N/d^{M+1}
@@ -265,11 +258,83 @@ def test_prime_extension_strides_exceed_range():
 
 def test_composite_extension_chains_prime_factors():
     params = cons.cyclic_factor_preset(6)
-    K = depth_for(params, 3000)
+    K = cons.first_stage_reaching(params, 3000)
     obs = indicator_of_base(params, 6, K)
     rep = sarnak.prime_extension_report(params, obs, 6, 0, 600, 1, K, TABLE)
     assert [s.prime for s in rep.steps] == [2, 3]
     assert rep.identity_holds
+
+
+def chain_oracle(params, obs, d, primes, start, N, K):
+    """S_N, each step's term mu(p)F and the remainder, from their
+    definitions over the orbit's label list."""
+    labels = tower.build_labels(params, obs.stage, K).labels
+
+    def f(i):  # f(T^i x)
+        level = int(labels[start + i])
+        return obs.coeffs[level] if level >= 0 else 0
+
+    mu = mobius_direct
+    s_n = sum(f(i) * mu(i) for i in range(1, N + 1))
+    terms, stride = [], 1
+    for p in primes:
+        stride *= p
+        F = sum(f(stride * k) * mu(k) for k in range(1, N // stride + 1))
+        terms.append((p, stride, mu(p) * F))
+    if primes[0] == d:  # prime d: the rest sits at times d^{M+1} m
+        top = d ** (len(primes) + 1)
+        rem = sum(f(top * m) * mu(d * m) for m in range(1, N // top + 1))
+        assert s_n == sum(t for _, _, t in terms) + rem
+    else:  # composite d: the last F
+        rem = sum(f(d * k) * mu(k) for k in range(1, N // d + 1))
+    return s_n, terms, rem
+
+
+CHAINS = (
+    [(d, [d] * M) for d in (2, 3, 5) for M in (1, 2, 3)]
+    + [(4, [2, 2]), (8, [2, 2, 2]), (9, [3, 3])]
+    + [(6, [2, 3]), (10, [2, 5]), (30, [2, 3, 5])]
+)
+
+
+@pytest.mark.parametrize("d,primes", CHAINS)
+def test_prime_extension_matches_oracle(d, primes):
+    params = cons.cyclic_factor_preset(d)
+    K = cons.first_stage_reaching(params, 4000)
+    L = cons.heights(params, K).L(K)
+    rng = random.Random(1000 * d + len(primes))
+    for trial in range(3):
+        coeffs = tuple(
+            0 if i % d or rng.random() < 0.5
+            else Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 7])) if trial
+            else rng.randint(-2, 2)
+            for i in range(L)
+        )
+        obs = sarnak.Observable(K, coeffs)
+        N = rng.randint(1000, 2500)
+        start = d * rng.randint(0, (L - N - 2) // d)
+        rep = sarnak.prime_extension_report(
+            params, obs, d, start, N, len(primes), K, TABLE
+        )
+        s_n, terms, rem = chain_oracle(params, obs, d, primes, start, N, K)
+        assert rep.s_n == s_n
+        assert [(st.prime, st.stride, st.term) for st in rep.steps] == terms
+        assert [st.n_terms for st in rep.steps] == [N // t[1] for t in terms]
+        assert rep.remainder == rem
+        norm = Fraction(obs.sup_norm)
+        assert rep.remainder_bound == (
+            N * norm / d ** len(primes) if primes[0] == d else (N // d) * norm
+        )
+        assert rep.M == len(primes)
+        assert rep.identity_holds and rep.triangle_holds
+        if len(primes) == 1:
+            tele = sarnak.telescope_identity_check(params, obs, d, start, N, K, TABLE)
+            assert tele.lhs == rep.s_n
+            assert tele.first_term == rep.steps[0].term
+            assert tele.second_term == -rep.remainder  # mu(d) G
+            assert tele.rhs == tele.first_term - tele.second_term
+            assert tele.equal
+            assert (tele.n_first, tele.n_second) == (N // d, N // (d * d))
 
 
 @pytest.mark.parametrize("name,K", [("chacon", 12), ("class4", 16)])

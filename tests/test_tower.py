@@ -130,9 +130,7 @@ def test_negative_shift_transposes():
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_measure_preservation_sample(name):
     params = cons.preset(name)
-    K = 2
-    while cons.heights(params, K).L(K) < 10_000:
-        K += 1
+    K = cons.first_stage_reaching(params, 10_000, start=2)
     model = tower.build_labels(params, 2, K)
     nu = model.class_counts() / model.length
     for n in (-37, -5, 1, 23, 50):
@@ -145,9 +143,7 @@ def test_depth_stability_of_entries():
     rng = np.random.default_rng(11)
     for name in PRESET_NAMES:
         params = cons.preset(name)
-        K = 2
-        while cons.heights(params, K).L(K) < 10_000:
-            K += 1
+        K = cons.first_stage_reaching(params, 10_000, start=2)
         shallow = tower.build_labels(params, 2, K)
         for _ in range(5):
             n = int(rng.integers(-100, 101))
