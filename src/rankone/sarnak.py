@@ -2,10 +2,11 @@
 
 Both the weighted Birkhoff sums S_N = sum_{i<=N} f(T^i x) mu(i) and
 the telescoping identities of the prime-extension argument are
-evaluated in exact integer arithmetic (rational observable
-coefficients are cleared to a common denominator first): the
-telescoping chain is an algebraic identity and its check must not
-depend on rounding. Only the decay traces |S_N|/N are floats.
+evaluated in exact integer arithmetic: an observable's rational
+coefficients are cleared to their common denominator once, when it is
+built, and every sum runs on those int64 numerators. The telescoping
+chain is an algebraic identity and its check must not depend on
+rounding. Only the decay traces |S_N|/N are floats.
 
 There is one telescoping chain, ``_unfold``. It unfolds S_N on the
 cyclic factor of order d M times when d is prime, carrying the sum
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
@@ -26,73 +28,107 @@ from . import _kernels
 from .construction import ClassKind, ConstructionParams, classify, heights
 from .errors import ConsistencyFailure, DepthTooShallow, OdometerCase
 from .mobius import MobiusTable, prime_factors
-from .tower import build_labels
+from .tower import _word
 
 _INT64_SAFE = 2**62
 
 
-@dataclass(frozen=True)
-class Observable:
-    """Finite observable: one coefficient per stage-j level.
+def _clear_denominators(coeffs) -> tuple[np.ndarray, int]:
+    """Exact coefficients as int64 numerators over the lcm of their
+    reduced denominators."""
+    coeffs = tuple(coeffs)
+    if not all(issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))):
+        raise ValueError("coefficients must be ints or Fractions")
+    denom = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (denom // c.denominator) for c in coeffs]
+    if ints and max(map(abs, ints)) >= _INT64_SAFE:
+        raise ValueError("observable coefficients too large for exact int64 path")
+    return np.array(ints, dtype=np.int64), denom
 
-    Coefficients are exact (ints or Fractions); spacers evaluate to 0.
+
+class Observable:
+    """Finite observable: one exact coefficient per stage-j level;
+    spacers evaluate to 0.
+
+    Built from a tuple of ints or Fractions, it holds them as int64
+    numerators ``nums`` over one denominator ``denom``, the lcm of the
+    reduced coefficient denominators; ``coeffs`` gives the exact tuple
+    back.
     """
 
-    stage: int
-    coeffs: tuple
-    name: str = ""
+    def __init__(self, stage: int, coeffs: tuple, name: str = ""):
+        nums, denom = _clear_denominators(coeffs)
+        self._set(stage, nums, denom, name)
 
-    def __post_init__(self):
-        for c in self.coeffs:
-            if not isinstance(c, (int, Fraction)):
-                raise ValueError("coefficients must be ints or Fractions")
+    @classmethod
+    def _from_nums(cls, stage: int, nums: np.ndarray, denom: int,
+                   name: str = "") -> "Observable":
+        obs = cls.__new__(cls)
+        obs._set(stage, nums, denom, name)
+        return obs
+
+    def _set(self, stage, nums, denom, name):
+        nums.flags.writeable = False
+        self.stage, self.nums, self.denom, self.name = stage, nums, denom, name
+
+    def __repr__(self):
+        return (f"Observable(stage={self.stage}, levels={len(self.nums)}, "
+                f"denom={self.denom}, name={self.name!r})")
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        if self.denom == 1:
+            return tuple(self.nums.tolist())
+        return tuple(_exact(v, self.denom) for v in self.nums.tolist())
 
     @property
     def sup_norm(self):
-        return max((abs(c) for c in self.coeffs), default=0)
+        return _exact(int(np.abs(self.nums).max(initial=0)), self.denom)
 
     @classmethod
     def indicator(cls, params: ConstructionParams, stage: int, indices,
                   name: str = "") -> "Observable":
         """Indicator of a set of stage-j levels."""
         n = heights(params, stage).L(stage)
-        idx = set(indices)
-        bad = [i for i in idx if not 0 <= i < n]
-        if bad:
+        idx = list(indices)
+        if idx and not (0 <= min(idx) and max(idx) < n):
+            bad = [i for i in set(idx) if not 0 <= i < n]
             raise ValueError(f"level indices {bad} outside 0..{n - 1}")
-        return cls(stage, tuple(1 if i in idx else 0 for i in range(n)), name)
+        nums = np.zeros(n, dtype=np.int64)
+        nums[np.array(idx, dtype=np.int64)] = 1
+        return cls._from_nums(stage, nums, 1, name)
 
     @classmethod
     def constant(cls, params: ConstructionParams, stage: int, value,
                  name: str = "") -> "Observable":
         n = heights(params, stage).L(stage)
-        return cls(stage, (value,) * n, name)
+        (num,), denom = _clear_denominators((value,))
+        return cls._from_nums(stage, np.full(n, num, dtype=np.int64), denom, name)
 
     def scaled_ints(self) -> tuple[np.ndarray, int]:
-        """Coefficients cleared to a common denominator, as int64,
-        with a trailing 0 slot for the spacer class."""
-        denom = lcm(*(Fraction(c).denominator for c in self.coeffs)) if self.coeffs else 1
-        ints = [int(Fraction(c) * denom) for c in self.coeffs]
-        if ints and max(abs(v) for v in ints) >= _INT64_SAFE:
-            raise ValueError("observable coefficients too large for exact int64 path")
-        return np.array(ints + [0], dtype=np.int64), denom
+        """Numerators with a trailing 0 slot for the spacer class, and
+        the common denominator."""
+        return np.append(self.nums, 0), self.denom
 
 
 def _orbit_values(params, obs: Observable, start: int, N: int, K: int):
-    """int64 values f(T^i x) for i = 1..N, plus the denominator."""
-    model = build_labels(params, obs.stage, K)
-    if len(obs.coeffs) != model.n_levels:
+    """int64 values f(T^i x) for i = 1..N, plus the denominator. The
+    word is built afresh: an orbit is rarely revisited, and the cache
+    would keep a word of at least N entries alive."""
+    labels = _word(params, obs.stage, K)
+    n_levels = heights(params, K).L(obs.stage)
+    if len(obs.nums) != n_levels:
         raise ValueError(
-            f"observable has {len(obs.coeffs)} coefficients, stage "
-            f"{obs.stage} has {model.n_levels} levels"
+            f"observable has {len(obs.nums)} coefficients, stage "
+            f"{obs.stage} has {n_levels} levels"
         )
-    if start < 0 or start + N >= model.length:
+    if start < 0 or start + N >= len(labels):
         raise DepthTooShallow(
-            f"orbit start={start}, N={N} exceeds L_K-1={model.length - 1}"
+            f"orbit start={start}, N={N} exceeds L_K-1={len(labels) - 1}"
         )
     ext, denom = obs.scaled_ints()
-    seg = model.labels[start + 1 : start + N + 1]
-    cls = np.where(seg >= 0, seg, model.n_levels)
+    seg = labels[start + 1 : start + N + 1]
+    cls = np.where(seg >= 0, seg, n_levels)
     vals = ext[cls]
     if int(np.abs(vals).max(initial=0)) * N >= _INT64_SAFE:
         raise ValueError("sum could overflow the exact int64 path")
@@ -222,22 +258,25 @@ def decompose_observable(F: Observable, partition: FactorPartition) -> list[Obse
     """Split F into f_0..f_{d-1} with supp f_i inside class i; the
     pieces sum back to F coefficientwise."""
     d = partition.d
+    residue = np.arange(len(F.nums)) % d
     out = []
     for i in range(d):
-        coeffs = tuple(
-            c if a % d == i else 0 for a, c in enumerate(F.coeffs)
-        )
-        out.append(Observable(F.stage, coeffs, name=f"{F.name or 'F'}|class{i}"))
+        nums = np.where(residue == i, F.nums, 0)
+        g = gcd(F.denom, int(np.gcd.reduce(nums)))
+        out.append(Observable._from_nums(
+            F.stage, nums // g, F.denom // g, name=f"{F.name or 'F'}|class{i}"
+        ))
     return out
 
 
 # ------------------------------------------------- telescoping identity
 
 def _require_supported_on_base(obs: Observable, d: int, start: int) -> None:
-    bad = [a for a, c in enumerate(obs.coeffs) if c != 0 and a % d != 0]
-    if bad:
+    levels = np.flatnonzero(obs.nums)
+    bad = levels[levels % d != 0]
+    if bad.size:
         raise ValueError(
-            f"observable must be supported on E: levels {bad[:5]} have "
+            f"observable must be supported on E: levels {bad[:5].tolist()} have "
             f"residue != 0 mod {d}"
         )
     if start % d != 0:

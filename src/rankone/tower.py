@@ -110,8 +110,13 @@ def checked_heights(params: ConstructionParams, K: int) -> HeightTable:
     return table
 
 
-@lru_cache(maxsize=8)
-def _cached_labels(params: ConstructionParams, j: int, K: int) -> np.ndarray:
+def _word(params: ConstructionParams, j: int, K: int) -> np.ndarray:
+    """The stage-K level word relative to reference stage j, built
+    afresh (read-only)."""
+    if j < 1:
+        raise ValueError("reference stage must be >= 1")
+    if K < j:
+        raise ValueError("depth K must be >= reference stage j")
     table = checked_heights(params, K)
     total = table.L(K)
     n_st = K - j
@@ -133,16 +138,17 @@ def _cached_labels(params: ConstructionParams, j: int, K: int) -> np.ndarray:
     return word
 
 
+#: correlations and fits revisit the same (params, j, K); orbits, which
+#: rarely do, call _word and keep no word alive
+_cached_labels = lru_cache(maxsize=8)(_word)
+
+
 def build_labels(params: ConstructionParams, j: int, K: int) -> TowerModel:
     """Cut-and-stack the stage-j tower down to depth K.
 
     Stacking order per stage m: column 1, s_m(1) spacers, column 2,
     s_m(2) spacers, ..., column r_m, s_m(r_m) spacers.
     """
-    if j < 1:
-        raise ValueError("reference stage must be >= 1")
-    if K < j:
-        raise ValueError("depth K must be >= reference stage j")
     labels = _cached_labels(params, j, K)
     return TowerModel(
         params=params, ref_stage=j, depth=K, labels=labels,
@@ -263,10 +269,10 @@ def orbit_labels(
     """
     if start < 0 or N < 1:
         raise ValueError("need start >= 0 and N >= 1")
-    model = build_labels(params, j, K)
-    if start + N >= model.length:
+    labels = _word(params, j, K)
+    if start + N >= len(labels):
         raise DepthTooShallow(
-            f"orbit reaches level {start + N}, beyond L_K-1={model.length - 1}; "
+            f"orbit reaches level {start + N}, beyond L_K-1={len(labels) - 1}; "
             "increase K"
         )
-    return model.labels[start + 1 : start + N + 1]
+    return labels[start + 1 : start + N + 1]

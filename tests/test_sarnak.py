@@ -1,9 +1,13 @@
 import itertools
 import random
+import re
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone import construction as cons
 from rankone import sarnak, tower
@@ -354,5 +358,76 @@ def test_observable_sup_norm_and_validation():
     assert obs.sup_norm == Fraction(3, 2)
     with pytest.raises(ValueError):
         sarnak.Observable(1, (0.5,))
-    with pytest.raises(ValueError):
-        sarnak.Observable.indicator(cons.chacon(), 2, [9])
+    n = cons.heights(cons.chacon(), 2).L(2)
+    # duplicate, unsorted and no indices
+    for indices, ones in (([3, 0, 3, 1], {0, 1, 3}), ([], set()), (range(n), set(range(n)))):
+        ind = sarnak.Observable.indicator(cons.chacon(), 2, indices)
+        assert ind.coeffs == tuple(int(i in ones) for i in range(n))
+        assert ind.denom == 1
+    for bad in (9, -1):
+        msg = f"level indices [{bad}] outside 0..{n - 1}"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            sarnak.Observable.indicator(cons.chacon(), 2, [0, bad, 1])
+
+
+def test_observable_int64_guard():
+    edge = sarnak._INT64_SAFE - 1
+    for ok in ((edge,), (-edge, 1), (Fraction(edge, 3), Fraction(1, 3))):
+        assert sarnak.Observable(1, ok).scaled_ints()[0].tolist()[:-1] == [
+            int(Fraction(c) * lcm(*(Fraction(x).denominator for x in ok))) for c in ok
+        ]
+    # the last one clears 1/2 to 2**62 over denominator 2
+    for big in ((edge + 1,), (-edge - 1,), (Fraction(1, 2), 2**61)):
+        with pytest.raises(ValueError, match="too large for exact int64"):
+            sarnak.Observable(1, big)
+
+
+coefficients = st.lists(
+    st.one_of(
+        st.integers(-100, 100),
+        st.integers(-(2**64), 2**64),
+        st.booleans(),
+        st.fractions(max_denominator=10**6),
+        st.fractions(-10, 10, max_denominator=30),
+    ),
+    max_size=12,
+).map(tuple)
+
+
+@given(coefficients, st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_observable_clears_denominators_once(coeffs, d):
+    # the formula scaled_ints used before observables stored numerators
+    denom = lcm(*(Fraction(c).denominator for c in coeffs)) if coeffs else 1
+    ints = [int(Fraction(c) * denom) for c in coeffs]
+    if ints and max(abs(v) for v in ints) >= sarnak._INT64_SAFE:
+        with pytest.raises(ValueError, match="too large for exact int64"):
+            sarnak.Observable(1, coeffs)
+        return
+    obs = sarnak.Observable(1, coeffs)
+    ext, got_denom = obs.scaled_ints()
+    assert ext.tolist() == ints + [0] and got_denom == denom
+    assert obs.coeffs == tuple(Fraction(c) for c in coeffs)
+    assert obs.sup_norm == max((abs(c) for c in coeffs), default=0)
+
+    part = sarnak.FactorPartition(d=d, depth=1, length=len(coeffs), checked_through_stage=2)
+    pieces = sarnak.decompose_observable(obs, part)
+    assert len(pieces) == d
+    for a, c in enumerate(coeffs):
+        assert sum(p.coeffs[a] for p in pieces) == c
+    for i, piece in enumerate(pieces):
+        own = [Fraction(c).denominator for a, c in enumerate(coeffs) if a % d == i]
+        assert piece.denom == lcm(*own)
+        assert piece.coeffs == tuple(c if a % d == i else 0 for a, c in enumerate(coeffs))
+
+
+def test_orbits_leave_the_word_cache_alone():
+    params = cons.class4()
+    K = cons.first_stage_reaching(params, 3000)
+    obs = sarnak.Observable.indicator(params, K, range(0, cons.heights(params, K).L(K), 2))
+    tower._cached_labels.cache_clear()
+    sarnak.mobius_weighted_sum(params, obs, 0, 1000, K, TABLE)
+    sarnak.telescope_identity_check(params, obs, 2, 0, 1000, K, TABLE)
+    tower.orbit_labels(params, 1, K, 0, 1000)
+    info = tower._cached_labels.cache_info()
+    assert info.currsize == 0 and info.misses == 0
