@@ -25,7 +25,7 @@ import numpy as np
 from .construction import (
     ConstructionParams, Window, WindowSet, first_stage_reaching, heights,
 )
-from .tower import CorrelationMatrix, build_labels, correlation_matrix
+from .tower import CorrelationMatrix, class_totals, correlation_matrices
 
 MAX_SOLVER_ITERATIONS = 10_000
 SOLVER_IMPROVEMENT_TOL = 1e-10
@@ -220,12 +220,11 @@ def fit_limit_polynomial(
 def fit_for_shift(
     params: ConstructionParams, j: int, K: int, n: int, Z: int = 8
 ) -> LimitPolynomial:
-    """Build target C_n and basis {C_z : |z| <= Z} at (j, K) and fit."""
-    model = build_labels(params, j, K)
-    target = correlation_matrix(params, j, K, n)
-    basis = {z: correlation_matrix(params, j, K, z) for z in range(-Z, Z + 1)}
-    measures = model.class_counts() / model.length
-    return fit_limit_polynomial(target, basis, measures, Z)
+    """Count target C_n and basis {C_z : |z| <= Z} at (j, K) at once; fit."""
+    window = range(-Z, Z + 1)
+    mats = correlation_matrices(params, j, K, [n, *window])
+    measures = class_totals(params, j, K) / mats[n].total
+    return fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures, Z)
 
 
 # ------------------------------------------------------------- sequences

@@ -2,10 +2,10 @@
 
 The stage-K tower is a word of length L_K over the alphabet
 {stage-j reference levels} + {spacers}: position l holds the label of
-the l-th level, and the transformation climbs one level per step. All
-correlation numbers come from literal pair counting in this word and
-carry a certified error bound (top-exit mass plus the relative mass
-added after stage K).
+the l-th level, and the transformation climbs one level per step.
+Correlations are exact pair counts of this word, carried to depth K by
+the stage recursion from a short base word, with error |n|/L_K (top
+exit) plus an estimate of the relative mass added after stage K.
 
 Encoding: labels[l] >= 0 is a reference-level index; labels[l] = -m is
 a spacer inserted at stage m.
@@ -13,9 +13,9 @@ a spacer inserted at stage m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -97,9 +97,13 @@ class TowerModel:
         return _kernels.class_counts(self.labels, self.n_levels)
 
 
-def checked_heights(params: ConstructionParams, K: int) -> HeightTable:
-    """Heights through stage K; ValueError if the stage-K word would
-    exceed MAX_WORD_LENGTH."""
+def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTable:
+    """Heights through stage K; ValueError unless 1 <= j <= K or if the
+    stage-K word would exceed MAX_WORD_LENGTH."""
+    if j < 1:
+        raise ValueError("reference stage must be >= 1")
+    if K < j:
+        raise ValueError("depth K must be >= reference stage j")
     table = heights(params, K)
     total = table.L(K)
     if total > MAX_WORD_LENGTH:
@@ -113,34 +117,15 @@ def checked_heights(params: ConstructionParams, K: int) -> HeightTable:
 def _word(params: ConstructionParams, j: int, K: int) -> np.ndarray:
     """The stage-K level word relative to reference stage j, built
     afresh (read-only)."""
-    if j < 1:
-        raise ValueError("reference stage must be >= 1")
-    if K < j:
-        raise ValueError("depth K must be >= reference stage j")
-    table = checked_heights(params, K)
-    total = table.L(K)
-    n_st = K - j
-    r_arr = np.empty(n_st, dtype=np.int64)
-    marks = np.empty(n_st, dtype=np.int64)
-    s_parts = []
-    s_ptr = np.empty(n_st, dtype=np.int64)
-    off = 0
-    for t, m in enumerate(range(j, K)):
-        st = params.stage(m)
-        r_arr[t] = st.r
-        marks[t] = m
-        s_ptr[t] = off
-        s_parts.extend(st.s)
-        off += st.r
-    s_flat = np.array(s_parts, dtype=np.int64) if s_parts else np.empty(0, np.int64)
-    word = _kernels.build_word(table.L(j), r_arr, s_flat, s_ptr, marks, total)
+    table = checked_heights(params, K, j)
+    stages = [params.stage(m) for m in range(j, K)]
+    r_arr = np.array([st.r for st in stages], dtype=np.int64)
+    s_flat = np.array([x for st in stages for x in st.s], dtype=np.int64)
+    s_ptr = np.cumsum([0] + [st.r for st in stages[:-1]], dtype=np.int64)
+    marks = np.arange(j, K, dtype=np.int64)
+    word = _kernels.build_word(table.L(j), r_arr, s_flat, s_ptr, marks, table.L(K))
     word.flags.writeable = False
     return word
-
-
-#: correlations and fits revisit the same (params, j, K); orbits, which
-#: rarely do, call _word and keep no word alive
-_cached_labels = lru_cache(maxsize=8)(_word)
 
 
 def build_labels(params: ConstructionParams, j: int, K: int) -> TowerModel:
@@ -149,7 +134,7 @@ def build_labels(params: ConstructionParams, j: int, K: int) -> TowerModel:
     Stacking order per stage m: column 1, s_m(1) spacers, column 2,
     s_m(2) spacers, ..., column r_m, s_m(r_m) spacers.
     """
-    labels = _cached_labels(params, j, K)
+    labels = _word(params, j, K)
     return TowerModel(
         params=params, ref_stage=j, depth=K, labels=labels,
         heights=heights(params, K),
@@ -165,6 +150,16 @@ def level_measures(model: TowerModel) -> dict[int, Fraction]:
     return {
         a: Fraction(int(counts[a]), total) for a in range(model.n_levels)
     }
+
+
+def class_totals(params: ConstructionParams, j: int, K: int) -> np.ndarray:
+    """Class occurrences in the stage-K word relative to stage j: each
+    level prod_{m=j}^{K-1} r_m times, spacers L_K - L_j * prod r_m."""
+    table = heights(params, K)
+    copies = math.prod(params.stage(m).r for m in range(j, K))
+    counts = np.full(table.L(j) + 1, copies, dtype=np.int64)
+    counts[-1] = table.L(K) - table.L(j) * copies
+    return counts
 
 
 def tail_bound(params: ConstructionParams, K: int, probe: int = TAIL_PROBE_STAGES) -> float:
@@ -192,10 +187,11 @@ def tail_bound(params: ConstructionParams, K: int, probe: int = TAIL_PROBE_STAGE
 
 @dataclass(frozen=True)
 class CorrelationMatrix:
-    """Pair counts of the depth-K word at a shift n, over the classes
-    {stage-j levels} + {aggregated spacer}, with a certified error
-    bound |n|/L_K + tail(K) on each entry as an estimate of the
-    pairing nu(T^n A intersect B)."""
+    """Exact pair counts of the depth-K word at a shift n, over the
+    classes {stage-j levels} + {aggregated spacer}. As an estimate of
+    nu(T^n A intersect B) each entry carries the error |n|/L_K +
+    tail(K), where the tail part is a TAIL_PROBE_STAGES-stage probe
+    estimate, not a proven bound."""
 
     stage: int
     shift: int
@@ -226,36 +222,77 @@ class CorrelationMatrix:
                 yield (
                     self.class_name(a),
                     self.class_name(b),
-                    repr(self.counts[a, b] / self.total),
+                    repr(float(self.counts[a, b] / self.total)),
                     repr(self.error_bound),
                 )
+
+
+def _junction_counts(junction, W, end, zs, side):
+    """Pairs (junction[l], junction[l+z]) with W-z <= l < end and l+z in
+    range, for every z in ``zs`` in one bincount."""
+    lo = W - zs
+    lengths = np.minimum(end, len(junction) - zs) - lo
+    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - lo, lengths)
+    zi = np.repeat(np.arange(len(zs)), lengths)
+    flat = (zi * side + junction[pos]) * side + junction[pos + zs[zi]]
+    return np.bincount(flat, minlength=len(zs) * side * side).reshape(len(zs), side, side)
+
+
+def correlation_matrices(
+    params: ConstructionParams, j: int, K: int, shifts: list[int],
+    probe: int = TAIL_PROBE_STAGES,
+) -> dict[int, CorrelationMatrix]:
+    """nu(T^n A intersect B) over stage-j classes at depth K for every n
+    in ``shifts``: C(A,B) = #{l : labels[l]=A, labels[l+n]=B} / L_K.
+
+    Only W_m0, the first stage word with L_m0 >= W = max|n|, is built
+    and counted. For 0 <= z <= W <= L_m the stage recursion gives
+    C_{m+1}(z) = r_m C_m(z) + sum_i junction_i(z), where junction i is
+    suf_W(W_m) + s_m(i) spacers + pre_W(W_m) (no prefix after the last
+    copy), counted from its last z copy entries on. C(-z) = C(z)^T.
+    """
+    table = checked_heights(params, K, j)
+    n_ref, total = table.L(j), table.L(K)
+    if n_ref > MAX_DENSE_LEVELS:
+        raise ValueError(
+            f"reference stage has {n_ref} levels; "
+            f"dense correlation supports at most {MAX_DENSE_LEVELS}"
+        )
+    for n in shifts:
+        if abs(n) >= total:
+            raise DepthTooShallow(f"|n|={abs(n)} needs a deeper tower than L_K={total}")
+    W = max(abs(n) for n in shifts)  # ValueError when there is no shift
+    zs = np.array(sorted({abs(n) for n in shifts}), dtype=np.int64)
+    m0 = next(m for m in range(j, K + 1) if table.L(m) >= W)
+    word = _word(params, j, m0)
+    counts = np.stack([_kernels.pair_counts(word, int(z), n_ref) for z in zs])
+    classes = np.where(word >= 0, word, n_ref)
+    pre, suf = classes[:W], classes[len(classes) - W:]
+    for m in range(m0, K):
+        st = params.stage(m)
+        counts *= st.r
+        for i, s in enumerate(st.s):
+            junction = np.concatenate([suf, np.full(s, n_ref), pre[: W * (i < st.r - 1)]])
+            counts += _junction_counts(junction, W, W + s, zs, n_ref + 1)
+        suf = junction[len(junction) - W:]  # the last copy has no prefix
+    by_shift = dict(zip(zs.tolist(), counts))
+    tail = tail_bound(params, K, probe)
+    return {
+        n: CorrelationMatrix(
+            stage=j, shift=n, depth=K,
+            counts=by_shift[n] if n >= 0 else by_shift[-n].T.copy(),
+            total=total, error_bound=abs(n) / total + tail,
+        )
+        for n in shifts
+    }
 
 
 def correlation_matrix(
     params: ConstructionParams, j: int, K: int, n: int,
     probe: int = TAIL_PROBE_STAGES,
 ) -> CorrelationMatrix:
-    """Empirical nu(T^n A intersect B) over stage-j classes at depth K.
-
-    C(A,B) = #{l : labels[l]=A, labels[l+n]=B, both in range} / L_K.
-    Negative n counts the symmetric pairs with l+n >= 0.
-    """
-    model = build_labels(params, j, K)
-    if model.n_levels > MAX_DENSE_LEVELS:
-        raise ValueError(
-            f"reference stage has {model.n_levels} levels; "
-            f"dense correlation supports at most {MAX_DENSE_LEVELS}"
-        )
-    if abs(n) >= model.length:
-        raise DepthTooShallow(
-            f"|n|={abs(n)} needs a deeper tower than L_K={model.length}"
-        )
-    counts = _kernels.pair_counts(model.labels, n, model.n_levels)
-    err = abs(n) / model.length + tail_bound(params, K, probe)
-    return CorrelationMatrix(
-        stage=j, shift=n, depth=K, counts=counts,
-        total=model.length, error_bound=err,
-    )
+    """The matrix of ``correlation_matrices`` at the one shift n."""
+    return correlation_matrices(params, j, K, [n], probe)[n]
 
 
 def orbit_labels(

@@ -125,6 +125,11 @@ def test_correlate_run(tmp_path):
     lines = (outdir / "correlation.csv").read_text().splitlines()
     assert lines[0] == "A,B,value,error"
     assert lines[1].startswith("0,0,")
+    for line in lines[1:]:
+        assert "np." not in line
+        value, error = line.split(",")[2:]
+        assert 0.0 <= float(value) <= 1.0 and float(error) > 0.0
+    assert "8-stage probe estimate" in out
 
 
 def test_weak_limit_run(tmp_path):

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
+from rankone import _kernels, limits, tower
 from rankone import construction as cons
-from rankone import limits, tower
 
 
 def chacon_fit(n, Z=8, j=4, K=10):
@@ -185,6 +185,25 @@ def test_certificate_soundness_when_similar():
     # on the odometer gives similar identity-like limits
     verdict = limits.disjointness_certificate(cons.odometer(2), 1, 2)
     assert verdict.verdict is not limits.Verdict.EVIDENCE_DISJOINT
+
+
+def test_correlations_build_no_long_word(monkeypatch):
+    built = []
+    build_word = _kernels.build_word
+
+    def spy(*args):
+        built.append(args[5])
+        return build_word(*args)
+
+    monkeypatch.setattr(_kernels, "build_word", spy)
+    params = cons.chacon()
+    K = cons.first_stage_reaching(params, 10**6, 2)
+    L_K = cons.heights(params, K).L(K)
+    limits.fit_for_shift(params, 2, K, 4920)
+    limits.disjointness_certificate(
+        params, 2, 3, policy=limits.DepthPolicy(min_levels=L_K)
+    )
+    assert built and max(built) <= L_K // 50
 
 
 # ------------------------------------------------------- mix and cascade

@@ -419,15 +419,3 @@ def test_observable_clears_denominators_once(coeffs, d):
         own = [Fraction(c).denominator for a, c in enumerate(coeffs) if a % d == i]
         assert piece.denom == lcm(*own)
         assert piece.coeffs == tuple(c if a % d == i else 0 for a, c in enumerate(coeffs))
-
-
-def test_orbits_leave_the_word_cache_alone():
-    params = cons.class4()
-    K = cons.first_stage_reaching(params, 3000)
-    obs = sarnak.Observable.indicator(params, K, range(0, cons.heights(params, K).L(K), 2))
-    tower._cached_labels.cache_clear()
-    sarnak.mobius_weighted_sum(params, obs, 0, 1000, K, TABLE)
-    sarnak.telescope_identity_check(params, obs, 2, 0, 1000, K, TABLE)
-    tower.orbit_labels(params, 1, K, 0, 1000)
-    info = tower._cached_labels.cache_info()
-    assert info.currsize == 0 and info.misses == 0

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rankone import _kernels, tower
 from rankone import construction as cons
-from rankone import tower
 from rankone.errors import DepthTooShallow
 
 PRESET_NAMES = ["chacon", "odometer2", "odometer3", "flat3", "class4"]
@@ -158,6 +160,63 @@ def test_depth_stability_of_entries():
 def test_correlation_errors():
     with pytest.raises(DepthTooShallow):
         tower.correlation_matrix(cons.chacon(), 1, 2, 10)
+
+
+def test_correlation_guards_run_before_any_word(monkeypatch):
+    def no_word(*args):
+        raise AssertionError("built a word before checking the request")
+
+    monkeypatch.setattr(_kernels, "build_word", no_word)
+    params = cons.chacon()
+    j = cons.first_stage_reaching(params, tower.MAX_DENSE_LEVELS + 1)
+    with pytest.raises(ValueError, match="dense correlation"):
+        tower.correlation_matrix(params, j, j + 1, 1)
+    with pytest.raises(DepthTooShallow):
+        tower.correlation_matrix(params, 2, 12, 10**6)
+
+
+EXPLICIT = cons.ConstructionParams.explicit(1, [
+    cons.StageParams(r, tuple((3 * m + i) % 5 for i in range(r)))
+    for m, r in enumerate([2, 3, 4, 2, 3, 4, 2, 3, 4, 2, 3, 4])
+])
+PERIODIC = cons.ConstructionParams.periodic(
+    2, [cons.StageParams(3, (1, 0, 2)), cons.StageParams(2, (0, 3))]
+)
+MAX_LK = 200_000
+
+
+@st.composite
+def correlation_requests(draw):
+    params = draw(st.one_of(
+        st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+                  st.integers(2, 4), st.integers(0, 4), st.integers(0, 10**6)),
+        st.sampled_from([EXPLICIT, PERIODIC]),
+    ))
+    j = draw(st.integers(1, 3))
+    deepest = j
+    while cons.heights(params, deepest + 1).L(deepest + 1) <= MAX_LK:
+        deepest += 1
+    K = draw(st.integers(j, deepest))
+    L = cons.heights(params, K).L(K)
+    picked = draw(st.lists(st.sampled_from([*range(1, 9), L - 1]), max_size=6))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=6, max_size=6))
+    extra = draw(st.lists(st.integers(1 - L, L - 1), max_size=4))
+    shifts = [0] + [s * z for s, z in zip(signs, picked) if z < L] + extra
+    return params, j, K, shifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(correlation_requests())
+def test_batched_counts_match_the_word(request):
+    params, j, K, shifts = request
+    word = tower._word(params, j, K)
+    n_ref = cons.heights(params, j).L(j)
+    mats = tower.correlation_matrices(params, j, K, shifts)
+    for n in shifts:
+        assert np.array_equal(mats[n].counts, _kernels.pair_counts(word, n, n_ref))
+        assert mats[n].total == len(word)
+    assert np.array_equal(tower.class_totals(params, j, K),
+                          _kernels.class_counts(word, n_ref))
 
 
 def test_csv_rows_deterministic():
