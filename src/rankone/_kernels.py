@@ -15,58 +15,78 @@ import numpy as np
 BACKEND = "numpy"
 
 
+#: primes struck once into a tile that every block copies
+WHEEL = (2, 3, 5, 7)
+#: sieve block: a whole number of periods (4*9*25*49 = 44100) of mu over
+#: the wheel primes, so every block starts with the same tile, and about
+#: 2**18 entries, so the int32 products stay in cache
+BLOCK = 6 * 44100
+
+
 def sieve_mobius(n_max: int) -> np.ndarray:
     """mu(0..n_max) as int8; entry 0 is unused and left 0.
 
-    Only the primes p <= sqrt(n_max) are struck, one strided pass each:
-    mu[p::p] changes sign, prod[p::p] gains the factor p and
-    mu[p*p::p*p] is zeroed, so prod[n] is the product of the distinct
-    small primes dividing n. A squarefree n with prod[n] < n has exactly
-    one prime factor above sqrt(n_max); one vector step flips its sign.
-    Cost: pi(sqrt(n_max)) numpy passes, 331 at n_max = 5e6.
+    prod[n] is +-(the product of the distinct struck primes dividing n),
+    its sign (-1)^(their number), or 0 when the square of one divides n.
+    It is periodic in the wheel primes 2, 3, 5, 7, so they are struck
+    once into a tile of BLOCK entries (cut to n_max + 1) that starts
+    every block. Each block then strikes the primes 7 < p <= sqrt(n_max)
+    with two strided slices: prod[p::p] *= -p and prod[p*p::p*p] = 0.
+    So mu(n) = sign(prod[n]), negated when |prod[n]| < n: a squarefree
+    n has at most one prime factor above sqrt(n_max).
     """
-    mu = np.ones(n_max + 1, dtype=np.int8)
-    mu[0] = 0
-    if n_max < 2:
-        return mu
     root = math.isqrt(n_max)
     is_prime = np.ones(root + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(root) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
+    primes = [p for p in np.flatnonzero(is_prime).tolist() if p > WHEEL[-1]]
     # exact: the product of the distinct primes dividing n is at most n
     dtype = np.int32 if n_max < 2**31 else np.int64
-    prod = np.ones(n_max + 1, dtype=dtype)
-    for p in np.flatnonzero(is_prime).tolist():
-        mu[p::p] *= -1
-        prod[p::p] *= p
-        mu[p * p :: p * p] = 0
-    mu[prod < np.arange(n_max + 1, dtype=dtype)] *= -1
+    size = min(BLOCK, n_max + 1)
+    tile = np.ones(size, dtype=dtype)
+    for p in WHEEL:
+        tile[::p] *= -p
+        tile[:: p * p] = 0
+    mu = np.empty(n_max + 1, dtype=np.int8)
+    offsets = np.arange(size, dtype=dtype)
+    for lo in range(0, n_max + 1, size):
+        block = mu[lo : lo + size]
+        prod = tile[: len(block)].copy()
+        for p in primes:
+            prod[-lo % p :: p] *= -p
+            prod[-lo % (p * p) :: p * p] = 0
+        np.sign(prod, out=block)
+        np.abs(prod, out=prod)
+        prod -= lo  # |prod[n]| - lo against n - lo
+        block *= 1 - 2 * (prod < offsets[: len(block)]).view(np.int8)
     return mu
 
 
-def build_word(base_len, r_arr, s_flat, s_ptr, marks, total_len):
-    """Expand the level word of a stage through later cutting stages.
+def build_word(base, r_arr, s_flat, s_ptr, fills, length):
+    """The first ``length`` entries of the int64 word ``base`` restacked
+    through later cutting stages.
 
-    Starts from the identity word [0..base_len) and, for each stage m,
-    restacks r_m copies with s_m(i) spacer symbols after copy i.
+    Stage m stacks r_m copies of the word, copy i followed by s_m(i)
+    entries equal to ``fills[m]``. Every stage starts with the word it
+    restacks, so once ``length`` entries are written the rest is never
+    read and the build stops.
     """
-    word = np.empty(total_len, dtype=np.int64)
-    word[:base_len] = np.arange(base_len, dtype=np.int64)
-    cur = base_len
+    word = np.empty(length, dtype=np.int64)
+    cur = min(len(base), length)
+    word[:cur] = base[:cur]
     for st in range(len(r_arr)):
-        r = r_arr[st]
-        mark = -marks[st]
+        if cur == length:
+            break
         pos = cur
-        for i in range(r):
+        for i in range(r_arr[st]):
             if i > 0:
-                word[pos : pos + cur] = word[:cur]
-                pos += cur
-            ns = s_flat[s_ptr[st] + i]
-            if ns > 0:
-                word[pos : pos + ns] = mark
-                pos += ns
+                n = min(cur, length - pos)
+                word[pos : pos + n] = word[:n]
+                pos += n
+            word[pos : pos + s_flat[s_ptr[st] + i]] = fills[st]
+            pos = min(pos + s_flat[s_ptr[st] + i], length)
         cur = pos
     return word
 
@@ -95,18 +115,16 @@ def class_counts(labels, n_ref):
 
 
 def weighted_mobius_sums(values, mu, checkpoints):
-    """Partial sums S_n = sum_{i<=n} values[i-1]*mu(i) at each checkpoint.
+    """Partial sums S_n = sum_{i<=n} values[i-1]*mu(i) at each of the
+    ascending checkpoints.
 
     ``values[i-1]`` holds the observable along the orbit at time i;
-    all arithmetic stays in int64.
+    all arithmetic stays in int64. Each stretch between checkpoints is
+    summed once and the stretch sums are accumulated.
     """
-    n_total = values.shape[0]
-    prods = values * mu[1 : n_total + 1].astype(np.int64)
-    csum = np.cumsum(prods)
-    out = np.empty(len(checkpoints), dtype=np.int64)
-    for k, n in enumerate(checkpoints):
-        out[k] = csum[n - 1] if n > 0 else 0
-    return out
+    prods = values * mu[1 : values.shape[0] + 1]
+    edges = [0, *checkpoints]
+    return np.cumsum([prods[a:b].sum() for a, b in zip(edges, edges[1:])], dtype=np.int64)
 
 
 def strided_mobius_sum(values, mu, stride, count):

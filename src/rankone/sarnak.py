@@ -28,7 +28,7 @@ from . import _kernels
 from .construction import ClassKind, ConstructionParams, classify, heights
 from .errors import ConsistencyFailure, DepthTooShallow, OdometerCase
 from .mobius import MobiusTable, prime_factors
-from .tower import _word
+from .tower import _restack, checked_heights
 
 _INT64_SAFE = 2**62
 
@@ -112,27 +112,25 @@ class Observable:
 
 
 def _orbit_values(params, obs: Observable, start: int, N: int, K: int):
-    """int64 values f(T^i x) for i = 1..N, plus the denominator. The
-    word is built afresh: an orbit is rarely revisited, and the cache
-    would keep a word of at least N entries alive."""
-    labels = _word(params, obs.stage, K)
-    n_levels = heights(params, K).L(obs.stage)
+    """int64 values f(T^i x) for i = 1..N, plus the denominator: the
+    numerators restacked to depth K with spacers valued 0, built afresh
+    and cut at the orbit's end."""
+    table = checked_heights(params, K, obs.stage)
+    n_levels, L_K = table.L(obs.stage), table.L(K)
     if len(obs.nums) != n_levels:
         raise ValueError(
             f"observable has {len(obs.nums)} coefficients, stage "
             f"{obs.stage} has {n_levels} levels"
         )
-    if start < 0 or start + N >= len(labels):
+    if start < 0 or start + N >= L_K:
         raise DepthTooShallow(
-            f"orbit start={start}, N={N} exceeds L_K-1={len(labels) - 1}"
+            f"orbit start={start}, N={N} exceeds L_K-1={L_K - 1}"
         )
-    ext, denom = obs.scaled_ints()
-    seg = labels[start + 1 : start + N + 1]
-    cls = np.where(seg >= 0, seg, n_levels)
-    vals = ext[cls]
-    if int(np.abs(vals).max(initial=0)) * N >= _INT64_SAFE:
+    zeros = np.zeros(K - obs.stage, dtype=np.int64)
+    vals = _restack(params, obs.stage, K, obs.nums, zeros, start + N + 1)[start + 1 :]
+    if max(-int(vals.min()), int(vals.max())) * N >= _INT64_SAFE:
         raise ValueError("sum could overflow the exact int64 path")
-    return vals, denom
+    return vals, obs.denom
 
 
 def _exact(value: int, denom: int):

@@ -114,18 +114,26 @@ def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTab
     return table
 
 
-def _word(params: ConstructionParams, j: int, K: int) -> np.ndarray:
-    """The stage-K level word relative to reference stage j, built
-    afresh (read-only)."""
-    table = checked_heights(params, K, j)
+def _restack(params: ConstructionParams, j: int, K: int, base, fills, length: int) -> np.ndarray:
+    """The first ``length`` entries of the stage-j word ``base`` cut and
+    stacked through stage K, stage m's spacers set to fills[m - j]
+    (read-only)."""
     stages = [params.stage(m) for m in range(j, K)]
     r_arr = np.array([st.r for st in stages], dtype=np.int64)
     s_flat = np.array([x for st in stages for x in st.s], dtype=np.int64)
     s_ptr = np.cumsum([0] + [st.r for st in stages[:-1]], dtype=np.int64)
-    marks = np.arange(j, K, dtype=np.int64)
-    word = _kernels.build_word(table.L(j), r_arr, s_flat, s_ptr, marks, table.L(K))
+    word = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills, length)
     word.flags.writeable = False
     return word
+
+
+def _word(params: ConstructionParams, j: int, K: int, length: int | None = None) -> np.ndarray:
+    """The stage-K level word relative to reference stage j, or its
+    first ``length`` entries, built afresh (read-only)."""
+    table = checked_heights(params, K, j)
+    levels = np.arange(table.L(j), dtype=np.int64)
+    marks = -np.arange(j, K, dtype=np.int64)
+    return _restack(params, j, K, levels, marks, table.L(K) if length is None else length)
 
 
 def build_labels(params: ConstructionParams, j: int, K: int) -> TowerModel:
@@ -299,17 +307,18 @@ def orbit_labels(
     params: ConstructionParams, j: int, K: int, start: int, N: int
 ) -> np.ndarray:
     """Labels along the orbit of the point at level ``start``:
-    the encoded labels at positions start+1 .. start+N.
+    the encoded labels at positions start+1 .. start+N, from a word cut
+    at the orbit's end.
 
     Raises DepthTooShallow when the orbit would leave the stage-K
     tower; decode entries with ``decode_label``.
     """
     if start < 0 or N < 1:
         raise ValueError("need start >= 0 and N >= 1")
-    labels = _word(params, j, K)
-    if start + N >= len(labels):
+    L_K = checked_heights(params, K, j).L(K)
+    if start + N >= L_K:
         raise DepthTooShallow(
-            f"orbit reaches level {start + N}, beyond L_K-1={len(labels) - 1}; "
+            f"orbit reaches level {start + N}, beyond L_K-1={L_K - 1}; "
             "increase K"
         )
-    return labels[start + 1 : start + N + 1]
+    return _word(params, j, K, start + N + 1)[start + 1 :]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone import _kernels
 from rankone import construction as cons
@@ -19,6 +21,14 @@ def cut_and_stack(params, K):
     return word
 
 
+def stage_arrays(params, j, K):
+    stages = [params.stage(m) for m in range(j, K)]
+    r_arr = np.array([st.r for st in stages], dtype=np.int64)
+    s_flat = np.array([x for st in stages for x in st.s], dtype=np.int64)
+    s_ptr = np.cumsum([0] + [st.r for st in stages[:-1]]).astype(np.int64)
+    return r_arr, s_flat, s_ptr
+
+
 @pytest.mark.parametrize(
     "params, K",
     [
@@ -28,13 +38,43 @@ def cut_and_stack(params, K):
 )
 def test_build_word_matches_cut_and_stack(params, K):
     table = cons.heights(params, K)
-    stages = [params.stage(m) for m in range(1, K)]
-    r_arr = np.array([st.r for st in stages], dtype=np.int64)
-    s_flat = np.array([x for st in stages for x in st.s], dtype=np.int64)
-    s_ptr = np.cumsum([0] + [st.r for st in stages[:-1]]).astype(np.int64)
-    marks = np.arange(1, K, dtype=np.int64)
-    got = _kernels.build_word(table.L(1), r_arr, s_flat, s_ptr, marks, table.L(K))
+    base = np.arange(table.L(1), dtype=np.int64)
+    fills = -np.arange(1, K, dtype=np.int64)
+    got = _kernels.build_word(base, *stage_arrays(params, 1, K), fills, table.L(K))
     assert got.tolist() == cut_and_stack(params, K)
+
+
+@st.composite
+def restack_requests(draw):
+    params = cons.ConstructionParams.random_bounded(
+        draw(st.integers(0, 3)), draw(st.integers(2, 4)), draw(st.integers(0, 4)),
+        draw(st.integers(0, 10**6)),
+    )
+    j = draw(st.integers(1, 3))
+    K = draw(st.integers(j, j + 3))
+    while K > j and cons.heights(params, K).L(K) > 600:
+        K -= 1
+    return params, j, K
+
+
+@settings(max_examples=40, deadline=None)
+@given(restack_requests(), st.integers(-5, 5))
+def test_build_word_cut_at_every_stop(request, shift):
+    params, j, K = request
+    table = cons.heights(params, K)
+    n_ref, L_K = table.L(j), table.L(K)
+    arrays = stage_arrays(params, j, K)
+    labels = np.arange(n_ref, dtype=np.int64)
+    marks = -np.arange(j, K, dtype=np.int64)
+    word = _kernels.build_word(labels, *arrays, marks, L_K)
+    ext = np.append(np.arange(n_ref, dtype=np.int64) * 3 + shift, 0)
+    restacked = ext[np.where(word >= 0, word, n_ref)]  # spacers map to 0
+    zeros = np.zeros(K - j, dtype=np.int64)
+    for stop in range(L_K + 1):
+        cut = _kernels.build_word(labels, *arrays, marks, stop)
+        assert np.array_equal(cut, word[:stop])
+        values = _kernels.build_word(ext[:-1], *arrays, zeros, stop)
+        assert np.array_equal(values, restacked[:stop])
 
 
 def test_pair_counts_match_python_bruteforce():

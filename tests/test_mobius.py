@@ -85,6 +85,30 @@ def test_sieve_at_one_million_large_prime_path():
         assert mu[n] == mobius_direct(n), n
 
 
+def unsegmented_sieve(n_max):
+    """The one-pass strike over the whole range that the block sieve
+    replaced: sign flip, product and square strike for each prime <=
+    sqrt(n_max), then one flip where a larger prime factor remains."""
+    mu = np.ones(n_max + 1, dtype=np.int8)
+    mu[0] = 0
+    prod = np.ones(n_max + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n_max) + 1):
+        if _is_prime(p):
+            mu[p::p] *= -1
+            prod[p::p] *= p
+            mu[p * p :: p * p] = 0
+    mu[prod < np.arange(n_max + 1)] *= -1
+    return mu
+
+
+SEAMS = [44_100, 2**18, 2 * 2**18, 3 * 2**18, _kernels.BLOCK, 2 * _kernels.BLOCK]
+
+
+@pytest.mark.parametrize("n_max", [n + d for n in SEAMS for d in (-1, 0, 1)])
+def test_sieve_blocks_match_unsegmented_strike(n_max):
+    assert np.array_equal(_kernels.sieve_mobius(n_max), unsegmented_sieve(n_max))
+
+
 @pytest.mark.parametrize("n_max,expected", [(1, [0, 1]), (2, [0, 1, -1])])
 def test_sieve_dtype_and_length_at_tiny_sizes(n_max, expected):
     mu = _kernels.sieve_mobius(n_max)

@@ -92,6 +92,18 @@ def test_weighted_sum_errors():
         sarnak.mobius_weighted_sum(params, obs, 0, 30_000, 12, TABLE)
 
 
+def test_overflow_guard_reads_the_visited_levels():
+    # chacon's stage-3 word over stage-2 levels is 0 1 2 3 0 1 2 3 sp ...:
+    # an orbit of N = 2 from level 0 visits levels 1 and 2, never 3
+    params, big = cons.chacon(), 2**61
+    visited = sarnak.Observable(2, (0, big, 5, 1))
+    with pytest.raises(ValueError, match="overflow the exact int64 path"):
+        sarnak.mobius_weighted_sum(params, visited, 0, 2, 3, TABLE)
+    unvisited = sarnak.Observable(2, (0, 1, 5, big))
+    res = sarnak.mobius_weighted_sum(params, unvisited, 0, 2, 3, TABLE)
+    assert res.final == 1 * MU10[0] + 5 * MU10[1]
+
+
 # ----------------------------------------------------------- cyclic factor
 
 def test_compact_factor_class4():

@@ -242,6 +242,30 @@ def test_orbit_depth_guard():
         tower.orbit_labels(cons.chacon(), 1, 3, 0, 13)
 
 
+def test_orbit_builds_the_word_only_to_its_end(monkeypatch):
+    built = []
+    build_word = _kernels.build_word
+
+    def spy(*args):
+        built.append(args[5])
+        return build_word(*args)
+
+    monkeypatch.setattr(_kernels, "build_word", spy)
+    params = cons.preset("flat3")
+    start, N = 4, 30
+    seg = tower.orbit_labels(params, 1, 8, start, N)
+    assert built == [start + N + 1]
+    assert np.array_equal(seg, tower._word(params, 1, 8)[start + 1 : start + N + 1])
+
+    def no_word(*args):
+        raise AssertionError("built a word before checking the orbit")
+
+    monkeypatch.setattr(_kernels, "build_word", no_word)
+    L_K = cons.heights(params, 8).L(8)
+    with pytest.raises(DepthTooShallow):
+        tower.orbit_labels(params, 1, 8, start, L_K - start)
+
+
 def test_orbit_step_composition():
     params = cons.preset("flat3")
     whole = tower.orbit_labels(params, 1, 8, 4, 30)
