@@ -354,7 +354,8 @@ def _cmd_weak_limit(cfg, out, report):
     report.append(f"  fitted stages {list(res.stages)}, shifts {list(res.shifts)}, "
                   f"ref stage {res.ref_stage}")
     report.append(f"  stability gap {res.stability_gap:.4g}, "
-                  f"residual {res.polynomial.fit_residual:.4g}")
+                  f"residual {res.polynomial.fit_residual:.4g}, "
+                  f"optimality gap {res.polynomial.optimality_gap:.2g}")
     report.append(f"  support(tau={tau}): {sorted(res.polynomial.support(tau))}")
 
 

@@ -143,6 +143,8 @@ def test_weak_limit_run(tmp_path):
     assert lines[0] == "z,a_z"
     assert lines[-1].startswith("residual,")
     assert lines[-2].startswith("theta,")
+    gap = re.search(r"residual \S+, optimality gap (\S+)$", out, re.M)
+    assert gap and float(gap.group(1)) <= 1e-12
 
 
 def test_similarity_run(tmp_path):
@@ -316,6 +318,7 @@ def test_main_disjointness_flags(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "EvidenceDisjoint" in out
+    assert len(re.findall(r"residual \S+, optimality gap ", out)) == 2
     assert (tmp_path / "limit_q.csv").exists()
     assert (tmp_path / "limit_p.csv").exists()
 

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankone import _kernels, limits, tower
 from rankone import construction as cons
@@ -73,6 +75,100 @@ def test_fit_window_infeasible():
         limits.fit_limit_polynomial(target, basis, measures, Z=13)
 
 
+def projected_gradient_fit(G, b):
+    """The projected-gradient solver the active set replaced: steps of
+    1/Lipschitz projected onto the simplex until the objective improves
+    by less than 1e-10 (at most 10 000), then an exact solve on the
+    support, kept only when feasible and no worse."""
+    def project(v):
+        u = np.sort(v)[::-1]
+        css = np.cumsum(u) - 1.0
+        rho = np.nonzero(u - css / np.arange(1, v.shape[0] + 1) > 0)[0][-1]
+        return np.maximum(v - css[rho] / (rho + 1), 0.0)
+
+    def obj(v):
+        return float(v @ gram @ v - 2.0 * gtb @ v)
+
+    gram, gtb = G.T @ G, G.T @ b
+    lipschitz = 2.0 * float(np.linalg.eigvalsh(gram)[-1])
+    step = 1.0 / lipschitz if lipschitz > 0 else 1.0
+    x = np.full(G.shape[1], 1.0 / G.shape[1])
+    prev = float("inf")
+    for _ in range(10_000):
+        x = project(x - step * 2.0 * (gram @ x - gtb))
+        if prev - obj(x) < 1e-10:
+            break
+        prev = obj(x)
+    support = np.nonzero(x > 1e-12)[0]
+    k = support.size
+    kkt = np.zeros((k + 1, k + 1))
+    kkt[:k, :k] = 2.0 * gram[np.ix_(support, support)]
+    kkt[:k, k] = kkt[k, :k] = 1.0
+    rhs = np.concatenate([2.0 * gtb[support], [1.0]])
+    y = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+    if y.min() < -1e-10 or abs(y.sum() - 1.0) > 1e-9:
+        return x
+    candidate = np.zeros_like(x)
+    candidate[support] = np.maximum(y, 0.0) / np.maximum(y, 0.0).sum()
+    return candidate if obj(candidate) <= obj(x) + 1e-15 else x
+
+
+@st.composite
+def fit_requests(draw):
+    params = draw(st.one_of(
+        st.sampled_from(sorted(cons.PRESETS)).map(cons.preset),
+        st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+                  st.integers(2, 3), st.integers(0, 3), st.integers(0, 10**6)),
+    ))
+    j = draw(st.integers(1, 3))
+    Z = draw(st.integers(1, 8))
+    deep = [K for K in range(j, 40) if Z < cons.heights(params, K).L(K) <= 200_000]
+    K = draw(st.sampled_from(deep))
+    L = cons.heights(params, K).L(K)
+    return params, j, K, draw(st.integers(1 - L, L - 1)), Z
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit_requests())
+def test_active_set_fit_is_optimal(request):
+    params, j, K, n, Z = request
+    window = range(-Z, Z + 1)
+    mats = tower.correlation_matrices(params, j, K, [n, *window])
+    measures = tower.class_totals(params, j, K) / mats[n].total
+    poly = limits.fit_limit_polynomial(
+        mats[n], {z: mats[z] for z in window}, measures, Z
+    )
+    G = np.stack([mats[z].values.ravel() for z in window]
+                 + [np.outer(measures, measures).ravel()], axis=1)
+    b = mats[n].values.ravel()
+    x = np.array([poly.a(z) for z in window] + [poly.theta])
+    assert x.min() >= -1e-12 and abs(x.sum() - 1.0) <= 1e-12
+    assert poly.optimality_gap <= 1e-12
+    grad = 2.0 * G.T @ (G @ x - b)
+    assert grad @ x - grad.min() <= 1e-12
+    def objective(v):
+        return float(np.sum((G @ v - b) ** 2))
+    assert objective(x) <= objective(projected_gradient_fit(G, b)) + 1e-15
+    assert poly.fit_residual == pytest.approx(math.sqrt(objective(x)), abs=1e-12)
+
+
+def test_fit_terminates_on_a_singular_gram():
+    # keys 1 and 2 carry the same matrix, so every face holding both has
+    # a singular KKT system; fitting C_1, any split between them is optimal
+    params = cons.chacon()
+    mats = tower.correlation_matrices(params, 2, 9, [-1, 0, 1, 3])
+    measures = tower.class_totals(params, 2, 9) / mats[0].total
+    basis = {-1: mats[-1], 0: mats[0], 1: mats[1], 2: mats[1]}
+    for target in (mats[1], mats[3]):
+        poly = limits.fit_limit_polynomial(target, basis, measures, Z=2)
+        x = np.array([poly.a(z) for z in basis] + [poly.theta])
+        assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
+        assert poly.optimality_gap <= 1e-12
+    exact = limits.fit_limit_polynomial(mats[1], basis, measures, Z=2)
+    assert exact.a(1) + exact.a(2) == pytest.approx(1.0, abs=1e-12)
+    assert exact.fit_residual <= 1e-12
+
+
 # ------------------------------------------------------------- sequences
 
 def test_h_sequence_examples():
@@ -84,6 +180,12 @@ def test_h_sequence_examples():
     assert ch1 == [-table.L(j) for j in range(1, 5)]
     ch2 = limits.h_sequence(cons.chacon(), 2, 0, w, count=4)
     assert ch2 == [2 * n for n in ch1]
+
+
+def test_fit_count_below_one_is_refused():
+    with pytest.raises(ValueError, match="fit_count"):
+        limits.weak_limit(cons.chacon(), 1, 0,
+                          policy=limits.DepthPolicy(fit_count=0))
 
 
 def test_h_sequence_offset_errors():
@@ -276,3 +378,4 @@ def test_limit_polynomial_csv_rows():
     assert rows[0] == ("-1", repr(0.25))
     assert rows[-2][0] == "theta"
     assert rows[-1][0] == "residual"
+    assert p.optimality_gap is None  # hand-built, not fitted
