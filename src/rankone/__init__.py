@@ -75,6 +75,7 @@ from .tower import (
     Spacer,
     TowerModel,
     build_labels,
+    correlation_depths,
     correlation_matrices,
     correlation_matrix,
     level_measures,

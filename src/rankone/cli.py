@@ -337,10 +337,9 @@ def _cmd_correlate(cfg, out, report):
     mat = tower.correlation_matrix(cfg.construction, j, K, n)
     _write_csv(out / "correlation.csv", ("A", "B", "value", "error"),
                mat.to_csv_rows())
-    tail = tower.tail_bound(cfg.construction, K)
     report.append(f"correlation: stage {j}, depth {K} (L_K={mat.total}), "
                   f"shift n={n}, error {mat.error_bound:.3g} = |n|/L_K "
-                  f"{abs(n) / mat.total:.3g} + tail {tail:.3g} "
+                  f"{abs(n) / mat.total:.3g} + tail {mat.tail:.3g} "
                   f"({tower.TAIL_PROBE_STAGES}-stage probe estimate)")
 
 

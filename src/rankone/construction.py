@@ -121,10 +121,7 @@ class ConstructionParams:
                     f"stage {j} requested"
                 )
             return self.stages[j - 1]
-        rng = random.Random(self.seed * 1_000_003 + j)
-        r = rng.randint(MIN_COLUMNS, self.r_max)
-        s = tuple(rng.randint(0, self.s_max) for _ in range(r))
-        return StageParams(r, s)
+        return _random_stage(self.seed, self.r_max, self.s_max, j)
 
     def stage_range(self, j0: int, j1: int) -> list[StageParams]:
         return [self.stage(j) for j in range(j0, j1 + 1)]
@@ -136,6 +133,15 @@ class ConstructionParams:
             return f"random(h1={self.h1},r<={self.r_max},s<={self.s_max},seed={self.seed})"
         body = ";".join(f"r={st.r},s={','.join(map(str, st.s))}" for st in self.stages)
         return f"{self.kind.value}(h1={self.h1},{body})"
+
+
+@lru_cache(maxsize=1024)
+def _random_stage(seed: int, r_max: int, s_max: int, j: int) -> StageParams:
+    """Stage j of a random construction, drawn from its own seeded RNG."""
+    rng = random.Random(seed * 1_000_003 + j)
+    r = rng.randint(MIN_COLUMNS, r_max)
+    s = tuple(rng.randint(0, s_max) for _ in range(r))
+    return StageParams(r, s)
 
 
 # ------------------------------------------------------------- presets

@@ -25,7 +25,7 @@ import numpy as np
 from .construction import (
     ConstructionParams, Window, WindowSet, first_stage_reaching, heights,
 )
-from .tower import CorrelationMatrix, class_totals, correlation_matrices
+from .tower import CorrelationMatrix, class_totals, correlation_depths
 
 
 @dataclass(frozen=True)
@@ -215,14 +215,29 @@ def fit_limit_polynomial(
     )
 
 
+def _fit_shifts(
+    params: ConstructionParams, j: int, shifts: Sequence[int],
+    depths: Iterable[int], Z: int,
+) -> list[LimitPolynomial]:
+    """Fit each target C_n, n in ``shifts``, on the basis {C_z : |z| <= Z}
+    at its depth K from ``depths``; one climb counts every fit. A lazy
+    ``depths`` finds each K just before its request is checked, so the
+    error raised is that of the first fit that fails, as when each fit
+    was counted alone."""
+    window = range(-Z, Z + 1)
+    requests = ((K, [n, *window]) for n, K in zip(shifts, depths))
+    fits = []
+    for n, mats in zip(shifts, correlation_depths(params, j, requests)):
+        measures = class_totals(params, j, mats[n].depth) / mats[n].total
+        fits.append(fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures, Z))
+    return fits
+
+
 def fit_for_shift(
     params: ConstructionParams, j: int, K: int, n: int, Z: int = 8
 ) -> LimitPolynomial:
     """Count target C_n and basis {C_z : |z| <= Z} at (j, K) at once; fit."""
-    window = range(-Z, Z + 1)
-    mats = correlation_matrices(params, j, K, [n, *window])
-    measures = class_totals(params, j, K) / mats[n].total
-    return fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures, Z)
+    return _fit_shifts(params, j, [n], [K], Z)[0]
 
 
 # ------------------------------------------------------------- sequences
@@ -303,23 +318,29 @@ class WeakLimitResult:
 
 
 def _fit_series(
-    params: ConstructionParams, stages: Sequence[int], shifts: Sequence[int],
-    Z: int, policy: DepthPolicy,
-) -> WeakLimitResult:
+    params: ConstructionParams, stages: Sequence[int],
+    series: Sequence[Sequence[int]], Z: int, policy: DepthPolicy,
+) -> list[WeakLimitResult]:
+    """Fit every series of shifts along ``stages``, each shift n at the
+    first depth K with L_K >= max(min_levels, shift_factor*|n|), the
+    fits of all series counted by one climb."""
     j_ref = _ref_stage(params, Z, policy)
-    fits = []
-    for n in shifts:
-        need = max(policy.min_levels, policy.shift_factor * abs(n))
-        K = first_stage_reaching(params, need, j_ref)
-        fits.append(fit_for_shift(params, j_ref, K, n, Z))
-    gap = max(
-        (coefficient_distance(a, b) for a, b in zip(fits, fits[1:])),
-        default=float("inf"),
-    )
-    return WeakLimitResult(
-        polynomial=fits[-1], fits=tuple(fits), stages=tuple(stages),
-        shifts=tuple(shifts), stability_gap=gap, ref_stage=j_ref,
-    )
+    shifts = [n for ns in series for n in ns]
+    needs = (max(policy.min_levels, policy.shift_factor * abs(n)) for n in shifts)
+    depths = (first_stage_reaching(params, need, j_ref) for need in needs)
+    fits = _fit_shifts(params, j_ref, shifts, depths, Z)
+    results = []
+    for ns in series:
+        series_fits, fits = fits[:len(ns)], fits[len(ns):]
+        gap = max(
+            (coefficient_distance(a, b) for a, b in zip(series_fits, series_fits[1:])),
+            default=float("inf"),
+        )
+        results.append(WeakLimitResult(
+            polynomial=series_fits[-1], fits=tuple(series_fits), stages=tuple(stages),
+            shifts=tuple(ns), stability_gap=gap, ref_stage=j_ref,
+        ))
+    return results
 
 
 def weak_limit(
@@ -338,7 +359,7 @@ def weak_limit(
         windows = full_window(policy.horizon)
     stages = _select_stages(params, windows, m, d, policy)
     shifts = [d * h for h in _return_heights(params, stages)]
-    return _fit_series(params, stages, shifts, Z, policy)
+    return _fit_series(params, stages, [shifts], Z, policy)[0]
 
 
 # ------------------------------------------------------------ similarity
@@ -457,8 +478,9 @@ def disjointness_certificate(
 
     stages = _select_stages(params, windows, 0, max(p, q), policy)
     base = _return_heights(params, stages)
-    q_result = _fit_series(params, stages, [q * n for n in base], Z, policy)
-    p_result = _fit_series(params, stages, [p * n for n in base], Z, policy)
+    q_result, p_result = _fit_series(
+        params, stages, [[q * n for n in base], [p * n for n in base]], Z, policy
+    )
 
     similarity = is_pq_similar(
         q_result.polynomial, p_result.polynomial, p, q,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -197,16 +198,20 @@ def tail_bound(params: ConstructionParams, K: int, probe: int = TAIL_PROBE_STAGE
 class CorrelationMatrix:
     """Exact pair counts of the depth-K word at a shift n, over the
     classes {stage-j levels} + {aggregated spacer}. As an estimate of
-    nu(T^n A intersect B) each entry carries the error |n|/L_K +
-    tail(K), where the tail part is a TAIL_PROBE_STAGES-stage probe
-    estimate, not a proven bound."""
+    nu(T^n A intersect B) each entry carries the error |n|/L_K + tail,
+    where ``tail`` is the TAIL_PROBE_STAGES-stage probe estimate of
+    ``tail_bound``, not a proven bound."""
 
     stage: int
     shift: int
     depth: int
     counts: np.ndarray = field(repr=False)
     total: int
-    error_bound: float
+    tail: float
+
+    @property
+    def error_bound(self) -> float:
+        return abs(self.shift) / self.total + self.tail
 
     @property
     def n_levels(self) -> int:
@@ -246,53 +251,94 @@ def _junction_counts(junction, W, end, zs, side):
     return np.bincount(flat, minlength=len(zs) * side * side).reshape(len(zs), side, side)
 
 
-def correlation_matrices(
-    params: ConstructionParams, j: int, K: int, shifts: list[int],
-    probe: int = TAIL_PROBE_STAGES,
-) -> dict[int, CorrelationMatrix]:
-    """nu(T^n A intersect B) over stage-j classes at depth K for every n
-    in ``shifts``: C(A,B) = #{l : labels[l]=A, labels[l+n]=B} / L_K.
+def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> dict[int, dict]:
+    """Pair counts {K: {z: counts}} of the stage-K word relative to stage
+    j, for every depth K in ``wanted`` and (at least) each z in wanted[K],
+    0 <= z < L_K.
 
-    Only W_m0, the first stage word with L_m0 >= W = max|n|, is built
-    and counted. For 0 <= z <= W <= L_m the stage recursion gives
+    Only W_m0, the first stage word with L_m0 >= W = max z, is built and
+    counted. For 0 <= z <= W <= L_m the stage recursion gives
     C_{m+1}(z) = r_m C_m(z) + sum_i junction_i(z), where junction i is
     suf_W(W_m) + s_m(i) spacers + pre_W(W_m) (no prefix after the last
-    copy), counted from its last z copy entries on. C(-z) = C(z)^T.
+    copy), counted from its last z copy entries on. One climb to the
+    deepest K passes every depth from m0 on; a depth below m0 gets a
+    climb of its own.
     """
-    table = checked_heights(params, K, j)
-    n_ref, total = table.L(j), table.L(K)
-    if n_ref > MAX_DENSE_LEVELS:
-        raise ValueError(
-            f"reference stage has {n_ref} levels; "
-            f"dense correlation supports at most {MAX_DENSE_LEVELS}"
-        )
-    for n in shifts:
-        if abs(n) >= total:
-            raise DepthTooShallow(f"|n|={abs(n)} needs a deeper tower than L_K={total}")
-    W = max(abs(n) for n in shifts)  # ValueError when there is no shift
-    zs = np.array(sorted({abs(n) for n in shifts}), dtype=np.int64)
-    m0 = next(m for m in range(j, K + 1) if table.L(m) >= W)
+    table = heights(params, max(wanted))
+    n_ref = table.L(j)
+    W = max(max(zs) for zs in wanted.values())
+    m0 = next(m for m in range(j, table.max_stage + 1) if table.L(m) >= W)
+    found = {K: _climb(params, j, {K: zs})[K] for K, zs in wanted.items() if K < m0}
+    deep = {K: zs for K, zs in wanted.items() if K >= m0}
+    zs = np.array(sorted(set().union(*deep.values())), dtype=np.int64)
     word = _word(params, j, m0)
     counts = np.stack([_kernels.pair_counts(word, int(z), n_ref) for z in zs])
     classes = np.where(word >= 0, word, n_ref)
     pre, suf = classes[:W], classes[len(classes) - W:]
-    for m in range(m0, K):
-        st = params.stage(m)
-        counts *= st.r
-        for i, s in enumerate(st.s):
-            junction = np.concatenate([suf, np.full(s, n_ref), pre[: W * (i < st.r - 1)]])
-            counts += _junction_counts(junction, W, W + s, zs, n_ref + 1)
-        suf = junction[len(junction) - W:]  # the last copy has no prefix
-    by_shift = dict(zip(zs.tolist(), counts))
-    tail = tail_bound(params, K, probe)
-    return {
-        n: CorrelationMatrix(
-            stage=j, shift=n, depth=K,
-            counts=by_shift[n] if n >= 0 else by_shift[-n].T.copy(),
-            total=total, error_bound=abs(n) / total + tail,
-        )
-        for n in shifts
-    }
+    for m in range(m0, max(deep) + 1):
+        if m > m0:
+            st = params.stage(m - 1)
+            counts *= st.r
+            for i, s in enumerate(st.s):
+                junction = np.concatenate([suf, np.full(s, n_ref), pre[: W * (i < st.r - 1)]])
+                counts += _junction_counts(junction, W, W + s, zs, n_ref + 1)
+            suf = junction[len(junction) - W:]  # the last copy has no prefix
+        if m in deep:
+            found[m] = dict(zip(zs.tolist(), counts.copy()))
+    return found
+
+
+def correlation_depths(
+    params: ConstructionParams, j: int,
+    requests: Iterable[tuple[int, Sequence[int]]],
+    probe: int = TAIL_PROBE_STAGES,
+) -> list[dict[int, CorrelationMatrix]]:
+    """For each request (K, shifts), in order, the matrices {n: C} of
+    nu(T^n A intersect B) over stage-j classes at depth K:
+    C(A,B) = #{l : labels[l]=A, labels[l+n]=B} / L_K.
+
+    Each request is checked as it is drawn from ``requests``, before any
+    counting, so a lazy iterable raises its own errors in turn. All
+    requests are then counted by one stage-recursion climb (``_climb``)
+    over |n|, with C(-n) = C(n)^T, and ``tail_bound`` runs once per
+    distinct K.
+    """
+    asked = []
+    wanted: dict[int, set[int]] = {}
+    for K, shifts in requests:
+        table = checked_heights(params, K, j)
+        n_ref, total = table.L(j), table.L(K)
+        if n_ref > MAX_DENSE_LEVELS:
+            raise ValueError(
+                f"reference stage has {n_ref} levels; "
+                f"dense correlation supports at most {MAX_DENSE_LEVELS}"
+            )
+        for n in shifts:
+            if abs(n) >= total:
+                raise DepthTooShallow(f"|n|={abs(n)} needs a deeper tower than L_K={total}")
+        asked.append((K, total, shifts))
+        wanted.setdefault(K, set()).update(abs(n) for n in shifts)
+    counts = _climb(params, j, wanted)  # ValueError when a request has no shift
+    tails = {K: tail_bound(params, K, probe) for K in counts}
+    return [
+        {
+            n: CorrelationMatrix(
+                stage=j, shift=n, depth=K,
+                counts=counts[K][n] if n >= 0 else counts[K][-n].T.copy(),
+                total=total, tail=tails[K],
+            )
+            for n in shifts
+        }
+        for K, total, shifts in asked
+    ]
+
+
+def correlation_matrices(
+    params: ConstructionParams, j: int, K: int, shifts: list[int],
+    probe: int = TAIL_PROBE_STAGES,
+) -> dict[int, CorrelationMatrix]:
+    """The matrices of ``correlation_depths`` for the one request (K, shifts)."""
+    return correlation_depths(params, j, [(K, shifts)], probe)[0]
 
 
 def correlation_matrix(

@@ -238,6 +238,27 @@ def test_computation_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "construction,params,error",
+    [
+        # every p-series fit fails (|n| = 256, 512, 1024); the first is reported
+        ({"preset": "odometer2"}, {"p": 2, "q": 3},
+         "error[DepthTooShallow]: |n|=256 needs a deeper tower than L_K=256"),
+        # the q-series fails before a p-series depth search runs past stage 7
+        ({"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 2, "s": [0, 0]}] * 6}},
+         {"p": 3, "q": 2, "horizon": 6},
+         "error[DepthTooShallow]: |n|=32 needs a deeper tower than L_K=32"),
+    ],
+)
+def test_disjointness_reports_the_first_fit_that_fails(tmp_path, construction, params, error):
+    code, out, _ = run_config(tmp_path, make_config(
+        construction=construction, command="disjointness",
+        params={**params, "shift_factor": 1, "min_levels": 2},
+    ))
+    assert code == 3
+    assert out.splitlines()[-1] == error
+
+
+@pytest.mark.parametrize(
     "construction,command,params",
     [
         ({"preset": "chacon"}, "mobius-sum", {"N": 55_000_000}),

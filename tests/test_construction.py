@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,23 @@ def test_random_generator_is_deterministic_and_bounded():
         assert sa == sb
         assert 2 <= sa.r <= 5
         assert all(0 <= x <= 4 for x in sa.s)
+
+
+def fresh_draw(seed, r_max, s_max, j):
+    rng = random.Random(seed * 1_000_003 + j)
+    r = rng.randint(2, r_max)
+    return cons.StageParams(r, tuple(rng.randint(0, s_max) for _ in range(r)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 999_983])
+def test_cached_random_stage_is_the_seeded_draw(seed):
+    # same seed, different bounds: the cache must not hand one's stage to the other
+    bounds = [(2, 0), (3, 3), (5, 9)]
+    for _ in range(2):
+        for j in range(1, 61):
+            for r_max, s_max in bounds:
+                params = cons.ConstructionParams.random_bounded(j % 3, r_max, s_max, seed)
+                assert params.stage(j) == fresh_draw(seed, r_max, s_max, j)
 
 
 # -------------------------------------------------------------- heights

@@ -32,7 +32,7 @@ def test_synthetic_theta_target():
     synthetic = tower.CorrelationMatrix(
         stage=j, shift=999, depth=K,
         counts=np.outer(measures, measures) * model.length,
-        total=model.length, error_bound=0.0,
+        total=model.length, tail=0.0,
     )
     poly = limits.fit_limit_polynomial(synthetic, basis, measures, Z)
     assert poly.theta >= 0.999

@@ -173,6 +173,18 @@ def test_correlation_guards_run_before_any_word(monkeypatch):
         tower.correlation_matrix(params, j, j + 1, 1)
     with pytest.raises(DepthTooShallow):
         tower.correlation_matrix(params, 2, 12, 10**6)
+    # a later request fails before the first is counted, and a lazy
+    # iterable is checked one request at a time, in order
+    with pytest.raises(DepthTooShallow, match=r"\|n\|=40 .* L_K=40"):
+        tower.correlation_depths(params, 2, [(5, [1, 2]), (4, [40]), (3, [40])])
+
+    def requests():
+        yield 5, [1]
+        yield 4, [40]
+        raise AssertionError("drew a request after one failed its check")
+
+    with pytest.raises(DepthTooShallow):
+        tower.correlation_depths(params, 2, requests())
 
 
 EXPLICIT = cons.ConstructionParams.explicit(1, [
@@ -217,6 +229,77 @@ def test_batched_counts_match_the_word(request):
         assert mats[n].total == len(word)
     assert np.array_equal(tower.class_totals(params, j, K),
                           _kernels.class_counts(word, n_ref))
+
+
+@st.composite
+def depth_requests(draw):
+    """Requests (K, shifts) at several depths. The deepest request holds
+    the shift L_K0 of the shallowest depth K0, so K0 lies below the first
+    stage long enough for the largest shift and takes its own climb."""
+    params = draw(st.one_of(
+        st.sampled_from(PRESET_NAMES).map(cons.preset),
+        st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+                  st.integers(2, 3), st.integers(0, 3), st.integers(0, 10**6)),
+    ))
+    j = draw(st.integers(1, 3))
+    deepest = j
+    while cons.heights(params, deepest + 1).L(deepest + 1) <= 10 * MAX_LK:
+        deepest += 1
+    depths = draw(st.lists(st.integers(j, deepest), min_size=1, max_size=4))
+    requests = []
+    for K in depths:
+        L = cons.heights(params, K).L(K)
+        small, top = min(9, L - 1), min(L, MAX_LK) - 1
+        requests.append((K, draw(st.lists(
+            st.one_of(st.integers(-small, small), st.integers(-top, top)),
+            min_size=1, max_size=4))))
+    shallow = min(depths)
+    if shallow < max(depths) and cons.heights(params, shallow).L(shallow) < MAX_LK:
+        requests[depths.index(max(depths))][1].append(cons.heights(params, shallow).L(shallow))
+    return params, j, requests
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth_requests())
+def test_one_climb_matches_each_depth_alone(request):
+    params, j, requests = request
+    n_ref = cons.heights(params, j).L(j)
+    found = tower.correlation_depths(params, j, requests)
+    assert len(found) == len(requests)
+    for (K, shifts), mats in zip(requests, found):
+        alone = tower.correlation_matrices(params, j, K, shifts)
+        total = cons.heights(params, K).L(K)
+        word = tower._word(params, j, K) if total <= MAX_LK else None
+        for n in shifts:
+            mat = mats[n]
+            assert (mat.shift, mat.depth, mat.total) == (n, K, total)
+            assert mat.tail == alone[n].tail == tower.tail_bound(params, K)
+            assert np.array_equal(mat.counts, alone[n].counts)
+            if word is not None:
+                assert np.array_equal(mat.counts, _kernels.pair_counts(word, n, n_ref))
+
+
+def test_one_climb_counts_each_shift_once(monkeypatch):
+    counted, built = [], []
+    pair_counts, build_word = _kernels.pair_counts, _kernels.build_word
+
+    def count_spy(word, z, n_ref):
+        counted.append(z)
+        return pair_counts(word, z, n_ref)
+
+    def build_spy(*args):
+        built.append(args[5])
+        return build_word(*args)
+
+    monkeypatch.setattr(_kernels, "pair_counts", count_spy)
+    monkeypatch.setattr(_kernels, "build_word", build_spy)
+    params, window = cons.chacon(), [*range(-8, 9)]
+    found = tower.correlation_depths(
+        params, 2, [(9, [-121, *window]), (10, [-364, *window]), (9, [40, *window])])
+    assert sorted(counted) == [*range(9), 40, 121, 364]
+    assert built == [364]  # W_m0 at L_m0 = 364, the largest |n|
+    assert found[0][-121].depth == found[2][40].depth == 9
+    assert found[1][-364].depth == 10
 
 
 def test_csv_rows_deterministic():
