@@ -31,7 +31,9 @@ def sieve_mobius(n_max: int) -> np.ndarray:
     It is periodic in the wheel primes 2, 3, 5, 7, so they are struck
     once into a tile of BLOCK entries (cut to n_max + 1) that starts
     every block. Each block then strikes the primes 7 < p <= sqrt(n_max)
-    with two strided slices: prod[p::p] *= -p and prod[p*p::p*p] = 0.
+    with two strided slices, prod[p::p] *= -p and prod[p*p::p*p] = 0;
+    a square of at least the block's length hits at most one entry of
+    it, which is stored as a scalar.
     So mu(n) = sign(prod[n]), negated when |prod[n]| < n: a squarefree
     n has at most one prime factor above sqrt(n_max).
     """
@@ -56,7 +58,11 @@ def sieve_mobius(n_max: int) -> np.ndarray:
         prod = tile[: len(block)].copy()
         for p in primes:
             prod[-lo % p :: p] *= -p
-            prod[-lo % (p * p) :: p * p] = 0
+            sq = p * p
+            if sq < size:
+                prod[-lo % sq :: sq] = 0
+            elif (i := -lo % sq) < len(prod):  # at most one hit per block
+                prod[i] = 0
         np.sign(prod, out=block)
         np.abs(prod, out=prod)
         prod -= lo  # |prod[n]| - lo against n - lo
@@ -65,15 +71,15 @@ def sieve_mobius(n_max: int) -> np.ndarray:
 
 
 def build_word(base, r_arr, s_flat, s_ptr, fills, length):
-    """The first ``length`` entries of the int64 word ``base`` restacked
-    through later cutting stages.
+    """The first ``length`` entries of the word ``base`` restacked
+    through later cutting stages, in ``base``'s dtype.
 
     Stage m stacks r_m copies of the word, copy i followed by s_m(i)
-    entries equal to ``fills[m]``. Every stage starts with the word it
-    restacks, so once ``length`` entries are written the rest is never
-    read and the build stops.
+    entries equal to ``fills[m]``, which must fit that dtype. Every
+    stage starts with the word it restacks, so once ``length`` entries
+    are written the rest is never read and the build stops.
     """
-    word = np.empty(length, dtype=np.int64)
+    word = np.empty(length, dtype=base.dtype)
     cur = min(len(base), length)
     word[:cur] = base[:cur]
     for st in range(len(r_arr)):
@@ -116,20 +122,31 @@ def class_counts(labels, n_ref):
 
 def weighted_mobius_sums(values, mu, checkpoints):
     """Partial sums S_n = sum_{i<=n} values[i-1]*mu(i) at each of the
-    ascending checkpoints.
+    ascending checkpoints, as int64.
 
-    ``values[i-1]`` holds the observable along the orbit at time i;
-    all arithmetic stays in int64. Each stretch between checkpoints is
-    summed once and the stretch sums are accumulated.
+    ``values[i-1]`` holds the observable along the orbit at time i, in
+    any integer dtype. The orbit is walked in chunks of at most BLOCK
+    entries, split at the checkpoints; each chunk is widened to int64
+    in one reused buffer while it multiplies mu, and the chunk sums
+    are accumulated, so no N-entry int64 array is built. Every sum is
+    exact when max|values| * len(values) < 2**63.
     """
-    prods = values * mu[1 : values.shape[0] + 1]
-    edges = [0, *checkpoints]
-    return np.cumsum([prods[a:b].sum() for a, b in zip(edges, edges[1:])], dtype=np.int64)
+    buf = np.empty(min(BLOCK, values.shape[0]), dtype=np.int64)
+    sums, acc, lo = [], 0, 0
+    for cp in checkpoints:
+        for a in range(lo, cp, BLOCK):
+            b = min(a + BLOCK, cp)
+            prods = buf[: b - a]
+            np.multiply(values[a:b], mu[a + 1 : b + 1], out=prods, dtype=np.int64)
+            acc += int(prods.sum())
+        sums.append(acc)
+        lo = cp
+    return np.array(sums, dtype=np.int64)
 
 
 def strided_mobius_sum(values, mu, stride, count):
     """sum_{k=1..count} values[stride*k - 1] * mu(k), exact in int64."""
     if count <= 0:
         return 0
-    idx = stride * np.arange(1, count + 1, dtype=np.int64) - 1
-    return int(np.dot(values[idx], mu[1 : count + 1].astype(np.int64)))
+    picked = values[stride - 1 : stride * count : stride].astype(np.int64)
+    return int(np.dot(picked, mu[1 : count + 1].astype(np.int64)))

@@ -234,10 +234,14 @@ def heights(params: ConstructionParams, J: int) -> HeightTable:
 
 
 def first_stage_reaching(params: ConstructionParams, n: int, start: int = 1) -> int:
-    """Smallest stage K >= start whose level count L_K is at least n."""
-    K = start
-    while heights(params, K).L(K) < n:
-        K += 1
+    """Smallest stage K >= start whose level count L_K is at least n,
+    found in one pass of the recursion L_{K+1} = L_K r_K + sum_i s_K(i)."""
+    if start < 1:
+        raise ValueError("J must be >= 1")
+    K, L = 1, params.h1 + 1
+    while K < start or L < n:
+        st = params.stage(K)
+        K, L = K + 1, L * st.r + sum(st.s)
     return K
 
 

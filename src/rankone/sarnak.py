@@ -4,9 +4,12 @@ Both the weighted Birkhoff sums S_N = sum_{i<=N} f(T^i x) mu(i) and
 the telescoping identities of the prime-extension argument are
 evaluated in exact integer arithmetic: an observable's rational
 coefficients are cleared to their common denominator once, when it is
-built, and every sum runs on those int64 numerators. The telescoping
-chain is an algebraic identity and its check must not depend on
-rounding. Only the decay traces |S_N|/N are floats.
+built, and every sum runs on those numerators. Along an orbit they
+are restacked in the narrowest signed integer dtype that holds them,
+int8 for an indicator. The weighted sum widens them to int64 one
+cache-sized chunk at a time as they meet mu, and a strided sum widens
+only the entries it picks, so no sum holds an N-entry int64 array. The telescoping chain is an algebraic identity and its check
+must not depend on rounding. Only the decay traces |S_N|/N are floats.
 
 There is one telescoping chain, ``_unfold``. It unfolds S_N on the
 cyclic factor of order d M times when d is prime, carrying the sum
@@ -112,9 +115,10 @@ class Observable:
 
 
 def _orbit_values(params, obs: Observable, start: int, N: int, K: int):
-    """int64 values f(T^i x) for i = 1..N, plus the denominator: the
+    """Values f(T^i x) for i = 1..N, plus the denominator: the
     numerators restacked to depth K with spacers valued 0, built afresh
-    and cut at the orbit's end."""
+    and cut at the orbit's end, in the narrowest signed integer dtype
+    that holds every numerator and 0 (int8 for an indicator)."""
     table = checked_heights(params, K, obs.stage)
     n_levels, L_K = table.L(obs.stage), table.L(K)
     if len(obs.nums) != n_levels:
@@ -126,8 +130,12 @@ def _orbit_values(params, obs: Observable, start: int, N: int, K: int):
         raise DepthTooShallow(
             f"orbit start={start}, N={N} exceeds L_K-1={L_K - 1}"
         )
+    lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
     zeros = np.zeros(K - obs.stage, dtype=np.int64)
-    vals = _restack(params, obs.stage, K, obs.nums, zeros, start + N + 1)[start + 1 :]
+    vals = _restack(params, obs.stage, K, obs.nums.astype(dtype, copy=False), zeros,
+                    start + N + 1)[start + 1 :]
     if max(-int(vals.min()), int(vals.max())) * N >= _INT64_SAFE:
         raise ValueError("sum could overflow the exact int64 path")
     return vals, obs.denom

@@ -104,6 +104,13 @@ def test_first_stage_reaching_is_the_smallest(name):
             K = cons.first_stage_reaching(params, n, start)
             assert K >= start and table.L(K) >= n
             assert K == start or table.L(K - 1) < n
+    # three explicit stages give L_1..L_4; a search past L_4 needs stage 4
+    three = cons.ConstructionParams.explicit(params.h1, params.stage_range(1, 3))
+    assert cons.first_stage_reaching(three, table.L(4)) == 4
+    assert cons.first_stage_reaching(three, 1, 4) == 4
+    for n, start in ((table.L(4) + 1, 1), (1, 5)):
+        with pytest.raises(StageUnavailable, match="stage 4 requested"):
+            cons.first_stage_reaching(three, n, start)
 
 
 # ------------------------------------------------- bounded/windows/flat

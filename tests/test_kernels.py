@@ -118,6 +118,40 @@ def test_weighted_mobius_sums_match_running_sum():
     assert got.tolist() == [running[n] for n in checkpoints]
 
 
+BLOCK = _kernels.BLOCK
+MU_CHUNKS = _kernels.sieve_mobius(3 * BLOCK)
+NARROW = {np.int8: 2**7, np.int16: 2**15, np.int64: 2**40}
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(list(NARROW)), st.integers(2 * BLOCK, 3 * BLOCK),
+       st.integers(0, 2**32 - 1))
+def test_chunked_mobius_sums_match_unchunked_running_sum(dtype, N, seed):
+    # chunks of BLOCK entries, split at checkpoints on both sides of a seam
+    rng = np.random.default_rng(seed)
+    bound = NARROW[dtype]
+    vals = rng.integers(-bound, bound, size=N, endpoint=False).astype(dtype)
+    checkpoints = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, N]
+    running = np.cumsum(vals.astype(np.int64) * MU_CHUNKS[1 : N + 1])
+    want = [0] + running[np.array(checkpoints[1:]) - 1].tolist()
+    got = _kernels.weighted_mobius_sums(vals, MU_CHUNKS, np.array(checkpoints, np.int64))
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
+def test_int8_values_sum_past_the_int8_range():
+    # +-127 against mu's sign: every squarefree time adds 127
+    N = 2 * BLOCK + 7
+    squarefree = int(np.count_nonzero(MU_CHUNKS[1 : N + 1]))
+    vals = (127 * MU_CHUNKS[1 : N + 1]).astype(np.int8)
+    got = _kernels.weighted_mobius_sums(vals, MU_CHUNKS, np.array([BLOCK, N], np.int64))
+    assert got[-1] == 127 * squarefree
+    stride, count = 2, N // 2
+    vals = np.full(N, -127, dtype=np.int8)
+    vals[stride - 1 :: stride][:count] = 127 * MU_CHUNKS[1 : count + 1]
+    squarefree = int(np.count_nonzero(MU_CHUNKS[1 : count + 1]))
+    assert _kernels.strided_mobius_sum(vals, MU_CHUNKS, stride, count) == 127 * squarefree
+
+
 def test_strided_mobius_sum_matches_python_loop():
     rng = np.random.default_rng(2)
     vals = rng.integers(-5, 6, size=3000).astype(np.int64)

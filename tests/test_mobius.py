@@ -45,12 +45,18 @@ def test_sieve_matches_direct_at_any_size(n_max):
     assert sieve_mobius(n_max).values.tolist() == DIRECT[: n_max + 1]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 97])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 97, 521, 1009, 2003])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_sieve_at_prime_square_boundaries(p, offset):
-    # n_max around p^2 moves p in or out of the struck primes <= sqrt(n_max)
+    # n_max around p^2 moves p in or out of the struck primes <= sqrt(n_max);
+    # from p = 521 on, p^2 exceeds a sieve block and is struck as a scalar
     n_max = p * p + offset
-    assert _kernels.sieve_mobius(n_max).tolist() == DIRECT[: n_max + 1]
+    mu = _kernels.sieve_mobius(n_max)
+    if n_max < len(DIRECT):
+        assert mu.tolist() == DIRECT[: n_max + 1]
+    for k in range(1, n_max // (p * p) + 1):
+        for n in range(k * p * p - 1, min(k * p * p + 1, n_max) + 1):
+            assert mu[n] == mobius_direct(n), n
 
 
 @given(st.integers(1, 50_000))

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -102,6 +103,35 @@ def test_overflow_guard_reads_the_visited_levels():
     unvisited = sarnak.Observable(2, (0, 1, 5, big))
     res = sarnak.mobius_weighted_sum(params, unvisited, 0, 2, 3, TABLE)
     assert res.final == 1 * MU10[0] + 5 * MU10[1]
+
+
+@pytest.mark.parametrize("coeffs, dtype", [
+    ((1, 0, 0, 1), np.int8), ((0, -128, 127, 1), np.int8),
+    ((0, 128, 0, 0), np.int16), ((0, 2**40, 5, 1), np.int64),
+])
+def test_orbit_values_take_the_narrowest_dtype(coeffs, dtype):
+    params = cons.chacon()
+    vals, denom = sarnak._orbit_values(params, sarnak.Observable(2, coeffs), 0, 30, 5)
+    full = tower._word(params, 2, 5, 31)[1:]
+    want = np.append(np.array(coeffs, dtype=np.int64), 0)[np.where(full >= 0, full, 4)]
+    assert vals.dtype == dtype and denom == 1
+    assert vals.tolist() == want.tolist()
+
+
+def test_weighted_sum_holds_no_int64_orbit_word():
+    # the int8 orbit word and one int64 chunk buffer; N int64 words of
+    # values and products would take 16 bytes a step
+    params, N = cons.chacon(), 2_000_000
+    K = cons.first_stage_reaching(params, N + 2)
+    obs = sarnak.Observable.indicator(params, 2, [0, 3])
+    table = sieve_mobius(N)
+    tracemalloc.start()
+    try:
+        sarnak.mobius_weighted_sum(params, obs, 0, N, K, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * N
 
 
 # ----------------------------------------------------------- cyclic factor
