@@ -70,7 +70,6 @@ from .sarnak import (
 )
 from .tower import (
     CorrelationMatrix,
-    LevelSet,
     ReferenceLevel,
     Spacer,
     TowerModel,

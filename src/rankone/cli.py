@@ -256,13 +256,15 @@ def _write_csv(path: Path, header: tuple[str, ...], rows):
             fh.write(",".join(str(x) for x in row) + CSV_NEWLINE)
 
 
-def _depth_for(cfg: RunConfig, minimum_levels: int, at_least_stage: int = 1) -> int:
-    """The given depth K, else the first stage >= at_least_stage with
-    L_K >= minimum_levels."""
+def _depth_for(cfg: RunConfig, j: int = 1, n: int = 0, levels: int | None = None) -> int:
+    """The given depth K, else the first stage K >= j with L_K >= levels,
+    or without ``levels`` the default depth policy's K for shift n."""
     K = cfg.params["K"]
     if K is not None:
         return K
-    return cons.first_stage_reaching(cfg.construction, minimum_levels, at_least_stage)
+    if levels is None:
+        return _DP.depth(cfg.construction, n, j)
+    return cons.first_stage_reaching(cfg.construction, levels, j)
 
 
 def _policy(p: dict) -> limits.DepthPolicy:
@@ -313,9 +315,9 @@ def _cmd_classify(cfg, out, report):
 
 def _cmd_labels(cfg, out, report):
     j = cfg.params["j"]
-    K = _depth_for(cfg, 10_000, j)
-    model = tower.build_labels(cfg.construction, j, K)
-    n = min(model.length, cfg.params["max_rows"])
+    K = _depth_for(cfg, j)
+    model = tower.build_labels(cfg.construction, j, K, cfg.params["max_rows"])
+    n = model.length
 
     def rows():
         for pos in range(n):
@@ -326,14 +328,13 @@ def _cmd_labels(cfg, out, report):
                 yield (pos, "spacer", lab.inserted_at_stage)
 
     _write_csv(out / "labels.csv", ("position", "kind", "value"), rows())
-    report.append(f"labels: stage {j} through depth {K}, L_K={model.length}, "
+    report.append(f"labels: stage {j} through depth {K}, L_K={model.heights.L(K)}, "
                   f"wrote {n} rows")
 
 
 def _cmd_correlate(cfg, out, report):
     j, n = cfg.params["j"], cfg.params["n"]
-    need = max(10_000, limits.DEFAULT_POLICY.shift_factor * abs(n), abs(n) + 2)
-    K = _depth_for(cfg, need, j)
+    K = _depth_for(cfg, j, n)
     mat = tower.correlation_matrix(cfg.construction, j, K, n)
     _write_csv(out / "correlation.csv", ("A", "B", "value", "error"),
                mat.to_csv_rows())
@@ -421,7 +422,7 @@ def _cmd_cascade(cfg, out, report):
 def _cmd_mobius_sum(cfg, out, report):
     p = cfg.params
     N, stage, start, levels = p["N"], p["stage"], p["start"], p["levels"]
-    K = _depth_for(cfg, start + N + 2, stage)
+    K = _depth_for(cfg, stage, levels=start + N + 2)
     tower.checked_heights(cfg.construction, K)
     obs = sarnak.Observable.indicator(cfg.construction, stage, levels)
     table = mobius.sieve_mobius(N)
@@ -435,7 +436,7 @@ def _cmd_mobius_sum(cfg, out, report):
 def _cmd_telescope(cfg, out, report):
     p = cfg.params
     d, N, M, start = p["d"], p["N"], p["M"], p["start"]
-    K = _depth_for(cfg, start + N + 2)
+    K = _depth_for(cfg, levels=start + N + 2)
     L_K = tower.checked_heights(cfg.construction, K).L(K)
     levels = p["levels"] if p["levels"] is not None else list(range(0, L_K, d))
     obs = sarnak.Observable.indicator(cfg.construction, K, levels)
@@ -470,7 +471,7 @@ def _cmd_telescope(cfg, out, report):
 
 
 def _cmd_factor(cfg, out, report):
-    K = _depth_for(cfg, 10_000)
+    K = _depth_for(cfg)
     part = sarnak.compact_factor(cfg.construction, cfg.params["horizon"], K)
     table = cons.heights(cfg.construction, part.checked_through_stage)
 

@@ -25,7 +25,7 @@ import numpy as np
 from .construction import (
     ConstructionParams, Window, WindowSet, first_stage_reaching, heights,
 )
-from .tower import CorrelationMatrix, class_totals, correlation_depths
+from .tower import CorrelationMatrix, correlation_depths
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,9 @@ class DepthPolicy:
     """How deep to build towers when chasing a weak limit.
 
     Each fitted shift n gets the smallest depth K with
-    L_K >= max(min_levels, shift_factor*|n|); fits run along the last
-    ``fit_count`` admissible stages whose shift stays below
-    ``max_shift``. ``ref_stage`` of None picks the smallest stage whose
+    L_K >= max(min_levels, shift_factor*|n|), found by ``depth``; fits
+    run along the last ``fit_count`` admissible stages whose shift stays
+    below ``max_shift``. ``ref_stage`` of None picks the smallest stage whose
     level count exceeds twice the fit window, so that distinct shifts
     stay distinguishable even on periodic words.
     """
@@ -60,6 +60,12 @@ class DepthPolicy:
     fit_count: int = 3
     horizon: int = 60
     ref_stage: int | None = None
+
+    def depth(self, params: ConstructionParams, n: int, j: int = 1) -> int:
+        """The depth K for shift n at reference stage j: the first stage
+        K >= j with L_K >= max(min_levels, shift_factor*|n|)."""
+        need = max(self.min_levels, self.shift_factor * abs(n))
+        return first_stage_reaching(params, need, j)
 
 
 DEFAULT_POLICY = DepthPolicy()
@@ -223,12 +229,15 @@ def _fit_shifts(
     at its depth K from ``depths``; one climb counts every fit. A lazy
     ``depths`` finds each K just before its request is checked, so the
     error raised is that of the first fit that fails, as when each fit
-    was counted alone."""
+    was counted alone. The class measures nu(A) are the diagonal of C_0,
+    which counts each class of the depth-K word once."""
+    if Z < 0:
+        raise ValueError(f"window Z={Z} must be >= 0")
     window = range(-Z, Z + 1)
     requests = ((K, [n, *window]) for n, K in zip(shifts, depths))
     fits = []
     for n, mats in zip(shifts, correlation_depths(params, j, requests)):
-        measures = class_totals(params, j, mats[n].depth) / mats[n].total
+        measures = np.diag(mats[0].counts) / mats[0].total
         fits.append(fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures, Z))
     return fits
 
@@ -322,12 +331,11 @@ def _fit_series(
     series: Sequence[Sequence[int]], Z: int, policy: DepthPolicy,
 ) -> list[WeakLimitResult]:
     """Fit every series of shifts along ``stages``, each shift n at the
-    first depth K with L_K >= max(min_levels, shift_factor*|n|), the
-    fits of all series counted by one climb."""
+    depth ``policy.depth`` gives it, the fits of all series counted by
+    one climb."""
     j_ref = _ref_stage(params, Z, policy)
     shifts = [n for ns in series for n in ns]
-    needs = (max(policy.min_levels, policy.shift_factor * abs(n)) for n in shifts)
-    depths = (first_stage_reaching(params, need, j_ref) for need in needs)
+    depths = (policy.depth(params, n, j_ref) for n in shifts)
     fits = _fit_shifts(params, j_ref, shifts, depths, Z)
     results = []
     for ns in series:

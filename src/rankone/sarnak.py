@@ -8,8 +8,9 @@ built, and every sum runs on those numerators. Along an orbit they
 are restacked in the narrowest signed integer dtype that holds them,
 int8 for an indicator. The weighted sum widens them to int64 one
 cache-sized chunk at a time as they meet mu, and a strided sum widens
-only the entries it picks, so no sum holds an N-entry int64 array. The telescoping chain is an algebraic identity and its check
-must not depend on rounding. Only the decay traces |S_N|/N are floats.
+only the entries it picks, so no sum holds an N-entry int64 array. The
+telescoping chain is an algebraic identity and its check must not
+depend on rounding. Only the decay traces |S_N|/N are floats.
 
 There is one telescoping chain, ``_unfold``. It unfolds S_N on the
 cyclic factor of order d M times when d is prime, carrying the sum
@@ -29,9 +30,9 @@ import numpy as np
 
 from . import _kernels
 from .construction import ClassKind, ConstructionParams, classify, heights
-from .errors import ConsistencyFailure, DepthTooShallow, OdometerCase
+from .errors import ConsistencyFailure, OdometerCase
 from .mobius import MobiusTable, prime_factors
-from .tower import _restack, checked_heights
+from .tower import _orbit_cut, checked_heights
 
 _INT64_SAFE = 2**62
 
@@ -117,25 +118,21 @@ class Observable:
 def _orbit_values(params, obs: Observable, start: int, N: int, K: int):
     """Values f(T^i x) for i = 1..N, plus the denominator: the
     numerators restacked to depth K with spacers valued 0, built afresh
-    and cut at the orbit's end, in the narrowest signed integer dtype
-    that holds every numerator and 0 (int8 for an indicator)."""
-    table = checked_heights(params, K, obs.stage)
-    n_levels, L_K = table.L(obs.stage), table.L(K)
+    and cut at the orbit's end (``_orbit_cut``), in the narrowest signed
+    integer dtype that holds every numerator and 0 (int8 for an
+    indicator)."""
+    n_levels = checked_heights(params, K, obs.stage).L(obs.stage)
     if len(obs.nums) != n_levels:
         raise ValueError(
             f"observable has {len(obs.nums)} coefficients, stage "
             f"{obs.stage} has {n_levels} levels"
         )
-    if start < 0 or start + N >= L_K:
-        raise DepthTooShallow(
-            f"orbit start={start}, N={N} exceeds L_K-1={L_K - 1}"
-        )
     lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
     zeros = np.zeros(K - obs.stage, dtype=np.int64)
-    vals = _restack(params, obs.stage, K, obs.nums.astype(dtype, copy=False), zeros,
-                    start + N + 1)[start + 1 :]
+    vals = _orbit_cut(params, obs.stage, K, start, N,
+                      obs.nums.astype(dtype, copy=False), zeros)
     if max(-int(vals.min()), int(vals.max())) * N >= _INT64_SAFE:
         raise ValueError("sum could overflow the exact int64 path")
     return vals, obs.denom

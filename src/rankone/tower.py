@@ -13,7 +13,6 @@ a spacer inserted at stage m.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _kernels
-from .construction import ConstructionParams, HeightTable, heights
+from .construction import ConstructionParams, HeightTable, first_stage_reaching, heights
 from .errors import DepthTooShallow, StageUnavailable
 
 #: refuse to materialize words longer than this (memory guard)
@@ -56,22 +55,9 @@ def decode_label(value: int):
 
 
 @dataclass(frozen=True)
-class LevelSet:
-    """A set of stage-j levels (sorted indices below L_j)."""
-
-    stage: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(i < 0 for i in self.indices):
-            raise ValueError("level indices must be >= 0")
-        if list(self.indices) != sorted(set(self.indices)):
-            raise ValueError("indices must be sorted and distinct")
-
-
-@dataclass(frozen=True)
 class TowerModel:
-    """Stage-K level word relative to reference stage j."""
+    """Stage-K level word relative to reference stage j, whole or cut
+    to its first entries."""
 
     params: ConstructionParams
     ref_stage: int
@@ -86,7 +72,7 @@ class TowerModel:
 
     @property
     def length(self) -> int:
-        """Word length L_K."""
+        """Entries held: L_K, unless the word was built cut."""
         return len(self.labels)
 
     def label(self, position: int):
@@ -130,20 +116,24 @@ def _restack(params: ConstructionParams, j: int, K: int, base, fills, length: in
 
 def _word(params: ConstructionParams, j: int, K: int, length: int | None = None) -> np.ndarray:
     """The stage-K level word relative to reference stage j, or its
-    first ``length`` entries, built afresh (read-only)."""
+    first ``length`` entries (at most L_K), built afresh (read-only)."""
     table = checked_heights(params, K, j)
     levels = np.arange(table.L(j), dtype=np.int64)
     marks = -np.arange(j, K, dtype=np.int64)
-    return _restack(params, j, K, levels, marks, table.L(K) if length is None else length)
+    L_K = table.L(K)
+    return _restack(params, j, K, levels, marks, L_K if length is None else min(length, L_K))
 
 
-def build_labels(params: ConstructionParams, j: int, K: int) -> TowerModel:
-    """Cut-and-stack the stage-j tower down to depth K.
+def build_labels(
+    params: ConstructionParams, j: int, K: int, length: int | None = None
+) -> TowerModel:
+    """Cut-and-stack the stage-j tower down to depth K, keeping the
+    whole word or its first ``length`` entries.
 
     Stacking order per stage m: column 1, s_m(1) spacers, column 2,
     s_m(2) spacers, ..., column r_m, s_m(r_m) spacers.
     """
-    labels = _word(params, j, K)
+    labels = _word(params, j, K, length)
     return TowerModel(
         params=params, ref_stage=j, depth=K, labels=labels,
         heights=heights(params, K),
@@ -151,7 +141,7 @@ def build_labels(params: ConstructionParams, j: int, K: int) -> TowerModel:
 
 
 def level_measures(model: TowerModel) -> dict[int, Fraction]:
-    """Exact measure of each reference level in the depth-K model:
+    """Exact measure of each reference level in a whole depth-K model:
     (occurrences)/L_K. All reference levels share the same count
     prod_{m=j}^{K-1} r_m."""
     counts = model.class_counts()
@@ -161,24 +151,14 @@ def level_measures(model: TowerModel) -> dict[int, Fraction]:
     }
 
 
-def class_totals(params: ConstructionParams, j: int, K: int) -> np.ndarray:
-    """Class occurrences in the stage-K word relative to stage j: each
-    level prod_{m=j}^{K-1} r_m times, spacers L_K - L_j * prod r_m."""
-    table = heights(params, K)
-    copies = math.prod(params.stage(m).r for m in range(j, K))
-    counts = np.full(table.L(j) + 1, copies, dtype=np.int64)
-    counts[-1] = table.L(K) - table.L(j) * copies
-    return counts
-
-
-def tail_bound(params: ConstructionParams, K: int, probe: int = TAIL_PROBE_STAGES) -> float:
+def tail_bound(params: ConstructionParams, K: int) -> float:
     """Relative mass added by spacers after stage K, estimated at probe
-    stage K+probe: 1 - L_K * prod(r_u) / L_{K+probe}.
+    stage K+TAIL_PROBE_STAGES: 1 - L_K * prod(r_u) / L_{K+TAIL_PROBE_STAGES}.
 
     For explicit finite constructions the probe stops at the last
     defined stage (0.0 when none is available beyond K).
     """
-    probe_end = K + probe
+    probe_end = K + TAIL_PROBE_STAGES
     while probe_end > K:
         try:
             table = heights(params, probe_end)
@@ -254,7 +234,7 @@ def _junction_counts(junction, W, end, zs, side):
 def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> dict[int, dict]:
     """Pair counts {K: {z: counts}} of the stage-K word relative to stage
     j, for every depth K in ``wanted`` and (at least) each z in wanted[K],
-    0 <= z < L_K.
+    0 <= z < L_K; each depth's counts are read-only.
 
     Only W_m0, the first stage word with L_m0 >= W = max z, is built and
     counted. For 0 <= z <= W <= L_m the stage recursion gives
@@ -264,10 +244,9 @@ def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> d
     deepest K passes every depth from m0 on; a depth below m0 gets a
     climb of its own.
     """
-    table = heights(params, max(wanted))
-    n_ref = table.L(j)
+    n_ref = heights(params, j).L(j)
     W = max(max(zs) for zs in wanted.values())
-    m0 = next(m for m in range(j, table.max_stage + 1) if table.L(m) >= W)
+    m0 = first_stage_reaching(params, W, j)
     found = {K: _climb(params, j, {K: zs})[K] for K, zs in wanted.items() if K < m0}
     deep = {K: zs for K, zs in wanted.items() if K >= m0}
     zs = np.array(sorted(set().union(*deep.values())), dtype=np.int64)
@@ -284,14 +263,15 @@ def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> d
                 counts += _junction_counts(junction, W, W + s, zs, n_ref + 1)
             suf = junction[len(junction) - W:]  # the last copy has no prefix
         if m in deep:
-            found[m] = dict(zip(zs.tolist(), counts.copy()))
+            snapshot = counts.copy()
+            snapshot.flags.writeable = False
+            found[m] = dict(zip(zs.tolist(), snapshot))
     return found
 
 
 def correlation_depths(
     params: ConstructionParams, j: int,
     requests: Iterable[tuple[int, Sequence[int]]],
-    probe: int = TAIL_PROBE_STAGES,
 ) -> list[dict[int, CorrelationMatrix]]:
     """For each request (K, shifts), in order, the matrices {n: C} of
     nu(T^n A intersect B) over stage-j classes at depth K:
@@ -300,8 +280,8 @@ def correlation_depths(
     Each request is checked as it is drawn from ``requests``, before any
     counting, so a lazy iterable raises its own errors in turn. All
     requests are then counted by one stage-recursion climb (``_climb``)
-    over |n|, with C(-n) = C(n)^T, and ``tail_bound`` runs once per
-    distinct K.
+    over |n|, with C(-n) the read-only view C(n)^T, and ``tail_bound``
+    runs once per distinct K.
     """
     asked = []
     wanted: dict[int, set[int]] = {}
@@ -319,12 +299,12 @@ def correlation_depths(
         asked.append((K, total, shifts))
         wanted.setdefault(K, set()).update(abs(n) for n in shifts)
     counts = _climb(params, j, wanted)  # ValueError when a request has no shift
-    tails = {K: tail_bound(params, K, probe) for K in counts}
+    tails = {K: tail_bound(params, K) for K in counts}
     return [
         {
             n: CorrelationMatrix(
                 stage=j, shift=n, depth=K,
-                counts=counts[K][n] if n >= 0 else counts[K][-n].T.copy(),
+                counts=counts[K][n] if n >= 0 else counts[K][-n].T,
                 total=total, tail=tails[K],
             )
             for n in shifts
@@ -335,36 +315,40 @@ def correlation_depths(
 
 def correlation_matrices(
     params: ConstructionParams, j: int, K: int, shifts: list[int],
-    probe: int = TAIL_PROBE_STAGES,
 ) -> dict[int, CorrelationMatrix]:
     """The matrices of ``correlation_depths`` for the one request (K, shifts)."""
-    return correlation_depths(params, j, [(K, shifts)], probe)[0]
+    return correlation_depths(params, j, [(K, shifts)])[0]
 
 
 def correlation_matrix(
-    params: ConstructionParams, j: int, K: int, n: int,
-    probe: int = TAIL_PROBE_STAGES,
+    params: ConstructionParams, j: int, K: int, n: int
 ) -> CorrelationMatrix:
     """The matrix of ``correlation_matrices`` at the one shift n."""
-    return correlation_matrices(params, j, K, [n], probe)[n]
+    return correlation_matrices(params, j, K, [n])[n]
 
 
-def orbit_labels(
-    params: ConstructionParams, j: int, K: int, start: int, N: int
-) -> np.ndarray:
-    """Labels along the orbit of the point at level ``start``:
-    the encoded labels at positions start+1 .. start+N, from a word cut
-    at the orbit's end.
+def _orbit_cut(params: ConstructionParams, j: int, K: int, start: int, N: int,
+               base, fills) -> np.ndarray:
+    """Entries start+1 .. start+N of the stage-j word ``base`` restacked
+    to depth K (see ``_restack``), from a word cut at the orbit's end.
 
-    Raises DepthTooShallow when the orbit would leave the stage-K
-    tower; decode entries with ``decode_label``.
+    Raises ValueError unless start >= 0 and N >= 1, and DepthTooShallow,
+    before building anything, when the orbit would leave the stage-K
+    tower.
     """
     if start < 0 or N < 1:
         raise ValueError("need start >= 0 and N >= 1")
     L_K = checked_heights(params, K, j).L(K)
     if start + N >= L_K:
-        raise DepthTooShallow(
-            f"orbit reaches level {start + N}, beyond L_K-1={L_K - 1}; "
-            "increase K"
-        )
-    return _word(params, j, K, start + N + 1)[start + 1 :]
+        raise DepthTooShallow(f"orbit start={start}, N={N} exceeds L_K-1={L_K - 1}")
+    return _restack(params, j, K, base, fills, start + N + 1)[start + 1 :]
+
+
+def orbit_labels(
+    params: ConstructionParams, j: int, K: int, start: int, N: int
+) -> np.ndarray:
+    """Labels along the orbit of the point at level ``start``: the
+    encoded labels at positions start+1 .. start+N (``_orbit_cut``);
+    decode entries with ``decode_label``."""
+    levels = np.arange(checked_heights(params, K, j).L(j), dtype=np.int64)
+    return _orbit_cut(params, j, K, start, N, levels, -np.arange(j, K, dtype=np.int64))

@@ -228,6 +228,26 @@ def test_telescope_with_d_beyond_N(tmp_path, d, M):
     assert rows.get("equal", rows.get("identity_holds")) == "True"
 
 
+@pytest.mark.parametrize("K,L_K,max_rows", [(16, 21_523_360, 10_000), (3, 13, 100)])
+def test_labels_builds_only_the_rows_it_writes(tmp_path, monkeypatch, K, L_K, max_rows):
+    asked = min(L_K, max_rows)
+    built = []
+    build_word = _kernels.build_word
+
+    def spy(*args):
+        built.append(args[5])
+        return build_word(*args)
+
+    monkeypatch.setattr(_kernels, "build_word", spy)
+    code, out, outdir = run_config(tmp_path, make_config(
+        command="labels", params={"K": K, "max_rows": max_rows}))
+    assert code == 0
+    assert built == [asked]
+    assert out.splitlines()[-1] == (
+        f"labels: stage 1 through depth {K}, L_K={L_K}, wrote {asked} rows")
+    assert len((outdir / "labels.csv").read_text().splitlines()) == asked + 1
+
+
 def test_computation_error_exit_code(tmp_path):
     code, out, _ = run_config(
         tmp_path,

@@ -73,6 +73,19 @@ def test_fit_window_infeasible():
     target = tower.correlation_matrix(params, 1, 3, 1)
     with pytest.raises(ValueError):
         limits.fit_limit_polynomial(target, basis, measures, Z=13)
+    with pytest.raises(ValueError, match="must be >= 0"):
+        limits.fit_for_shift(params, 1, 3, 1, Z=-1)
+
+
+@pytest.mark.parametrize("name", ["chacon", "flat3", "odometer2"])
+def test_depth_policy_depth(name):
+    params = cons.preset(name)
+    policy = limits.DepthPolicy(min_levels=500, shift_factor=30)
+    for n in (0, 1, -7, 40, 1000):
+        K = policy.depth(params, n, 2)
+        need = max(500, 30 * abs(n))
+        assert K >= 2 and cons.heights(params, K).L(K) >= need
+        assert K == 2 or cons.heights(params, K - 1).L(K - 1) < need
 
 
 def projected_gradient_fit(G, b):
@@ -134,7 +147,7 @@ def test_active_set_fit_is_optimal(request):
     params, j, K, n, Z = request
     window = range(-Z, Z + 1)
     mats = tower.correlation_matrices(params, j, K, [n, *window])
-    measures = tower.class_totals(params, j, K) / mats[n].total
+    measures = np.diag(mats[0].counts) / mats[0].total
     poly = limits.fit_limit_polynomial(
         mats[n], {z: mats[z] for z in window}, measures, Z
     )
@@ -157,7 +170,7 @@ def test_fit_terminates_on_a_singular_gram():
     # a singular KKT system; fitting C_1, any split between them is optimal
     params = cons.chacon()
     mats = tower.correlation_matrices(params, 2, 9, [-1, 0, 1, 3])
-    measures = tower.class_totals(params, 2, 9) / mats[0].total
+    measures = np.diag(mats[0].counts) / mats[0].total
     basis = {-1: mats[-1], 0: mats[0], 1: mats[1], 2: mats[1]}
     for target in (mats[1], mats[3]):
         poly = limits.fit_limit_polynomial(target, basis, measures, Z=2)

@@ -87,10 +87,12 @@ def test_checkpoint_grid():
 def test_weighted_sum_errors():
     params = cons.chacon()
     obs = sarnak.Observable.indicator(params, 1, [0])
-    with pytest.raises(DepthTooShallow):
+    with pytest.raises(DepthTooShallow, match=r"^orbit start=0, N=50 exceeds L_K-1=12$"):
         sarnak.mobius_weighted_sum(params, obs, 0, 50, 3, TABLE)
     with pytest.raises(ValueError):
         sarnak.mobius_weighted_sum(params, obs, 0, 30_000, 12, TABLE)
+    with pytest.raises(ValueError, match="need start >= 0"):
+        sarnak.mobius_weighted_sum(params, obs, -1, 5, 3, TABLE)
 
 
 def test_overflow_guard_reads_the_visited_levels():

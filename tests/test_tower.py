@@ -227,8 +227,7 @@ def test_batched_counts_match_the_word(request):
     for n in shifts:
         assert np.array_equal(mats[n].counts, _kernels.pair_counts(word, n, n_ref))
         assert mats[n].total == len(word)
-    assert np.array_equal(tower.class_totals(params, j, K),
-                          _kernels.class_counts(word, n_ref))
+    assert np.array_equal(np.diag(mats[0].counts), _kernels.class_counts(word, n_ref))
 
 
 @st.composite
@@ -302,6 +301,14 @@ def test_one_climb_counts_each_shift_once(monkeypatch):
     assert found[1][-364].depth == 10
 
 
+def test_returned_counts_are_read_only():
+    mats = tower.correlation_matrices(cons.chacon(), 1, 5, [-3, 0, 3])
+    assert np.shares_memory(mats[-3].counts, mats[3].counts)  # a view, no copy
+    for n in (-3, 0, 3):
+        with pytest.raises(ValueError):
+            mats[n].counts[0, 0] = 1
+
+
 def test_csv_rows_deterministic():
     mat = tower.correlation_matrix(cons.chacon(), 1, 3, 1)
     rows = list(mat.to_csv_rows())
@@ -321,8 +328,11 @@ def test_orbit_examples():
 
 
 def test_orbit_depth_guard():
-    with pytest.raises(DepthTooShallow):
+    with pytest.raises(DepthTooShallow, match=r"^orbit start=0, N=13 exceeds L_K-1=12$"):
         tower.orbit_labels(cons.chacon(), 1, 3, 0, 13)
+    for start, N in ((-1, 3), (0, 0)):
+        with pytest.raises(ValueError, match="need start >= 0 and N >= 1"):
+            tower.orbit_labels(cons.chacon(), 1, 3, start, N)
 
 
 def test_orbit_builds_the_word_only_to_its_end(monkeypatch):
@@ -360,11 +370,3 @@ def test_orbit_step_composition():
 def test_word_length_guard():
     with pytest.raises(ValueError):
         tower.build_labels(cons.chacon(), 1, 40)
-
-
-def test_level_set_validation():
-    tower.LevelSet(2, (0, 2, 3))
-    with pytest.raises(ValueError):
-        tower.LevelSet(2, (2, 0))
-    with pytest.raises(ValueError):
-        tower.LevelSet(2, (-1,))
