@@ -38,7 +38,6 @@ from .errors import (
     StageUnavailable,
 )
 from .limits import (
-    DepthPolicy,
     DisjointnessVerdict,
     FitTolerances,
     LimitPolynomial,

@@ -176,16 +176,11 @@ def _parse_construction(obj) -> cons.ConstructionParams:
 
 
 # Param groups shared by several commands, with the library's defaults.
-_DP, _FT = limits.DEFAULT_POLICY, limits.DEFAULT_TOLERANCES
-#: the fields of limits.DepthPolicy
-_POLICY = (
-    Param("min_levels", _int, _DP.min_levels, 2),
-    Param("shift_factor", _int, _DP.shift_factor, 1),
-    Param("max_shift", _int, _DP.max_shift, 1),
-    Param("fit_count", _int, _DP.fit_count, 1),
-    Param("horizon", _int, _DP.horizon, 2),
-    Param("ref_stage", _int, _DP.ref_stage, 1),
-)
+_FT = limits.DEFAULT_TOLERANCES
+#: the depth params of a fit; the rest of its depth rule is fixed in limits
+_MAX_SHIFT = Param("max_shift", _int, limits.DEFAULT_MAX_SHIFT, 1)
+_FIT_HORIZON = Param("horizon", _int, limits.DEFAULT_HORIZON, 2)
+_POLICY = (_MAX_SHIFT, _FIT_HORIZON)
 _TAU = Param("tau", _float, _FT.support_tau)
 #: the fields of limits.FitTolerances, in order
 _TOLERANCES = (
@@ -258,21 +253,17 @@ def _write_csv(path: Path, header: tuple[str, ...], rows):
 
 def _depth_for(cfg: RunConfig, j: int = 1, n: int = 0, levels: int | None = None) -> int:
     """The given depth K, else the first stage K >= j with L_K >= levels,
-    or without ``levels`` the default depth policy's K for shift n."""
+    or without ``levels`` the fits' depth K for shift n."""
     K = cfg.params["K"]
     if K is not None:
         return K
     if levels is None:
-        return _DP.depth(cfg.construction, n, j)
+        return limits.depth(cfg.construction, n, j)
     return cons.first_stage_reaching(cfg.construction, levels, j)
 
 
-def _policy(p: dict) -> limits.DepthPolicy:
-    return limits.DepthPolicy(**{s.name: p[s.name] for s in _POLICY})
-
-
 def _conventions(specs: tuple[Param, ...], p: dict) -> str:
-    """The tolerances and depth policy of a run: the command's own
+    """The tolerances and depth rule of a run: the command's own
     values, and the defaults of the ones it does not take."""
     def value(s):
         return p[s.name] if s in specs else s.default
@@ -282,8 +273,9 @@ def _conventions(specs: tuple[Param, ...], p: dict) -> str:
         "  level count L_j = h_j + 1; return powers H_j = -(L_j + min s_j(1..r_j-1))",
         "  tolerances: " + " ".join(
             f"{s.name.removesuffix('_tol')}={value(s)}" for s in _TOLERANCES),
-        "  depth policy: " + " ".join(
-            f"{s.name}={value(s)}" for s in _POLICY if s.name != "ref_stage"),
+        f"  depth policy: min_levels={limits.MIN_LEVELS} "
+        f"shift_factor={limits.SHIFT_FACTOR} max_shift={value(_MAX_SHIFT)} "
+        f"fit_count={limits.FIT_COUNT} horizon={value(_FIT_HORIZON)}",
     ])
 
 
@@ -347,7 +339,8 @@ def _cmd_correlate(cfg, out, report):
 def _cmd_weak_limit(cfg, out, report):
     p = cfg.params
     d, m, tau = p["d"], p["m"], p["tau"]
-    res = limits.weak_limit(cfg.construction, d, m, policy=_policy(p), Z=p["Z"])
+    res = limits.weak_limit(cfg.construction, d, m, limits.full_window(p["horizon"]),
+                            p["max_shift"], p["Z"])
     _write_csv(out / "weak_limit.csv", ("z", "a_z"),
                res.polynomial.to_csv_rows())
     report.append(f"weak limit of T^({d}*H_(j+{m})): {res.polynomial}")
@@ -377,12 +370,13 @@ def _cmd_disjointness(cfg, out, report):
     p = cfg.params
     tols = limits.FitTolerances(*(p[s.name] for s in _TOLERANCES))
     try:
-        verdict = limits.disjointness_certificate(
-            cfg.construction, p["p"], p["q"], policy=_policy(p), tolerances=tols,
-            Z=p["Z"],
-        )
+        limits.check_pair(p["p"], p["q"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    verdict = limits.disjointness_certificate(
+        cfg.construction, p["p"], p["q"], limits.full_window(p["horizon"]),
+        p["max_shift"], tols, p["Z"],
+    )
     _write_csv(out / "limit_q.csv", ("z", "a_z"),
                verdict.q_result.polynomial.to_csv_rows())
     _write_csv(out / "limit_p.csv", ("z", "a_z"),
@@ -393,11 +387,10 @@ def _cmd_disjointness(cfg, out, report):
 def _cmd_cascade(cfg, out, report):
     p = cfg.params
     prime, tau = p["p"], p["tau"]
-    policy = _policy(p)
-    windows = limits.full_window(policy.horizon)
+    windows = limits.full_window(p["horizon"])
     supports = []
     for m in range(1, p["levels"] + 1):
-        res = limits.weak_limit(cfg.construction, 1, m, windows, policy, p["Z"])
+        res = limits.weak_limit(cfg.construction, 1, m, windows, p["max_shift"], p["Z"])
         supports.append(limits.SupportSet(m, res.polynomial.support(tau), tau))
         report.append(f"P(1,{m}) fit: {res.polynomial} "
                       f"support {sorted(supports[-1].zs)}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -217,32 +218,34 @@ class HeightTable:
 
 
 @lru_cache(maxsize=256)
-def _levels_through(params: ConstructionParams, J: int) -> tuple[int, ...]:
-    levels = [params.h1 + 1]
-    for j in range(1, J):
-        st = params.stage(j)
+def _level_table(params: ConstructionParams) -> list[int]:
+    """L_1, L_2, ... of one construction, grown in place by ``_grow``."""
+    return [params.h1 + 1]
+
+
+def _grow(params: ConstructionParams, J: int, n: int = 0) -> list[int]:
+    """The level table, grown through stage J and on until it reaches
+    n levels, by the exact recursion L_{j+1} = L_j r_j + sum_i s_j(i)."""
+    levels = _level_table(params)
+    while len(levels) < J or levels[-1] < n:
+        st = params.stage(len(levels))
         levels.append(levels[-1] * st.r + sum(st.s))
-    return tuple(levels)
+    return levels
 
 
 def heights(params: ConstructionParams, J: int) -> HeightTable:
-    """Level counts through stage J via the exact recursion
-    L_{j+1} = L_j r_j + sum_i s_j(i)."""
+    """Level counts L_1..L_J."""
     if J < 1:
         raise ValueError("J must be >= 1")
-    return HeightTable(_levels_through(params, J))
+    return HeightTable(tuple(_grow(params, J)[:J]))
 
 
 def first_stage_reaching(params: ConstructionParams, n: int, start: int = 1) -> int:
-    """Smallest stage K >= start whose level count L_K is at least n,
-    found in one pass of the recursion L_{K+1} = L_K r_K + sum_i s_K(i)."""
+    """Smallest stage K >= start whose level count L_K is at least n, by
+    bisection, since L_j strictly increases."""
     if start < 1:
-        raise ValueError("J must be >= 1")
-    K, L = 1, params.h1 + 1
-    while K < start or L < n:
-        st = params.stage(K)
-        K, L = K + 1, L * st.r + sum(st.s)
-    return K
+        raise ValueError(f"start must be >= 1, got {start}")
+    return max(start, bisect_left(_grow(params, start, n), n) + 1)
 
 
 # ---------------------------------------------------- bounded / windows

@@ -42,33 +42,22 @@ class FitTolerances:
 DEFAULT_TOLERANCES = FitTolerances()
 
 
-@dataclass(frozen=True)
-class DepthPolicy:
-    """How deep to build towers when chasing a weak limit.
-
-    Each fitted shift n gets the smallest depth K with
-    L_K >= max(min_levels, shift_factor*|n|), found by ``depth``; fits
-    run along the last ``fit_count`` admissible stages whose shift stays
-    below ``max_shift``. ``ref_stage`` of None picks the smallest stage whose
-    level count exceeds twice the fit window, so that distinct shifts
-    stay distinguishable even on periodic words.
-    """
-
-    min_levels: int = 10_000
-    shift_factor: int = 200
-    max_shift: int = 2_000
-    fit_count: int = 3
-    horizon: int = 60
-    ref_stage: int | None = None
-
-    def depth(self, params: ConstructionParams, n: int, j: int = 1) -> int:
-        """The depth K for shift n at reference stage j: the first stage
-        K >= j with L_K >= max(min_levels, shift_factor*|n|)."""
-        need = max(self.min_levels, self.shift_factor * abs(n))
-        return first_stage_reaching(params, need, j)
+#: the depth rule: a shift n is counted at the first depth K with
+#: L_K >= max(MIN_LEVELS, SHIFT_FACTOR*|n|), and a weak limit is fitted
+#: along its last FIT_COUNT admissible stages
+MIN_LEVELS = 10_000
+SHIFT_FACTOR = 200
+FIT_COUNT = 3
+#: defaults of the two depth params a fit takes: the largest admissible
+#: |shift|, and the horizon of the default stage window
+DEFAULT_MAX_SHIFT = 2_000
+DEFAULT_HORIZON = 60
 
 
-DEFAULT_POLICY = DepthPolicy()
+def depth(params: ConstructionParams, n: int, j: int) -> int:
+    """The depth K for shift n at reference stage j: the first stage
+    K >= j with L_K >= max(MIN_LEVELS, SHIFT_FACTOR*|n|)."""
+    return first_stage_reaching(params, max(MIN_LEVELS, SHIFT_FACTOR * abs(n)), j)
 
 
 # ------------------------------------------------------------ polynomial
@@ -255,10 +244,9 @@ def full_window(horizon: int) -> WindowSet:
     return WindowSet((Window(1, horizon),))
 
 
-def _return_heights(params: ConstructionParams, stages: Sequence[int]) -> list[int]:
-    """H_j = -(L_j + s_j^min) for each stage j."""
-    table = heights(params, max(stages))
-    return [-(table.L(j) + params.stage(j).s_min_first) for j in stages]
+def _return_height(params: ConstructionParams, j: int) -> int:
+    """H_j = -(L_j + s_j^min)."""
+    return -(heights(params, j).L(j) + params.stage(j).s_min_first)
 
 
 def h_sequence(
@@ -275,28 +263,31 @@ def h_sequence(
         raise ValueError(f"offset m={m} exceeds every window")
     if count is not None:
         stages = stages[:count]
-    return [d * h for h in _return_heights(params, stages)]
+    return [d * _return_height(params, j) for j in stages]
 
 
 def _select_stages(
     params: ConstructionParams, windows: WindowSet, m: int,
-    multiplier: int, policy: DepthPolicy,
-) -> list[int]:
-    """Last fit_count stages whose scaled shift stays within max_shift."""
-    if policy.fit_count < 1:
-        raise ValueError(f"fit_count must be >= 1, got {policy.fit_count}")
+    multiplier: int, max_shift: int,
+) -> list[tuple[int, int]]:
+    """(j, H_j) of the last FIT_COUNT window stages at offset m with
+    multiplier*|H_j| <= max_shift. |H_j| strictly increases with j
+    (L_{j+1} >= 2L_j + s_j(1)), so the walk stops at the first stage
+    beyond max_shift."""
     stages = windows.offset_stages(m)
     if not stages:
         raise ValueError(f"offset m={m} exceeds every window")
-    usable = [
-        j for j, h in zip(stages, _return_heights(params, stages))
-        if -multiplier * h <= policy.max_shift
-    ]
+    usable = []
+    for j in stages:
+        h = _return_height(params, j)
+        if -multiplier * h > max_shift:
+            break
+        usable.append((j, h))
     if len(usable) < 2:
         raise ValueError(
             "fewer than two admissible stages; raise max_shift or the horizon"
         )
-    return usable[-policy.fit_count:]
+    return usable[-FIT_COUNT:]
 
 
 def auto_ref_stage(params: ConstructionParams, Z: int) -> int:
@@ -305,10 +296,6 @@ def auto_ref_stage(params: ConstructionParams, Z: int) -> int:
     (odometer words repeat with period L_j, aliasing C_z with
     C_{z mod L_j})."""
     return first_stage_reaching(params, 2 * Z + 2)
-
-
-def _ref_stage(params: ConstructionParams, Z: int, policy: DepthPolicy) -> int:
-    return policy.ref_stage if policy.ref_stage is not None else auto_ref_stage(params, Z)
 
 
 @dataclass(frozen=True)
@@ -328,14 +315,14 @@ class WeakLimitResult:
 
 def _fit_series(
     params: ConstructionParams, stages: Sequence[int],
-    series: Sequence[Sequence[int]], Z: int, policy: DepthPolicy,
+    series: Sequence[Sequence[int]], Z: int,
 ) -> list[WeakLimitResult]:
     """Fit every series of shifts along ``stages``, each shift n at the
-    depth ``policy.depth`` gives it, the fits of all series counted by
-    one climb."""
-    j_ref = _ref_stage(params, Z, policy)
+    depth ``depth`` gives it, the fits of all series counted by one
+    climb."""
+    j_ref = auto_ref_stage(params, Z)
     shifts = [n for ns in series for n in ns]
-    depths = (policy.depth(params, n, j_ref) for n in shifts)
+    depths = (depth(params, n, j_ref) for n in shifts)
     fits = _fit_shifts(params, j_ref, shifts, depths, Z)
     results = []
     for ns in series:
@@ -354,20 +341,19 @@ def _fit_series(
 def weak_limit(
     params: ConstructionParams, d: int, m: int,
     windows: WindowSet | None = None,
-    policy: DepthPolicy = DEFAULT_POLICY,
+    max_shift: int = DEFAULT_MAX_SHIFT,
     Z: int = 8,
 ) -> WeakLimitResult:
     """Fit the weak limit of T^{d*H_{j_k+m}} along successive k.
 
-    Fits the last few admissible stages, reports the maximal
-    coefficient gap between consecutive fits, and returns the deepest
-    fit as the limit estimate.
+    Fits the last FIT_COUNT admissible stages (|d*H| <= max_shift),
+    reports the maximal coefficient gap between consecutive fits, and
+    returns the deepest fit as the limit estimate.
     """
     if windows is None:
-        windows = full_window(policy.horizon)
-    stages = _select_stages(params, windows, m, d, policy)
-    shifts = [d * h for h in _return_heights(params, stages)]
-    return _fit_series(params, stages, [shifts], Z, policy)[0]
+        windows = full_window(DEFAULT_HORIZON)
+    stages, hs = zip(*_select_stages(params, windows, m, d, max_shift))
+    return _fit_series(params, stages, [[d * h for h in hs]], Z)[0]
 
 
 # ------------------------------------------------------------ similarity
@@ -465,29 +451,33 @@ class DisjointnessVerdict:
         return "\n".join(lines)
 
 
-def disjointness_certificate(
-    params: ConstructionParams, p: int, q: int,
-    windows: WindowSet | None = None,
-    policy: DepthPolicy = DEFAULT_POLICY,
-    tolerances: FitTolerances = DEFAULT_TOLERANCES,
-    Z: int = 8,
-) -> DisjointnessVerdict:
-    """Fit Q along T^{q*H_j} and P along T^{p*H_j} on a shared stage
-    sequence and compare: non-similar converged limits are evidence
-    that T^q and T^p are disjoint."""
+def check_pair(p: int, q: int):
+    """ValueError unless p and q are positive, distinct and coprime."""
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
     if p == q:
         raise ValueError("p and q must differ")
     if gcd(p, q) != 1:
         raise ValueError(f"p={p}, q={q} must be coprime")
-    if windows is None:
-        windows = full_window(policy.horizon)
 
-    stages = _select_stages(params, windows, 0, max(p, q), policy)
-    base = _return_heights(params, stages)
+
+def disjointness_certificate(
+    params: ConstructionParams, p: int, q: int,
+    windows: WindowSet | None = None,
+    max_shift: int = DEFAULT_MAX_SHIFT,
+    tolerances: FitTolerances = DEFAULT_TOLERANCES,
+    Z: int = 8,
+) -> DisjointnessVerdict:
+    """Fit Q along T^{q*H_j} and P along T^{p*H_j} on a shared stage
+    sequence and compare: non-similar converged limits are evidence
+    that T^q and T^p are disjoint."""
+    check_pair(p, q)
+    if windows is None:
+        windows = full_window(DEFAULT_HORIZON)
+
+    stages, base = zip(*_select_stages(params, windows, 0, max(p, q), max_shift))
     q_result, p_result = _fit_series(
-        params, stages, [[q * n for n in base], [p * n for n in base]], Z, policy
+        params, stages, [[q * n for n in base], [p * n for n in base]], Z
     )
 
     similarity = is_pq_similar(

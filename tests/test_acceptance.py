@@ -308,13 +308,13 @@ def test_c15_cli_determinism(tmp_path):
         {"construction": {"preset": "flat3"}, "command": "correlate",
          "params": {"j": 2, "n": 5, "K": 8}},
         {"construction": {"preset": "chacon"}, "command": "weak-limit",
-         "params": {"max_shift": 200, "min_levels": 2000}},
+         "params": {"max_shift": 200}},
         {"construction": {"preset": "chacon"}, "command": "similarity",
          "params": {"Q": {"coeffs": {"0": 0.5, "3": 0.5}, "theta": 0},
                     "P": {"coeffs": {"0": 0.5, "2": 0.5}, "theta": 0},
                     "p": 2, "q": 3}},
         {"construction": {"preset": "chacon"}, "command": "disjointness",
-         "params": {"p": 2, "q": 3, "max_shift": 400, "min_levels": 4000}},
+         "params": {"p": 2, "q": 3, "max_shift": 400}},
         {"construction": {"preset": "class4"}, "command": "cascade",
          "params": {"p": 2, "levels": 2, "max_shift": 400}},
         {"construction": {"preset": "chacon"}, "command": "mobius-sum",

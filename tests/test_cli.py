@@ -136,7 +136,7 @@ def test_weak_limit_run(tmp_path):
     code, out, outdir = run_config(
         tmp_path,
         make_config(command="weak-limit",
-                    params={"max_shift": 200, "min_levels": 2000}),
+                    params={"max_shift": 200}),
     )
     assert code == 0
     lines = (outdir / "weak_limit.csv").read_text().splitlines()
@@ -257,25 +257,48 @@ def test_computation_error_exit_code(tmp_path):
     assert "DepthTooShallow" in out
 
 
+EXPLICIT_ODOMETER6 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 2, "s": [0, 0]}] * 6}}
+EXPLICIT_CHACON16 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3, "s": [0, 1, 0]}] * 16}}
+
+
 @pytest.mark.parametrize(
     "construction,params,error",
     [
-        # every p-series fit fails (|n| = 256, 512, 1024); the first is reported
-        ({"preset": "odometer2"}, {"p": 2, "q": 3},
-         "error[DepthTooShallow]: |n|=256 needs a deeper tower than L_K=256"),
-        # the q-series fails before a p-series depth search runs past stage 7
-        ({"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 2, "s": [0, 0]}] * 6}},
-         {"p": 3, "q": 2, "horizon": 6},
-         "error[DepthTooShallow]: |n|=32 needs a deeper tower than L_K=32"),
+        # stages 4..6 fit; the first q-series depth search needs stage 7
+        (EXPLICIT_ODOMETER6, {"p": 3, "q": 2, "horizon": 6},
+         "error[StageUnavailable]: explicit construction has 6 stages, stage 7 requested"),
+        # the second q-series fit needs the stage-17 word; the third one's
+        # depth search, which would need stage 17, is not run
+        (EXPLICIT_CHACON16, {"p": 2, "q": 3, "max_shift": 2_000_000},
+         "error[ValueError]: stage-17 word has 64570081 levels, over the 50000000 "
+         "in-memory limit; lower K"),
     ],
+    ids=["every-fit-needs-stage-7", "second-fit-needs-stage-17"],
 )
 def test_disjointness_reports_the_first_fit_that_fails(tmp_path, construction, params, error):
     code, out, _ = run_config(tmp_path, make_config(
-        construction=construction, command="disjointness",
-        params={**params, "shift_factor": 1, "min_levels": 2},
+        construction=construction, command="disjointness", params=params,
     ))
     assert code == 3
     assert out.splitlines()[-1] == error
+
+
+def test_disjointness_computation_error_exits_3(tmp_path, capsys):
+    code = cli.main(["disjointness", "--preset", "chacon", "--p", "2", "--q", "3",
+                     "--max-shift", "2000000", "--out", str(tmp_path)])
+    assert code == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "error[ValueError]: stage-17 word has 64570081 levels, over the 50000000 "
+        "in-memory limit; lower K")
+
+
+@pytest.mark.parametrize("p,q,message", [(2, 4, "p=2, q=4 must be coprime"),
+                                         (3, 3, "p and q must differ")])
+def test_disjointness_pq_errors_are_config_errors(tmp_path, capsys, p, q, message):
+    code = cli.main(["disjointness", "--preset", "chacon", "--p", str(p), "--q", str(q),
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -434,3 +457,23 @@ def test_flags_and_json_give_the_same_params(tmp_path, monkeypatch, command, spe
     })
     assert seen == [expected]
     assert expected.params[spec.name] != spec.default
+
+
+REMOVED_DEPTH_CASES = [(c, key) for c in ("weak-limit", "disjointness", "cascade")
+                       for key in ("min_levels", "shift_factor", "fit_count", "ref_stage")]
+
+
+@pytest.mark.parametrize("command,key", REMOVED_DEPTH_CASES,
+                         ids=[f"{c}-{k}" for c, k in REMOVED_DEPTH_CASES])
+def test_removed_depth_keys_are_refused(tmp_path, capsys, command, key):
+    params = {"weak-limit": {}, "disjointness": {"p": 2, "q": 3}, "cascade": {"p": 2}}[command]
+    argv = [command, "--preset", "class4", "--out", str(tmp_path)]
+    for name, value in params.items():
+        argv += ["--" + name, str(value)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--" + key.replace("_", "-"), "7"])
+    assert exc.value.code == 2
+    path = tmp_path / "cfg.json"
+    path.write_text(make_config(command=command, params={**params, key: 7}))
+    assert cli.main(["run", str(path)]) == 2
+    assert f"unknown key(s) ['{key}'] in params for command '{command}'" in capsys.readouterr().err

@@ -111,6 +111,73 @@ def test_first_stage_reaching_is_the_smallest(name):
     for n, start in ((table.L(4) + 1, 1), (1, 5)):
         with pytest.raises(StageUnavailable, match="stage 4 requested"):
             cons.first_stage_reaching(three, n, start)
+    with pytest.raises(ValueError, match=r"^start must be >= 1, got 0$"):
+        cons.first_stage_reaching(params, 1, 0)
+
+
+# The level table is grown in place by whichever call needs it first.
+# Each property below clears it, grows it in a drawn order and checks
+# every answer against a walk of the recursion written out here.
+
+constructions = st.one_of(
+    st.builds(cons.ConstructionParams.periodic, st.integers(0, 3), stage_lists),
+    st.builds(cons.ConstructionParams.explicit, st.integers(0, 3), stage_lists),
+    st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+              st.integers(2, 4), st.integers(0, 4), st.integers(0, 10**6)),
+)
+
+
+def naive_levels(params, J):
+    """L_1..L_J, or the StageUnavailable the recursion meets first."""
+    levels = [params.h1 + 1]
+    try:
+        for j in range(1, J):
+            st_j = params.stage(j)
+            levels.append(levels[-1] * st_j.r + sum(st_j.s))
+    except StageUnavailable as exc:
+        return exc
+    return tuple(levels)
+
+
+def outcome(call):
+    try:
+        return call()
+    except StageUnavailable as exc:
+        return exc
+
+
+def same(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return a == b
+
+
+@given(constructions, st.lists(st.integers(1, 30), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_heights_do_not_depend_on_the_growth_order(params, Js):
+    cons._level_table.cache_clear()
+    for J in Js:
+        got = outcome(lambda: cons.heights(params, J).levels)
+        assert same(got, naive_levels(params, J))
+
+
+def naive_first_stage(params, n, start):
+    """A walk of the recursion one stage at a time."""
+    K, L = 1, params.h1 + 1
+    while K < start or L < n:
+        st_j = params.stage(K)
+        K, L = K + 1, L * st_j.r + sum(st_j.s)
+    return K
+
+
+@given(constructions, st.lists(st.tuples(st.integers(0, 10**7), st.integers(1, 20)),
+                               min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_first_stage_reaching_is_the_linear_walk(params, queries):
+    cons._level_table.cache_clear()
+    for n, start in queries:
+        got = outcome(lambda: cons.first_stage_reaching(params, n, start))
+        assert same(got, outcome(lambda: naive_first_stage(params, n, start)))
 
 
 # ------------------------------------------------- bounded/windows/flat

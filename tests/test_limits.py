@@ -80,12 +80,12 @@ def test_fit_window_infeasible():
 @pytest.mark.parametrize("name", ["chacon", "flat3", "odometer2"])
 def test_depth_policy_depth(name):
     params = cons.preset(name)
-    policy = limits.DepthPolicy(min_levels=500, shift_factor=30)
-    for n in (0, 1, -7, 40, 1000):
-        K = policy.depth(params, n, 2)
-        need = max(500, 30 * abs(n))
-        assert K >= 2 and cons.heights(params, K).L(K) >= need
-        assert K == 2 or cons.heights(params, K - 1).L(K - 1) < need
+    for n in (0, 1, -7, 40, 1000, -20_000):
+        for j in (2, 16):
+            K = limits.depth(params, n, j)
+            need = max(10_000, 200 * abs(n))
+            assert K >= j and cons.heights(params, K).L(K) >= need
+            assert K == j or cons.heights(params, K - 1).L(K - 1) < need
 
 
 def projected_gradient_fit(G, b):
@@ -195,16 +195,59 @@ def test_h_sequence_examples():
     assert ch2 == [2 * n for n in ch1]
 
 
-def test_fit_count_below_one_is_refused():
-    with pytest.raises(ValueError, match="fit_count"):
-        limits.weak_limit(cons.chacon(), 1, 0,
-                          policy=limits.DepthPolicy(fit_count=0))
-
-
 def test_h_sequence_offset_errors():
     w = cons.WindowSet((cons.Window(1, 3),))
     with pytest.raises(ValueError):
         limits.h_sequence(cons.chacon(), 1, 5, w)
+
+
+def filtered_stages(params, windows, m, multiplier, max_shift):
+    """H_j of every window stage at offset m, kept where
+    multiplier*|H_j| <= max_shift; the last three of at least two."""
+    stages = windows.offset_stages(m)
+    table = cons.heights(params, max(stages))
+    usable = [(j, -(table.L(j) + params.stage(j).s_min_first)) for j in stages]
+    usable = [(j, h) for j, h in usable if -multiplier * h <= max_shift]
+    return usable[-3:] if len(usable) >= 2 else None
+
+
+@st.composite
+def stage_selections(draw):
+    stage = st.integers(2, 4).flatmap(
+        lambda r: st.lists(st.integers(0, 4), min_size=r, max_size=r).map(
+            lambda s: cons.StageParams(r, tuple(s))))
+    horizon = draw(st.integers(2, 40))
+    params = draw(st.one_of(
+        st.builds(cons.ConstructionParams.periodic, st.integers(0, 3),
+                  st.lists(stage, min_size=1, max_size=4)),
+        # every stage the filter reads exists
+        st.builds(cons.ConstructionParams.explicit, st.integers(0, 3),
+                  st.lists(stage, min_size=horizon, max_size=horizon)),
+        st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+                  st.integers(2, 4), st.integers(0, 4), st.integers(0, 10**6)),
+    ))
+    cuts = sorted(draw(st.sets(st.integers(1, min(horizon, 10)), min_size=1, max_size=6)))
+    windows = cons.WindowSet(tuple(
+        cons.Window(a, b) for a, b in zip(cuts[::2], cuts[1::2] + [horizon])
+        if a <= b
+    ) or (cons.Window(1, horizon),))
+    m = draw(st.integers(0, 3))
+    if not windows.offset_stages(m):
+        m = 0
+    multiplier = draw(st.integers(1, 6))
+    max_shift = draw(st.integers(4, 23).flatmap(lambda e: st.integers(2**e, 2**(e + 1))))
+    return params, windows, m, multiplier, max_shift
+
+
+@settings(max_examples=100, deadline=None)
+@given(stage_selections())
+def test_stage_walk_matches_the_filter(selection):
+    expected = filtered_stages(*selection)
+    if expected is None:
+        with pytest.raises(ValueError, match="fewer than two admissible stages"):
+            limits._select_stages(*selection)
+    else:
+        assert limits._select_stages(*selection) == expected
 
 
 def test_weak_limit_odometer():
@@ -315,9 +358,14 @@ def test_correlations_build_no_long_word(monkeypatch):
     K = cons.first_stage_reaching(params, 10**6, 2)
     L_K = cons.heights(params, K).L(K)
     limits.fit_for_shift(params, 2, K, 4920)
-    limits.disjointness_certificate(
-        params, 2, 3, policy=limits.DepthPolicy(min_levels=L_K)
-    )
+    assert built and max(built) <= L_K // 50
+    # a large max_shift takes every fit to L_K >= 200|n| >= 1e6
+    built.clear()
+    verdict = limits.disjointness_certificate(params, 2, 3, max_shift=200_000)
+    shifts = verdict.q_result.shifts + verdict.p_result.shifts
+    Ks = [limits.depth(params, n, verdict.q_result.ref_stage) for n in shifts]
+    L_K = cons.heights(params, max(Ks)).L(max(Ks))
+    assert min(cons.heights(params, k).L(k) for k in Ks) >= 10**6
     assert built and max(built) <= L_K // 50
 
 
