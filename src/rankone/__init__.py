@@ -1,10 +1,10 @@
 """Rank-one cutting-and-stacking transformations.
 
 Construct transformations from their defining parameters, realize them
-as finite towers with certified correlation error bounds, fit weak
-limits of powers, test p/q-similarity disjointness evidence, and run
-Mobius-independence experiments including the exact telescoping
-identities of the prime-extension argument.
+as finite towers with correlation error estimates (|n|/L_K plus a
+probed tail), fit weak limits of powers, test p/q-similarity evidence
+of disjointness, and run Mobius-independence experiments including the
+exact telescoping identities of the prime-extension argument.
 """
 
 from .construction import (

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -617,8 +617,9 @@ def flatness_consequence(
     consistent = True
     all_flat = True
     s_sup = 0
+    last = len(params.stages) if params.kind == "explicit" else inf  # stages defined
     for m in range(1, len(cascade.holds) + 1):
-        stages = windows.offset_stages(m)
+        stages = [j for j in windows.offset_stages(m) if j <= last]
         tail = stages[len(stages) // 2 :]
         diffs = set()
         for j in tail:

@@ -6,11 +6,11 @@ evaluated in exact integer arithmetic: an observable's rational
 coefficients are cleared to their common denominator once, when it is
 built, and every sum runs on those numerators. Along an orbit they
 are restacked in the narrowest signed integer dtype that holds them,
-int8 for an indicator. The weighted sum widens them to int64 one
-cache-sized chunk at a time as they meet mu, and a strided sum widens
-only the entries it picks, so no sum holds an N-entry int64 array. The
-telescoping chain is an algebraic identity and its check must not
-depend on rounding. Only the decay traces |S_N|/N are floats.
+int8 for an indicator. The weighted sum multiplies them by mu a chunk
+at a time, one integer width up, and sums in int64; a strided sum
+widens only the entries it picks, so no sum holds an N-entry int64
+array. The telescoping chain is an algebraic identity and its check
+must not depend on rounding. Only the decay traces |S_N|/N are floats.
 
 There is one telescoping chain, ``_unfold``. It unfolds S_N on the
 cyclic factor of order d M times when d is prime, carrying the sum

@@ -283,6 +283,23 @@ def test_disjointness_reports_the_first_fit_that_fails(tmp_path, construction, p
     assert out.splitlines()[-1] == error
 
 
+def test_cascade_reads_only_the_stages_an_explicit_construction_lists(tmp_path):
+    # the tail half of each horizon-60 offset window starts at stage 31
+    explicit_chacon12 = {"h1": 0, "stages": {"kind": "explicit",
+                                             "stages": [{"r": 3, "s": [0, 1, 0]}] * 12}}
+    code, out, outdir = run_config(tmp_path, make_config(
+        construction=explicit_chacon12, command="cascade",
+        params={"p": 3, "levels": 2, "max_shift": 400},
+    ))
+    assert code == 0, out
+    assert "stage 31 requested" not in out
+    assert (outdir / "cascade.csv").read_text().splitlines() == [
+        "m,modulus,holds,params_divide,max_abs_spacer_diff",
+        "1,3,False,False,1",
+        "2,9,False,False,1",
+    ]
+
+
 def test_disjointness_computation_error_exits_3(tmp_path, capsys):
     code = cli.main(["disjointness", "--preset", "chacon", "--p", "2", "--q", "3",
                      "--max-shift", "2000000", "--out", str(tmp_path)])

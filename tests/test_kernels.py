@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,7 +129,8 @@ NARROW = {np.int8: 2**7, np.int16: 2**15, np.int64: 2**40}
 @given(st.sampled_from(list(NARROW)), st.integers(2 * BLOCK, 3 * BLOCK),
        st.integers(0, 2**32 - 1))
 def test_chunked_mobius_sums_match_unchunked_running_sum(dtype, N, seed):
-    # chunks of BLOCK entries, split at checkpoints on both sides of a seam
+    # chunks of BLOCK int8 or BLOCK/4 int64 values, split at checkpoints
+    # on both sides of a seam
     rng = np.random.default_rng(seed)
     bound = NARROW[dtype]
     vals = rng.integers(-bound, bound, size=N, endpoint=False).astype(dtype)
@@ -136,6 +139,32 @@ def test_chunked_mobius_sums_match_unchunked_running_sum(dtype, N, seed):
     want = [0] + running[np.array(checkpoints[1:]) - 1].tolist()
     got = _kernels.weighted_mobius_sums(vals, MU_CHUNKS, np.array(checkpoints, np.int64))
     assert got.dtype == np.int64 and got.tolist() == want
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_chunk_products_hold_the_dtype_minimum_times_minus_one(dtype):
+    # min * -1 = -min is one past the dtype's range, so every product at a
+    # time with mu = -1 needs the wider chunk buffer
+    N = 2 * BLOCK + 7
+    lowest = int(np.iinfo(dtype).min)
+    minus = MU_CHUNKS[1 : N + 1] == -1
+    vals = np.where(minus, lowest, 0).astype(dtype)
+    checkpoints = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, N]
+    got = _kernels.weighted_mobius_sums(vals, MU_CHUNKS, np.array(checkpoints, np.int64))
+    want = [-lowest * sum(minus[:cp].tolist()) for cp in checkpoints]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_chunk_buffer_takes_two_bytes_per_block_entry(dtype):
+    vals = np.ones(2 * BLOCK, dtype=dtype)
+    tracemalloc.start()
+    try:
+        _kernels.weighted_mobius_sums(vals, MU_CHUNKS, np.array([2 * BLOCK], np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * BLOCK <= peak < 2 * BLOCK + 2**18  # plus numpy's cast buffers
 
 
 def test_int8_values_sum_past_the_int8_range():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,46 @@ def test_sum_up_to_100():
 
 def test_sieve_matches_direct_oracle():
     assert all(TABLE.mu(n) == mobius_direct(n) for n in range(1, 10_001))
+
+
+def test_sieve_matches_direct_at_every_size_to_3000():
+    for n_max in range(1, 3001):
+        assert _kernels.sieve_mobius(n_max).tolist() == DIRECT[: n_max + 1], n_max
+
+
+@pytest.mark.parametrize("n_max,digest", [
+    (100_000, "21513e44d1e6635baf50c07b111da07f1eec59f18464f724761e9932f75b9b7c"),
+    (1_000_000, "f6091ebd8653e385c9e028e53d331fd7e38302f090770521f629e8cf4837566e"),
+    (5_000_000, "d6ce1ecb2523906636320a3947bdae8a0b20c3af16fa49de9bcacebd339a084b"),
+])
+def test_sieve_bytes_are_pinned(n_max, digest):
+    # recorded from the int32 product sieve, and from the whole-range strike before it
+    assert hashlib.sha256(_kernels.sieve_mobius(n_max).tobytes()).hexdigest() == digest
+
+
+def test_sieve_takes_numpy_integer_sizes():
+    assert _kernels.sieve_mobius(np.int64(3000)).tolist() == DIRECT[:3001]
+    with pytest.raises(TypeError):
+        _kernels.sieve_mobius(3000.0)
+
+
+def test_sieve_refuses_sizes_past_its_uint8_sums_before_allocating(monkeypatch):
+    def first_allocation(*args, **kwargs):
+        raise MemoryError("first allocation")
+
+    monkeypatch.setattr(_kernels.np, "ones", first_allocation)
+    tracemalloc.start()
+    try:
+        for n_max in (2**57, 2**64):
+            with pytest.raises(ValueError, match=r"2\*\*57"):
+                _kernels.sieve_mobius(n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+    # one below passes the guard
+    with pytest.raises(MemoryError, match="first allocation"):
+        _kernels.sieve_mobius(2**57 - 1)
 
 
 @given(st.integers(1, 20_000))
@@ -107,7 +149,10 @@ def unsegmented_sieve(n_max):
     return mu
 
 
-SEAMS = [44_100, 2**18, 2 * 2**18, 3 * 2**18, _kernels.BLOCK, 2 * _kernels.BLOCK]
+# 6 * 44_100 was the block of the int32 product sieve; past BLOCK + 44_100
+# the last block holds one whole wheel period and 0 to 2 entries more
+SEAMS = [44_100, 2**18, 6 * 44_100, 2 * 2**18, 12 * 44_100, 3 * 2**18,
+         _kernels.BLOCK, _kernels.BLOCK + 44_100, 2 * _kernels.BLOCK]
 
 
 @pytest.mark.parametrize("n_max", [n + d for n in SEAMS for d in (-1, 0, 1)])
