@@ -617,7 +617,7 @@ def flatness_consequence(
     consistent = True
     all_flat = True
     s_sup = 0
-    last = len(params.stages) if params.kind == "explicit" else inf  # stages defined
+    last = len(params.stages) if params.kind == "explicit" else inf  # last listed stage
     for m in range(1, len(cascade.holds) + 1):
         stages = [j for j in windows.offset_stages(m) if j <= last]
         tail = stages[len(stages) // 2 :]

@@ -129,8 +129,8 @@ NARROW = {np.int8: 2**7, np.int16: 2**15, np.int64: 2**40}
 @given(st.sampled_from(list(NARROW)), st.integers(2 * BLOCK, 3 * BLOCK),
        st.integers(0, 2**32 - 1))
 def test_chunked_mobius_sums_match_unchunked_running_sum(dtype, N, seed):
-    # chunks of BLOCK int8 or BLOCK/4 int64 values, split at checkpoints
-    # on both sides of a seam
+    # chunks of 2*BLOCK bytes of products (BLOCK int8 values, BLOCK/4
+    # int64 ones), split at checkpoints on both sides of a seam
     rng = np.random.default_rng(seed)
     bound = NARROW[dtype]
     vals = rng.integers(-bound, bound, size=N, endpoint=False).astype(dtype)

@@ -52,7 +52,7 @@ def test_sieve_matches_direct_at_every_size_to_3000():
     (5_000_000, "d6ce1ecb2523906636320a3947bdae8a0b20c3af16fa49de9bcacebd339a084b"),
 ])
 def test_sieve_bytes_are_pinned(n_max, digest):
-    # recorded from the int32 product sieve, and from the whole-range strike before it
+    # the digests of the earlier sieves, as CHANGES.md records them
     assert hashlib.sha256(_kernels.sieve_mobius(n_max).tobytes()).hexdigest() == digest
 
 
