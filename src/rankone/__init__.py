@@ -18,6 +18,7 @@ from .construction import (
     chacon,
     class4,
     classify,
+    column_offsets,
     cyclic_factor_preset,
     eigenvalue_order,
     find_windows,
@@ -42,7 +43,6 @@ from .limits import (
     FitTolerances,
     LimitPolynomial,
     SimilarityVerdict,
-    SupportSet,
     Verdict,
     WeakLimitResult,
     auto_ref_stage,

@@ -85,9 +85,7 @@ def _poly(v, key, where) -> limits.LimitPolynomial:
             raise ConfigError(f"'{where}.coeffs' key {k!r} is not an integer") from None
         coeffs[z] = _float(c, f"coeffs[{k}]", where)
     theta = _float(v["theta"], "theta", where) if "theta" in v else 0.0
-    window = max((abs(z) for z in coeffs), default=0)
-    return limits.LimitPolynomial(window=window, coeffs=coeffs, theta=theta,
-                                  fit_residual=0.0)
+    return limits.LimitPolynomial(coeffs=coeffs, theta=theta, fit_residual=0.0)
 
 
 REQUIRED = object()  # default of a param that must be given
@@ -391,9 +389,8 @@ def _cmd_cascade(cfg, out, report):
     supports = []
     for m in range(1, p["levels"] + 1):
         res = limits.weak_limit(cfg.construction, 1, m, windows, p["max_shift"], p["Z"])
-        supports.append(limits.SupportSet(m, res.polynomial.support(tau), tau))
-        report.append(f"P(1,{m}) fit: {res.polynomial} "
-                      f"support {sorted(supports[-1].zs)}")
+        supports.append(res.polynomial.support(tau))
+        report.append(f"P(1,{m}) fit: {res.polynomial} support {sorted(supports[-1])}")
     cascade = limits.divisibility_cascade(supports, prime)
     consequence = limits.flatness_consequence(
         cfg.construction, windows, prime, cascade
@@ -466,13 +463,10 @@ def _cmd_telescope(cfg, out, report):
 def _cmd_factor(cfg, out, report):
     K = _depth_for(cfg)
     part = sarnak.compact_factor(cfg.construction, cfg.params["horizon"], K)
-    table = cons.heights(cfg.construction, part.checked_through_stage)
 
     def rows():
         for j in range(part.depth, part.checked_through_stage + 1):
-            for col, off in enumerate(
-                sarnak._column_offsets(cfg.construction, j, table.L(j)), start=2
-            ):
+            for col, off in enumerate(cons.column_offsets(cfg.construction, j), start=2):
                 yield (j, col, off, off % part.d)
 
     _write_csv(out / "factor.csv", ("stage", "column", "offset", "offset_mod_d"),

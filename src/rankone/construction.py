@@ -8,8 +8,8 @@ stage-j tower has L_j = h_j + 1 levels, with
 
 All height arithmetic is exact (python ints). "Eventually ..." style
 conditions are evaluated on a finite horizon H by requiring the
-property on the tail window [ceil(H/2), H]; no claim is made beyond
-the horizon.
+property on the tail window [max(1, floor(H/2)), H]; no claim is made
+beyond the horizon.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd
 
 from .errors import NotBounded, OdometerCase, StageUnavailable
@@ -53,10 +54,6 @@ class StageParams:
     def is_flat_first(self) -> bool:
         """Spacers equal over the first r-1 columns."""
         return len(set(self.s[:-1])) == 1
-
-    def is_flat_strict(self) -> bool:
-        """Spacers equal over all r columns."""
-        return self.is_constant()
 
 
 class _Kind(str, enum.Enum):
@@ -255,8 +252,6 @@ class BoundedProfile:
     r_sup: int
     s_sup: int
     is_bounded_on_horizon: bool
-    horizon: int
-    bound: int | None = None
 
 
 def bounded_profile(params, J, bound=None) -> BoundedProfile:
@@ -270,7 +265,7 @@ def bounded_profile(params, J, bound=None) -> BoundedProfile:
         r_sup = max(r_sup, st.r)
         s_sup = max(s_sup, max(st.s))
     ok = True if bound is None else (r_sup <= bound and s_sup <= bound)
-    return BoundedProfile(r_sup, s_sup, ok, J, bound)
+    return BoundedProfile(r_sup, s_sup, ok)
 
 
 @dataclass(frozen=True)
@@ -374,7 +369,7 @@ def flatness(params, window) -> FlatnessReport:
     values = set()
     for st in params.stage_range(lo, hi):
         flat_first &= st.is_flat_first()
-        flat_strict &= st.is_flat_strict()
+        flat_strict &= st.is_constant()
         values.add(st.s[0])
     s_value = values.pop() if flat_first and len(values) == 1 else None
     return FlatnessReport(flat_first, flat_strict, s_value)
@@ -386,10 +381,14 @@ def return_times(params, j: int) -> tuple[int, ...]:
     """First-return contributions of the stage-j columns, in column
     order: L_j + s_j(i). (Level-count convention: the base recurs after
     exactly L_j + s_j(i) steps through column i.)"""
-    table = heights(params, j)
-    st = params.stage(j)
-    L = table.L(j)
-    return tuple(L + x for x in st.s)
+    L = heights(params, j).L(j)
+    return tuple(L + x for x in params.stage(j).s)
+
+
+def column_offsets(params, j: int) -> tuple[int, ...]:
+    """Start offsets of stage-j columns 2..r_j in the stage-(j+1) word:
+    the partial sums of the first r_j - 1 return times."""
+    return tuple(accumulate(return_times(params, j)[:-1]))
 
 
 def _tail_start(horizon: int) -> int:

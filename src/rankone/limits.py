@@ -68,7 +68,6 @@ class LimitPolynomial:
     one carries its Frank-Wolfe ``optimality_gap``, an upper bound on
     how far its squared residual lies above the least attainable."""
 
-    window: int
     coeffs: Mapping[int, float]
     theta: float
     fit_residual: float
@@ -105,15 +104,6 @@ def coefficient_distance(a: LimitPolynomial, b: LimitPolynomial) -> float:
     zs = set(a.coeffs) | set(b.coeffs)
     gap = max((abs(a.a(z) - b.a(z)) for z in zs), default=0.0)
     return max(gap, abs(a.theta - b.theta))
-
-
-@dataclass(frozen=True)
-class SupportSet:
-    """tau-thresholded support of a fitted limit, tagged by its offset m."""
-
-    index: int
-    zs: frozenset[int]
-    tau: float
 
 
 # ---------------------------------------------------------------- fitting
@@ -205,8 +195,7 @@ def fit_limit_polynomial(
     residual = float(np.linalg.norm(x @ A[:-1] - A[-1]))
     coeffs = {z: float(x[i]) for i, z in enumerate(zs)}
     return LimitPolynomial(
-        window=Z, coeffs=coeffs, theta=float(x[-1]), fit_residual=residual,
-        optimality_gap=gap,
+        coeffs=coeffs, theta=float(x[-1]), fit_residual=residual, optimality_gap=gap,
     )
 
 
@@ -340,7 +329,7 @@ def _fit_series(
 
 def weak_limit(
     params: ConstructionParams, d: int, m: int,
-    windows: WindowSet | None = None,
+    windows: WindowSet = full_window(DEFAULT_HORIZON),
     max_shift: int = DEFAULT_MAX_SHIFT,
     Z: int = 8,
 ) -> WeakLimitResult:
@@ -350,8 +339,6 @@ def weak_limit(
     reports the maximal coefficient gap between consecutive fits, and
     returns the deepest fit as the limit estimate.
     """
-    if windows is None:
-        windows = full_window(DEFAULT_HORIZON)
     stages, hs = zip(*_select_stages(params, windows, m, d, max_shift))
     return _fit_series(params, stages, [[d * h for h in hs]], Z)[0]
 
@@ -385,18 +372,12 @@ def is_pq_similar(
     if gcd(p, q) != 1:
         raise ValueError(f"p={p}, q={q} must be coprime")
 
-    bad_q = sorted(z for z in Q.support(tau) if z % q != 0)
-    if bad_q:
-        return SimilarityVerdict(
-            False, None, float("inf"),
-            f"supp(Q) not within {q}Z: shifts {bad_q}",
-        )
-    bad_p = sorted(z for z in P.support(tau) if z % p != 0)
-    if bad_p:
-        return SimilarityVerdict(
-            False, None, float("inf"),
-            f"supp(P) not within {p}Z: shifts {bad_p}",
-        )
+    for name, poly, k in (("Q", Q, q), ("P", P, p)):
+        bad = sorted(z for z in poly.support(tau) if z % k != 0)
+        if bad:
+            return SimilarityVerdict(
+                False, None, float("inf"), f"supp({name}) not within {k}Z: shifts {bad}",
+            )
 
     r_range = {z // q for z in Q.coeffs if z % q == 0}
     r_range |= {z // p for z in P.coeffs if z % p == 0}
@@ -463,7 +444,7 @@ def check_pair(p: int, q: int):
 
 def disjointness_certificate(
     params: ConstructionParams, p: int, q: int,
-    windows: WindowSet | None = None,
+    windows: WindowSet = full_window(DEFAULT_HORIZON),
     max_shift: int = DEFAULT_MAX_SHIFT,
     tolerances: FitTolerances = DEFAULT_TOLERANCES,
     Z: int = 8,
@@ -472,8 +453,6 @@ def disjointness_certificate(
     sequence and compare: non-similar converged limits are evidence
     that T^q and T^p are disjoint."""
     check_pair(p, q)
-    if windows is None:
-        windows = full_window(DEFAULT_HORIZON)
 
     stages, base = zip(*_select_stages(params, windows, 0, max(p, q), max_shift))
     q_result, p_result = _fit_series(
@@ -540,8 +519,7 @@ def match_identity_mix(
     eps = off_mass / m
     coeffs = {z: a / off_mass for z, a in L.coeffs.items() if z != 0 and a > 0}
     mix = LimitPolynomial(
-        window=L.window, coeffs=coeffs, theta=L.theta / off_mass,
-        fit_residual=L.fit_residual,
+        coeffs=coeffs, theta=L.theta / off_mass, fit_residual=L.fit_residual,
     )
     return IdentityMix(epsilon=eps, mix=mix)
 
@@ -563,9 +541,7 @@ class CascadeResult:
         return m
 
 
-def divisibility_cascade(
-    supports: Sequence[SupportSet | Iterable[int]], p: int
-) -> CascadeResult:
+def divisibility_cascade(supports: Sequence[Iterable[int]], p: int) -> CascadeResult:
     """Check the support-divisibility cascade: the k-th supplied
     support (k = 1-based) must lie in p^k * Z. The chain breaks at the
     first failure."""
@@ -574,8 +550,7 @@ def divisibility_cascade(
     if not supports:
         raise ValueError("need at least one support set")
     holds = []
-    for k, sup in enumerate(supports, start=1):
-        zs = sup.zs if isinstance(sup, SupportSet) else frozenset(sup)
+    for k, zs in enumerate(supports, start=1):
         modulus = p**k
         holds.append(all(z % modulus == 0 for z in zs))
     return CascadeResult(p=p, holds=tuple(holds))
@@ -607,9 +582,11 @@ def flatness_consequence(
     cascade: CascadeResult,
 ) -> FlatnessConsequence:
     """For each cascade level m, verify that p^m divides every spacer
-    difference s_{j_k+m}(i) - s_{j_k+m}(i') over the first r-1 columns
-    on the tail of the admissible stages; also reports the level at
-    which bounded parameters force flat behavior (p^m > spacer bound).
+    difference s_j(i) - s_j(i') over the first r-1 columns, for j in
+    the later half of the windows' offset stages at m, once those past
+    an explicit construction's last stage are dropped; also reports the
+    level at which bounded parameters force flat behavior (p^m > spacer
+    bound).
     """
     if p != cascade.p:
         raise ValueError("cascade was computed for a different p")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -97,4 +96,4 @@ def residue_mertens(table: MobiusTable, p: int, n: int) -> int:
 
 def gcd_all(values: Iterable[int]) -> int:
     """gcd of an iterable of nonnegative integers (0 for an empty one)."""
-    return reduce(math.gcd, values, 0)
+    return math.gcd(*values)

@@ -29,7 +29,7 @@ from math import gcd, lcm
 import numpy as np
 
 from . import _kernels
-from .construction import ClassKind, ConstructionParams, classify, heights
+from .construction import ClassKind, ConstructionParams, classify, column_offsets, heights
 from .errors import ConsistencyFailure, OdometerCase
 from .mobius import MobiusTable, prime_factors
 from .tower import _orbit_cut, checked_heights
@@ -215,24 +215,13 @@ class FactorPartition:
         return np.arange(0, self.length, self.d, dtype=np.int64)
 
 
-def _column_offsets(params: ConstructionParams, j: int, L_j: int) -> list[int]:
-    st = params.stage(j)
-    offs = []
-    acc = 0
-    for i in range(st.r - 1):
-        acc += L_j + st.s[i]
-        offs.append(acc)
-    return offs
-
-
 def _verify_offsets(params: ConstructionParams, d: int, j0: int, j1: int) -> None:
     """Column start offsets must all be divisible by d for levels to
     keep their residue class through restacking."""
     if d == 1:
         return
-    table = heights(params, j1)
     for j in range(j0, j1 + 1):
-        for off in _column_offsets(params, j, table.L(j)):
+        for off in column_offsets(params, j):
             if off % d != 0:
                 raise ConsistencyFailure(
                     f"stage {j} column offset {off} not divisible by d={d}; "
@@ -377,7 +366,6 @@ class ExtensionStep:
     stride: int
     n_terms: int
     term: int | Fraction
-    crude_bound: Fraction
 
 
 @dataclass(frozen=True)
@@ -409,7 +397,7 @@ def prime_extension_report(
     chain carries G, so S_N = sum_u term_u + remainder with remainder
     sum_{m<=N/d^{M+1}} f(T^{d^{M+1} m} x) mu(dm) and bound N*||f||/d^M.
     For composite d it carries F, the remainder is the last F and its
-    bound (N//d)*||f||. A step's crude bound is N*||f||/stride.
+    bound (N//d)*||f||.
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -424,7 +412,6 @@ def prime_extension_report(
         ExtensionStep(
             depth=u, prime=p, stride=stride, n_terms=N // stride,
             term=_exact(-F, denom),  # mu(p) = -1
-            crude_bound=N * norm / stride,
         )
         for u, (p, stride, F, _) in enumerate(rows, 1)
     )

@@ -143,9 +143,14 @@ def build_labels(
 def level_measures(model: TowerModel) -> dict[int, Fraction]:
     """Exact measure of each reference level in a whole depth-K model:
     (occurrences)/L_K. All reference levels share the same count
-    prod_{m=j}^{K-1} r_m."""
+    prod_{m=j}^{K-1} r_m. ValueError for a model cut short of L_K."""
+    total = model.heights.L(model.depth)
+    if model.length != total:
+        raise ValueError(
+            f"model holds {model.length} of the L_K={total} entries; "
+            "exact measures need the whole word"
+        )
     counts = model.class_counts()
-    total = model.length
     return {
         a: Fraction(int(counts[a]), total) for a in range(model.n_levels)
     }
@@ -236,8 +241,9 @@ def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> d
     j, for every depth K in ``wanted`` and (at least) each z in wanted[K],
     0 <= z < L_K; each depth's counts are read-only.
 
-    Only W_m0, the first stage word with L_m0 >= W = max z, is built and
-    counted. For 0 <= z <= W <= L_m the stage recursion gives
+    Only W_m0, the first stage word with L_m0 >= W = max z, is built,
+    with every spacer set to the spacer class n_ref, and counted. For
+    0 <= z <= W <= L_m the stage recursion gives
     C_{m+1}(z) = r_m C_m(z) + sum_i junction_i(z), where junction i is
     suf_W(W_m) + s_m(i) spacers + pre_W(W_m) (no prefix after the last
     copy), counted from its last z copy entries on. One climb to the
@@ -250,10 +256,10 @@ def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> d
     found = {K: _climb(params, j, {K: zs})[K] for K, zs in wanted.items() if K < m0}
     deep = {K: zs for K, zs in wanted.items() if K >= m0}
     zs = np.array(sorted(set().union(*deep.values())), dtype=np.int64)
-    word = _word(params, j, m0)
+    word = _restack(params, j, m0, np.arange(n_ref), np.full(m0 - j, n_ref),
+                    heights(params, m0).L(m0))
     counts = np.stack([_kernels.pair_counts(word, int(z), n_ref) for z in zs])
-    classes = np.where(word >= 0, word, n_ref)
-    pre, suf = classes[:W], classes[len(classes) - W:]
+    pre, suf = word[:W], word[len(word) - W:]
     for m in range(m0, max(deep) + 1):
         if m > m0:
             st = params.stage(m - 1)

@@ -148,9 +148,7 @@ def test_c07_chacon_identity_component():
 
 def test_c08_similarity_unit_suite():
     def poly(coeffs, theta=0.0):
-        window = max((abs(z) for z in coeffs), default=0)
-        return limits.LimitPolynomial(window=window, coeffs=dict(coeffs),
-                                      theta=theta, fit_residual=0.0)
+        return limits.LimitPolynomial(coeffs=dict(coeffs), theta=theta, fit_residual=0.0)
 
     Q = poly({0: 0.5, 3: 0.5})
     assert limits.is_pq_similar(Q, poly({0: 0.5, 2: 0.5}), 2, 3).similar
@@ -200,7 +198,7 @@ def test_c10_cascade_consistency():
     flat_supports = []
     for m in (1, 2):
         res = limits.weak_limit(cons.flat3(), 1, m, windows)
-        flat_supports.append(limits.SupportSet(m, res.polynomial.support(tau), tau))
+        flat_supports.append(res.polynomial.support(tau))
     flat_cascade = limits.divisibility_cascade(flat_supports, 2)
     flat_rep = limits.flatness_consequence(cons.flat3(), windows, 2, flat_cascade)
     assert flat_rep.consistent and flat_rep.all_flat
@@ -208,7 +206,7 @@ def test_c10_cascade_consistency():
     ch_supports = []
     for m in (1, 2):
         res = limits.weak_limit(cons.chacon(), 1, m, windows)
-        ch_supports.append(limits.SupportSet(m, res.polynomial.support(tau), tau))
+        ch_supports.append(res.polynomial.support(tau))
     ch_cascade = limits.divisibility_cascade(ch_supports, 2)
     assert ch_cascade.max_level == 0  # halts before m=1
     ch_rep = limits.flatness_consequence(cons.chacon(), windows, 2, ch_cascade)
@@ -273,9 +271,8 @@ def test_c13_factor_cyclicity():
     assert part.length >= 10_000
     asg = part.assignments()
     assert np.all((asg[1:] - asg[:-1]) % part.d == 1)
-    table = cons.heights(params, K + 1)
     for j in range(1, K + 2):
-        for off in sarnak._column_offsets(params, j, table.L(j)):
+        for off in cons.column_offsets(params, j):
             assert off % 2 == 0
     ok(13, f"class4 partition cyclic mod 2 over all L_K={part.length} "
            f"levels; all column offsets even")

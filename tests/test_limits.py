@@ -267,9 +267,7 @@ def test_weak_limit_chacon_identity_component():
 # ------------------------------------------------------------ similarity
 
 def poly(coeffs, theta=0.0):
-    window = max((abs(z) for z in coeffs), default=0)
-    return limits.LimitPolynomial(window=window, coeffs=dict(coeffs),
-                                  theta=theta, fit_residual=0.0)
+    return limits.LimitPolynomial(coeffs=dict(coeffs), theta=theta, fit_residual=0.0)
 
 
 def test_similarity_trivial_examples():
@@ -385,6 +383,22 @@ def test_match_identity_mix_examples():
     assert got.mix.theta == pytest.approx(0.0)
 
 
+def test_similarity_reasons():
+    Q, P = poly({0: 0.5, 3: 0.5}), poly({0: 0.5, 2: 0.5})
+    bad_q, bad_p = poly({0: 0.5, 1: 0.5}), poly({0: 0.5, 3: 0.5})
+    q_text = "supp(Q) not within 3Z: shifts [1]"
+    # Q is checked first, so it is the one reported when both fail
+    for q_poly, p_poly, reason in [(bad_q, P, q_text), (bad_q, bad_p, q_text),
+                                   (Q, bad_p, "supp(P) not within 2Z: shifts [3]")]:
+        verdict = limits.is_pq_similar(q_poly, p_poly, 2, 3)
+        assert verdict.reason == reason
+        assert not verdict.similar and verdict.witness is None
+        assert verdict.max_coeff_gap == math.inf
+    gap = limits.is_pq_similar(Q, poly({0: 0.25, 2: 0.75}), 2, 3, tol=0.01)
+    assert gap.reason == "coefficient gap 0.25 exceeds tol 0.01"
+    assert limits.is_pq_similar(Q, P, 2, 3).reason == "supports and coefficients match"
+
+
 def test_divisibility_cascade_examples():
     res = limits.divisibility_cascade([{0, 2, 4}, {0, 4}], 2)
     assert res.max_level == 2 and res.holds == (True, True)
@@ -400,9 +414,7 @@ def test_divisibility_cascade_examples():
 
 def test_flatness_consequence_flat3():
     w = limits.full_window(24)
-    cascade = limits.divisibility_cascade(
-        [limits.SupportSet(m, frozenset({0}), 0.02) for m in (1, 2, 3)], 2
-    )
+    cascade = limits.divisibility_cascade([frozenset({0})] * 3, 2)
     rep = limits.flatness_consequence(cons.flat3(), w, 2, cascade)
     assert rep.consistent and rep.all_flat
     assert all(row.params_divide for row in rep.rows)

@@ -160,9 +160,8 @@ def test_compact_factor_odometer_raises():
 
 def test_compact_factor_offsets_even_for_class4():
     params = cons.class4()
-    table = cons.heights(params, 14)
     for j in range(1, 14):
-        for off in sarnak._column_offsets(params, j, table.L(j)):
+        for off in cons.column_offsets(params, j):
             assert off % 2 == 0
 
 

@@ -82,6 +82,15 @@ def test_level_measures_examples():
     assert meas[0] == meas[1] == Fraction(1, 2)
     ident = tower.build_labels(cons.chacon(), 2, 2)
     assert set(tower.level_measures(ident).values()) == {Fraction(1, 4)}
+    whole = tower.build_labels(cons.chacon(), 2, 5)
+    assert set(tower.level_measures(whole).values()) == {Fraction(27, 121)}
+
+
+def test_level_measures_refuse_a_cut_model():
+    # the first 10 entries would give prefix frequencies, not measures
+    cut = tower.build_labels(cons.chacon(), 2, 5, 10)
+    with pytest.raises(ValueError, match="holds 10 of the L_K=121 entries"):
+        tower.level_measures(cut)
 
 
 # ------------------------------------------------------------ correlation
@@ -228,6 +237,29 @@ def test_batched_counts_match_the_word(request):
         assert np.array_equal(mats[n].counts, _kernels.pair_counts(word, n, n_ref))
         assert mats[n].total == len(word)
     assert np.array_equal(np.diag(mats[0].counts), _kernels.class_counts(word, n_ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+              st.integers(2, 4), st.integers(0, 4), st.integers(0, 10**6)),
+    st.builds(cons.ConstructionParams.periodic, st.integers(0, 3), st.lists(
+        st.lists(st.integers(0, 5), min_size=2, max_size=4).map(
+            lambda s: cons.StageParams(len(s), tuple(s))),
+        min_size=1, max_size=3)),
+), st.integers(1, 5))
+def test_column_offsets_place_each_copy(params, j):
+    """The stage-(j+1) word is copy i of 0..L_j-1 at 0 or at the i-th
+    column offset, each followed by s_j(i) stage-j spacers."""
+    word = tower._word(params, j, j + 1).tolist()
+    table = cons.heights(params, j + 1)
+    L_j, spacers = table.L(j), params.stage(j).s
+    starts = (0, *cons.column_offsets(params, j))
+    assert len(starts) == len(spacers)
+    for start, s in zip(starts, spacers):
+        assert word[start : start + L_j] == list(range(L_j))
+        assert word[start + L_j : start + L_j + s] == [-j] * s
+    assert len(word) == starts[-1] + L_j + spacers[-1] == table.L(j + 1)
 
 
 @st.composite
