@@ -12,8 +12,6 @@ from .construction import (
     ClassLabel,
     ConstructionParams,
     StageParams,
-    Window,
-    WindowSet,
     bounded_profile,
     chacon,
     class4,
@@ -21,7 +19,6 @@ from .construction import (
     column_offsets,
     cyclic_factor_preset,
     eigenvalue_order,
-    find_windows,
     flat3,
     flatness,
     heights,
@@ -51,8 +48,6 @@ from .limits import (
     fit_for_shift,
     fit_limit_polynomial,
     flatness_consequence,
-    full_window,
-    h_sequence,
     is_pq_similar,
     match_identity_mix,
     weak_limit,

@@ -243,10 +243,10 @@ def parse_config_dict(obj) -> RunConfig:
 # --------------------------------------------------------------- helpers
 
 def _write_csv(path: Path, header: tuple[str, ...], rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + CSV_NEWLINE)
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + CSV_NEWLINE)
+    """Write the header and rows. Every row is drawn before the file is
+    opened, so a run that fails while drawing them leaves no file."""
+    lines = (",".join(str(x) for x in row) + CSV_NEWLINE for row in (header, *rows))
+    path.write_text("".join(lines), newline="")
 
 
 def _depth_for(cfg: RunConfig, j: int = 1, n: int = 0, levels: int | None = None) -> int:
@@ -336,12 +336,11 @@ def _cmd_correlate(cfg, out, report):
 
 def _cmd_weak_limit(cfg, out, report):
     p = cfg.params
-    d, m, tau = p["d"], p["m"], p["tau"]
-    res = limits.weak_limit(cfg.construction, d, m, limits.full_window(p["horizon"]),
-                            p["max_shift"], p["Z"])
+    d, tau = p["d"], p["tau"]
+    res = limits.weak_limit(cfg.construction, d, p["horizon"], p["max_shift"], p["Z"])
     _write_csv(out / "weak_limit.csv", ("z", "a_z"),
                res.polynomial.to_csv_rows())
-    report.append(f"weak limit of T^({d}*H_(j+{m})): {res.polynomial}")
+    report.append(f"weak limit of T^({d}*H_j): {res.polynomial}")
     report.append(f"  fitted stages {list(res.stages)}, shifts {list(res.shifts)}, "
                   f"ref stage {res.ref_stage}")
     report.append(f"  stability gap {res.stability_gap:.4g}, "
@@ -372,8 +371,7 @@ def _cmd_disjointness(cfg, out, report):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     verdict = limits.disjointness_certificate(
-        cfg.construction, p["p"], p["q"], limits.full_window(p["horizon"]),
-        p["max_shift"], tols, p["Z"],
+        cfg.construction, p["p"], p["q"], p["horizon"], p["max_shift"], tols, p["Z"],
     )
     _write_csv(out / "limit_q.csv", ("z", "a_z"),
                verdict.q_result.polynomial.to_csv_rows())
@@ -384,17 +382,13 @@ def _cmd_disjointness(cfg, out, report):
 
 def _cmd_cascade(cfg, out, report):
     p = cfg.params
-    prime, tau = p["p"], p["tau"]
-    windows = limits.full_window(p["horizon"])
-    supports = []
-    for m in range(1, p["levels"] + 1):
-        res = limits.weak_limit(cfg.construction, 1, m, windows, p["max_shift"], p["Z"])
-        supports.append(res.polynomial.support(tau))
-        report.append(f"P(1,{m}) fit: {res.polynomial} support {sorted(supports[-1])}")
-    cascade = limits.divisibility_cascade(supports, prime)
-    consequence = limits.flatness_consequence(
-        cfg.construction, windows, prime, cascade
-    )
+    prime, horizon = p["p"], p["horizon"]
+    res = limits.weak_limit(cfg.construction, 1, horizon, p["max_shift"], p["Z"])
+    support = res.polynomial.support(p["tau"])
+    report.append(f"fit of T^(H_j) at stages {list(res.stages)}: {res.polynomial} "
+                  f"support {sorted(support)}")
+    cascade = limits.divisibility_cascade(support, prime, p["levels"])
+    consequence = limits.flatness_consequence(cfg.construction, horizon, prime, cascade)
     _write_csv(
         out / "cascade.csv",
         ("m", "modulus", "holds", "params_divide", "max_abs_spacer_diff"),
@@ -489,8 +483,7 @@ COMMANDS = {
                                     Param("max_rows", _int, 10_000, 1))),
     "correlate": Command(_cmd_correlate, (Param("j", _int, 2, 1), Param("n", _int),
                                           _K_FROM_J)),
-    "weak-limit": Command(_cmd_weak_limit, (Param("d", _int, 1, 1),
-                                            Param("m", _int, 0, 0), _Z, _TAU,
+    "weak-limit": Command(_cmd_weak_limit, (Param("d", _int, 1, 1), _Z, _TAU,
                                             *_POLICY)),
     "similarity": Command(_cmd_similarity, (Param("Q", _poly), Param("P", _poly),
                                             *_PQ, Param("tol", _float, _FT.coeff_tol),
@@ -594,7 +587,8 @@ def main(argv=None) -> int:
                        help="override the config's output directory")
 
     for name, command in COMMANDS.items():
-        sp = sub.add_parser(name)
+        # no prefix matching: a removed flag such as --m must not pass as --max-shift
+        sp = sub.add_parser(name, allow_abbrev=False)
         _add_construction_flags(sp)
         for s in command.params:
             sp.add_argument(_flag(s), help=_flag_help(s), **_FLAG_ARGS[s.kind])

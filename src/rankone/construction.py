@@ -245,7 +245,7 @@ def first_stage_reaching(params: ConstructionParams, n: int, start: int = 1) -> 
     return max(start, bisect_left(_grow(params, start, n), n) + 1)
 
 
-# ---------------------------------------------------- bounded / windows
+# -------------------------------------------------------------- bounded
 
 @dataclass(frozen=True)
 class BoundedProfile:
@@ -268,82 +268,6 @@ def bounded_profile(params, J, bound=None) -> BoundedProfile:
     return BoundedProfile(r_sup, s_sup, ok)
 
 
-@dataclass(frozen=True)
-class Window:
-    """Inclusive stage interval [start, end]."""
-
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not 1 <= self.start <= self.end:
-            raise ValueError(f"bad window [{self.start},{self.end}]")
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
-
-    def __contains__(self, j) -> bool:
-        return self.start <= j <= self.end
-
-
-@dataclass(frozen=True)
-class WindowSet:
-    windows: tuple[Window, ...]
-
-    def __post_init__(self):
-        prev_end = 0
-        for w in self.windows:
-            if w.start <= prev_end:
-                raise ValueError("windows must be increasing and disjoint")
-            prev_end = w.end
-
-    def __len__(self):
-        return len(self.windows)
-
-    def __iter__(self):
-        return iter(self.windows)
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(w.length for w in self.windows)
-
-    def lengths_non_decreasing(self) -> bool:
-        """Finite-horizon hint for the "arbitrarily long intervals"
-        condition; never a proof."""
-        ls = self.lengths
-        return all(a <= b for a, b in zip(ls, ls[1:]))
-
-    def offset_stages(self, m: int) -> tuple[int, ...]:
-        """All stages j + m such that [j, j+m] lies inside one window,
-        in increasing order. These index the power sequences at offset m."""
-        if m < 0:
-            raise ValueError("offset must be >= 0")
-        out = []
-        for w in self.windows:
-            out.extend(range(w.start + m, w.end + 1))
-        return tuple(out)
-
-
-def find_windows(params, J, B) -> WindowSet:
-    """Maximal runs of stages j <= J with r_j <= B and max_i s_j(i) <= B."""
-    if J < 1 or B < 1:
-        raise ValueError("J and B must be >= 1")
-    windows = []
-    run_start = None
-    for j in range(1, J + 1):
-        st = params.stage(j)
-        ok = st.r <= B and max(st.s) <= B
-        if ok and run_start is None:
-            run_start = j
-        elif not ok and run_start is not None:
-            windows.append(Window(run_start, j - 1))
-            run_start = None
-    if run_start is not None:
-        windows.append(Window(run_start, J))
-    return WindowSet(tuple(windows))
-
-
 # ------------------------------------------------------------- flatness
 
 @dataclass(frozen=True)
@@ -353,15 +277,15 @@ class FlatnessReport:
     s_value: int | None
 
 
-def flatness(params, window) -> FlatnessReport:
-    """Spacer flatness over a stage window.
+def flatness(params, window: tuple[int, int]) -> FlatnessReport:
+    """Spacer flatness over the stage window (lo, hi), inclusive.
 
     flat_first: every stage has s_j(1) = ... = s_j(r_j - 1);
     flat_strict: equality extends through the last column;
     s_value: the common first-block value when it is also constant
     across the window.
     """
-    lo, hi = (window.start, window.end) if isinstance(window, Window) else window
+    lo, hi = window
     if lo < 1 or hi < lo:
         raise ValueError(f"bad window [{lo},{hi}]")
     flat_first = True
@@ -391,7 +315,8 @@ def column_offsets(params, j: int) -> tuple[int, ...]:
     return tuple(accumulate(return_times(params, j)[:-1]))
 
 
-def _tail_start(horizon: int) -> int:
+def tail_start(horizon: int) -> int:
+    """First stage of the tail window [max(1, floor(H/2)), H]."""
     return max(1, horizon // 2)
 
 
@@ -400,7 +325,7 @@ def is_odometer_like(params, horizon: int) -> bool:
     parameter-level odometer criterion (rational discrete spectrum)."""
     return all(
         st.is_constant()
-        for st in params.stage_range(_tail_start(horizon), horizon)
+        for st in params.stage_range(tail_start(horizon), horizon)
     )
 
 
@@ -481,7 +406,7 @@ def classify(params, horizon: int, bound: int | None = None) -> ClassLabel:
         )
     if is_odometer_like(params, horizon):
         return ClassLabel(ClassKind.ODOMETER)
-    tail = (_tail_start(horizon), horizon)
+    tail = (tail_start(horizon), horizon)
     d = eigenvalue_order(params, tail[0], horizon).d
     if d >= 2:
         return ClassLabel(ClassKind.NON_FLAT_COMPACT_FACTOR, d)

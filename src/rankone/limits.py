@@ -1,6 +1,6 @@
 """Weak limits of powers and what they certify.
 
-Along the return-power sequences n_k = d*H_{j_k+m}, with
+Along the return-power sequences n_k = d*H_{j_k}, with
 
     H_j = -(L_j + min(s_j(1..r_j-1))),
 
@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from math import gcd, inf
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .construction import (
-    ConstructionParams, Window, WindowSet, first_stage_reaching, heights,
+    ConstructionParams, first_stage_reaching, heights, tail_start,
 )
 from .tower import CorrelationMatrix, correlation_depths
 
@@ -49,7 +49,7 @@ MIN_LEVELS = 10_000
 SHIFT_FACTOR = 200
 FIT_COUNT = 3
 #: defaults of the two depth params a fit takes: the largest admissible
-#: |shift|, and the horizon of the default stage window
+#: |shift|, and the last stage of the walk
 DEFAULT_MAX_SHIFT = 2_000
 DEFAULT_HORIZON = 60
 
@@ -229,45 +229,20 @@ def fit_for_shift(
 
 # ------------------------------------------------------------- sequences
 
-def full_window(horizon: int) -> WindowSet:
-    return WindowSet((Window(1, horizon),))
-
-
 def _return_height(params: ConstructionParams, j: int) -> int:
     """H_j = -(L_j + s_j^min)."""
     return -(heights(params, j).L(j) + params.stage(j).s_min_first)
 
 
-def h_sequence(
-    params: ConstructionParams, d: int, m: int, windows: WindowSet,
-    count: int | None = None,
-) -> list[int]:
-    """Shift sequence n_k = d*H_{j_k+m}, H_j = -(L_j + s_j^min), over
-    the admissible window stages (s_j^min ranges over the first r_j - 1
-    columns)."""
-    if d < 1 or m < 0:
-        raise ValueError("need d >= 1 and m >= 0")
-    stages = windows.offset_stages(m)
-    if not stages:
-        raise ValueError(f"offset m={m} exceeds every window")
-    if count is not None:
-        stages = stages[:count]
-    return [d * _return_height(params, j) for j in stages]
-
-
 def _select_stages(
-    params: ConstructionParams, windows: WindowSet, m: int,
-    multiplier: int, max_shift: int,
+    params: ConstructionParams, horizon: int, multiplier: int, max_shift: int,
 ) -> list[tuple[int, int]]:
-    """(j, H_j) of the last FIT_COUNT window stages at offset m with
+    """(j, H_j) of the last FIT_COUNT stages j in 1..horizon with
     multiplier*|H_j| <= max_shift. |H_j| strictly increases with j
     (L_{j+1} >= 2L_j + s_j(1)), so the walk stops at the first stage
     beyond max_shift."""
-    stages = windows.offset_stages(m)
-    if not stages:
-        raise ValueError(f"offset m={m} exceeds every window")
     usable = []
-    for j in stages:
+    for j in range(1, horizon + 1):
         h = _return_height(params, j)
         if -multiplier * h > max_shift:
             break
@@ -328,18 +303,18 @@ def _fit_series(
 
 
 def weak_limit(
-    params: ConstructionParams, d: int, m: int,
-    windows: WindowSet = full_window(DEFAULT_HORIZON),
+    params: ConstructionParams, d: int,
+    horizon: int = DEFAULT_HORIZON,
     max_shift: int = DEFAULT_MAX_SHIFT,
     Z: int = 8,
 ) -> WeakLimitResult:
-    """Fit the weak limit of T^{d*H_{j_k+m}} along successive k.
+    """Fit the weak limit of T^{d*H_j} along successive stages j.
 
-    Fits the last FIT_COUNT admissible stages (|d*H| <= max_shift),
-    reports the maximal coefficient gap between consecutive fits, and
-    returns the deepest fit as the limit estimate.
+    Fits the last FIT_COUNT admissible stages (j <= horizon,
+    |d*H_j| <= max_shift), reports the maximal coefficient gap between
+    consecutive fits, and returns the deepest fit as the limit estimate.
     """
-    stages, hs = zip(*_select_stages(params, windows, m, d, max_shift))
+    stages, hs = zip(*_select_stages(params, horizon, d, max_shift))
     return _fit_series(params, stages, [[d * h for h in hs]], Z)[0]
 
 
@@ -444,7 +419,7 @@ def check_pair(p: int, q: int):
 
 def disjointness_certificate(
     params: ConstructionParams, p: int, q: int,
-    windows: WindowSet = full_window(DEFAULT_HORIZON),
+    horizon: int = DEFAULT_HORIZON,
     max_shift: int = DEFAULT_MAX_SHIFT,
     tolerances: FitTolerances = DEFAULT_TOLERANCES,
     Z: int = 8,
@@ -454,7 +429,7 @@ def disjointness_certificate(
     that T^q and T^p are disjoint."""
     check_pair(p, q)
 
-    stages, base = zip(*_select_stages(params, windows, 0, max(p, q), max_shift))
+    stages, base = zip(*_select_stages(params, horizon, max(p, q), max_shift))
     q_result, p_result = _fit_series(
         params, stages, [[q * n for n in base], [p * n for n in base]], Z
     )
@@ -526,34 +501,28 @@ def match_identity_mix(
 
 @dataclass(frozen=True)
 class CascadeResult:
-    """Divisibility chain supp(P_{1,m0+k}) within p^k * Z, k = 1..len."""
+    """Divisibility of one support by p^k, k = 1..len(holds)."""
 
     p: int
     holds: tuple[bool, ...]
 
     @property
     def max_level(self) -> int:
-        m = 0
-        for ok in self.holds:
-            if not ok:
-                break
-            m += 1
-        return m
+        """The largest k with the support within p^k * Z (0 if none);
+        divisibility by p^k implies it by every lower power."""
+        return sum(self.holds)
 
 
-def divisibility_cascade(supports: Sequence[Iterable[int]], p: int) -> CascadeResult:
-    """Check the support-divisibility cascade: the k-th supplied
-    support (k = 1-based) must lie in p^k * Z. The chain breaks at the
-    first failure."""
+def divisibility_cascade(support: Iterable[int], p: int, levels: int) -> CascadeResult:
+    """Check the support-divisibility cascade: whether every shift of
+    ``support`` lies in p^k * Z, for k = 1..levels."""
     if p < 2:
         raise ValueError("p must be >= 2")
-    if not supports:
-        raise ValueError("need at least one support set")
-    holds = []
-    for k, zs in enumerate(supports, start=1):
-        modulus = p**k
-        holds.append(all(z % modulus == 0 for z in zs))
-    return CascadeResult(p=p, holds=tuple(holds))
+    if levels < 1:
+        raise ValueError("need at least one level")
+    zs = tuple(support)
+    holds = tuple(all(z % p**k == 0 for z in zs) for k in range(1, levels + 1))
+    return CascadeResult(p=p, holds=holds)
 
 
 @dataclass(frozen=True)
@@ -578,50 +547,37 @@ class FlatnessConsequence:
 
 
 def flatness_consequence(
-    params: ConstructionParams, windows: WindowSet, p: int,
-    cascade: CascadeResult,
+    params: ConstructionParams, horizon: int, p: int, cascade: CascadeResult,
 ) -> FlatnessConsequence:
     """For each cascade level m, verify that p^m divides every spacer
-    difference s_j(i) - s_j(i') over the first r-1 columns, for j in
-    the later half of the windows' offset stages at m, once those past
-    an explicit construction's last stage are dropped; also reports the
-    level at which bounded parameters force flat behavior (p^m > spacer
-    bound).
+    difference s_j(i) - s_j(i') over the first r-1 columns, for j in the
+    tail window [max(1, floor(top/2)), top], where top is the horizon or
+    an explicit construction's last stage, whichever is smaller; also
+    reports the level at which bounded parameters force flat behavior
+    (p^m > spacer bound).
     """
     if p != cascade.p:
         raise ValueError("cascade was computed for a different p")
+    top = min(horizon, len(params.stages)) if params.kind == "explicit" else horizon
+    diffs = set()
+    s_sup = 0
+    for st in params.stage_range(tail_start(top), top):
+        s_sup = max(s_sup, max(st.s))
+        head = st.s[: st.r - 1]
+        diffs.update(abs(a - b) for ii, a in enumerate(head) for b in head[ii + 1 :])
+    max_diff = max(diffs, default=0)
     rows = []
     consistent = True
-    all_flat = True
-    s_sup = 0
-    last = len(params.stages) if params.kind == "explicit" else inf  # last listed stage
-    for m in range(1, len(cascade.holds) + 1):
-        stages = [j for j in windows.offset_stages(m) if j <= last]
-        tail = stages[len(stages) // 2 :]
-        diffs = set()
-        for j in tail:
-            st = params.stage(j)
-            s_sup = max(s_sup, max(st.s))
-            head = st.s[: st.r - 1]
-            diffs.update(
-                abs(a - b) for ii, a in enumerate(head) for b in head[ii + 1 :]
-            )
-        max_diff = max(diffs, default=0)
-        if max_diff > 0:
-            all_flat = False
+    for m, holds in enumerate(cascade.holds, start=1):
         divides = all(dd % p**m == 0 for dd in diffs)
-        if cascade.holds[m - 1] and m <= cascade.max_level and not divides:
-            consistent = False
-        rows.append(
-            FlatnessRow(
-                m=m, cascade_holds=cascade.holds[m - 1],
-                params_divide=divides, max_abs_diff=max_diff,
-            )
-        )
+        consistent &= divides or not holds
+        rows.append(FlatnessRow(
+            m=m, cascade_holds=holds, params_divide=divides, max_abs_diff=max_diff,
+        ))
     forced = 1
     while p**forced <= s_sup:
         forced += 1
     return FlatnessConsequence(
-        p=p, rows=tuple(rows), consistent=consistent, all_flat=all_flat,
+        p=p, rows=tuple(rows), consistent=consistent, all_flat=max_diff == 0,
         s_sup=s_sup, forced_flat_level=forced,
     )

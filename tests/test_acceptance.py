@@ -127,7 +127,7 @@ def test_c05_fit_constraints():
 
 
 def test_c06_odometer_limit():
-    res = limits.weak_limit(cons.odometer(2), 1, 0)
+    res = limits.weak_limit(cons.odometer(2), 1)
     FITTED.extend(res.fits)
     assert res.polynomial.a(0) >= 0.9
     assert res.stability_gap <= 0.02
@@ -136,7 +136,7 @@ def test_c06_odometer_limit():
 
 
 def test_c07_chacon_identity_component():
-    res = limits.weak_limit(cons.chacon(), 1, 0)
+    res = limits.weak_limit(cons.chacon(), 1)
     FITTED.extend(res.fits)
     assert res.polynomial.a(0) >= 0.25
     assert res.polynomial.fit_residual <= 0.05
@@ -192,35 +192,29 @@ def test_c09_disjointness_certificates():
 
 
 def test_c10_cascade_consistency():
-    windows = limits.full_window(40)
+    horizon = 40
     tau = limits.DEFAULT_TOLERANCES.support_tau
 
-    flat_supports = []
-    for m in (1, 2):
-        res = limits.weak_limit(cons.flat3(), 1, m, windows)
-        flat_supports.append(res.polynomial.support(tau))
-    flat_cascade = limits.divisibility_cascade(flat_supports, 2)
-    flat_rep = limits.flatness_consequence(cons.flat3(), windows, 2, flat_cascade)
+    flat_support = limits.weak_limit(cons.flat3(), 1, horizon).polynomial.support(tau)
+    flat_cascade = limits.divisibility_cascade(flat_support, 2, 2)
+    flat_rep = limits.flatness_consequence(cons.flat3(), horizon, 2, flat_cascade)
     assert flat_rep.consistent and flat_rep.all_flat
 
-    ch_supports = []
-    for m in (1, 2):
-        res = limits.weak_limit(cons.chacon(), 1, m, windows)
-        ch_supports.append(res.polynomial.support(tau))
-    ch_cascade = limits.divisibility_cascade(ch_supports, 2)
+    ch_support = limits.weak_limit(cons.chacon(), 1, horizon).polynomial.support(tau)
+    ch_cascade = limits.divisibility_cascade(ch_support, 2, 2)
     assert ch_cascade.max_level == 0  # halts before m=1
-    ch_rep = limits.flatness_consequence(cons.chacon(), windows, 2, ch_cascade)
+    ch_rep = limits.flatness_consequence(cons.chacon(), horizon, 2, ch_cascade)
     assert ch_rep.consistent
     assert ch_rep.rows[0].max_abs_diff == 1
 
     diff4 = cons.ConstructionParams.periodic(
         0, [cons.StageParams(3, (0, 4, 0))], name="diff4"
     )
-    cascade = limits.divisibility_cascade([{0, 2}, {0, 4}], 2)
-    rep = limits.flatness_consequence(diff4, windows, 2, cascade)
+    cascade = limits.divisibility_cascade({0, 4}, 2, 2)
+    rep = limits.flatness_consequence(diff4, horizon, 2, cascade)
     assert cascade.max_level == 2 and rep.consistent
-    over = limits.divisibility_cascade([{0, 2}, {0, 4}, {0, 8}], 2)
-    assert not limits.flatness_consequence(diff4, windows, 2, over).consistent
+    over = limits.divisibility_cascade({0, 8}, 2, 3)
+    assert not limits.flatness_consequence(diff4, horizon, 2, over).consistent
     ok(10, "cascade/parameter consistency on flat3, chacon (halts at m=0) "
            "and the difference-4 construction (holds through m=2)")
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rankone import _kernels, cli
+from rankone import _kernels, cli, limits
 from rankone.errors import ConfigError
 
 
@@ -143,6 +143,7 @@ def test_weak_limit_run(tmp_path):
     assert lines[0] == "z,a_z"
     assert lines[-1].startswith("residual,")
     assert lines[-2].startswith("theta,")
+    assert "weak limit of T^(1*H_j): " in out
     gap = re.search(r"residual \S+, optimality gap (\S+)$", out, re.M)
     assert gap and float(gap.group(1)) <= 1e-12
 
@@ -213,6 +214,19 @@ def test_factor_lists_only_the_checked_stages(tmp_path):
     assert {row.split(",")[0] for row in rows} == {"10", "11"}
 
 
+@pytest.mark.parametrize("K,requested", [(12, 13), (13, 13)])
+def test_factor_failure_leaves_no_csv(tmp_path, K, requested):
+    # the rows of stages K..K+1 need stage 13, which a 12-stage list lacks
+    code, out, outdir = run_config(tmp_path, make_config(
+        construction=EXPLICIT_CHACON12, command="factor",
+        params={"horizon": 12, "K": K}))
+    assert code == 3
+    assert out.splitlines()[-1] == (
+        f"error[StageUnavailable]: explicit construction has 12 stages, "
+        f"stage {requested} requested")
+    assert not (outdir / "factor.csv").exists()
+
+
 @pytest.mark.parametrize("d,M", [(2, 1), (7, 1), (6, 1), (4, 2)])
 def test_telescope_with_d_beyond_N(tmp_path, d, M):
     construction = {"h1": d - 1, "stages": {"kind": "periodic",
@@ -258,6 +272,7 @@ def test_computation_error_exit_code(tmp_path):
 
 
 EXPLICIT_ODOMETER6 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 2, "s": [0, 0]}] * 6}}
+EXPLICIT_CHACON12 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3, "s": [0, 1, 0]}] * 12}}
 EXPLICIT_CHACON16 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3, "s": [0, 1, 0]}] * 16}}
 
 
@@ -284,11 +299,9 @@ def test_disjointness_reports_the_first_fit_that_fails(tmp_path, construction, p
 
 
 def test_cascade_reads_only_the_stages_an_explicit_construction_lists(tmp_path):
-    # the tail half of each horizon-60 offset window starts at stage 31
-    explicit_chacon12 = {"h1": 0, "stages": {"kind": "explicit",
-                                             "stages": [{"r": 3, "s": [0, 1, 0]}] * 12}}
+    # the horizon-60 tail window starts at stage 30
     code, out, outdir = run_config(tmp_path, make_config(
-        construction=explicit_chacon12, command="cascade",
+        construction=EXPLICIT_CHACON12, command="cascade",
         params={"p": 3, "levels": 2, "max_shift": 400},
     ))
     assert code == 0, out
@@ -297,6 +310,28 @@ def test_cascade_reads_only_the_stages_an_explicit_construction_lists(tmp_path):
         "m,modulus,holds,params_divide,max_abs_spacer_diff",
         "1,3,False,False,1",
         "2,9,False,False,1",
+    ]
+
+
+def test_cascade_runs_one_fit(tmp_path, monkeypatch):
+    fits = []
+    weak_limit = limits.weak_limit
+
+    def spy(*args, **kwargs):
+        fits.append(args[1:])
+        return weak_limit(*args, **kwargs)
+
+    monkeypatch.setattr(limits, "weak_limit", spy)
+    code, out, outdir = run_config(tmp_path, make_config(
+        command="cascade", params={"p": 3, "levels": 6}))
+    assert code == 0, out
+    assert fits == [(1, 60, 2000, 8)]
+    assert "fit of T^(H_j) at stages [5, 6, 7]: " in out
+    assert out.splitlines()[-2] == "cascade holds through M=0 (p=3)"
+    # chacon's limit (I + T)/2 has support {0, 1}; its head spacers differ by 1
+    assert (outdir / "cascade.csv").read_text().splitlines() == [
+        "m,modulus,holds,params_divide,max_abs_spacer_diff",
+        *(f"{m},{3**m},False,False,1" for m in range(1, 7)),
     ]
 
 
@@ -478,6 +513,8 @@ def test_flags_and_json_give_the_same_params(tmp_path, monkeypatch, command, spe
 
 REMOVED_DEPTH_CASES = [(c, key) for c in ("weak-limit", "disjointness", "cascade")
                        for key in ("min_levels", "shift_factor", "fit_count", "ref_stage")]
+# the stage offset m; as a flag, --m would otherwise pass as a prefix of --max-shift
+REMOVED_DEPTH_CASES.append(("weak-limit", "m"))
 
 
 @pytest.mark.parametrize("command,key", REMOVED_DEPTH_CASES,

@@ -180,7 +180,7 @@ def test_first_stage_reaching_is_the_linear_walk(params, queries):
         assert same(got, outcome(lambda: naive_first_stage(params, n, start)))
 
 
-# ------------------------------------------------- bounded/windows/flat
+# --------------------------------------------------------- bounded/flat
 
 def test_bounded_profile_examples():
     assert cons.bounded_profile(cons.chacon(), 10).r_sup == 3
@@ -190,31 +190,6 @@ def test_bounded_profile_examples():
     rnd = cons.ConstructionParams.random_bounded(0, 5, 4, seed=3)
     prof = cons.bounded_profile(rnd, 50, bound=5)
     assert prof.r_sup <= 5 and prof.s_sup <= 4 and prof.is_bounded_on_horizon
-
-
-def test_find_windows():
-    always = cons.find_windows(cons.chacon(), 12, 3)
-    assert [(w.start, w.end) for w in always] == [(1, 12)]
-
-    blocked = cons.ConstructionParams.explicit(
-        0,
-        [cons.StageParams(2, (0, 0))] * 4
-        + [cons.StageParams(4, (0, 0, 0, 0))]
-        + [cons.StageParams(2, (0, 0))] * 4,
-    )
-    ws = cons.find_windows(blocked, 9, 3)
-    assert [(w.start, w.end) for w in ws] == [(1, 4), (6, 9)]
-    assert ws.lengths_non_decreasing()
-
-    none = cons.find_windows(cons.odometer(4), 6, 3)
-    assert len(none) == 0
-
-
-def test_window_offset_stages():
-    ws = cons.WindowSet((cons.Window(1, 4), cons.Window(6, 7)))
-    assert ws.offset_stages(0) == (1, 2, 3, 4, 6, 7)
-    assert ws.offset_stages(2) == (3, 4)
-    assert ws.offset_stages(5) == ()
 
 
 def test_flatness_examples():

@@ -185,28 +185,31 @@ def test_fit_terminates_on_a_singular_gram():
 # ------------------------------------------------------------- sequences
 
 def test_h_sequence_examples():
-    w = limits.full_window(12)
-    od = limits.h_sequence(cons.odometer(2), 1, 0, w, count=5)
-    assert od == [-(2 ** (k - 1)) for k in range(1, 6)]
-    ch1 = limits.h_sequence(cons.chacon(), 1, 0, w, count=4)
-    table = cons.heights(cons.chacon(), 4)
-    assert ch1 == [-table.L(j) for j in range(1, 5)]
-    ch2 = limits.h_sequence(cons.chacon(), 2, 0, w, count=4)
-    assert ch2 == [2 * n for n in ch1]
+    # H_j = -2^(j-1) on the odometer and -L_j on chacon (s_min = 0); the
+    # walk keeps the last three stages through the horizon
+    huge = 10**9
+    for horizon in range(2, 6):
+        last = range(max(1, horizon - 2), horizon + 1)
+        od = limits._select_stages(cons.odometer(2), horizon, 1, huge)
+        assert od == [(j, -(2 ** (j - 1))) for j in last]
+    table = cons.heights(cons.chacon(), 5)
+    for horizon in range(2, 5):
+        last = range(max(1, horizon - 2), horizon + 1)
+        ch = limits._select_stages(cons.chacon(), horizon, 1, huge)
+        assert ch == [(j, -table.L(j)) for j in last]
+    # the multiplier scales |H_j| before the max_shift test: 2*121 <= 242 < 2*364
+    assert limits._select_stages(cons.chacon(), 12, 2, 242) == [
+        (j, -table.L(j)) for j in (3, 4, 5)]
+    assert limits._select_stages(cons.chacon(), 12, 2, 241) == [
+        (j, -table.L(j)) for j in (2, 3, 4)]
 
 
-def test_h_sequence_offset_errors():
-    w = cons.WindowSet((cons.Window(1, 3),))
-    with pytest.raises(ValueError):
-        limits.h_sequence(cons.chacon(), 1, 5, w)
-
-
-def filtered_stages(params, windows, m, multiplier, max_shift):
-    """H_j of every window stage at offset m, kept where
+def filtered_stages(params, horizon, multiplier, max_shift):
+    """H_j of every stage j <= horizon, kept where
     multiplier*|H_j| <= max_shift; the last three of at least two."""
-    stages = windows.offset_stages(m)
-    table = cons.heights(params, max(stages))
-    usable = [(j, -(table.L(j) + params.stage(j).s_min_first)) for j in stages]
+    table = cons.heights(params, horizon)
+    usable = [(j, -(table.L(j) + params.stage(j).s_min_first))
+              for j in range(1, horizon + 1)]
     usable = [(j, h) for j, h in usable if -multiplier * h <= max_shift]
     return usable[-3:] if len(usable) >= 2 else None
 
@@ -226,17 +229,9 @@ def stage_selections(draw):
         st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
                   st.integers(2, 4), st.integers(0, 4), st.integers(0, 10**6)),
     ))
-    cuts = sorted(draw(st.sets(st.integers(1, min(horizon, 10)), min_size=1, max_size=6)))
-    windows = cons.WindowSet(tuple(
-        cons.Window(a, b) for a, b in zip(cuts[::2], cuts[1::2] + [horizon])
-        if a <= b
-    ) or (cons.Window(1, horizon),))
-    m = draw(st.integers(0, 3))
-    if not windows.offset_stages(m):
-        m = 0
     multiplier = draw(st.integers(1, 6))
     max_shift = draw(st.integers(4, 23).flatmap(lambda e: st.integers(2**e, 2**(e + 1))))
-    return params, windows, m, multiplier, max_shift
+    return params, horizon, multiplier, max_shift
 
 
 @settings(max_examples=100, deadline=None)
@@ -251,13 +246,14 @@ def test_stage_walk_matches_the_filter(selection):
 
 
 def test_weak_limit_odometer():
-    res = limits.weak_limit(cons.odometer(2), 1, 0)
+    res = limits.weak_limit(cons.odometer(2), 1)
     assert res.polynomial.a(0) >= 0.9
     assert res.stability_gap <= 0.02
 
 
 def test_weak_limit_chacon_identity_component():
-    res = limits.weak_limit(cons.chacon(), 1, 0)
+    res = limits.weak_limit(cons.chacon(), 1)
+    assert res.stages == (5, 6, 7) and res.shifts == (-121, -364, -1093)
     assert res.polynomial.a(0) >= 0.25
     assert res.polynomial.fit_residual <= 0.05
     assert res.stability_gap <= 0.02
@@ -400,31 +396,30 @@ def test_similarity_reasons():
 
 
 def test_divisibility_cascade_examples():
-    res = limits.divisibility_cascade([{0, 2, 4}, {0, 4}], 2)
+    res = limits.divisibility_cascade({0, 4, -8}, 2, 3)
+    assert res.max_level == 2 and res.holds == (True, True, False)
+    res = limits.divisibility_cascade([0, 3], 2, 2)
+    assert res.max_level == 0 and res.holds == (False, False)
+    res = limits.divisibility_cascade(iter([0, 9]), 3, 2)  # read once
     assert res.max_level == 2 and res.holds == (True, True)
-    res = limits.divisibility_cascade([{0, 3}], 2)
-    assert res.max_level == 0
-    res = limits.divisibility_cascade([{0, 2}, {0, 2}], 2)
-    assert res.max_level == 1 and res.holds == (True, False)
+    assert limits.divisibility_cascade(set(), 5, 2).holds == (True, True)
     with pytest.raises(ValueError):
-        limits.divisibility_cascade([], 2)
+        limits.divisibility_cascade({0}, 2, 0)
     with pytest.raises(ValueError):
-        limits.divisibility_cascade([{0}], 1)
+        limits.divisibility_cascade({0}, 1, 1)
 
 
 def test_flatness_consequence_flat3():
-    w = limits.full_window(24)
-    cascade = limits.divisibility_cascade([frozenset({0})] * 3, 2)
-    rep = limits.flatness_consequence(cons.flat3(), w, 2, cascade)
+    cascade = limits.divisibility_cascade({0}, 2, 3)
+    rep = limits.flatness_consequence(cons.flat3(), 24, 2, cascade)
     assert rep.consistent and rep.all_flat
     assert all(row.params_divide for row in rep.rows)
 
 
 def test_flatness_consequence_chacon_halts():
-    w = limits.full_window(24)
-    cascade = limits.divisibility_cascade([{0, 1}], 2)
+    cascade = limits.divisibility_cascade({0, 1}, 2, 1)
     assert cascade.max_level == 0
-    rep = limits.flatness_consequence(cons.chacon(), w, 2, cascade)
+    rep = limits.flatness_consequence(cons.chacon(), 24, 2, cascade)
     assert rep.consistent  # nothing certified, nothing contradicted
     assert rep.rows[0].max_abs_diff == 1
     assert not rep.rows[0].params_divide
@@ -434,15 +429,31 @@ def test_flatness_consequence_difference_four():
     diff4 = cons.ConstructionParams.periodic(
         0, [cons.StageParams(3, (0, 4, 0))], name="diff4"
     )
-    w = limits.full_window(24)
-    ok = limits.divisibility_cascade([{0, 2}, {0, 4}], 2)
-    rep = limits.flatness_consequence(diff4, w, 2, ok)
+    ok = limits.divisibility_cascade({0, 4}, 2, 2)
+    rep = limits.flatness_consequence(diff4, 24, 2, ok)
     assert ok.max_level == 2 and rep.consistent
 
-    over = limits.divisibility_cascade([{0, 2}, {0, 4}, {0, 8}], 2)
+    over = limits.divisibility_cascade({0, 8}, 2, 3)
     assert over.max_level == 3
-    rep2 = limits.flatness_consequence(diff4, w, 2, over)
+    rep2 = limits.flatness_consequence(diff4, 24, 2, over)
     assert not rep2.consistent
+    assert [row.params_divide for row in rep2.rows] == [True, True, False]
+
+
+def test_flatness_consequence_reads_the_tail_window():
+    # spacer difference 1 at stages 1..4 and 3 from stage 5 on; the tail
+    # window of horizon 10 is stages 5..10, and an explicit list of 6
+    # stages cuts it to 3..6
+    stages = [cons.StageParams(3, (0, 1, 0))] * 4 + [cons.StageParams(3, (0, 3, 0))] * 8
+    cascade = limits.divisibility_cascade({0}, 3, 2)
+    periodic = limits.flatness_consequence(
+        cons.ConstructionParams.periodic(0, stages), 10, 3, cascade)
+    assert [row.params_divide for row in periodic.rows] == [True, False]
+    assert {row.max_abs_diff for row in periodic.rows} == {3}
+    explicit = limits.flatness_consequence(
+        cons.ConstructionParams.explicit(0, stages[:6]), 10, 3, cascade)
+    assert [row.params_divide for row in explicit.rows] == [False, False]
+    assert explicit.s_sup == 3 and not explicit.consistent
 
 
 def test_limit_polynomial_csv_rows():
