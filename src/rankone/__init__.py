@@ -37,7 +37,6 @@ from .errors import (
 )
 from .limits import (
     DisjointnessVerdict,
-    FitTolerances,
     LimitPolynomial,
     SimilarityVerdict,
     Verdict,

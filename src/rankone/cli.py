@@ -16,6 +16,9 @@ Config schema (single JSON object):
 Each command's params are declared once, in ``COMMANDS``. That table
 checks the JSON keys, kinds and minimums, fills the defaults, and gives
 every param the flag ``--name`` (``_`` spelled ``-``) of its subcommand.
+The fit commands take one depth param, ``max_shift``; the rest of their
+depth rule, window and tolerances are ``limits`` constants, printed in
+every report. ``cascade --horizon`` sets only its cross-check window.
 
 Exit codes: 0 success, 2 config error, 3 computation error.
 """
@@ -174,21 +177,9 @@ def _parse_construction(obj) -> cons.ConstructionParams:
 
 
 # Param groups shared by several commands, with the library's defaults.
-_FT = limits.DEFAULT_TOLERANCES
-#: the depth params of a fit; the rest of its depth rule is fixed in limits
+#: the one depth param of a fit; the rest of its depth rule is fixed in limits
 _MAX_SHIFT = Param("max_shift", _int, limits.DEFAULT_MAX_SHIFT, 1)
-_FIT_HORIZON = Param("horizon", _int, limits.DEFAULT_HORIZON, 2)
-_POLICY = (_MAX_SHIFT, _FIT_HORIZON)
-_TAU = Param("tau", _float, _FT.support_tau)
-#: the fields of limits.FitTolerances, in order
-_TOLERANCES = (
-    _TAU,
-    Param("coeff_tol", _float, _FT.coeff_tol),
-    Param("stability_tol", _float, _FT.stability_tol),
-    Param("residual_tol", _float, _FT.residual_tol),
-)
 _PQ = (Param("p", _int, REQUIRED, 1), Param("q", _int, REQUIRED, 1))
-_Z = Param("Z", _int, 8, 1)
 _HORIZON = Param("horizon", _int, 40, 1)  # classification horizon
 _START = Param("start", _int, 0, 0)
 _K = Param("K", _int, None, 1)
@@ -261,19 +252,17 @@ def _depth_for(cfg: RunConfig, j: int = 1, n: int = 0, levels: int | None = None
 
 
 def _conventions(specs: tuple[Param, ...], p: dict) -> str:
-    """The tolerances and depth rule of a run: the command's own
-    values, and the defaults of the ones it does not take."""
-    def value(s):
-        return p[s.name] if s in specs else s.default
-
+    """The fixed tolerances and depth rule of the fits, with the run's
+    max_shift when its command takes one."""
+    max_shift = f" max_shift={p['max_shift']}" if _MAX_SHIFT in specs else ""
     return "\n".join([
         "conventions:",
         "  level count L_j = h_j + 1; return powers H_j = -(L_j + min s_j(1..r_j-1))",
-        "  tolerances: " + " ".join(
-            f"{s.name.removesuffix('_tol')}={value(s)}" for s in _TOLERANCES),
+        f"  tolerances: tau={limits.SUPPORT_TAU} coeff={limits.COEFF_TOL} "
+        f"stability={limits.STABILITY_TOL} residual={limits.RESIDUAL_TOL}",
         f"  depth policy: min_levels={limits.MIN_LEVELS} "
-        f"shift_factor={limits.SHIFT_FACTOR} max_shift={value(_MAX_SHIFT)} "
-        f"fit_count={limits.FIT_COUNT} horizon={value(_FIT_HORIZON)}",
+        f"shift_factor={limits.SHIFT_FACTOR}{max_shift} "
+        f"fit_count={limits.FIT_COUNT} Z={limits.Z}",
     ])
 
 
@@ -335,9 +324,8 @@ def _cmd_correlate(cfg, out, report):
 
 
 def _cmd_weak_limit(cfg, out, report):
-    p = cfg.params
-    d, tau = p["d"], p["tau"]
-    res = limits.weak_limit(cfg.construction, d, p["horizon"], p["max_shift"], p["Z"])
+    d, tau = cfg.params["d"], limits.SUPPORT_TAU
+    res = limits.weak_limit(cfg.construction, d, max_shift=cfg.params["max_shift"])
     _write_csv(out / "weak_limit.csv", ("z", "a_z"),
                res.polynomial.to_csv_rows())
     report.append(f"weak limit of T^({d}*H_j): {res.polynomial}")
@@ -352,8 +340,7 @@ def _cmd_weak_limit(cfg, out, report):
 def _cmd_similarity(cfg, out, report):
     p = cfg.params
     try:
-        verdict = limits.is_pq_similar(p["Q"], p["P"], p["p"], p["q"],
-                                       tol=p["tol"], tau=p["tau"])
+        verdict = limits.is_pq_similar(p["Q"], p["P"], p["p"], p["q"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     witness = sorted((verdict.witness or {}).items())
@@ -365,13 +352,12 @@ def _cmd_similarity(cfg, out, report):
 
 def _cmd_disjointness(cfg, out, report):
     p = cfg.params
-    tols = limits.FitTolerances(*(p[s.name] for s in _TOLERANCES))
     try:
         limits.check_pair(p["p"], p["q"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     verdict = limits.disjointness_certificate(
-        cfg.construction, p["p"], p["q"], p["horizon"], p["max_shift"], tols, p["Z"],
+        cfg.construction, p["p"], p["q"], max_shift=p["max_shift"],
     )
     _write_csv(out / "limit_q.csv", ("z", "a_z"),
                verdict.q_result.polynomial.to_csv_rows())
@@ -383,8 +369,8 @@ def _cmd_disjointness(cfg, out, report):
 def _cmd_cascade(cfg, out, report):
     p = cfg.params
     prime, horizon = p["p"], p["horizon"]
-    res = limits.weak_limit(cfg.construction, 1, horizon, p["max_shift"], p["Z"])
-    support = res.polynomial.support(p["tau"])
+    res = limits.weak_limit(cfg.construction, 1, max_shift=p["max_shift"])
+    support = res.polynomial.support(limits.SUPPORT_TAU)
     report.append(f"fit of T^(H_j) at stages {list(res.stages)}: {res.polynomial} "
                   f"support {sorted(support)}")
     cascade = limits.divisibility_cascade(support, prime, p["levels"])
@@ -483,15 +469,12 @@ COMMANDS = {
                                     Param("max_rows", _int, 10_000, 1))),
     "correlate": Command(_cmd_correlate, (Param("j", _int, 2, 1), Param("n", _int),
                                           _K_FROM_J)),
-    "weak-limit": Command(_cmd_weak_limit, (Param("d", _int, 1, 1), _Z, _TAU,
-                                            *_POLICY)),
-    "similarity": Command(_cmd_similarity, (Param("Q", _poly), Param("P", _poly),
-                                            *_PQ, Param("tol", _float, _FT.coeff_tol),
-                                            _TAU)),
-    "disjointness": Command(_cmd_disjointness, (*_PQ, _Z, *_POLICY, *_TOLERANCES)),
+    "weak-limit": Command(_cmd_weak_limit, (Param("d", _int, 1, 1), _MAX_SHIFT)),
+    "similarity": Command(_cmd_similarity, (Param("Q", _poly), Param("P", _poly), *_PQ)),
+    "disjointness": Command(_cmd_disjointness, (*_PQ, _MAX_SHIFT)),
     "cascade": Command(_cmd_cascade, (Param("p", _int, REQUIRED, 2),
-                                      Param("levels", _int, 3, 1), _Z, _TAU,
-                                      *_POLICY)),
+                                      Param("levels", _int, 3, 1), _MAX_SHIFT,
+                                      Param("horizon", _int, 60, 2))),  # cross-check window
     "mobius-sum": Command(_cmd_mobius_sum, (Param("N", _int, 100_000, 1),
                                             Param("stage", _int, 1, 1), _START,
                                             Param("K", _int, None, "stage"),
@@ -536,7 +519,6 @@ def run(config: RunConfig, stream=None) -> int:
 #: argparse arguments of each kind's flag
 _FLAG_ARGS = {
     _int: {"type": int},
-    _float: {"type": float},
     _ints: {"type": int, "nargs": "+"},
     _poly: {"metavar": "JSON"},
 }

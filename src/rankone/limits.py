@@ -11,11 +11,15 @@ coefficient simplex, compares two fitted limits for p/q-similarity
 (Q = R(S^q), P = R(T^p) for a common series R), and combines the two
 into numerical disjointness evidence. Everything here is finite-depth
 estimation: verdicts are labeled evidence, never proofs.
+
+A fit's one depth param is ``max_shift``: its stages run from j = 1 until
+|d*H_j| passes it. Its window Z, thresholds and depth rule are constants.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Mapping, Sequence
@@ -28,30 +32,21 @@ from .construction import (
 from .tower import CorrelationMatrix, correlation_depths
 
 
-@dataclass(frozen=True)
-class FitTolerances:
-    """Default thresholds separating signal from truncation noise at
-    depths with L_K >= 1e4."""
-
-    support_tau: float = 0.02
-    coeff_tol: float = 0.02
-    stability_tol: float = 0.02
-    residual_tol: float = 0.05
-
-
-DEFAULT_TOLERANCES = FitTolerances()
-
-
 #: the depth rule: a shift n is counted at the first depth K with
 #: L_K >= max(MIN_LEVELS, SHIFT_FACTOR*|n|), and a weak limit is fitted
 #: along its last FIT_COUNT admissible stages
 MIN_LEVELS = 10_000
 SHIFT_FACTOR = 200
 FIT_COUNT = 3
-#: defaults of the two depth params a fit takes: the largest admissible
-#: |shift|, and the last stage of the walk
+#: the basis window |z| <= Z of every fit, and the thresholds that
+#: separate signal from truncation noise at depths with L_K >= MIN_LEVELS
+Z = 8
+SUPPORT_TAU = 0.02
+COEFF_TOL = 0.02
+STABILITY_TOL = 0.02
+RESIDUAL_TOL = 0.05
+#: default of the one depth param a fit takes, the largest admissible |shift|
 DEFAULT_MAX_SHIFT = 2_000
-DEFAULT_HORIZON = 60
 
 
 def depth(params: ConstructionParams, n: int, j: int) -> int:
@@ -165,21 +160,18 @@ def fit_limit_polynomial(
     target: CorrelationMatrix,
     basis: Mapping[int, CorrelationMatrix],
     measures: np.ndarray,
-    Z: int | None = None,
 ) -> LimitPolynomial:
     """Constrained least squares fit of the target correlation matrix.
 
     Minimizes || C_n - sum_z a_z C_z - c*M_Theta ||_F over the simplex
     {a_z, c >= 0, sum + c = 1}, where M_Theta(A,B) = nu(A)nu(B), exactly
     by a finite active-set solve; the fit carries its optimality gap.
+    The window is the largest |z| among the basis shifts.
     """
     zs = sorted(basis)
-    if Z is None:
-        Z = max(abs(z) for z in zs)
-    if any(abs(z) > Z for z in zs):
-        raise ValueError("basis contains shifts beyond the window Z")
-    if Z >= target.total:
-        raise ValueError(f"window Z={Z} infeasible for depth with L_K={target.total}")
+    window = max(abs(z) for z in zs)
+    if window >= target.total:
+        raise ValueError(f"basis window {window} infeasible for depth with L_K={target.total}")
     for z, mat in basis.items():
         if (mat.stage, mat.depth) != (target.stage, target.depth):
             raise ValueError(f"basis C_{z} built at a different stage/depth")
@@ -216,12 +208,12 @@ def _fit_shifts(
     fits = []
     for n, mats in zip(shifts, correlation_depths(params, j, requests)):
         measures = np.diag(mats[0].counts) / mats[0].total
-        fits.append(fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures, Z))
+        fits.append(fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures))
     return fits
 
 
 def fit_for_shift(
-    params: ConstructionParams, j: int, K: int, n: int, Z: int = 8
+    params: ConstructionParams, j: int, K: int, n: int, Z: int = Z
 ) -> LimitPolynomial:
     """Count target C_n and basis {C_z : |z| <= Z} at (j, K) at once; fit."""
     return _fit_shifts(params, j, [n], [K], Z)[0]
@@ -235,22 +227,25 @@ def _return_height(params: ConstructionParams, j: int) -> int:
 
 
 def _select_stages(
-    params: ConstructionParams, horizon: int, multiplier: int, max_shift: int,
+    params: ConstructionParams, multipliers: Sequence[int], max_shift: int,
 ) -> list[tuple[int, int]]:
-    """(j, H_j) of the last FIT_COUNT stages j in 1..horizon with
-    multiplier*|H_j| <= max_shift. |H_j| strictly increases with j
-    (L_{j+1} >= 2L_j + s_j(1)), so the walk stops at the first stage
-    beyond max_shift."""
+    """(j, H_j) of the last FIT_COUNT stages j with Z < |k*H_j| <= max_shift
+    for every k in ``multipliers`` (a smaller shift is a basis shift). |H_j|
+    strictly increases with j (L_{j+1} >= 2L_j + s_j(1)), so the walk stops
+    at the first stage beyond max_shift, or an explicit construction's last."""
+    low, high = min(multipliers), max(multipliers)
+    walk = (range(1, len(params.stages) + 1) if params.kind == "explicit"
+            else itertools.count(1))
     usable = []
-    for j in range(1, horizon + 1):
+    for j in walk:
         h = _return_height(params, j)
-        if -multiplier * h > max_shift:
+        if -high * h > max_shift:
             break
-        usable.append((j, h))
+        if -low * h > Z:
+            usable.append((j, h))
     if len(usable) < 2:
-        raise ValueError(
-            "fewer than two admissible stages; raise max_shift or the horizon"
-        )
+        raise ValueError(f"fewer than two admissible stages j with "
+                         f"Z={Z} < {low}*|H_j| and {high}*|H_j| <= max_shift={max_shift}")
     return usable[-FIT_COUNT:]
 
 
@@ -273,13 +268,10 @@ class WeakLimitResult:
     stability_gap: float
     ref_stage: int
 
-    def converged(self, tol: float) -> bool:
-        return self.stability_gap <= tol
-
 
 def _fit_series(
     params: ConstructionParams, stages: Sequence[int],
-    series: Sequence[Sequence[int]], Z: int,
+    series: Sequence[Sequence[int]],
 ) -> list[WeakLimitResult]:
     """Fit every series of shifts along ``stages``, each shift n at the
     depth ``depth`` gives it, the fits of all series counted by one
@@ -303,19 +295,16 @@ def _fit_series(
 
 
 def weak_limit(
-    params: ConstructionParams, d: int,
-    horizon: int = DEFAULT_HORIZON,
-    max_shift: int = DEFAULT_MAX_SHIFT,
-    Z: int = 8,
+    params: ConstructionParams, d: int, *, max_shift: int = DEFAULT_MAX_SHIFT,
 ) -> WeakLimitResult:
     """Fit the weak limit of T^{d*H_j} along successive stages j.
 
-    Fits the last FIT_COUNT admissible stages (j <= horizon,
-    |d*H_j| <= max_shift), reports the maximal coefficient gap between
-    consecutive fits, and returns the deepest fit as the limit estimate.
+    Fits the last FIT_COUNT admissible stages (Z < |d*H_j| <= max_shift),
+    reports the maximal coefficient gap between consecutive fits, and
+    returns the deepest fit as the limit estimate.
     """
-    stages, hs = zip(*_select_stages(params, horizon, d, max_shift))
-    return _fit_series(params, stages, [[d * h for h in hs]], Z)[0]
+    stages, hs = zip(*_select_stages(params, (d,), max_shift))
+    return _fit_series(params, stages, [[d * h for h in hs]])[0]
 
 
 # ------------------------------------------------------------ similarity
@@ -333,8 +322,7 @@ class SimilarityVerdict:
 
 def is_pq_similar(
     Q: LimitPolynomial, P: LimitPolynomial, p: int, q: int,
-    tol: float = DEFAULT_TOLERANCES.coeff_tol,
-    tau: float = DEFAULT_TOLERANCES.support_tau,
+    tol: float = COEFF_TOL, tau: float = SUPPORT_TAU,
 ) -> SimilarityVerdict:
     """Test whether Q(S) = R(S^q) and P(T) = R(T^p) for a common R.
 
@@ -418,41 +406,33 @@ def check_pair(p: int, q: int):
 
 
 def disjointness_certificate(
-    params: ConstructionParams, p: int, q: int,
-    horizon: int = DEFAULT_HORIZON,
-    max_shift: int = DEFAULT_MAX_SHIFT,
-    tolerances: FitTolerances = DEFAULT_TOLERANCES,
-    Z: int = 8,
+    params: ConstructionParams, p: int, q: int, *, max_shift: int = DEFAULT_MAX_SHIFT,
 ) -> DisjointnessVerdict:
     """Fit Q along T^{q*H_j} and P along T^{p*H_j} on a shared stage
     sequence and compare: non-similar converged limits are evidence
     that T^q and T^p are disjoint."""
     check_pair(p, q)
 
-    stages, base = zip(*_select_stages(params, horizon, max(p, q), max_shift))
+    stages, base = zip(*_select_stages(params, (q, p), max_shift))
     q_result, p_result = _fit_series(
-        params, stages, [[q * n for n in base], [p * n for n in base]], Z
+        params, stages, [[q * n for n in base], [p * n for n in base]]
     )
 
-    similarity = is_pq_similar(
-        q_result.polynomial, p_result.polynomial, p, q,
-        tol=tolerances.coeff_tol, tau=tolerances.support_tau,
-    )
+    similarity = is_pq_similar(q_result.polynomial, p_result.polynomial, p, q)
 
     notes = []
     stable = True
     for name, res in (("Q", q_result), ("P", p_result)):
-        if not res.converged(tolerances.stability_tol):
+        if res.stability_gap > STABILITY_TOL:
             stable = False
             notes.append(
-                f"{name} fit unstable: gap {res.stability_gap:.4g} > "
-                f"{tolerances.stability_tol:g}"
+                f"{name} fit unstable: gap {res.stability_gap:.4g} > {STABILITY_TOL:g}"
             )
-        if res.polynomial.fit_residual > tolerances.residual_tol:
+        if res.polynomial.fit_residual > RESIDUAL_TOL:
             stable = False
             notes.append(
                 f"{name} fit residual {res.polynomial.fit_residual:.4g} > "
-                f"{tolerances.residual_tol:g}"
+                f"{RESIDUAL_TOL:g}"
             )
 
     if similarity.similar:
@@ -478,7 +458,7 @@ class IdentityMix:
 
 
 def match_identity_mix(
-    L: LimitPolynomial, m: int, tol: float = DEFAULT_TOLERANCES.coeff_tol
+    L: LimitPolynomial, m: int, tol: float = COEFF_TOL
 ) -> IdentityMix | None:
     """Recover eps from a limit of the shape (1 - m*eps)I + m*eps*P'.
 
@@ -515,12 +495,16 @@ class CascadeResult:
 
 def divisibility_cascade(support: Iterable[int], p: int, levels: int) -> CascadeResult:
     """Check the support-divisibility cascade: whether every shift of
-    ``support`` lies in p^k * Z, for k = 1..levels."""
+    ``support`` lies in p^k * Z, for k = 1..levels. An empty support
+    would hold vacuously and is refused."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if levels < 1:
         raise ValueError("need at least one level")
     zs = tuple(support)
+    if not zs:
+        raise ValueError(
+            f"empty support (no coefficient above tau={SUPPORT_TAU}) holds vacuously")
     holds = tuple(all(z % p**k == 0 for z in zs) for k in range(1, levels + 1))
     return CascadeResult(p=p, holds=holds)
 

@@ -193,14 +193,14 @@ def test_c09_disjointness_certificates():
 
 def test_c10_cascade_consistency():
     horizon = 40
-    tau = limits.DEFAULT_TOLERANCES.support_tau
+    tau = limits.SUPPORT_TAU
 
-    flat_support = limits.weak_limit(cons.flat3(), 1, horizon).polynomial.support(tau)
+    flat_support = limits.weak_limit(cons.flat3(), 1).polynomial.support(tau)
     flat_cascade = limits.divisibility_cascade(flat_support, 2, 2)
     flat_rep = limits.flatness_consequence(cons.flat3(), horizon, 2, flat_cascade)
     assert flat_rep.consistent and flat_rep.all_flat
 
-    ch_support = limits.weak_limit(cons.chacon(), 1, horizon).polynomial.support(tau)
+    ch_support = limits.weak_limit(cons.chacon(), 1).polynomial.support(tau)
     ch_cascade = limits.divisibility_cascade(ch_support, 2, 2)
     assert ch_cascade.max_level == 0  # halts before m=1
     ch_rep = limits.flatness_consequence(cons.chacon(), horizon, 2, ch_cascade)

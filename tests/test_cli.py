@@ -280,7 +280,7 @@ EXPLICIT_CHACON16 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3,
     "construction,params,error",
     [
         # stages 4..6 fit; the first q-series depth search needs stage 7
-        (EXPLICIT_ODOMETER6, {"p": 3, "q": 2, "horizon": 6},
+        (EXPLICIT_ODOMETER6, {"p": 3, "q": 2},
          "error[StageUnavailable]: explicit construction has 6 stages, stage 7 requested"),
         # the second q-series fit needs the stage-17 word; the third one's
         # depth search, which would need stage 17, is not run
@@ -318,14 +318,14 @@ def test_cascade_runs_one_fit(tmp_path, monkeypatch):
     weak_limit = limits.weak_limit
 
     def spy(*args, **kwargs):
-        fits.append(args[1:])
+        fits.append((args[1:], kwargs))
         return weak_limit(*args, **kwargs)
 
     monkeypatch.setattr(limits, "weak_limit", spy)
     code, out, outdir = run_config(tmp_path, make_config(
         command="cascade", params={"p": 3, "levels": 6}))
     assert code == 0, out
-    assert fits == [(1, 60, 2000, 8)]
+    assert fits == [((1,), {"max_shift": 2000})]
     assert "fit of T^(H_j) at stages [5, 6, 7]: " in out
     assert out.splitlines()[-2] == "cascade holds through M=0 (p=3)"
     # chacon's limit (I + T)/2 has support {0, 1}; its head spacers differ by 1
@@ -333,6 +333,27 @@ def test_cascade_runs_one_fit(tmp_path, monkeypatch):
         "m,modulus,holds,params_divide,max_abs_spacer_diff",
         *(f"{m},{3**m},False,False,1" for m in range(1, 7)),
     ]
+
+
+@pytest.mark.parametrize(
+    "argv,csv,error",
+    [
+        # stages 1 and 2 have shifts -1 and -4, whose targets are basis matrices
+        (["weak-limit", "--preset", "chacon", "--max-shift", "4"], "weak_limit.csv",
+         "error[ValueError]: fewer than two admissible stages j with Z=8 < 1*|H_j| "
+         "and 1*|H_j| <= max_shift=4"),
+        # the fit is Theta alone, so no shift is left to test for divisibility
+        (["cascade", "--construction-json",
+          '{"h1": 0, "stages": {"kind": "periodic", "pattern": [{"r": 2, "s": [3, 1]}]}}',
+          "--p", "2", "--levels", "3", "--max-shift", "20"], "cascade.csv",
+         "error[ValueError]: empty support (no coefficient above tau=0.02) holds vacuously"),
+    ],
+    ids=["trivial-fit", "empty-support"],
+)
+def test_fits_that_certify_nothing_exit_3(tmp_path, capsys, argv, csv, error):
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == error
+    assert not (tmp_path / csv).exists()
 
 
 def test_disjointness_computation_error_exits_3(tmp_path, capsys):
@@ -445,7 +466,10 @@ def test_main_classify_horizon_one(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "(horizon 1)" in out
-    assert "fit_count=3 horizon=60" in out  # the default policy, not classify's
+    # the fixed depth rule, without the max_shift that classify does not take
+    assert ("  depth policy: min_levels=10000 shift_factor=200 fit_count=3 Z=8"
+            in out.splitlines())
+    assert "max_shift" not in out
 
 
 @pytest.mark.parametrize(
@@ -459,15 +483,24 @@ def test_main_classify_horizon_one(tmp_path, capsys):
         ({"preset": "chacon"}, "similarity",
          {"Q": {"coeffs": {"0": True}}, "P": {"coeffs": {"0": 1}}, "p": 2, "q": 3},
          "'coeffs[0]' in params.Q"),
-        ({"preset": "chacon"}, "disjointness", {"p": 2, "q": 3, "tau": float("nan")},
-         "'tau' in params must be finite"),
-        ({"preset": "chacon"}, "disjointness",
-         {"p": 2, "q": 3, "coeff_tol": float("nan")}, "'coeff_tol' in params"),
-        ({"preset": "chacon"}, "weak-limit", {"tau": float("inf")}, "'tau' in params"),
-        ({"preset": "chacon"}, "weak-limit", {"tau": 10**400}, "'tau' in params"),
+        ({"preset": "chacon"}, "similarity",
+         {"Q": {"coeffs": {"0": float("nan")}}, "P": {"coeffs": {"0": 1}}, "p": 2, "q": 3},
+         "'coeffs[0]' in params.Q must be finite"),
+        ({"preset": "chacon"}, "similarity",
+         {"Q": {"coeffs": {"0": 1}}, "P": {"coeffs": {"0": 1}, "theta": float("nan")},
+          "p": 2, "q": 3}, "'theta' in params.P must be finite"),
+        ({"preset": "chacon"}, "similarity",
+         {"Q": {"coeffs": {"0": 1}}, "P": {"coeffs": {"0": float("inf")}}, "p": 2, "q": 3},
+         "'coeffs[0]' in params.P"),
+        ({"preset": "chacon"}, "similarity",
+         {"Q": {"coeffs": {"0": 1}}, "P": {"coeffs": {"0": 1}, "theta": 10**400},
+          "p": 2, "q": 3}, "'theta' in params.P"),
         ({"preset": "chacon"}, "similarity",
          {"Q": {"coeffs": {"0": 1}, "theta": float("-inf")}, "P": {"coeffs": {"0": 1}},
           "p": 2, "q": 3}, "'theta' in params.Q"),
+        ({"preset": "chacon"}, "similarity",
+         {"Q": {"coeffs": {"0": 1}}, "P": {"coeffs": {"0": 1}, "theta": False},
+          "p": 2, "q": 3}, "'theta' in params.P must be a number"),
     ],
 )
 def test_booleans_and_non_finite_numbers_rejected(construction, command, params,
@@ -481,7 +514,6 @@ def test_booleans_and_non_finite_numbers_rejected(construction, command, params,
 # minimums and differs from every default
 SAMPLES = {
     cli._int: (7, ["7"]),
-    cli._float: (0.125, ["0.125"]),
     cli._ints: ([0, 2], ["0", "2"]),
     cli._poly: ({"coeffs": {"0": 0.5, "3": 0.5}, "theta": 0.25},
                 ['{"coeffs": {"0": 0.5, "3": 0.5}, "theta": 0.25}']),
@@ -512,18 +544,26 @@ def test_flags_and_json_give_the_same_params(tmp_path, monkeypatch, command, spe
 
 
 REMOVED_DEPTH_CASES = [(c, key) for c in ("weak-limit", "disjointness", "cascade")
-                       for key in ("min_levels", "shift_factor", "fit_count", "ref_stage")]
+                       for key in ("min_levels", "shift_factor", "fit_count", "ref_stage",
+                                   "Z", "tau")]
 # the stage offset m; as a flag, --m would otherwise pass as a prefix of --max-shift
 REMOVED_DEPTH_CASES.append(("weak-limit", "m"))
+# the fit horizon (cascade keeps its horizon as the cross-check window)
+REMOVED_DEPTH_CASES += [(c, "horizon") for c in ("weak-limit", "disjointness")]
+REMOVED_DEPTH_CASES += [("disjointness", key)
+                        for key in ("coeff_tol", "stability_tol", "residual_tol")]
+REMOVED_DEPTH_CASES += [("similarity", key) for key in ("tol", "tau")]
 
 
 @pytest.mark.parametrize("command,key", REMOVED_DEPTH_CASES,
                          ids=[f"{c}-{k}" for c, k in REMOVED_DEPTH_CASES])
 def test_removed_depth_keys_are_refused(tmp_path, capsys, command, key):
-    params = {"weak-limit": {}, "disjointness": {"p": 2, "q": 3}, "cascade": {"p": 2}}[command]
+    params = {"weak-limit": {}, "disjointness": {"p": 2, "q": 3}, "cascade": {"p": 2},
+              "similarity": {"Q": {"coeffs": {"0": 1}}, "P": {"coeffs": {"0": 1}},
+                             "p": 2, "q": 3}}[command]
     argv = [command, "--preset", "class4", "--out", str(tmp_path)]
     for name, value in params.items():
-        argv += ["--" + name, str(value)]
+        argv += ["--" + name, json.dumps(value)]
     with pytest.raises(SystemExit) as exc:
         cli.main(argv + ["--" + key.replace("_", "-"), "7"])
     assert exc.value.code == 2

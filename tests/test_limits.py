@@ -34,7 +34,7 @@ def test_synthetic_theta_target():
         counts=np.outer(measures, measures) * model.length,
         total=model.length, tail=0.0,
     )
-    poly = limits.fit_limit_polynomial(synthetic, basis, measures, Z)
+    poly = limits.fit_limit_polynomial(synthetic, basis, measures)
     assert poly.theta >= 0.999
     assert poly.fit_residual <= 1e-6
 
@@ -71,8 +71,9 @@ def test_fit_window_infeasible():
     basis = {0: tower.correlation_matrix(params, 1, 3, 0)}
     measures = model.class_counts() / model.length
     target = tower.correlation_matrix(params, 1, 3, 1)
-    with pytest.raises(ValueError):
-        limits.fit_limit_polynomial(target, basis, measures, Z=13)
+    # a basis shift as long as the word: the window is its largest |z|
+    with pytest.raises(ValueError, match="basis window 13 infeasible"):
+        limits.fit_limit_polynomial(target, {**basis, 13: basis[0]}, measures)
     with pytest.raises(ValueError, match="must be >= 0"):
         limits.fit_for_shift(params, 1, 3, 1, Z=-1)
 
@@ -148,9 +149,7 @@ def test_active_set_fit_is_optimal(request):
     window = range(-Z, Z + 1)
     mats = tower.correlation_matrices(params, j, K, [n, *window])
     measures = np.diag(mats[0].counts) / mats[0].total
-    poly = limits.fit_limit_polynomial(
-        mats[n], {z: mats[z] for z in window}, measures, Z
-    )
+    poly = limits.fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures)
     G = np.stack([mats[z].values.ravel() for z in window]
                  + [np.outer(measures, measures).ravel()], axis=1)
     b = mats[n].values.ravel()
@@ -173,11 +172,11 @@ def test_fit_terminates_on_a_singular_gram():
     measures = np.diag(mats[0].counts) / mats[0].total
     basis = {-1: mats[-1], 0: mats[0], 1: mats[1], 2: mats[1]}
     for target in (mats[1], mats[3]):
-        poly = limits.fit_limit_polynomial(target, basis, measures, Z=2)
+        poly = limits.fit_limit_polynomial(target, basis, measures)
         x = np.array([poly.a(z) for z in basis] + [poly.theta])
         assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
         assert poly.optimality_gap <= 1e-12
-    exact = limits.fit_limit_polynomial(mats[1], basis, measures, Z=2)
+    exact = limits.fit_limit_polynomial(mats[1], basis, measures)
     assert exact.a(1) + exact.a(2) == pytest.approx(1.0, abs=1e-12)
     assert exact.fit_residual <= 1e-12
 
@@ -186,52 +185,71 @@ def test_fit_terminates_on_a_singular_gram():
 
 def test_h_sequence_examples():
     # H_j = -2^(j-1) on the odometer and -L_j on chacon (s_min = 0); the
-    # walk keeps the last three stages through the horizon
-    huge = 10**9
-    for horizon in range(2, 6):
-        last = range(max(1, horizon - 2), horizon + 1)
-        od = limits._select_stages(cons.odometer(2), horizon, 1, huge)
-        assert od == [(j, -(2 ** (j - 1))) for j in last]
-    table = cons.heights(cons.chacon(), 5)
-    for horizon in range(2, 5):
-        last = range(max(1, horizon - 2), horizon + 1)
-        ch = limits._select_stages(cons.chacon(), horizon, 1, huge)
+    # walk keeps the last three stages with Z = 8 < |H_j| <= max_shift
+    odometer = cons.odometer(2)
+    for J in range(6, 10):
+        last = [(j, -(2 ** (j - 1))) for j in range(max(5, J - 2), J + 1)]
+        assert limits._select_stages(odometer, (1,), 2 ** (J - 1)) == last
+        # an explicit list of J stages ends the walk at stage J
+        listed = cons.ConstructionParams.explicit(0, odometer.stages * J)
+        assert limits._select_stages(listed, (1,), 10**9) == last
+    table = cons.heights(cons.chacon(), 7)
+    for J in range(4, 8):
+        last = range(max(3, J - 2), J + 1)
+        ch = limits._select_stages(cons.chacon(), (1,), table.L(J))
         assert ch == [(j, -table.L(j)) for j in last]
-    # the multiplier scales |H_j| before the max_shift test: 2*121 <= 242 < 2*364
-    assert limits._select_stages(cons.chacon(), 12, 2, 242) == [
+    # the largest multiplier scales |H_j| before the max_shift test:
+    # 2*121 <= 242 < 2*364; the smallest one before the window test: 2*4 <= 8
+    assert limits._select_stages(cons.chacon(), (2,), 242) == [
         (j, -table.L(j)) for j in (3, 4, 5)]
-    assert limits._select_stages(cons.chacon(), 12, 2, 241) == [
-        (j, -table.L(j)) for j in (2, 3, 4)]
+    assert limits._select_stages(cons.chacon(), (2,), 241) == [
+        (j, -table.L(j)) for j in (3, 4)]
+    assert limits._select_stages(cons.chacon(), (3, 1), 120) == [
+        (j, -table.L(j)) for j in (3, 4)]
+    # chacon at max_shift 4 has only the stages of shifts -1 and -4, whose
+    # targets are basis matrices
+    with pytest.raises(ValueError, match="fewer than two admissible stages"):
+        limits._select_stages(cons.chacon(), (1,), 4)
 
 
-def filtered_stages(params, horizon, multiplier, max_shift):
-    """H_j of every stage j <= horizon, kept where
-    multiplier*|H_j| <= max_shift; the last three of at least two."""
-    table = cons.heights(params, horizon)
+#: a stage beyond this one has |H_j| >= L_j >= 2^40, above every drawn
+#: max_shift, so the reference filter need read no further
+LAST_FILTERED_STAGE = 40
+
+
+def filtered_stages(params, multipliers, max_shift):
+    """H_j of every stage j, through an explicit construction's last
+    one, kept where Z < k*|H_j| <= max_shift for every multiplier k;
+    the last three of at least two."""
+    top = (len(params.stages) if params.kind == "explicit"
+           else LAST_FILTERED_STAGE)
+    table = cons.heights(params, top)
     usable = [(j, -(table.L(j) + params.stage(j).s_min_first))
-              for j in range(1, horizon + 1)]
-    usable = [(j, h) for j, h in usable if -multiplier * h <= max_shift]
+              for j in range(1, top + 1)]
+    usable = [(j, h) for j, h in usable
+              if all(limits.Z < -k * h <= max_shift for k in multipliers)]
     return usable[-3:] if len(usable) >= 2 else None
+
+
+_STAGE = st.integers(2, 4).flatmap(
+    lambda r: st.lists(st.integers(0, 4), min_size=r, max_size=r).map(
+        lambda s: cons.StageParams(r, tuple(s))))
+CONSTRUCTIONS = st.one_of(
+    st.builds(cons.ConstructionParams.periodic, st.integers(0, 3),
+              st.lists(_STAGE, min_size=1, max_size=4)),
+    st.builds(cons.ConstructionParams.explicit, st.integers(0, 3),
+              st.lists(_STAGE, min_size=1, max_size=12)),
+    st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+              st.integers(2, 4), st.integers(0, 4), st.integers(0, 10**6)),
+)
 
 
 @st.composite
 def stage_selections(draw):
-    stage = st.integers(2, 4).flatmap(
-        lambda r: st.lists(st.integers(0, 4), min_size=r, max_size=r).map(
-            lambda s: cons.StageParams(r, tuple(s))))
-    horizon = draw(st.integers(2, 40))
-    params = draw(st.one_of(
-        st.builds(cons.ConstructionParams.periodic, st.integers(0, 3),
-                  st.lists(stage, min_size=1, max_size=4)),
-        # every stage the filter reads exists
-        st.builds(cons.ConstructionParams.explicit, st.integers(0, 3),
-                  st.lists(stage, min_size=horizon, max_size=horizon)),
-        st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
-                  st.integers(2, 4), st.integers(0, 4), st.integers(0, 10**6)),
-    ))
-    multiplier = draw(st.integers(1, 6))
-    max_shift = draw(st.integers(4, 23).flatmap(lambda e: st.integers(2**e, 2**(e + 1))))
-    return params, horizon, multiplier, max_shift
+    params = draw(CONSTRUCTIONS)
+    multipliers = draw(st.lists(st.integers(1, 6), min_size=1, max_size=2))
+    max_shift = draw(st.integers(2, 23).flatmap(lambda e: st.integers(2**e, 2**(e + 1))))
+    return params, multipliers, max_shift
 
 
 @settings(max_examples=100, deadline=None)
@@ -243,6 +261,16 @@ def test_stage_walk_matches_the_filter(selection):
             limits._select_stages(*selection)
     else:
         assert limits._select_stages(*selection) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(CONSTRUCTIONS)
+def test_return_height_strictly_decreases(params):
+    # the walk may stop at the first stage beyond max_shift only because
+    # |H_j| strictly increases with j
+    top = len(params.stages) if params.kind == "explicit" else 30
+    hs = [limits._return_height(params, j) for j in range(1, top + 1)]
+    assert all(a > b for a, b in zip(hs, hs[1:]))
 
 
 def test_weak_limit_odometer():
@@ -402,7 +430,9 @@ def test_divisibility_cascade_examples():
     assert res.max_level == 0 and res.holds == (False, False)
     res = limits.divisibility_cascade(iter([0, 9]), 3, 2)  # read once
     assert res.max_level == 2 and res.holds == (True, True)
-    assert limits.divisibility_cascade(set(), 5, 2).holds == (True, True)
+    # an empty support would hold at every level
+    with pytest.raises(ValueError, match=r"\(no coefficient above tau=0.02\) holds vacuously"):
+        limits.divisibility_cascade(set(), 5, 2)
     with pytest.raises(ValueError):
         limits.divisibility_cascade({0}, 2, 0)
     with pytest.raises(ValueError):
