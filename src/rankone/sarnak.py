@@ -92,14 +92,20 @@ class Observable:
     @classmethod
     def indicator(cls, params: ConstructionParams, stage: int, indices,
                   name: str = "") -> "Observable":
-        """Indicator of a set of stage-j levels."""
+        """Indicator of a set of stage-j levels, given as a sequence
+        (list, tuple, range) or an integer array; repeats count once.
+        Indices outside 0..L_j-1 raise ValueError naming them, sorted."""
         n = heights(params, stage).L(stage)
-        idx = list(indices)
-        if idx and not (0 <= min(idx) and max(idx) < n):
-            bad = [i for i in set(idx) if not 0 <= i < n]
+        try:
+            idx = np.asarray(indices, dtype=np.int64)
+            inside = idx.size == 0 or (idx.min() >= 0 and idx.max() < n)
+        except OverflowError:  # an index beyond int64 is outside too
+            inside = False
+        if not inside:
+            bad = sorted({int(i) for i in indices if not 0 <= i < n})
             raise ValueError(f"level indices {bad} outside 0..{n - 1}")
         nums = np.zeros(n, dtype=np.int64)
-        nums[np.array(idx, dtype=np.int64)] = 1
+        nums[idx] = 1
         return cls._from_nums(stage, nums, 1, name)
 
     @classmethod
@@ -264,9 +270,12 @@ def decompose_observable(F: Observable, partition: FactorPartition) -> list[Obse
 # ------------------------------------------------- telescoping identity
 
 def _require_supported_on_base(obs: Observable, d: int, start: int) -> None:
-    levels = np.flatnonzero(obs.nums)
-    bad = levels[levels % d != 0]
-    if bad.size:
+    """Raise ValueError unless f vanishes off E and the start is in E.
+    Only the d-1 off-E residue slices are read; the offending levels
+    are listed only once one is found."""
+    if any(obs.nums[r::d].any() for r in range(1, d)):
+        levels = np.flatnonzero(obs.nums)
+        bad = levels[levels % d != 0]
         raise ValueError(
             f"observable must be supported on E: levels {bad[:5].tolist()} have "
             f"residue != 0 mod {d}"

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from rankone import _kernels, cli, limits
+from rankone import construction as cons
 from rankone.errors import ConfigError
 
 
@@ -21,6 +22,37 @@ def make_config(**overrides):
 
 
 # ------------------------------------------------------------- validation
+
+class Unprintable(int):
+    """An int that fails the test if it is ever formatted."""
+
+    def __str__(self):
+        raise AssertionError("a passing value was formatted")
+
+    __repr__ = __str__
+
+    def __format__(self, spec):
+        raise AssertionError("a passing value was formatted")
+
+
+def test_resolve_formats_nothing_when_every_check_passes():
+    def kind(v, key, where):
+        return Unprintable(v)
+
+    specs = (cli.Param("a", kind, cli.REQUIRED, 1), cli.Param("b", kind, None),
+             cli.Param("c", kind, 4, "a"), cli.Param("d", kind, 6))
+    out = cli._resolve({"a": 3, "b": 0, "c": 3}, specs, "params")
+    assert out == {"a": 3, "b": 0, "c": 3, "d": 6}
+
+
+@pytest.mark.parametrize("params,message", [
+    ({"N": 0}, "'N' in params must be >= 1, got 0"),
+    ({"stage": 3, "K": 2}, "'K' in params must be >= 3, got 2"),
+])
+def test_minimum_message(params, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cli.parse_config(make_config(command="mobius-sum", params=params))
+
 
 def test_parse_valid_preset_config():
     cfg = cli.parse_config(make_config())
@@ -183,6 +215,38 @@ def test_telescope_run(tmp_path):
     )
     assert code == 0
     assert "equal=True" in out
+
+
+@pytest.mark.parametrize("d,M", [(2, 1), (3, 2), (6, 1)])
+def test_telescope_default_levels_are_the_base_class(tmp_path, d, M):
+    # without levels, the indicator of E: every d-th stage-K level
+    params = cons.cyclic_factor_preset(d)
+    construction = {"h1": params.h1, "stages": {"kind": "periodic",
+                                                "pattern": [{"r": 2, "s": [0, d]}]}}
+    config = {"d": d, "N": 3000, "M": M}
+    K = cons.first_stage_reaching(params, config["N"] + 2)
+    levels = list(range(0, cons.heights(params, K).L(K), d))
+    runs = [run_config(tmp_path, make_config(construction=construction,
+                                             command="telescope", params=p), sub)
+            for p, sub in ((config, "default"), ({**config, "levels": levels}, "listed"))]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert runs[0][1] == runs[1][1]
+    assert ((runs[0][2] / "telescope.csv").read_bytes()
+            == (runs[1][2] / "telescope.csv").read_bytes())
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mobius-sum", "--preset", "chacon", "--N", "1000", "--stage", "2",
+      "--levels", "0", str(2**70), "-3"],
+     f"level indices [-3, {2**70}] outside 0..3"),
+    (["telescope", "--preset", "class4", "--d", "2", "--N", "100",
+      "--levels", str(2**63), "0", "-2", "-2"],
+     f"level indices [-2, {2**63}] outside 0..125"),
+], ids=["mobius-sum", "telescope"])
+def test_out_of_range_levels_exit_3(tmp_path, capsys, argv, message):
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == f"error[ValueError]: {message}"
+    assert not list(tmp_path.iterdir())
 
 
 def test_factor_run(tmp_path):
@@ -501,6 +565,8 @@ def test_main_classify_horizon_one(tmp_path, capsys):
         ({"preset": "chacon"}, "similarity",
          {"Q": {"coeffs": {"0": 1}}, "P": {"coeffs": {"0": 1}, "theta": False},
           "p": 2, "q": 3}, "'theta' in params.P must be a number"),
+        ({"preset": "class4"}, "telescope", {"d": 2, "levels": [0, True]},
+         "'levels' in params must be a list of integers"),
     ],
 )
 def test_booleans_and_non_finite_numbers_rejected(construction, command, params,

@@ -403,14 +403,57 @@ def test_observable_sup_norm_and_validation():
         sarnak.Observable(1, (0.5,))
     n = cons.heights(cons.chacon(), 2).L(2)
     # duplicate, unsorted and no indices
-    for indices, ones in (([3, 0, 3, 1], {0, 1, 3}), ([], set()), (range(n), set(range(n)))):
+    for indices, ones in (([3, 0, 3, 1], {0, 1, 3}), ([], set()), (range(n), set(range(n))),
+                          (np.array([3, 0, 3, 1]), {0, 1, 3})):
         ind = sarnak.Observable.indicator(cons.chacon(), 2, indices)
         assert ind.coeffs == tuple(int(i in ones) for i in range(n))
         assert ind.denom == 1
-    for bad in (9, -1):
-        msg = f"level indices [{bad}] outside 0..{n - 1}"
+
+
+@pytest.mark.parametrize("indices,bad", [
+    ([0, 9, 1], [9]),
+    ([0, -1, 1], [-1]),
+    # beyond int64: the range check must still name them, not overflow
+    ([0, 2**70, -3], [-3, 2**70]),
+    ([2**63, 1, -2**63 - 1], [-2**63 - 1, 2**63]),
+    ([-3, 0, 2**64 - 1], [-3, 2**64 - 1]),
+    ([12, -1, 9, 12, -1, 0], [-1, 9, 12]),
+    (np.array([12, -1, 9, 12, -1, 0]), [-1, 9, 12]),
+])
+def test_indicator_names_out_of_range_indices_sorted(indices, bad):
+    n = cons.heights(cons.chacon(), 2).L(2)
+    msg = f"level indices {bad} outside 0..{n - 1}"
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        sarnak.Observable.indicator(cons.chacon(), 2, indices)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_require_supported_on_base(d):
+    params = cons.cyclic_factor_preset(d)
+    K = cons.first_stage_reaching(params, 200)
+    L = cons.heights(params, K).L(K)
+    base = list(range(0, L, d))
+    supported = sarnak.Observable.indicator(params, K, base)
+    sarnak._require_supported_on_base(supported, d, 0)
+    sarnak._require_supported_on_base(supported, d, 5 * d)
+    # one off-E level of each residue, alone
+    for r in range(1, d):
+        obs = sarnak.Observable.indicator(params, K, [0, d + r])
+        msg = (f"observable must be supported on E: levels [{d + r}] have "
+               f"residue != 0 mod {d}")
         with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            sarnak.Observable.indicator(cons.chacon(), 2, [0, bad, 1])
+            sarnak._require_supported_on_base(obs, d, 0)
+    # seven off-E levels given in descending order: the first five, ascending
+    off = [L - 1, L - d - 1, 5 * d + 1, 4 * d - 1, 2 * d + 1, d + 1, 1]
+    obs = sarnak.Observable.indicator(params, K, base + off)
+    msg = (f"observable must be supported on E: levels {sorted(off)[:5]} have "
+           f"residue != 0 mod {d}")
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        sarnak._require_supported_on_base(obs, d, 0)
+    for start in (1, d - 1, 3 * d + 1):
+        msg = f"start level {start} not in E (residue {start % d})"
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            sarnak._require_supported_on_base(supported, d, start)
 
 
 def test_observable_int64_guard():
