@@ -63,9 +63,6 @@ from .sarnak import (
 )
 from .tower import (
     CorrelationMatrix,
-    ReferenceLevel,
-    Spacer,
-    TowerModel,
     build_labels,
     correlation_depths,
     correlation_matrices,

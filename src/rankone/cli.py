@@ -299,20 +299,12 @@ def _cmd_classify(cfg, out, report):
 def _cmd_labels(cfg, out, report):
     j = cfg.params["j"]
     K = _depth_for(cfg, j)
-    model = tower.build_labels(cfg.construction, j, K, cfg.params["max_rows"])
-    n = model.length
-
-    def rows():
-        for pos in range(n):
-            lab = model.label(pos)
-            if isinstance(lab, tower.ReferenceLevel):
-                yield (pos, "level", lab.index)
-            else:
-                yield (pos, "spacer", lab.inserted_at_stage)
-
-    _write_csv(out / "labels.csv", ("position", "kind", "value"), rows())
-    report.append(f"labels: stage {j} through depth {K}, L_K={model.heights.L(K)}, "
-                  f"wrote {n} rows")
+    word = tower.build_labels(cfg.construction, j, K, cfg.params["max_rows"])
+    _write_csv(out / "labels.csv", ("position", "kind", "value"),
+               ((pos, "level", v) if v >= 0 else (pos, "spacer", -v)
+                for pos, v in enumerate(word.tolist())))
+    report.append(f"labels: stage {j} through depth {K}, "
+                  f"L_K={cons.heights(cfg.construction, K).L(K)}, wrote {len(word)} rows")
 
 
 def _cmd_correlate(cfg, out, report):
@@ -396,7 +388,7 @@ def _cmd_cascade(cfg, out, report):
 def _cmd_mobius_sum(cfg, out, report):
     p = cfg.params
     N, stage, start, levels = p["N"], p["stage"], p["start"], p["levels"]
-    K = _depth_for(cfg, stage, levels=start + N + 2)
+    K = cons.first_stage_reaching(cfg.construction, start + N + 2, stage)
     tower.checked_heights(cfg.construction, K)
     obs = sarnak.Observable.indicator(cfg.construction, stage, levels)
     table = mobius.sieve_mobius(N)
@@ -481,7 +473,6 @@ COMMANDS = {
                                       Param("horizon", _int, 60, 2))),  # cross-check window
     "mobius-sum": Command(_cmd_mobius_sum, (Param("N", _int, 100_000, 1),
                                             Param("stage", _int, 1, 1), _START,
-                                            Param("K", _int, None, "stage"),
                                             Param("levels", _ints, [0]))),
     "telescope": Command(_cmd_telescope, (Param("d", _int, REQUIRED, 2),
                                           Param("N", _int, 10_000, 1),

@@ -21,6 +21,7 @@ the prime-extension report both read it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +33,7 @@ from . import _kernels
 from .construction import ClassKind, ConstructionParams, classify, column_offsets, heights
 from .errors import ConsistencyFailure, OdometerCase
 from .mobius import MobiusTable, prime_factors
-from .tower import _orbit_cut, checked_heights
+from .tower import _cut
 
 _INT64_SAFE = 2**62
 
@@ -87,21 +88,36 @@ class Observable:
 
     @property
     def sup_norm(self):
-        return _exact(int(np.abs(self.nums).max(initial=0)), self.denom)
+        # no |nums| copy; numerators are below 2**62, so -min cannot overflow
+        return _exact(int(max(-self.nums.min(initial=0), self.nums.max(initial=0))),
+                      self.denom)
 
     @classmethod
     def indicator(cls, params: ConstructionParams, stage: int, indices,
                   name: str = "") -> "Observable":
         """Indicator of a set of stage-j levels, given as a sequence
         (list, tuple, range) or an integer array; repeats count once.
-        Indices outside 0..L_j-1 raise ValueError naming them, sorted."""
+        Floats and bools raise ValueError, as do indices outside 0..L_j-1,
+        named, sorted. No loop runs in Python: an array's dtype gives its
+        type, and ``array("q")`` copies a sequence refusing non-integers,
+        so only its 0s and 1s are read, for bools."""
         n = heights(params, stage).L(stage)
-        try:
-            idx = np.asarray(indices, dtype=np.int64)
-            inside = idx.size == 0 or (idx.min() >= 0 and idx.max() < n)
-        except OverflowError:  # an index beyond int64 is outside too
-            inside = False
-        if not inside:
+        idx = None
+        if isinstance(indices, np.ndarray):
+            idx, kinds = indices, {indices.dtype.type}
+        else:
+            try:
+                idx = np.frombuffer(array("q", indices), dtype=np.int64)
+                maybe_bool = np.flatnonzero((idx == 0) | (idx == 1)).tolist()
+                kinds = set(map(type, map(indices.__getitem__, maybe_bool)))
+            except TypeError:  # a float or another non-integer
+                kinds = set(map(type, indices))
+            except OverflowError:  # an index beyond int64 is outside
+                kinds = {int}
+        if not all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds):
+            names = sorted(t.__name__ for t in kinds)
+            raise ValueError(f"level indices must be integers, got entries of type {names}")
+        if idx is None or (idx.size and (idx.min() < 0 or idx.max() >= n)):
             bad = sorted({int(i) for i in indices if not 0 <= i < n})
             raise ValueError(f"level indices {bad} outside 0..{n - 1}")
         nums = np.zeros(n, dtype=np.int64)
@@ -123,22 +139,16 @@ class Observable:
 
 def _orbit_values(params, obs: Observable, start: int, N: int, K: int):
     """Values f(T^i x) for i = 1..N, plus the denominator: the
-    numerators restacked to depth K with spacers valued 0, built afresh
-    and cut at the orbit's end (``_orbit_cut``), in the narrowest signed
-    integer dtype that holds every numerator and 0 (int8 for an
-    indicator)."""
-    n_levels = checked_heights(params, K, obs.stage).L(obs.stage)
-    if len(obs.nums) != n_levels:
-        raise ValueError(
-            f"observable has {len(obs.nums)} coefficients, stage "
-            f"{obs.stage} has {n_levels} levels"
-        )
+    numerators restacked to depth K with spacers valued 0 and cut at the
+    orbit's end (``_cut``), in the narrowest signed integer dtype that
+    holds every numerator and 0 (int8 for an indicator)."""
+    if start < 0 or N < 1:
+        raise ValueError("need start >= 0 and N >= 1")
     lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
-    zeros = np.zeros(K - obs.stage, dtype=np.int64)
-    vals = _orbit_cut(params, obs.stage, K, start, N,
-                      obs.nums.astype(dtype, copy=False), zeros)
+    vals = _cut(params, obs.stage, K, start + 1, start + N + 1,
+                obs.nums.astype(dtype, copy=False), 0)
     if max(-int(vals.min()), int(vals.max())) * N >= _INT64_SAFE:
         raise ValueError("sum could overflow the exact int64 path")
     return vals, obs.denom

@@ -3,6 +3,8 @@
 The stage-K tower is a word of length L_K over the alphabet
 {stage-j reference levels} + {spacers}: position l holds the label of
 the l-th level, and the transformation climbs one level per step.
+Words are handed out as plain read-only arrays, each cut by ``_cut``
+only as far as it is read; level measures come from the parameters.
 Correlations are exact pair counts of this word, carried to depth K by
 the stage recursion from a short base word, with error |n|/L_K (top
 exit) plus an estimate of the relative mass added after stage K.
@@ -13,6 +15,7 @@ a spacer inserted at stage m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -33,57 +36,6 @@ TAIL_PROBE_STAGES = 8
 MAX_DENSE_LEVELS = 512
 
 
-@dataclass(frozen=True)
-class ReferenceLevel:
-    index: int
-
-    def __str__(self):
-        return str(self.index)
-
-
-@dataclass(frozen=True)
-class Spacer:
-    inserted_at_stage: int
-
-    def __str__(self):
-        return f"spacer@{self.inserted_at_stage}"
-
-
-def decode_label(value: int):
-    """Turn an encoded word entry into a ReferenceLevel or Spacer."""
-    return ReferenceLevel(int(value)) if value >= 0 else Spacer(-int(value))
-
-
-@dataclass(frozen=True)
-class TowerModel:
-    """Stage-K level word relative to reference stage j, whole or cut
-    to its first entries."""
-
-    params: ConstructionParams
-    ref_stage: int
-    depth: int
-    labels: np.ndarray = field(repr=False)
-    heights: HeightTable
-
-    @property
-    def n_levels(self) -> int:
-        """Number of reference levels L_j."""
-        return self.heights.L(self.ref_stage)
-
-    @property
-    def length(self) -> int:
-        """Entries held: L_K, unless the word was built cut."""
-        return len(self.labels)
-
-    def label(self, position: int):
-        return decode_label(self.labels[position])
-
-    def class_counts(self) -> np.ndarray:
-        """Occurrences per class: reference levels 0..L_j-1, then the
-        aggregated spacer class."""
-        return _kernels.class_counts(self.labels, self.n_levels)
-
-
 def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTable:
     """Heights through stage K; ValueError unless 1 <= j <= K or if the
     stage-K word would exceed MAX_WORD_LENGTH."""
@@ -92,68 +44,65 @@ def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTab
     if K < j:
         raise ValueError("depth K must be >= reference stage j")
     table = heights(params, K)
-    total = table.L(K)
-    if total > MAX_WORD_LENGTH:
-        raise ValueError(
-            f"stage-{K} word has {total} levels, over the "
-            f"{MAX_WORD_LENGTH} in-memory limit; lower K"
-        )
+    if table.L(K) > MAX_WORD_LENGTH:
+        raise ValueError(f"stage-{K} word has {table.L(K)} levels, over the "
+                         f"{MAX_WORD_LENGTH} in-memory limit")
     return table
 
 
-def _restack(params: ConstructionParams, j: int, K: int, base, fills, length: int) -> np.ndarray:
-    """The first ``length`` entries of the stage-j word ``base`` cut and
-    stacked through stage K, stage m's spacers set to fills[m - j]
-    (read-only)."""
-    stages = [params.stage(m) for m in range(j, K)]
+def _cut(params: ConstructionParams, j: int, K: int, lo: int = 0, hi: int | None = None,
+         base=None, fill=None) -> np.ndarray:
+    """Entries [lo, hi) (hi defaults to L_K) of the stage-j word ``base``
+    cut and stacked through stage K, built only as far as hi, read-only.
+    Stage m stacks column 1, s_m(1) spacers, ..., column r_m, s_m(r_m)
+    spacers. By default ``base`` is the level indices 0..L_j-1 and a
+    spacer inserted at stage m is -m: the label word. A given ``fill``
+    is every spacer's value and must fit ``base``'s dtype.
+
+    Nothing is built before the checks: ``checked_heights``, one
+    ``base`` value per stage-j level, and hi <= L_K, else
+    DepthTooShallow worded for the orbit of the point at level lo - 1.
+    """
+    table = checked_heights(params, K, j)
+    L_j, L_K = table.L(j), table.L(K)
+    if base is None:
+        base = np.arange(L_j, dtype=np.int64)
+    elif len(base) != L_j:
+        raise ValueError(f"{len(base)} values given for the {L_j} levels of stage {j}")
+    hi = L_K if hi is None else hi
+    if hi > L_K:
+        raise DepthTooShallow(f"orbit start={lo - 1}, N={hi - lo} exceeds L_K-1={L_K - 1}")
+    fills = (-np.arange(j, K, dtype=np.int64) if fill is None
+             else np.full(K - j, fill, dtype=np.int64))
+    stages = params.stage_range(j, K - 1)
     r_arr = np.array([st.r for st in stages], dtype=np.int64)
     s_flat = np.array([x for st in stages for x in st.s], dtype=np.int64)
     s_ptr = np.cumsum([0] + [st.r for st in stages[:-1]], dtype=np.int64)
-    word = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills, length)
+    word = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills, hi)[lo:]
     word.flags.writeable = False
     return word
 
 
-def _word(params: ConstructionParams, j: int, K: int, length: int | None = None) -> np.ndarray:
-    """The stage-K level word relative to reference stage j, or its
-    first ``length`` entries (at most L_K), built afresh (read-only)."""
-    table = checked_heights(params, K, j)
-    levels = np.arange(table.L(j), dtype=np.int64)
-    marks = -np.arange(j, K, dtype=np.int64)
-    L_K = table.L(K)
-    return _restack(params, j, K, levels, marks, L_K if length is None else min(length, L_K))
+def build_labels(params: ConstructionParams, j: int, K: int,
+                 length: int | None = None) -> np.ndarray:
+    """The stage-K label word relative to reference stage j (see the
+    module docstring), or its first ``length`` entries, at most L_K;
+    read-only, cut by ``_cut``."""
+    if length is not None:
+        length = min(length, heights(params, K).L(K))
+    return _cut(params, j, K, hi=length)
 
 
-def build_labels(
-    params: ConstructionParams, j: int, K: int, length: int | None = None
-) -> TowerModel:
-    """Cut-and-stack the stage-j tower down to depth K, keeping the
-    whole word or its first ``length`` entries.
-
-    Stacking order per stage m: column 1, s_m(1) spacers, column 2,
-    s_m(2) spacers, ..., column r_m, s_m(r_m) spacers.
-    """
-    labels = _word(params, j, K, length)
-    return TowerModel(
-        params=params, ref_stage=j, depth=K, labels=labels,
-        heights=heights(params, K),
-    )
-
-
-def level_measures(model: TowerModel) -> dict[int, Fraction]:
-    """Exact measure of each reference level in a whole depth-K model:
-    (occurrences)/L_K. All reference levels share the same count
-    prod_{m=j}^{K-1} r_m. ValueError for a model cut short of L_K."""
-    total = model.heights.L(model.depth)
-    if model.length != total:
-        raise ValueError(
-            f"model holds {model.length} of the L_K={total} entries; "
-            "exact measures need the whole word"
-        )
-    counts = model.class_counts()
-    return {
-        a: Fraction(int(counts[a]), total) for a in range(model.n_levels)
-    }
+def level_measures(params: ConstructionParams, j: int, K: int) -> dict[int, Fraction]:
+    """Exact measure of each stage-j level in the depth-K tower. Stage K
+    stacks r_m copies of the stage-m tower for m = j..K-1, so each
+    stage-j level is prod r_m of the L_K levels. No word is built, so
+    any depth works."""
+    if not 1 <= j <= K:
+        raise ValueError(f"need 1 <= j <= K, got j={j}, K={K}")
+    table = heights(params, K)
+    copies = math.prod(st.r for st in params.stage_range(j, K - 1))
+    return dict.fromkeys(range(table.L(j)), Fraction(copies, table.L(K)))
 
 
 def tail_bound(params: ConstructionParams, K: int) -> float:
@@ -256,8 +205,7 @@ def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> d
     found = {K: _climb(params, j, {K: zs})[K] for K, zs in wanted.items() if K < m0}
     deep = {K: zs for K, zs in wanted.items() if K >= m0}
     zs = np.array(sorted(set().union(*deep.values())), dtype=np.int64)
-    word = _restack(params, j, m0, np.arange(n_ref), np.full(m0 - j, n_ref),
-                    heights(params, m0).L(m0))
+    word = _cut(params, j, m0, fill=n_ref)
     counts = np.stack([_kernels.pair_counts(word, int(z), n_ref) for z in zs])
     pre, suf = word[:W], word[len(word) - W:]
     for m in range(m0, max(deep) + 1):
@@ -333,28 +281,13 @@ def correlation_matrix(
     return correlation_matrices(params, j, K, [n])[n]
 
 
-def _orbit_cut(params: ConstructionParams, j: int, K: int, start: int, N: int,
-               base, fills) -> np.ndarray:
-    """Entries start+1 .. start+N of the stage-j word ``base`` restacked
-    to depth K (see ``_restack``), from a word cut at the orbit's end.
-
-    Raises ValueError unless start >= 0 and N >= 1, and DepthTooShallow,
-    before building anything, when the orbit would leave the stage-K
-    tower.
-    """
+def orbit_labels(params: ConstructionParams, j: int, K: int, start: int,
+                 N: int) -> np.ndarray:
+    """Labels along the orbit of the point at level ``start``: entries
+    start+1 .. start+N of the label word, cut at the orbit's end by
+    ``_cut``. ValueError unless start >= 0 and N >= 1, and
+    DepthTooShallow when the orbit would leave the stage-K tower, both
+    before anything is built."""
     if start < 0 or N < 1:
         raise ValueError("need start >= 0 and N >= 1")
-    L_K = checked_heights(params, K, j).L(K)
-    if start + N >= L_K:
-        raise DepthTooShallow(f"orbit start={start}, N={N} exceeds L_K-1={L_K - 1}")
-    return _restack(params, j, K, base, fills, start + N + 1)[start + 1 :]
-
-
-def orbit_labels(
-    params: ConstructionParams, j: int, K: int, start: int, N: int
-) -> np.ndarray:
-    """Labels along the orbit of the point at level ``start``: the
-    encoded labels at positions start+1 .. start+N (``_orbit_cut``);
-    decode entries with ``decode_label``."""
-    levels = np.arange(checked_heights(params, K, j).L(j), dtype=np.int64)
-    return _orbit_cut(params, j, K, start, N, levels, -np.arange(j, K, dtype=np.int64))
+    return _cut(params, j, K, start + 1, start + N + 1)

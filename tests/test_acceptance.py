@@ -16,7 +16,7 @@ import pytest
 
 from rankone import cli
 from rankone import construction as cons
-from rankone import limits, mobius, sarnak, tower
+from rankone import _kernels, limits, mobius, sarnak, tower
 
 PRESET_NAMES = ["odometer2", "odometer3", "chacon", "flat3", "class4"]
 
@@ -54,14 +54,14 @@ def test_c01_height_recursion_exact():
 def test_c02_label_words():
     t0 = time.perf_counter()
     m3 = tower.build_labels(cons.chacon(), 1, 3)
-    got = ["b" if v == 0 else "sp" for v in m3.labels]
+    got = ["b" if v == 0 else "sp" for v in m3]
     assert got == CHACON_13
     for name in PRESET_NAMES:
         params = cons.preset(name)
         prev = tower.build_labels(params, 1, 1)
         for K in range(2, 13):
             cur = tower.build_labels(params, 1, K)
-            assert np.array_equal(cur.labels[: prev.length], prev.labels)
+            assert np.array_equal(cur[: len(prev)], prev)
             prev = cur
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -74,12 +74,12 @@ def test_c03_measure_preservation():
     for name in PRESET_NAMES:
         params = cons.preset(name)
         K = cons.first_stage_reaching(params, 10_000, start=2)
-        model = tower.build_labels(params, 2, K)
-        nu = model.class_counts() / model.length
+        word = tower.build_labels(params, 2, K)
+        nu = _kernels.class_counts(word, cons.heights(params, 2).L(2)) / len(word)
         for n in range(-50, 51):
             mat = tower.correlation_matrix(params, 2, K, n)
             rows = mat.counts.sum(axis=1) / mat.total
-            assert np.all(np.abs(rows - nu) <= abs(n) / model.length + 1e-15)
+            assert np.all(np.abs(rows - nu) <= abs(n) / len(word) + 1e-15)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     ok(3, f"measure preservation within |n|/L_K for all presets, |n|<=50 "

@@ -46,12 +46,14 @@ def test_resolve_formats_nothing_when_every_check_passes():
 
 
 @pytest.mark.parametrize("params,message", [
-    ({"N": 0}, "'N' in params must be >= 1, got 0"),
-    ({"stage": 3, "K": 2}, "'K' in params must be >= 3, got 2"),
+    (("mobius-sum", {"N": 0}), "'N' in params must be >= 1, got 0"),
+    # a minimum named by an earlier param
+    (("labels", {"j": 3, "K": 2}), "'K' in params must be >= 3, got 2"),
 ])
 def test_minimum_message(params, message):
+    command, params = params
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-        cli.parse_config(make_config(command="mobius-sum", params=params))
+        cli.parse_config(make_config(command=command, params=params))
 
 
 def test_parse_valid_preset_config():
@@ -350,7 +352,7 @@ EXPLICIT_CHACON16 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3,
         # depth search, which would need stage 17, is not run
         (EXPLICIT_CHACON16, {"p": 2, "q": 3, "max_shift": 2_000_000},
          "error[ValueError]: stage-17 word has 64570081 levels, over the 50000000 "
-         "in-memory limit; lower K"),
+         "in-memory limit"),
     ],
     ids=["every-fit-needs-stage-7", "second-fit-needs-stage-17"],
 )
@@ -426,7 +428,7 @@ def test_disjointness_computation_error_exits_3(tmp_path, capsys):
     assert code == 3
     assert capsys.readouterr().out.splitlines()[-1] == (
         "error[ValueError]: stage-17 word has 64570081 levels, over the 50000000 "
-        "in-memory limit; lower K")
+        "in-memory limit")
 
 
 @pytest.mark.parametrize("p,q,message", [(2, 4, "p=2, q=4 must be coprime"),
@@ -457,7 +459,7 @@ def test_oversized_orbit_fails_before_sieving(tmp_path, monkeypatch,
     )
     assert code == 3
     assert "error[ValueError]: stage-" in out
-    assert "over the 50000000 in-memory limit; lower K" in out
+    assert out.splitlines()[-1].endswith("over the 50000000 in-memory limit")
 
 
 def test_factor_odometer_exit_code(tmp_path):
@@ -619,12 +621,15 @@ REMOVED_DEPTH_CASES += [(c, "horizon") for c in ("weak-limit", "disjointness")]
 REMOVED_DEPTH_CASES += [("disjointness", key)
                         for key in ("coeff_tol", "stability_tol", "residual_tol")]
 REMOVED_DEPTH_CASES += [("similarity", key) for key in ("tol", "tau")]
+# mobius-sum picks the first depth its orbit fits in; K changed no output
+REMOVED_DEPTH_CASES.append(("mobius-sum", "K"))
 
 
 @pytest.mark.parametrize("command,key", REMOVED_DEPTH_CASES,
                          ids=[f"{c}-{k}" for c, k in REMOVED_DEPTH_CASES])
 def test_removed_depth_keys_are_refused(tmp_path, capsys, command, key):
-    params = {"weak-limit": {}, "disjointness": {"p": 2, "q": 3}, "cascade": {"p": 2},
+    params = {"weak-limit": {}, "mobius-sum": {}, "disjointness": {"p": 2, "q": 3},
+              "cascade": {"p": 2},
               "similarity": {"Q": {"coeffs": {"0": 1}}, "P": {"coeffs": {"0": 1}},
                              "p": 2, "q": 3}}[command]
     argv = [command, "--preset", "class4", "--out", str(tmp_path)]

@@ -26,13 +26,13 @@ def test_zero_shift_fit_recovers_identity():
 def test_synthetic_theta_target():
     params = cons.chacon()
     j, K, Z = 2, 9, 3
-    model = tower.build_labels(params, j, K)
-    measures = model.class_counts() / model.length
+    word = tower.build_labels(params, j, K)
+    measures = _kernels.class_counts(word, cons.heights(params, j).L(j)) / len(word)
     basis = {z: tower.correlation_matrix(params, j, K, z) for z in range(-Z, Z + 1)}
     synthetic = tower.CorrelationMatrix(
         stage=j, shift=999, depth=K,
-        counts=np.outer(measures, measures) * model.length,
-        total=model.length, tail=0.0,
+        counts=np.outer(measures, measures) * len(word),
+        total=len(word), tail=0.0,
     )
     poly = limits.fit_limit_polynomial(synthetic, basis, measures)
     assert poly.theta >= 0.999
@@ -67,9 +67,9 @@ def test_fit_residual_monotone_in_window():
 
 def test_fit_window_infeasible():
     params = cons.chacon()
-    model = tower.build_labels(params, 1, 3)
+    word = tower.build_labels(params, 1, 3)
     basis = {0: tower.correlation_matrix(params, 1, 3, 0)}
-    measures = model.class_counts() / model.length
+    measures = _kernels.class_counts(word, 1) / len(word)
     target = tower.correlation_matrix(params, 1, 3, 1)
     # a basis shift as long as the word: the window is its largest |z|
     with pytest.raises(ValueError, match="basis window 13 infeasible"):

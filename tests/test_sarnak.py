@@ -93,6 +93,8 @@ def test_weighted_sum_errors():
         sarnak.mobius_weighted_sum(params, obs, 0, 30_000, 12, TABLE)
     with pytest.raises(ValueError, match="need start >= 0"):
         sarnak.mobius_weighted_sum(params, obs, -1, 5, 3, TABLE)
+    with pytest.raises(ValueError, match="^3 values given for the 4 levels of stage 2$"):
+        sarnak.mobius_weighted_sum(params, sarnak.Observable(2, (1, 0, 1)), 0, 5, 3, TABLE)
 
 
 def test_overflow_guard_reads_the_visited_levels():
@@ -114,7 +116,7 @@ def test_overflow_guard_reads_the_visited_levels():
 def test_orbit_values_take_the_narrowest_dtype(coeffs, dtype):
     params = cons.chacon()
     vals, denom = sarnak._orbit_values(params, sarnak.Observable(2, coeffs), 0, 30, 5)
-    full = tower._word(params, 2, 5, 31)[1:]
+    full = tower.build_labels(params, 2, 5, 31)[1:]
     want = np.append(np.array(coeffs, dtype=np.int64), 0)[np.where(full >= 0, full, 4)]
     assert vals.dtype == dtype and denom == 1
     assert vals.tolist() == want.tolist()
@@ -315,7 +317,7 @@ def test_composite_extension_chains_prime_factors():
 def chain_oracle(params, obs, d, primes, start, N, K):
     """S_N, each step's term mu(p)F and the remainder, from their
     definitions over the orbit's label list."""
-    labels = tower.build_labels(params, obs.stage, K).labels
+    labels = tower.build_labels(params, obs.stage, K)
 
     def f(i):  # f(T^i x)
         level = int(labels[start + i])
@@ -399,6 +401,8 @@ def test_decay_trend_presets(name, K):
 def test_observable_sup_norm_and_validation():
     obs = sarnak.Observable(1, (Fraction(-3, 2), 1))
     assert obs.sup_norm == Fraction(3, 2)
+    assert sarnak.Observable(2, (1, -2, 7, 0)).sup_norm == 7
+    assert sarnak.Observable(2, (0, 0, 0, 0)).sup_norm == 0
     with pytest.raises(ValueError):
         sarnak.Observable(1, (0.5,))
     n = cons.heights(cons.chacon(), 2).L(2)
@@ -425,6 +429,22 @@ def test_indicator_names_out_of_range_indices_sorted(indices, bad):
     msg = f"level indices {bad} outside 0..{n - 1}"
     with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
         sarnak.Observable.indicator(cons.chacon(), 2, indices)
+
+
+@pytest.mark.parametrize("indices", [
+    [0.7, 2.2], [1, 2.0], np.array([0.0, 2.0]),
+    [True, False], np.array([True, False, True]), [True, 2],
+])
+def test_indicator_refuses_floats_and_booleans(indices):
+    # numpy would truncate 0.7 to level 0 and read True as level 1
+    with pytest.raises(ValueError, match=r"^level indices must be integers"):
+        sarnak.Observable.indicator(cons.chacon(), 2, indices)
+
+
+def test_indicator_takes_any_integer_type():
+    want = sarnak.Observable.indicator(cons.chacon(), 2, [1, 3]).coeffs
+    for indices in ([np.int64(1), 3], (3, 1), np.array([1, 3], dtype=np.uint8)):
+        assert sarnak.Observable.indicator(cons.chacon(), 2, indices).coeffs == want
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])

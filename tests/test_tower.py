@@ -24,31 +24,26 @@ def as_symbols(labels):
 
 def test_chacon_words():
     m2 = tower.build_labels(cons.chacon(), 1, 2)
-    assert as_symbols(m2.labels) == ["b", "b", "sp", "b"]
+    assert as_symbols(m2) == ["b", "b", "sp", "b"]
     m3 = tower.build_labels(cons.chacon(), 1, 3)
-    assert as_symbols(m3.labels) == CHACON_13
+    assert as_symbols(m3) == CHACON_13
 
 
 def test_odometer_word_alternates():
     p = cons.ConstructionParams.periodic(1, [cons.StageParams(2, (0, 0))])
     m = tower.build_labels(p, 1, 2)
-    assert m.labels.tolist() == [0, 1, 0, 1]
+    assert m.tolist() == [0, 1, 0, 1]
 
 
 def test_identity_labeling_at_ref_stage():
     m = tower.build_labels(cons.chacon(), 3, 3)
-    assert m.labels.tolist() == list(range(13))
-
-
-def test_decode_label():
-    assert tower.decode_label(5) == tower.ReferenceLevel(5)
-    assert tower.decode_label(-2) == tower.Spacer(2)
+    assert m.tolist() == list(range(13))
 
 
 def test_spacer_labels_carry_their_stage():
     m = tower.build_labels(cons.chacon(), 1, 3)
-    assert m.label(2) == tower.Spacer(1)  # inside the stage-1 restack
-    assert m.label(8) == tower.Spacer(2)  # inserted when stacking stage 2
+    assert m[2] == -1  # inside the stage-1 restack
+    assert m[8] == -2  # inserted when stacking stage 2
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -57,7 +52,7 @@ def test_prefix_embedding(name):
     prev = tower.build_labels(params, 1, 1)
     for K in range(2, 13):
         cur = tower.build_labels(params, 1, K)
-        assert np.array_equal(cur.labels[: prev.length], prev.labels)
+        assert np.array_equal(cur[: len(prev)], prev)
         prev = cur
 
 
@@ -66,31 +61,36 @@ def test_prefix_embedding(name):
 def test_level_counts(name, j):
     params = cons.preset(name)
     K = j + 5
-    model = tower.build_labels(params, j, K)
+    word = tower.build_labels(params, j, K)
+    n_levels = cons.heights(params, j).L(j)
     copies = math.prod(params.stage(m).r for m in range(j, K))
-    counts = model.class_counts()
-    assert all(counts[a] == copies for a in range(model.n_levels))
-    spacers = model.length - model.n_levels * copies
-    assert counts[model.n_levels] == spacers
+    counts = _kernels.class_counts(word, n_levels)
+    assert all(counts[a] == copies for a in range(n_levels))
+    spacers = len(word) - n_levels * copies
+    assert counts[n_levels] == spacers
 
 
 def test_level_measures_examples():
-    m3 = tower.build_labels(cons.chacon(), 1, 3)
-    assert tower.level_measures(m3)[0] == Fraction(9, 13)
+    assert tower.level_measures(cons.chacon(), 1, 3)[0] == Fraction(9, 13)
     p = cons.ConstructionParams.periodic(1, [cons.StageParams(2, (0, 0))])
-    meas = tower.level_measures(tower.build_labels(p, 1, 2))
+    meas = tower.level_measures(p, 1, 2)
     assert meas[0] == meas[1] == Fraction(1, 2)
-    ident = tower.build_labels(cons.chacon(), 2, 2)
-    assert set(tower.level_measures(ident).values()) == {Fraction(1, 4)}
-    whole = tower.build_labels(cons.chacon(), 2, 5)
-    assert set(tower.level_measures(whole).values()) == {Fraction(27, 121)}
+    assert set(tower.level_measures(cons.chacon(), 2, 2).values()) == {Fraction(1, 4)}
+    assert set(tower.level_measures(cons.chacon(), 2, 5).values()) == {Fraction(27, 121)}
 
 
-def test_level_measures_refuse_a_cut_model():
-    # the first 10 entries would give prefix frequencies, not measures
-    cut = tower.build_labels(cons.chacon(), 2, 5, 10)
-    with pytest.raises(ValueError, match="holds 10 of the L_K=121 entries"):
-        tower.level_measures(cut)
+def test_level_measures_need_no_word(monkeypatch):
+    def no_word(*args):
+        raise AssertionError("built a word for the level measures")
+
+    monkeypatch.setattr(_kernels, "build_word", no_word)
+    params = cons.chacon()
+    L_30 = cons.heights(params, 30).L(30)
+    assert L_30 > tower.MAX_WORD_LENGTH
+    assert tower.level_measures(params, 2, 30) == dict.fromkeys(range(4), Fraction(3**28, L_30))
+    for j, K in ((0, 3), (3, 2)):
+        with pytest.raises(ValueError, match="need 1 <= j <= K"):
+            tower.level_measures(params, j, K)
 
 
 # ------------------------------------------------------------ correlation
@@ -115,8 +115,8 @@ def test_zero_shift_is_diagonal():
     for name in PRESET_NAMES:
         params = cons.preset(name)
         mat = tower.correlation_matrix(params, 2, 8, 0)
-        model = tower.build_labels(params, 2, 8)
-        counts = model.class_counts()
+        word = tower.build_labels(params, 2, 8)
+        counts = _kernels.class_counts(word, cons.heights(params, 2).L(2))
         for a in range(mat.counts.shape[0]):
             for b in range(mat.counts.shape[0]):
                 expected = counts[a] if a == b else 0
@@ -142,12 +142,12 @@ def test_negative_shift_transposes():
 def test_measure_preservation_sample(name):
     params = cons.preset(name)
     K = cons.first_stage_reaching(params, 10_000, start=2)
-    model = tower.build_labels(params, 2, K)
-    nu = model.class_counts() / model.length
+    word = tower.build_labels(params, 2, K)
+    nu = _kernels.class_counts(word, cons.heights(params, 2).L(2)) / len(word)
     for n in (-37, -5, 1, 23, 50):
         mat = tower.correlation_matrix(params, 2, K, n)
         rows = mat.counts.sum(axis=1) / mat.total
-        assert np.all(np.abs(rows - nu) <= abs(n) / model.length + 1e-15)
+        assert np.all(np.abs(rows - nu) <= abs(n) / len(word) + 1e-15)
 
 
 def test_depth_stability_of_entries():
@@ -155,11 +155,11 @@ def test_depth_stability_of_entries():
     for name in PRESET_NAMES:
         params = cons.preset(name)
         K = cons.first_stage_reaching(params, 10_000, start=2)
-        shallow = tower.build_labels(params, 2, K)
+        n_levels = cons.heights(params, 2).L(2)
         for _ in range(5):
             n = int(rng.integers(-100, 101))
-            a = int(rng.integers(0, shallow.n_levels + 1))
-            b = int(rng.integers(0, shallow.n_levels + 1))
+            a = int(rng.integers(0, n_levels + 1))
+            b = int(rng.integers(0, n_levels + 1))
             m1 = tower.correlation_matrix(params, 2, K, n)
             m2 = tower.correlation_matrix(params, 2, K + 2, n)
             gap = abs(m1.values[a, b] - m2.values[a, b])
@@ -230,7 +230,7 @@ def correlation_requests(draw):
 @given(correlation_requests())
 def test_batched_counts_match_the_word(request):
     params, j, K, shifts = request
-    word = tower._word(params, j, K)
+    word = tower.build_labels(params, j, K)
     n_ref = cons.heights(params, j).L(j)
     mats = tower.correlation_matrices(params, j, K, shifts)
     for n in shifts:
@@ -251,7 +251,7 @@ def test_batched_counts_match_the_word(request):
 def test_column_offsets_place_each_copy(params, j):
     """The stage-(j+1) word is copy i of 0..L_j-1 at 0 or at the i-th
     column offset, each followed by s_j(i) stage-j spacers."""
-    word = tower._word(params, j, j + 1).tolist()
+    word = tower.build_labels(params, j, j + 1).tolist()
     table = cons.heights(params, j + 1)
     L_j, spacers = table.L(j), params.stage(j).s
     starts = (0, *cons.column_offsets(params, j))
@@ -300,7 +300,7 @@ def test_one_climb_matches_each_depth_alone(request):
     for (K, shifts), mats in zip(requests, found):
         alone = tower.correlation_matrices(params, j, K, shifts)
         total = cons.heights(params, K).L(K)
-        word = tower._word(params, j, K) if total <= MAX_LK else None
+        word = tower.build_labels(params, j, K) if total <= MAX_LK else None
         for n in shifts:
             mat = mats[n]
             assert (mat.shift, mat.depth, mat.total) == (n, K, total)
@@ -380,7 +380,7 @@ def test_orbit_builds_the_word_only_to_its_end(monkeypatch):
     start, N = 4, 30
     seg = tower.orbit_labels(params, 1, 8, start, N)
     assert built == [start + N + 1]
-    assert np.array_equal(seg, tower._word(params, 1, 8)[start + 1 : start + N + 1])
+    assert np.array_equal(seg, tower.build_labels(params, 1, 8)[start + 1 : start + N + 1])
 
     def no_word(*args):
         raise AssertionError("built a word before checking the orbit")
@@ -397,6 +397,49 @@ def test_orbit_step_composition():
     first = tower.orbit_labels(params, 1, 8, 4, 12)
     rest = tower.orbit_labels(params, 1, 8, 16, 18)
     assert np.array_equal(whole, np.concatenate([first, rest]))
+
+
+STAGES = st.lists(st.integers(0, 4), min_size=2, max_size=4).map(
+    lambda s: cons.StageParams(len(s), tuple(s)))
+#: random, periodic and explicit constructions; 20 explicit stages take
+#: every word past MAX_LK before they run out
+CONSTRUCTIONS = st.one_of(
+    st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+              st.integers(2, 4), st.integers(0, 4), st.integers(0, 10**6)),
+    st.builds(cons.ConstructionParams.periodic, st.integers(0, 3),
+              st.lists(STAGES, min_size=1, max_size=3)),
+    st.builds(cons.ConstructionParams.explicit, st.integers(0, 3),
+              st.lists(STAGES, min_size=20, max_size=20)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(CONSTRUCTIONS, st.integers(1, 3), st.data())
+def test_measures_and_orbits_match_the_word(params, j, data):
+    deepest = j
+    while cons.heights(params, deepest + 1).L(deepest + 1) <= MAX_LK:
+        deepest += 1
+    K = data.draw(st.integers(j, deepest))
+    word = tower.build_labels(params, j, K)
+    L_j, L_K = cons.heights(params, j).L(j), len(word)
+    counts = _kernels.class_counts(word, L_j)
+    diag = np.diag(tower.correlation_matrix(params, j, K, 0).counts)
+    measures = tower.level_measures(params, j, K)
+    assert measures == {a: Fraction(int(counts[a]), L_K) for a in range(L_j)}
+    assert measures == {a: Fraction(int(diag[a]), L_K) for a in range(L_j)}
+    # an orbit of N steps from level s reads entries s+1..s+N; the last
+    # valid window ends at entry L_K - 1
+    N = data.draw(st.integers(1, max(L_K - 1, 1)))
+    for length in (N, L_K + N):  # a prefix stops at L_K
+        assert np.array_equal(tower.build_labels(params, j, K, length), word[:length])
+    last = L_K - 1 - N
+    if last >= 0:
+        s = data.draw(st.integers(0, last))
+        for start in (s, last):
+            assert np.array_equal(tower.orbit_labels(params, j, K, start, N),
+                                  word[start + 1 : start + N + 1])
+    with pytest.raises(DepthTooShallow, match=f"exceeds L_K-1={L_K - 1}$"):
+        tower.orbit_labels(params, j, K, last + 1, N)
 
 
 def test_word_length_guard():
