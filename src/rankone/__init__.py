@@ -51,7 +51,7 @@ from .limits import (
     match_identity_mix,
     weak_limit,
 )
-from .mobius import MobiusTable, gcd_all, mobius_direct, residue_mertens, sieve_mobius
+from .mobius import mobius_direct, residue_mertens, sieve_mobius
 from .sarnak import (
     FactorPartition,
     Observable,

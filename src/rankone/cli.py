@@ -388,11 +388,8 @@ def _cmd_cascade(cfg, out, report):
 def _cmd_mobius_sum(cfg, out, report):
     p = cfg.params
     N, stage, start, levels = p["N"], p["stage"], p["start"], p["levels"]
-    K = cons.first_stage_reaching(cfg.construction, start + N + 2, stage)
-    tower.checked_heights(cfg.construction, K)
     obs = sarnak.Observable.indicator(cfg.construction, stage, levels)
-    table = mobius.sieve_mobius(N)
-    res = sarnak.mobius_weighted_sum(cfg.construction, obs, start, N, K, table)
+    res = sarnak.mobius_weighted_sum(cfg.construction, obs, start, N)
     _write_csv(out / "decay.csv", ("N", "S_N", "S_N/N"), res.decay_rows())
     report.append(f"S_N for indicator of stage-{stage} levels {levels}, "
                   f"start {start}: S_{N} = {res.final}")
@@ -406,11 +403,8 @@ def _cmd_telescope(cfg, out, report):
     L_K = tower.checked_heights(cfg.construction, K).L(K)
     levels = p["levels"] if p["levels"] is not None else np.arange(0, L_K, d)
     obs = sarnak.Observable.indicator(cfg.construction, K, levels)
-    table = mobius.sieve_mobius(N)
     if M == 1 and mobius.prime_factors(d) == [d]:
-        res = sarnak.telescope_identity_check(
-            cfg.construction, obs, d, start, N, K, table
-        )
+        res = sarnak.telescope_identity_check(cfg.construction, obs, d, start, N)
         rows = [
             ("lhs", res.lhs), ("rhs", res.rhs), ("equal", res.equal),
             ("first_term", res.first_term), ("second_term", res.second_term),
@@ -419,9 +413,7 @@ def _cmd_telescope(cfg, out, report):
         report.append(f"telescope identity (d={d}, N={N}): "
                       f"lhs={res.lhs} rhs={res.rhs} equal={res.equal}")
     else:
-        rep = sarnak.prime_extension_report(
-            cfg.construction, obs, d, start, N, M, K, table
-        )
+        rep = sarnak.prime_extension_report(cfg.construction, obs, d, start, N, M)
         rows = [("S_N", rep.s_n)]
         rows += [(f"term_{st.depth}(p={st.prime})", st.term) for st in rep.steps]
         rows += [

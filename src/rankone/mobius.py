@@ -9,45 +9,19 @@ testing the sieve against, built on the trial-division factoriser
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Iterable
-
 import numpy as np
 
 from . import _kernels
 
 
-@dataclass(frozen=True)
-class MobiusTable:
-    """Sieved values mu(1..n_max).
-
-    ``values`` has length n_max+1 so that ``values[n]`` is mu(n);
-    index 0 is unused (mu(0) is not defined).
-    """
-
-    n_max: int
-    values: np.ndarray = field(repr=False)
-
-    def mu(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside table range 1..{self.n_max}")
-        return int(self.values[n])
-
-    def mertens(self, n: int) -> int:
-        """Partial sum M(n) = sum_{k<=n} mu(k)."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside table range 1..{self.n_max}")
-        return int(self.values[1 : n + 1].sum(dtype=np.int64))
-
-
-def sieve_mobius(n_max: int) -> MobiusTable:
-    """Sieve mu(n) for all n <= n_max."""
+def sieve_mobius(n_max: int) -> np.ndarray:
+    """mu(0..n_max) as a read-only int8 array, so that ``mu[n]`` is
+    mu(n); entry 0 is unused and left 0 (mu(0) is not defined)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    values = _kernels.sieve_mobius(n_max)
-    values.flags.writeable = False
-    return MobiusTable(n_max=n_max, values=values)
+    mu = _kernels.sieve_mobius(n_max)
+    mu.flags.writeable = False
+    return mu
 
 
 def prime_factors(n: int) -> list[int]:
@@ -75,25 +49,15 @@ def mobius_direct(n: int) -> int:
     return -1 if len(factors) % 2 else 1
 
 
-def residue_mertens(table: MobiusTable, p: int, n: int) -> int:
-    """sum_{0 < i <= n/p} mu(p*i), exactly.
+def residue_mertens(mu: np.ndarray, p: int, n: int) -> int:
+    """sum_{0 < i <= n/p} mu(p*i), exactly, read off the sieved ``mu``.
 
     The sum over the arithmetic progression p, 2p, ... is the quantity
-    whose o(N) decay drives the odometer case; here it is just read off
-    the table.
+    whose o(N) decay drives the odometer case.
     """
     if p < 1 or n < 1:
         raise ValueError("p and N must be >= 1")
     top = p * (n // p)
-    if top > table.n_max:
-        raise ValueError(
-            f"range exceeds table: need mu up to {top}, table has {table.n_max}"
-        )
-    if top < p:
-        return 0
-    return int(table.values[p : top + 1 : p].sum(dtype=np.int64))
-
-
-def gcd_all(values: Iterable[int]) -> int:
-    """gcd of an iterable of nonnegative integers (0 for an empty one)."""
-    return math.gcd(*values)
+    if top >= len(mu):
+        raise ValueError(f"range exceeds the sieve: need mu up to {top}, have {len(mu) - 1}")
+    return int(mu[p : top + 1 : p].sum(dtype=np.int64))

@@ -11,6 +11,9 @@ at a time, one integer width up, and sums in int64; a strided sum
 widens only the entries it picks, so no sum holds an N-entry int64
 array. The telescoping chain is an algebraic identity and its check
 must not depend on rounding. Only the decay traces |S_N|/N are floats.
+Each sum is fixed by (start, N): it runs at depth ``tower.orbit_depth``
+and sieves mu to N itself, once the orbit values are built, so an orbit
+past the word guard fails before the sieve.
 
 There is one telescoping chain, ``_unfold``. It unfolds S_N on the
 cyclic factor of order d M times when d is prime, carrying the sum
@@ -32,8 +35,8 @@ import numpy as np
 from . import _kernels
 from .construction import ClassKind, ConstructionParams, classify, column_offsets, heights
 from .errors import ConsistencyFailure, OdometerCase
-from .mobius import MobiusTable, prime_factors
-from .tower import _cut
+from .mobius import prime_factors, sieve_mobius
+from .tower import _cut, checked_heights, orbit_depth
 
 _INT64_SAFE = 2**62
 
@@ -101,7 +104,7 @@ class Observable:
         named, sorted. No loop runs in Python: an array's dtype gives its
         type, and ``array("q")`` copies a sequence refusing non-integers,
         so only its 0s and 1s are read, for bools."""
-        n = heights(params, stage).L(stage)
+        n = checked_heights(params, stage).L(stage)
         idx = None
         if isinstance(indices, np.ndarray):
             idx, kinds = indices, {indices.dtype.type}
@@ -127,7 +130,7 @@ class Observable:
     @classmethod
     def constant(cls, params: ConstructionParams, stage: int, value,
                  name: str = "") -> "Observable":
-        n = heights(params, stage).L(stage)
+        n = checked_heights(params, stage).L(stage)
         (num,), denom = _clear_denominators((value,))
         return cls._from_nums(stage, np.full(n, num, dtype=np.int64), denom, name)
 
@@ -137,13 +140,13 @@ class Observable:
         return np.append(self.nums, 0), self.denom
 
 
-def _orbit_values(params, obs: Observable, start: int, N: int, K: int):
+def _orbit_values(params, obs: Observable, start: int, N: int):
     """Values f(T^i x) for i = 1..N, plus the denominator: the
-    numerators restacked to depth K with spacers valued 0 and cut at the
-    orbit's end (``_cut``), in the narrowest signed integer dtype that
-    holds every numerator and 0 (int8 for an indicator)."""
-    if start < 0 or N < 1:
-        raise ValueError("need start >= 0 and N >= 1")
+    numerators restacked to depth ``orbit_depth`` with spacers valued 0
+    and cut at the orbit's end (``_cut``), in the narrowest signed
+    integer dtype that holds every numerator and 0 (int8 for an
+    indicator)."""
+    K = orbit_depth(params, obs.stage, start, N)
     lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
@@ -187,18 +190,14 @@ def _checkpoint_grid(N: int) -> list[int]:
 
 def mobius_weighted_sum(
     params: ConstructionParams, obs: Observable, start: int, N: int,
-    K: int, table: MobiusTable,
 ) -> MobiusSumResult:
     """S_N = sum_{i=1..N} f(T^i x) mu(i), exactly, for x the point at
-    level ``start``; checkpoints at n = 100, 1000, ... and N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N > table.n_max:
-        raise ValueError(f"table covers mu up to {table.n_max}, need {N}")
-    vals, denom = _orbit_values(params, obs, start, N, K)
+    level ``start``; checkpoints at n = 100, 1000, ... and N. mu is
+    sieved to N only once the orbit values are built."""
+    vals, denom = _orbit_values(params, obs, start, N)
     grid = _checkpoint_grid(N)
     sums = _kernels.weighted_mobius_sums(
-        vals, table.values, np.array(grid, dtype=np.int64)
+        vals, sieve_mobius(N), np.array(grid, dtype=np.int64)
     )
     checkpoints = tuple(
         (n, _exact(int(s), denom)) for n, s in zip(grid, sums)
@@ -294,9 +293,11 @@ def _require_supported_on_base(obs: Observable, d: int, start: int) -> None:
         raise ValueError(f"start level {start} not in E (residue {start % d})")
 
 
-def _unfold(params, obs, d, primes, start, N, K, table):
+def _unfold(params, obs, d, primes, start, N):
     """The telescoping chain of S_N = sum_{i<=N} f(T^i x) mu(i) for f
-    supported on E and x in E, in int64 units of 1/denom.
+    supported on E and x in E, in int64 units of 1/denom. The column
+    offsets are checked through the orbit's depth, and mu is sieved to N
+    once the orbit values are built.
 
     Starting from cur = S_N at stride s = 1, the step for the prime p
     computes
@@ -312,12 +313,10 @@ def _unfold(params, obs, d, primes, start, N, K, table):
     (the next factor splits F). Returns denom, S_N, the (p, stride, F,
     G) rows, the last cur and whether every step held.
     """
-    if N > table.n_max:
-        raise ValueError(f"table covers mu up to {table.n_max}, need {N}")
     _require_supported_on_base(obs, d, start)
-    _verify_offsets(params, d, obs.stage, K)
-    vals, denom = _orbit_values(params, obs, start, N, K)
-    mu = table.values
+    _verify_offsets(params, d, obs.stage, orbit_depth(params, obs.stage, start, N))
+    vals, denom = _orbit_values(params, obs, start, N)
+    mu = sieve_mobius(N)
     s_n = int(_kernels.weighted_mobius_sums(vals, mu, np.array([N], np.int64))[0])
     cur, stride, rows, holds = s_n, 1, [], True
     for p in primes:
@@ -351,8 +350,7 @@ class TelescopeResult:
 
 
 def telescope_identity_check(
-    params: ConstructionParams, obs: Observable, d: int, start: int,
-    N: int, K: int, table: MobiusTable,
+    params: ConstructionParams, obs: Observable, d: int, start: int, N: int,
 ) -> TelescopeResult:
     """Verify, exactly, with S = T^d on E:
 
@@ -366,7 +364,7 @@ def telescope_identity_check(
     """
     if prime_factors(d) != [d]:
         raise ValueError(f"d={d} must be prime")
-    denom, lhs, [(_, _, F, G)], _, _ = _unfold(params, obs, d, [d], start, N, K, table)
+    denom, lhs, [(_, _, F, G)], _, _ = _unfold(params, obs, d, [d], start, N)
     first, second = -F, -G  # mu(d) = -1
     return TelescopeResult(
         d=d, N=N,
@@ -405,7 +403,7 @@ class PrimeExtensionReport:
 
 def prime_extension_report(
     params: ConstructionParams, obs: Observable, d: int, start: int,
-    N: int, M: int, K: int, table: MobiusTable,
+    N: int, M: int,
 ) -> PrimeExtensionReport:
     """Unfold S_N along the telescoping chain: M times for prime d, once
     per prime factor (nondecreasing) for composite d, M then being the
@@ -425,7 +423,7 @@ def prime_extension_report(
     factors = prime_factors(d)
     prime = factors == [d]
     primes = [d] * M if prime else factors
-    denom, s_n, rows, rem, holds = _unfold(params, obs, d, primes, start, N, K, table)
+    denom, s_n, rows, rem, holds = _unfold(params, obs, d, primes, start, N)
     norm = Fraction(obs.sup_norm)
     steps = tuple(
         ExtensionStep(

@@ -36,14 +36,17 @@ TAIL_PROBE_STAGES = 8
 MAX_DENSE_LEVELS = 512
 
 
+def _heights_from(params: ConstructionParams, j: int, K: int) -> HeightTable:
+    """Heights through stage K; ValueError unless 1 <= j <= K."""
+    if not 1 <= j <= K:
+        raise ValueError(f"need 1 <= j <= K, got j={j}, K={K}")
+    return heights(params, K)
+
+
 def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTable:
     """Heights through stage K; ValueError unless 1 <= j <= K or if the
     stage-K word would exceed MAX_WORD_LENGTH."""
-    if j < 1:
-        raise ValueError("reference stage must be >= 1")
-    if K < j:
-        raise ValueError("depth K must be >= reference stage j")
-    table = heights(params, K)
+    table = _heights_from(params, j, K)
     if table.L(K) > MAX_WORD_LENGTH:
         raise ValueError(f"stage-{K} word has {table.L(K)} levels, over the "
                          f"{MAX_WORD_LENGTH} in-memory limit")
@@ -52,26 +55,26 @@ def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTab
 
 def _cut(params: ConstructionParams, j: int, K: int, lo: int = 0, hi: int | None = None,
          base=None, fill=None) -> np.ndarray:
-    """Entries [lo, hi) (hi defaults to L_K) of the stage-j word ``base``
-    cut and stacked through stage K, built only as far as hi, read-only.
-    Stage m stacks column 1, s_m(1) spacers, ..., column r_m, s_m(r_m)
-    spacers. By default ``base`` is the level indices 0..L_j-1 and a
-    spacer inserted at stage m is -m: the label word. A given ``fill``
-    is every spacer's value and must fit ``base``'s dtype.
+    """Entries [lo, hi) (hi <= L_K, by default L_K) of the stage-j word
+    ``base`` cut and stacked through stage K, built only as far as hi,
+    read-only. Stage m stacks column 1, s_m(1) spacers, ..., column r_m,
+    s_m(r_m) spacers. By default ``base`` is the level indices 0..L_j-1
+    and a spacer inserted at stage m is -m: the label word. A given
+    ``fill`` is every spacer's value and must fit ``base``'s dtype.
 
-    Nothing is built before the checks: ``checked_heights``, one
-    ``base`` value per stage-j level, and hi <= L_K, else
-    DepthTooShallow worded for the orbit of the point at level lo - 1.
+    Nothing is built before the checks: 1 <= j <= K, hi within
+    MAX_WORD_LENGTH, and one ``base`` value per stage-j level.
     """
-    table = checked_heights(params, K, j)
-    L_j, L_K = table.L(j), table.L(K)
+    table = _heights_from(params, j, K)
+    L_j = table.L(j)
+    hi = table.L(K) if hi is None else hi
+    if hi > MAX_WORD_LENGTH:
+        raise ValueError(f"stage-{K} word cut at {hi} entries, over the "
+                         f"{MAX_WORD_LENGTH} in-memory limit")
     if base is None:
         base = np.arange(L_j, dtype=np.int64)
     elif len(base) != L_j:
         raise ValueError(f"{len(base)} values given for the {L_j} levels of stage {j}")
-    hi = L_K if hi is None else hi
-    if hi > L_K:
-        raise DepthTooShallow(f"orbit start={lo - 1}, N={hi - lo} exceeds L_K-1={L_K - 1}")
     fills = (-np.arange(j, K, dtype=np.int64) if fill is None
              else np.full(K - j, fill, dtype=np.int64))
     stages = params.stage_range(j, K - 1)
@@ -98,9 +101,7 @@ def level_measures(params: ConstructionParams, j: int, K: int) -> dict[int, Frac
     stacks r_m copies of the stage-m tower for m = j..K-1, so each
     stage-j level is prod r_m of the L_K levels. No word is built, so
     any depth works."""
-    if not 1 <= j <= K:
-        raise ValueError(f"need 1 <= j <= K, got j={j}, K={K}")
-    table = heights(params, K)
+    table = _heights_from(params, j, K)
     copies = math.prod(st.r for st in params.stage_range(j, K - 1))
     return dict.fromkeys(range(table.L(j)), Fraction(copies, table.L(K)))
 
@@ -281,13 +282,20 @@ def correlation_matrix(
     return correlation_matrices(params, j, K, [n])[n]
 
 
-def orbit_labels(params: ConstructionParams, j: int, K: int, start: int,
-                 N: int) -> np.ndarray:
-    """Labels along the orbit of the point at level ``start``: entries
-    start+1 .. start+N of the label word, cut at the orbit's end by
-    ``_cut``. ValueError unless start >= 0 and N >= 1, and
-    DepthTooShallow when the orbit would leave the stage-K tower, both
-    before anything is built."""
+def orbit_depth(params: ConstructionParams, j: int, start: int, N: int) -> int:
+    """The depth of an orbit of N steps from the point at level ``start``:
+    the first stage K >= j whose word holds entries start+1..start+N,
+    that is L_K > start + N. ValueError unless j >= 1, start >= 0 and
+    N >= 1."""
+    if j < 1:
+        raise ValueError(f"reference stage must be >= 1, got {j}")
     if start < 0 or N < 1:
         raise ValueError("need start >= 0 and N >= 1")
-    return _cut(params, j, K, start + 1, start + N + 1)
+    return first_stage_reaching(params, start + N + 1, j)
+
+
+def orbit_labels(params: ConstructionParams, j: int, start: int, N: int) -> np.ndarray:
+    """Labels along the orbit of the point at level ``start``: entries
+    start+1 .. start+N of the label word at depth ``orbit_depth``, cut
+    at the orbit's end by ``_cut``."""
+    return _cut(params, j, orbit_depth(params, j, start, N), start + 1, start + N + 1)

@@ -2,6 +2,7 @@ import filecmp
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -308,7 +309,9 @@ def test_telescope_with_d_beyond_N(tmp_path, d, M):
     assert rows.get("equal", rows.get("identity_holds")) == "True"
 
 
-@pytest.mark.parametrize("K,L_K,max_rows", [(16, 21_523_360, 10_000), (3, 13, 100)])
+# L_17 = 64570081 is past the word guard, which counts only the rows built
+@pytest.mark.parametrize("K,L_K,max_rows", [(16, 21_523_360, 10_000), (3, 13, 100),
+                                            (17, 64_570_081, 5)])
 def test_labels_builds_only_the_rows_it_writes(tmp_path, monkeypatch, K, L_K, max_rows):
     asked = min(L_K, max_rows)
     built = []
@@ -445,6 +448,8 @@ def test_disjointness_pq_errors_are_config_errors(tmp_path, capsys, p, q, messag
     [
         ({"preset": "chacon"}, "mobius-sum", {"N": 55_000_000}),
         ({"preset": "class4"}, "telescope", {"d": 2, "N": 55_000_000}),
+        # chacon's L_20 levels are too many for the indicator itself
+        ({"preset": "chacon"}, "mobius-sum", {"stage": 20}),
     ],
 )
 def test_oversized_orbit_fails_before_sieving(tmp_path, monkeypatch,
@@ -453,10 +458,16 @@ def test_oversized_orbit_fails_before_sieving(tmp_path, monkeypatch,
         raise AssertionError("sieved before the word-length check")
 
     monkeypatch.setattr(_kernels, "sieve_mobius", no_sieve)
-    code, out, _ = run_config(
-        tmp_path,
-        make_config(construction=construction, command=command, params=params),
-    )
+    tracemalloc.start()
+    try:
+        code, out, _ = run_config(
+            tmp_path,
+            make_config(construction=construction, command=command, params=params),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # no indicator, word or sieve was allocated
     assert code == 3
     assert "error[ValueError]: stage-" in out
     assert out.splitlines()[-1].endswith("over the 50000000 in-memory limit")

@@ -8,16 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone import _kernels
-from rankone.mobius import (
-    MobiusTable,
-    gcd_all,
-    mobius_direct,
-    residue_mertens,
-    sieve_mobius,
-)
+from rankone.mobius import mobius_direct, residue_mertens, sieve_mobius
 
-TABLE = sieve_mobius(10_000)
-TABLE_BIG = sieve_mobius(50_000)
+MU = sieve_mobius(10_000)
+MU_BIG = sieve_mobius(50_000)
 DIRECT = [0] + [mobius_direct(n) for n in range(1, 20_001)]
 
 
@@ -26,7 +20,7 @@ DIRECT = [0] + [mobius_direct(n) for n in range(1, 20_001)]
     [(1, 1), (4, 0), (6, 1), (12, 0), (30, -1), (2, -1), (9, 0), (2310, -1)],
 )
 def test_known_values(n, expected):
-    assert TABLE.mu(n) == expected
+    assert MU[n] == expected
     assert mobius_direct(n) == expected
 
 
@@ -34,11 +28,11 @@ def test_sum_up_to_100():
     # cross-check the sieved partial sum against the trial-division oracle
     oracle = sum(mobius_direct(n) for n in range(1, 101))
     assert oracle == 1
-    assert TABLE.mertens(100) == 1
+    assert MU[1:101].sum() == 1
 
 
 def test_sieve_matches_direct_oracle():
-    assert all(TABLE.mu(n) == mobius_direct(n) for n in range(1, 10_001))
+    assert MU.tolist() == DIRECT[:10_001]
 
 
 def test_sieve_matches_direct_at_every_size_to_3000():
@@ -84,7 +78,7 @@ def test_sieve_refuses_sizes_past_its_uint8_sums_before_allocating(monkeypatch):
 @given(st.integers(1, 20_000))
 @settings(max_examples=60, deadline=None)
 def test_sieve_matches_direct_at_any_size(n_max):
-    assert sieve_mobius(n_max).values.tolist() == DIRECT[: n_max + 1]
+    assert sieve_mobius(n_max).tolist() == DIRECT[: n_max + 1]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 97, 521, 1009, 2003])
@@ -104,7 +98,7 @@ def test_sieve_at_prime_square_boundaries(p, offset):
 @given(st.integers(1, 50_000))
 @settings(max_examples=60, deadline=None)
 def test_sieve_prefix_consistency(m):
-    assert np.array_equal(sieve_mobius(m).values, TABLE_BIG.values[: m + 1])
+    assert np.array_equal(sieve_mobius(m), MU_BIG[: m + 1])
 
 
 def _is_prime(n):
@@ -171,22 +165,20 @@ def test_sieve_dtype_and_length_at_tiny_sizes(n_max, expected):
 def test_squareful_entries_vanish():
     for p in (2, 3, 5, 7, 11, 13):
         sq = p * p
-        assert not TABLE.values[sq::sq].any()
+        assert not MU[sq::sq].any()
 
 
 def test_first_entry_and_range():
-    assert TABLE.mu(1) == 1
-    with pytest.raises(ValueError):
-        TABLE.mu(0)
-    with pytest.raises(ValueError):
-        TABLE.mu(10_001)
+    # mu(n) sits at index n, through n_max; mu(0) is not defined and left 0
+    assert MU.dtype == np.int8 and MU.shape == (10_001,)
+    assert MU[1] == 1 and MU[0] == 0
 
 
 @given(st.integers(1, 200), st.integers(1, 200))
 @settings(max_examples=200, deadline=None)
 def test_multiplicative_on_coprime_pairs(m, n):
     if math.gcd(m, n) == 1:
-        assert TABLE_BIG.mu(m * n) == TABLE_BIG.mu(m) * TABLE_BIG.mu(n)
+        assert MU_BIG[m * n] == MU_BIG[m] * MU_BIG[n]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -194,8 +186,8 @@ def test_prime_extension_facts(d):
     # mu(dk) = mu(d)mu(k) for k coprime to d, and mu(d^2 k) = 0
     for k in range(1, 400):
         if k % d != 0:
-            assert TABLE_BIG.mu(d * k) == TABLE_BIG.mu(d) * TABLE_BIG.mu(k)
-        assert TABLE_BIG.mu(d * d * k) == 0
+            assert MU_BIG[d * k] == MU_BIG[d] * MU_BIG[k]
+        assert MU_BIG[d * d * k] == 0
 
 
 def test_invalid_sieve_size():
@@ -204,31 +196,25 @@ def test_invalid_sieve_size():
 
 
 def test_residue_mertens_examples():
-    assert residue_mertens(TABLE, 2, 4) == -1  # mu(2)+mu(4)
-    assert residue_mertens(TABLE, 5, 4) == 0  # empty sum
-    assert residue_mertens(TABLE, 3, 9) == 0  # mu(3)+mu(6)+mu(9)
+    assert residue_mertens(MU, 2, 4) == -1  # mu(2)+mu(4)
+    assert residue_mertens(MU, 5, 4) == 0  # empty sum
+    assert residue_mertens(MU, 3, 9) == 0  # mu(3)+mu(6)+mu(9)
 
 
 def test_residue_mertens_matches_bruteforce():
     for p in (2, 3, 7):
         for N in (10, 99, 1000):
-            brute = sum(TABLE.mu(p * i) for i in range(1, N // p + 1))
-            assert residue_mertens(TABLE, p, N) == brute
+            brute = sum(int(MU[p * i]) for i in range(1, N // p + 1))
+            assert residue_mertens(MU, p, N) == brute
 
 
 def test_residue_mertens_range_errors():
     small = sieve_mobius(10)
     with pytest.raises(ValueError):
         residue_mertens(small, 3, 12)  # needs mu(12)
-    assert residue_mertens(small, 3, 11) == small.mu(3) + small.mu(6) + small.mu(9)
+    assert residue_mertens(small, 3, 11) == small[3] + small[6] + small[9]
 
 
 def test_table_is_readonly():
     with pytest.raises(ValueError):
-        TABLE.values[3] = 5
-
-
-def test_gcd_all():
-    assert gcd_all([]) == 0
-    assert gcd_all([12, 18, 30]) == 6
-    assert gcd_all([7]) == 7
+        MU[3] = 5

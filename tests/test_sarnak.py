@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from rankone import construction as cons
 from rankone import sarnak, tower
-from rankone.errors import ConsistencyFailure, DepthTooShallow, OdometerCase
+from rankone.errors import ConsistencyFailure, OdometerCase
 from rankone.mobius import mobius_direct, sieve_mobius
-
-TABLE = sieve_mobius(20_000)
 
 # mu(1..10), by hand
 MU10 = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
@@ -28,7 +26,7 @@ CHACON_BASE = [1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1]
 
 def test_chacon_base_sum_example():
     obs = sarnak.Observable.indicator(cons.chacon(), 1, [0], "base")
-    res = sarnak.mobius_weighted_sum(cons.chacon(), obs, 0, 10, 3, TABLE)
+    res = sarnak.mobius_weighted_sum(cons.chacon(), obs, 0, 10)
     # independent oracle: the hand-written word against mu(1..10)
     oracle = sum(CHACON_BASE[i] * MU10[i - 1] for i in range(1, 11))
     assert oracle == -1
@@ -37,7 +35,7 @@ def test_chacon_base_sum_example():
 
 def test_single_step():
     obs = sarnak.Observable.indicator(cons.chacon(), 1, [0])
-    res = sarnak.mobius_weighted_sum(cons.chacon(), obs, 0, 1, 3, TABLE)
+    res = sarnak.mobius_weighted_sum(cons.chacon(), obs, 0, 1)
     assert res.final == CHACON_BASE[1] * MU10[0] == 1
 
 
@@ -46,13 +44,12 @@ def test_constant_observable_reduces_to_mertens():
     # (an observable at a shallower stage vanishes on spacers)
     params = cons.chacon()
     obs = sarnak.Observable.constant(params, 7, 7)
-    res = sarnak.mobius_weighted_sum(params, obs, 0, 500, 7, TABLE)
-    assert res.final == 7 * TABLE.mertens(500)
+    res = sarnak.mobius_weighted_sum(params, obs, 0, 500)
+    assert res.final == 7 * int(sieve_mobius(500).sum())
 
 
 def test_linearity_in_coefficients():
     params = cons.class4()
-    K = cons.first_stage_reaching(params, 300)
     rng = random.Random(3)
     n_levels = cons.heights(params, 2).L(2)
     a = tuple(rng.randint(-3, 3) for _ in range(n_levels))
@@ -60,41 +57,38 @@ def test_linearity_in_coefficients():
     fa = sarnak.Observable(2, a)
     fb = sarnak.Observable(2, b)
     fab = sarnak.Observable(2, tuple(2 * x + 3 * y for x, y in zip(a, b)))
-    ra = sarnak.mobius_weighted_sum(params, fa, 0, 200, K, TABLE).final
-    rb = sarnak.mobius_weighted_sum(params, fb, 0, 200, K, TABLE).final
-    rab = sarnak.mobius_weighted_sum(params, fab, 0, 200, K, TABLE).final
+    ra = sarnak.mobius_weighted_sum(params, fa, 0, 200).final
+    rb = sarnak.mobius_weighted_sum(params, fb, 0, 200).final
+    rab = sarnak.mobius_weighted_sum(params, fab, 0, 200).final
     assert rab == 2 * ra + 3 * rb
 
 
 def test_fraction_coefficients_exact():
     params = cons.chacon()
     obs = sarnak.Observable(1, (Fraction(1, 3),))
-    res = sarnak.mobius_weighted_sum(params, obs, 0, 100, 6, TABLE)
+    res = sarnak.mobius_weighted_sum(params, obs, 0, 100)
     ints = sarnak.Observable(1, (1,))
-    res_int = sarnak.mobius_weighted_sum(params, ints, 0, 100, 6, TABLE)
+    res_int = sarnak.mobius_weighted_sum(params, ints, 0, 100)
     assert res.final == Fraction(res_int.final, 3)
 
 
 def test_checkpoint_grid():
     params = cons.chacon()
     obs = sarnak.Observable.indicator(params, 1, [0])
-    res = sarnak.mobius_weighted_sum(params, obs, 0, 2500, 9, TABLE)
+    res = sarnak.mobius_weighted_sum(params, obs, 0, 2500)
     assert [n for n, _ in res.checkpoints] == [100, 1000, 2500]
-    partial = sarnak.mobius_weighted_sum(params, obs, 0, 100, 9, TABLE)
+    partial = sarnak.mobius_weighted_sum(params, obs, 0, 100)
     assert partial.final == dict(res.checkpoints)[100]
 
 
 def test_weighted_sum_errors():
     params = cons.chacon()
     obs = sarnak.Observable.indicator(params, 1, [0])
-    with pytest.raises(DepthTooShallow, match=r"^orbit start=0, N=50 exceeds L_K-1=12$"):
-        sarnak.mobius_weighted_sum(params, obs, 0, 50, 3, TABLE)
-    with pytest.raises(ValueError):
-        sarnak.mobius_weighted_sum(params, obs, 0, 30_000, 12, TABLE)
-    with pytest.raises(ValueError, match="need start >= 0"):
-        sarnak.mobius_weighted_sum(params, obs, -1, 5, 3, TABLE)
+    for start, N in ((-1, 5), (0, 0)):
+        with pytest.raises(ValueError, match="^need start >= 0 and N >= 1$"):
+            sarnak.mobius_weighted_sum(params, obs, start, N)
     with pytest.raises(ValueError, match="^3 values given for the 4 levels of stage 2$"):
-        sarnak.mobius_weighted_sum(params, sarnak.Observable(2, (1, 0, 1)), 0, 5, 3, TABLE)
+        sarnak.mobius_weighted_sum(params, sarnak.Observable(2, (1, 0, 1)), 0, 5)
 
 
 def test_overflow_guard_reads_the_visited_levels():
@@ -103,9 +97,9 @@ def test_overflow_guard_reads_the_visited_levels():
     params, big = cons.chacon(), 2**61
     visited = sarnak.Observable(2, (0, big, 5, 1))
     with pytest.raises(ValueError, match="overflow the exact int64 path"):
-        sarnak.mobius_weighted_sum(params, visited, 0, 2, 3, TABLE)
+        sarnak.mobius_weighted_sum(params, visited, 0, 2)
     unvisited = sarnak.Observable(2, (0, 1, 5, big))
-    res = sarnak.mobius_weighted_sum(params, unvisited, 0, 2, 3, TABLE)
+    res = sarnak.mobius_weighted_sum(params, unvisited, 0, 2)
     assert res.final == 1 * MU10[0] + 5 * MU10[1]
 
 
@@ -115,7 +109,7 @@ def test_overflow_guard_reads_the_visited_levels():
 ])
 def test_orbit_values_take_the_narrowest_dtype(coeffs, dtype):
     params = cons.chacon()
-    vals, denom = sarnak._orbit_values(params, sarnak.Observable(2, coeffs), 0, 30, 5)
+    vals, denom = sarnak._orbit_values(params, sarnak.Observable(2, coeffs), 0, 30)
     full = tower.build_labels(params, 2, 5, 31)[1:]
     want = np.append(np.array(coeffs, dtype=np.int64), 0)[np.where(full >= 0, full, 4)]
     assert vals.dtype == dtype and denom == 1
@@ -123,15 +117,14 @@ def test_orbit_values_take_the_narrowest_dtype(coeffs, dtype):
 
 
 def test_weighted_sum_holds_no_int64_orbit_word():
-    # the int8 orbit word and one int64 chunk buffer; N int64 words of
-    # values and products would take 16 bytes a step
+    # the int8 orbit word, the int8 mu and the sieve's or the sum's
+    # block buffers; N int64 words of values and products would take 16
+    # bytes a step
     params, N = cons.chacon(), 2_000_000
-    K = cons.first_stage_reaching(params, N + 2)
     obs = sarnak.Observable.indicator(params, 2, [0, 3])
-    table = sieve_mobius(N)
     tracemalloc.start()
     try:
-        sarnak.mobius_weighted_sum(params, obs, 0, N, K, table)
+        sarnak.mobius_weighted_sum(params, obs, 0, N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -225,7 +218,7 @@ def test_telescope_d2_example():
     params = cons.class4()
     K = cons.first_stage_reaching(params, 20)
     obs = indicator_of_base(params, 2, K)
-    res = sarnak.telescope_identity_check(params, obs, 2, 0, 4, K, TABLE)
+    res = sarnak.telescope_identity_check(params, obs, 2, 0, 4)
     assert (res.lhs, res.rhs) == (-1, -1)
     assert res.equal
 
@@ -234,7 +227,7 @@ def test_telescope_d3_example():
     params = cons.cyclic_factor_preset(3)
     K = cons.first_stage_reaching(params, 20)
     obs = indicator_of_base(params, 3, K)
-    res = sarnak.telescope_identity_check(params, obs, 3, 0, 9, K, TABLE)
+    res = sarnak.telescope_identity_check(params, obs, 3, 0, 9)
     assert (res.lhs, res.rhs) == (0, 0)
     assert res.equal
 
@@ -243,7 +236,7 @@ def test_telescope_zero_observable():
     params = cons.class4()
     K = cons.first_stage_reaching(params, 20)
     obs = sarnak.Observable(K, (0,) * cons.heights(params, K).L(K))
-    res = sarnak.telescope_identity_check(params, obs, 2, 0, 10, K, TABLE)
+    res = sarnak.telescope_identity_check(params, obs, 2, 0, 10)
     assert res.lhs == res.rhs == 0
 
 
@@ -252,12 +245,12 @@ def test_telescope_validation():
     K = cons.first_stage_reaching(params, 200)
     obs = indicator_of_base(params, 2, K)
     with pytest.raises(ValueError):
-        sarnak.telescope_identity_check(params, obs, 4, 0, 50, K, TABLE)
+        sarnak.telescope_identity_check(params, obs, 4, 0, 50)
     with pytest.raises(ValueError):
-        sarnak.telescope_identity_check(params, obs, 2, 1, 50, K, TABLE)
+        sarnak.telescope_identity_check(params, obs, 2, 1, 50)
     off_support = sarnak.Observable.indicator(params, K, [1])
     with pytest.raises(ValueError):
-        sarnak.telescope_identity_check(params, off_support, 2, 0, 50, K, TABLE)
+        sarnak.telescope_identity_check(params, off_support, 2, 0, 50)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -271,7 +264,7 @@ def test_telescope_randomized_exact(d):
         obs = sarnak.Observable.indicator(params, K, levels)
         N = rng.randint(10, 2000)
         start = d * rng.randint(0, (L - N - 2) // d)
-        res = sarnak.telescope_identity_check(params, obs, d, start, N, K, TABLE)
+        res = sarnak.telescope_identity_check(params, obs, d, start, N)
         assert res.equal
 
 
@@ -279,8 +272,8 @@ def test_prime_extension_single_step_matches_telescope():
     params = cons.class4()
     K = cons.first_stage_reaching(params, 200)
     obs = indicator_of_base(params, 2, K)
-    tele = sarnak.telescope_identity_check(params, obs, 2, 0, 64, K, TABLE)
-    rep = sarnak.prime_extension_report(params, obs, 2, 0, 64, 1, K, TABLE)
+    tele = sarnak.telescope_identity_check(params, obs, 2, 0, 64)
+    rep = sarnak.prime_extension_report(params, obs, 2, 0, 64, 1)
     assert rep.identity_holds
     assert rep.s_n == tele.lhs
 
@@ -289,7 +282,7 @@ def test_prime_extension_example_bound():
     params = cons.class4()
     K = cons.first_stage_reaching(params, 40)
     obs = indicator_of_base(params, 2, K)
-    rep = sarnak.prime_extension_report(params, obs, 2, 0, 16, 2, K, TABLE)
+    rep = sarnak.prime_extension_report(params, obs, 2, 0, 16, 2)
     assert rep.remainder_bound == Fraction(16, 4)
     assert rep.identity_holds and rep.triangle_holds
     assert abs(rep.s_n) <= sum(abs(s.term) for s in rep.steps) + 4
@@ -299,7 +292,7 @@ def test_prime_extension_strides_exceed_range():
     params = cons.class4()
     K = cons.first_stage_reaching(params, 40)
     obs = indicator_of_base(params, 2, K)
-    rep = sarnak.prime_extension_report(params, obs, 2, 0, 10, 4, K, TABLE)
+    rep = sarnak.prime_extension_report(params, obs, 2, 0, 10, 4)
     assert rep.remainder == 0  # no k <= N/d^{M+1}
     assert rep.remainder_bound < obs.sup_norm
     assert rep.s_n == sum(s.term for s in rep.steps)
@@ -309,7 +302,7 @@ def test_composite_extension_chains_prime_factors():
     params = cons.cyclic_factor_preset(6)
     K = cons.first_stage_reaching(params, 3000)
     obs = indicator_of_base(params, 6, K)
-    rep = sarnak.prime_extension_report(params, obs, 6, 0, 600, 1, K, TABLE)
+    rep = sarnak.prime_extension_report(params, obs, 6, 0, 600, 1)
     assert [s.prime for s in rep.steps] == [2, 3]
     assert rep.identity_holds
 
@@ -362,9 +355,7 @@ def test_prime_extension_matches_oracle(d, primes):
         obs = sarnak.Observable(K, coeffs)
         N = rng.randint(1000, 2500)
         start = d * rng.randint(0, (L - N - 2) // d)
-        rep = sarnak.prime_extension_report(
-            params, obs, d, start, N, len(primes), K, TABLE
-        )
+        rep = sarnak.prime_extension_report(params, obs, d, start, N, len(primes))
         s_n, terms, rem = chain_oracle(params, obs, d, primes, start, N, K)
         assert rep.s_n == s_n
         assert [(st.prime, st.stride, st.term) for st in rep.steps] == terms
@@ -377,7 +368,7 @@ def test_prime_extension_matches_oracle(d, primes):
         assert rep.M == len(primes)
         assert rep.identity_holds and rep.triangle_holds
         if len(primes) == 1:
-            tele = sarnak.telescope_identity_check(params, obs, d, start, N, K, TABLE)
+            tele = sarnak.telescope_identity_check(params, obs, d, start, N)
             assert tele.lhs == rep.s_n
             assert tele.first_term == rep.steps[0].term
             assert tele.second_term == -rep.remainder  # mu(d) G
@@ -389,11 +380,12 @@ def test_prime_extension_matches_oracle(d, primes):
 @pytest.mark.parametrize("name,K", [("chacon", 12), ("class4", 16)])
 def test_decay_trend_presets(name, K):
     # trend check only: |S_N|/N falls between N=1e3 and N=1e5; the o(N)
-    # statement itself is not decidable at finite N
-    table = sieve_mobius(10**5)
+    # statement itself is not decidable at finite N. The sum runs at the
+    # first depth K whose word holds the orbit.
     params = cons.preset(name)
+    assert tower.orbit_depth(params, 1, 0, 10**5) == K
     obs = sarnak.Observable.indicator(params, 1, [0], "base")
-    res = sarnak.mobius_weighted_sum(params, obs, 0, 10**5, K, table)
+    res = sarnak.mobius_weighted_sum(params, obs, 0, 10**5)
     by_n = dict(res.checkpoints)
     assert abs(by_n[100_000]) / 100_000 < abs(by_n[1000]) / 1000
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone import _kernels, tower
+from rankone import _kernels, mobius, sarnak, tower
 from rankone import construction as cons
 from rankone.errors import DepthTooShallow
 
@@ -352,19 +352,25 @@ def test_csv_rows_deterministic():
 # ----------------------------------------------------------------- orbits
 
 def test_orbit_examples():
-    seg = tower.orbit_labels(cons.chacon(), 1, 3, 0, 3)
+    seg = tower.orbit_labels(cons.chacon(), 1, 0, 3)
     assert as_symbols(seg) == ["b", "sp", "b"]
     p = cons.ConstructionParams.periodic(1, [cons.StageParams(2, (0, 0))])
-    seg2 = tower.orbit_labels(p, 1, 4, 0, 4)
+    seg2 = tower.orbit_labels(p, 1, 0, 4)
     assert seg2.tolist() == [1, 0, 1, 0]
 
 
 def test_orbit_depth_guard():
-    with pytest.raises(DepthTooShallow, match=r"^orbit start=0, N=13 exceeds L_K-1=12$"):
-        tower.orbit_labels(cons.chacon(), 1, 3, 0, 13)
+    # chacon's L_3 = 13 holds entries 1..12, L_4 = 40 the 13th
+    assert tower.orbit_depth(cons.chacon(), 1, 0, 12) == 3
+    assert tower.orbit_depth(cons.chacon(), 1, 0, 13) == 4
+    assert tower.orbit_depth(cons.chacon(), 3, 0, 1) == 3
+    assert np.array_equal(tower.orbit_labels(cons.chacon(), 1, 0, 13),
+                          tower.build_labels(cons.chacon(), 1, 4)[1:14])
     for start, N in ((-1, 3), (0, 0)):
         with pytest.raises(ValueError, match="need start >= 0 and N >= 1"):
-            tower.orbit_labels(cons.chacon(), 1, 3, start, N)
+            tower.orbit_labels(cons.chacon(), 1, start, N)
+    with pytest.raises(ValueError, match="^reference stage must be >= 1, got 0$"):
+        tower.orbit_labels(cons.chacon(), 0, 0, 5)
 
 
 def test_orbit_builds_the_word_only_to_its_end(monkeypatch):
@@ -378,7 +384,7 @@ def test_orbit_builds_the_word_only_to_its_end(monkeypatch):
     monkeypatch.setattr(_kernels, "build_word", spy)
     params = cons.preset("flat3")
     start, N = 4, 30
-    seg = tower.orbit_labels(params, 1, 8, start, N)
+    seg = tower.orbit_labels(params, 1, start, N)
     assert built == [start + N + 1]
     assert np.array_equal(seg, tower.build_labels(params, 1, 8)[start + 1 : start + N + 1])
 
@@ -386,16 +392,15 @@ def test_orbit_builds_the_word_only_to_its_end(monkeypatch):
         raise AssertionError("built a word before checking the orbit")
 
     monkeypatch.setattr(_kernels, "build_word", no_word)
-    L_K = cons.heights(params, 8).L(8)
-    with pytest.raises(DepthTooShallow):
-        tower.orbit_labels(params, 1, 8, start, L_K - start)
+    with pytest.raises(ValueError, match="over the 50000000 in-memory limit$"):
+        tower.orbit_labels(params, 1, 0, tower.MAX_WORD_LENGTH)
 
 
 def test_orbit_step_composition():
     params = cons.preset("flat3")
-    whole = tower.orbit_labels(params, 1, 8, 4, 30)
-    first = tower.orbit_labels(params, 1, 8, 4, 12)
-    rest = tower.orbit_labels(params, 1, 8, 16, 18)
+    whole = tower.orbit_labels(params, 1, 4, 30)
+    first = tower.orbit_labels(params, 1, 4, 12)
+    rest = tower.orbit_labels(params, 1, 16, 18)
     assert np.array_equal(whole, np.concatenate([first, rest]))
 
 
@@ -428,7 +433,7 @@ def test_measures_and_orbits_match_the_word(params, j, data):
     assert measures == {a: Fraction(int(counts[a]), L_K) for a in range(L_j)}
     assert measures == {a: Fraction(int(diag[a]), L_K) for a in range(L_j)}
     # an orbit of N steps from level s reads entries s+1..s+N; the last
-    # valid window ends at entry L_K - 1
+    # window of the stage-K word ends at entry L_K - 1
     N = data.draw(st.integers(1, max(L_K - 1, 1)))
     for length in (N, L_K + N):  # a prefix stops at L_K
         assert np.array_equal(tower.build_labels(params, j, K, length), word[:length])
@@ -436,12 +441,43 @@ def test_measures_and_orbits_match_the_word(params, j, data):
     if last >= 0:
         s = data.draw(st.integers(0, last))
         for start in (s, last):
-            assert np.array_equal(tower.orbit_labels(params, j, K, start, N),
+            assert tower.orbit_depth(params, j, start, N) <= K
+            assert np.array_equal(tower.orbit_labels(params, j, start, N),
                                   word[start + 1 : start + N + 1])
-    with pytest.raises(DepthTooShallow, match=f"exceeds L_K-1={L_K - 1}$"):
-        tower.orbit_labels(params, j, K, last + 1, N)
+    # one step further the orbit needs the next stage
+    assert tower.orbit_depth(params, j, last + 1, N) == K + 1
+
+
+MAX_ORBIT = 3000
+MU_DIRECT = [0] + [mobius.mobius_direct(n) for n in range(1, MAX_ORBIT)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(CONSTRUCTIONS, st.integers(1, 3), st.data())
+def test_weighted_sum_matches_the_label_word(params, stage, data):
+    # the sum picks its own depth; the oracle reads one stage deeper than
+    # a depth K that holds the orbit. Besides a random window, one ends at
+    # entry L_K - 1 and one just past the stage K-1 word, at entry L_{K-1}
+    lo = top = cons.first_stage_reaching(params, 2, stage)
+    while cons.heights(params, top + 1).L(top + 1) <= MAX_ORBIT:
+        top += 1
+    K = data.draw(st.integers(lo, top))
+    L_K, L_j = cons.heights(params, K).L(K), cons.heights(params, stage).L(stage)
+    N = data.draw(st.integers(1, L_K - 1))
+    last = L_K - 1 - N
+    seam = cons.heights(params, K - 1).L(K - 1) - N if K > stage else -1
+    start = data.draw(st.integers(0, last) | st.sampled_from([s for s in (last, seam) if s >= 0]))
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=L_j, max_size=L_j))
+    word = tower.build_labels(params, stage, K + 1)[start + 1 : start + N + 1]
+    want = sum(coeffs[a] * MU_DIRECT[i] for i, a in enumerate(word.tolist(), 1) if a >= 0)
+    res = sarnak.mobius_weighted_sum(params, sarnak.Observable(stage, tuple(coeffs)), start, N)
+    assert res.final == want
 
 
 def test_word_length_guard():
-    with pytest.raises(ValueError):
+    # the guard counts the entries a cut builds, not L_K
+    with pytest.raises(ValueError, match="^stage-40 word cut at .* in-memory limit$"):
         tower.build_labels(cons.chacon(), 1, 40)
+    assert cons.heights(cons.chacon(), 17).L(17) > tower.MAX_WORD_LENGTH
+    assert np.array_equal(tower.build_labels(cons.chacon(), 1, 17, 13),
+                          tower.build_labels(cons.chacon(), 1, 3))
