@@ -18,7 +18,7 @@ checks the JSON keys, kinds and minimums, fills the defaults, and gives
 every param the flag ``--name`` (``_`` spelled ``-``) of its subcommand.
 The fit commands take one depth param, ``max_shift``; the rest of their
 depth rule, window and tolerances are ``limits`` constants, printed in
-every report. ``cascade --horizon`` sets only its cross-check window.
+every report.
 
 Exit codes: 0 success, 2 config error, 3 computation error.
 """
@@ -244,15 +244,10 @@ def _write_csv(path: Path, header: tuple[str, ...], rows):
     path.write_text("".join(lines), newline="")
 
 
-def _depth_for(cfg: RunConfig, j: int = 1, n: int = 0, levels: int | None = None) -> int:
-    """The given depth K, else the first stage K >= j with L_K >= levels,
-    or without ``levels`` the fits' depth K for shift n."""
+def _depth_for(cfg: RunConfig, j: int = 1, n: int = 0) -> int:
+    """The given depth K, else the fits' depth K for shift n."""
     K = cfg.params["K"]
-    if K is not None:
-        return K
-    if levels is None:
-        return limits.depth(cfg.construction, n, j)
-    return cons.first_stage_reaching(cfg.construction, levels, j)
+    return limits.depth(cfg.construction, n, j) if K is None else K
 
 
 def _conventions(specs: tuple[Param, ...], p: dict) -> str:
@@ -364,13 +359,13 @@ def _cmd_disjointness(cfg, out, report):
 
 def _cmd_cascade(cfg, out, report):
     p = cfg.params
-    prime, horizon = p["p"], p["horizon"]
+    prime = p["p"]
     res = limits.weak_limit(cfg.construction, 1, max_shift=p["max_shift"])
     support = res.polynomial.support(limits.SUPPORT_TAU)
     report.append(f"fit of T^(H_j) at stages {list(res.stages)}: {res.polynomial} "
                   f"support {sorted(support)}")
     cascade = limits.divisibility_cascade(support, prime, p["levels"])
-    consequence = limits.flatness_consequence(cfg.construction, horizon, prime, cascade)
+    consequence = limits.flatness_consequence(cfg.construction, res.stages, prime, cascade)
     _write_csv(
         out / "cascade.csv",
         ("m", "modulus", "holds", "params_divide", "max_abs_spacer_diff"),
@@ -399,7 +394,7 @@ def _cmd_mobius_sum(cfg, out, report):
 def _cmd_telescope(cfg, out, report):
     p = cfg.params
     d, N, M, start = p["d"], p["N"], p["M"], p["start"]
-    K = _depth_for(cfg, levels=start + N + 2)
+    K = p["K"] or tower.orbit_depth(cfg.construction, 1, start, N)  # a given K is >= 1
     L_K = tower.checked_heights(cfg.construction, K).L(K)
     levels = p["levels"] if p["levels"] is not None else np.arange(0, L_K, d)
     obs = sarnak.Observable.indicator(cfg.construction, K, levels)
@@ -461,8 +456,7 @@ COMMANDS = {
     "similarity": Command(_cmd_similarity, (Param("Q", _poly), Param("P", _poly), *_PQ)),
     "disjointness": Command(_cmd_disjointness, (*_PQ, _MAX_SHIFT)),
     "cascade": Command(_cmd_cascade, (Param("p", _int, REQUIRED, 2),
-                                      Param("levels", _int, 3, 1), _MAX_SHIFT,
-                                      Param("horizon", _int, 60, 2))),  # cross-check window
+                                      Param("levels", _int, 3, 1), _MAX_SHIFT)),
     "mobius-sum": Command(_cmd_mobius_sum, (Param("N", _int, 100_000, 1),
                                             Param("stage", _int, 1, 1), _START,
                                             Param("levels", _ints, [0]))),

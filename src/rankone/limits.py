@@ -26,9 +26,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .construction import (
-    ConstructionParams, first_stage_reaching, heights, tail_start,
-)
+from .construction import ConstructionParams, first_stage_reaching, heights
+from .errors import StageUnavailable
 from .tower import CorrelationMatrix, correlation_depths
 
 
@@ -226,14 +225,29 @@ def _return_height(params: ConstructionParams, j: int) -> int:
     return -(heights(params, j).L(j) + params.stage(j).s_min_first)
 
 
+def auto_ref_stage(params: ConstructionParams, Z: int) -> int:
+    """Smallest reference stage whose level count exceeds 2Z+1, so that
+    the basis shifts |z| <= Z stay distinct even on periodic words
+    (odometer words repeat with period L_j, aliasing C_z with
+    C_{z mod L_j})."""
+    return first_stage_reaching(params, 2 * Z + 2)
+
+
 def _select_stages(
     params: ConstructionParams, multipliers: Sequence[int], max_shift: int,
-) -> list[tuple[int, int]]:
-    """(j, H_j) of the last FIT_COUNT stages j with Z < |k*H_j| <= max_shift
-    for every k in ``multipliers`` (a smaller shift is a basis shift). |H_j|
-    strictly increases with j (L_{j+1} >= 2L_j + s_j(1)), so the walk stops
-    at the first stage beyond max_shift, or an explicit construction's last."""
+) -> tuple[int, list[tuple[int, int]]]:
+    """The reference stage j_ref and (j, H_j) of the last FIT_COUNT stages j
+    with L_{j_ref} <= k*|H_j| <= max_shift for every k in ``multipliers``, so
+    that each shift moves every reference level out of the reference tower.
+    |H_j| strictly increases with j (L_{j+1} >= 2L_j + s_j(1)), so the walk
+    stops at the first stage beyond max_shift, or an explicit one's last."""
     low, high = min(multipliers), max(multipliers)
+    try:
+        j_ref = auto_ref_stage(params, Z)
+    except StageUnavailable:
+        raise ValueError(f"fewer than two admissible stages: the listed stages build "
+                         f"no reference tower of 2Z+2={2 * Z + 2} levels") from None
+    floor = heights(params, j_ref).L(j_ref)
     walk = (range(1, len(params.stages) + 1) if params.kind == "explicit"
             else itertools.count(1))
     usable = []
@@ -241,20 +255,12 @@ def _select_stages(
         h = _return_height(params, j)
         if -high * h > max_shift:
             break
-        if -low * h > Z:
+        if -low * h >= floor:
             usable.append((j, h))
     if len(usable) < 2:
-        raise ValueError(f"fewer than two admissible stages j with "
-                         f"Z={Z} < {low}*|H_j| and {high}*|H_j| <= max_shift={max_shift}")
-    return usable[-FIT_COUNT:]
-
-
-def auto_ref_stage(params: ConstructionParams, Z: int) -> int:
-    """Smallest reference stage whose level count exceeds 2Z+1, so that
-    the basis shifts |z| <= Z stay distinct even on periodic words
-    (odometer words repeat with period L_j, aliasing C_z with
-    C_{z mod L_j})."""
-    return first_stage_reaching(params, 2 * Z + 2)
+        raise ValueError(f"fewer than two admissible stages j with L_{j_ref}={floor} <= "
+                         f"{low}*|H_j| and {high}*|H_j| <= max_shift={max_shift}")
+    return j_ref, usable[-FIT_COUNT:]
 
 
 @dataclass(frozen=True)
@@ -269,14 +275,15 @@ class WeakLimitResult:
     ref_stage: int
 
 
-def _fit_series(
-    params: ConstructionParams, stages: Sequence[int],
-    series: Sequence[Sequence[int]],
+def _fit_powers(
+    params: ConstructionParams, multipliers: Sequence[int], max_shift: int,
 ) -> list[WeakLimitResult]:
-    """Fit every series of shifts along ``stages``, each shift n at the
-    depth ``depth`` gives it, the fits of all series counted by one
-    climb."""
-    j_ref = auto_ref_stage(params, Z)
+    """Fit the series k*H_j of each multiplier k along the stages
+    ``_select_stages`` admits, each shift n at the depth ``depth`` gives
+    it, the fits of all series counted by one climb."""
+    j_ref, walk = _select_stages(params, multipliers, max_shift)
+    stages = tuple(j for j, _ in walk)
+    series = [tuple(k * h for _, h in walk) for k in multipliers]
     shifts = [n for ns in series for n in ns]
     depths = (depth(params, n, j_ref) for n in shifts)
     fits = _fit_shifts(params, j_ref, shifts, depths, Z)
@@ -288,8 +295,8 @@ def _fit_series(
             default=float("inf"),
         )
         results.append(WeakLimitResult(
-            polynomial=series_fits[-1], fits=tuple(series_fits), stages=tuple(stages),
-            shifts=tuple(ns), stability_gap=gap, ref_stage=j_ref,
+            polynomial=series_fits[-1], fits=tuple(series_fits), stages=stages,
+            shifts=ns, stability_gap=gap, ref_stage=j_ref,
         ))
     return results
 
@@ -299,12 +306,11 @@ def weak_limit(
 ) -> WeakLimitResult:
     """Fit the weak limit of T^{d*H_j} along successive stages j.
 
-    Fits the last FIT_COUNT admissible stages (Z < |d*H_j| <= max_shift),
-    reports the maximal coefficient gap between consecutive fits, and
-    returns the deepest fit as the limit estimate.
+    Fits the last FIT_COUNT admissible stages (L_{j_ref} <= |d*H_j| <=
+    max_shift), reports the maximal coefficient gap between consecutive
+    fits, and returns the deepest fit as the limit estimate.
     """
-    stages, hs = zip(*_select_stages(params, (d,), max_shift))
-    return _fit_series(params, stages, [[d * h for h in hs]])[0]
+    return _fit_powers(params, (d,), max_shift)[0]
 
 
 # ------------------------------------------------------------ similarity
@@ -413,10 +419,7 @@ def disjointness_certificate(
     that T^q and T^p are disjoint."""
     check_pair(p, q)
 
-    stages, base = zip(*_select_stages(params, (q, p), max_shift))
-    q_result, p_result = _fit_series(
-        params, stages, [[q * n for n in base], [p * n for n in base]]
-    )
+    q_result, p_result = _fit_powers(params, (q, p), max_shift)
 
     similarity = is_pq_similar(q_result.polynomial, p_result.polynomial, p, q)
 
@@ -531,21 +534,19 @@ class FlatnessConsequence:
 
 
 def flatness_consequence(
-    params: ConstructionParams, horizon: int, p: int, cascade: CascadeResult,
+    params: ConstructionParams, stages: Iterable[int], p: int, cascade: CascadeResult,
 ) -> FlatnessConsequence:
     """For each cascade level m, verify that p^m divides every spacer
-    difference s_j(i) - s_j(i') over the first r-1 columns, for j in the
-    tail window [max(1, floor(top/2)), top], where top is the horizon or
-    an explicit construction's last stage, whichever is smaller; also
+    difference s_j(i) - s_j(i') over the first r-1 columns, for j in
+    ``stages``, the stages the cascade's limit was fitted along; also
     reports the level at which bounded parameters force flat behavior
     (p^m > spacer bound).
     """
     if p != cascade.p:
         raise ValueError("cascade was computed for a different p")
-    top = min(horizon, len(params.stages)) if params.kind == "explicit" else horizon
     diffs = set()
     s_sup = 0
-    for st in params.stage_range(tail_start(top), top):
+    for st in map(params.stage, stages):
         s_sup = max(s_sup, max(st.s))
         head = st.s[: st.r - 1]
         diffs.update(abs(a - b) for ii, a in enumerate(head) for b in head[ii + 1 :])

@@ -295,9 +295,9 @@ def _require_supported_on_base(obs: Observable, d: int, start: int) -> None:
 
 def _unfold(params, obs, d, primes, start, N):
     """The telescoping chain of S_N = sum_{i<=N} f(T^i x) mu(i) for f
-    supported on E and x in E, in int64 units of 1/denom. The column
-    offsets are checked through the orbit's depth, and mu is sieved to N
-    once the orbit values are built.
+    supported on E and x in E, in int64 units of 1/denom. The orbit values
+    must vanish at every time i not divisible by d (ConsistencyFailure names
+    the first that does not), and mu is sieved to N once they are checked.
 
     Starting from cur = S_N at stride s = 1, the step for the prime p
     computes
@@ -314,8 +314,12 @@ def _unfold(params, obs, d, primes, start, N):
     G) rows, the last cur and whether every step held.
     """
     _require_supported_on_base(obs, d, start)
-    _verify_offsets(params, d, obs.stage, orbit_depth(params, obs.stage, start, N))
     vals, denom = _orbit_values(params, obs, start, N)
+    if np.count_nonzero(vals) != np.count_nonzero(vals[d - 1::d]):
+        times = np.flatnonzero(vals) + 1
+        raise ConsistencyFailure(
+            f"f(T^i x) != 0 at time i={times[times % d != 0][0]}, not divisible by "
+            f"d={d}; the telescoping identity needs f to vanish there")
     mu = sieve_mobius(N)
     s_n = int(_kernels.weighted_mobius_sums(vals, mu, np.array([N], np.int64))[0])
     cur, stride, rows, holds = s_n, 1, [], True

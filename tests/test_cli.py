@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rankone import _kernels, cli, limits
+from rankone import _kernels, cli, limits, tower
 from rankone import construction as cons
 from rankone.errors import ConfigError
 
@@ -227,7 +227,7 @@ def test_telescope_default_levels_are_the_base_class(tmp_path, d, M):
     construction = {"h1": params.h1, "stages": {"kind": "periodic",
                                                 "pattern": [{"r": 2, "s": [0, d]}]}}
     config = {"d": d, "N": 3000, "M": M}
-    K = cons.first_stage_reaching(params, config["N"] + 2)
+    K = tower.orbit_depth(params, 1, 0, config["N"])
     levels = list(range(0, cons.heights(params, K).L(K), d))
     runs = [run_config(tmp_path, make_config(construction=construction,
                                              command="telescope", params=p), sub)
@@ -236,6 +236,23 @@ def test_telescope_default_levels_are_the_base_class(tmp_path, d, M):
     assert runs[0][1] == runs[1][1]
     assert ((runs[0][2] / "telescope.csv").read_bytes()
             == (runs[1][2] / "telescope.csv").read_bytes())
+
+
+EXPLICIT_CHACON8 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3, "s": [0, 1, 0]}] * 8}}
+
+
+@pytest.mark.parametrize("argv,lhs", [
+    # the default K is the orbit's depth, here stage 9 with L_9 = 9841
+    (["--construction-json", json.dumps(EXPLICIT_CHACON8), "--d", "2", "--N", "9840"], 8),
+    # the orbit values vanish off multiples of d, whatever the column offsets
+    (["--preset", "chacon", "--d", "2", "--N", "100"], 8),
+    (["--preset", "class4", "--d", "3", "--N", "100"], 5),
+    (["--preset", "class4", "--d", "3", "--N", "10000"], 3),
+], ids=["explicit-chacon8", "chacon-d2", "class4-d3-N100", "class4-d3-N10000"])
+def test_telescope_checks_its_hypothesis_on_the_orbit(tmp_path, argv, lhs):
+    assert cli.main(["telescope", *argv, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "telescope.csv").read_text().splitlines()
+    assert rows[1:4] == [f"lhs,{lhs}", f"rhs,{lhs}", "equal,True"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -348,7 +365,7 @@ EXPLICIT_CHACON16 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3,
 @pytest.mark.parametrize(
     "construction,params,error",
     [
-        # stages 4..6 fit; the first q-series depth search needs stage 7
+        # stages 5 and 6 fit; the first q-series depth search needs stage 7
         (EXPLICIT_ODOMETER6, {"p": 3, "q": 2},
          "error[StageUnavailable]: explicit construction has 6 stages, stage 7 requested"),
         # the second q-series fit needs the stage-17 word; the third one's
@@ -368,7 +385,7 @@ def test_disjointness_reports_the_first_fit_that_fails(tmp_path, construction, p
 
 
 def test_cascade_reads_only_the_stages_an_explicit_construction_lists(tmp_path):
-    # the horizon-60 tail window starts at stage 30
+    # the cross-check reads the fitted stages 4..6, not stages past the list
     code, out, outdir = run_config(tmp_path, make_config(
         construction=EXPLICIT_CHACON12, command="cascade",
         params={"p": 3, "levels": 2, "max_shift": 400},
@@ -409,15 +426,24 @@ def test_cascade_runs_one_fit(tmp_path, monkeypatch):
     [
         # stages 1 and 2 have shifts -1 and -4, whose targets are basis matrices
         (["weak-limit", "--preset", "chacon", "--max-shift", "4"], "weak_limit.csv",
-         "error[ValueError]: fewer than two admissible stages j with Z=8 < 1*|H_j| "
+         "error[ValueError]: fewer than two admissible stages j with L_4=40 <= 1*|H_j| "
          "and 1*|H_j| <= max_shift=4"),
-        # the fit is Theta alone, so no shift is left to test for divisibility
+        # shifts -4, -9 and -19 stay inside the 36-level reference tower, where
+        # the fit was Theta alone, an empty support; the walk now refuses them
+        # (divisibility_cascade refuses an empty support itself)
         (["cascade", "--construction-json",
           '{"h1": 0, "stages": {"kind": "periodic", "pattern": [{"r": 2, "s": [3, 1]}]}}',
           "--p", "2", "--levels", "3", "--max-shift", "20"], "cascade.csv",
-         "error[ValueError]: empty support (no coefficient above tau=0.02) holds vacuously"),
+         "error[ValueError]: fewer than two admissible stages j with L_4=36 <= 1*|H_j| "
+         "and 1*|H_j| <= max_shift=20"),
+        # P's stage-3 shift -26 lies inside the 40-level reference tower, where
+        # its fit was Theta alone; stage 4 is the only one left
+        (["disjointness", "--preset", "chacon", "--p", "2", "--q", "3",
+          "--max-shift", "300"], "limit_q.csv",
+         "error[ValueError]: fewer than two admissible stages j with L_4=40 <= 2*|H_j| "
+         "and 3*|H_j| <= max_shift=300"),
     ],
-    ids=["trivial-fit", "empty-support"],
+    ids=["trivial-fit", "empty-support", "inside-the-reference-tower"],
 )
 def test_fits_that_certify_nothing_exit_3(tmp_path, capsys, argv, csv, error):
     assert cli.main(argv + ["--out", str(tmp_path)]) == 3
@@ -627,8 +653,8 @@ REMOVED_DEPTH_CASES = [(c, key) for c in ("weak-limit", "disjointness", "cascade
                                    "Z", "tau")]
 # the stage offset m; as a flag, --m would otherwise pass as a prefix of --max-shift
 REMOVED_DEPTH_CASES.append(("weak-limit", "m"))
-# the fit horizon (cascade keeps its horizon as the cross-check window)
-REMOVED_DEPTH_CASES += [(c, "horizon") for c in ("weak-limit", "disjointness")]
+# the fit horizon, and cascade's cross-check window: it checks the fitted stages
+REMOVED_DEPTH_CASES += [(c, "horizon") for c in ("weak-limit", "disjointness", "cascade")]
 REMOVED_DEPTH_CASES += [("disjointness", key)
                         for key in ("coeff_tol", "stability_tol", "residual_tol")]
 REMOVED_DEPTH_CASES += [("similarity", key) for key in ("tol", "tau")]

@@ -185,31 +185,41 @@ def test_fit_terminates_on_a_singular_gram():
 
 def test_h_sequence_examples():
     # H_j = -2^(j-1) on the odometer and -L_j on chacon (s_min = 0); the
-    # walk keeps the last three stages with Z = 8 < |H_j| <= max_shift
+    # walk keeps the last three stages with L_ref <= |H_j| <= max_shift,
+    # where L_ref = 32 (stage 6) on the odometer and 40 (stage 4) on chacon
     odometer = cons.odometer(2)
-    for J in range(6, 10):
-        last = [(j, -(2 ** (j - 1))) for j in range(max(5, J - 2), J + 1)]
-        assert limits._select_stages(odometer, (1,), 2 ** (J - 1)) == last
+    for J in range(7, 10):
+        last = [(j, -(2 ** (j - 1))) for j in range(max(6, J - 2), J + 1)]
+        assert limits._select_stages(odometer, (1,), 2 ** (J - 1)) == (6, last)
         # an explicit list of J stages ends the walk at stage J
         listed = cons.ConstructionParams.explicit(0, odometer.stages * J)
-        assert limits._select_stages(listed, (1,), 10**9) == last
+        assert limits._select_stages(listed, (1,), 10**9) == (6, last)
     table = cons.heights(cons.chacon(), 7)
-    for J in range(4, 8):
-        last = range(max(3, J - 2), J + 1)
+    for J in range(5, 8):
+        last = range(max(4, J - 2), J + 1)
         ch = limits._select_stages(cons.chacon(), (1,), table.L(J))
-        assert ch == [(j, -table.L(j)) for j in last]
+        assert ch == (4, [(j, -table.L(j)) for j in last])
     # the largest multiplier scales |H_j| before the max_shift test:
-    # 2*121 <= 242 < 2*364; the smallest one before the window test: 2*4 <= 8
-    assert limits._select_stages(cons.chacon(), (2,), 242) == [
-        (j, -table.L(j)) for j in (3, 4, 5)]
-    assert limits._select_stages(cons.chacon(), (2,), 241) == [
-        (j, -table.L(j)) for j in (3, 4)]
-    assert limits._select_stages(cons.chacon(), (3, 1), 120) == [
-        (j, -table.L(j)) for j in (3, 4)]
-    # chacon at max_shift 4 has only the stages of shifts -1 and -4, whose
-    # targets are basis matrices
-    with pytest.raises(ValueError, match="fewer than two admissible stages"):
-        limits._select_stages(cons.chacon(), (1,), 4)
+    # 2*364 <= 728 < 2*1093; the smallest one before the reference test,
+    # so stage 3 is admitted at 5*13 >= 40 but not at 2*13 or 3*13
+    assert limits._select_stages(cons.chacon(), (2,), 728) == (4, [
+        (j, -table.L(j)) for j in (4, 5, 6)])
+    assert limits._select_stages(cons.chacon(), (2,), 727) == (4, [
+        (j, -table.L(j)) for j in (4, 5)])
+    assert limits._select_stages(cons.chacon(), (3, 1), 363) == (4, [
+        (j, -table.L(j)) for j in (4, 5)])
+    assert limits._select_stages(cons.chacon(), (5,), 605) == (4, [
+        (j, -table.L(j)) for j in (3, 4, 5)])
+    # chacon at max_shift 4 has only the stages of shifts -1 and -4, and at
+    # (3, 2) and 300 only stage 4: 2*13 < 40 and 3*121 > 300
+    for multipliers, max_shift in (((1,), 4), ((3, 2), 300)):
+        with pytest.raises(ValueError, match="fewer than two admissible stages"):
+            limits._select_stages(cons.chacon(), multipliers, max_shift)
+    # a listed construction too short for a reference tower admits no stage
+    short = cons.ConstructionParams.explicit(0, [cons.StageParams(2, (0, 0))])
+    with pytest.raises(ValueError, match="fewer than two admissible stages: the listed "
+                                         "stages build no reference tower"):
+        limits._select_stages(short, (1,), 4)
 
 
 #: a stage beyond this one has |H_j| >= L_j >= 2^40, above every drawn
@@ -218,17 +228,22 @@ LAST_FILTERED_STAGE = 40
 
 
 def filtered_stages(params, multipliers, max_shift):
-    """H_j of every stage j, through an explicit construction's last
-    one, kept where Z < k*|H_j| <= max_shift for every multiplier k;
-    the last three of at least two."""
+    """The reference stage j_ref, the first with 2Z+2 levels, and H_j of
+    every stage j, through an explicit construction's last one, kept
+    where L_{j_ref} <= k*|H_j| <= max_shift for every multiplier k; the
+    last three of at least two."""
     top = (len(params.stages) if params.kind == "explicit"
            else LAST_FILTERED_STAGE)
-    table = cons.heights(params, top)
+    table = cons.heights(params, top + 1)  # a list of top stages builds L_{top+1}
+    refs = [j for j in range(1, top + 2) if table.L(j) >= 2 * limits.Z + 2]
+    if not refs:
+        return None
+    floor = table.L(refs[0])
     usable = [(j, -(table.L(j) + params.stage(j).s_min_first))
               for j in range(1, top + 1)]
     usable = [(j, h) for j, h in usable
-              if all(limits.Z < -k * h <= max_shift for k in multipliers)]
-    return usable[-3:] if len(usable) >= 2 else None
+              if all(floor <= -k * h <= max_shift for k in multipliers)]
+    return (refs[0], usable[-3:]) if len(usable) >= 2 else None
 
 
 _STAGE = st.integers(2, 4).flatmap(
@@ -260,7 +275,12 @@ def test_stage_walk_matches_the_filter(selection):
         with pytest.raises(ValueError, match="fewer than two admissible stages"):
             limits._select_stages(*selection)
     else:
-        assert limits._select_stages(*selection) == expected
+        j_ref, walk = limits._select_stages(*selection)
+        assert (j_ref, walk) == expected
+        # every target moves each reference level out of the reference tower
+        params, multipliers, _ = selection
+        floor = cons.heights(params, j_ref).L(j_ref)
+        assert all(floor <= -min(multipliers) * h for _, h in walk)
 
 
 @settings(max_examples=100, deadline=None)
@@ -282,6 +302,7 @@ def test_weak_limit_odometer():
 def test_weak_limit_chacon_identity_component():
     res = limits.weak_limit(cons.chacon(), 1)
     assert res.stages == (5, 6, 7) and res.shifts == (-121, -364, -1093)
+    assert res.ref_stage == 4
     assert res.polynomial.a(0) >= 0.25
     assert res.polynomial.fit_residual <= 0.05
     assert res.stability_gap <= 0.02
@@ -441,7 +462,7 @@ def test_divisibility_cascade_examples():
 
 def test_flatness_consequence_flat3():
     cascade = limits.divisibility_cascade({0}, 2, 3)
-    rep = limits.flatness_consequence(cons.flat3(), 24, 2, cascade)
+    rep = limits.flatness_consequence(cons.flat3(), (5, 6, 7), 2, cascade)
     assert rep.consistent and rep.all_flat
     assert all(row.params_divide for row in rep.rows)
 
@@ -449,7 +470,7 @@ def test_flatness_consequence_flat3():
 def test_flatness_consequence_chacon_halts():
     cascade = limits.divisibility_cascade({0, 1}, 2, 1)
     assert cascade.max_level == 0
-    rep = limits.flatness_consequence(cons.chacon(), 24, 2, cascade)
+    rep = limits.flatness_consequence(cons.chacon(), (5, 6, 7), 2, cascade)
     assert rep.consistent  # nothing certified, nothing contradicted
     assert rep.rows[0].max_abs_diff == 1
     assert not rep.rows[0].params_divide
@@ -460,30 +481,28 @@ def test_flatness_consequence_difference_four():
         0, [cons.StageParams(3, (0, 4, 0))], name="diff4"
     )
     ok = limits.divisibility_cascade({0, 4}, 2, 2)
-    rep = limits.flatness_consequence(diff4, 24, 2, ok)
+    rep = limits.flatness_consequence(diff4, (5, 6, 7), 2, ok)
     assert ok.max_level == 2 and rep.consistent
 
     over = limits.divisibility_cascade({0, 8}, 2, 3)
     assert over.max_level == 3
-    rep2 = limits.flatness_consequence(diff4, 24, 2, over)
+    rep2 = limits.flatness_consequence(diff4, (5, 6, 7), 2, over)
     assert not rep2.consistent
     assert [row.params_divide for row in rep2.rows] == [True, True, False]
 
 
 def test_flatness_consequence_reads_the_tail_window():
-    # spacer difference 1 at stages 1..4 and 3 from stage 5 on; the tail
-    # window of horizon 10 is stages 5..10, and an explicit list of 6
-    # stages cuts it to 3..6
+    # spacer difference 1 at stages 1..4 and 3 from stage 5 on; the check
+    # reads the stages it is given, the tail of the walk a fit used
     stages = [cons.StageParams(3, (0, 1, 0))] * 4 + [cons.StageParams(3, (0, 3, 0))] * 8
+    params = cons.ConstructionParams.explicit(0, stages)
     cascade = limits.divisibility_cascade({0}, 3, 2)
-    periodic = limits.flatness_consequence(
-        cons.ConstructionParams.periodic(0, stages), 10, 3, cascade)
-    assert [row.params_divide for row in periodic.rows] == [True, False]
-    assert {row.max_abs_diff for row in periodic.rows} == {3}
-    explicit = limits.flatness_consequence(
-        cons.ConstructionParams.explicit(0, stages[:6]), 10, 3, cascade)
-    assert [row.params_divide for row in explicit.rows] == [False, False]
-    assert explicit.s_sup == 3 and not explicit.consistent
+    late = limits.flatness_consequence(params, (5, 6, 7), 3, cascade)
+    assert [row.params_divide for row in late.rows] == [True, False]
+    assert {row.max_abs_diff for row in late.rows} == {3}
+    across = limits.flatness_consequence(params, (4, 5), 3, cascade)
+    assert [row.params_divide for row in across.rows] == [False, False]
+    assert across.s_sup == 3 and not across.consistent
 
 
 def test_limit_polynomial_csv_rows():

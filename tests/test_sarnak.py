@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from rankone import construction as cons
 from rankone import sarnak, tower
 from rankone.errors import ConsistencyFailure, OdometerCase
-from rankone.mobius import mobius_direct, sieve_mobius
+from rankone.mobius import mobius_direct, prime_factors, sieve_mobius
 
 # mu(1..10), by hand
 MU10 = [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
@@ -375,6 +375,57 @@ def test_prime_extension_matches_oracle(d, primes):
             assert tele.rhs == tele.first_term - tele.second_term
             assert tele.equal
             assert (tele.n_first, tele.n_second) == (N // d, N // (d * d))
+
+
+_PATTERN_STAGE = st.integers(2, 3).flatmap(
+    lambda r: st.tuples(st.just(r), st.lists(st.integers(0, 3), min_size=r, max_size=r)))
+
+
+@st.composite
+def telescope_inputs(draw):
+    """A periodic or random construction, an observable on the stage-j
+    levels of E (residue 0 mod d) at a low stage or at the orbit's depth,
+    and a start in E. A periodic one scaled by d has every column offset
+    divisible by d, so its orbits vanish off multiples of d."""
+    d = draw(st.sampled_from([2, 3, 4, 6]))
+    if draw(st.booleans()):
+        scale = draw(st.sampled_from([1, d]))
+        pattern = draw(st.lists(_PATTERN_STAGE, min_size=1, max_size=3))
+        params = cons.ConstructionParams.periodic(
+            scale * (draw(st.integers(0, 2)) + 1) - 1,
+            [cons.StageParams(r, tuple(scale * x for x in s)) for r, s in pattern])
+    else:
+        params = cons.ConstructionParams.random_bounded(
+            draw(st.integers(0, 3)), draw(st.integers(2, 3)), draw(st.integers(0, 3)),
+            draw(st.integers(0, 10**6)))
+    start, N = d * draw(st.integers(0, 50)), draw(st.integers(1, 400))
+    stage = draw(st.one_of(st.integers(1, 3), st.just(None)))
+    stage = stage or tower.orbit_depth(params, 1, start, N)
+    rng = draw(st.randoms(use_true_random=False))
+    coeffs = tuple(0 if i % d else rng.randint(-2, 2)
+                   for i in range(cons.heights(params, stage).L(stage)))
+    M = draw(st.integers(1, 3))
+    return params, sarnak.Observable(stage, coeffs), d, start, N, M
+
+
+@settings(max_examples=80, deadline=None)
+@given(telescope_inputs())
+def test_unfold_accepts_exactly_the_orbits_off_multiples_of_d(inputs):
+    params, obs, d, start, N, M = inputs
+    K = tower.orbit_depth(params, obs.stage, start, N)
+    labels = tower.build_labels(params, obs.stage, K)
+    off = [i for i in range(1, N + 1)
+           if i % d and labels[start + i] >= 0 and obs.coeffs[labels[start + i]]]
+    if off:
+        with pytest.raises(ConsistencyFailure, match=f"at time i={off[0]}, "):
+            sarnak.prime_extension_report(params, obs, d, start, N, M)
+        return
+    rep = sarnak.prime_extension_report(params, obs, d, start, N, M)
+    primes = [d] * M if prime_factors(d) == [d] else prime_factors(d)
+    s_n, terms, rem = chain_oracle(params, obs, d, primes, start, N, K)
+    assert rep.s_n == s_n and rep.remainder == rem
+    assert [(st.prime, st.stride, st.term) for st in rep.steps] == terms
+    assert rep.identity_holds
 
 
 @pytest.mark.parametrize("name,K", [("chacon", 12), ("class4", 16)])
