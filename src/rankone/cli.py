@@ -282,13 +282,14 @@ def _cmd_classify(cfg, out, report):
     _write_csv(out / "classification.csv", ("field", "value"), [
         ("label", str(label)),
         ("d", label.d),
+        ("flat", label.flat),
         ("horizon", horizon),
         ("r_sup", profile.r_sup),
         ("s_sup", profile.s_sup),
     ])
     report.append(f"classification: {label}")
     report.append(f"profile: r_sup={profile.r_sup} s_sup={profile.s_sup} "
-                  f"(horizon {horizon})")
+                  f"flat={label.flat} (horizon {horizon})")
 
 
 def _cmd_labels(cfg, out, report):
@@ -320,11 +321,7 @@ def _cmd_weak_limit(cfg, out, report):
     _write_csv(out / "weak_limit.csv", ("z", "a_z"),
                res.polynomial.to_csv_rows())
     report.append(f"weak limit of T^({d}*H_j): {res.polynomial}")
-    report.append(f"  fitted stages {list(res.stages)}, shifts {list(res.shifts)}, "
-                  f"ref stage {res.ref_stage}")
-    report.append(f"  stability gap {res.stability_gap:.4g}, "
-                  f"residual {res.polynomial.fit_residual:.4g}, "
-                  f"optimality gap {res.polynomial.optimality_gap:.2g}")
+    report.append(res.fit_summary())
     report.append(f"  support(tau={tau}): {sorted(res.polynomial.support(tau))}")
 
 
@@ -479,20 +476,16 @@ def run(config: RunConfig, stream=None) -> int:
         f"command: {config.command}",
         _conventions(command.params, config.params),
     ]
+    code = 0
     try:
         command.run(config, out, report)
     except ConfigError:
         raise
-    except RankOneError as exc:
+    except (RankOneError, ValueError) as exc:
         report.append(f"error[{type(exc).__name__}]: {exc}")
-        print("\n".join(report), file=stream)
-        return 3
-    except ValueError as exc:
-        report.append(f"error[ValueError]: {exc}")
-        print("\n".join(report), file=stream)
-        return 3
+        code = 3
     print("\n".join(report), file=stream)
-    return 0
+    return code
 
 
 # ------------------------------------------------------------------ main

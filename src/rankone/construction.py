@@ -163,7 +163,7 @@ def flat3() -> ConstructionParams:
 
 def cyclic_factor_preset(d: int) -> ConstructionParams:
     """Construction whose powers keep a cyclic factor of order d:
-    h1 = d-1 and spacers (0, d), so every return time is divisible by d."""
+    h1 = d-1 and spacers (0, d), so every column offset is divisible by d."""
     if d < 2:
         raise ValueError("d must be >= 2")
     name = "class4" if d == 2 else f"cyclic{d}"
@@ -320,18 +320,9 @@ def tail_start(horizon: int) -> int:
     return max(1, horizon // 2)
 
 
-def is_odometer_like(params, horizon: int) -> bool:
-    """Spacers constant across all columns on the tail window - the
-    parameter-level odometer criterion (rational discrete spectrum)."""
-    return all(
-        st.is_constant()
-        for st in params.stage_range(tail_start(horizon), horizon)
-    )
-
-
 @dataclass(frozen=True)
 class EigenvalueOrder:
-    """gcd of return times over stages [j0, J], with how early it
+    """gcd of the column offsets over stages [j0, J], with how early it
     stabilized (the gcd is unchanged from ``stabilized_at`` on)."""
 
     d: int
@@ -345,57 +336,67 @@ class EigenvalueOrder:
 
 
 def eigenvalue_order(params, j0: int, J: int) -> EigenvalueOrder:
-    """Order d of the rational eigenvalue group, estimated as
-    gcd{L_j + s_j(i) : j0 <= j <= J, 1 <= i <= r_j}.
+    """Order d of the rational spectrum, read off the column offsets of
+    stages j0..J: d = gcd of g_j, where g_j is the gcd of
+    ``column_offsets(params, j)``.
 
-    Raises OdometerCase for odometer-like parameters, where the
-    eigenvalue group is infinite and no finite d generates it.
+    A root of unity of order q is an eigenvalue exactly when q divides
+    every column offset of every stage from some stage on:
+    - sufficiency: if q divides the offsets of every stage from j1 on,
+      a point's position mod q in the stage-K word is the same for all
+      K >= j1, and T adds 1 to it off the top level; so e^{2 pi i pos/q}
+      is an eigenfunction;
+    - necessity: T^{L_j + s_j(i)} moves column i of stage j onto column
+      i+1, level by level, on a mass of about 1/r_max or more; since an
+      eigenfunction is close to a function of the stage-j level, its
+      eigenvalue lambda has lambda^{L_j + s_j(i)} -> 1 for i < r_j, so
+      for a root of unity of order q, q divides the offsets (partial
+      sums of those return times) from some stage on.
+
+    When the gcd over the later half of the window is larger than d, g_j
+    grows along the window: the rational spectrum is infinite (an
+    odometer) and OdometerCase is raised. Horizon-level evidence, not a
+    proof.
     """
     if not 1 <= j0 <= J:
         raise ValueError("need 1 <= j0 <= J")
-    if is_odometer_like(params, J):
-        raise OdometerCase(
-            "odometer-like parameters: rational spectrum is infinite"
-        )
-    g = 0
-    stabilized_at = j0
-    for j in range(j0, J + 1):
-        for t in return_times(params, j):
-            g2 = gcd(g, t)
-            if g2 != g:
-                g = g2
-                stabilized_at = j
-    return EigenvalueOrder(d=g, j0=j0, J=J, stabilized_at=stabilized_at)
+    g = [gcd(*column_offsets(params, j)) for j in range(j0, J + 1)]
+    running = list(accumulate(g, gcd))
+    mid = (J - j0) // 2
+    d, late = running[-1], gcd(*g[mid:])
+    if late > d:
+        raise OdometerCase(f"column-offset gcd grows from {d} on stages {j0}..{J} to "
+                           f"{late} on stages {j0 + mid}..{J}: infinite rational spectrum")
+    return EigenvalueOrder(d=d, j0=j0, J=J, stabilized_at=j0 + running.index(d))
 
 
 # --------------------------------------------------------------- labels
 
 class ClassKind(str, enum.Enum):
     ODOMETER = "Odometer"
-    FLAT_WEAKLY_MIXING = "FlatWeaklyMixing"
-    NON_FLAT_WEAKLY_MIXING = "NonFlatWeaklyMixing"
-    NON_FLAT_COMPACT_FACTOR = "NonFlatCompactFactor"
+    COMPACT_FACTOR = "CompactFactor"
+    TOTALLY_ERGODIC = "TotallyErgodic"
 
 
 @dataclass(frozen=True)
 class ClassLabel:
+    """The tail's rational spectrum, and its flatness (``flat_first``)."""
+
     kind: ClassKind
     d: int = 1
+    flat: bool = False
 
     def __str__(self):
-        if self.kind is ClassKind.NON_FLAT_COMPACT_FACTOR:
+        if self.kind is ClassKind.COMPACT_FACTOR:
             return f"{self.kind.value}({self.d})"
         return self.kind.value
 
 
 def classify(params, horizon: int, bound: int | None = None) -> ClassLabel:
-    """Four-way classification of a bounded construction on a horizon.
-
-    Odometer when spacers are constant across columns on the tail;
-    otherwise split by the eigenvalue order d (compact factor when
-    d >= 2) and by tail flatness when d = 1. Labels are horizon-level
-    evidence, not proofs.
-    """
+    """Rational spectrum of a bounded construction on a horizon, by
+    ``eigenvalue_order`` on the tail window: Odometer when infinite,
+    CompactFactor(d) for an order d >= 2, else TotallyErgodic (the
+    paper's hypothesis). Horizon-level evidence, not a proof."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     profile = bounded_profile(params, horizon, bound)
@@ -404,12 +405,11 @@ def classify(params, horizon: int, bound: int | None = None) -> ClassLabel:
             f"parameters exceed bound {bound} on horizon {horizon}: "
             f"r_sup={profile.r_sup}, s_sup={profile.s_sup}"
         )
-    if is_odometer_like(params, horizon):
-        return ClassLabel(ClassKind.ODOMETER)
     tail = (tail_start(horizon), horizon)
-    d = eigenvalue_order(params, tail[0], horizon).d
-    if d >= 2:
-        return ClassLabel(ClassKind.NON_FLAT_COMPACT_FACTOR, d)
-    if flatness(params, tail).flat_first:
-        return ClassLabel(ClassKind.FLAT_WEAKLY_MIXING)
-    return ClassLabel(ClassKind.NON_FLAT_WEAKLY_MIXING)
+    flat = flatness(params, tail).flat_first
+    try:
+        d = eigenvalue_order(params, *tail).d
+    except OdometerCase:
+        return ClassLabel(ClassKind.ODOMETER, flat=flat)
+    kind = ClassKind.COMPACT_FACTOR if d >= 2 else ClassKind.TOTALLY_ERGODIC
+    return ClassLabel(kind, d, flat)

@@ -274,6 +274,15 @@ class WeakLimitResult:
     stability_gap: float
     ref_stage: int
 
+    def fit_summary(self) -> str:
+        """Two report lines: the fitted stages, shifts and reference
+        stage, then the stability, residual and optimality gaps."""
+        return (f"  fitted stages {list(self.stages)}, shifts {list(self.shifts)}, "
+                f"ref stage {self.ref_stage}\n"
+                f"  stability gap {self.stability_gap:.4g}, "
+                f"residual {self.polynomial.fit_residual:.4g}, "
+                f"optimality gap {self.polynomial.optimality_gap:.2g}")
+
 
 def _fit_powers(
     params: ConstructionParams, multipliers: Sequence[int], max_shift: int,
@@ -392,9 +401,7 @@ class DisjointnessVerdict:
             lines += [
                 f"{name} (along T^({name.lower()}*H_j), {name.lower()}={k}): "
                 f"{res.polynomial}",
-                f"  stability gap {res.stability_gap:.4g}, residual "
-                f"{res.polynomial.fit_residual:.4g}, optimality gap "
-                f"{res.polynomial.optimality_gap:.2g}",
+                res.fit_summary(),
             ]
         lines.append(f"similarity: {self.similarity.reason}")
         lines.extend(self.notes)

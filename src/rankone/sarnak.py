@@ -33,8 +33,10 @@ from math import gcd, lcm
 import numpy as np
 
 from . import _kernels
-from .construction import ClassKind, ConstructionParams, classify, column_offsets, heights
-from .errors import ConsistencyFailure, OdometerCase
+from .construction import (
+    ConstructionParams, column_offsets, eigenvalue_order, heights, tail_start,
+)
+from .errors import ConsistencyFailure
 from .mobius import prime_factors, sieve_mobius
 from .tower import _cut, checked_heights, orbit_depth
 
@@ -245,20 +247,16 @@ def _verify_offsets(params: ConstructionParams, d: int, j0: int, j1: int) -> Non
 
 
 def compact_factor(params: ConstructionParams, horizon: int, K: int) -> FactorPartition:
-    """Cyclic factor E, TE, ..., T^{d-1}E at depth K, with d taken from
-    the classification; verifies that the column offsets of stages K and
-    K+1, which restack the stage-K levels, are divisible by d. Offsets
-    of earlier stages do not move stage-K levels between classes."""
-    label = classify(params, horizon)
-    if label.kind is ClassKind.ODOMETER:
-        raise OdometerCase("odometer has no finite maximal cyclic factor")
-    d = label.d
-    checked = K + 1
-    _verify_offsets(params, d, K, checked)
-    return FactorPartition(
-        d=d, depth=K, length=heights(params, K).L(K),
-        checked_through_stage=checked,
-    )
+    """Cyclic factor E, TE, ..., T^{d-1}E at depth K, with d the
+    ``eigenvalue_order`` of the tail window (OdometerCase when the
+    rational spectrum is infinite); verifies that the column offsets of
+    stages K and K+1, which restack the stage-K levels, are divisible by
+    d. Offsets of earlier stages do not move stage-K levels between
+    classes."""
+    d = eigenvalue_order(params, tail_start(horizon), horizon).d
+    _verify_offsets(params, d, K, K + 1)
+    return FactorPartition(d, depth=K, length=heights(params, K).L(K),
+                           checked_through_stage=K + 1)
 
 
 def decompose_observable(F: Observable, partition: FactorPartition) -> list[Observable]:

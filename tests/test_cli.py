@@ -135,9 +135,10 @@ def run_config(tmp_path, text, sub="out"):
 def test_classify_run(tmp_path):
     code, out, outdir = run_config(tmp_path, make_config())
     assert code == 0
-    assert "NonFlatWeaklyMixing" in out
+    assert "classification: TotallyErgodic" in out
     assert "conventions:" in out  # reports are self-describing
-    assert (outdir / "classification.csv").exists()
+    rows = (outdir / "classification.csv").read_text().splitlines()
+    assert rows[:4] == ["field,value", "label,TotallyErgodic", "d,1", "flat,False"]
 
 
 def test_heights_run(tmp_path):
@@ -507,6 +508,21 @@ def test_factor_odometer_exit_code(tmp_path):
     )
     assert code == 3
     assert "OdometerCase" in out
+
+
+def test_factor_reads_the_column_offsets(tmp_path):
+    # flat3's offset gcd 2*3^(j-1) grows: an odometer, so no finite d
+    code, out, _ = run_config(
+        tmp_path, make_config(construction={"preset": "flat3"}, command="factor"))
+    assert code == 3
+    assert "error[OdometerCase]: column-offset gcd grows" in out
+    # constant spacers (2, 2): every offset is even, and d = 2
+    two = {"h1": 1, "stages": {"kind": "periodic", "pattern": [{"r": 2, "s": [2, 2]}]}}
+    code, out, outdir = run_config(
+        tmp_path, make_config(construction=two, command="factor", params={"K": 6}), "two")
+    assert code == 0
+    assert "cyclic factor: d=2, depth 6" in out
+    assert (outdir / "factor.csv").read_text().splitlines()[1:] == ["6,2,190,0", "7,2,382,0"]
 
 
 def test_run_determinism(tmp_path):

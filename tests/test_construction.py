@@ -1,10 +1,14 @@
+import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone import construction as cons
+from rankone import tower
 from rankone.errors import NotBounded, OdometerCase, StageUnavailable
 
 PRESET_NAMES = ["chacon", "odometer2", "odometer3", "flat3", "class4"]
@@ -221,19 +225,27 @@ def test_return_times_examples():
 def test_eigenvalue_order_examples():
     assert cons.eigenvalue_order(cons.chacon(), 1, 10).d == 1
     assert cons.eigenvalue_order(cons.class4(), 1, 10).d == 2
-    assert cons.eigenvalue_order(cons.flat3(), 1, 10).d == 1
+    # constant spacers (2, 2) on h1 = 1: the offsets L_j + 2 are 4, 10, 22, ...
+    two = cons.ConstructionParams.periodic(1, [cons.StageParams(2, (2, 2))])
+    assert cons.eigenvalue_order(two, 1, 10).d == 2
     with pytest.raises(OdometerCase):
         cons.eigenvalue_order(cons.odometer(2), 1, 10)
+    # flat3: the offsets L_j + 1 and 2(L_j + 1), with L_j + 1 = 2*3^(j-1)
+    with pytest.raises(OdometerCase, match=r"grows from 2 on stages 1\.\.10 to 162 "
+                                           r"on stages 5\.\.10"):
+        cons.eigenvalue_order(cons.flat3(), 1, 10)
 
 
-def test_eigenvalue_order_divides_return_times():
+def test_eigenvalue_order_divides_column_offsets():
     for name in PRESET_NAMES:
         params = cons.preset(name)
-        if name.startswith("odometer"):
+        if name in ("odometer2", "odometer3", "flat3"):
+            with pytest.raises(OdometerCase):
+                cons.eigenvalue_order(params, 1, 15)
             continue
         order = cons.eigenvalue_order(params, 1, 15)
         for j in range(1, 16):
-            assert all(t % order.d == 0 for t in cons.return_times(params, j))
+            assert all(off % order.d == 0 for off in cons.column_offsets(params, j))
 
 
 def test_eigenvalue_order_stabilization_report():
@@ -249,13 +261,22 @@ def test_eigenvalue_order_stabilization_report():
     [
         ("odometer2", "Odometer"),
         ("odometer3", "Odometer"),
-        ("chacon", "NonFlatWeaklyMixing"),
-        ("flat3", "FlatWeaklyMixing"),
-        ("class4", "NonFlatCompactFactor(2)"),
+        ("chacon", "TotallyErgodic"),
+        ("flat3", "Odometer"),
+        ("class4", "CompactFactor(2)"),
     ],
 )
 def test_classify_presets(name, expected):
     assert str(cons.classify(cons.preset(name), 20)) == expected
+
+
+def test_classify_reports_tail_flatness_beside_the_kind():
+    assert cons.classify(cons.flat3(), 20).flat
+    assert not cons.classify(cons.chacon(), 20).flat
+    # flat over the first two columns, and a cyclic factor of order 2
+    flat_factor = cons.ConstructionParams.periodic(0, [cons.StageParams(3, (1, 1, 2))])
+    assert cons.classify(flat_factor, 20) == cons.ClassLabel(
+        cons.ClassKind.COMPACT_FACTOR, 2, flat=True)
 
 
 def test_classify_stable_under_doubling():
@@ -267,7 +288,7 @@ def test_classify_stable_under_doubling():
 def test_classify_cyclic_presets():
     for d in (2, 3, 5):
         label = cons.classify(cons.cyclic_factor_preset(d), 24)
-        assert label.kind is cons.ClassKind.NON_FLAT_COMPACT_FACTOR
+        assert label.kind is cons.ClassKind.COMPACT_FACTOR
         assert label.d == d
 
 
@@ -278,7 +299,96 @@ def test_classify_not_bounded():
 
 
 def test_eventually_odometer_detected():
-    # non-constant early stage, constant tail: odometer on the horizon
-    stages = [cons.StageParams(3, (0, 1, 0))] + [cons.StageParams(2, (1, 1))] * 19
+    # non-constant early stage, then no spacers: the offsets L_j double
+    stages = [cons.StageParams(3, (0, 1, 0))] + [cons.StageParams(2, (0, 0))] * 19
     params = cons.ConstructionParams.explicit(0, stages)
     assert cons.classify(params, 20).kind is cons.ClassKind.ODOMETER
+    # constant spacers (1, 1) are not an odometer: the offsets L_j + 1 run
+    # 5, 11, 23, ..., each twice the last plus one, so coprime
+    stages = [cons.StageParams(3, (0, 1, 0))] + [cons.StageParams(2, (1, 1))] * 19
+    params = cons.ConstructionParams.explicit(0, stages)
+    assert cons.classify(params, 20).kind is cons.ClassKind.TOTALLY_ERGODIC
+
+
+# A label is checked against the label word, not against the offsets'
+# gcd: the stage-K word holds the stage-j base level B_j at the start of
+# each copy of the stage-j tower, so the exact pair counts
+# C_n(B_j, B_j) = #{l : word[l] = word[l+n] = 0} vanish off qZ exactly
+# when q divides every difference of two copies' starts.
+
+def base_pair_counts(params, j, K):
+    """C_n(B_j, B_j) of the stage-K label word, for n = 0 .. L_K - 1."""
+    starts = np.flatnonzero(tower.build_labels(params, j, K) == 0)
+    gaps = starts[None, :] - starts[:, None]
+    return np.bincount(gaps[gaps > 0], minlength=cons.heights(params, K).L(K))
+
+
+def vanishing_moduli(counts):
+    """The q >= 1 with C_n = 0 at every n not divisible by q."""
+    shifts = np.flatnonzero(counts)
+    return [q for q in range(1, shifts[0] + 1) if not (shifts % q).any()]
+
+
+def check_signature(label, params, j0, mid, K):
+    """The label's signature on the stage-K word: Odometer vanishes mod g at
+    stage j0 and mod some g' > g at the later stage mid; otherwise the
+    largest modulus is the same at both stages: d for CompactFactor(d), and
+    1 for TotallyErgodic, which vanishes mod no q >= 2."""
+    moduli = vanishing_moduli(base_pair_counts(params, j0, K))
+    later = vanishing_moduli(base_pair_counts(params, mid, K))
+    if label.kind is cons.ClassKind.ODOMETER:
+        assert max(later) > max(moduli), (params, moduli, later)
+        return
+    assert max(later) == max(moduli), (params, label, moduli, later)
+    if label.kind is cons.ClassKind.COMPACT_FACTOR:
+        assert max(moduli) == label.d >= 2, (params, label, moduli)
+    else:
+        assert moduli == [1], (params, label, moduli)
+
+
+def test_base_pair_counts_are_the_correlation_counts():
+    for params in (cons.chacon(), cons.class4(), cons.flat3()):
+        counts = base_pair_counts(params, 2, 5)
+        shifts = list(range(1, 60))
+        mats = tower.correlation_matrices(params, 2, 5, shifts)
+        assert [int(mats[n].counts[0, 0]) for n in shifts] == counts[1:60].tolist()
+
+
+def test_census_labels_have_their_word_signature():
+    # the one-stage periodic constructions of
+    # test_compact_factor_label_implies_partition, labelled at horizon 40 and
+    # checked on the stage-8 word at stages 4 and 6
+    kinds = Counter()
+    for h1 in range(4):
+        for r in (2, 3):
+            for s in itertools.product(range(5), repeat=r):
+                params = cons.ConstructionParams.periodic(h1, [cons.StageParams(r, s)])
+                label = cons.classify(params, 40)
+                kinds[label.kind] += 1
+                check_signature(label, params, 4, 6, 8)
+    assert kinds == {cons.ClassKind.TOTALLY_ERGODIC: 394,
+                     cons.ClassKind.COMPACT_FACTOR: 166, cons.ClassKind.ODOMETER: 40}
+
+
+small_stages = st.builds(
+    lambda r, s: cons.StageParams(r, tuple(s[:r])),
+    st.integers(2, 3), st.lists(st.integers(0, 4), min_size=3, max_size=3),
+)
+
+
+@given(
+    st.one_of(
+        st.builds(cons.ConstructionParams.periodic, st.integers(0, 3),
+                  st.lists(small_stages, min_size=1, max_size=3)),
+        st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+                  st.integers(2, 3), st.integers(0, 3), st.integers(0, 10**6)),
+    ),
+    st.integers(2, 8),
+)
+@settings(max_examples=80, deadline=None)
+def test_labels_have_their_word_signature(params, horizon):
+    # the stage-(H+1) word places copies of the stage-j tower by the offsets
+    # of stages j..H, so the signature reads exactly the window the label read
+    j0 = cons.tail_start(horizon)
+    check_signature(cons.classify(params, horizon), params, j0,
+                    j0 + (horizon - j0) // 2, horizon + 1)

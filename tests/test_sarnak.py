@@ -151,6 +151,8 @@ def test_compact_factor_chacon_trivial():
 def test_compact_factor_odometer_raises():
     with pytest.raises(OdometerCase):
         sarnak.compact_factor(cons.odometer(2), 20, 10)
+    with pytest.raises(OdometerCase):
+        sarnak.compact_factor(cons.flat3(), 20, 10)
 
 
 def test_compact_factor_offsets_even_for_class4():
@@ -181,10 +183,10 @@ def test_compact_factor_label_implies_partition():
             for s in itertools.product(range(5), repeat=r):
                 params = cons.ConstructionParams.periodic(h1, [cons.StageParams(r, s)])
                 label = cons.classify(params, 40)
-                if label.kind is cons.ClassKind.NON_FLAT_COMPACT_FACTOR:
+                if label.kind is cons.ClassKind.COMPACT_FACTOR:
                     labelled += 1
                     assert sarnak.compact_factor(params, 40, 40).d == label.d
-    assert labelled == 98
+    assert labelled == 166
 
 
 def test_decompose_observable():
