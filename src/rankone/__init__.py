@@ -53,7 +53,6 @@ from .limits import (
 )
 from .mobius import mobius_direct, residue_mertens, sieve_mobius
 from .sarnak import (
-    FactorPartition,
     Observable,
     compact_factor,
     decompose_observable,

@@ -184,7 +184,8 @@ def _parse_construction(obj) -> cons.ConstructionParams:
 #: the one depth param of a fit; the rest of its depth rule is fixed in limits
 _MAX_SHIFT = Param("max_shift", _int, limits.DEFAULT_MAX_SHIFT, 1)
 _PQ = (Param("p", _int, REQUIRED, 1), Param("q", _int, REQUIRED, 1))
-_HORIZON = Param("horizon", _int, 40, 1)  # classification horizon
+#: classification horizon; a tail window needs 3 stages to show a growing gcd
+_HORIZON = Param("horizon", _int, 40, 3)
 _START = Param("start", _int, 0, 0)
 _K = Param("K", _int, None, 1)
 _K_FROM_J = Param("K", _int, None, "j")
@@ -281,7 +282,7 @@ def _cmd_classify(cfg, out, report):
     profile = cons.bounded_profile(cfg.construction, horizon, bound)
     _write_csv(out / "classification.csv", ("field", "value"), [
         ("label", str(label)),
-        ("d", label.d),
+        ("d", "" if label.d is None else label.d),
         ("flat", label.flat),
         ("horizon", horizon),
         ("r_sup", profile.r_sup),
@@ -422,18 +423,13 @@ def _cmd_telescope(cfg, out, report):
 
 def _cmd_factor(cfg, out, report):
     K = _depth_for(cfg)
-    part = sarnak.compact_factor(cfg.construction, cfg.params["horizon"], K)
-
-    def rows():
-        for j in range(part.depth, part.checked_through_stage + 1):
-            for col, off in enumerate(cons.column_offsets(cfg.construction, j), start=2):
-                yield (j, col, off, off % part.d)
-
+    d = sarnak.compact_factor(cfg.construction, cfg.params["horizon"], K)
     _write_csv(out / "factor.csv", ("stage", "column", "offset", "offset_mod_d"),
-               rows())
-    report.append(f"cyclic factor: d={part.d}, depth {K} (L_K={part.length}), "
-                  f"offsets verified for stages {part.depth}.."
-                  f"{part.checked_through_stage}")
+               ((j, col, off, off % d) for j in (K, K + 1)
+                for col, off in enumerate(cons.column_offsets(cfg.construction, j), start=2)))
+    report.append(f"cyclic factor: d={d}, depth {K} "
+                  f"(L_K={cons.heights(cfg.construction, K).L(K)}), "
+                  f"offsets verified for stages {K}..{K + 1}")
 
 
 class Command(NamedTuple):

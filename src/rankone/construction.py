@@ -48,9 +48,6 @@ class StageParams:
         from the minimum used by the return-power sequences)."""
         return min(self.s[:-1])
 
-    def is_constant(self) -> bool:
-        return len(set(self.s)) == 1
-
     def is_flat_first(self) -> bool:
         """Spacers equal over the first r-1 columns."""
         return len(set(self.s[:-1])) == 1
@@ -270,33 +267,13 @@ def bounded_profile(params, J, bound=None) -> BoundedProfile:
 
 # ------------------------------------------------------------- flatness
 
-@dataclass(frozen=True)
-class FlatnessReport:
-    flat_first: bool
-    flat_strict: bool
-    s_value: int | None
-
-
-def flatness(params, window: tuple[int, int]) -> FlatnessReport:
-    """Spacer flatness over the stage window (lo, hi), inclusive.
-
-    flat_first: every stage has s_j(1) = ... = s_j(r_j - 1);
-    flat_strict: equality extends through the last column;
-    s_value: the common first-block value when it is also constant
-    across the window.
-    """
+def flatness(params, window: tuple[int, int]) -> bool:
+    """Whether every stage of the window (lo, hi), inclusive, has
+    s_j(1) = ... = s_j(r_j - 1)."""
     lo, hi = window
     if lo < 1 or hi < lo:
         raise ValueError(f"bad window [{lo},{hi}]")
-    flat_first = True
-    flat_strict = True
-    values = set()
-    for st in params.stage_range(lo, hi):
-        flat_first &= st.is_flat_first()
-        flat_strict &= st.is_constant()
-        values.add(st.s[0])
-    s_value = values.pop() if flat_first and len(values) == 1 else None
-    return FlatnessReport(flat_first, flat_strict, s_value)
+    return all(st.is_flat_first() for st in params.stage_range(lo, hi))
 
 
 # ------------------------------------------------- return times / order
@@ -355,11 +332,13 @@ def eigenvalue_order(params, j0: int, J: int) -> EigenvalueOrder:
 
     When the gcd over the later half of the window is larger than d, g_j
     grows along the window: the rational spectrum is infinite (an
-    odometer) and OdometerCase is raised. Horizon-level evidence, not a
-    proof.
+    odometer) and OdometerCase is raised. A window of fewer than 3
+    stages has no later half that can differ from the whole, so it is
+    refused (ValueError). Horizon-level evidence, not a proof.
     """
-    if not 1 <= j0 <= J:
-        raise ValueError("need 1 <= j0 <= J")
+    if not 1 <= j0 <= J - 2:
+        raise ValueError(f"need 1 <= j0 <= J - 2, got stages {j0}..{J}: a window of "
+                         "fewer than 3 stages cannot show the offset gcd growing")
     g = [gcd(*column_offsets(params, j)) for j in range(j0, J + 1)]
     running = list(accumulate(g, gcd))
     mid = (J - j0) // 2
@@ -380,10 +359,11 @@ class ClassKind(str, enum.Enum):
 
 @dataclass(frozen=True)
 class ClassLabel:
-    """The tail's rational spectrum, and its flatness (``flat_first``)."""
+    """The tail's rational spectrum, and its flatness (``flatness``).
+    ``d`` is the order, None for an Odometer, which has no finite one."""
 
     kind: ClassKind
-    d: int = 1
+    d: int | None = 1
     flat: bool = False
 
     def __str__(self):
@@ -396,9 +376,8 @@ def classify(params, horizon: int, bound: int | None = None) -> ClassLabel:
     """Rational spectrum of a bounded construction on a horizon, by
     ``eigenvalue_order`` on the tail window: Odometer when infinite,
     CompactFactor(d) for an order d >= 2, else TotallyErgodic (the
-    paper's hypothesis). Horizon-level evidence, not a proof."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    paper's hypothesis). A horizon below 3 gives a tail window that
+    ``eigenvalue_order`` refuses. Horizon-level evidence, not a proof."""
     profile = bounded_profile(params, horizon, bound)
     if not profile.is_bounded_on_horizon:
         raise NotBounded(
@@ -406,10 +385,10 @@ def classify(params, horizon: int, bound: int | None = None) -> ClassLabel:
             f"r_sup={profile.r_sup}, s_sup={profile.s_sup}"
         )
     tail = (tail_start(horizon), horizon)
-    flat = flatness(params, tail).flat_first
+    flat = flatness(params, tail)
     try:
         d = eigenvalue_order(params, *tail).d
     except OdometerCase:
-        return ClassLabel(ClassKind.ODOMETER, flat=flat)
+        return ClassLabel(ClassKind.ODOMETER, None, flat)
     kind = ClassKind.COMPACT_FACTOR if d >= 2 else ClassKind.TOTALLY_ERGODIC
     return ClassLabel(kind, d, flat)

@@ -22,8 +22,10 @@ class NotBounded(RankOneError):
 
 
 class ConsistencyFailure(RankOneError):
-    """A cyclic factor of order d is inconsistent with the stacking order
-    (some column offset is not divisible by d); signals misclassification."""
+    """An order d does not fit the data it is applied to: a column offset
+    that restacks the cyclic factor's levels is not divisible by d, or an
+    orbit value f(T^i x) that the telescoping identity needs to vanish is
+    nonzero at a time i not divisible by d."""
 
 
 class StageUnavailable(RankOneError):

@@ -15,11 +15,13 @@ Each sum is fixed by (start, N): it runs at depth ``tower.orbit_depth``
 and sieves mu to N itself, once the orbit values are built, so an orbit
 past the word guard fails before the sieve.
 
-There is one telescoping chain, ``_unfold``. It unfolds S_N on the
-cyclic factor of order d M times when d is prime, carrying the sum
-over times d^2 m, and once per prime factor when d is composite,
-carrying the sum over the new stride; the single telescoping step and
-the prime-extension report both read it.
+There is one telescoping chain, ``_unfold``, with one hypothesis,
+checked on the orbit: f(T^i x) = 0 at every time i not divisible by d.
+It unfolds S_N M times when d is prime, carrying the sum over times
+d^2 m, and once per prime factor when d is composite, carrying the sum
+over the new stride; the single telescoping step and the
+prime-extension report both read it. The cyclic factor is its order d,
+``compact_factor``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .construction import (
-    ConstructionParams, column_offsets, eigenvalue_order, heights, tail_start,
+    ConstructionParams, column_offsets, eigenvalue_order, tail_start,
 )
 from .errors import ConsistencyFailure
 from .mobius import prime_factors, sieve_mobius
@@ -209,60 +211,28 @@ def mobius_weighted_sum(
 
 # ------------------------------------------------------ cyclic factor
 
-@dataclass(frozen=True)
-class FactorPartition:
-    """Residue-class partition of stage-K levels: level l belongs to
-    class l mod d, E = class 0, and T advances the class by 1."""
-
-    d: int
-    depth: int
-    length: int
-    checked_through_stage: int
-
-    def class_of(self, level: int) -> int:
-        if not 0 <= level < self.length:
-            raise ValueError(f"level {level} outside 0..{self.length - 1}")
-        return level % self.d
-
-    def assignments(self) -> np.ndarray:
-        return np.arange(self.length, dtype=np.int64) % self.d
-
-    def base_levels(self) -> np.ndarray:
-        """Levels of the base class E (residue 0)."""
-        return np.arange(0, self.length, self.d, dtype=np.int64)
-
-
-def _verify_offsets(params: ConstructionParams, d: int, j0: int, j1: int) -> None:
-    """Column start offsets must all be divisible by d for levels to
-    keep their residue class through restacking."""
-    if d == 1:
-        return
-    for j in range(j0, j1 + 1):
+def compact_factor(params: ConstructionParams, horizon: int, K: int) -> int:
+    """Order d of the cyclic factor at depth K: the ``eigenvalue_order``
+    of the tail window (OdometerCase when the rational spectrum is
+    infinite), once the column offsets of stages K and K+1, which
+    restack the stage-K levels, are checked divisible by d, so that
+    stage-K level l keeps its residue class l mod d and T advances it
+    by 1. Offsets of earlier stages do not move stage-K levels between
+    classes."""
+    d = eigenvalue_order(params, tail_start(horizon), horizon).d
+    for j in (K, K + 1):
         for off in column_offsets(params, j):
             if off % d != 0:
                 raise ConsistencyFailure(
                     f"stage {j} column offset {off} not divisible by d={d}; "
                     "the residue partition is not T^d-invariant"
                 )
+    return d
 
 
-def compact_factor(params: ConstructionParams, horizon: int, K: int) -> FactorPartition:
-    """Cyclic factor E, TE, ..., T^{d-1}E at depth K, with d the
-    ``eigenvalue_order`` of the tail window (OdometerCase when the
-    rational spectrum is infinite); verifies that the column offsets of
-    stages K and K+1, which restack the stage-K levels, are divisible by
-    d. Offsets of earlier stages do not move stage-K levels between
-    classes."""
-    d = eigenvalue_order(params, tail_start(horizon), horizon).d
-    _verify_offsets(params, d, K, K + 1)
-    return FactorPartition(d, depth=K, length=heights(params, K).L(K),
-                           checked_through_stage=K + 1)
-
-
-def decompose_observable(F: Observable, partition: FactorPartition) -> list[Observable]:
-    """Split F into f_0..f_{d-1} with supp f_i inside class i; the
-    pieces sum back to F coefficientwise."""
-    d = partition.d
+def decompose_observable(F: Observable, d: int) -> list[Observable]:
+    """Split F into f_0..f_{d-1} with supp f_i inside the levels l with
+    l = i mod d; the pieces sum back to F coefficientwise."""
     residue = np.arange(len(F.nums)) % d
     out = []
     for i in range(d):
@@ -276,26 +246,12 @@ def decompose_observable(F: Observable, partition: FactorPartition) -> list[Obse
 
 # ------------------------------------------------- telescoping identity
 
-def _require_supported_on_base(obs: Observable, d: int, start: int) -> None:
-    """Raise ValueError unless f vanishes off E and the start is in E.
-    Only the d-1 off-E residue slices are read; the offending levels
-    are listed only once one is found."""
-    if any(obs.nums[r::d].any() for r in range(1, d)):
-        levels = np.flatnonzero(obs.nums)
-        bad = levels[levels % d != 0]
-        raise ValueError(
-            f"observable must be supported on E: levels {bad[:5].tolist()} have "
-            f"residue != 0 mod {d}"
-        )
-    if start % d != 0:
-        raise ValueError(f"start level {start} not in E (residue {start % d})")
-
-
 def _unfold(params, obs, d, primes, start, N):
-    """The telescoping chain of S_N = sum_{i<=N} f(T^i x) mu(i) for f
-    supported on E and x in E, in int64 units of 1/denom. The orbit values
-    must vanish at every time i not divisible by d (ConsistencyFailure names
-    the first that does not), and mu is sieved to N once they are checked.
+    """The telescoping chain of S_N = sum_{i<=N} f(T^i x) mu(i), in int64
+    units of 1/denom. Its one hypothesis is that the orbit values vanish
+    at every time i not divisible by d, whatever levels f sits on and
+    wherever x starts; it is checked on the orbit (ConsistencyFailure
+    names the first time that fails), and mu is sieved to N once it holds.
 
     Starting from cur = S_N at stride s = 1, the step for the prime p
     computes
@@ -304,14 +260,13 @@ def _unfold(params, obs, d, primes, start, N):
         G = sum_{m<=N/(sp^2)} f(T^{sp^2 m} x) mu(pm)
 
     and checks cur = mu(p)(F - G), that is mu(pk) = mu(p)mu(k) for p
-    not dividing k and mu(p^2 m) = 0: S_N and a carried F only see
-    times divisible by d, as f vanishes off E, and a carried G already
-    has the weight mu(pm). The stride becomes sp and cur becomes G when
-    p = d (G is the rest of S_N) or F when p is a proper factor of d
-    (the next factor splits F). Returns denom, S_N, the (p, stride, F,
-    G) rows, the last cur and whether every step held.
+    not dividing k and mu(p^2 m) = 0: S_N only sees times divisible by
+    d, so a carried F or G only sees multiples of the current stride,
+    and a carried G already has the weight mu(pm). The stride becomes sp
+    and cur becomes G when p = d (G is the rest of S_N) or F when p is a
+    proper factor of d (the next factor splits F). Returns denom, S_N,
+    the (p, stride, F, G) rows, the last cur and whether every step held.
     """
-    _require_supported_on_base(obs, d, start)
     vals, denom = _orbit_values(params, obs, start, N)
     if np.count_nonzero(vals) != np.count_nonzero(vals[d - 1::d]):
         times = np.flatnonzero(vals) + 1
@@ -354,15 +309,17 @@ class TelescopeResult:
 def telescope_identity_check(
     params: ConstructionParams, obs: Observable, d: int, start: int, N: int,
 ) -> TelescopeResult:
-    """Verify, exactly, with S = T^d on E:
+    """Verify, exactly, for prime d:
 
         sum_{i<=N} f(T^i x) mu(i)
-          = sum_{0<k<=N/d} f(S^k x) mu(d) mu(k)
-            - sum_{0<m<=N/d^2} f(S^{dm} x) mu(d) mu(dm)
+          = sum_{0<k<=N/d} f(T^{dk} x) mu(d) mu(k)
+            - sum_{0<m<=N/d^2} f(T^{d^2 m} x) mu(d) mu(dm)
 
-    which holds because f vanishes off E (so only i = dk contribute),
-    mu(dk) = mu(d)mu(k) for k coprime to d, and mu(d^2 k) = 0. The two
-    sums are mu(d)F and mu(d)G of the first step of the chain.
+    which holds when f(T^i x) = 0 at every i not divisible by d (so only
+    i = dk contribute), as mu(dk) = mu(d)mu(k) for k coprime to d and
+    mu(d^2 k) = 0. That hypothesis is checked on the orbit, and a
+    ConsistencyFailure names the first time it fails. The two sums are
+    mu(d)F and mu(d)G of the first step of the chain.
     """
     if prime_factors(d) != [d]:
         raise ValueError(f"d={d} must be prime")

@@ -256,15 +256,21 @@ def test_c12_telescoping_exact():
 def test_c13_factor_cyclicity():
     params = cons.class4()
     K = cons.first_stage_reaching(params, 10_000)
-    part = sarnak.compact_factor(params, 30, K)
-    assert part.length >= 10_000
-    asg = part.assignments()
-    assert np.all((asg[1:] - asg[:-1]) % part.d == 1)
+    d = sarnak.compact_factor(params, 30, K)
+    assert d == 2
+    L = cons.heights(params, K).L(K)
+    assert L >= 10_000
+    # T steps one position along the word, so a cyclic factor puts stage-K
+    # level l only at positions = l mod d, across both restackings K, K+1
+    word = tower.build_labels(params, K, K + 2)
+    pos = np.flatnonzero(word >= 0)
+    assert len(pos) == 4 * L  # r_K * r_{K+1} copies of the stage-K tower
+    assert np.all((word[pos] - pos) % d == 0)
     for j in range(1, K + 2):
         for off in cons.column_offsets(params, j):
             assert off % 2 == 0
-    ok(13, f"class4 partition cyclic mod 2 over all L_K={part.length} "
-           f"levels; all column offsets even")
+    ok(13, f"class4 stage-{K} level labels = position mod 2 over the "
+           f"{len(word)}-entry stage-{K + 2} word; all column offsets even")
 
 
 def test_c14_decay_trend():

@@ -139,6 +139,12 @@ def test_classify_run(tmp_path):
     assert "conventions:" in out  # reports are self-describing
     rows = (outdir / "classification.csv").read_text().splitlines()
     assert rows[:4] == ["field,value", "label,TotallyErgodic", "d,1", "flat,False"]
+    # an odometer has no finite order, so its d row is empty
+    code, out, outdir = run_config(
+        tmp_path, make_config(construction={"preset": "flat3"}), "flat3")
+    assert code == 0
+    rows = (outdir / "classification.csv").read_text().splitlines()
+    assert rows[:4] == ["field,value", "label,Odometer", "d,", "flat,True"]
 
 
 def test_heights_run(tmp_path):
@@ -249,11 +255,25 @@ EXPLICIT_CHACON8 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3, 
     (["--preset", "chacon", "--d", "2", "--N", "100"], 8),
     (["--preset", "class4", "--d", "3", "--N", "100"], 5),
     (["--preset", "class4", "--d", "3", "--N", "10000"], 3),
-], ids=["explicit-chacon8", "chacon-d2", "class4-d3-N100", "class4-d3-N10000"])
+    # levels and start off E: the odd levels, from level 1
+    (["--preset", "class4", "--d", "2", "--N", "100", "--start", "1",
+      "--levels", "1", "3", "5", "7", "9", "11", "13", "15", "--K", "5"], 2),
+], ids=["explicit-chacon8", "chacon-d2", "class4-d3-N100", "class4-d3-N10000",
+        "class4-odd-levels"])
 def test_telescope_checks_its_hypothesis_on_the_orbit(tmp_path, argv, lhs):
     assert cli.main(["telescope", *argv, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "telescope.csv").read_text().splitlines()
     assert rows[1:4] == [f"lhs,{lhs}", f"rhs,{lhs}", "equal,True"]
+
+
+def test_telescope_orbit_check_failure_exits_3(tmp_path, capsys):
+    # class4 stage-4 level 1 is the point's first step: time 1, not divisible by 3
+    argv = ["--preset", "class4", "--d", "3", "--N", "100", "--levels", "1", "--K", "4"]
+    assert cli.main(["telescope", *argv, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "error[ConsistencyFailure]: f(T^i x) != 0 at time i=1, not divisible by d=3; "
+        "the telescoping identity needs f to vanish there")
+    assert not (tmp_path / "telescope.csv").exists()
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -580,11 +600,17 @@ def test_main_disjointness_flags(tmp_path, capsys):
 
 
 def test_main_classify_horizon_one(tmp_path, capsys):
-    code = cli.main(["classify", "--preset", "chacon", "--horizon", "1",
+    # a tail window of fewer than 3 stages cannot show a growing offset gcd
+    for horizon in ("1", "2"):
+        code = cli.main(["classify", "--preset", "chacon", "--horizon", horizon,
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "'horizon' in params must be >= 3" in capsys.readouterr().err
+    code = cli.main(["classify", "--preset", "chacon", "--horizon", "3",
                      "--out", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "(horizon 1)" in out
+    assert "(horizon 3)" in out
     # the fixed depth rule, without the max_shift that classify does not take
     assert ("  depth policy: min_levels=10000 shift_factor=200 fit_count=3 Z=8"
             in out.splitlines())

@@ -134,18 +134,13 @@ def test_weighted_sum_holds_no_int64_orbit_word():
 # ----------------------------------------------------------- cyclic factor
 
 def test_compact_factor_class4():
-    part = sarnak.compact_factor(cons.class4(), 20, 13)
-    assert part.d == 2
-    asg = part.assignments()
-    assert np.all((asg[1:] - asg[:-1]) % 2 == 1)
-    assert part.class_of(0) == 0
-    assert part.base_levels()[:3].tolist() == [0, 2, 4]
+    d = sarnak.compact_factor(cons.class4(), 20, 13)
+    assert type(d) is int and d == 2
 
 
 def test_compact_factor_chacon_trivial():
-    part = sarnak.compact_factor(cons.chacon(), 20, 9)
-    assert part.d == 1
-    assert np.all(part.assignments() == 0)
+    d = sarnak.compact_factor(cons.chacon(), 20, 9)
+    assert type(d) is int and d == 1
 
 
 def test_compact_factor_odometer_raises():
@@ -169,10 +164,12 @@ def test_consistency_failure_detected():
     params = cons.ConstructionParams.explicit(1, stages)
     label = cons.classify(params, 30)
     assert label.d == 2
-    with pytest.raises(ConsistencyFailure):
+    msg = ("stage 1 column offset 3 not divisible by d=2; "
+           "the residue partition is not T^d-invariant")
+    with pytest.raises(ConsistencyFailure, match=f"^{re.escape(msg)}$"):
         sarnak.compact_factor(params, 30, 1)
     # from stage 2 on every offset is even, so deeper partitions hold
-    assert sarnak.compact_factor(params, 30, 8).d == 2
+    assert sarnak.compact_factor(params, 30, 8) == 2
 
 
 def test_compact_factor_label_implies_partition():
@@ -185,16 +182,16 @@ def test_compact_factor_label_implies_partition():
                 label = cons.classify(params, 40)
                 if label.kind is cons.ClassKind.COMPACT_FACTOR:
                     labelled += 1
-                    assert sarnak.compact_factor(params, 40, 40).d == label.d
+                    assert sarnak.compact_factor(params, 40, 40) == label.d
     assert labelled == 166
 
 
 def test_decompose_observable():
     params = cons.class4()
-    part = sarnak.compact_factor(params, 20, 13)
+    d = sarnak.compact_factor(params, 20, 13)
     n3 = cons.heights(params, 3).L(3)
     F = sarnak.Observable.indicator(params, 3, range(n3), "all")
-    pieces = sarnak.decompose_observable(F, part)
+    pieces = sarnak.decompose_observable(F, d)
     assert len(pieces) == 2
     assert pieces[0].coeffs == tuple(1 if i % 2 == 0 else 0 for i in range(n3))
     assert pieces[1].coeffs == tuple(1 if i % 2 == 1 else 0 for i in range(n3))
@@ -202,7 +199,7 @@ def test_decompose_observable():
         assert sum(p.coeffs[i] for p in pieces) == F.coeffs[i]
 
     base = sarnak.Observable.indicator(params, 3, [0], "base")
-    split = sarnak.decompose_observable(base, part)
+    split = sarnak.decompose_observable(base, d)
     assert all(c == 0 for c in split[1].coeffs)
 
     trivial = sarnak.decompose_observable(F, sarnak.compact_factor(cons.chacon(), 20, 9))
@@ -246,12 +243,15 @@ def test_telescope_validation():
     params = cons.class4()
     K = cons.first_stage_reaching(params, 200)
     obs = indicator_of_base(params, 2, K)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be prime"):
         sarnak.telescope_identity_check(params, obs, 4, 0, 50)
-    with pytest.raises(ValueError):
+    # f(T x) = 1 either way: the hypothesis fails at time 1
+    msg = ("f(T^i x) != 0 at time i=1, not divisible by d=2; "
+           "the telescoping identity needs f to vanish there")
+    with pytest.raises(ConsistencyFailure, match=f"^{re.escape(msg)}$"):
         sarnak.telescope_identity_check(params, obs, 2, 1, 50)
     off_support = sarnak.Observable.indicator(params, K, [1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ConsistencyFailure, match=f"^{re.escape(msg)}$"):
         sarnak.telescope_identity_check(params, off_support, 2, 0, 50)
 
 
@@ -385,10 +385,12 @@ _PATTERN_STAGE = st.integers(2, 3).flatmap(
 
 @st.composite
 def telescope_inputs(draw):
-    """A periodic or random construction, an observable on the stage-j
-    levels of E (residue 0 mod d) at a low stage or at the orbit's depth,
-    and a start in E. A periodic one scaled by d has every column offset
-    divisible by d, so its orbits vanish off multiples of d."""
+    """A periodic or random construction, a residue c mod d, a start at
+    level dk + c and an observable at a low stage or at the orbit's depth:
+    on the stage-j levels = c mod d in half the examples, on every level
+    in the other half. A periodic one scaled by d has every column offset
+    divisible by d, so each level keeps its residue along the word, and an
+    orbit from dk + c meets the levels = c mod d only at multiples of d."""
     d = draw(st.sampled_from([2, 3, 4, 6]))
     if draw(st.booleans()):
         scale = draw(st.sampled_from([1, d]))
@@ -400,11 +402,13 @@ def telescope_inputs(draw):
         params = cons.ConstructionParams.random_bounded(
             draw(st.integers(0, 3)), draw(st.integers(2, 3)), draw(st.integers(0, 3)),
             draw(st.integers(0, 10**6)))
-    start, N = d * draw(st.integers(0, 50)), draw(st.integers(1, 400))
+    c = draw(st.integers(0, d - 1))
+    start, N = d * draw(st.integers(0, 50)) + c, draw(st.integers(1, 400))
     stage = draw(st.one_of(st.integers(1, 3), st.just(None)))
     stage = stage or tower.orbit_depth(params, 1, start, N)
+    every = draw(st.booleans())
     rng = draw(st.randoms(use_true_random=False))
-    coeffs = tuple(0 if i % d else rng.randint(-2, 2)
+    coeffs = tuple(0 if (i - c) % d and not every else rng.randint(-2, 2)
                    for i in range(cons.heights(params, stage).L(stage)))
     M = draw(st.integers(1, 3))
     return params, sarnak.Observable(stage, coeffs), d, start, N, M
@@ -492,35 +496,6 @@ def test_indicator_takes_any_integer_type():
         assert sarnak.Observable.indicator(cons.chacon(), 2, indices).coeffs == want
 
 
-@pytest.mark.parametrize("d", [2, 3, 6])
-def test_require_supported_on_base(d):
-    params = cons.cyclic_factor_preset(d)
-    K = cons.first_stage_reaching(params, 200)
-    L = cons.heights(params, K).L(K)
-    base = list(range(0, L, d))
-    supported = sarnak.Observable.indicator(params, K, base)
-    sarnak._require_supported_on_base(supported, d, 0)
-    sarnak._require_supported_on_base(supported, d, 5 * d)
-    # one off-E level of each residue, alone
-    for r in range(1, d):
-        obs = sarnak.Observable.indicator(params, K, [0, d + r])
-        msg = (f"observable must be supported on E: levels [{d + r}] have "
-               f"residue != 0 mod {d}")
-        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            sarnak._require_supported_on_base(obs, d, 0)
-    # seven off-E levels given in descending order: the first five, ascending
-    off = [L - 1, L - d - 1, 5 * d + 1, 4 * d - 1, 2 * d + 1, d + 1, 1]
-    obs = sarnak.Observable.indicator(params, K, base + off)
-    msg = (f"observable must be supported on E: levels {sorted(off)[:5]} have "
-           f"residue != 0 mod {d}")
-    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-        sarnak._require_supported_on_base(obs, d, 0)
-    for start in (1, d - 1, 3 * d + 1):
-        msg = f"start level {start} not in E (residue {start % d})"
-        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
-            sarnak._require_supported_on_base(supported, d, start)
-
-
 def test_observable_int64_guard():
     edge = sarnak._INT64_SAFE - 1
     for ok in ((edge,), (-edge, 1), (Fraction(edge, 3), Fraction(1, 3))):
@@ -561,8 +536,7 @@ def test_observable_clears_denominators_once(coeffs, d):
     assert obs.coeffs == tuple(Fraction(c) for c in coeffs)
     assert obs.sup_norm == max((abs(c) for c in coeffs), default=0)
 
-    part = sarnak.FactorPartition(d=d, depth=1, length=len(coeffs), checked_through_stage=2)
-    pieces = sarnak.decompose_observable(obs, part)
+    pieces = sarnak.decompose_observable(obs, d)
     assert len(pieces) == d
     for a, c in enumerate(coeffs):
         assert sum(p.coeffs[a] for p in pieces) == c
