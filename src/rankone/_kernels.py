@@ -7,6 +7,7 @@ stage m).
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 
@@ -16,50 +17,59 @@ import numpy as np
 BACKEND = "numpy"
 
 
-#: primes struck once into a tile that every block copies
-WHEEL = (2, 3, 5, 7)
-#: the period of their weights and squares, 4*9*25*49 = 44100
-PERIOD = math.prod(p * p for p in WHEEL)
-#: sieve block and sum chunk: a whole number of periods, so every block
-#: starts at a multiple of the period, and about 1 MB of uint8 sums, so
-#: a block stays in L2
-BLOCK = 24 * PERIOD
+#: the odd primes struck once into a tile that every block copies; the
+#: sieve runs over the odd n = 2k + 1 only and indexes them by k
+TILED = (3, 5, 7)
+#: the period in k of their weights and squares, 9*25*49 = 11025
+TILE_PERIOD = math.prod(p * p for p in TILED)
+#: sieve block and sum chunk, in k: a whole number of periods, so every
+#: block starts at a multiple of the period, and about 1 MB of uint8
+#: sums, so a block stays in L2
+BLOCK = 96 * TILE_PERIOD
 #: products of the first 1..15 primes; the last is past the sieve's range
 PRIMORIALS = np.cumprod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47],
                         dtype=np.int64).tolist()
-#: one period of the wheel primes' sums and square marks (see sieve_mobius)
-WHEEL_TILE = np.zeros(PERIOD, dtype=np.uint8)
-for _p in WHEEL:
-    WHEEL_TILE[::_p] += ((_p * _p).bit_length() - 1) | 1
-    WHEEL_TILE[:: _p * _p] = 128
-WHEEL_TILE.flags.writeable = False
+#: one period of the tiled primes' sums and square marks (see mobius_blocks):
+#: p | 2k + 1 exactly when k = (p - 1)/2 mod p, and p*p | 2k + 1 exactly
+#: when k = (p*p - 1)/2 mod p*p
+TILE = np.zeros(TILE_PERIOD, dtype=np.uint8)
+for _p in TILED:
+    TILE[_p // 2 :: _p] += ((_p * _p).bit_length() - 1) | 1
+    TILE[_p * _p // 2 :: _p * _p] = 128
+TILE.flags.writeable = False
 
 
-def sieve_mobius(n_max: int) -> np.ndarray:
-    """mu(0..n_max) as int8; entry 0 is unused and left 0.
+def mobius_blocks(n_max: int):
+    """mu(2k + 1) for the odd n = 2k + 1 <= n_max, k ascending, as
+    int8 blocks of at most BLOCK entries. Each block is overwritten by
+    the next, so read it before asking for the next. The even n follow:
+    mu(2m) = -mu(m) for odd m, and mu(4m) = 0.
 
     Let N = n_max and l(x) = floor(2*log2(x)), the bit length of x*x
-    less 1. Per n, a uint8 holds in bit 7 whether p*p | n for some prime
-    p <= sqrt(N), and in its low 7 bits S, the sum over those p | n of
-    w_p = l(p) | 1, which is odd and has l(p) <= w_p <= l(p) + 1. A
-    squarefree n <= N is m*q**e, with m the product of its k primes
-    <= sqrt(N), q a prime above sqrt(N) and e in {0, 1} (two such primes
-    exceed N). The weights are odd, so mu(n) = (-1)**((S & 1) ^ e), and
-    e = 1 exactly when l(n) - S >= t. Here t = max(omega, 1), with omega
-    the largest k whose product P_k of the first k primes is at most N.
-    Proof: the floor of a sum of k terms is at least the sum of their
-    floors and less than that plus k. So e = 0 gives l(n) - S <= k - 1
-    < t, as P_k <= N (and l(1) - S = 0 < t). And e = 1 gives
-    l(n) - S >= l(q) - k >= t, as k + 1 <= t and l(q) >= 2t - 1: q*q >
-    P_t, the least squares above P_1..P_4 are 4, 9, 36, 225 >=
-    2**(2t - 1), and P_t > 4**t from t = 5 on (P_5 = 2310, and every
-    later prime exceeds 4). Likewise S <= l(N) + t, so S fits 7 bits
-    while l(N) + t < 128, that is N < 2**57; past that, ValueError is
-    raised before anything is allocated.
+    less 1. Per odd n, a uint8 holds in bit 7 whether p*p | n for some
+    prime p <= sqrt(N), and in its low 7 bits S, the sum over those
+    p | n of w_p = l(p) | 1, which is odd and has l(p) <= w_p <=
+    l(p) + 1. A squarefree odd n <= N is m*q**e, with m the product of
+    its k primes <= sqrt(N), q a prime above sqrt(N) and e in {0, 1}
+    (two such primes exceed N). The weights are odd, so mu(n) =
+    (-1)**((S & 1) ^ e), and e = 1 exactly when l(n) - S >= t. Here
+    t = max(omega, 1), with omega the largest k whose product P_k of
+    the first k primes is at most N; a product of k distinct primes is
+    at least P_k, so k <= omega for every n <= N. Proof: the floor of
+    a sum of k terms is at least the sum of their floors and less than
+    that plus k. So e = 0 gives l(n) - S <= k - 1 < t (and l(1) - S =
+    0 < t). And e = 1 gives l(n) - S >= l(q) - k >= t, as k + 1 <= t
+    and l(q) >= 2t - 1: q*q > P_t, the least squares above P_1..P_4 are
+    4, 9, 36, 225 >= 2**(2t - 1), and P_t > 4**t from t = 5 on (P_5 =
+    2310, and every later prime exceeds 4). Likewise S <= l(N) + t, so
+    S fits 7 bits while l(N) + t < 128, that is N < 2**57; past that,
+    ValueError is raised before anything is allocated.
 
-    WHEEL_TILE starts every block, which then strikes the primes
-    7 < p <= sqrt(N) with two strided slices each and fills the bound
-    l(n) - t + 1 on S with one slice per run of constant l.
+    TILE starts every block, which then strikes the primes
+    7 < p <= sqrt(N) with two strided slices each, stride p from
+    k = (p - 1)/2 and stride p*p from k = (p*p - 1)/2, and compares S
+    with l(n) - t + 1 in one slice per run of constant l. The primes
+    are found here, so an invalid n_max fails at the call.
     """
     n_max = operator.index(n_max)  # an exact int, for bit_length
     t = max(sum(P <= n_max for P in PRIMORIALS), 1)
@@ -71,37 +81,57 @@ def sieve_mobius(n_max: int) -> np.ndarray:
     for p in range(2, math.isqrt(root) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    primes = [p for p in np.flatnonzero(is_prime).tolist() if p > WHEEL[-1]]
-    size = min(BLOCK, n_max + 1)
-    bound = np.empty(size, dtype=np.uint8)
-    big = np.empty(size, dtype=bool)
-    mu = np.empty(n_max + 1, dtype=np.int8)
-    for lo in range(0, n_max + 1, size):
-        blk = mu[lo : lo + size].view(np.uint8)  # the sums, then mu in place
-        n = len(blk)
-        whole = n - n % PERIOD
-        blk[:whole].reshape(-1, PERIOD)[:] = WHEEL_TILE
-        blk[whole:] = WHEEL_TILE[: n - whole]
-        for p in primes:
-            blk[-lo % p :: p] += ((p * p).bit_length() - 1) | 1
-            sq = p * p
+    primes = [p for p in np.flatnonzero(is_prime).tolist() if p > TILED[-1]]
+    return _odd_blocks(n_max, root, t, primes)
+
+
+def _odd_blocks(n_max, root, t, primes):
+    count = (n_max + 1) // 2  # the odd n <= n_max
+    size = min(BLOCK, count)
+    sums = np.empty(size, dtype=np.uint8)  # the sums, then mu in place
+    flags = np.empty(size, dtype=bool)
+    strikes = [(p // 2, p, ((p * p).bit_length() - 1) | 1, p * p // 2, p * p)
+               for p in primes]
+    for lo in range(0, count, BLOCK):
+        n = min(BLOCK, count - lo)
+        blk, above = sums[:n], flags[:n]
+        whole = n - n % TILE_PERIOD
+        blk[:whole].reshape(-1, TILE_PERIOD)[:] = TILE
+        blk[whole:] = TILE[: n - whole]
+        for r, p, w, r2, sq in strikes:
+            blk[(r - lo) % p :: p] += w
             if sq < size:
-                blk[-lo % sq :: sq] = 128  # later weights keep it below 256
-            elif (i := -lo % sq) < n:  # at most one hit per block
+                blk[(r2 - lo) % sq :: sq] = 128  # later weights keep it below 256
+            elif (i := (r2 - lo) % sq) < n:  # at most one hit per block
                 blk[i] = 128
-        a = max(lo, root + 1)  # no n <= sqrt(N) has a prime factor above it
+        bound = above.view(np.uint8)  # l(n) - t + 1, then the comparison in place
+        a = max(lo, (root + 1) // 2)  # no n <= sqrt(N) has a prime factor above it
         bound[: a - lo] = 0
+        j = ((2 * a + 1) ** 2).bit_length()  # l(2a + 1) + 1
         while a < lo + n:
-            j = (a * a).bit_length()  # l(a) + 1
-            b = min(lo + n, math.isqrt((1 << j) - 1) + 1)  # the first n with l(n) = j
+            b = min(lo + n, (math.isqrt((1 << j) - 1) + 1) // 2)  # the first k with l(2k + 1) >= j
             bound[a - lo : b - lo].fill(j - t)
-            a = b
-        np.less(blk, bound[:n], out=big[:n])  # a prime factor above sqrt(N)
+            a, j = b, j + 1
+        np.less(blk, bound, out=above)  # a prime factor above sqrt(N)
         np.bitwise_and(blk, 129, out=blk)
-        blk ^= big[:n].view(np.uint8)  # 0 or 1 if squarefree, else 128 or 129
-        np.equal(blk, 0, out=big[:n])
+        blk ^= above.view(np.uint8)  # 0 or 1 if squarefree, else 128 or 129
+        np.equal(blk, 0, out=above)
         np.equal(blk, 1, out=blk.view(bool))
-        np.subtract(big[:n].view(np.int8), blk.view(np.int8), out=blk.view(np.int8))
+        np.subtract(above.view(np.int8), blk.view(np.int8), out=blk.view(np.int8))
+        yield blk.view(np.int8)
+
+
+def sieve_mobius(n_max: int) -> np.ndarray:
+    """mu(0..n_max) as int8; entry 0 is unused and left 0. The odd
+    entries are the blocks of ``mobius_blocks``, scattered, and the even
+    ones follow from them: mu(2m) = -mu(m) for odd m, mu(4m) = 0."""
+    blocks = mobius_blocks(n_max)
+    mu = np.zeros(n_max + 1, dtype=np.int8)
+    odd, lo = mu[1::2], 0
+    for blk in blocks:
+        odd[lo : lo + len(blk)] = blk
+        lo += len(blk)
+    np.negative(mu[1 : n_max // 2 + 1 : 2], out=mu[2::4])
     return mu
 
 
@@ -155,36 +185,61 @@ def class_counts(labels, n_ref):
     return np.bincount(c, minlength=n_ref + 1).astype(np.int64)
 
 
-def weighted_mobius_sums(values, mu, checkpoints):
+def weighted_mobius_sums(values, blocks, checkpoints):
     """Partial sums S_n = sum_{i<=n} values[i-1]*mu(i) at each of the
-    ascending checkpoints, as int64.
+    ascending checkpoints, as int64, with mu read from ``blocks``: the
+    blocks of mu(2k + 1) that ``mobius_blocks`` yields for the last
+    checkpoint or beyond.
 
     ``values[i-1]`` holds the observable along the orbit at time i, in
-    any integer dtype. The orbit is walked in chunks split at the
-    checkpoints; each chunk multiplies mu into one reused buffer of
-    2*BLOCK bytes, one width up from the values (BLOCK int16 products
-    for int8 values, int32 for int16, else int64), and is summed in
-    int64, so no N-entry int64 array is built. Every sum is exact when
-    max|values| * len(values) < 2**63.
+    any integer dtype. As mu(2m) = -mu(m) for odd m and mu(4m) = 0,
+    S_n is the sum of values[2k]*mu(2k + 1) over k <= (n - 1)/2 less
+    the sum of values[4k + 1]*mu(2k + 1) over k <= (n - 2)/4, so each
+    block is read once by each of two strided views of the values.
+    Each view walks a block in chunks split at its cuts; each chunk
+    multiplies mu into one reused buffer of at most 2*BLOCK bytes, one
+    width up from the values (BLOCK int16 products for int8 values,
+    int32 for int16, else int64), and is summed exactly: in int32 for
+    int8 values, whose chunk sums stay below 128*BLOCK, else in int64.
+    With the sieve's two block buffers, a sum to any N holds about
+    4*BLOCK bytes besides the values, never an N-entry mu. Every sum is
+    exact when max|values| * len(values) < 2**63.
     """
     wide = np.dtype({1: np.int16, 2: np.int32}.get(values.dtype.itemsize, np.int64))
+    acc_dtype = np.int32 if values.dtype.itemsize == 1 else np.int64
     step = 2 * BLOCK // wide.itemsize
-    buf = np.empty(min(step, values.shape[0]), dtype=wide)
-    sums, acc, lo = [], 0, 0
-    for cp in checkpoints:
-        for a in range(lo, cp, step):
-            b = min(a + step, cp)
-            prods = buf[: b - a]
-            np.multiply(values[a:b], mu[a + 1 : b + 1], out=prods, dtype=wide)
-            acc += int(prods.sum(dtype=np.int64))
-        sums.append(acc)
-        lo = cp
-    return np.array(sums, dtype=np.int64)
+    buf = np.empty(min(step, (values.shape[0] + 1) // 2), dtype=wide)
+    cps = [int(c) for c in checkpoints]
+    # per view: the values it reads, the cut (first k left out) of each
+    # checkpoint, and the sum from the cut before up to each cut
+    views = [(values[0::2], [(c - 1) // 2 + 1 for c in cps], [0] * len(cps)),
+             (values[1::4], [(c - 2) // 4 + 1 for c in cps], [0] * len(cps))]
+    lo = 0
+    for mu in blocks:
+        hi = lo + len(mu)
+        for vals, cuts, between in views:
+            a = lo
+            while a < min(hi, cuts[-1]):
+                i = bisect.bisect_right(cuts, a)
+                b = min(a + step, hi, cuts[i])
+                prods = buf[: b - a]
+                np.multiply(vals[a:b], mu[a - lo : b - lo], out=prods, dtype=wide)
+                between[i] += int(prods.sum(dtype=acc_dtype))
+                a = b
+        lo = hi
+    (_, cuts, odd), (_, _, even) = views
+    if lo < cuts[-1]:
+        raise ValueError(f"mu ends at n = {2 * lo - 1}, before checkpoint {cps[-1]}")
+    return np.cumsum(odd, dtype=np.int64) - np.cumsum(even, dtype=np.int64)
 
 
 def strided_mobius_sum(values, mu, stride, count):
-    """sum_{k=1..count} values[stride*k - 1] * mu(k), exact in int64."""
-    if count <= 0:
-        return 0
-    picked = values[stride - 1 : stride * count : stride].astype(np.int64)
-    return int(np.dot(picked, mu[1 : count + 1].astype(np.int64)))
+    """sum_{k=1..count} values[stride*k - 1] * mu(k), exact in int64;
+    the picks are widened BLOCK at a time, so no count-entry int64
+    array is built."""
+    total = 0
+    for a in range(1, count + 1, BLOCK):
+        b = min(a + BLOCK, count + 1)
+        picked = values[stride * a - 1 : stride * b - 1 : stride].astype(np.int64)
+        total += int(np.dot(picked, mu[a:b].astype(np.int64)))
+    return total

@@ -6,14 +6,16 @@ evaluated in exact integer arithmetic: an observable's rational
 coefficients are cleared to their common denominator once, when it is
 built, and every sum runs on those numerators. Along an orbit they
 are restacked in the narrowest signed integer dtype that holds them,
-int8 for an indicator. The weighted sum multiplies them by mu a chunk
-at a time, one integer width up, and sums in int64; a strided sum
-widens only the entries it picks, so no sum holds an N-entry int64
-array. The telescoping chain is an algebraic identity and its check
-must not depend on rounding. Only the decay traces |S_N|/N are floats.
-Each sum is fixed by (start, N): it runs at depth ``tower.orbit_depth``
-and sieves mu to N itself, once the orbit values are built, so an orbit
-past the word guard fails before the sieve.
+int8 for an indicator. The weighted sum reads mu one sieve block of
+odd n at a time (mu(2m) = -mu(m) for odd m), multiplies it in one
+integer width up and sums exactly, so it holds no N-entry mu; a
+strided sum widens the entries it picks a block at a time, so no sum
+holds an N-entry int64 array. The telescoping chain is an algebraic
+identity and its check must not depend on rounding. Only the decay
+traces |S_N|/N are floats. Each sum is fixed by (start, N): it runs at
+depth ``tower.orbit_depth`` and sieves mu to N itself, once the orbit
+values are built, so an orbit past the word guard fails before the
+sieve.
 
 There is one telescoping chain, ``_unfold``, with one hypothesis,
 checked on the orbit: f(T^i x) = 0 at every time i not divisible by d.
@@ -197,11 +199,12 @@ def mobius_weighted_sum(
 ) -> MobiusSumResult:
     """S_N = sum_{i=1..N} f(T^i x) mu(i), exactly, for x the point at
     level ``start``; checkpoints at n = 100, 1000, ... and N. mu is
-    sieved to N only once the orbit values are built."""
+    sieved to N a block at a time, only once the orbit values are built,
+    and never held whole."""
     vals, denom = _orbit_values(params, obs, start, N)
     grid = _checkpoint_grid(N)
     sums = _kernels.weighted_mobius_sums(
-        vals, sieve_mobius(N), np.array(grid, dtype=np.int64)
+        vals, _kernels.mobius_blocks(N), np.array(grid, dtype=np.int64)
     )
     checkpoints = tuple(
         (n, _exact(int(s), denom)) for n, s in zip(grid, sums)
@@ -251,7 +254,8 @@ def _unfold(params, obs, d, primes, start, N):
     units of 1/denom. Its one hypothesis is that the orbit values vanish
     at every time i not divisible by d, whatever levels f sits on and
     wherever x starts; it is checked on the orbit (ConsistencyFailure
-    names the first time that fails), and mu is sieved to N once it holds.
+    names the first time that fails), and mu is sieved to N once it holds;
+    S_N and every F and G read that one mu.
 
     Starting from cur = S_N at stride s = 1, the step for the prime p
     computes
@@ -274,7 +278,7 @@ def _unfold(params, obs, d, primes, start, N):
             f"f(T^i x) != 0 at time i={times[times % d != 0][0]}, not divisible by "
             f"d={d}; the telescoping identity needs f to vanish there")
     mu = sieve_mobius(N)
-    s_n = int(_kernels.weighted_mobius_sums(vals, mu, np.array([N], np.int64))[0])
+    s_n = _kernels.strided_mobius_sum(vals, mu, 1, N)
     cur, stride, rows, holds = s_n, 1, [], True
     for p in primes:
         F = _kernels.strided_mobius_sum(vals, mu, stride * p, N // (stride * p))

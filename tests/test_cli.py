@@ -505,6 +505,7 @@ def test_oversized_orbit_fails_before_sieving(tmp_path, monkeypatch,
         raise AssertionError("sieved before the word-length check")
 
     monkeypatch.setattr(_kernels, "sieve_mobius", no_sieve)
+    monkeypatch.setattr(_kernels, "mobius_blocks", no_sieve)
     tracemalloc.start()
     try:
         code, out, _ = run_config(

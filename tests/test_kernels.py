@@ -115,7 +115,7 @@ def test_weighted_mobius_sums_match_running_sum():
         acc += int(vals[i - 1]) * mobius_direct(i)
         running[i] = acc
     got = _kernels.weighted_mobius_sums(
-        vals, mu_direct(3000), np.array(checkpoints, dtype=np.int64)
+        vals, _kernels.mobius_blocks(3000), np.array(checkpoints, dtype=np.int64)
     )
     assert got.tolist() == [running[n] for n in checkpoints]
 
@@ -130,15 +130,41 @@ NARROW = {np.int8: 2**7, np.int16: 2**15, np.int64: 2**40}
        st.integers(0, 2**32 - 1))
 def test_chunked_mobius_sums_match_unchunked_running_sum(dtype, N, seed):
     # chunks of 2*BLOCK bytes of products (BLOCK int8 values, BLOCK/4
-    # int64 ones), split at checkpoints on both sides of a seam
+    # int64 ones) over the odd times, split at checkpoints on both sides
+    # of the seam between the sieve's first two blocks at n = 2*BLOCK
     rng = np.random.default_rng(seed)
     bound = NARROW[dtype]
     vals = rng.integers(-bound, bound, size=N, endpoint=False).astype(dtype)
     checkpoints = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, N]
     running = np.cumsum(vals.astype(np.int64) * MU_CHUNKS[1 : N + 1])
     want = [0] + running[np.array(checkpoints[1:]) - 1].tolist()
-    got = _kernels.weighted_mobius_sums(vals, MU_CHUNKS, np.array(checkpoints, np.int64))
+    got = _kernels.weighted_mobius_sums(vals, _kernels.mobius_blocks(N),
+                                        np.array(checkpoints, np.int64))
     assert got.dtype == np.int64 and got.tolist() == want
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from([np.int8, np.int16, np.int32, np.int64]),
+       st.sampled_from([2 * BLOCK, 4 * BLOCK]), st.integers(-4, 3),
+       st.integers(0, 2**32 - 1), st.data())
+def test_block_fed_sums_match_cumsum_over_the_whole_sieve(dtype, seam, offset, seed, data):
+    # N takes every residue mod 4 on both sides of the seam between the
+    # first two blocks of odd n (2*BLOCK) and of the end of the first
+    # block's even half, n = 2m for odd m < 2*BLOCK (4*BLOCK)
+    N = seam + offset
+    rng = np.random.default_rng(seed)
+    # the dtype minimum, times mu = -1, is one past the dtype; int64
+    # values stay inside the exact range max|values| * N < 2**63
+    lowest = -(2**40) if dtype is np.int64 else int(np.iinfo(dtype).min)
+    vals = rng.integers(lowest, -lowest, size=N, endpoint=False).astype(dtype)
+    vals[rng.integers(0, N, size=1000)] = lowest
+    drawn = data.draw(st.lists(st.integers(1, N), max_size=4))
+    near = range(seam - 3, seam + 4)
+    checkpoints = sorted({1, 2, N, *drawn, *(n for n in near if n <= N)})
+    running = np.cumsum(vals.astype(np.int64) * _kernels.sieve_mobius(N)[1:])
+    got = _kernels.weighted_mobius_sums(vals, _kernels.mobius_blocks(N),
+                                        np.array(checkpoints, np.int64))
+    assert got.tolist() == running[np.array(checkpoints) - 1].tolist()
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
@@ -150,21 +176,33 @@ def test_chunk_products_hold_the_dtype_minimum_times_minus_one(dtype):
     minus = MU_CHUNKS[1 : N + 1] == -1
     vals = np.where(minus, lowest, 0).astype(dtype)
     checkpoints = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, N]
-    got = _kernels.weighted_mobius_sums(vals, MU_CHUNKS, np.array(checkpoints, np.int64))
+    got = _kernels.weighted_mobius_sums(vals, _kernels.mobius_blocks(N),
+                                        np.array(checkpoints, np.int64))
     want = [-lowest * sum(minus[:cp].tolist()) for cp in checkpoints]
     assert got.tolist() == want
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
-def test_chunk_buffer_takes_two_bytes_per_block_entry(dtype):
-    vals = np.ones(2 * BLOCK, dtype=dtype)
-    tracemalloc.start()
-    try:
-        _kernels.weighted_mobius_sums(vals, MU_CHUNKS, np.array([2 * BLOCK], np.int64))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 2 * BLOCK <= peak < 2 * BLOCK + 2**18  # plus numpy's cast buffers
+def test_weighted_sum_never_holds_mu_whole():
+    # the sieve's two block buffers and 2*BLOCK bytes of products: the
+    # same bound whether the orbit spans one block of odd n or four
+    sizes = (2 * BLOCK, 8 * BLOCK)
+    values = {N: np.ones(N, dtype=np.int8) for N in sizes}
+    for N in sizes:
+        tracemalloc.start()
+        try:
+            got = _kernels.weighted_mobius_sums(values[N], _kernels.mobius_blocks(N),
+                                                np.array([N], np.int64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * BLOCK, N  # mu to 8*BLOCK alone would take 8*BLOCK
+        assert got.tolist() == [int(_kernels.sieve_mobius(N).sum(dtype=np.int64))]
+
+
+def test_weighted_sum_refuses_checkpoints_past_the_blocks():
+    with pytest.raises(ValueError, match="mu ends at n = 99, before checkpoint 101"):
+        _kernels.weighted_mobius_sums(np.ones(101, np.int8), _kernels.mobius_blocks(100),
+                                      np.array([50, 101], np.int64))
 
 
 def test_int8_values_sum_past_the_int8_range():
@@ -172,7 +210,8 @@ def test_int8_values_sum_past_the_int8_range():
     N = 2 * BLOCK + 7
     squarefree = int(np.count_nonzero(MU_CHUNKS[1 : N + 1]))
     vals = (127 * MU_CHUNKS[1 : N + 1]).astype(np.int8)
-    got = _kernels.weighted_mobius_sums(vals, MU_CHUNKS, np.array([BLOCK, N], np.int64))
+    got = _kernels.weighted_mobius_sums(vals, _kernels.mobius_blocks(N),
+                                        np.array([BLOCK, N], np.int64))
     assert got[-1] == 127 * squarefree
     stride, count = 2, N // 2
     vals = np.full(N, -127, dtype=np.int8)

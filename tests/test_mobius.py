@@ -75,6 +75,15 @@ def test_sieve_refuses_sizes_past_its_uint8_sums_before_allocating(monkeypatch):
         _kernels.sieve_mobius(2**57 - 1)
 
 
+def test_mobius_blocks_refuse_at_the_call():
+    # at the call, not at the first block, so sieve_mobius refuses before
+    # it allocates mu
+    with pytest.raises(ValueError, match=r"2\*\*57"):
+        _kernels.mobius_blocks(2**57)
+    with pytest.raises(TypeError):
+        _kernels.mobius_blocks(3000.0)
+
+
 @given(st.integers(1, 20_000))
 @settings(max_examples=60, deadline=None)
 def test_sieve_matches_direct_at_any_size(n_max):
@@ -85,7 +94,8 @@ def test_sieve_matches_direct_at_any_size(n_max):
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_sieve_at_prime_square_boundaries(p, offset):
     # n_max around p^2 moves p in or out of the struck primes <= sqrt(n_max);
-    # from p = 521 on, p^2 exceeds a sieve block and is struck as a scalar
+    # the (n_max + 1)/2 odd n then make one block shorter than p^2, so from
+    # p = 11 on, p^2 is struck as a scalar
     n_max = p * p + offset
     mu = _kernels.sieve_mobius(n_max)
     if n_max < len(DIRECT):
@@ -143,10 +153,13 @@ def unsegmented_sieve(n_max):
     return mu
 
 
-# 6 * 44_100 was the block of the int32 product sieve; past BLOCK + 44_100
-# the last block holds one whole wheel period and 0 to 2 entries more
+# the block ends of earlier sieves (2**18 entries, then 6 * 44_100 and
+# 24 * 44_100, whole periods of a 2/3/5/7 tile); the sieve of odd n has
+# blocks of BLOCK odd n, so they meet at n = 2 * BLOCK, and the first
+# block's even half (n = 2m, m odd and below 2 * BLOCK) ends at 4 * BLOCK
 SEAMS = [44_100, 2**18, 6 * 44_100, 2 * 2**18, 12 * 44_100, 3 * 2**18,
-         _kernels.BLOCK, _kernels.BLOCK + 44_100, 2 * _kernels.BLOCK]
+         _kernels.BLOCK, _kernels.BLOCK + 44_100, 2 * _kernels.BLOCK,
+         4 * _kernels.BLOCK + 2]
 
 
 @pytest.mark.parametrize("n_max", [n + d for n in SEAMS for d in (-1, 0, 1)])
