@@ -182,6 +182,21 @@ def test_chunk_products_hold_the_dtype_minimum_times_minus_one(dtype):
     assert got.tolist() == want
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+def test_chunk_buffer_takes_two_bytes_per_block_entry(dtype):
+    # the one block of odd n to 2*BLOCK, sieved before tracing starts, so
+    # the peak is the products' buffer alone
+    vals = np.ones(2 * BLOCK, dtype=dtype)
+    blocks = [blk.copy() for blk in _kernels.mobius_blocks(2 * BLOCK)]
+    tracemalloc.start()
+    try:
+        _kernels.weighted_mobius_sums(vals, blocks, np.array([2 * BLOCK], np.int64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * BLOCK <= peak < 2 * BLOCK + 2**18  # plus numpy's cast buffers
+
+
 def test_weighted_sum_never_holds_mu_whole():
     # the sieve's two block buffers and 2*BLOCK bytes of products: the
     # same bound whether the orbit spans one block of odd n or four
