@@ -279,7 +279,7 @@ def _cmd_heights(cfg, out, report):
 def _cmd_classify(cfg, out, report):
     horizon, bound = cfg.params["horizon"], cfg.params["bound"]
     label = cons.classify(cfg.construction, horizon, bound)
-    profile = cons.bounded_profile(cfg.construction, horizon, bound)
+    profile = cons.bounded_profile(cfg.construction, horizon)
     _write_csv(out / "classification.csv", ("field", "value"), [
         ("label", str(label)),
         ("d", "" if label.d is None else label.d),
@@ -362,15 +362,13 @@ def _cmd_cascade(cfg, out, report):
     support = res.polynomial.support(limits.SUPPORT_TAU)
     report.append(f"fit of T^(H_j) at stages {list(res.stages)}: {res.polynomial} "
                   f"support {sorted(support)}")
-    cascade = limits.divisibility_cascade(support, prime, p["levels"])
-    consequence = limits.flatness_consequence(cfg.construction, res.stages, prime, cascade)
-    _write_csv(
-        out / "cascade.csv",
-        ("m", "modulus", "holds", "params_divide", "max_abs_spacer_diff"),
-        ((row.m, prime**row.m, row.cascade_holds, row.params_divide,
-          row.max_abs_diff) for row in consequence.rows),
-    )
-    report.append(f"cascade holds through M={cascade.max_level} (p={prime})")
+    level = limits.divisibility_cascade(support, prime, p["levels"])
+    consequence = limits.flatness_consequence(cfg.construction, res.stages, prime, level,
+                                              p["levels"])
+    _write_csv(out / "cascade.csv",
+               ("m", "modulus", "holds", "params_divide", "max_abs_spacer_diff"),
+               consequence.rows())
+    report.append(f"cascade holds through M={level} (p={prime})")
     report.append(
         f"parameter check consistent: {consequence.consistent}; "
         f"all spacer differences flat: {consequence.all_flat}; "

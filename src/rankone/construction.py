@@ -248,21 +248,14 @@ def first_stage_reaching(params: ConstructionParams, n: int, start: int = 1) -> 
 class BoundedProfile:
     r_sup: int
     s_sup: int
-    is_bounded_on_horizon: bool
 
 
-def bounded_profile(params, J, bound=None) -> BoundedProfile:
-    """Suprema of r_j and s_j(i) over j <= J; when ``bound`` is given,
-    also whether both stay within it."""
+def bounded_profile(params, J) -> BoundedProfile:
+    """Suprema of r_j and s_j(i) over j <= J."""
     if J < 1:
         raise ValueError("J must be >= 1")
-    r_sup = 0
-    s_sup = 0
-    for st in params.stage_range(1, J):
-        r_sup = max(r_sup, st.r)
-        s_sup = max(s_sup, max(st.s))
-    ok = True if bound is None else (r_sup <= bound and s_sup <= bound)
-    return BoundedProfile(r_sup, s_sup, ok)
+    stages = params.stage_range(1, J)
+    return BoundedProfile(max(st.r for st in stages), max(max(st.s) for st in stages))
 
 
 # ------------------------------------------------------------- flatness
@@ -297,22 +290,7 @@ def tail_start(horizon: int) -> int:
     return max(1, horizon // 2)
 
 
-@dataclass(frozen=True)
-class EigenvalueOrder:
-    """gcd of the column offsets over stages [j0, J], with how early it
-    stabilized (the gcd is unchanged from ``stabilized_at`` on)."""
-
-    d: int
-    j0: int
-    J: int
-    stabilized_at: int
-
-    @property
-    def stable_margin(self) -> int:
-        return self.J - self.stabilized_at
-
-
-def eigenvalue_order(params, j0: int, J: int) -> EigenvalueOrder:
+def eigenvalue_order(params, j0: int, J: int) -> int:
     """Order d of the rational spectrum, read off the column offsets of
     stages j0..J: d = gcd of g_j, where g_j is the gcd of
     ``column_offsets(params, j)``.
@@ -340,13 +318,12 @@ def eigenvalue_order(params, j0: int, J: int) -> EigenvalueOrder:
         raise ValueError(f"need 1 <= j0 <= J - 2, got stages {j0}..{J}: a window of "
                          "fewer than 3 stages cannot show the offset gcd growing")
     g = [gcd(*column_offsets(params, j)) for j in range(j0, J + 1)]
-    running = list(accumulate(g, gcd))
     mid = (J - j0) // 2
-    d, late = running[-1], gcd(*g[mid:])
+    d, late = gcd(*g), gcd(*g[mid:])
     if late > d:
         raise OdometerCase(f"column-offset gcd grows from {d} on stages {j0}..{J} to "
                            f"{late} on stages {j0 + mid}..{J}: infinite rational spectrum")
-    return EigenvalueOrder(d=d, j0=j0, J=J, stabilized_at=j0 + running.index(d))
+    return d
 
 
 # --------------------------------------------------------------- labels
@@ -377,9 +354,11 @@ def classify(params, horizon: int, bound: int | None = None) -> ClassLabel:
     ``eigenvalue_order`` on the tail window: Odometer when infinite,
     CompactFactor(d) for an order d >= 2, else TotallyErgodic (the
     paper's hypothesis). A horizon below 3 gives a tail window that
-    ``eigenvalue_order`` refuses. Horizon-level evidence, not a proof."""
-    profile = bounded_profile(params, horizon, bound)
-    if not profile.is_bounded_on_horizon:
+    ``eigenvalue_order`` refuses. A given ``bound`` raises NotBounded when
+    either supremum of ``bounded_profile`` exceeds it. Horizon-level
+    evidence, not a proof."""
+    profile = bounded_profile(params, horizon)
+    if bound is not None and max(profile.r_sup, profile.s_sup) > bound:
         raise NotBounded(
             f"parameters exceed bound {bound} on horizon {horizon}: "
             f"r_sup={profile.r_sup}, s_sup={profile.s_sup}"
@@ -387,7 +366,7 @@ def classify(params, horizon: int, bound: int | None = None) -> ClassLabel:
     tail = (tail_start(horizon), horizon)
     flat = flatness(params, tail)
     try:
-        d = eigenvalue_order(params, *tail).d
+        d = eigenvalue_order(params, *tail)
     except OdometerCase:
         return ClassLabel(ClassKind.ODOMETER, None, flat)
     kind = ClassKind.COMPACT_FACTOR if d >= 2 else ClassKind.TOTALLY_ERGODIC

@@ -489,24 +489,20 @@ def match_identity_mix(
     return IdentityMix(epsilon=eps, mix=mix)
 
 
-@dataclass(frozen=True)
-class CascadeResult:
-    """Divisibility of one support by p^k, k = 1..len(holds)."""
-
-    p: int
-    holds: tuple[bool, ...]
-
-    @property
-    def max_level(self) -> int:
-        """The largest k with the support within p^k * Z (0 if none);
-        divisibility by p^k implies it by every lower power."""
-        return sum(self.holds)
+def _p_adic_level(values: Iterable[int], p: int, levels: int) -> int:
+    """The largest k <= levels such that p^k divides every value: the
+    p-adic valuation of their gcd, capped at ``levels``. The gcd of no
+    values, or of zeros, is 0, which every power divides."""
+    g, k = gcd(*values), 0
+    while k < levels and g % p ** (k + 1) == 0:
+        k += 1
+    return k
 
 
-def divisibility_cascade(support: Iterable[int], p: int, levels: int) -> CascadeResult:
-    """Check the support-divisibility cascade: whether every shift of
-    ``support`` lies in p^k * Z, for k = 1..levels. An empty support
-    would hold vacuously and is refused."""
+def divisibility_cascade(support: Iterable[int], p: int, levels: int) -> int:
+    """The cascade level of ``support``: the largest k <= levels with every
+    shift in p^k * Z, so that the support lies in p^m * Z exactly for
+    m <= k. An empty support would hold vacuously and is refused."""
     if p < 2:
         raise ValueError("p must be >= 2")
     if levels < 1:
@@ -515,61 +511,57 @@ def divisibility_cascade(support: Iterable[int], p: int, levels: int) -> Cascade
     if not zs:
         raise ValueError(
             f"empty support (no coefficient above tau={SUPPORT_TAU}) holds vacuously")
-    holds = tuple(all(z % p**k == 0 for z in zs) for k in range(1, levels + 1))
-    return CascadeResult(p=p, holds=holds)
-
-
-@dataclass(frozen=True)
-class FlatnessRow:
-    m: int
-    cascade_holds: bool
-    params_divide: bool
-    max_abs_diff: int
+    return _p_adic_level(zs, p, levels)
 
 
 @dataclass(frozen=True)
 class FlatnessConsequence:
-    """Cross-check of the fitted cascade against the parameter-side
-    divisibility of spacer differences by p^m."""
+    """The fitted cascade against the parameter side, as two p-adic levels
+    capped at ``levels``: ``cascade_level``, of the support, and
+    ``params_level``, of the spacer differences s_j(i) - s_j(i') over the
+    first r-1 columns of the fitted stages. Divisibility by p^m implies it
+    by every lower power, so both per-m columns of ``rows`` are prefixes of
+    Trues, and "the parameters divide at every m where the cascade holds"
+    is exactly cascade_level <= params_level (``consistent``)."""
 
     p: int
-    rows: tuple[FlatnessRow, ...]
-    consistent: bool
-    all_flat: bool
-    s_sup: int
+    levels: int
+    cascade_level: int
+    params_level: int
+    max_abs_diff: int
     forced_flat_level: int
+
+    @property
+    def consistent(self) -> bool:
+        return self.cascade_level <= self.params_level
+
+    @property
+    def all_flat(self) -> bool:
+        return self.max_abs_diff == 0
+
+    def rows(self):
+        """(m, p^m, cascade holds, params divide, max |difference|), m <= levels."""
+        for m in range(1, self.levels + 1):
+            yield (m, self.p**m, m <= self.cascade_level, m <= self.params_level,
+                   self.max_abs_diff)
 
 
 def flatness_consequence(
-    params: ConstructionParams, stages: Iterable[int], p: int, cascade: CascadeResult,
+    params: ConstructionParams, stages: Iterable[int], p: int, level: int, levels: int,
 ) -> FlatnessConsequence:
-    """For each cascade level m, verify that p^m divides every spacer
-    difference s_j(i) - s_j(i') over the first r-1 columns, for j in
-    ``stages``, the stages the cascade's limit was fitted along; also
-    reports the level at which bounded parameters force flat behavior
-    (p^m > spacer bound).
+    """Cross-check the cascade level ``level`` of ``divisibility_cascade``
+    (run with the same p and ``levels``) against the spacer differences
+    of ``stages``, the stages the cascade's limit was fitted along; also
+    reports the level from which bounded parameters force flat behavior
+    (the first m with p^m > the spacer bound).
     """
-    if p != cascade.p:
-        raise ValueError("cascade was computed for a different p")
-    diffs = set()
-    s_sup = 0
-    for st in map(params.stage, stages):
-        s_sup = max(s_sup, max(st.s))
-        head = st.s[: st.r - 1]
-        diffs.update(abs(a - b) for ii, a in enumerate(head) for b in head[ii + 1 :])
-    max_diff = max(diffs, default=0)
-    rows = []
-    consistent = True
-    for m, holds in enumerate(cascade.holds, start=1):
-        divides = all(dd % p**m == 0 for dd in diffs)
-        consistent &= divides or not holds
-        rows.append(FlatnessRow(
-            m=m, cascade_holds=holds, params_divide=divides, max_abs_diff=max_diff,
-        ))
-    forced = 1
-    while p**forced <= s_sup:
-        forced += 1
+    if p < 2 or not 0 <= level <= levels:
+        raise ValueError(f"need p >= 2 and 0 <= level <= levels, got {p}, {level}, {levels}")
+    stages = [params.stage(j) for j in stages]
+    diffs = {a - b for st in stages for a in st.s[:-1] for b in st.s[:-1]}
+    s_sup = max((max(st.s) for st in stages), default=0)
     return FlatnessConsequence(
-        p=p, rows=tuple(rows), consistent=consistent, all_flat=max_diff == 0,
-        s_sup=s_sup, forced_flat_level=forced,
+        p=p, levels=levels, cascade_level=level,
+        params_level=_p_adic_level(diffs, p, levels), max_abs_diff=max(diffs, default=0),
+        forced_flat_level=next(m for m in itertools.count(1) if p**m > s_sup),
     )

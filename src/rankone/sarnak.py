@@ -222,7 +222,7 @@ def compact_factor(params: ConstructionParams, horizon: int, K: int) -> int:
     stage-K level l keeps its residue class l mod d and T advances it
     by 1. Offsets of earlier stages do not move stage-K levels between
     classes."""
-    d = eigenvalue_order(params, tail_start(horizon), horizon).d
+    d = eigenvalue_order(params, tail_start(horizon), horizon)
     for j in (K, K + 1):
         for off in column_offsets(params, j):
             if off % d != 0:

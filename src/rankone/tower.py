@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _kernels
 from .construction import ConstructionParams, HeightTable, first_stage_reaching, heights
-from .errors import DepthTooShallow, StageUnavailable
+from .errors import DepthTooShallow
 
 #: refuse to materialize words longer than this (memory guard)
 MAX_WORD_LENGTH = 50_000_000
@@ -45,7 +45,9 @@ def _heights_from(params: ConstructionParams, j: int, K: int) -> HeightTable:
 
 def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTable:
     """Heights through stage K; ValueError unless 1 <= j <= K or if the
-    stage-K word would exceed MAX_WORD_LENGTH."""
+    stage-K word would exceed MAX_WORD_LENGTH. Correlations never build
+    that word, but this check is what bounds their ``_junction_counts``
+    arrays (see ``correlation_depths``)."""
     table = _heights_from(params, j, K)
     if table.L(K) > MAX_WORD_LENGTH:
         raise ValueError(f"stage-{K} word has {table.L(K)} levels, over the "
@@ -110,23 +112,18 @@ def tail_bound(params: ConstructionParams, K: int) -> float:
     """Relative mass added by spacers after stage K, estimated at probe
     stage K+TAIL_PROBE_STAGES: 1 - L_K * prod(r_u) / L_{K+TAIL_PROBE_STAGES}.
 
-    For explicit finite constructions the probe stops at the last
-    defined stage (0.0 when none is available beyond K).
+    For explicit finite constructions the probe stops at the last stage
+    with a height, one past the last listed stage (0.0 when that is not
+    beyond K).
     """
     probe_end = K + TAIL_PROBE_STAGES
-    while probe_end > K:
-        try:
-            table = heights(params, probe_end)
-            break
-        except StageUnavailable:
-            probe_end -= 1
-    else:
+    if params.kind == "explicit":
+        probe_end = min(probe_end, len(params.stages) + 1)
+    if probe_end <= K:
         return 0.0
-    width_ratio = 1
-    for m in range(K, probe_end):
-        width_ratio *= params.stage(m).r
-    frac = Fraction(table.L(K) * width_ratio, table.L(probe_end))
-    return float(1 - frac)
+    table = heights(params, probe_end)
+    width_ratio = math.prod(st.r for st in params.stage_range(K, probe_end - 1))
+    return float(1 - Fraction(table.L(K) * width_ratio, table.L(probe_end)))
 
 
 @dataclass(frozen=True)
@@ -233,7 +230,10 @@ def correlation_depths(
     C(A,B) = #{l : labels[l]=A, labels[l+n]=B} / L_K.
 
     Each request is checked as it is drawn from ``requests``, before any
-    counting, so a lazy iterable raises its own errors in turn. All
+    counting, so a lazy iterable raises its own errors in turn. No word is
+    built, yet the L_K check of ``checked_heights`` bounds memory: |n| <
+    L_K caps the ``_junction_counts`` index arrays, about six int64 arrays
+    per junction, each of (z + s) entries summed over the shifts z. All
     requests are then counted by one stage-recursion climb (``_climb``)
     over |n|, with C(-n) the read-only view C(n)^T, and ``tail_bound``
     runs once per distinct K.

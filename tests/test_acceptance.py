@@ -196,25 +196,25 @@ def test_c10_cascade_consistency():
 
     flat_fit = limits.weak_limit(cons.flat3(), 1)
     flat_cascade = limits.divisibility_cascade(flat_fit.polynomial.support(tau), 2, 2)
-    flat_rep = limits.flatness_consequence(cons.flat3(), flat_fit.stages, 2, flat_cascade)
+    flat_rep = limits.flatness_consequence(cons.flat3(), flat_fit.stages, 2, flat_cascade, 2)
     assert flat_rep.consistent and flat_rep.all_flat
 
     ch_fit = limits.weak_limit(cons.chacon(), 1)
     ch_cascade = limits.divisibility_cascade(ch_fit.polynomial.support(tau), 2, 2)
-    assert ch_cascade.max_level == 0  # halts before m=1
-    ch_rep = limits.flatness_consequence(cons.chacon(), ch_fit.stages, 2, ch_cascade)
+    assert ch_cascade == 0  # halts before m=1
+    ch_rep = limits.flatness_consequence(cons.chacon(), ch_fit.stages, 2, ch_cascade, 2)
     assert ch_rep.consistent
-    assert ch_rep.rows[0].max_abs_diff == 1
+    assert ch_rep.max_abs_diff == 1
 
     diff4 = cons.ConstructionParams.periodic(
         0, [cons.StageParams(3, (0, 4, 0))], name="diff4"
     )
     stages = limits.weak_limit(diff4, 1).stages
     cascade = limits.divisibility_cascade({0, 4}, 2, 2)
-    rep = limits.flatness_consequence(diff4, stages, 2, cascade)
-    assert cascade.max_level == 2 and rep.consistent
+    rep = limits.flatness_consequence(diff4, stages, 2, cascade, 2)
+    assert cascade == 2 and rep.consistent
     over = limits.divisibility_cascade({0, 8}, 2, 3)
-    assert not limits.flatness_consequence(diff4, stages, 2, over).consistent
+    assert not limits.flatness_consequence(diff4, stages, 2, over, 3).consistent
     ok(10, "cascade/parameter consistency on the fitted stages of flat3, chacon "
            "(halts at m=0) and the difference-4 construction (holds through m=2)")
 

@@ -192,8 +192,9 @@ def test_bounded_profile_examples():
     prof = cons.bounded_profile(cons.odometer(2), 10)
     assert (prof.r_sup, prof.s_sup) == (2, 0)
     rnd = cons.ConstructionParams.random_bounded(0, 5, 4, seed=3)
-    prof = cons.bounded_profile(rnd, 50, bound=5)
-    assert prof.r_sup <= 5 and prof.s_sup <= 4 and prof.is_bounded_on_horizon
+    prof = cons.bounded_profile(rnd, 50)
+    assert prof.r_sup <= 5 and prof.s_sup <= 4
+    cons.classify(rnd, 50, bound=5)  # the bound is checked there: no NotBounded
 
 
 def test_flatness_examples():
@@ -216,11 +217,11 @@ def test_return_times_examples():
 
 
 def test_eigenvalue_order_examples():
-    assert cons.eigenvalue_order(cons.chacon(), 1, 10).d == 1
-    assert cons.eigenvalue_order(cons.class4(), 1, 10).d == 2
+    assert cons.eigenvalue_order(cons.chacon(), 1, 10) == 1
+    assert cons.eigenvalue_order(cons.class4(), 1, 10) == 2
     # constant spacers (2, 2) on h1 = 1: the offsets L_j + 2 are 4, 10, 22, ...
     two = cons.ConstructionParams.periodic(1, [cons.StageParams(2, (2, 2))])
-    assert cons.eigenvalue_order(two, 1, 10).d == 2
+    assert cons.eigenvalue_order(two, 1, 10) == 2
     with pytest.raises(OdometerCase):
         cons.eigenvalue_order(cons.odometer(2), 1, 10)
     # flat3: the offsets L_j + 1 and 2(L_j + 1), with L_j + 1 = 2*3^(j-1)
@@ -238,13 +239,7 @@ def test_eigenvalue_order_divides_column_offsets():
             continue
         order = cons.eigenvalue_order(params, 1, 15)
         for j in range(1, 16):
-            assert all(off % order.d == 0 for off in cons.column_offsets(params, j))
-
-
-def test_eigenvalue_order_stabilization_report():
-    order = cons.eigenvalue_order(cons.chacon(), 1, 12)
-    assert order.stabilized_at == 1
-    assert order.stable_margin == 11
+            assert all(off % order == 0 for off in cons.column_offsets(params, j))
 
 
 # ------------------------------------------------------- classification

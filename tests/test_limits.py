@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import _kernels, limits, tower
@@ -444,13 +444,20 @@ def test_similarity_reasons():
     assert limits.is_pq_similar(Q, P, 2, 3).reason == "supports and coefficients match"
 
 
+def holds_column(level, levels, p=2):
+    """The cascade's per-m column of ``rows()``, on stages with no spacer
+    difference."""
+    return tuple(row[2] for row in
+                 limits.flatness_consequence(cons.flat3(), (5,), p, level, levels).rows())
+
+
 def test_divisibility_cascade_examples():
     res = limits.divisibility_cascade({0, 4, -8}, 2, 3)
-    assert res.max_level == 2 and res.holds == (True, True, False)
+    assert res == 2 and holds_column(res, 3) == (True, True, False)
     res = limits.divisibility_cascade([0, 3], 2, 2)
-    assert res.max_level == 0 and res.holds == (False, False)
+    assert res == 0 and holds_column(res, 2) == (False, False)
     res = limits.divisibility_cascade(iter([0, 9]), 3, 2)  # read once
-    assert res.max_level == 2 and res.holds == (True, True)
+    assert res == 2 and holds_column(res, 2, p=3) == (True, True)
     # an empty support would hold at every level
     with pytest.raises(ValueError, match=r"\(no coefficient above tau=0.02\) holds vacuously"):
         limits.divisibility_cascade(set(), 5, 2)
@@ -462,18 +469,19 @@ def test_divisibility_cascade_examples():
 
 def test_flatness_consequence_flat3():
     cascade = limits.divisibility_cascade({0}, 2, 3)
-    rep = limits.flatness_consequence(cons.flat3(), (5, 6, 7), 2, cascade)
+    rep = limits.flatness_consequence(cons.flat3(), (5, 6, 7), 2, cascade, 3)
     assert rep.consistent and rep.all_flat
-    assert all(row.params_divide for row in rep.rows)
+    assert all(row[3] for row in rep.rows())
 
 
 def test_flatness_consequence_chacon_halts():
     cascade = limits.divisibility_cascade({0, 1}, 2, 1)
-    assert cascade.max_level == 0
-    rep = limits.flatness_consequence(cons.chacon(), (5, 6, 7), 2, cascade)
+    assert cascade == 0
+    rep = limits.flatness_consequence(cons.chacon(), (5, 6, 7), 2, cascade, 1)
     assert rep.consistent  # nothing certified, nothing contradicted
-    assert rep.rows[0].max_abs_diff == 1
-    assert not rep.rows[0].params_divide
+    [row] = rep.rows()
+    assert row[4] == 1
+    assert not row[3]
 
 
 def test_flatness_consequence_difference_four():
@@ -481,14 +489,14 @@ def test_flatness_consequence_difference_four():
         0, [cons.StageParams(3, (0, 4, 0))], name="diff4"
     )
     ok = limits.divisibility_cascade({0, 4}, 2, 2)
-    rep = limits.flatness_consequence(diff4, (5, 6, 7), 2, ok)
-    assert ok.max_level == 2 and rep.consistent
+    rep = limits.flatness_consequence(diff4, (5, 6, 7), 2, ok, 2)
+    assert ok == 2 and rep.consistent
 
     over = limits.divisibility_cascade({0, 8}, 2, 3)
-    assert over.max_level == 3
-    rep2 = limits.flatness_consequence(diff4, (5, 6, 7), 2, over)
+    assert over == 3
+    rep2 = limits.flatness_consequence(diff4, (5, 6, 7), 2, over, 3)
     assert not rep2.consistent
-    assert [row.params_divide for row in rep2.rows] == [True, True, False]
+    assert [row[3] for row in rep2.rows()] == [True, True, False]
 
 
 def test_flatness_consequence_reads_the_tail_window():
@@ -497,12 +505,52 @@ def test_flatness_consequence_reads_the_tail_window():
     stages = [cons.StageParams(3, (0, 1, 0))] * 4 + [cons.StageParams(3, (0, 3, 0))] * 8
     params = cons.ConstructionParams.explicit(0, stages)
     cascade = limits.divisibility_cascade({0}, 3, 2)
-    late = limits.flatness_consequence(params, (5, 6, 7), 3, cascade)
-    assert [row.params_divide for row in late.rows] == [True, False]
-    assert {row.max_abs_diff for row in late.rows} == {3}
-    across = limits.flatness_consequence(params, (4, 5), 3, cascade)
-    assert [row.params_divide for row in across.rows] == [False, False]
-    assert across.s_sup == 3 and not across.consistent
+    late = limits.flatness_consequence(params, (5, 6, 7), 3, cascade, 2)
+    assert [row[3] for row in late.rows()] == [True, False]
+    assert {row[4] for row in late.rows()} == {3}
+    across = limits.flatness_consequence(params, (4, 5), 3, cascade, 2)
+    assert [row[3] for row in across.rows()] == [False, False]
+    assert across.forced_flat_level == 2 and not across.consistent
+
+
+def test_flatness_consequence_refuses_what_no_cascade_gives():
+    # p = 1 would never pass the spacer bound, and a level past ``levels``
+    # or below 0 is no cascade level
+    for p, level, levels in [(1, 0, 2), (2, 3, 2), (2, -1, 2)]:
+        with pytest.raises(ValueError, match="need p >= 2 and 0 <= level <= levels"):
+            limits.flatness_consequence(cons.chacon(), (5, 6), p, level, levels)
+
+
+#: shifts with large 2-, 3- and 5-adic valuations, 0 and negatives included
+SHIFTS = st.builds(lambda u, a, b, c: u * 2**a * 3**b * 5**c, st.integers(-3, 3),
+                   st.integers(0, 7), st.integers(0, 4), st.integers(0, 3))
+SPACED_STAGES = st.builds(lambda r, s: cons.StageParams(r, tuple(s[:r])), st.integers(2, 4),
+                          st.lists(st.integers(0, 12), min_size=4, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(support=st.frozensets(SHIFTS, min_size=1, max_size=6),
+       stages=st.lists(SPACED_STAGES, min_size=1, max_size=3),
+       p=st.sampled_from([2, 3, 5]), levels=st.integers(1, 6))
+@example(support=frozenset({0}), stages=[cons.StageParams(2, (0, 5))], p=2, levels=3)
+def test_cascade_levels_match_the_per_m_rule(support, stages, p, levels):
+    params = cons.ConstructionParams.explicit(0, stages)
+    level = limits.divisibility_cascade(support, p, levels)
+    rep = limits.flatness_consequence(params, range(1, len(stages) + 1), p, level, levels)
+    # the oracle: one divisibility test per m and per value
+    heads = [stage.s[: stage.r - 1] for stage in stages]
+    diffs = {abs(a - b) for h in heads for i, a in enumerate(h) for b in h[i + 1:]}
+    max_diff = max(diffs, default=0)
+    rows = [(m, p**m, all(z % p**m == 0 for z in support),
+             all(d % p**m == 0 for d in diffs), max_diff) for m in range(1, levels + 1)]
+    assert list(rep.rows()) == rows
+    assert rep.consistent == all(divides or not holds for _, _, holds, divides, _ in rows)
+    assert rep.all_flat == (max_diff == 0)
+    forced = 1
+    while p**forced <= max(max(stage.s) for stage in stages):
+        forced += 1
+    assert rep.forced_flat_level == forced
+    assert limits._p_adic_level(set(), p, levels) == levels
 
 
 def test_limit_polynomial_csv_rows():

@@ -124,6 +124,20 @@ def test_zero_shift_is_diagonal():
         assert mat.error_bound == tower.tail_bound(params, 8)
 
 
+def test_tail_bound_at_the_explicit_edge():
+    # heights reach stage 13, one past the 12 listed stages, so the probe
+    # ends at min(K + 8, 13), and nothing is left to probe from K = 13 on
+    params = cons.ConstructionParams.explicit(0, [cons.StageParams(3, (0, 1, 0))] * 12)
+    L = cons.heights(params, 13).L
+    for K in range(3, 15):
+        end = min(K + tower.TAIL_PROBE_STAGES, 13)
+        want = 0.0 if K >= 13 else float(1 - Fraction(L(K) * 3 ** (end - K), L(end)))
+        assert tower.tail_bound(params, K) == want
+    # a periodic construction always probes 8 stages on
+    L = cons.heights(cons.chacon(), 13).L
+    assert tower.tail_bound(cons.chacon(), 5) == float(1 - Fraction(L(5) * 3**8, L(13)))
+
+
 def test_odometer_alternation_correlation():
     p = cons.ConstructionParams.periodic(1, [cons.StageParams(2, (0, 0))])
     mat = tower.correlation_matrix(p, 1, 2, 1)
