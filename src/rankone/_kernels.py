@@ -10,6 +10,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+from itertools import accumulate
 
 import numpy as np
 
@@ -135,18 +136,31 @@ def sieve_mobius(n_max: int) -> np.ndarray:
     return mu
 
 
-def build_word(base, r_arr, s_flat, s_ptr, fills, length):
+def build_word(base, r_arr, s_flat, s_ptr, fills, length, classes):
     """The first ``length`` entries of the word ``base`` restacked
-    through later cutting stages, in ``base``'s dtype.
+    through later cutting stages, in ``base``'s dtype: with classes = 1
+    the word itself, and with classes = c > 1 its c residue classes
+    word[q::c], q = 0..c-1, as a tuple of contiguous arrays cut in turn
+    from one ``length``-entry array.
 
     Stage m stacks r_m copies of the word, copy i followed by s_m(i)
     entries equal to ``fills[m]``, which must fit that dtype. Every
     stage starts with the word it restacks, so once ``length`` entries
-    are written the rest is never read and the build stops.
+    are written the rest is never read and the build stops. Entries
+    [a, b) of the word are entries [(a - q + c - 1) // c, (b - q + c - 1)
+    // c) of class q, and a copy to position pos moves class q to class
+    (q + pos) mod c, so each copy and each run of fills is c contiguous
+    slice writes. The stage arrays are read as Python ints, which index
+    and add faster than numpy scalars.
     """
-    word = np.empty(length, dtype=base.dtype)
+    c = classes
+    out = np.empty(length, dtype=base.dtype)
+    ends = list(accumulate((length - q + c - 1) // c for q in range(c)))
+    parts = [out[e - (length - q + c - 1) // c : e] for q, e in enumerate(ends)]
+    r_arr, s_flat, s_ptr, fills = (x.tolist() for x in (r_arr, s_flat, s_ptr, fills))
     cur = min(len(base), length)
-    word[:cur] = base[:cur]
+    for q in range(c):
+        parts[q][: (cur - q + c - 1) // c] = base[q:cur:c]
     for st in range(len(r_arr)):
         if cur == length:
             break
@@ -154,12 +168,17 @@ def build_word(base, r_arr, s_flat, s_ptr, fills, length):
         for i in range(r_arr[st]):
             if i > 0:
                 n = min(cur, length - pos)
-                word[pos : pos + n] = word[:n]
+                for q in range(c):  # entry q + c*k goes to pos + q + c*k
+                    k, a = (n - q + c - 1) // c, (pos + q) // c
+                    parts[(pos + q) % c][a : a + k] = parts[q][:k]
                 pos += n
-            word[pos : pos + s_flat[s_ptr[st] + i]] = fills[st]
-            pos = min(pos + s_flat[s_ptr[st] + i], length)
+            end = min(pos + s_flat[s_ptr[st] + i], length)
+            if end > pos:
+                for q in range(c):
+                    parts[q][(pos - q + c - 1) // c : (end - q + c - 1) // c] = fills[st]
+            pos = end
         cur = pos
-    return word
+    return parts[0] if c == 1 else tuple(parts)
 
 
 def pair_counts(labels, shift, n_ref):
@@ -185,18 +204,21 @@ def class_counts(labels, n_ref):
     return np.bincount(c, minlength=n_ref + 1).astype(np.int64)
 
 
-def weighted_mobius_sums(values, blocks, checkpoints):
+def weighted_mobius_sums(halves, blocks, checkpoints):
     """Partial sums S_n = sum_{i<=n} values[i-1]*mu(i) at each of the
     ascending checkpoints, as int64, with mu read from ``blocks``: the
     blocks of mu(2k + 1) that ``mobius_blocks`` yields for the last
     checkpoint or beyond.
 
     ``values[i-1]`` holds the observable along the orbit at time i, in
-    any integer dtype. As mu(2m) = -mu(m) for odd m and mu(4m) = 0,
-    S_n is the sum of values[2k]*mu(2k + 1) over k <= (n - 1)/2 less
-    the sum of values[4k + 1]*mu(2k + 1) over k <= (n - 2)/4, so each
-    block is read once by each of two strided views of the values.
-    Each view walks a block in chunks split at its cuts; each chunk
+    any integer dtype, and ``halves`` is (values[0::2], values[1::2]),
+    the values at the odd and at the even times, best each contiguous
+    (``build_word`` with classes = 2). As mu(2m) = -mu(m) for odd m and
+    mu(4m) = 0, S_n is the sum of values[2k]*mu(2k + 1) over k <=
+    (n - 1)/2 less the sum of values[4k + 1]*mu(2k + 1) over k <=
+    (n - 2)/4, so each block is read once against a slice of the first
+    half and once against every other entry of the second. Each of the
+    two reads walks a block in chunks split at its cuts; each chunk
     multiplies mu into one reused buffer of at most 2*BLOCK bytes, one
     width up from the values (BLOCK int16 products for int8 values,
     int32 for int16, else int64), and is summed exactly: in int32 for
@@ -205,15 +227,16 @@ def weighted_mobius_sums(values, blocks, checkpoints):
     4*BLOCK bytes besides the values, never an N-entry mu. Every sum is
     exact when max|values| * len(values) < 2**63.
     """
-    wide = np.dtype({1: np.int16, 2: np.int32}.get(values.dtype.itemsize, np.int64))
-    acc_dtype = np.int32 if values.dtype.itemsize == 1 else np.int64
+    odd, even = halves
+    wide = np.dtype({1: np.int16, 2: np.int32}.get(odd.dtype.itemsize, np.int64))
+    acc_dtype = np.int32 if odd.dtype.itemsize == 1 else np.int64
     step = 2 * BLOCK // wide.itemsize
-    buf = np.empty(min(step, (values.shape[0] + 1) // 2), dtype=wide)
+    buf = np.empty(min(step, odd.shape[0]), dtype=wide)
     cps = [int(c) for c in checkpoints]
-    # per view: the values it reads, the cut (first k left out) of each
+    # per read: the values it reads, the cut (first k left out) of each
     # checkpoint, and the sum from the cut before up to each cut
-    views = [(values[0::2], [(c - 1) // 2 + 1 for c in cps], [0] * len(cps)),
-             (values[1::4], [(c - 2) // 4 + 1 for c in cps], [0] * len(cps))]
+    views = [(odd, [(c - 1) // 2 + 1 for c in cps], [0] * len(cps)),
+             (even[0::2], [(c - 2) // 4 + 1 for c in cps], [0] * len(cps))]
     lo = 0
     for mu in blocks:
         hi = lo + len(mu)
@@ -227,10 +250,10 @@ def weighted_mobius_sums(values, blocks, checkpoints):
                 between[i] += int(prods.sum(dtype=acc_dtype))
                 a = b
         lo = hi
-    (_, cuts, odd), (_, _, even) = views
+    (_, cuts, plus), (_, _, minus) = views
     if lo < cuts[-1]:
         raise ValueError(f"mu ends at n = {2 * lo - 1}, before checkpoint {cps[-1]}")
-    return np.cumsum(odd, dtype=np.int64) - np.cumsum(even, dtype=np.int64)
+    return np.cumsum(plus, dtype=np.int64) - np.cumsum(minus, dtype=np.int64)
 
 
 def strided_mobius_sum(values, mu, stride, count):

@@ -6,11 +6,14 @@ evaluated in exact integer arithmetic: an observable's rational
 coefficients are cleared to their common denominator once, when it is
 built, and every sum runs on those numerators. Along an orbit they
 are restacked in the narrowest signed integer dtype that holds them,
-int8 for an indicator. The weighted sum reads mu one sieve block of
-odd n at a time (mu(2m) = -mu(m) for odd m), multiplies it in one
-integer width up and sums exactly, so it holds no N-entry mu; a
-strided sum widens the entries it picks a block at a time, so no sum
-holds an N-entry int64 array. The telescoping chain is an algebraic
+int8 for an indicator. The weighted sum has them restacked as two
+contiguous parity halves, the values at the odd and at the even
+times, and reads mu one sieve block of odd n at a time (mu(2m) =
+-mu(m) for odd m): against one slice of the odd half, and against
+every other entry of the even half. It multiplies in one integer
+width up and sums exactly, so it holds no N-entry mu; a strided sum
+widens the entries it picks a block at a time, so no sum holds an
+N-entry int64 array. The telescoping chain is an algebraic
 identity and its check must not depend on rounding. Only the decay
 traces |S_N|/N are floats. Each sum is fixed by (start, N): it runs at
 depth ``tower.orbit_depth`` and sieves mu to N itself, once the orbit
@@ -146,20 +149,26 @@ class Observable:
         return np.append(self.nums, 0), self.denom
 
 
-def _orbit_values(params, obs: Observable, start: int, N: int):
+def _orbit_values(params, obs: Observable, start: int, N: int, classes: int = 1):
     """Values f(T^i x) for i = 1..N, plus the denominator: the
     numerators restacked to depth ``orbit_depth`` with spacers valued 0
-    and cut at the orbit's end (``_cut``), in the narrowest signed
+    and cut at the orbit's end (``_cut``, which hands classes > 1 out as
+    that many contiguous residue classes), in the narrowest signed
     integer dtype that holds every numerator and 0 (int8 for an
-    indicator)."""
+    indicator). The values are scanned for overflow only when the
+    largest numerator could overflow an N-term sum, so never for an
+    indicator."""
     K = orbit_depth(params, obs.stage, start, N)
     lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
     vals = _cut(params, obs.stage, K, start + 1, start + N + 1,
-                obs.nums.astype(dtype, copy=False), 0)
-    if max(-int(vals.min()), int(vals.max())) * N >= _INT64_SAFE:
-        raise ValueError("sum could overflow the exact int64 path")
+                obs.nums.astype(dtype, copy=False), 0, classes)
+    if max(-lo, hi) * N >= _INT64_SAFE:
+        visited = max(max(-int(v.min(initial=0)), int(v.max(initial=0)))
+                      for v in (vals if classes > 1 else (vals,)))
+        if visited * N >= _INT64_SAFE:
+            raise ValueError("sum could overflow the exact int64 path")
     return vals, obs.denom
 
 
@@ -198,13 +207,13 @@ def mobius_weighted_sum(
     params: ConstructionParams, obs: Observable, start: int, N: int,
 ) -> MobiusSumResult:
     """S_N = sum_{i=1..N} f(T^i x) mu(i), exactly, for x the point at
-    level ``start``; checkpoints at n = 100, 1000, ... and N. mu is
-    sieved to N a block at a time, only once the orbit values are built,
-    and never held whole."""
-    vals, denom = _orbit_values(params, obs, start, N)
+    level ``start``; checkpoints at n = 100, 1000, ... and N. The orbit
+    values are built as their two parity halves, and mu is sieved to N a
+    block at a time, only once they are built, and never held whole."""
+    halves, denom = _orbit_values(params, obs, start, N, 2)
     grid = _checkpoint_grid(N)
     sums = _kernels.weighted_mobius_sums(
-        vals, _kernels.mobius_blocks(N), np.array(grid, dtype=np.int64)
+        halves, _kernels.mobius_blocks(N), np.array(grid, dtype=np.int64)
     )
     checkpoints = tuple(
         (n, _exact(int(s), denom)) for n, s in zip(grid, sums)

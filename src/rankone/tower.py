@@ -56,13 +56,15 @@ def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTab
 
 
 def _cut(params: ConstructionParams, j: int, K: int, lo: int = 0, hi: int | None = None,
-         base=None, fill=None) -> np.ndarray:
+         base=None, fill=None, classes: int = 1):
     """Entries [lo, hi) (hi <= L_K, by default L_K) of the stage-j word
     ``base`` cut and stacked through stage K, built only as far as hi,
     read-only. Stage m stacks column 1, s_m(1) spacers, ..., column r_m,
     s_m(r_m) spacers. By default ``base`` is the level indices 0..L_j-1
     and a spacer inserted at stage m is -m: the label word. A given
     ``fill`` is every spacer's value and must fit ``base``'s dtype.
+    With classes = c > 1 the entries come as the tuple of their c
+    residue classes, entries[q::c] for q = 0..c-1, each contiguous.
 
     Nothing is built before the checks: 1 <= j <= K, hi within
     MAX_WORD_LENGTH, and one ``base`` value per stage-j level.
@@ -83,9 +85,14 @@ def _cut(params: ConstructionParams, j: int, K: int, lo: int = 0, hi: int | None
     r_arr = np.array([st.r for st in stages], dtype=np.int64)
     s_flat = np.array([x for st in stages for x in st.s], dtype=np.int64)
     s_ptr = np.cumsum([0] + [st.r for st in stages[:-1]], dtype=np.int64)
-    word = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills, hi)[lo:]
-    word.flags.writeable = False
-    return word
+    # classes goes by position: perfbench/spans.py counts entries from the args
+    built = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills, hi, classes)
+    if classes == 1:
+        built = (built,)
+    parts = [built[(lo + q) % classes][(lo + q) // classes :] for q in range(classes)]
+    for part in parts:
+        part.flags.writeable = False
+    return parts[0] if classes == 1 else tuple(parts)
 
 
 def build_labels(params: ConstructionParams, j: int, K: int,
@@ -193,7 +200,10 @@ def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> d
     0 <= z <= W <= L_m the stage recursion gives
     C_{m+1}(z) = r_m C_m(z) + sum_i junction_i(z), where junction i is
     suf_W(W_m) + s_m(i) spacers + pre_W(W_m) (no prefix after the last
-    copy), counted from its last z copy entries on. One climb to the
+    copy), counted from its last z copy entries on. So a stage's
+    junction counts, and the suffix it leaves, depend only on its
+    spacers and on the suffix it restacks; a state that repeats (as it
+    does on periodic constructions) reuses them. One climb to the
     deepest K passes every depth from m0 on; a depth below m0 gets a
     climb of its own.
     """
@@ -206,14 +216,29 @@ def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> d
     word = _cut(params, j, m0, fill=n_ref)
     counts = np.stack([_kernels.pair_counts(word, int(z), n_ref) for z in zs])
     pre, suf = word[:W], word[len(word) - W:]
+
+    def add_junctions(into, suf, st):  # returns the suffix the stage leaves
+        for i, s in enumerate(st.s):
+            junction = np.concatenate([suf, np.full(s, n_ref), pre[: W * (i < st.r - 1)]])
+            into += _junction_counts(junction, W, W + s, zs, n_ref + 1)
+        return junction[len(junction) - W:]  # the last copy has no prefix
+
+    # per state (spacers, suffix bytes): the suffix it leaves, and its
+    # junction counts once it repeats; a first state is counted in place
+    leaves, kept = {}, {}
     for m in range(m0, max(deep) + 1):
         if m > m0:
             st = params.stage(m - 1)
+            key = (st.s, suf.tobytes())
             counts *= st.r
-            for i, s in enumerate(st.s):
-                junction = np.concatenate([suf, np.full(s, n_ref), pre[: W * (i < st.r - 1)]])
-                counts += _junction_counts(junction, W, W + s, zs, n_ref + 1)
-            suf = junction[len(junction) - W:]  # the last copy has no prefix
+            if key in leaves and key not in kept:
+                kept[key] = np.zeros_like(counts)
+                add_junctions(kept[key], suf, st)
+            if key in kept:
+                counts += kept[key]
+                suf = leaves[key]
+            else:
+                suf = leaves[key] = add_junctions(counts, suf, st)
         if m in deep:
             snapshot = counts.copy()
             snapshot.flags.writeable = False

@@ -324,6 +324,35 @@ def test_one_climb_matches_each_depth_alone(request):
                 assert np.array_equal(mat.counts, _kernels.pair_counts(word, n, n_ref))
 
 
+def test_climb_reuses_an_alternating_state(monkeypatch):
+    # both stages end on 0 spacers, so each leaves the suffix it restacked
+    # and the states (stage A, suffix) and (stage B, suffix) alternate. Each
+    # state's r junctions are counted in place when it is first met and
+    # apart when it is met again, then reused: 2 * (r_A + r_B) = 10 junctions
+    # however deep the climb goes
+    params = cons.ConstructionParams.periodic(
+        1, [cons.StageParams(2, (1, 0)), cons.StageParams(3, (2, 1, 0))])
+    counted = []
+    junction_counts = tower._junction_counts
+
+    def spy(junction, W, end, zs, side):
+        counted.append(end - W)
+        return junction_counts(junction, W, end, zs, side)
+
+    monkeypatch.setattr(tower, "_junction_counts", spy)
+    shifts = [-3, 0, 1, 2, 5, 6]
+    m0 = cons.first_stage_reaching(params, 6, 1)
+    depths = [K for K in range(m0, 20) if cons.heights(params, K).L(K) <= 200_000]
+    assert len(depths) >= 6
+    found = tower.correlation_depths(params, 1, [(K, shifts) for K in depths])
+    assert sorted(counted) == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+    n_ref = cons.heights(params, 1).L(1)
+    for K, mats in zip(depths, found):
+        word = tower.build_labels(params, 1, K)
+        for n in shifts:
+            assert np.array_equal(mats[n].counts, _kernels.pair_counts(word, n, n_ref)), (K, n)
+
+
 def test_one_climb_counts_each_shift_once(monkeypatch):
     counted, built = [], []
     pair_counts, build_word = _kernels.pair_counts, _kernels.build_word
@@ -486,6 +515,54 @@ def test_weighted_sum_matches_the_label_word(params, stage, data):
     want = sum(coeffs[a] * MU_DIRECT[i] for i, a in enumerate(word.tolist(), 1) if a >= 0)
     res = sarnak.mobius_weighted_sum(params, sarnak.Observable(stage, tuple(coeffs)), start, N)
     assert res.final == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(CONSTRUCTIONS, st.integers(1, 3), st.booleans(), st.data())
+def test_parity_halves_match_the_word(params, j, values, data):
+    # the two-class build writes word[0::2] and word[1::2] of the one-class
+    # word, each contiguous and cut from one array, and the cut hands out
+    # the halves of entries [lo, hi): cuts at odd and even lo and hi, at
+    # stage seams, of the label word or of int8 values with spacers 0
+    deepest = j
+    while cons.heights(params, deepest + 1).L(deepest + 1) <= MAX_LK:
+        deepest += 1
+    K = data.draw(st.integers(j, deepest))
+    table = cons.heights(params, K)
+    seams = [table.L(m) + e for m in range(j, K + 1) for e in (-1, 0, 1)]
+    hi = data.draw(st.sampled_from([h for h in seams if 0 <= h <= table.L(K)])
+                   | st.integers(0, table.L(K)))
+    lo = data.draw(st.sampled_from([0, hi, *(x for x in seams if 0 <= x <= hi)])
+                   | st.integers(0, hi))
+    base = fill = None
+    if values:
+        base, fill = (np.arange(table.L(j)) % 7 - 3).astype(np.int8), 0
+    word = tower._cut(params, j, K, 0, hi, base, fill, 1)
+    halves = tower._cut(params, j, K, lo, hi, base, fill, 2)
+    assert len(halves) == 2
+    for half, want in zip(halves, (word[lo:][0::2], word[lo:][1::2])):
+        assert half.dtype == word.dtype and np.array_equal(half, want)
+        assert half.flags.c_contiguous and not half.flags.writeable
+    if lo == 0 and hi > 1:  # one allocation holds both
+        assert halves[0].base is halves[1].base
+
+
+@pytest.mark.parametrize("start_parity, N_parity", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@settings(max_examples=15, deadline=None)
+@given(CONSTRUCTIONS, st.integers(1, 3), st.data())
+def test_weighted_sum_at_odd_and_even_start_and_N(start_parity, N_parity, params, stage, data):
+    # every checkpoint against a direct sum over the label word, with the
+    # parities of start and N fixed, so the halves swap roles at odd start
+    L_j = cons.heights(params, stage).L(stage)
+    start = 2 * data.draw(st.integers(0, 300)) + start_parity
+    N = 2 * data.draw(st.integers(1, (MAX_ORBIT - 602) // 2)) - N_parity
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=L_j, max_size=L_j))
+    res = sarnak.mobius_weighted_sum(params, sarnak.Observable(stage, tuple(coeffs)), start, N)
+    K = tower.orbit_depth(params, stage, start, N)
+    word = tower.build_labels(params, stage, K, start + N + 1)[start + 1 :].tolist()
+    running = np.cumsum([coeffs[a] * MU_DIRECT[i] if a >= 0 else 0
+                         for i, a in enumerate(word, 1)])
+    assert [s for _, s in res.checkpoints] == [int(running[n - 1]) for n, _ in res.checkpoints]
 
 
 def test_word_length_guard():
