@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from itertools import accumulate
 
 import numpy as np
 
@@ -40,11 +39,13 @@ for _p in TILED:
 TILE.flags.writeable = False
 
 
-def mobius_blocks(n_max: int):
+def mobius_blocks(n_max: int, scratch=None):
     """mu(2k + 1) for the odd n = 2k + 1 <= n_max, k ascending, as
     int8 blocks of at most BLOCK entries. Each block is overwritten by
     the next, so read it before asking for the next. The even n follow:
-    mu(2m) = -mu(m) for odd m, and mu(4m) = 0.
+    mu(2m) = -mu(m) for odd m, and mu(4m) = 0. The sieve runs in
+    ``scratch``, a uint8 array of at least 2*min(BLOCK, (n_max + 1)//2)
+    entries, allocated here when none is given.
 
     Let N = n_max and l(x) = floor(2*log2(x)), the bit length of x*x
     less 1. Per odd n, a uint8 holds in bit 7 whether p*p | n for some
@@ -83,16 +84,20 @@ def mobius_blocks(n_max: int):
         if is_prime[p]:
             is_prime[p * p :: p] = False
     primes = [p for p in np.flatnonzero(is_prime).tolist() if p > TILED[-1]]
-    return _odd_blocks(n_max, root, t, primes)
+    return _odd_blocks(n_max, root, t, primes, scratch)
 
 
-def _odd_blocks(n_max, root, t, primes):
+def _odd_blocks(n_max, root, t, primes, scratch):
     count = (n_max + 1) // 2  # the odd n <= n_max
     size = min(BLOCK, count)
-    sums = np.empty(size, dtype=np.uint8)  # the sums, then mu in place
-    flags = np.empty(size, dtype=bool)
-    strikes = [(p // 2, p, ((p * p).bit_length() - 1) | 1, p * p // 2, p * p)
-               for p in primes]
+    if scratch is None:
+        scratch = np.empty(2 * size, dtype=np.uint8)
+    sums = scratch[:size]  # the sums, then mu in place
+    flags = scratch[size : 2 * size].view(bool)
+    # a uint8 weight and an explicit out: ``view += w`` would convert a
+    # Python int and write the view back through __setitem__ on every call
+    weights = np.array([((p * p).bit_length() - 1) | 1 for p in primes], dtype=np.uint8)
+    strikes = [(p // 2, p, w, p * p // 2, p * p) for p, w in zip(primes, weights)]
     for lo in range(0, count, BLOCK):
         n = min(BLOCK, count - lo)
         blk, above = sums[:n], flags[:n]
@@ -100,7 +105,8 @@ def _odd_blocks(n_max, root, t, primes):
         blk[:whole].reshape(-1, TILE_PERIOD)[:] = TILE
         blk[whole:] = TILE[: n - whole]
         for r, p, w, r2, sq in strikes:
-            blk[(r - lo) % p :: p] += w
+            hits = blk[(r - lo) % p :: p]
+            np.add(hits, w, out=hits)
             if sq < size:
                 blk[(r2 - lo) % sq :: sq] = 128  # later weights keep it below 256
             elif (i := (r2 - lo) % sq) < n:  # at most one hit per block
@@ -136,31 +142,21 @@ def sieve_mobius(n_max: int) -> np.ndarray:
     return mu
 
 
-def build_word(base, r_arr, s_flat, s_ptr, fills, length, classes):
+def build_word(base, r_arr, s_flat, s_ptr, fills, length):
     """The first ``length`` entries of the word ``base`` restacked
-    through later cutting stages, in ``base``'s dtype: with classes = 1
-    the word itself, and with classes = c > 1 its c residue classes
-    word[q::c], q = 0..c-1, as a tuple of contiguous arrays cut in turn
-    from one ``length``-entry array.
+    through later cutting stages, in ``base``'s dtype.
 
     Stage m stacks r_m copies of the word, copy i followed by s_m(i)
     entries equal to ``fills[m]``, which must fit that dtype. Every
     stage starts with the word it restacks, so once ``length`` entries
-    are written the rest is never read and the build stops. Entries
-    [a, b) of the word are entries [(a - q + c - 1) // c, (b - q + c - 1)
-    // c) of class q, and a copy to position pos moves class q to class
-    (q + pos) mod c, so each copy and each run of fills is c contiguous
-    slice writes. The stage arrays are read as Python ints, which index
-    and add faster than numpy scalars.
+    are written the rest is never read and the build stops. The stage
+    arrays are read as Python ints, which index and add faster than
+    numpy scalars.
     """
-    c = classes
-    out = np.empty(length, dtype=base.dtype)
-    ends = list(accumulate((length - q + c - 1) // c for q in range(c)))
-    parts = [out[e - (length - q + c - 1) // c : e] for q, e in enumerate(ends)]
+    word = np.empty(length, dtype=base.dtype)
     r_arr, s_flat, s_ptr, fills = (x.tolist() for x in (r_arr, s_flat, s_ptr, fills))
     cur = min(len(base), length)
-    for q in range(c):
-        parts[q][: (cur - q + c - 1) // c] = base[q:cur:c]
+    word[:cur] = base[:cur]
     for st in range(len(r_arr)):
         if cur == length:
             break
@@ -168,17 +164,13 @@ def build_word(base, r_arr, s_flat, s_ptr, fills, length, classes):
         for i in range(r_arr[st]):
             if i > 0:
                 n = min(cur, length - pos)
-                for q in range(c):  # entry q + c*k goes to pos + q + c*k
-                    k, a = (n - q + c - 1) // c, (pos + q) // c
-                    parts[(pos + q) % c][a : a + k] = parts[q][:k]
+                word[pos : pos + n] = word[:n]
                 pos += n
             end = min(pos + s_flat[s_ptr[st] + i], length)
-            if end > pos:
-                for q in range(c):
-                    parts[q][(pos - q + c - 1) // c : (end - q + c - 1) // c] = fills[st]
+            word[pos:end] = fills[st]
             pos = end
         cur = pos
-    return parts[0] if c == 1 else tuple(parts)
+    return word
 
 
 def pair_counts(labels, shift, n_ref):
@@ -204,53 +196,60 @@ def class_counts(labels, n_ref):
     return np.bincount(c, minlength=n_ref + 1).astype(np.int64)
 
 
-def weighted_mobius_sums(halves, blocks, checkpoints):
-    """Partial sums S_n = sum_{i<=n} values[i-1]*mu(i) at each of the
-    ascending checkpoints, as int64, with mu read from ``blocks``: the
-    blocks of mu(2k + 1) that ``mobius_blocks`` yields for the last
-    checkpoint or beyond.
+def weighted_mobius_sums(readers, blocks, checkpoints):
+    """Partial sums S_n = sum_{i<=n} v(i)*mu(i) at each of the ascending
+    checkpoints, as int64, with mu read from ``blocks``: the blocks of
+    mu(2k + 1) that ``mobius_blocks`` yields for the last checkpoint or
+    beyond.
 
-    ``values[i-1]`` holds the observable along the orbit at time i, in
-    any integer dtype, and ``halves`` is (values[0::2], values[1::2]),
-    the values at the odd and at the even times, best each contiguous
-    (``build_word`` with classes = 2). As mu(2m) = -mu(m) for odd m and
-    mu(4m) = 0, S_n is the sum of values[2k]*mu(2k + 1) over k <=
-    (n - 1)/2 less the sum of values[4k + 1]*mu(2k + 1) over k <=
-    (n - 2)/4, so each block is read once against a slice of the first
-    half and once against every other entry of the second. Each of the
-    two reads walks a block in chunks split at its cuts; each chunk
-    multiplies mu into one reused buffer of at most 2*BLOCK bytes, one
-    width up from the values (BLOCK int16 products for int8 values,
-    int32 for int16, else int64), and is summed exactly: in int32 for
-    int8 values, whose chunk sums stay below 128*BLOCK, else in int64.
-    With the sieve's two block buffers, a sum to any N holds about
-    4*BLOCK bytes besides the values, never an N-entry mu. Every sum is
-    exact when max|values| * len(values) < 2**63.
+    v(i) is the observable along the orbit at time i, in any integer
+    dtype, and ``readers`` is a pair (odd, even) of callables: for a <=
+    k < b, odd(a, b) gives v(2k + 1) and even(a, b) gives v(4k + 2), as
+    b - a values, read before the same reader is called again. As
+    mu(2m) = -mu(m) for odd m and mu(4m) = 0, S_n is the sum of
+    v(2k + 1)*mu(2k + 1) over k <= (n - 1)/2 less the sum of
+    v(4k + 2)*mu(2k + 1) over k <= (n - 2)/4, so each block is read once
+    against odd(a, b) and, while 4k + 2 <= n, once against even(a, b),
+    both over the block's own k; v at the times 4k is never asked for.
+    Each of the two reads walks a block in chunks split at its cuts;
+    each chunk multiplies mu into one reused buffer of at most 2*BLOCK
+    bytes, one width up from the values (BLOCK int16 products for int8
+    values, int32 for int16, else int64), and is summed exactly: in
+    int32 for int8 values, whose chunk sums stay below 128*BLOCK, else
+    in int64. With the sieve's two block buffers, a sum to any N holds
+    about 4*BLOCK bytes besides what the readers hold, never an N-entry
+    mu. Every sum is exact when max|v| * n < 2**63.
     """
-    odd, even = halves
-    wide = np.dtype({1: np.int16, 2: np.int32}.get(odd.dtype.itemsize, np.int64))
-    acc_dtype = np.int32 if odd.dtype.itemsize == 1 else np.int64
-    step = 2 * BLOCK // wide.itemsize
-    buf = np.empty(min(step, odd.shape[0]), dtype=wide)
     cps = [int(c) for c in checkpoints]
-    # per read: the values it reads, the cut (first k left out) of each
+    # per read: its reader, the cut (first k left out) of each
     # checkpoint, and the sum from the cut before up to each cut
-    views = [(odd, [(c - 1) // 2 + 1 for c in cps], [0] * len(cps)),
-             (even[0::2], [(c - 2) // 4 + 1 for c in cps], [0] * len(cps))]
+    reads = [(readers[0], [(c - 1) // 2 + 1 for c in cps], [0] * len(cps)),
+             (readers[1], [(c - 2) // 4 + 1 for c in cps], [0] * len(cps))]
+    buf = None
     lo = 0
     for mu in blocks:
         hi = lo + len(mu)
-        for vals, cuts, between in views:
+        for read, cuts, between in reads:
+            end = min(hi, cuts[-1])
+            if end <= lo:
+                continue
+            vals = read(lo, end)
+            if buf is None:  # the first read gives the values' dtype
+                size = vals.dtype.itemsize
+                wide = np.dtype({1: np.int16, 2: np.int32}.get(size, np.int64))
+                acc_dtype = np.int32 if size == 1 else np.int64
+                step = 2 * BLOCK // wide.itemsize
+                buf = np.empty(min(step, reads[0][1][-1]), dtype=wide)
             a = lo
-            while a < min(hi, cuts[-1]):
+            while a < end:
                 i = bisect.bisect_right(cuts, a)
-                b = min(a + step, hi, cuts[i])
+                b = min(a + step, end, cuts[i])
                 prods = buf[: b - a]
-                np.multiply(vals[a:b], mu[a - lo : b - lo], out=prods, dtype=wide)
+                np.multiply(vals[a - lo : b - lo], mu[a - lo : b - lo], out=prods, dtype=wide)
                 between[i] += int(prods.sum(dtype=acc_dtype))
                 a = b
         lo = hi
-    (_, cuts, plus), (_, _, minus) = views
+    (_, cuts, plus), (_, _, minus) = reads
     if lo < cuts[-1]:
         raise ValueError(f"mu ends at n = {2 * lo - 1}, before checkpoint {cps[-1]}")
     return np.cumsum(plus, dtype=np.int64) - np.cumsum(minus, dtype=np.int64)

@@ -6,19 +6,21 @@ evaluated in exact integer arithmetic: an observable's rational
 coefficients are cleared to their common denominator once, when it is
 built, and every sum runs on those numerators. Along an orbit they
 are restacked in the narrowest signed integer dtype that holds them,
-int8 for an indicator. The weighted sum has them restacked as two
-contiguous parity halves, the values at the odd and at the even
-times, and reads mu one sieve block of odd n at a time (mu(2m) =
--mu(m) for odd m): against one slice of the odd half, and against
-every other entry of the even half. It multiplies in one integer
-width up and sums exactly, so it holds no N-entry mu; a strided sum
-widens the entries it picks a block at a time, so no sum holds an
-N-entry int64 array. The telescoping chain is an algebraic
-identity and its check must not depend on rounding. Only the decay
-traces |S_N|/N are floats. Each sum is fixed by (start, N): it runs at
-depth ``tower.orbit_depth`` and sieves mu to N itself, once the orbit
-values are built, so an orbit past the word guard fails before the
-sieve.
+int8 for an indicator. The weighted sum never builds its orbit: it
+reads mu one sieve block of odd n at a time (mu(2m) = -mu(m) for odd
+m, mu(4m) = 0), and for each block ``tower._decoder`` decodes the
+values at the odd times 2k + 1 and at the times 4k + 2 of that
+block's k, each into a reused buffer of at most BLOCK entries, from
+one cached stage word of at most BLOCK/4 entries. The values at the
+times 4k are never decoded. It multiplies in one integer width up and
+sums exactly, so its memory is flat in N: it holds no N-entry mu or
+orbit. A strided sum widens the entries it picks a block at a time,
+so no sum holds an N-entry int64 array. The telescoping chain is an
+algebraic identity and its check must not depend on rounding. Only
+the decay traces |S_N|/N are floats. Each sum is fixed by (start, N):
+it runs at depth ``tower.orbit_depth`` and sieves mu to N itself once
+the orbit has passed the word guard, so an orbit past that guard fails
+before the sieve.
 
 There is one telescoping chain, ``_unfold``, with one hypothesis,
 checked on the orbit: f(T^i x) = 0 at every time i not divisible by d.
@@ -45,7 +47,7 @@ from .construction import (
 )
 from .errors import ConsistencyFailure
 from .mobius import prime_factors, sieve_mobius
-from .tower import _cut, checked_heights, orbit_depth
+from .tower import _cut, _decoder, checked_heights, orbit_depth
 
 _INT64_SAFE = 2**62
 
@@ -149,26 +151,32 @@ class Observable:
         return np.append(self.nums, 0), self.denom
 
 
-def _orbit_values(params, obs: Observable, start: int, N: int, classes: int = 1):
-    """Values f(T^i x) for i = 1..N, plus the denominator: the
-    numerators restacked to depth ``orbit_depth`` with spacers valued 0
-    and cut at the orbit's end (``_cut``, which hands classes > 1 out as
-    that many contiguous residue classes), in the narrowest signed
-    integer dtype that holds every numerator and 0 (int8 for an
-    indicator). The values are scanned for overflow only when the
-    largest numerator could overflow an N-term sum, so never for an
-    indicator."""
-    K = orbit_depth(params, obs.stage, start, N)
+def _orbit_base(obs: Observable, N: int):
+    """The numerators in the narrowest signed integer dtype that holds
+    every one and 0 (int8 for an indicator), and whether an N-term sum
+    of them could overflow, so that the orbit values need a scan."""
     lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
     dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
                  if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
-    vals = _cut(params, obs.stage, K, start + 1, start + N + 1,
-                obs.nums.astype(dtype, copy=False), 0, classes)
-    if max(-lo, hi) * N >= _INT64_SAFE:
-        visited = max(max(-int(v.min(initial=0)), int(v.max(initial=0)))
-                      for v in (vals if classes > 1 else (vals,)))
-        if visited * N >= _INT64_SAFE:
-            raise ValueError("sum could overflow the exact int64 path")
+    return obs.nums.astype(dtype, copy=False), max(-lo, hi) * N >= _INT64_SAFE
+
+
+def _check_overflow(vals, N: int):
+    if max(-int(vals.min(initial=0)), int(vals.max(initial=0))) * N >= _INT64_SAFE:
+        raise ValueError("sum could overflow the exact int64 path")
+
+
+def _orbit_values(params, obs: Observable, start: int, N: int):
+    """Values f(T^i x) for i = 1..N, plus the denominator: the
+    numerators (``_orbit_base``) restacked to depth ``orbit_depth`` with
+    spacers valued 0 and cut at the orbit's end by ``_cut``. The values
+    are scanned for overflow only when the largest numerator could
+    overflow an N-term sum, so never for an indicator."""
+    K = orbit_depth(params, obs.stage, start, N)
+    base, scan = _orbit_base(obs, N)
+    vals = _cut(params, obs.stage, K, start + 1, start + N + 1, base, 0)
+    if scan:
+        _check_overflow(vals, N)
     return vals, obs.denom
 
 
@@ -208,15 +216,41 @@ def mobius_weighted_sum(
 ) -> MobiusSumResult:
     """S_N = sum_{i=1..N} f(T^i x) mu(i), exactly, for x the point at
     level ``start``; checkpoints at n = 100, 1000, ... and N. The orbit
-    values are built as their two parity halves, and mu is sieved to N a
-    block at a time, only once they are built, and never held whole."""
-    halves, denom = _orbit_values(params, obs, start, N, 2)
+    values are decoded one mu block at a time (``tower._decoder``), the
+    values at the odd times 2k + 1 and at the times 4k + 2 each into a
+    reused buffer of at most BLOCK entries, and scanned for overflow
+    block by block when the largest numerator could overflow the sum.
+    mu is sieved to N a block at a time once the orbit has passed the
+    word guard, and neither mu nor the orbit is ever held whole."""
+    K = orbit_depth(params, obs.stage, start, N)
+    base, scan = _orbit_base(obs, N)
+    decode = _decoder(params, obs.stage, K, start + N + 1, base, 0)
+    # the reads' and the sieve's buffers in one allocation, larger than the
+    # sum's others, which glibc then keeps on its heap from one sum to the
+    # next; apart, they were trimmed off the heap's top after each sum and
+    # faulted in again by the next (1200 faults, about 2 ms, a sum at
+    # N = 5e6 on a 2-core x86 VM)
+    odd, even = (min(_kernels.BLOCK, n) for n in ((N + 1) // 2, (N + 2) // 4))
+    work = np.empty(odd + even + -(-2 * odd // base.itemsize), dtype=base.dtype)
+
+    def reader(first, step, buf):  # f(T^i x) at the times i = first + step*k
+        def read(a, b):
+            vals = decode(start + first + step * a, start + first + step * b, step,
+                          buf[: b - a])
+            if scan:
+                _check_overflow(vals, N)
+            return vals
+
+        return read
+
     grid = _checkpoint_grid(N)
     sums = _kernels.weighted_mobius_sums(
-        halves, _kernels.mobius_blocks(N), np.array(grid, dtype=np.int64)
+        (reader(1, 2, work[:odd]), reader(2, 4, work[odd : odd + even])),
+        _kernels.mobius_blocks(N, work[odd + even :].view(np.uint8)),
+        np.array(grid, dtype=np.int64)
     )
     checkpoints = tuple(
-        (n, _exact(int(s), denom)) for n, s in zip(grid, sums)
+        (n, _exact(int(s), obs.denom)) for n, s in zip(grid, sums)
     )
     return MobiusSumResult(N=N, final=checkpoints[-1][1], checkpoints=checkpoints)
 

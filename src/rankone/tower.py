@@ -4,7 +4,8 @@ The stage-K tower is a word of length L_K over the alphabet
 {stage-j reference levels} + {spacers}: position l holds the label of
 the l-th level, and the transformation climbs one level per step.
 Words are handed out as plain read-only arrays, each cut by ``_cut``
-only as far as it is read; level measures come from the parameters.
+only as far as it is read, and past STAGE_WORD_MAX entries decoded
+from one shorter stage word; level measures come from the parameters.
 Correlations are exact pair counts of this word, carried to depth K by
 the stage recursion from a short base word, with error |n|/L_K (top
 exit) plus an estimate of the relative mass added after stage K.
@@ -35,6 +36,11 @@ TAIL_PROBE_STAGES = 8
 #: reference stages larger than this would make dense matrices unwieldy
 MAX_DENSE_LEVELS = 512
 
+#: a cut ending past this many entries is decoded from one stage word of
+#: at most this many (``_decoder``): a quarter of a sieve block, so a
+#: Mobius sum's reads of one block meet a few dozen of its copies
+STAGE_WORD_MAX = _kernels.BLOCK // 4
+
 
 def _heights_from(params: ConstructionParams, j: int, K: int) -> HeightTable:
     """Heights through stage K; ValueError unless 1 <= j <= K."""
@@ -55,16 +61,27 @@ def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTab
     return table
 
 
-def _cut(params: ConstructionParams, j: int, K: int, lo: int = 0, hi: int | None = None,
-         base=None, fill=None, classes: int = 1):
-    """Entries [lo, hi) (hi <= L_K, by default L_K) of the stage-j word
-    ``base`` cut and stacked through stage K, built only as far as hi,
-    read-only. Stage m stacks column 1, s_m(1) spacers, ..., column r_m,
-    s_m(r_m) spacers. By default ``base`` is the level indices 0..L_j-1
-    and a spacer inserted at stage m is -m: the label word. A given
-    ``fill`` is every spacer's value and must fit ``base``'s dtype.
-    With classes = c > 1 the entries come as the tuple of their c
-    residue classes, entries[q::c] for q = 0..c-1, each contiguous.
+def _decoder(params: ConstructionParams, j: int, K: int, hi: int | None = None,
+             base=None, fill=None):
+    """A decoder of entries [0, hi) (hi <= L_K, by default L_K) of the
+    stage-j word ``base`` cut and stacked through stage K, W_K.
+    decode(lo, b, step, out) gives W_K[lo:b:step] for lo <= b <= hi (by
+    default b = hi and step = 1), written into ``out`` when one is
+    given. Stage m stacks column 1, s_m(1) spacers, ..., column r_m,
+    s_m(r_m) spacers. By default ``base`` is the level indices
+    0..L_j-1 and a spacer inserted at stage m is -m: the label word. A
+    given ``fill`` is every spacer's value and must fit ``base``'s
+    dtype.
+
+    One word is built, once, by ``_kernels.build_word``: W_K up to hi
+    when hi <= STAGE_WORD_MAX, and decode then reads it (as a view when
+    no ``out`` is given). Past that it builds W_c alone, for the last
+    stage c < K with L_c <= STAGE_WORD_MAX (c = j when L_j is past it),
+    and decode walks the recursion W_{m+1} = W_m, s_m(1) fills, ...,
+    W_m, s_m(r_m) fills from W_K down to W_c over [lo, b) alone,
+    never building [0, lo) (``_emit``): each piece of a copy of W_c is
+    one contiguous slice of its step class W_c[q::step], split off
+    once per step, and each run of fills is one slice fill.
 
     Nothing is built before the checks: 1 <= j <= K, hi within
     MAX_WORD_LENGTH, and one ``base`` value per stage-j level.
@@ -81,18 +98,72 @@ def _cut(params: ConstructionParams, j: int, K: int, lo: int = 0, hi: int | None
         raise ValueError(f"{len(base)} values given for the {L_j} levels of stage {j}")
     fills = (-np.arange(j, K, dtype=np.int64) if fill is None
              else np.full(K - j, fill, dtype=np.int64))
+    c = K
+    if hi > STAGE_WORD_MAX:
+        c = j
+        while c + 1 < K and table.L(c + 1) <= STAGE_WORD_MAX:
+            c += 1
     stages = params.stage_range(j, K - 1)
-    r_arr = np.array([st.r for st in stages], dtype=np.int64)
-    s_flat = np.array([x for st in stages for x in st.s], dtype=np.int64)
-    s_ptr = np.cumsum([0] + [st.r for st in stages[:-1]], dtype=np.int64)
-    # classes goes by position: perfbench/spans.py counts entries from the args
-    built = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills, hi, classes)
-    if classes == 1:
-        built = (built,)
-    parts = [built[(lo + q) % classes][(lo + q) // classes :] for q in range(classes)]
-    for part in parts:
-        part.flags.writeable = False
-    return parts[0] if classes == 1 else tuple(parts)
+    below = stages[: c - j]
+    r_arr = np.array([st.r for st in below], dtype=np.int64)
+    s_flat = np.array([x for st in below for x in st.s], dtype=np.int64)
+    s_ptr = np.cumsum([0] + [st.r for st in below[:-1]], dtype=np.int64)
+    # length goes by position: perfbench/spans.py counts entries from the args
+    word = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills[: c - j],
+                               min(hi, table.L(c)))
+    # above[m - 1 - c] stacks W_{m-1} into W_m: L_{m-1}, r_{m-1}, s_{m-1} and its fill
+    above = [(table.L(m), st.r, st.s, f)
+             for m, st, f in zip(range(c, K), stages[c - j :], fills[c - j :].tolist())]
+    classes = {1: [word]}
+
+    def decode(lo=0, b=hi, step=1, out=None):
+        if out is None:
+            if c == K:
+                return word[lo:b:step]
+            out = np.empty(-((lo - b) // step), dtype=word.dtype)
+        parts = classes.get(step)
+        if parts is None:
+            parts = classes[step] = [word[q::step].copy() for q in range(step)]
+        _emit(out, lo, step, parts, above, c, K, 0, lo, b)
+        return out
+
+    return decode
+
+
+def _emit(out, lo, step, parts, above, c, m, pos, a, e):
+    """Write the entries lo + step*k in [a, e) of the stage-m word at
+    ``pos`` into out[k], from the stage-c word's step classes ``parts``
+    and the stages ``above`` it (see ``_decoder``)."""
+    k0, k1 = -((lo - a) // step), -((lo - e) // step)
+    if k0 >= k1:
+        return
+    if m == c:
+        x = lo + step * k0 - pos
+        out[k0:k1] = parts[x % step][x // step : x // step + k1 - k0]
+        return
+    L, r, s, value = above[m - 1 - c]
+    for i in range(r):
+        if pos >= e:
+            break
+        _emit(out, lo, step, parts, above, c, m - 1, pos, max(a, pos), min(e, pos + L))
+        pos += L
+        k0, k1 = -((lo - max(a, pos)) // step), -((lo - min(e, pos + s[i])) // step)
+        if k0 < k1:
+            out[k0:k1] = value
+        pos += s[i]
+
+
+def _cut(params: ConstructionParams, j: int, K: int, lo: int = 0, hi: int | None = None,
+         base=None, fill=None, step: int = 1) -> np.ndarray:
+    """Every step-th entry of [lo, hi) (hi <= L_K, by default L_K) of
+    the stage-j word ``base`` cut and stacked through stage K,
+    read-only, from ``_decoder`` (see there for ``base``, ``fill`` and
+    the checks): built only as far as hi, and past STAGE_WORD_MAX
+    entries decoded from one stage word of at most that many, without
+    building [0, lo)."""
+    cut = _decoder(params, j, K, hi, base, fill)(lo, step=step)
+    cut.flags.writeable = False
+    return cut
 
 
 def build_labels(params: ConstructionParams, j: int, K: int,

@@ -42,7 +42,7 @@ def test_build_word_matches_cut_and_stack(params, K):
     table = cons.heights(params, K)
     base = np.arange(table.L(1), dtype=np.int64)
     fills = -np.arange(1, K, dtype=np.int64)
-    got = _kernels.build_word(base, *stage_arrays(params, 1, K), fills, table.L(K), 1)
+    got = _kernels.build_word(base, *stage_arrays(params, 1, K), fills, table.L(K))
     assert got.tolist() == cut_and_stack(params, K)
 
 
@@ -68,14 +68,14 @@ def test_build_word_cut_at_every_stop(request, shift):
     arrays = stage_arrays(params, j, K)
     labels = np.arange(n_ref, dtype=np.int64)
     marks = -np.arange(j, K, dtype=np.int64)
-    word = _kernels.build_word(labels, *arrays, marks, L_K, 1)
+    word = _kernels.build_word(labels, *arrays, marks, L_K)
     ext = np.append(np.arange(n_ref, dtype=np.int64) * 3 + shift, 0)
     restacked = ext[np.where(word >= 0, word, n_ref)]  # spacers map to 0
     zeros = np.zeros(K - j, dtype=np.int64)
     for stop in range(L_K + 1):
-        cut = _kernels.build_word(labels, *arrays, marks, stop, 1)
+        cut = _kernels.build_word(labels, *arrays, marks, stop)
         assert np.array_equal(cut, word[:stop])
-        values = _kernels.build_word(ext[:-1], *arrays, zeros, stop, 1)
+        values = _kernels.build_word(ext[:-1], *arrays, zeros, stop)
         assert np.array_equal(values, restacked[:stop])
 
 
@@ -100,6 +100,11 @@ def test_class_counts_match_python_count():
     assert _kernels.class_counts(labels, 7).tolist() == want
 
 
+def readers(vals):
+    """The values at the times 2k + 1 and 4k + 2, k in [a, b), as views."""
+    return (lambda a, b: vals[2 * a : 2 * b : 2], lambda a, b: vals[4 * a + 1 : 4 * b + 1 : 4])
+
+
 def mu_direct(n_max):
     return np.array(
         [0] + [mobius_direct(n) for n in range(1, n_max + 1)], dtype=np.int8
@@ -115,7 +120,7 @@ def test_weighted_mobius_sums_match_running_sum():
         acc += int(vals[i - 1]) * mobius_direct(i)
         running[i] = acc
     got = _kernels.weighted_mobius_sums(
-        (vals[0::2], vals[1::2]), _kernels.mobius_blocks(3000),
+        readers(vals), _kernels.mobius_blocks(3000),
         np.array(checkpoints, dtype=np.int64)
     )
     assert got.tolist() == [running[n] for n in checkpoints]
@@ -139,7 +144,7 @@ def test_chunked_mobius_sums_match_unchunked_running_sum(dtype, N, seed):
     checkpoints = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, N]
     running = np.cumsum(vals.astype(np.int64) * MU_CHUNKS[1 : N + 1])
     want = [0] + running[np.array(checkpoints[1:]) - 1].tolist()
-    got = _kernels.weighted_mobius_sums((vals[0::2], vals[1::2]), _kernels.mobius_blocks(N),
+    got = _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(N),
                                         np.array(checkpoints, np.int64))
     assert got.dtype == np.int64 and got.tolist() == want
 
@@ -163,7 +168,7 @@ def test_block_fed_sums_match_cumsum_over_the_whole_sieve(dtype, seam, offset, s
     near = range(seam - 3, seam + 4)
     checkpoints = sorted({1, 2, N, *drawn, *(n for n in near if n <= N)})
     running = np.cumsum(vals.astype(np.int64) * _kernels.sieve_mobius(N)[1:])
-    got = _kernels.weighted_mobius_sums((vals[0::2], vals[1::2]), _kernels.mobius_blocks(N),
+    got = _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(N),
                                         np.array(checkpoints, np.int64))
     assert got.tolist() == running[np.array(checkpoints) - 1].tolist()
 
@@ -177,7 +182,7 @@ def test_chunk_products_hold_the_dtype_minimum_times_minus_one(dtype):
     minus = MU_CHUNKS[1 : N + 1] == -1
     vals = np.where(minus, lowest, 0).astype(dtype)
     checkpoints = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, N]
-    got = _kernels.weighted_mobius_sums((vals[0::2], vals[1::2]), _kernels.mobius_blocks(N),
+    got = _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(N),
                                         np.array(checkpoints, np.int64))
     want = [-lowest * sum(minus[:cp].tolist()) for cp in checkpoints]
     assert got.tolist() == want
@@ -191,7 +196,7 @@ def test_chunk_buffer_takes_two_bytes_per_block_entry(dtype):
     blocks = [blk.copy() for blk in _kernels.mobius_blocks(2 * BLOCK)]
     tracemalloc.start()
     try:
-        _kernels.weighted_mobius_sums((vals[0::2], vals[1::2]), blocks,
+        _kernels.weighted_mobius_sums(readers(vals), blocks,
                                       np.array([2 * BLOCK], np.int64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -207,7 +212,7 @@ def test_weighted_sum_never_holds_mu_whole():
     for N in sizes:
         tracemalloc.start()
         try:
-            got = _kernels.weighted_mobius_sums((values[N][0::2], values[N][1::2]),
+            got = _kernels.weighted_mobius_sums(readers(values[N]),
                                                 _kernels.mobius_blocks(N),
                                                 np.array([N], np.int64))
             peak = tracemalloc.get_traced_memory()[1]
@@ -220,7 +225,7 @@ def test_weighted_sum_never_holds_mu_whole():
 def test_weighted_sum_refuses_checkpoints_past_the_blocks():
     with pytest.raises(ValueError, match="mu ends at n = 99, before checkpoint 101"):
         vals = np.ones(101, np.int8)
-        _kernels.weighted_mobius_sums((vals[0::2], vals[1::2]), _kernels.mobius_blocks(100),
+        _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(100),
                                       np.array([50, 101], np.int64))
 
 
@@ -229,7 +234,7 @@ def test_int8_values_sum_past_the_int8_range():
     N = 2 * BLOCK + 7
     squarefree = int(np.count_nonzero(MU_CHUNKS[1 : N + 1]))
     vals = (127 * MU_CHUNKS[1 : N + 1]).astype(np.int8)
-    got = _kernels.weighted_mobius_sums((vals[0::2], vals[1::2]), _kernels.mobius_blocks(N),
+    got = _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(N),
                                         np.array([BLOCK, N], np.int64))
     assert got[-1] == 127 * squarefree
     stride, count = 2, N // 2

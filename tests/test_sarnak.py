@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone import construction as cons
-from rankone import sarnak, tower
+from rankone import _kernels, sarnak, tower
 from rankone.errors import ConsistencyFailure, OdometerCase
 from rankone.mobius import mobius_direct, prime_factors, sieve_mobius
 
@@ -129,6 +129,23 @@ def test_weighted_sum_holds_no_int64_orbit_word():
     finally:
         tracemalloc.stop()
     assert peak < 4 * N
+
+
+def test_weighted_sum_memory_is_flat_in_N():
+    # the two reads' buffers and the sieve's (4*BLOCK bytes), the products
+    # (2*BLOCK) and chacon's stage-11 word of 88573 entries with its step
+    # classes: one bound from one block of odd n to past the word guard's
+    # half, where the whole int8 orbit alone would take 3e7 bytes
+    params, BLOCK = cons.chacon(), _kernels.BLOCK
+    obs = sarnak.Observable.indicator(params, 2, [0, 3])
+    for N in (2 * BLOCK, 8 * BLOCK, 30_000_000):
+        tracemalloc.start()
+        try:
+            sarnak.mobius_weighted_sum(params, obs, 0, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * BLOCK, N
 
 
 # ----------------------------------------------------------- cyclic factor

@@ -517,34 +517,64 @@ def test_weighted_sum_matches_the_label_word(params, stage, data):
     assert res.final == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(CONSTRUCTIONS, st.integers(1, 3), st.booleans(), st.data())
-def test_parity_halves_match_the_word(params, j, values, data):
-    # the two-class build writes word[0::2] and word[1::2] of the one-class
-    # word, each contiguous and cut from one array, and the cut hands out
-    # the halves of entries [lo, hi): cuts at odd and even lo and hi, at
-    # stage seams, of the label word or of int8 values with spacers 0
-    deepest = j
-    while cons.heights(params, deepest + 1).L(deepest + 1) <= MAX_LK:
+def restacked(params, j, K, base, fill):
+    """The whole stage-K word by one plain ``build_word`` restack."""
+    stages = params.stage_range(j, K - 1)
+    fills = (-np.arange(j, K) if fill is None else np.full(K - j, fill)).astype(np.int64)
+    return _kernels.build_word(
+        base, np.array([x.r for x in stages], dtype=np.int64),
+        np.array([v for x in stages for v in x.s], dtype=np.int64),
+        np.cumsum([0] + [x.r for x in stages[:-1]], dtype=np.int64),
+        fills, cons.heights(params, K).L(K))
+
+
+@settings(max_examples=80, deadline=None)
+@given(CONSTRUCTIONS, st.integers(1, 3), st.sampled_from([1, 2, 4]), st.booleans(),
+       st.sampled_from([tower.STAGE_WORD_MAX, 40]), st.data())
+def test_decoded_cut_matches_the_word(params, j, step, values, cap, data):
+    # every step-th entry of [lo, hi), decoded from one stage word of at
+    # most ``cap`` entries once hi is past it (the real cap, and a small
+    # one that takes the walk through many stages), equals the plain
+    # restack: the label word, or int8 values with spacers 0. lo and hi
+    # lie at stage seams +-1, at multiples of the cap +-1, or anywhere.
+    # 20 explicit stages reach past either word length
+    deepest, longest = j, max(3 * cap, 20_000)
+    while cons.heights(params, deepest + 1).L(deepest + 1) <= longest:
         deepest += 1
     K = data.draw(st.integers(j, deepest))
     table = cons.heights(params, K)
+    L_j, L_K = table.L(j), table.L(K)
     seams = [table.L(m) + e for m in range(j, K + 1) for e in (-1, 0, 1)]
-    hi = data.draw(st.sampled_from([h for h in seams if 0 <= h <= table.L(K)])
-                   | st.integers(0, table.L(K)))
+    seams += [cap * t + e for t in range(1, L_K // cap + 1) for e in (-1, 0, 1)]
+    hi = data.draw(st.sampled_from([h for h in seams if 0 <= h <= L_K]) | st.integers(0, L_K))
     lo = data.draw(st.sampled_from([0, hi, *(x for x in seams if 0 <= x <= hi)])
                    | st.integers(0, hi))
     base = fill = None
     if values:
-        base, fill = (np.arange(table.L(j)) % 7 - 3).astype(np.int8), 0
-    word = tower._cut(params, j, K, 0, hi, base, fill, 1)
-    halves = tower._cut(params, j, K, lo, hi, base, fill, 2)
-    assert len(halves) == 2
-    for half, want in zip(halves, (word[lo:][0::2], word[lo:][1::2])):
-        assert half.dtype == word.dtype and np.array_equal(half, want)
-        assert half.flags.c_contiguous and not half.flags.writeable
-    if lo == 0 and hi > 1:  # one allocation holds both
-        assert halves[0].base is halves[1].base
+        base, fill = (np.arange(L_j) % 7 - 3).astype(np.int8), 0
+    word = restacked(params, j, K, np.arange(L_j, dtype=np.int64) if base is None else base, fill)
+    want = word[lo:hi:step]
+    if base is None:
+        assert np.array_equal(tower.build_labels(params, j, K)[lo:hi:step], want)
+    built, build_word = [], _kernels.build_word
+
+    def spy(*args):
+        built.append(args[5])
+        return build_word(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "build_word", spy)
+        mp.setattr(tower, "STAGE_WORD_MAX", cap)
+        cut = tower._cut(params, j, K, lo, hi, base, fill, step)
+        decode = tower._decoder(params, j, K, hi, base, fill)
+        into = decode(lo, hi, step, np.empty(len(want), dtype=word.dtype))
+    assert cut.dtype == word.dtype and np.array_equal(cut, want)
+    assert not cut.flags.writeable
+    assert into.dtype == word.dtype and np.array_equal(into, want)
+    if hi > cap:  # only the stage word, or the base word when that is longer
+        assert max(built) <= max(cap, L_j)
+    else:  # built whole, as far as hi
+        assert built == [hi, hi]
 
 
 @pytest.mark.parametrize("start_parity, N_parity", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -552,7 +582,8 @@ def test_parity_halves_match_the_word(params, j, values, data):
 @given(CONSTRUCTIONS, st.integers(1, 3), st.data())
 def test_weighted_sum_at_odd_and_even_start_and_N(start_parity, N_parity, params, stage, data):
     # every checkpoint against a direct sum over the label word, with the
-    # parities of start and N fixed, so the halves swap roles at odd start
+    # parities of start and N fixed, so the reads of the odd times and of
+    # the times 4k + 2 start on either parity of the word
     L_j = cons.heights(params, stage).L(stage)
     start = 2 * data.draw(st.integers(0, 300)) + start_parity
     N = 2 * data.draw(st.integers(1, (MAX_ORBIT - 602) // 2)) - N_parity
