@@ -17,8 +17,10 @@ a spacer inserted at stage m.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +42,11 @@ MAX_DENSE_LEVELS = 512
 #: at most this many (``_decoder``): a quarter of a sieve block, so a
 #: Mobius sum's reads of one block meet a few dozen of its copies
 STAGE_WORD_MAX = _kernels.BLOCK // 4
+
+#: a stage word shorter than this is not decoded from, since one block's
+#: reads (up to 4*BLOCK entries) would meet over 128 of its copies: the
+#: next stage word is built instead, r copies of it and their spacers
+STAGE_COPY_MIN = STAGE_WORD_MAX // 8
 
 
 def _heights_from(params: ConstructionParams, j: int, K: int) -> HeightTable:
@@ -77,11 +84,15 @@ def _decoder(params: ConstructionParams, j: int, K: int, hi: int | None = None,
     when hi <= STAGE_WORD_MAX, and decode then reads it (as a view when
     no ``out`` is given). Past that it builds W_c alone, for the last
     stage c < K with L_c <= STAGE_WORD_MAX (c = j when L_j is past it),
-    and decode walks the recursion W_{m+1} = W_m, s_m(1) fills, ...,
-    W_m, s_m(r_m) fills from W_K down to W_c over [lo, b) alone,
-    never building [0, lo) (``_emit``): each piece of a copy of W_c is
-    one contiguous slice of its step class W_c[q::step], split off
-    once per step, and each run of fills is one slice fill.
+    or for the stage after it when that word is shorter than
+    STAGE_COPY_MIN (W_K up to hi when that stage is K), so that a read
+    meets few copies of W_c. decode walks the recursion W_{m+1} = W_m,
+    s_m(1) fills, ..., W_m, s_m(r_m) fills from W_K down to W_c over
+    [lo, b) alone, never building [0, lo) (``_emit``): each stage
+    bisects its copy starts for the first copy the read meets, each
+    piece of a copy of W_c is one contiguous slice of its step class
+    W_c[q::step], split off once per step, and each run of fills is
+    one slice fill.
 
     Nothing is built before the checks: 1 <= j <= K, hi within
     MAX_WORD_LENGTH, and one ``base`` value per stage-j level.
@@ -103,6 +114,8 @@ def _decoder(params: ConstructionParams, j: int, K: int, hi: int | None = None,
         c = j
         while c + 1 < K and table.L(c + 1) <= STAGE_WORD_MAX:
             c += 1
+        if table.L(c) < STAGE_COPY_MIN:
+            c += 1
     stages = params.stage_range(j, K - 1)
     below = stages[: c - j]
     r_arr = np.array([st.r for st in below], dtype=np.int64)
@@ -111,8 +124,10 @@ def _decoder(params: ConstructionParams, j: int, K: int, hi: int | None = None,
     # length goes by position: perfbench/spans.py counts entries from the args
     word = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills[: c - j],
                                min(hi, table.L(c)))
-    # above[m - 1 - c] stacks W_{m-1} into W_m: L_{m-1}, r_{m-1}, s_{m-1} and its fill
-    above = [(table.L(m), st.r, st.s, f)
+    # above[m - 1 - c] stacks W_{m-1} into W_m: L_{m-1}, the starts of
+    # its copies, s_{m-1} and the fill
+    above = [(table.L(m), list(accumulate((table.L(m) + x for x in st.s[:-1]), initial=0)),
+              st.s, f)
              for m, st, f in zip(range(c, K), stages[c - j :], fills[c - j :].tolist())]
     classes = {1: [word]}
 
@@ -141,27 +156,25 @@ def _emit(out, lo, step, parts, above, c, m, pos, a, e):
         x = lo + step * k0 - pos
         out[k0:k1] = parts[x % step][x // step : x // step + k1 - k0]
         return
-    L, r, s, value = above[m - 1 - c]
-    for i in range(r):
-        if pos >= e:
+    L, starts, s, value = above[m - 1 - c]
+    for i in range(bisect_right(starts, a - pos) - 1, len(starts)):
+        p = pos + starts[i]
+        if p >= e:
             break
-        _emit(out, lo, step, parts, above, c, m - 1, pos, max(a, pos), min(e, pos + L))
-        pos += L
-        k0, k1 = -((lo - max(a, pos)) // step), -((lo - min(e, pos + s[i])) // step)
+        _emit(out, lo, step, parts, above, c, m - 1, p, max(a, p), min(e, p + L))
+        k0, k1 = -((lo - max(a, p + L)) // step), -((lo - min(e, p + L + s[i])) // step)
         if k0 < k1:
             out[k0:k1] = value
-        pos += s[i]
 
 
 def _cut(params: ConstructionParams, j: int, K: int, lo: int = 0, hi: int | None = None,
-         base=None, fill=None, step: int = 1) -> np.ndarray:
-    """Every step-th entry of [lo, hi) (hi <= L_K, by default L_K) of
-    the stage-j word ``base`` cut and stacked through stage K,
-    read-only, from ``_decoder`` (see there for ``base``, ``fill`` and
-    the checks): built only as far as hi, and past STAGE_WORD_MAX
-    entries decoded from one stage word of at most that many, without
-    building [0, lo)."""
-    cut = _decoder(params, j, K, hi, base, fill)(lo, step=step)
+         base=None, fill=None) -> np.ndarray:
+    """Entries [lo, hi) (hi <= L_K, by default L_K) of the stage-j word
+    ``base`` cut and stacked through stage K, read-only, from
+    ``_decoder`` (see there for ``base``, ``fill`` and the checks):
+    built only as far as hi, and past STAGE_WORD_MAX entries decoded
+    from one shorter stage word, without building [0, lo)."""
+    cut = _decoder(params, j, K, hi, base, fill)(lo)
     cut.flags.writeable = False
     return cut
 

@@ -530,14 +530,17 @@ def restacked(params, j, K, base, fill):
 
 @settings(max_examples=80, deadline=None)
 @given(CONSTRUCTIONS, st.integers(1, 3), st.sampled_from([1, 2, 4]), st.booleans(),
-       st.sampled_from([tower.STAGE_WORD_MAX, 40]), st.data())
-def test_decoded_cut_matches_the_word(params, j, step, values, cap, data):
-    # every step-th entry of [lo, hi), decoded from one stage word of at
-    # most ``cap`` entries once hi is past it (the real cap, and a small
-    # one that takes the walk through many stages), equals the plain
-    # restack: the label word, or int8 values with spacers 0. lo and hi
-    # lie at stage seams +-1, at multiples of the cap +-1, or anywhere.
+       st.sampled_from([(tower.STAGE_WORD_MAX, tower.STAGE_COPY_MIN), (40, 1), (40, 30)]),
+       st.data())
+def test_decoded_cut_matches_the_word(params, j, step, values, caps, data):
+    # every step-th entry of [lo, hi), decoded from one stage word once hi
+    # is past the cap (the real caps; a small one that takes the walk
+    # through many stages; and one whose short stage words make the
+    # decoder build the next), equals the plain restack: the label word,
+    # or int8 values with spacers 0. lo and hi lie at stage seams +-1, at
+    # multiples of the cap +-1, or anywhere.
     # 20 explicit stages reach past either word length
+    cap, copy_min = caps
     deepest, longest = j, max(3 * cap, 20_000)
     while cons.heights(params, deepest + 1).L(deepest + 1) <= longest:
         deepest += 1
@@ -565,14 +568,23 @@ def test_decoded_cut_matches_the_word(params, j, step, values, cap, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_kernels, "build_word", spy)
         mp.setattr(tower, "STAGE_WORD_MAX", cap)
-        cut = tower._cut(params, j, K, lo, hi, base, fill, step)
+        mp.setattr(tower, "STAGE_COPY_MIN", copy_min)
+        cut = tower._cut(params, j, K, lo, hi, base, fill)
         decode = tower._decoder(params, j, K, hi, base, fill)
+        read = decode(lo, hi, step)
         into = decode(lo, hi, step, np.empty(len(want), dtype=word.dtype))
-    assert cut.dtype == word.dtype and np.array_equal(cut, want)
+    assert cut.dtype == word.dtype and np.array_equal(cut, word[lo:hi])
     assert not cut.flags.writeable
-    assert into.dtype == word.dtype and np.array_equal(into, want)
-    if hi > cap:  # only the stage word, or the base word when that is longer
-        assert max(built) <= max(cap, L_j)
+    for got in (read, into):
+        assert got.dtype == word.dtype and np.array_equal(got, want)
+    if hi > cap:  # the last stage word within the cap (the base word when
+        # that is longer), or the next one, cut at hi, when it is too short
+        c = max(m for m in range(j, K) if m == j or table.L(m) <= cap)
+        if table.L(c) < copy_min:
+            c += 1
+        else:
+            assert table.L(c) <= max(cap, L_j)
+        assert built == [min(hi, table.L(c))] * 2
     else:  # built whole, as far as hi
         assert built == [hi, hi]
 
