@@ -205,7 +205,7 @@ def tail_bound(params: ConstructionParams, K: int) -> float:
 
     For explicit finite constructions the probe stops at the last stage
     with a height, one past the last listed stage (0.0 when that is not
-    beyond K).
+    beyond K). One int true division rounds the exact rational.
     """
     probe_end = K + TAIL_PROBE_STAGES
     if params.kind == "explicit":
@@ -214,7 +214,8 @@ def tail_bound(params: ConstructionParams, K: int) -> float:
         return 0.0
     table = heights(params, probe_end)
     width_ratio = math.prod(st.r for st in params.stage_range(K, probe_end - 1))
-    return float(1 - Fraction(table.L(K) * width_ratio, table.L(probe_end)))
+    end = table.L(probe_end)
+    return (end - table.L(K) * width_ratio) / end
 
 
 @dataclass(frozen=True)

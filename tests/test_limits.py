@@ -127,6 +127,77 @@ def projected_gradient_fit(G, b):
     return candidate if obj(candidate) <= obj(x) + 1e-15 else x
 
 
+def active_set_fit(A):
+    """The Lawson-Hanson active set that block pivoting replaced, as it
+    was: minimiser x of ||x.A[:-1] - A[-1]||^2 over the simplex, with
+    its Frank-Wolfe gap."""
+    products = A @ A.T
+    gram, gtb = products[:-1, :-1], products[:-1, -1]
+    n = gtb.shape[0]
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = 2.0 * gram
+    kkt[n, n] = 0.0
+    rhs = np.append(2.0 * gtb, 1.0)
+    free = np.ones(n, dtype=bool)
+    x = np.full(n, 1.0 / n)
+    seen = set()
+    while True:
+        face = np.flatnonzero(free)
+        rows = np.append(face, n)
+        y = np.zeros(n)
+        try:
+            y[face] = np.linalg.solve(kkt[rows][:, rows], rhs[rows])[:-1]
+        except np.linalg.LinAlgError:
+            last, rest = A[face[-1]], face[:-1]
+            y[rest] = np.linalg.lstsq((A[rest] - last).T, A[-1] - last, rcond=None)[0]
+            y[face[-1]] = 1.0 - y[rest].sum()
+        blocking = np.flatnonzero(free & (y <= 0.0))
+        if blocking.size:
+            xb, yb = x[blocking], y[blocking]
+            ratios = np.divide(xb, xb - yb, out=np.zeros_like(xb), where=xb > yb)
+            x = x + ratios.min() * (y - x)
+            x[blocking[ratios.argmin()]] = 0.0
+            free &= x > 0.0
+            x[~free] = 0.0
+            continue
+        x = y
+        grad = 2.0 * (gram @ x - gtb)
+        gap = float(grad @ x - grad.min())
+        key = free.tobytes()
+        if gap <= 1e-12 or key in seen:
+            return x, gap
+        seen.add(key)
+        free[grad.argmin()] = True
+
+
+def fit_matrix(target, basis, measures):
+    """The fit's rows as they were stacked from copies: the basis C_z in
+    key order, M_Theta, then the target, each counts / total (from zeros,
+    so the M_Theta row divided before it is written holds no garbage)."""
+    zs = sorted(basis)
+    A = np.zeros((len(zs) + 2, target.counts.size))
+    A[:-2] = [basis[z].counts.ravel() for z in zs]
+    A[-1] = target.counts.ravel()
+    A /= target.total
+    A[-2] = np.outer(measures, measures).ravel()
+    return A
+
+
+def solved_fit(poly, A):
+    """The solver's (x, gap) on the rows A, asserting that ``poly`` carries
+    them bit for bit: the fit writes the same rows in place."""
+    x, gap = limits._solve_simplex_qp(A)
+    assert poly.optimality_gap == gap
+    assert [*poly.coeffs.values(), poly.theta] == x.tolist()
+    assert poly.fit_residual == float(np.linalg.norm(x @ A[:-1] - A[-1]))
+    return x, gap
+
+
+def assert_active_set_answer(x, gap, A):
+    want_x, want_gap = active_set_fit(A)
+    assert np.array_equal(x, want_x) and gap == want_gap
+
+
 @st.composite
 def fit_requests(draw):
     params = draw(st.one_of(
@@ -144,12 +215,24 @@ def fit_requests(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(fit_requests())
+# an exact fit, where every variable could enter at no cost
+@example((cons.chacon(), 2, 3, 3, 5))
+# six variables on 2x2 matrices: a segment of optima
+@example((cons.ConstructionParams.random_bounded(0, 2, 1, 125), 1, 7, 3, 2))
 def test_active_set_fit_is_optimal(request):
     params, j, K, n, Z = request
     window = range(-Z, Z + 1)
     mats = tower.correlation_matrices(params, j, K, [n, *window])
     measures = np.diag(mats[0].counts) / mats[0].total
-    poly = limits.fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures)
+    basis = {z: mats[z] for z in window}
+    poly = limits.fit_limit_polynomial(mats[n], basis, measures)
+    A = fit_matrix(mats[n], basis, measures)
+    x, gap = solved_fit(poly, A)
+    if np.linalg.matrix_rank(A[:-1]) == len(x):
+        # a unique optimum: the active set's x and gap, bit for bit. With
+        # dependent rows (say 6 variables on a 2x2 matrix) the optimum is a
+        # polytope, and each solver returns a point of it that its path sets
+        assert_active_set_answer(x, gap, A)
     G = np.stack([mats[z].values.ravel() for z in window]
                  + [np.outer(measures, measures).ravel()], axis=1)
     b = mats[n].values.ravel()
@@ -173,12 +256,31 @@ def test_fit_terminates_on_a_singular_gram():
     basis = {-1: mats[-1], 0: mats[0], 1: mats[1], 2: mats[1]}
     for target in (mats[1], mats[3]):
         poly = limits.fit_limit_polynomial(target, basis, measures)
+        A = fit_matrix(target, basis, measures)
+        assert_active_set_answer(*solved_fit(poly, A), A)
         x = np.array([poly.a(z) for z in basis] + [poly.theta])
         assert x.min() >= 0.0 and abs(x.sum() - 1.0) <= 1e-12
         assert poly.optimality_gap <= 1e-12
     exact = limits.fit_limit_polynomial(mats[1], basis, measures)
     assert exact.a(1) + exact.a(2) == pytest.approx(1.0, abs=1e-12)
     assert exact.fit_residual <= 1e-12
+
+
+def test_random_certificate_takes_few_face_solves(monkeypatch):
+    # block pivoting exchanges every infeasible variable per KKT solve: the
+    # six fits of this certificate took 86 solves when each solve dropped
+    # or added one variable
+    solve, calls = np.linalg.solve, []
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    params = cons.ConstructionParams.random_bounded(1, 3, 3, 5)
+    verdict = limits.disjointness_certificate(params, 2, 3, max_shift=4000)
+    assert verdict.verdict is limits.Verdict.INCONCLUSIVE
+    assert 6 <= len(calls) <= 18
 
 
 # ------------------------------------------------------------- sequences

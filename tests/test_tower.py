@@ -138,6 +138,26 @@ def test_tail_bound_at_the_explicit_edge():
     assert tower.tail_bound(cons.chacon(), 5) == float(1 - Fraction(L(5) * 3**8, L(13)))
 
 
+def test_tail_bound_is_the_rounded_probe_fraction():
+    # int true division rounds the one rational 1 - L_K*prod(r)/L_end as
+    # float(Fraction) does, on every kind of construction
+    explicit = cons.ConstructionParams.explicit(1, [cons.StageParams(2, (1, 0)),
+                                                    cons.StageParams(3, (0, 2, 1))] * 6)
+    randoms = [cons.ConstructionParams.random_bounded(h1, 3, 3, seed)
+               for h1, seed in ((0, 1), (1, 5), (3, 17))]
+    for params in [*map(cons.preset, PRESET_NAMES), *randoms, explicit]:
+        for K in range(1, 16):
+            end = K + tower.TAIL_PROBE_STAGES
+            if params.kind == "explicit":
+                end = min(end, len(params.stages) + 1)
+            want = 0.0
+            if end > K:
+                L = cons.heights(params, end).L
+                ratio = math.prod(stage.r for stage in params.stage_range(K, end - 1))
+                want = float(1 - Fraction(L(K) * ratio, L(end)))
+            assert tower.tail_bound(params, K) == want
+
+
 def test_odometer_alternation_correlation():
     p = cons.ConstructionParams.periodic(1, [cons.StageParams(2, (0, 0))])
     mat = tower.correlation_matrix(p, 1, 2, 1)
@@ -579,7 +599,7 @@ def test_decoded_cut_matches_the_word(params, j, step, values, caps, data):
         assert got.dtype == word.dtype and np.array_equal(got, want)
     if hi > cap:  # the last stage word within the cap (the base word when
         # that is longer), or the next one, cut at hi, when it is too short
-        c = max(m for m in range(j, K) if m == j or table.L(m) <= cap)
+        c = max((m for m in range(j, K) if m == j or table.L(m) <= cap), default=j)
         if table.L(c) < copy_min:
             c += 1
         else:
