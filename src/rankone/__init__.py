@@ -48,14 +48,12 @@ from .limits import (
     fit_limit_polynomial,
     flatness_consequence,
     is_pq_similar,
-    match_identity_mix,
     weak_limit,
 )
-from .mobius import mobius_direct, residue_mertens, sieve_mobius
+from .mobius import mobius_direct, sieve_mobius
 from .sarnak import (
     Observable,
     compact_factor,
-    decompose_observable,
     mobius_weighted_sum,
     prime_extension_report,
     telescope_identity_check,

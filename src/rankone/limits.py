@@ -523,37 +523,7 @@ def disjointness_certificate(
     )
 
 
-# ------------------------------------------------- identity-mix / cascade
-
-@dataclass(frozen=True)
-class IdentityMix:
-    """Decomposition L = (1 - m*eps)I + m*eps*P' of a fitted limit."""
-
-    epsilon: float
-    mix: LimitPolynomial
-
-
-def match_identity_mix(
-    L: LimitPolynomial, m: int, tol: float = COEFF_TOL
-) -> IdentityMix | None:
-    """Recover eps from a limit of the shape (1 - m*eps)I + m*eps*P'.
-
-    Fails (returns None) when the off-identity mass is below tol
-    (eps = 0 is excluded) or exceeds 1 beyond tol.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    a0 = L.a(0)
-    off_mass = 1.0 - a0
-    if off_mass <= tol or a0 < -tol:
-        return None
-    eps = off_mass / m
-    coeffs = {z: a / off_mass for z, a in L.coeffs.items() if z != 0 and a > 0}
-    mix = LimitPolynomial(
-        coeffs=coeffs, theta=L.theta / off_mass, fit_residual=L.fit_residual,
-    )
-    return IdentityMix(epsilon=eps, mix=mix)
-
+# --------------------------------------------------------------- cascade
 
 def _p_adic_level(values: Iterable[int], p: int, levels: int) -> int:
     """The largest k <= levels such that p^k divides every value: the

@@ -1,4 +1,4 @@
-"""Number-theoretic kernel: Mobius function and Mertens-type partial sums.
+"""Number-theoretic kernel: the Mobius sieve and a trial-division oracle.
 
 mu(1) = 1, mu(n) = (-1)^k when n is a product of k distinct primes,
 mu(n) = 0 when a square divides n. The sieve is the production path;
@@ -47,17 +47,3 @@ def mobius_direct(n: int) -> int:
     if len(set(factors)) < len(factors):
         return 0
     return -1 if len(factors) % 2 else 1
-
-
-def residue_mertens(mu: np.ndarray, p: int, n: int) -> int:
-    """sum_{0 < i <= n/p} mu(p*i), exactly, read off the sieved ``mu``.
-
-    The sum over the arithmetic progression p, 2p, ... is the quantity
-    whose o(N) decay drives the odometer case.
-    """
-    if p < 1 or n < 1:
-        raise ValueError("p and N must be >= 1")
-    top = p * (n // p)
-    if top >= len(mu):
-        raise ValueError(f"range exceeds the sieve: need mu up to {top}, have {len(mu) - 1}")
-    return int(mu[p : top + 1 : p].sum(dtype=np.int64))

@@ -34,10 +34,11 @@ prime-extension report both read it. The cyclic factor is its order d,
 from __future__ import annotations
 
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
@@ -110,16 +111,19 @@ class Observable:
     def indicator(cls, params: ConstructionParams, stage: int, indices,
                   name: str = "") -> "Observable":
         """Indicator of a set of stage-j levels, given as a sequence
-        (list, tuple, range) or an integer array; repeats count once.
-        Floats and bools raise ValueError, as do indices outside 0..L_j-1,
-        named, sorted. No loop runs in Python: an array's dtype gives its
-        type, and ``array("q")`` copies a sequence refusing non-integers,
-        so only its 0s and 1s are read, for bools."""
+        (list, tuple, range), an integer array or any other iterable (a
+        set, an iterator), which is read once as a list; repeats count
+        once. Floats and bools raise ValueError, as do indices outside
+        0..L_j-1, named, sorted. No loop runs in Python: an array's dtype
+        gives its type, and ``array("q")`` copies a sequence refusing
+        non-integers, so only its 0s and 1s are read, for bools."""
         n = checked_heights(params, stage).L(stage)
         idx = None
         if isinstance(indices, np.ndarray):
             idx, kinds = indices, {indices.dtype.type}
         else:
+            if not isinstance(indices, Sequence):
+                indices = list(indices)
             try:
                 idx = np.frombuffer(array("q", indices), dtype=np.int64)
                 maybe_bool = np.flatnonzero((idx == 0) | (idx == 1)).tolist()
@@ -137,13 +141,6 @@ class Observable:
         nums = np.zeros(n, dtype=np.int64)
         nums[idx] = 1
         return cls._from_nums(stage, nums, 1, name)
-
-    @classmethod
-    def constant(cls, params: ConstructionParams, stage: int, value,
-                 name: str = "") -> "Observable":
-        n = checked_heights(params, stage).L(stage)
-        (num,), denom = _clear_denominators((value,))
-        return cls._from_nums(stage, np.full(n, num, dtype=np.int64), denom, name)
 
     def scaled_ints(self) -> tuple[np.ndarray, int]:
         """Numerators with a trailing 0 slot for the spacer class, and
@@ -274,20 +271,6 @@ def compact_factor(params: ConstructionParams, horizon: int, K: int) -> int:
                     "the residue partition is not T^d-invariant"
                 )
     return d
-
-
-def decompose_observable(F: Observable, d: int) -> list[Observable]:
-    """Split F into f_0..f_{d-1} with supp f_i inside the levels l with
-    l = i mod d; the pieces sum back to F coefficientwise."""
-    residue = np.arange(len(F.nums)) % d
-    out = []
-    for i in range(d):
-        nums = np.where(residue == i, F.nums, 0)
-        g = gcd(F.denom, int(np.gcd.reduce(nums)))
-        out.append(Observable._from_nums(
-            F.stage, nums // g, F.denom // g, name=f"{F.name or 'F'}|class{i}"
-        ))
-    return out
 
 
 # ------------------------------------------------- telescoping identity

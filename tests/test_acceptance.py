@@ -227,7 +227,7 @@ def test_c11_mobius_kernel():
     mertens = int(mu.sum())  # mu[0] is 0
     assert abs(mertens) / 10**6 <= 0.01
     for p in (2, 3):
-        rm = mobius.residue_mertens(mu, p, 10**6)
+        rm = int(mu[p::p].sum(dtype=np.int64))  # sum of mu(p*i), p*i <= 1e6
         assert abs(rm) * p / 10**6 <= 0.01
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0

@@ -514,21 +514,7 @@ def test_correlations_build_no_long_word(monkeypatch):
     assert built and max(built) <= L_K // 50
 
 
-# ------------------------------------------------------- mix and cascade
-
-def test_match_identity_mix_examples():
-    got = limits.match_identity_mix(poly({0: 0.9}, theta=0.1), 2)
-    assert got is not None
-    assert got.epsilon == pytest.approx(0.05)
-    assert got.mix.theta == pytest.approx(1.0)
-
-    assert limits.match_identity_mix(poly({0: 1.0}), 3) is None
-
-    got = limits.match_identity_mix(poly({0: 0.4, 2: 0.6}), 3)
-    assert got.epsilon == pytest.approx(0.2)
-    assert got.mix.coeffs[2] == pytest.approx(1.0)
-    assert got.mix.theta == pytest.approx(0.0)
-
+# ------------------------------------------------ similarity and cascade
 
 def test_similarity_reasons():
     Q, P = poly({0: 0.5, 3: 0.5}), poly({0: 0.5, 2: 0.5})

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone import _kernels
-from rankone.mobius import mobius_direct, residue_mertens, sieve_mobius
+from rankone.mobius import mobius_direct, sieve_mobius
 
 MU = sieve_mobius(10_000)
 MU_BIG = sieve_mobius(50_000)
@@ -206,26 +206,6 @@ def test_prime_extension_facts(d):
 def test_invalid_sieve_size():
     with pytest.raises(ValueError):
         sieve_mobius(0)
-
-
-def test_residue_mertens_examples():
-    assert residue_mertens(MU, 2, 4) == -1  # mu(2)+mu(4)
-    assert residue_mertens(MU, 5, 4) == 0  # empty sum
-    assert residue_mertens(MU, 3, 9) == 0  # mu(3)+mu(6)+mu(9)
-
-
-def test_residue_mertens_matches_bruteforce():
-    for p in (2, 3, 7):
-        for N in (10, 99, 1000):
-            brute = sum(int(MU[p * i]) for i in range(1, N // p + 1))
-            assert residue_mertens(MU, p, N) == brute
-
-
-def test_residue_mertens_range_errors():
-    small = sieve_mobius(10)
-    with pytest.raises(ValueError):
-        residue_mertens(small, 3, 12)  # needs mu(12)
-    assert residue_mertens(small, 3, 11) == small[3] + small[6] + small[9]
 
 
 def test_table_is_readonly():
