@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import construction as cons
 from . import limits, mobius, sarnak, tower
 from .errors import ConfigError, RankOneError
@@ -85,11 +83,12 @@ def _poly(v, key, where) -> limits.LimitPolynomial:
     _expect(isinstance(raw, dict), f"'{where}.coeffs' must be an object")
     coeffs = {}
     for k, c in raw.items():
-        try:
-            z = int(k)
+        try:  # only the plain spelling: int() also reads "01" as 1, "1_0" as 10
+            plain = str(int(k)) == k
         except ValueError:
-            raise ConfigError(f"'{where}.coeffs' key {k!r} is not an integer") from None
-        coeffs[z] = _float(c, f"coeffs[{k}]", where)
+            plain = False
+        _expect(plain, f"'{where}.coeffs' key {k!r} is not a plain integer like '3' or '-2'")
+        coeffs[int(k)] = _float(c, f"coeffs[{k}]", where)
     theta = _float(v["theta"], "theta", where) if "theta" in v else 0.0
     return limits.LimitPolynomial(coeffs=coeffs, theta=theta, fit_residual=0.0)
 
@@ -391,8 +390,8 @@ def _cmd_telescope(cfg, out, report):
     p = cfg.params
     d, N, M, start = p["d"], p["N"], p["M"], p["start"]
     K = p["K"] or tower.orbit_depth(cfg.construction, 1, start, N)  # a given K is >= 1
-    L_K = tower.checked_heights(cfg.construction, K).L(K)
-    levels = p["levels"] if p["levels"] is not None else np.arange(0, L_K, d)
+    L_K = cons.heights(cfg.construction, K).L(K)  # the indicator checks the word guard
+    levels = p["levels"] if p["levels"] is not None else range(0, L_K, d)
     obs = sarnak.Observable.indicator(cfg.construction, K, levels)
     if M == 1 and mobius.prime_factors(d) == [d]:
         res = sarnak.telescope_identity_check(cfg.construction, obs, d, start, N)

@@ -306,8 +306,11 @@ def _select_stages(
     with L_{j_ref} <= k*|H_j| <= max_shift for every k in ``multipliers``, so
     that each shift moves every reference level out of the reference tower.
     |H_j| strictly increases with j (L_{j+1} >= 2L_j + s_j(1)), so the walk
-    stops at the first stage beyond max_shift, or an explicit one's last."""
+    stops at the first stage beyond max_shift, or an explicit one's last.
+    A multiplier below 1 never passes max_shift, so it raises ValueError."""
     low, high = min(multipliers), max(multipliers)
+    if low < 1:
+        raise ValueError(f"multipliers must be >= 1, got {low}")
     try:
         j_ref = auto_ref_stage(params, Z)
     except StageUnavailable:

@@ -4,23 +4,24 @@ Both the weighted Birkhoff sums S_N = sum_{i<=N} f(T^i x) mu(i) and
 the telescoping identities of the prime-extension argument are
 evaluated in exact integer arithmetic: an observable's rational
 coefficients are cleared to their common denominator once, when it is
-built, and every sum runs on those numerators. Along an orbit they
-are restacked in the narrowest signed integer dtype that holds them,
-int8 for an indicator. The weighted sum never builds its orbit: it
-reads mu one sieve block of odd n at a time (mu(2m) = -mu(m) for odd
-m, mu(4m) = 0), and for each block ``tower._decoder`` decodes the
-values at the odd times 2k + 1 and at the times 4k + 2 of that
-block's k, each into a reused buffer of at most BLOCK entries, from
-one cached stage word of at most BLOCK/4 entries. The values at the
-times 4k are never decoded. It multiplies in one integer width up and
-sums exactly, so its memory is flat in N: it holds no N-entry mu or
-orbit. A strided sum widens the entries it picks a block at a time,
-so no sum holds an N-entry int64 array. The telescoping chain is an
-algebraic identity and its check must not depend on rounding. Only
-the decay traces |S_N|/N are floats. Each sum is fixed by (start, N):
-it runs at depth ``tower.orbit_depth`` and sieves mu to N itself once
-the orbit has passed the word guard, so an orbit past that guard fails
-before the sieve.
+built, and every sum runs on those numerators. Both read f(T^i x)
+through one orbit reader, ``_orbit``: one ``tower._decoder`` at depth
+``tower.orbit_depth`` of the numerators in the narrowest signed dtype
+that holds them (int8 for an indicator), spacers valued 0, scanned for
+overflow only when a sum of them could overflow. The weighted sum never
+builds its orbit: it reads mu one sieve block of odd n at a time
+(mu(2m) = -mu(m) for odd m, mu(4m) = 0), and for each block reads the
+values at the odd times 2k + 1 and at the times 4k + 2 of that block's
+k, each into a reused buffer of at most BLOCK entries, decoded from one
+stage word of at most BLOCK/4 entries. The values at the times 4k are
+never decoded. It multiplies in one integer width up and sums exactly,
+so its memory is flat in N: it holds no N-entry mu or orbit. A strided
+sum widens the entries it picks a block at a time, so no sum holds an
+N-entry int64 array. The telescoping chain is an algebraic identity
+and its check must not depend on rounding. Only the decay traces
+|S_N|/N are floats. Each sum is fixed by (start, N) and sieves mu to N
+itself once the orbit has passed the word guard, so an orbit past that
+guard fails before the sieve.
 
 There is one telescoping chain, ``_unfold``, with one hypothesis,
 checked on the orbit: f(T^i x) = 0 at every time i not divisible by d.
@@ -48,7 +49,7 @@ from .construction import (
 )
 from .errors import ConsistencyFailure
 from .mobius import prime_factors, sieve_mobius
-from .tower import _cut, _decoder, checked_heights, orbit_depth
+from .tower import _decoder, checked_heights, orbit_depth
 
 _INT64_SAFE = 2**62
 
@@ -115,10 +116,12 @@ class Observable:
         set, an iterator), which is read once as a list; repeats count
         once. Floats and bools raise ValueError, as do indices outside
         0..L_j-1, named, sorted. No loop runs in Python: an array's dtype
-        gives its type, and ``array("q")`` copies a sequence refusing
-        non-integers, so only its 0s and 1s are read, for bools."""
+        (a range is read as one) gives its type, and ``array("q")`` copies
+        a sequence refusing non-integers; only its 0s and 1s are checked for bools."""
         n = checked_heights(params, stage).L(stage)
         idx = None
+        if isinstance(indices, range):  # the CLI's default levels
+            indices = np.arange(indices.start, indices.stop, indices.step)
         if isinstance(indices, np.ndarray):
             idx, kinds = indices, {indices.dtype.type}
         else:
@@ -148,33 +151,29 @@ class Observable:
         return np.append(self.nums, 0), self.denom
 
 
-def _orbit_base(obs: Observable, N: int):
-    """The numerators in the narrowest signed integer dtype that holds
-    every one and 0 (int8 for an indicator), and whether an N-term sum
-    of them could overflow, so that the orbit values need a scan."""
-    lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
-    return obs.nums.astype(dtype, copy=False), max(-lo, hi) * N >= _INT64_SAFE
-
-
-def _check_overflow(vals, N: int):
-    if max(-int(vals.min(initial=0)), int(vals.max(initial=0))) * N >= _INT64_SAFE:
-        raise ValueError("sum could overflow the exact int64 path")
-
-
-def _orbit_values(params, obs: Observable, start: int, N: int):
-    """Values f(T^i x) for i = 1..N, plus the denominator: the
-    numerators (``_orbit_base``) restacked to depth ``orbit_depth`` with
-    spacers valued 0 and cut at the orbit's end by ``_cut``. The values
-    are scanned for overflow only when the largest numerator could
-    overflow an N-term sum, so never for an indicator."""
+def _orbit(params, obs: Observable, start: int, N: int):
+    """The one reader of the orbit of the point at level ``start``, and
+    its dtype: read(a, b, step=1, out=None) gives f(T^i x) at the times
+    i = a, a + step, ... < b (0 < a <= b <= N + 1), as numerators, into
+    ``out`` when given. Decided once: the depth ``orbit_depth``, the
+    narrowest signed dtype holding every numerator and 0, one
+    ``_decoder`` of entries [0, start + N + 1) with spacers valued 0, and
+    whether reads need the overflow scan (max|numerator| * N >= 2**62)."""
     K = orbit_depth(params, obs.stage, start, N)
-    base, scan = _orbit_base(obs, N)
-    vals = _cut(params, obs.stage, K, start + 1, start + N + 1, base, 0)
-    if scan:
-        _check_overflow(vals, N)
-    return vals, obs.denom
+    lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
+    dtype = next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+    decode = _decoder(params, obs.stage, K, start + N + 1,
+                      obs.nums.astype(dtype, copy=False), 0)
+    scan = max(-lo, hi) * N >= _INT64_SAFE
+
+    def read(a, b, step=1, out=None):
+        vals = decode(start + a, start + b, step, out)
+        if scan and max(-int(vals.min(initial=0)), int(vals.max(initial=0))) * N >= _INT64_SAFE:
+            raise ValueError("sum could overflow the exact int64 path")
+        return vals
+
+    return read, dtype
 
 
 def _exact(value: int, denom: int):
@@ -213,36 +212,25 @@ def mobius_weighted_sum(
 ) -> MobiusSumResult:
     """S_N = sum_{i=1..N} f(T^i x) mu(i), exactly, for x the point at
     level ``start``; checkpoints at n = 100, 1000, ... and N. The orbit
-    values are decoded one mu block at a time (``tower._decoder``), the
-    values at the odd times 2k + 1 and at the times 4k + 2 each into a
-    reused buffer of at most BLOCK entries, and scanned for overflow
-    block by block when the largest numerator could overflow the sum.
+    reader ``_orbit`` gives the values one mu block at a time, at the
+    odd times 2k + 1 and at the times 4k + 2 each into a reused buffer
+    of at most BLOCK entries, scanned block by block when the largest
+    numerator could overflow the sum.
     mu is sieved to N a block at a time once the orbit has passed the
     word guard, and neither mu nor the orbit is ever held whole."""
-    K = orbit_depth(params, obs.stage, start, N)
-    base, scan = _orbit_base(obs, N)
-    decode = _decoder(params, obs.stage, K, start + N + 1, base, 0)
+    read, dtype = _orbit(params, obs, start, N)
     # the reads' and the sieve's buffers in one allocation, larger than the
     # sum's others, which glibc then keeps on its heap from one sum to the
     # next; apart, they were trimmed off the heap's top after each sum and
     # faulted in again by the next (1200 faults, about 2 ms, a sum at
     # N = 5e6 on a 2-core x86 VM)
     odd, even = (min(_kernels.BLOCK, n) for n in ((N + 1) // 2, (N + 2) // 4))
-    work = np.empty(odd + even + -(-2 * odd // base.itemsize), dtype=base.dtype)
-
-    def reader(first, step, buf):  # f(T^i x) at the times i = first + step*k
-        def read(a, b):
-            vals = decode(start + first + step * a, start + first + step * b, step,
-                          buf[: b - a])
-            if scan:
-                _check_overflow(vals, N)
-            return vals
-
-        return read
-
+    work = np.empty(odd + even + -(-2 * odd // dtype.itemsize), dtype=dtype)
+    odd_buf, even_buf = work[:odd], work[odd : odd + even]
     grid = _checkpoint_grid(N)
     sums = _kernels.weighted_mobius_sums(
-        (reader(1, 2, work[:odd]), reader(2, 4, work[odd : odd + even])),
+        (lambda a, b: read(2 * a + 1, 2 * b + 1, 2, odd_buf[: b - a]),
+         lambda a, b: read(4 * a + 2, 4 * b + 2, 4, even_buf[: b - a])),
         _kernels.mobius_blocks(N, work[odd + even :].view(np.uint8)),
         np.array(grid, dtype=np.int64)
     )
@@ -279,9 +267,9 @@ def _unfold(params, obs, d, primes, start, N):
     """The telescoping chain of S_N = sum_{i<=N} f(T^i x) mu(i), in int64
     units of 1/denom. Its one hypothesis is that the orbit values vanish
     at every time i not divisible by d, whatever levels f sits on and
-    wherever x starts; it is checked on the orbit (ConsistencyFailure
-    names the first time that fails), and mu is sieved to N once it holds;
-    S_N and every F and G read that one mu.
+    wherever x starts; it is checked on the orbit values ``_orbit`` reads
+    (ConsistencyFailure names the first time that fails), and mu is
+    sieved to N once it holds; S_N and every F and G read that one mu.
 
     Starting from cur = S_N at stride s = 1, the step for the prime p
     computes
@@ -297,7 +285,8 @@ def _unfold(params, obs, d, primes, start, N):
     proper factor of d (the next factor splits F). Returns denom, S_N,
     the (p, stride, F, G) rows, the last cur and whether every step held.
     """
-    vals, denom = _orbit_values(params, obs, start, N)
+    read, _ = _orbit(params, obs, start, N)
+    vals = read(1, N + 1)
     if np.count_nonzero(vals) != np.count_nonzero(vals[d - 1::d]):
         times = np.flatnonzero(vals) + 1
         raise ConsistencyFailure(
@@ -315,7 +304,7 @@ def _unfold(params, obs, d, primes, start, N):
         stride *= p
         rows.append((p, stride, F, G))
         cur = G if p == d else F
-    return denom, s_n, rows, cur, holds
+    return obs.denom, s_n, rows, cur, holds
 
 
 @dataclass(frozen=True)

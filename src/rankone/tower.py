@@ -76,9 +76,9 @@ def _decoder(params: ConstructionParams, j: int, K: int, hi: int | None = None,
     default b = hi and step = 1), written into ``out`` when one is
     given. Stage m stacks column 1, s_m(1) spacers, ..., column r_m,
     s_m(r_m) spacers. By default ``base`` is the level indices
-    0..L_j-1 and a spacer inserted at stage m is -m: the label word. A
-    given ``fill`` is every spacer's value and must fit ``base``'s
-    dtype.
+    0..L_j-1, built only below hi, and a spacer inserted at stage m is
+    -m: the label word. A given ``fill`` is every spacer's value and
+    must fit ``base``'s dtype.
 
     One word is built, once, by ``_kernels.build_word``: W_K up to hi
     when hi <= STAGE_WORD_MAX, and decode then reads it (as a view when
@@ -103,8 +103,8 @@ def _decoder(params: ConstructionParams, j: int, K: int, hi: int | None = None,
     if hi > MAX_WORD_LENGTH:
         raise ValueError(f"stage-{K} word cut at {hi} entries, over the "
                          f"{MAX_WORD_LENGTH} in-memory limit")
-    if base is None:
-        base = np.arange(L_j, dtype=np.int64)
+    if base is None:  # build_word reads no entry past hi
+        base = np.arange(min(L_j, hi), dtype=np.int64)
     elif len(base) != L_j:
         raise ValueError(f"{len(base)} values given for the {L_j} levels of stage {j}")
     fills = (-np.arange(j, K, dtype=np.int64) if fill is None

@@ -116,6 +116,28 @@ def test_invalid_json_rejected():
         cli.parse_config("{nope")
 
 
+@pytest.mark.parametrize("key", ["01", "1_0", " 2 ", "+3", "-0", "x", ""])
+def test_poly_keys_must_be_plain_integers(key):
+    # int() reads the first five, so "01" beside "1" silently replaced a_1
+    poly = {"coeffs": {"1": 0.2, key: 0.3}}
+    params = {"Q": poly, "P": {"coeffs": {"0": 1}}, "p": 2, "q": 3}
+    message = f"'params.Q.coeffs' key {key!r} is not a plain integer like '3' or '-2'"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cli.parse_config(make_config(command="similarity", params=params))
+
+
+def test_plain_poly_keys_are_read(tmp_path, capsys):
+    params = {"Q": {"coeffs": {"-2": 0.25, "0": 0.25, "10": 0.5}},
+              "P": {"coeffs": {"0": 1}}, "p": 2, "q": 3}
+    cfg = cli.parse_config(make_config(command="similarity", params=params))
+    assert cfg.params["Q"].coeffs == {-2: 0.25, 0: 0.25, 10: 0.5}
+    code = cli.main(["similarity", "--preset", "chacon", "--p", "2", "--q", "3",
+                     "--Q", '{"coeffs": {"1": 0.2, "01": 0.3}}', "--P", '{"coeffs": {"0": 1}}',
+                     "--out", str(tmp_path)])
+    assert code == 2
+    assert "key '01' is not a plain integer" in capsys.readouterr().err
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError, match="unknown preset"):
         cli.parse_config(make_config(construction={"preset": "lebesgue"}))
@@ -367,6 +389,25 @@ def test_labels_builds_only_the_rows_it_writes(tmp_path, monkeypatch, K, L_K, ma
     assert out.splitlines()[-1] == (
         f"labels: stage 1 through depth {K}, L_K={L_K}, wrote {asked} rows")
     assert len((outdir / "labels.csv").read_text().splitlines()) == asked + 1
+
+
+# the stage-25 level indices would take 3 TiB on chacon, 537 MB on class4
+@pytest.mark.parametrize("preset,L_K", [("chacon", 423_644_304_721),
+                                        ("class4", 67_108_862)])
+def test_labels_of_a_deep_reference_stage_build_only_their_rows(tmp_path, capsys,
+                                                                preset, L_K):
+    tracemalloc.start()
+    try:
+        code = cli.main(["labels", "--preset", preset, "--j", "25", "--max-rows", "5",
+                         "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 2**20
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"labels: stage 25 through depth 25, L_K={L_K}, wrote 5 rows")
+    assert (tmp_path / "labels.csv").read_text().splitlines() == [
+        "position,kind,value", *(f"{i},level,{i}" for i in range(5))]
 
 
 def test_computation_error_exit_code(tmp_path):

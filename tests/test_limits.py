@@ -401,6 +401,15 @@ def test_weak_limit_odometer():
     assert res.stability_gap <= 0.02
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_weak_limit_refuses_a_multiplier_below_one(d):
+    # k*|H_j| <= 0 never passes max_shift, so the walk would never end
+    with pytest.raises(ValueError, match=f"^multipliers must be >= 1, got {d}$"):
+        limits.weak_limit(cons.chacon(), d)
+    with pytest.raises(ValueError, match=f"^multipliers must be >= 1, got {d}$"):
+        limits._select_stages(cons.chacon(), (2, d), 10**6)
+
+
 def test_weak_limit_chacon_identity_component():
     res = limits.weak_limit(cons.chacon(), 1)
     assert res.stages == (5, 6, 7) and res.shifts == (-121, -364, -1093)

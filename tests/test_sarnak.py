@@ -101,6 +101,12 @@ def test_overflow_guard_reads_the_visited_levels():
     unvisited = sarnak.Observable(2, (0, 1, 5, big))
     res = sarnak.mobius_weighted_sum(params, unvisited, 0, 2)
     assert res.final == 1 * MU10[0] + 5 * MU10[1]
+    # the telescoping chain reads the same orbit through the same reader;
+    # level 1, visited at the odd time 1, is 0 so that d = 2 holds
+    with pytest.raises(ValueError, match="overflow the exact int64 path"):
+        sarnak.telescope_identity_check(params, sarnak.Observable(2, (0, 0, big, 0)), 2, 0, 2)
+    res = sarnak.telescope_identity_check(params, sarnak.Observable(2, (0, 0, 5, big)), 2, 0, 2)
+    assert res.lhs == res.rhs == -5
 
 
 @pytest.mark.parametrize("coeffs, dtype", [
@@ -108,12 +114,17 @@ def test_overflow_guard_reads_the_visited_levels():
     ((0, 128, 0, 0), np.int16), ((0, 2**40, 5, 1), np.int64),
 ])
 def test_orbit_values_take_the_narrowest_dtype(coeffs, dtype):
-    params = cons.chacon()
-    vals, denom = sarnak._orbit_values(params, sarnak.Observable(2, coeffs), 0, 30)
+    params, obs = cons.chacon(), sarnak.Observable(2, coeffs)
+    read, orbit_dtype = sarnak._orbit(params, obs, 0, 30)
+    vals = read(1, 31)
     full = tower.build_labels(params, 2, 5, 31)[1:]
     want = np.append(np.array(coeffs, dtype=np.int64), 0)[np.where(full >= 0, full, 4)]
-    assert vals.dtype == dtype and denom == 1
+    assert vals.dtype == orbit_dtype == dtype and obs.denom == 1
     assert vals.tolist() == want.tolist()
+    # a strided read into a given buffer: the times 2, 5, ..., 29
+    out = np.empty(10, dtype=dtype)
+    assert read(2, 31, 3, out) is out
+    assert out.tolist() == want[1::3].tolist()
 
 
 def test_weighted_sum_holds_no_int64_orbit_word():
