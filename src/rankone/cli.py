@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import construction as cons
-from . import limits, mobius, sarnak, tower
+from . import limits, sarnak, tower
 from .errors import ConfigError, RankOneError
 
 CSV_NEWLINE = "\n"
@@ -45,6 +45,14 @@ CSV_NEWLINE = "\n"
 def _expect(cond: bool, message: str):
     if not cond:
         raise ConfigError(message)
+
+
+def _config_checked(fn, *args):
+    """fn(*args), a ValueError it raises turned into a ConfigError."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str):
@@ -147,11 +155,7 @@ def _parse_construction(obj) -> cons.ConstructionParams:
     _expect(isinstance(obj, dict), f"{where} must be an object")
     if "preset" in obj:
         _check_keys(obj, {"preset"}, where)
-        name = obj["preset"]
-        try:
-            return cons.preset(name)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return _config_checked(cons.preset, obj["preset"])
     _check_keys(obj, {"h1", "stages"}, where)
     h1 = _resolve(obj, (_H1,), where)["h1"]
     stages = obj.get("stages")
@@ -270,9 +274,14 @@ def _conventions(specs: tuple[Param, ...], p: dict) -> str:
 def _cmd_heights(cfg, out, report):
     J = cfg.params["J"]
     table = cons.heights(cfg.construction, J)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and table.L(J) >= 10**limit:  # heights.csv keeps exact counts
+        j = cons.first_stage_reaching(cfg.construction, 10**limit)
+        raise ValueError(f"stage {j} has L_{j} = {cons.format_count(table.L(j))}, past the "
+                         f"{limit} digits Python prints, and heights.csv keeps exact counts")
     _write_csv(out / "heights.csv", ("j", "L", "h"),
                ((j, table.L(j), table.h(j)) for j in range(1, J + 1)))
-    report.append(f"heights through stage {J}: L_{J} = {table.L(J)}")
+    report.append(f"heights through stage {J}: L_{J} = {cons.format_count(table.L(J))}")
 
 
 def _cmd_classify(cfg, out, report):
@@ -299,8 +308,8 @@ def _cmd_labels(cfg, out, report):
     _write_csv(out / "labels.csv", ("position", "kind", "value"),
                ((pos, "level", v) if v >= 0 else (pos, "spacer", -v)
                 for pos, v in enumerate(word.tolist())))
-    report.append(f"labels: stage {j} through depth {K}, "
-                  f"L_K={cons.heights(cfg.construction, K).L(K)}, wrote {len(word)} rows")
+    L_K = cons.format_count(cons.heights(cfg.construction, K).L(K))
+    report.append(f"labels: stage {j} through depth {K}, L_K={L_K}, wrote {len(word)} rows")
 
 
 def _cmd_correlate(cfg, out, report):
@@ -327,10 +336,7 @@ def _cmd_weak_limit(cfg, out, report):
 
 def _cmd_similarity(cfg, out, report):
     p = cfg.params
-    try:
-        verdict = limits.is_pq_similar(p["Q"], p["P"], p["p"], p["q"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    verdict = _config_checked(limits.is_pq_similar, p["Q"], p["P"], p["p"], p["q"])
     witness = sorted((verdict.witness or {}).items())
     _write_csv(out / "similarity.csv", ("r", "coefficient"),
                ((r, repr(c)) for r, c in witness))
@@ -340,10 +346,7 @@ def _cmd_similarity(cfg, out, report):
 
 def _cmd_disjointness(cfg, out, report):
     p = cfg.params
-    try:
-        limits.check_pair(p["p"], p["q"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    _config_checked(limits.check_pair, p["p"], p["q"])
     verdict = limits.disjointness_certificate(
         cfg.construction, p["p"], p["q"], max_shift=p["max_shift"],
     )
@@ -389,21 +392,20 @@ def _cmd_mobius_sum(cfg, out, report):
 def _cmd_telescope(cfg, out, report):
     p = cfg.params
     d, N, M, start = p["d"], p["N"], p["M"], p["start"]
+    _config_checked(sarnak.extension_primes, d, M)  # a composite d takes M = 1 only
     K = p["K"] or tower.orbit_depth(cfg.construction, 1, start, N)  # a given K is >= 1
     L_K = cons.heights(cfg.construction, K).L(K)  # the indicator checks the word guard
     levels = p["levels"] if p["levels"] is not None else range(0, L_K, d)
     obs = sarnak.Observable.indicator(cfg.construction, K, levels)
-    if M == 1 and mobius.prime_factors(d) == [d]:
-        res = sarnak.telescope_identity_check(cfg.construction, obs, d, start, N)
-        rows = [
-            ("lhs", res.lhs), ("rhs", res.rhs), ("equal", res.equal),
-            ("first_term", res.first_term), ("second_term", res.second_term),
-            ("n_first", res.n_first), ("n_second", res.n_second),
-        ]
+    rep = sarnak.prime_extension_report(cfg.construction, obs, d, start, N, M)
+    if len(rep.steps) == 1 and rep.steps[0].prime == d:  # one step of a prime d
+        first, second = rep.steps[0].term, -rep.remainder  # mu(d)F and mu(d)G
+        rhs, equal = first - second, rep.identity_holds
+        rows = [("lhs", rep.s_n), ("rhs", rhs), ("equal", equal), ("first_term", first),
+                ("second_term", second), ("n_first", N // d), ("n_second", N // (d * d))]
         report.append(f"telescope identity (d={d}, N={N}): "
-                      f"lhs={res.lhs} rhs={res.rhs} equal={res.equal}")
+                      f"lhs={rep.s_n} rhs={rhs} equal={equal}")
     else:
-        rep = sarnak.prime_extension_report(cfg.construction, obs, d, start, N, M)
         rows = [("S_N", rep.s_n)]
         rows += [(f"term_{st.depth}(p={st.prime})", st.term) for st in rep.steps]
         rows += [
@@ -425,7 +427,7 @@ def _cmd_factor(cfg, out, report):
                ((j, col, off, off % d) for j in (K, K + 1)
                 for col, off in enumerate(cons.column_offsets(cfg.construction, j), start=2)))
     report.append(f"cyclic factor: d={d}, depth {K} "
-                  f"(L_K={cons.heights(cfg.construction, K).L(K)}), "
+                  f"(L_K={cons.format_count(cons.heights(cfg.construction, K).L(K))}), "
                   f"offsets verified for stages {K}..{K + 1}")
 
 

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd
+from math import gcd, log10
 
 from .errors import NotBounded, OdometerCase, StageUnavailable
 
@@ -232,6 +232,16 @@ def heights(params: ConstructionParams, J: int) -> HeightTable:
     if J < 1:
         raise ValueError("J must be >= 1")
     return HeightTable(tuple(_grow(params, J)[:J]))
+
+
+def format_count(n: int) -> str:
+    """A count n >= 0 in full up to 30 digits, past that as its leading
+    digits, exponent and digit count: Python prints no int past 4300."""
+    if n < 10**30:
+        return str(n)
+    shift = int(log10(n)) - 6  # a float log10 can be one off: 6 to 8 digits left
+    lead = str(n // 10**shift)
+    return f"{lead[0]}.{lead[1:6]}e+{shift + len(lead) - 1} ({shift + len(lead)} digits)"
 
 
 def first_stage_reaching(params: ConstructionParams, n: int, start: int = 1) -> int:

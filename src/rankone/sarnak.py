@@ -27,9 +27,9 @@ There is one telescoping chain, ``_unfold``, with one hypothesis,
 checked on the orbit: f(T^i x) = 0 at every time i not divisible by d.
 It unfolds S_N M times when d is prime, carrying the sum over times
 d^2 m, and once per prime factor when d is composite, carrying the sum
-over the new stride; the single telescoping step and the
-prime-extension report both read it. The cyclic factor is its order d,
-``compact_factor``.
+over the new stride. Its one report is ``prime_extension_report``, and
+``telescope_identity_check`` is that report's one step of a prime d.
+The cyclic factor is its order d, ``compact_factor``.
 """
 
 from __future__ import annotations
@@ -308,51 +308,6 @@ def _unfold(params, obs, d, primes, start, N):
 
 
 @dataclass(frozen=True)
-class TelescopeResult:
-    """Exact two-sided evaluation of one telescoping step."""
-
-    d: int
-    N: int
-    lhs: int | Fraction
-    rhs: int | Fraction
-    first_term: int | Fraction
-    second_term: int | Fraction
-    n_first: int
-    n_second: int
-
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
-
-def telescope_identity_check(
-    params: ConstructionParams, obs: Observable, d: int, start: int, N: int,
-) -> TelescopeResult:
-    """Verify, exactly, for prime d:
-
-        sum_{i<=N} f(T^i x) mu(i)
-          = sum_{0<k<=N/d} f(T^{dk} x) mu(d) mu(k)
-            - sum_{0<m<=N/d^2} f(T^{d^2 m} x) mu(d) mu(dm)
-
-    which holds when f(T^i x) = 0 at every i not divisible by d (so only
-    i = dk contribute), as mu(dk) = mu(d)mu(k) for k coprime to d and
-    mu(d^2 k) = 0. That hypothesis is checked on the orbit, and a
-    ConsistencyFailure names the first time it fails. The two sums are
-    mu(d)F and mu(d)G of the first step of the chain.
-    """
-    if prime_factors(d) != [d]:
-        raise ValueError(f"d={d} must be prime")
-    denom, lhs, [(_, _, F, G)], _, _ = _unfold(params, obs, d, [d], start, N)
-    first, second = -F, -G  # mu(d) = -1
-    return TelescopeResult(
-        d=d, N=N,
-        lhs=_exact(lhs, denom), rhs=_exact(first - second, denom),
-        first_term=_exact(first, denom), second_term=_exact(second, denom),
-        n_first=N // d, n_second=N // (d * d),
-    )
-
-
-@dataclass(frozen=True)
 class ExtensionStep:
     """One unfolding of the telescoping chain."""
 
@@ -379,13 +334,25 @@ class PrimeExtensionReport:
     triangle_holds: bool
 
 
+def extension_primes(d: int, M: int) -> list[int]:
+    """The chain's primes: d, M times, for prime d; the prime factors of
+    a composite d, nondecreasing, which takes M = 1 only."""
+    if M < 1 or d < 2:
+        raise ValueError(f"need M >= 1 and d >= 2, got M={M}, d={d}")
+    factors = prime_factors(d)
+    if M != 1 and factors != [d]:
+        raise ValueError(f"M={M} applies to prime d only; d={d} unfolds once per "
+                         f"prime factor, {factors}, and takes M=1")
+    return [d] * M if factors == [d] else factors
+
+
 def prime_extension_report(
     params: ConstructionParams, obs: Observable, d: int, start: int,
     N: int, M: int,
 ) -> PrimeExtensionReport:
-    """Unfold S_N along the telescoping chain: M times for prime d, once
-    per prime factor (nondecreasing) for composite d, M then being the
-    number of factors.
+    """Unfold S_N along the telescoping chain, through the primes of
+    ``extension_primes``: M times for prime d, once per prime factor for
+    composite d, which takes M = 1; the report's M counts the steps.
 
     Step u, at stride p_1...p_u, records the term mu(p_u) F_u with
     F_u = sum_{k<=N/stride} f(T^{stride k} x) mu(k). For prime d the
@@ -394,13 +361,7 @@ def prime_extension_report(
     For composite d it carries F, the remainder is the last F and its
     bound (N//d)*||f||.
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    factors = prime_factors(d)
-    prime = factors == [d]
-    primes = [d] * M if prime else factors
+    primes = extension_primes(d, M)
     denom, s_n, rows, rem, holds = _unfold(params, obs, d, primes, start, N)
     norm = Fraction(obs.sup_norm)
     steps = tuple(
@@ -411,7 +372,7 @@ def prime_extension_report(
         for u, (p, stride, F, _) in enumerate(rows, 1)
     )
     stride = steps[-1].stride
-    bound = N * norm / stride if prime else (N // stride) * norm
+    bound = N * norm / stride if primes[0] == d else (N // stride) * norm
     return PrimeExtensionReport(
         d=d, N=N, M=len(steps), s_n=_exact(s_n, denom), steps=steps,
         remainder=_exact(rem, denom), remainder_bound=bound,
@@ -419,3 +380,14 @@ def prime_extension_report(
         triangle_holds=abs(Fraction(s_n, denom))
         <= sum(abs(Fraction(st.term)) for st in steps) + bound,
     )
+
+
+def telescope_identity_check(
+    params: ConstructionParams, obs: Observable, d: int, start: int, N: int,
+) -> PrimeExtensionReport:
+    """The telescoping identity S_N = mu(d)F - mu(d)G of a prime d (see
+    ``_unfold``): the chain's one step, whose report has S_N as s_n,
+    mu(d)F as steps[0].term and mu(d)G as -remainder."""
+    if prime_factors(d) != [d]:
+        raise ValueError(f"d={d} must be prime")
+    return prime_extension_report(params, obs, d, start, N, 1)

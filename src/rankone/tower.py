@@ -27,6 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .construction import ConstructionParams, HeightTable, first_stage_reaching, heights
+from .construction import format_count
 from .errors import DepthTooShallow
 
 #: refuse to materialize words longer than this (memory guard)
@@ -63,7 +64,7 @@ def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTab
     arrays (see ``correlation_depths``)."""
     table = _heights_from(params, j, K)
     if table.L(K) > MAX_WORD_LENGTH:
-        raise ValueError(f"stage-{K} word has {table.L(K)} levels, over the "
+        raise ValueError(f"stage-{K} word has {format_count(table.L(K))} levels, over the "
                          f"{MAX_WORD_LENGTH} in-memory limit")
     return table
 
@@ -101,7 +102,7 @@ def _decoder(params: ConstructionParams, j: int, K: int, hi: int | None = None,
     L_j = table.L(j)
     hi = table.L(K) if hi is None else hi
     if hi > MAX_WORD_LENGTH:
-        raise ValueError(f"stage-{K} word cut at {hi} entries, over the "
+        raise ValueError(f"stage-{K} word cut at {format_count(hi)} entries, over the "
                          f"{MAX_WORD_LENGTH} in-memory limit")
     if base is None:  # build_word reads no entry past hi
         base = np.arange(min(L_j, hi), dtype=np.int64)

@@ -267,6 +267,38 @@ def test_telescope_default_levels_are_the_base_class(tmp_path, d, M):
             == (runs[1][2] / "telescope.csv").read_bytes())
 
 
+@pytest.mark.parametrize("argv,rows", [
+    (["--d", "2", "--N", "10000"],
+     ["lhs,17", "rhs,17", "equal,True", "first_term,-2", "second_term,-19",
+      "n_first,5000", "n_second,2500"]),
+    (["--d", "3", "--N", "10000", "--K", "14", "--levels", "0", "3", "6", "9", "12"],
+     ["lhs,0", "rhs,0", "equal,True", "first_term,1", "second_term,1",
+      "n_first,3333", "n_second,1111"]),
+], ids=["d2", "d3"])
+def test_telescope_identity_rows_are_the_one_step_report(tmp_path, capsys, argv, rows):
+    # the prime M = 1 rows, read off the one-step prime extension report
+    assert cli.main(["telescope", "--preset", "class4", *argv, "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "telescope.csv").read_text().splitlines() == ["quantity,value", *rows]
+    v = dict(row.split(",") for row in rows)
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"telescope identity (d={argv[1]}, N=10000): "
+        f"lhs={v['lhs']} rhs={v['rhs']} equal=True")
+
+
+@pytest.mark.parametrize("construction,d,M", [
+    ('{"h1":5,"stages":{"kind":"periodic","pattern":[{"r":2,"s":[0,6]}]}}', 6, 3),
+    ('{"h1":3,"stages":{"kind":"periodic","pattern":[{"r":2,"s":[0,4]}]}}', 4, 5),
+])
+def test_telescope_composite_d_with_M_is_a_config_error(tmp_path, capsys, construction, d, M):
+    argv = ["telescope", "--construction-json", construction, "--d", str(d),
+            "--N", "1000", "--M", str(M), "--out", str(tmp_path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: M={M} applies to prime d only; d={d} unfolds "
+                          "once per prime factor")
+    assert not (tmp_path / "telescope.csv").exists()
+
+
 EXPLICIT_CHACON8 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3, "s": [0, 1, 0]}] * 8}}
 
 
@@ -354,7 +386,7 @@ def test_factor_failure_leaves_no_csv(tmp_path, K, requested):
     assert not (outdir / "factor.csv").exists()
 
 
-@pytest.mark.parametrize("d,M", [(2, 1), (7, 1), (6, 1), (4, 2)])
+@pytest.mark.parametrize("d,M", [(2, 1), (7, 1), (6, 1), (4, 1)])
 def test_telescope_with_d_beyond_N(tmp_path, d, M):
     construction = {"h1": d - 1, "stages": {"kind": "periodic",
                                             "pattern": [{"r": 2, "s": [0, d]}]}}
@@ -763,3 +795,41 @@ def test_removed_depth_keys_are_refused(tmp_path, capsys, command, key):
     path.write_text(make_config(command=command, params={**params, key: 7}))
     assert cli.main(["run", str(path)]) == 2
     assert f"unknown key(s) ['{key}'] in params for command '{command}'" in capsys.readouterr().err
+
+
+# ------------------------------------------------ counts past 4300 digits
+
+def test_counts_past_the_print_limit_are_reported_bounded(tmp_path, capsys):
+    # class4's L_20000 has 6021 digits, past the 4300 Python prints
+    assert cli.main(["labels", "--preset", "class4", "--K", "20000", "--max-rows", "5",
+                     "--out", str(tmp_path / "labels")]) == 0
+    assert (tmp_path / "labels" / "labels.csv").read_text().splitlines()[1:] == [
+        "0,level,0", "1,level,1", "2,level,0", "3,level,1", "4,spacer,1"]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "labels: stage 1 through depth 20000, L_K=7.96055e+6020 (6021 digits), wrote 5 rows")
+    # the word guard's message: L_5000 has 1506 digits
+    for K, count in (("20000", "7.96055e+6020 (6021 digits)"),
+                     ("5000", "2.82493e+1505 (1506 digits)")):
+        assert cli.main(["telescope", "--preset", "class4", "--d", "2", "--N", "10",
+                         "--K", K, "--out", str(tmp_path / "tele")]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"error[ValueError]: stage-{K} word has {count} levels, "
+            "over the 50000000 in-memory limit")
+    # heights.csv keeps exact counts, so it stops at the first stage it cannot print
+    assert cli.main(["heights", "--preset", "class4", "--J", "20000",
+                     "--out", str(tmp_path / "heights")]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "error[ValueError]: stage 14284 has L_14284 = 1.63488e+4300 (4301 digits), past "
+        "the 4300 digits Python prints, and heights.csv keeps exact counts")
+    assert not (tmp_path / "heights" / "heights.csv").exists()
+
+
+def test_heights_below_the_print_limit_stay_exact(tmp_path, capsys):
+    # L_14283 has 4300 digits, which Python still prints
+    assert cli.main(["heights", "--preset", "class4", "--J", "14283",
+                     "--out", str(tmp_path)]) == 0
+    last = (tmp_path / "heights.csv").read_text().splitlines()[-1]
+    L = cons.heights(cons.class4(), 14283).L(14283)
+    assert last == f"14283,{L},{L - 1}"
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "heights through stage 14283: L_14283 = 8.17444e+4299 (4300 digits)")

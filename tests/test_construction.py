@@ -186,6 +186,25 @@ def test_first_stage_reaching_is_the_linear_walk(params, queries):
 
 # --------------------------------------------------------- bounded/flat
 
+def test_format_count():
+    # exact up to 30 digits; past that leading digits, exponent and digit
+    # count, also where a float log10 rounds across a power of 10
+    assert cons.format_count(0) == "0"
+    assert cons.format_count(10**30 - 1) == "9" * 30
+    assert cons.format_count(10**30) == "1.00000e+30 (31 digits)"
+    for k in (30, 31, 300, 4300, 4301, 10_000):
+        assert cons.format_count(10**k) == f"1.00000e+{k} ({k + 1} digits)"
+        if k > 30:
+            assert cons.format_count(10**k - 1) == f"9.99999e+{k - 1} ({k} digits)"
+            assert cons.format_count(10**k + 1) == f"1.00000e+{k} ({k + 1} digits)"
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randrange(10**30, 10**rng.randint(31, 4300))
+        text = str(n)
+        assert cons.format_count(n) == (
+            f"{text[0]}.{text[1:6]}e+{len(text) - 1} ({len(text)} digits)")
+
+
 def test_bounded_profile_examples():
     assert cons.bounded_profile(cons.chacon(), 10).r_sup == 3
     assert cons.bounded_profile(cons.chacon(), 10).s_sup == 1

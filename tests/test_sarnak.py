@@ -106,7 +106,8 @@ def test_overflow_guard_reads_the_visited_levels():
     with pytest.raises(ValueError, match="overflow the exact int64 path"):
         sarnak.telescope_identity_check(params, sarnak.Observable(2, (0, 0, big, 0)), 2, 0, 2)
     res = sarnak.telescope_identity_check(params, sarnak.Observable(2, (0, 0, 5, big)), 2, 0, 2)
-    assert res.lhs == res.rhs == -5
+    assert res.s_n == res.steps[0].term + res.remainder == -5
+    assert res.identity_holds
 
 
 @pytest.mark.parametrize("coeffs, dtype", [
@@ -226,8 +227,8 @@ def test_telescope_d2_example():
     K = cons.first_stage_reaching(params, 20)
     obs = indicator_of_base(params, 2, K)
     res = sarnak.telescope_identity_check(params, obs, 2, 0, 4)
-    assert (res.lhs, res.rhs) == (-1, -1)
-    assert res.equal
+    assert (res.s_n, res.steps[0].term + res.remainder) == (-1, -1)
+    assert res.identity_holds
 
 
 def test_telescope_d3_example():
@@ -235,8 +236,8 @@ def test_telescope_d3_example():
     K = cons.first_stage_reaching(params, 20)
     obs = indicator_of_base(params, 3, K)
     res = sarnak.telescope_identity_check(params, obs, 3, 0, 9)
-    assert (res.lhs, res.rhs) == (0, 0)
-    assert res.equal
+    assert (res.s_n, res.steps[0].term + res.remainder) == (0, 0)
+    assert res.identity_holds
 
 
 def test_telescope_zero_observable():
@@ -244,7 +245,8 @@ def test_telescope_zero_observable():
     K = cons.first_stage_reaching(params, 20)
     obs = sarnak.Observable(K, (0,) * cons.heights(params, K).L(K))
     res = sarnak.telescope_identity_check(params, obs, 2, 0, 10)
-    assert res.lhs == res.rhs == 0
+    assert res.s_n == res.steps[0].term + res.remainder == 0
+    assert res.identity_holds
 
 
 def test_telescope_validation():
@@ -275,7 +277,8 @@ def test_telescope_randomized_exact(d):
         N = rng.randint(10, 2000)
         start = d * rng.randint(0, (L - N - 2) // d)
         res = sarnak.telescope_identity_check(params, obs, d, start, N)
-        assert res.equal
+        assert res.s_n == res.steps[0].term + res.remainder
+        assert res.identity_holds
 
 
 def test_prime_extension_single_step_matches_telescope():
@@ -285,7 +288,7 @@ def test_prime_extension_single_step_matches_telescope():
     tele = sarnak.telescope_identity_check(params, obs, 2, 0, 64)
     rep = sarnak.prime_extension_report(params, obs, 2, 0, 64, 1)
     assert rep.identity_holds
-    assert rep.s_n == tele.lhs
+    assert tele == rep
 
 
 def test_prime_extension_example_bound():
@@ -315,6 +318,33 @@ def test_composite_extension_chains_prime_factors():
     rep = sarnak.prime_extension_report(params, obs, 6, 0, 600, 1)
     assert [s.prime for s in rep.steps] == [2, 3]
     assert rep.identity_holds
+
+
+@pytest.mark.parametrize("d,M", [(4, 2), (4, 5), (6, 2), (6, 3), (8, 3), (9, 2)])
+def test_composite_d_takes_M_1_only(d, M):
+    # M counts the unfoldings of a prime d; a composite d unfolds once per
+    # prime factor, so any other M is refused rather than ignored
+    params = cons.cyclic_factor_preset(d)
+    K = cons.first_stage_reaching(params, 400)
+    obs = indicator_of_base(params, d, K)
+    msg = (f"M={M} applies to prime d only; d={d} unfolds once per prime factor, "
+           f"{prime_factors(d)}, and takes M=1")
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        sarnak.extension_primes(d, M)
+    with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+        sarnak.prime_extension_report(params, obs, d, 0, 100, M)
+    rep = sarnak.prime_extension_report(params, obs, d, 0, 100, 1)
+    assert [st.prime for st in rep.steps] == prime_factors(d) == sarnak.extension_primes(d, 1)
+    assert rep.M == len(prime_factors(d))
+
+
+def test_extension_primes():
+    assert sarnak.extension_primes(5, 3) == [5, 5, 5]
+    assert sarnak.extension_primes(2, 1) == [2]
+    assert sarnak.extension_primes(30, 1) == [2, 3, 5]
+    for d, M in ((2, 0), (1, 1), (0, 2)):
+        with pytest.raises(ValueError, match=f"^need M >= 1 and d >= 2, got M={M}, d={d}$"):
+            sarnak.extension_primes(d, M)
 
 
 def chain_oracle(params, obs, d, primes, start, N, K):
@@ -365,7 +395,9 @@ def test_prime_extension_matches_oracle(d, primes):
         obs = sarnak.Observable(K, coeffs)
         N = rng.randint(1000, 2500)
         start = d * rng.randint(0, (L - N - 2) // d)
-        rep = sarnak.prime_extension_report(params, obs, d, start, N, len(primes))
+        # a composite d unfolds once per prime factor, and takes M = 1
+        M = len(primes) if primes[0] == d else 1
+        rep = sarnak.prime_extension_report(params, obs, d, start, N, M)
         s_n, terms, rem = chain_oracle(params, obs, d, primes, start, N, K)
         assert rep.s_n == s_n
         assert [(st.prime, st.stride, st.term) for st in rep.steps] == terms
@@ -379,12 +411,10 @@ def test_prime_extension_matches_oracle(d, primes):
         assert rep.identity_holds and rep.triangle_holds
         if len(primes) == 1:
             tele = sarnak.telescope_identity_check(params, obs, d, start, N)
-            assert tele.lhs == rep.s_n
-            assert tele.first_term == rep.steps[0].term
-            assert tele.second_term == -rep.remainder  # mu(d) G
-            assert tele.rhs == tele.first_term - tele.second_term
-            assert tele.equal
-            assert (tele.n_first, tele.n_second) == (N // d, N // (d * d))
+            assert tele == rep
+            assert tele.s_n == tele.steps[0].term + tele.remainder  # mu(d)F - mu(d)G
+            assert tele.identity_holds
+            assert tele.steps[0].n_terms == N // d
 
 
 _PATTERN_STAGE = st.integers(2, 3).flatmap(
@@ -418,7 +448,7 @@ def telescope_inputs(draw):
     rng = draw(st.randoms(use_true_random=False))
     coeffs = tuple(0 if (i - c) % d and not every else rng.randint(-2, 2)
                    for i in range(cons.heights(params, stage).L(stage)))
-    M = draw(st.integers(1, 3))
+    M = draw(st.integers(1, 3)) if prime_factors(d) == [d] else 1
     return params, sarnak.Observable(stage, coeffs), d, start, N, M
 
 
