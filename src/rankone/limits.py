@@ -14,14 +14,23 @@ estimation: verdicts are labeled evidence, never proofs.
 
 A fit's one depth param is ``max_shift``: its stages run from j = 1 until
 |d*H_j| passes it. Its window Z, thresholds and depth rule are constants.
+
+A process fits each (construction, multipliers, admissible stages) once:
+``weak_limit``, ``disjointness_certificate`` and ``cascade`` reach the fits
+through ``_fit_powers``, which keeps the last 64 fitted walks (about
+9 KiB each under tracemalloc, so about 0.6 MiB in all). Every
+``max_shift`` that admits the same stages shares one result, so results
+are read-only: frozen dataclasses, tuples and read-only coefficient maps.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -60,12 +69,17 @@ def depth(params: ConstructionParams, n: int, j: int) -> int:
 class LimitPolynomial:
     """Truncated convex combination sum_z a_z T^z + c*Theta. A fitted
     one carries its Frank-Wolfe ``optimality_gap``, an upper bound on
-    how far its squared residual lies above the least attainable."""
+    how far its squared residual lies above the least attainable.
+    ``coeffs`` is a read-only copy of the mapping given: a fitted
+    polynomial is shared by every caller of the same fit."""
 
     coeffs: Mapping[int, float]
     theta: float
     fit_residual: float
     optimality_gap: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", MappingProxyType(dict(self.coeffs)))
 
     def a(self, z: int) -> float:
         return float(self.coeffs.get(z, 0.0))
@@ -355,11 +369,22 @@ class WeakLimitResult:
 
 def _fit_powers(
     params: ConstructionParams, multipliers: Sequence[int], max_shift: int,
-) -> list[WeakLimitResult]:
+) -> tuple[WeakLimitResult, ...]:
     """Fit the series k*H_j of each multiplier k along the stages
-    ``_select_stages`` admits, each shift n at the depth ``depth`` gives
-    it, the fits of all series counted by one climb."""
+    ``_select_stages`` admits. The walk is checked on every call; its fits
+    are those of ``_fit_walk``, which depend on max_shift only through it."""
     j_ref, walk = _select_stages(params, multipliers, max_shift)
+    return _fit_walk(params, tuple(multipliers), j_ref, tuple(walk))
+
+
+@functools.lru_cache(maxsize=64)
+def _fit_walk(
+    params: ConstructionParams, multipliers: tuple[int, ...], j_ref: int,
+    walk: tuple[tuple[int, int], ...],
+) -> tuple[WeakLimitResult, ...]:
+    """The fits of ``_fit_powers`` along the (j, H_j) of ``walk``, each
+    shift n at the depth ``depth`` gives it, the fits of all series
+    counted by one climb. A fit that raises is not kept."""
     stages = tuple(j for j, _ in walk)
     series = [tuple(k * h for _, h in walk) for k in multipliers]
     shifts = [n for ns in series for n in ns]
@@ -376,7 +401,7 @@ def _fit_powers(
             polynomial=series_fits[-1], fits=tuple(series_fits), stages=stages,
             shifts=ns, stability_gap=gap, ref_stage=j_ref,
         ))
-    return results
+    return tuple(results)
 
 
 def weak_limit(

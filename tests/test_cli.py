@@ -824,6 +824,24 @@ def test_counts_past_the_print_limit_are_reported_bounded(tmp_path, capsys):
     assert not (tmp_path / "heights" / "heights.csv").exists()
 
 
+def test_factor_refuses_offsets_past_the_print_limit(tmp_path, capsys):
+    # factor.csv keeps the exact column offsets of stages K and K + 1: class4's
+    # stage-14284 offset L_14284 has 4301 digits, its stage-14283 one 4300
+    assert cli.main(["factor", "--preset", "class4", "--K", "14282",
+                     "--out", str(tmp_path / "fine")]) == 0
+    last = (tmp_path / "fine" / "factor.csv").read_text().splitlines()[-1]
+    assert last == f"14283,2,{cons.column_offsets(cons.class4(), 14283)[0]},0"
+    capsys.readouterr()
+    for K, stage, count in ((14283, 14284, "1.63488e+4300 (4301 digits)"),
+                            (15000, 15000, "5.63592e+4515 (4516 digits)")):
+        assert cli.main(["factor", "--preset", "class4", "--K", str(K),
+                         "--out", str(tmp_path / str(K))]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"error[ValueError]: stage {stage} has column 2 offset = {count}, past "
+            "the 4300 digits Python prints, and factor.csv keeps exact counts")
+        assert not (tmp_path / str(K) / "factor.csv").exists()
+
+
 def test_heights_below_the_print_limit_stay_exact(tmp_path, capsys):
     # L_14283 has 4300 digits, which Python still prints
     assert cli.main(["heights", "--preset", "class4", "--J", "14283",

@@ -1,13 +1,17 @@
+import dataclasses
+import io
 import math
 import random
+from typing import Mapping
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rankone import _kernels, limits, tower
+from rankone import _kernels, cli, limits, tower
 from rankone import construction as cons
+from rankone.errors import StageUnavailable
 
 
 def chacon_fit(n, Z=8, j=4, K=10):
@@ -278,6 +282,7 @@ def test_random_certificate_takes_few_face_solves(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     params = cons.ConstructionParams.random_bounded(1, 3, 3, 5)
+    limits._fit_walk.cache_clear()  # a kept fit would make no solve
     verdict = limits.disjointness_certificate(params, 2, 3, max_shift=4000)
     assert verdict.verdict is limits.Verdict.INCONCLUSIVE
     assert 6 <= len(calls) <= 18
@@ -515,6 +520,7 @@ def test_correlations_build_no_long_word(monkeypatch):
     assert built and max(built) <= L_K // 50
     # a large max_shift takes every fit to L_K >= 200|n| >= 1e6
     built.clear()
+    limits._fit_walk.cache_clear()  # a kept fit would build no word
     verdict = limits.disjointness_certificate(params, 2, 3, max_shift=200_000)
     shifts = verdict.q_result.shifts + verdict.p_result.shifts
     Ks = [limits.depth(params, n, verdict.q_result.ref_stage) for n in shifts]
@@ -657,3 +663,116 @@ def test_limit_polynomial_csv_rows():
     assert rows[-2][0] == "theta"
     assert rows[-1][0] == "residual"
     assert p.optimality_gap is None  # hand-built, not fitted
+
+
+def test_limit_polynomial_coeffs_are_read_only():
+    given = {-1: 0.25, 2: 0.75}
+    p = poly(given)
+    given[5] = 1.0  # the polynomial keeps a copy
+    assert p.coeffs == {-1: 0.25, 2: 0.75} and p == poly({2: 0.75, -1: 0.25})
+    assert p.support(0.5) == {2} and p.a(5) == 0.0
+    fitted = limits.weak_limit(cons.chacon(), 1).polynomial
+    with pytest.raises(TypeError):
+        fitted.coeffs[0] = 1.0
+    with pytest.raises(TypeError):
+        del fitted.coeffs[0]
+
+
+# ---------------------------------------------------------- kept fits
+
+def exact(value):
+    """Every field of a fit result, nested, with each float as its hex
+    spelling, so that two results compare equal only bit for bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        return tuple(exact(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, Mapping):
+        return tuple((k, exact(v)) for k, v in value.items())
+    if isinstance(value, tuple):
+        return tuple(exact(v) for v in value)
+    return value
+
+
+FIT_CONSTRUCTIONS = st.one_of(
+    st.sampled_from(sorted(cons.PRESETS)).map(cons.preset),
+    st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+              st.just(3), st.just(3), st.integers(0, 10**6)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIT_CONSTRUCTIONS,
+       st.sampled_from([(1,), (3, 2), (4, 3), (5, 2), (5, 3)]),
+       st.integers(200, 6000))
+def test_kept_fit_is_the_fresh_fit(params, multipliers, max_shift):
+    try:
+        kept = limits._fit_powers(params, multipliers, max_shift)
+    except ValueError:  # the walk's own checks, made before any fit
+        with pytest.raises(ValueError):
+            limits._select_stages(params, multipliers, max_shift)
+        return
+    j_ref, walk = limits._select_stages(params, multipliers, max_shift)
+    fresh = limits._fit_walk.__wrapped__(params, multipliers, j_ref, tuple(walk))
+    assert exact(kept) == exact(fresh)
+    assert limits._fit_powers(params, multipliers, max_shift) is kept
+
+
+def test_fits_are_kept_per_walk_not_per_max_shift():
+    ch = cons.chacon()
+    limits._fit_walk.cache_clear()
+    # |H_j| = L_j = 121, 364, 1093, 3280: max_shift 2000 and 3000 admit
+    # stages 5..7, max_shift 4000 stages 6..8
+    first = limits.weak_limit(ch, 1, max_shift=2000)
+    again = limits.weak_limit(ch, 1, max_shift=3000)
+    info = limits._fit_walk.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 64)
+    assert again is first and again.stages == (5, 6, 7)
+    moved = limits.weak_limit(ch, 1, max_shift=4000)
+    info = limits._fit_walk.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+    assert moved.stages == (6, 7, 8)
+    # a walk's checks run on every call, also on a kept walk
+    with pytest.raises(ValueError, match="fewer than two admissible stages"):
+        limits.weak_limit(ch, 1, max_shift=4)
+    assert limits._fit_walk.cache_info().misses == 2
+
+
+def test_a_fit_that_raises_is_not_kept():
+    # 8 listed chacon stages: the walk ends at stage 8, |H_8| = 3280, whose
+    # depth needs L_K >= 656000, past the listed stages
+    listed = cons.ConstructionParams.explicit(0, cons.chacon().stages * 8)
+    limits._fit_walk.cache_clear()
+    before = limits._fit_walk.cache_info()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(StageUnavailable) as err:
+            limits.weak_limit(listed, 1, max_shift=10**9)
+        messages.append(str(err.value))
+    after = limits._fit_walk.cache_info()
+    assert messages[0] == messages[1]
+    assert after.currsize == before.currsize
+    assert after.misses == before.misses + 2
+
+
+def test_a_kept_fit_writes_the_bytes_of_a_fresh_one(tmp_path):
+    # chacon at (q, p) = (3, 2) admits stages 4..6 at max_shift 2000 and 3000
+    def disjointness(max_shift, out):
+        cfg = cli.parse_config_dict({
+            "construction": {"preset": "chacon"}, "command": "disjointness",
+            "params": {"p": 2, "q": 3, "max_shift": max_shift},
+            "output": {"dir": str(tmp_path / out)}})
+        report = io.StringIO()
+        assert cli.run(cfg, stream=report) == 0
+        files = sorted((tmp_path / out).glob("*.csv"))
+        return report.getvalue(), {f.name: f.read_bytes() for f in files}
+
+    limits._fit_walk.cache_clear()
+    kept = [disjointness(2000, "first"), disjointness(3000, "second")]
+    assert limits._fit_walk.cache_info().hits == 1
+    fresh = []
+    for max_shift, out in ((2000, "fresh-first"), (3000, "fresh-second")):
+        limits._fit_walk.cache_clear()
+        fresh.append(disjointness(max_shift, out))
+    assert kept == fresh
+    assert sorted(kept[0][1]) == ["limit_p.csv", "limit_q.csv"]
