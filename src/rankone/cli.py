@@ -272,23 +272,24 @@ def _conventions(specs: tuple[Param, ...], p: dict) -> str:
 # -------------------------------------------------------------- commands
 
 def _check_printable(counts, csv: str):
-    """ValueError naming the first (stage j, name, count) of ``counts``
-    whose count has more digits than Python prints, since ``csv`` keeps
-    exact counts. Run before any row is drawn."""
+    """ValueError naming the first (what, count) of ``counts`` whose
+    count has more digits than Python prints, since ``csv`` keeps exact
+    counts. Run before any row is drawn."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if not limit:
         return
     bound = 10**limit
-    for j, name, count in counts:
+    for what, count in counts:
         if count >= bound:
-            raise ValueError(f"stage {j} has {name} = {cons.format_count(count)}, past the "
+            raise ValueError(f"{what} = {cons.format_count(count)}, past the "
                              f"{limit} digits Python prints, and {csv} keeps exact counts")
 
 
 def _cmd_heights(cfg, out, report):
     J = cfg.params["J"]
     table = cons.heights(cfg.construction, J)
-    _check_printable(((j, f"L_{j}", table.L(j)) for j in range(1, J + 1)), "heights.csv")
+    _check_printable(((f"stage {j} has L_{j}", table.L(j)) for j in range(1, J + 1)),
+                     "heights.csv")
     _write_csv(out / "heights.csv", ("j", "L", "h"),
                ((j, table.L(j), table.h(j)) for j in range(1, J + 1)))
     report.append(f"heights through stage {J}: L_{J} = {cons.format_count(table.L(J))}")
@@ -377,6 +378,8 @@ def _cmd_cascade(cfg, out, report):
     level = limits.divisibility_cascade(support, prime, p["levels"])
     consequence = limits.flatness_consequence(cfg.construction, res.stages, prime, level,
                                               p["levels"])
+    _check_printable(((f"level m={m} has modulus {prime}^{m}", prime**m)
+                      for m in range(1, p["levels"] + 1)), "cascade.csv")
     _write_csv(out / "cascade.csv",
                ("m", "modulus", "holds", "params_divide", "max_abs_spacer_diff"),
                consequence.rows())
@@ -435,7 +438,8 @@ def _cmd_factor(cfg, out, report):
     d = sarnak.compact_factor(cfg.construction, cfg.params["horizon"], K)
     rows = [(j, col, off) for j in (K, K + 1)
             for col, off in enumerate(cons.column_offsets(cfg.construction, j), start=2)]
-    _check_printable(((j, f"column {col} offset", off) for j, col, off in rows), "factor.csv")
+    _check_printable(((f"stage {j} has column {col} offset", off) for j, col, off in rows),
+                     "factor.csv")
     _write_csv(out / "factor.csv", ("stage", "column", "offset", "offset_mod_d"),
                ((j, col, off, off % d) for j, col, off in rows))
     report.append(f"cyclic factor: d={d}, depth {K} "

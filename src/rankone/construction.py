@@ -92,14 +92,14 @@ class ConstructionParams:
         return cls(h1=h1, kind=_Kind.PERIODIC, stages=tuple(pattern), name=name)
 
     @classmethod
-    def explicit(cls, h1, stages, name="") -> "ConstructionParams":
-        return cls(h1=h1, kind=_Kind.EXPLICIT, stages=tuple(stages), name=name)
+    def explicit(cls, h1, stages) -> "ConstructionParams":
+        return cls(h1=h1, kind=_Kind.EXPLICIT, stages=tuple(stages))
 
     @classmethod
-    def random_bounded(cls, h1, r_max, s_max, seed, name="") -> "ConstructionParams":
+    def random_bounded(cls, h1, r_max, s_max, seed) -> "ConstructionParams":
         return cls(
             h1=h1, kind=_Kind.RANDOM, r_max=r_max, s_max=s_max, seed=seed,
-            name=name or f"random(r<={r_max},s<={s_max},seed={seed})",
+            name=f"random(r<={r_max},s<={s_max},seed={seed})",
         )
 
     # -- stage access --------------------------------------------------

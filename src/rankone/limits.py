@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -351,7 +351,6 @@ class WeakLimitResult:
     """A fitted limit along a power sequence plus its stability trace."""
 
     polynomial: LimitPolynomial
-    fits: tuple[LimitPolynomial, ...] = field(repr=False)
     stages: tuple[int, ...]
     shifts: tuple[int, ...]
     stability_gap: float
@@ -398,8 +397,8 @@ def _fit_walk(
             default=float("inf"),
         )
         results.append(WeakLimitResult(
-            polynomial=series_fits[-1], fits=tuple(series_fits), stages=stages,
-            shifts=ns, stability_gap=gap, ref_stage=j_ref,
+            polynomial=series_fits[-1], stages=stages, shifts=ns, stability_gap=gap,
+            ref_stage=j_ref,
         ))
     return tuple(results)
 
@@ -429,23 +428,28 @@ class SimilarityVerdict:
     reason: str
 
 
-def is_pq_similar(
-    Q: LimitPolynomial, P: LimitPolynomial, p: int, q: int,
-    tol: float = COEFF_TOL, tau: float = SUPPORT_TAU,
-) -> SimilarityVerdict:
-    """Test whether Q(S) = R(S^q) and P(T) = R(T^p) for a common R.
-
-    Requires supp(Q) within q*Z and supp(P) within p*Z (above the
-    support threshold tau), coefficient agreement a^Q_{qr} = a^P_{pr}
-    within tol on the common r-grid, and matching theta components.
-    """
+def _check_coprime(p: int, q: int):
+    """ValueError unless p and q are positive and coprime."""
     if p < 1 or q < 1:
         raise ValueError("p and q must be positive")
     if gcd(p, q) != 1:
         raise ValueError(f"p={p}, q={q} must be coprime")
 
+
+def is_pq_similar(
+    Q: LimitPolynomial, P: LimitPolynomial, p: int, q: int,
+) -> SimilarityVerdict:
+    """Test whether Q(S) = R(S^q) and P(T) = R(T^p) for a common R.
+
+    Requires supp(Q) within q*Z and supp(P) within p*Z (above the
+    support threshold SUPPORT_TAU), coefficient agreement
+    a^Q_{qr} = a^P_{pr} within COEFF_TOL on the common r-grid, and
+    matching theta components.
+    """
+    _check_coprime(p, q)
+
     for name, poly, k in (("Q", Q, q), ("P", P, p)):
-        bad = sorted(z for z in poly.support(tau) if z % k != 0)
+        bad = sorted(z for z in poly.support(SUPPORT_TAU) if z % k != 0)
         if bad:
             return SimilarityVerdict(
                 False, None, float("inf"), f"supp({name}) not within {k}Z: shifts {bad}",
@@ -456,9 +460,9 @@ def is_pq_similar(
     gap = abs(Q.theta - P.theta)
     for r in r_range:
         gap = max(gap, abs(Q.a(q * r) - P.a(p * r)))
-    if gap > tol:
+    if gap > COEFF_TOL:
         return SimilarityVerdict(
-            False, None, gap, f"coefficient gap {gap:.4g} exceeds tol {tol:g}"
+            False, None, gap, f"coefficient gap {gap:.4g} exceeds tol {COEFF_TOL:g}"
         )
     witness = {r: Q.a(q * r) for r in sorted(r_range) if Q.a(q * r) > 0.0}
     return SimilarityVerdict(True, witness, gap, "supports and coefficients match")
@@ -503,13 +507,11 @@ class DisjointnessVerdict:
 
 
 def check_pair(p: int, q: int):
-    """ValueError unless p and q are positive, distinct and coprime."""
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
-    if p == q:
+    """ValueError unless p and q are positive, distinct and coprime: the
+    pair rule of ``is_pq_similar``, which takes p = q = 1, and p != q."""
+    if p == q >= 1:
         raise ValueError("p and q must differ")
-    if gcd(p, q) != 1:
-        raise ValueError(f"p={p}, q={q} must be coprime")
+    _check_coprime(p, q)
 
 
 def disjointness_certificate(
@@ -558,8 +560,10 @@ def _p_adic_level(values: Iterable[int], p: int, levels: int) -> int:
     p-adic valuation of their gcd, capped at ``levels``. The gcd of no
     values, or of zeros, is 0, which every power divides."""
     g, k = gcd(*values), 0
-    while k < levels and g % p ** (k + 1) == 0:
-        k += 1
+    if g == 0:
+        return levels
+    while k < levels and g % p == 0:
+        g, k = g // p, k + 1
     return k
 
 

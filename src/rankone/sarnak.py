@@ -23,12 +23,12 @@ and its check must not depend on rounding. Only the decay traces
 itself once the orbit has passed the word guard, so an orbit past that
 guard fails before the sieve.
 
-There is one telescoping chain, ``_unfold``, with one hypothesis,
-checked on the orbit: f(T^i x) = 0 at every time i not divisible by d.
-It unfolds S_N M times when d is prime, carrying the sum over times
-d^2 m, and once per prime factor when d is composite, carrying the sum
-over the new stride. Its one report is ``prime_extension_report``, and
-``telescope_identity_check`` is that report's one step of a prime d.
+There is one telescoping chain, ``prime_extension_report``, which is
+also its one report, with one hypothesis, checked on the orbit:
+f(T^i x) = 0 at every time i not divisible by d. It unfolds S_N M times
+when d is prime, carrying the sum over times d^2 m, and once per prime
+factor when d is composite, carrying the sum over the new stride.
+``telescope_identity_check`` is its one step of a prime d.
 The cyclic factor is its order d, ``compact_factor``.
 """
 
@@ -49,7 +49,7 @@ from .construction import (
 )
 from .errors import ConsistencyFailure
 from .mobius import prime_factors, sieve_mobius
-from .tower import _decoder, checked_heights, orbit_depth
+from .tower import MAX_WORD_LENGTH, _decoder, checked_heights, orbit_depth
 
 _INT64_SAFE = 2**62
 
@@ -77,24 +77,23 @@ class Observable:
     back.
     """
 
-    def __init__(self, stage: int, coeffs: tuple, name: str = ""):
+    def __init__(self, stage: int, coeffs: tuple):
         nums, denom = _clear_denominators(coeffs)
-        self._set(stage, nums, denom, name)
+        self._set(stage, nums, denom)
 
     @classmethod
-    def _from_nums(cls, stage: int, nums: np.ndarray, denom: int,
-                   name: str = "") -> "Observable":
+    def _from_nums(cls, stage: int, nums: np.ndarray, denom: int) -> "Observable":
         obs = cls.__new__(cls)
-        obs._set(stage, nums, denom, name)
+        obs._set(stage, nums, denom)
         return obs
 
-    def _set(self, stage, nums, denom, name):
+    def _set(self, stage, nums, denom):
         nums.flags.writeable = False
-        self.stage, self.nums, self.denom, self.name = stage, nums, denom, name
+        self.stage, self.nums, self.denom = stage, nums, denom
 
     def __repr__(self):
         return (f"Observable(stage={self.stage}, levels={len(self.nums)}, "
-                f"denom={self.denom}, name={self.name!r})")
+                f"denom={self.denom})")
 
     @cached_property
     def coeffs(self) -> tuple:
@@ -109,8 +108,7 @@ class Observable:
                       self.denom)
 
     @classmethod
-    def indicator(cls, params: ConstructionParams, stage: int, indices,
-                  name: str = "") -> "Observable":
+    def indicator(cls, params: ConstructionParams, stage: int, indices) -> "Observable":
         """Indicator of a set of stage-j levels, given as a sequence
         (list, tuple, range), an integer array or any other iterable (a
         set, an iterator), which is read once as a list; repeats count
@@ -143,7 +141,7 @@ class Observable:
             raise ValueError(f"level indices {bad} outside 0..{n - 1}")
         nums = np.zeros(n, dtype=np.int64)
         nums[idx] = 1
-        return cls._from_nums(stage, nums, 1, name)
+        return cls._from_nums(stage, nums, 1)
 
     def scaled_ints(self) -> tuple[np.ndarray, int]:
         """Numerators with a trailing 0 slot for the spacer class, and
@@ -187,7 +185,6 @@ def _exact(value: int, denom: int):
 class MobiusSumResult:
     """S_N with intermediate checkpoints (exact values)."""
 
-    N: int
     final: int | Fraction
     checkpoints: tuple
 
@@ -237,7 +234,7 @@ def mobius_weighted_sum(
     checkpoints = tuple(
         (n, _exact(int(s), obs.denom)) for n, s in zip(grid, sums)
     )
-    return MobiusSumResult(N=N, final=checkpoints[-1][1], checkpoints=checkpoints)
+    return MobiusSumResult(final=checkpoints[-1][1], checkpoints=checkpoints)
 
 
 # ------------------------------------------------------ cyclic factor
@@ -263,13 +260,61 @@ def compact_factor(params: ConstructionParams, horizon: int, K: int) -> int:
 
 # ------------------------------------------------- telescoping identity
 
-def _unfold(params, obs, d, primes, start, N):
-    """The telescoping chain of S_N = sum_{i<=N} f(T^i x) mu(i), in int64
-    units of 1/denom. Its one hypothesis is that the orbit values vanish
+@dataclass(frozen=True)
+class ExtensionStep:
+    """One unfolding of the telescoping chain."""
+
+    depth: int
+    prime: int
+    term: int | Fraction
+
+
+@dataclass(frozen=True)
+class PrimeExtensionReport:
+    """Unfolding S_N = sum_u term_u + remainder (prime d) with the crude
+    tail bound alongside the exact remainder."""
+
+    M: int
+    s_n: int | Fraction
+    steps: tuple[ExtensionStep, ...]
+    remainder: int | Fraction
+    remainder_bound: Fraction
+    identity_holds: bool
+    triangle_holds: bool
+
+
+def extension_primes(d: int, M: int) -> list[int]:
+    """The chain's primes: d, M times, for prime d; the prime factors of
+    a composite d, nondecreasing, which takes M = 1 only. A d past
+    MAX_WORD_LENGTH is refused before it is factored: an orbit the word
+    guard admits has start + N + 1 <= MAX_WORD_LENGTH, so no time of it
+    is a multiple of such a d, and the hypothesis could hold only
+    vacuously."""
+    if M < 1 or d < 2:
+        raise ValueError(f"need M >= 1 and d >= 2, got M={M}, d={d}")
+    if d > MAX_WORD_LENGTH:
+        raise ValueError(f"d={d} is past the {MAX_WORD_LENGTH} orbit entries the word "
+                         "guard admits, so no time of an orbit is a multiple of it")
+    factors = prime_factors(d)
+    if M != 1 and factors != [d]:
+        raise ValueError(f"M={M} applies to prime d only; d={d} unfolds once per "
+                         f"prime factor, {factors}, and takes M=1")
+    return [d] * M if factors == [d] else factors
+
+
+def prime_extension_report(
+    params: ConstructionParams, obs: Observable, d: int, start: int,
+    N: int, M: int,
+) -> PrimeExtensionReport:
+    """The telescoping chain of S_N = sum_{i<=N} f(T^i x) mu(i), through
+    the primes of ``extension_primes``: M times for prime d, once per
+    prime factor for composite d, which takes M = 1; the report's M
+    counts the steps. Its one hypothesis is that the orbit values vanish
     at every time i not divisible by d, whatever levels f sits on and
     wherever x starts; it is checked on the orbit values ``_orbit`` reads
     (ConsistencyFailure names the first time that fails), and mu is
-    sieved to N once it holds; S_N and every F and G read that one mu.
+    sieved to N once it holds; S_N and every F and G read that one mu,
+    in int64 units of 1/denom.
 
     Starting from cur = S_N at stride s = 1, the step for the prime p
     computes
@@ -282,9 +327,15 @@ def _unfold(params, obs, d, primes, start, N):
     d, so a carried F or G only sees multiples of the current stride,
     and a carried G already has the weight mu(pm). The stride becomes sp
     and cur becomes G when p = d (G is the rest of S_N) or F when p is a
-    proper factor of d (the next factor splits F). Returns denom, S_N,
-    the (p, stride, F, G) rows, the last cur and whether every step held.
+    proper factor of d (the next factor splits F).
+
+    Step u, at stride p_1...p_u, records the term mu(p_u) F_u. For prime
+    d the chain carries G, so S_N = sum_u term_u + remainder with
+    remainder sum_{m<=N/d^{M+1}} f(T^{d^{M+1} m} x) mu(dm) and bound
+    N*||f||/d^M. For composite d it carries F, the remainder is the last
+    F and its bound (N//d)*||f||.
     """
+    primes = extension_primes(d, M)
     read, _ = _orbit(params, obs, start, N)
     vals = read(1, N + 1)
     if np.count_nonzero(vals) != np.count_nonzero(vals[d - 1::d]):
@@ -294,90 +345,23 @@ def _unfold(params, obs, d, primes, start, N):
             f"d={d}; the telescoping identity needs f to vanish there")
     mu = sieve_mobius(N)
     s_n = _kernels.strided_mobius_sum(vals, mu, 1, N)
-    cur, stride, rows, holds = s_n, 1, [], True
-    for p in primes:
+    cur, stride, steps, holds = s_n, 1, [], True
+    for u, p in enumerate(primes, 1):
         F = _kernels.strided_mobius_sum(vals, mu, stride * p, N // (stride * p))
         G = _kernels.strided_mobius_sum(
             vals, mu[::p], stride * p * p, N // (stride * p * p)
         )
         holds &= cur == -(F - G)  # mu(p) = -1
         stride *= p
-        rows.append((p, stride, F, G))
+        steps.append(ExtensionStep(depth=u, prime=p, term=_exact(-F, obs.denom)))
         cur = G if p == d else F
-    return obs.denom, s_n, rows, cur, holds
-
-
-@dataclass(frozen=True)
-class ExtensionStep:
-    """One unfolding of the telescoping chain."""
-
-    depth: int
-    prime: int
-    stride: int
-    n_terms: int
-    term: int | Fraction
-
-
-@dataclass(frozen=True)
-class PrimeExtensionReport:
-    """Unfolding S_N = sum_u term_u + remainder (prime d) with the crude
-    tail bound alongside the exact remainder."""
-
-    d: int
-    N: int
-    M: int
-    s_n: int | Fraction
-    steps: tuple[ExtensionStep, ...]
-    remainder: int | Fraction
-    remainder_bound: Fraction
-    identity_holds: bool
-    triangle_holds: bool
-
-
-def extension_primes(d: int, M: int) -> list[int]:
-    """The chain's primes: d, M times, for prime d; the prime factors of
-    a composite d, nondecreasing, which takes M = 1 only."""
-    if M < 1 or d < 2:
-        raise ValueError(f"need M >= 1 and d >= 2, got M={M}, d={d}")
-    factors = prime_factors(d)
-    if M != 1 and factors != [d]:
-        raise ValueError(f"M={M} applies to prime d only; d={d} unfolds once per "
-                         f"prime factor, {factors}, and takes M=1")
-    return [d] * M if factors == [d] else factors
-
-
-def prime_extension_report(
-    params: ConstructionParams, obs: Observable, d: int, start: int,
-    N: int, M: int,
-) -> PrimeExtensionReport:
-    """Unfold S_N along the telescoping chain, through the primes of
-    ``extension_primes``: M times for prime d, once per prime factor for
-    composite d, which takes M = 1; the report's M counts the steps.
-
-    Step u, at stride p_1...p_u, records the term mu(p_u) F_u with
-    F_u = sum_{k<=N/stride} f(T^{stride k} x) mu(k). For prime d the
-    chain carries G, so S_N = sum_u term_u + remainder with remainder
-    sum_{m<=N/d^{M+1}} f(T^{d^{M+1} m} x) mu(dm) and bound N*||f||/d^M.
-    For composite d it carries F, the remainder is the last F and its
-    bound (N//d)*||f||.
-    """
-    primes = extension_primes(d, M)
-    denom, s_n, rows, rem, holds = _unfold(params, obs, d, primes, start, N)
     norm = Fraction(obs.sup_norm)
-    steps = tuple(
-        ExtensionStep(
-            depth=u, prime=p, stride=stride, n_terms=N // stride,
-            term=_exact(-F, denom),  # mu(p) = -1
-        )
-        for u, (p, stride, F, _) in enumerate(rows, 1)
-    )
-    stride = steps[-1].stride
     bound = N * norm / stride if primes[0] == d else (N // stride) * norm
     return PrimeExtensionReport(
-        d=d, N=N, M=len(steps), s_n=_exact(s_n, denom), steps=steps,
-        remainder=_exact(rem, denom), remainder_bound=bound,
+        M=len(steps), s_n=_exact(s_n, obs.denom), steps=tuple(steps),
+        remainder=_exact(cur, obs.denom), remainder_bound=bound,
         identity_holds=holds,
-        triangle_holds=abs(Fraction(s_n, denom))
+        triangle_holds=abs(Fraction(s_n, obs.denom))
         <= sum(abs(Fraction(st.term)) for st in steps) + bound,
     )
 
@@ -386,8 +370,8 @@ def telescope_identity_check(
     params: ConstructionParams, obs: Observable, d: int, start: int, N: int,
 ) -> PrimeExtensionReport:
     """The telescoping identity S_N = mu(d)F - mu(d)G of a prime d (see
-    ``_unfold``): the chain's one step, whose report has S_N as s_n,
-    mu(d)F as steps[0].term and mu(d)G as -remainder."""
-    if prime_factors(d) != [d]:
+    ``prime_extension_report``): the chain's one step, whose report has
+    S_N as s_n, mu(d)F as steps[0].term and mu(d)G as -remainder."""
+    if extension_primes(d, 1) != [d]:
         raise ValueError(f"d={d} must be prime")
     return prime_extension_report(params, obs, d, start, N, 1)

@@ -842,6 +842,19 @@ def test_factor_refuses_offsets_past_the_print_limit(tmp_path, capsys):
         assert not (tmp_path / str(K) / "factor.csv").exists()
 
 
+def test_cascade_refuses_moduli_past_the_print_limit(tmp_path, capsys):
+    # cascade.csv keeps each modulus 2^m exactly, and 2^14285 has 4301 digits;
+    # flat3's support and spacer differences are {0}, so every level holds
+    for levels in ("20000", "300000"):
+        assert cli.main(["cascade", "--preset", "flat3", "--p", "2", "--levels", levels,
+                         "--max-shift", "400", "--out", str(tmp_path / levels)]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "error[ValueError]: level m=14285 has modulus 2^14285 = 1.63488e+4300 "
+            "(4301 digits), past the 4300 digits Python prints, and cascade.csv keeps "
+            "exact counts")
+        assert not (tmp_path / levels / "cascade.csv").exists()
+
+
 def test_heights_below_the_print_limit_stay_exact(tmp_path, capsys):
     # L_14283 has 4300 digits, which Python still prints
     assert cli.main(["heights", "--preset", "class4", "--J", "14283",

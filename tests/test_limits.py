@@ -442,9 +442,15 @@ def test_similarity_trivial_examples():
     assert not limits.is_pq_similar(Q, P_same, 2, 3).similar
 
     P_gap = poly({0: 0.25, 2: 0.75})
-    verdict = limits.is_pq_similar(Q, P_gap, 2, 3, tol=0.01)
+    verdict = limits.is_pq_similar(Q, P_gap, 2, 3)
     assert not verdict.similar
     assert verdict.max_coeff_gap == pytest.approx(0.25)
+
+    # gaps on either side of COEFF_TOL = 0.02
+    near = limits.is_pq_similar(Q, poly({0: 0.515, 2: 0.485}), 2, 3)
+    assert near.similar and near.max_coeff_gap == pytest.approx(0.015)
+    far = limits.is_pq_similar(Q, poly({0: 0.525, 2: 0.475}), 2, 3)
+    assert not far.similar and far.max_coeff_gap == pytest.approx(0.025)
 
 
 def test_similarity_requires_coprime():
@@ -469,9 +475,10 @@ def test_similarity_recovers_witness_and_is_symmetric():
     rng = random.Random(5)
     for _ in range(60):
         Q, P, p, q, R = random_witness_instance(rng)
-        forward = limits.is_pq_similar(Q, P, p, q, tol=1e-9)
-        backward = limits.is_pq_similar(P, Q, q, p, tol=1e-9)
+        forward = limits.is_pq_similar(Q, P, p, q)
+        backward = limits.is_pq_similar(P, Q, q, p)
         assert forward.similar and backward.similar
+        assert forward.max_coeff_gap <= 1e-9 and backward.max_coeff_gap <= 1e-9
         for r, a in R.items():
             assert forward.witness[r] == pytest.approx(a, abs=1e-12)
 
@@ -542,8 +549,10 @@ def test_similarity_reasons():
         assert verdict.reason == reason
         assert not verdict.similar and verdict.witness is None
         assert verdict.max_coeff_gap == math.inf
-    gap = limits.is_pq_similar(Q, poly({0: 0.25, 2: 0.75}), 2, 3, tol=0.01)
-    assert gap.reason == "coefficient gap 0.25 exceeds tol 0.01"
+    gap = limits.is_pq_similar(Q, poly({0: 0.25, 2: 0.75}), 2, 3)
+    assert gap.reason == "coefficient gap 0.25 exceeds tol 0.02"
+    gap = limits.is_pq_similar(Q, poly({0: 0.525, 2: 0.475}), 2, 3)
+    assert gap.reason == "coefficient gap 0.025 exceeds tol 0.02"
     assert limits.is_pq_similar(Q, P, 2, 3).reason == "supports and coefficients match"
 
 
@@ -654,6 +663,22 @@ def test_cascade_levels_match_the_per_m_rule(support, stages, p, levels):
         forced += 1
     assert rep.forced_flat_level == forced
     assert limits._p_adic_level(set(), p, levels) == levels
+
+
+class NoPowers(int):
+    """A prime that fails the test if a power of it is formed."""
+
+    def __pow__(self, exp, mod=None):
+        raise AssertionError(f"formed a power of p={int(self)}")
+
+
+def test_p_adic_level_divides_the_gcd_by_p():
+    # a gcd of 0, which every power divides, is at the cap at once, however
+    # high: no power p^(k+1) is formed on the way
+    for values, p, levels, level in (([0], 2, 10**18, 10**18), ([], 3, 10**18, 10**18),
+                                     ([12, -40, 0], 2, 5, 2), ([0, 405], 3, 3, 3),
+                                     ([0, 405], 3, 10, 4), ([7], 7, 0, 0), ([5], 2, 3, 0)):
+        assert limits._p_adic_level(values, NoPowers(p), levels) == level
 
 
 def test_limit_polynomial_csv_rows():

@@ -25,7 +25,7 @@ CHACON_BASE = [1, 1, 0, 1, 1, 1, 0, 1, 0, 1, 1, 0, 1]
 # ---------------------------------------------------------- weighted sums
 
 def test_chacon_base_sum_example():
-    obs = sarnak.Observable.indicator(cons.chacon(), 1, [0], "base")
+    obs = sarnak.Observable.indicator(cons.chacon(), 1, [0])
     res = sarnak.mobius_weighted_sum(cons.chacon(), obs, 0, 10)
     # independent oracle: the hand-written word against mu(1..10)
     oracle = sum(CHACON_BASE[i] * MU10[i - 1] for i in range(1, 11))
@@ -347,6 +347,26 @@ def test_extension_primes():
             sarnak.extension_primes(d, M)
 
 
+def test_a_d_past_the_word_guard_is_refused_before_it_is_factored(monkeypatch):
+    # an admitted orbit has start + N + 1 <= MAX_WORD_LENGTH entries, so no
+    # time of it is a multiple of a larger d; trial division of the prime
+    # 2^61 - 1 would take about 7.6e8 steps
+    def factor(n):
+        assert n <= tower.MAX_WORD_LENGTH, f"factored d={n}, past the word guard"
+        return prime_factors(n)
+
+    monkeypatch.setattr(sarnak, "prime_factors", factor)
+    obs = sarnak.Observable.indicator(cons.class4(), 2, [0])
+    for d in (2**61 - 1, tower.MAX_WORD_LENGTH + 1):
+        msg = (f"^d={d} is past the 50000000 orbit entries the word guard admits, "
+               "so no time of an orbit is a multiple of it$")
+        with pytest.raises(ValueError, match=msg):
+            sarnak.extension_primes(d, 1)
+        with pytest.raises(ValueError, match=msg):
+            sarnak.telescope_identity_check(cons.class4(), obs, d, 0, 10)
+    assert sarnak.extension_primes(tower.MAX_WORD_LENGTH, 1) == [2] * 7 + [5] * 8
+
+
 def chain_oracle(params, obs, d, primes, start, N, K):
     """S_N, each step's term mu(p)F and the remainder, from their
     definitions over the orbit's label list."""
@@ -400,8 +420,7 @@ def test_prime_extension_matches_oracle(d, primes):
         rep = sarnak.prime_extension_report(params, obs, d, start, N, M)
         s_n, terms, rem = chain_oracle(params, obs, d, primes, start, N, K)
         assert rep.s_n == s_n
-        assert [(st.prime, st.stride, st.term) for st in rep.steps] == terms
-        assert [st.n_terms for st in rep.steps] == [N // t[1] for t in terms]
+        assert [(st.prime, st.term) for st in rep.steps] == [(p, t) for p, _, t in terms]
         assert rep.remainder == rem
         norm = Fraction(obs.sup_norm)
         assert rep.remainder_bound == (
@@ -414,7 +433,6 @@ def test_prime_extension_matches_oracle(d, primes):
             assert tele == rep
             assert tele.s_n == tele.steps[0].term + tele.remainder  # mu(d)F - mu(d)G
             assert tele.identity_holds
-            assert tele.steps[0].n_terms == N // d
 
 
 _PATTERN_STAGE = st.integers(2, 3).flatmap(
@@ -468,7 +486,7 @@ def test_unfold_accepts_exactly_the_orbits_off_multiples_of_d(inputs):
     primes = [d] * M if prime_factors(d) == [d] else prime_factors(d)
     s_n, terms, rem = chain_oracle(params, obs, d, primes, start, N, K)
     assert rep.s_n == s_n and rep.remainder == rem
-    assert [(st.prime, st.stride, st.term) for st in rep.steps] == terms
+    assert [(st.prime, st.term) for st in rep.steps] == [(p, t) for p, _, t in terms]
     assert rep.identity_holds
 
 
@@ -479,7 +497,7 @@ def test_decay_trend_presets(name, K):
     # first depth K whose word holds the orbit.
     params = cons.preset(name)
     assert tower.orbit_depth(params, 1, 0, 10**5) == K
-    obs = sarnak.Observable.indicator(params, 1, [0], "base")
+    obs = sarnak.Observable.indicator(params, 1, [0])
     res = sarnak.mobius_weighted_sum(params, obs, 0, 10**5)
     by_n = dict(res.checkpoints)
     assert abs(by_n[100_000]) / 100_000 < abs(by_n[1000]) / 1000
