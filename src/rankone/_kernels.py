@@ -39,13 +39,29 @@ for _p in TILED:
 TILE.flags.writeable = False
 
 
-def mobius_blocks(n_max: int, scratch=None):
+#: whole sieve blocks of mu kept for the process (see mobius_blocks): 3*BLOCK
+#: bytes, which cover the odd n <= 6*BLOCK - 1 = 6,350,399
+KEPT_BLOCKS = 3
+#: the kept blocks, read-only int8 arrays of BLOCK entries each, k ascending
+_kept = ()
+
+
+def mobius_blocks(n_max: int):
     """mu(2k + 1) for the odd n = 2k + 1 <= n_max, k ascending, as
-    int8 blocks of at most BLOCK entries. Each block is overwritten by
-    the next, so read it before asking for the next. The even n follow:
-    mu(2m) = -mu(m) for odd m, and mu(4m) = 0. The sieve runs in
-    ``scratch``, a uint8 array of at least 2*min(BLOCK, (n_max + 1)//2)
-    entries, allocated here when none is given.
+    read-only int8 blocks of at most BLOCK entries. The even n follow:
+    mu(2m) = -mu(m) for odd m, and mu(4m) = 0.
+
+    The first KEPT_BLOCKS blocks are kept for the process, in a table
+    built on first use that grows a whole block at a time, and only when
+    a call needs more of it. A call whose odd n fit in KEPT_BLOCKS
+    blocks sieves, at the call, the whole blocks the table lacks, and
+    gets views of the table. A call past that streams every block as
+    below, each overwritten by the next, so read it before asking for
+    the next. The table is a tuple of blocks that growth extends and
+    publishes with one rebind, so a concurrent reader sees the old table
+    or the new one, never half of one. Two calls that grow it at once
+    each sieve the blocks they lack into a table of their own, with the
+    same mu, and the later rebind wins: a race can only duplicate work.
 
     Let N = n_max and l(x) = floor(2*log2(x)), the bit length of x*x
     less 1. Per odd n, a uint8 holds in bit 7 whether p*p | n for some
@@ -65,40 +81,73 @@ def mobius_blocks(n_max: int, scratch=None):
     4, 9, 36, 225 >= 2**(2t - 1), and P_t > 4**t from t = 5 on (P_5 =
     2310, and every later prime exceeds 4). Likewise S <= l(N) + t, so
     S fits 7 bits while l(N) + t < 128, that is N < 2**57; past that,
-    ValueError is raised before anything is allocated.
+    ValueError is raised at the call, before the table is read and
+    before anything is allocated. The table's blocks are sieved with N
+    the last odd n of the last block, so they hold the same mu.
 
     TILE starts every block, which then strikes the primes
     7 < p <= sqrt(N) with two strided slices each, stride p from
     k = (p - 1)/2 and stride p*p from k = (p*p - 1)/2, and compares S
     with l(n) - t + 1 in one slice per run of constant l. The primes
-    are found here, so an invalid n_max fails at the call.
+    are found only when a block is sieved: at the call when it streams,
+    so an invalid n_max fails there, and on growth of the table.
     """
     n_max = operator.index(n_max)  # an exact int, for bit_length
+    t, root = _sieve_bounds(n_max)
+    count = (n_max + 1) // 2  # the odd n <= n_max
+    if count > KEPT_BLOCKS * BLOCK:
+        return _odd_blocks(n_max, t, _primes(root))
+    need = -(-count // BLOCK)
+    kept = _kept  # read once: a concurrent growth may rebind it
+    if len(kept) < need:
+        kept = _grow(kept, need)
+    return (kept[i][: count - i * BLOCK] for i in range(need))
+
+
+def _sieve_bounds(n_max):
+    """(t, floor(sqrt(N))) of the sieve to n_max (see mobius_blocks)."""
     t = max(sum(P <= n_max for P in PRIMORIALS), 1)
     if (n_max * n_max).bit_length() - 1 + t >= 128:
         raise ValueError(f"n_max={n_max} is past the sieve's uint8 sums (2**57)")
-    root = math.isqrt(n_max)
+    return t, math.isqrt(n_max)
+
+
+def _primes(root):
+    """The primes 7 < p <= root, which the blocks strike."""
     is_prime = np.ones(root + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(root) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    primes = [p for p in np.flatnonzero(is_prime).tolist() if p > TILED[-1]]
-    return _odd_blocks(n_max, root, t, primes, scratch)
+    return [p for p in np.flatnonzero(is_prime).tolist() if p > TILED[-1]]
 
 
-def _odd_blocks(n_max, root, t, primes, scratch):
-    count = (n_max + 1) // 2  # the odd n <= n_max
+def _grow(kept, need):
+    """Sieve the blocks ``kept`` lacks up to ``need`` blocks, each into
+    an array of its own, and publish the longer table."""
+    global _kept
+    top = 2 * need * BLOCK - 1  # the last odd n of the last block
+    t, root = _sieve_bounds(top)
+    _kept = kept = kept + tuple(_odd_blocks(top, t, _primes(root), len(kept), keep=True))
+    return kept
+
+
+def _odd_blocks(n_max, t, primes, first=0, keep=False):
+    """The blocks of mu(2k + 1) for the odd n <= n_max from block
+    ``first`` on, each in an array of its own when ``keep``, else each
+    overwritten by the next."""
+    count = (n_max + 1) // 2
     size = min(BLOCK, count)
-    if scratch is None:
-        scratch = np.empty(2 * size, dtype=np.uint8)
-    sums = scratch[:size]  # the sums, then mu in place
-    flags = scratch[size : 2 * size].view(bool)
+    root = math.isqrt(n_max)
+    flags = np.empty(size, dtype=bool)
+    sums = None  # the sums, then mu in place
     # a uint8 weight and an explicit out: ``view += w`` would convert a
     # Python int and write the view back through __setitem__ on every call
     weights = np.array([((p * p).bit_length() - 1) | 1 for p in primes], dtype=np.uint8)
     strikes = [(p // 2, p, w, p * p // 2, p * p) for p, w in zip(primes, weights)]
-    for lo in range(0, count, BLOCK):
+    for lo in range(first * BLOCK, count, BLOCK):
+        if sums is None or keep:
+            sums = np.empty(size, dtype=np.uint8)
         n = min(BLOCK, count - lo)
         blk, above = sums[:n], flags[:n]
         whole = n - n % TILE_PERIOD
@@ -125,7 +174,9 @@ def _odd_blocks(n_max, root, t, primes, scratch):
         np.equal(blk, 0, out=above)
         np.equal(blk, 1, out=blk.view(bool))
         np.subtract(above.view(np.int8), blk.view(np.int8), out=blk.view(np.int8))
-        yield blk.view(np.int8)
+        mu = blk.view(np.int8)
+        mu.flags.writeable = False
+        yield mu
 
 
 def sieve_mobius(n_max: int) -> np.ndarray:
@@ -205,7 +256,8 @@ def weighted_mobius_sums(readers, blocks, checkpoints):
     v(i) is the observable along the orbit at time i, in any integer
     dtype, and ``readers`` is a pair (odd, even) of callables: for a <=
     k < b, odd(a, b) gives v(2k + 1) and even(a, b) gives v(4k + 2), as
-    b - a values, read before the same reader is called again. As
+    b - a values, read before either reader is called again, so the
+    two may fill one buffer. As
     mu(2m) = -mu(m) for odd m and mu(4m) = 0, S_n is the sum of
     v(2k + 1)*mu(2k + 1) over k <= (n - 1)/2 less the sum of
     v(4k + 2)*mu(2k + 1) over k <= (n - 2)/4, so each block is read once
@@ -216,9 +268,10 @@ def weighted_mobius_sums(readers, blocks, checkpoints):
     bytes, one width up from the values (BLOCK int16 products for int8
     values, int32 for int16, else int64), and is summed exactly: in
     int32 for int8 values, whose chunk sums stay below 128*BLOCK, else
-    in int64. With the sieve's two block buffers, a sum to any N holds
-    about 4*BLOCK bytes besides what the readers hold, never an N-entry
-    mu. Every sum is exact when max|v| * n < 2**63.
+    in int64. Besides what the readers hold, a sum to any N holds those
+    2*BLOCK bytes and what ``blocks`` holds: nothing more for blocks of
+    the kept table, 2*BLOCK bytes for streamed ones, never an N-entry mu.
+    Every sum is exact when max|v| * n < 2**63.
     """
     cps = [int(c) for c in checkpoints]
     # per read: its reader, the cut (first k left out) of each

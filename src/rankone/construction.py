@@ -97,10 +97,7 @@ class ConstructionParams:
 
     @classmethod
     def random_bounded(cls, h1, r_max, s_max, seed) -> "ConstructionParams":
-        return cls(
-            h1=h1, kind=_Kind.RANDOM, r_max=r_max, s_max=s_max, seed=seed,
-            name=f"random(r<={r_max},s<={s_max},seed={seed})",
-        )
+        return cls(h1=h1, kind=_Kind.RANDOM, r_max=r_max, s_max=s_max, seed=seed)
 
     # -- stage access --------------------------------------------------
 

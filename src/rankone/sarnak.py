@@ -11,17 +11,21 @@ that holds them (int8 for an indicator), spacers valued 0, scanned for
 overflow only when a sum of them could overflow. The weighted sum never
 builds its orbit: it reads mu one sieve block of odd n at a time
 (mu(2m) = -mu(m) for odd m, mu(4m) = 0), and for each block reads the
-values at the odd times 2k + 1 and at the times 4k + 2 of that block's
-k, each into a reused buffer of at most BLOCK entries, decoded from one
-stage word of at most BLOCK/4 entries. The values at the times 4k are
-never decoded. It multiplies in one integer width up and sums exactly,
-so its memory is flat in N: it holds no N-entry mu or orbit. A strided
-sum widens the entries it picks a block at a time, so no sum holds an
-N-entry int64 array. The telescoping chain is an algebraic identity
-and its check must not depend on rounding. Only the decay traces
-|S_N|/N are floats. Each sum is fixed by (start, N) and sieves mu to N
-itself once the orbit has passed the word guard, so an orbit past that
-guard fails before the sieve.
+values at the odd times 2k + 1 and then at the times 4k + 2 of that
+block's k into one reused buffer of at most BLOCK entries, decoded from
+one stage word of at most BLOCK/4 entries. The values at the times 4k
+are never decoded. It multiplies in one integer width up and sums
+exactly, so its memory is flat in N: it holds no N-entry mu or orbit.
+A strided sum widens the entries it picks a block at a time, so no sum
+holds an N-entry int64 array. The telescoping chain is an algebraic
+identity and its check must not depend on rounding. Only the decay
+traces |S_N|/N are floats. Each sum is fixed by (start, N) and reads
+mu to N through ``_kernels.mobius_blocks`` once the orbit has passed
+the word guard, so an orbit past that guard fails before any sieve.
+mu(2k + 1) for the first KEPT_BLOCKS blocks, the odd n <= 6,350,399,
+is sieved once per process and kept read-only, so every sum and
+telescope of a process reads that prefix without sieving it again;
+past it, mu is sieved to N a block at a time.
 
 There is one telescoping chain, ``prime_extension_report``, which is
 also its one report, with one hypothesis, checked on the orbit:
@@ -210,26 +214,28 @@ def mobius_weighted_sum(
     """S_N = sum_{i=1..N} f(T^i x) mu(i), exactly, for x the point at
     level ``start``; checkpoints at n = 100, 1000, ... and N. The orbit
     reader ``_orbit`` gives the values one mu block at a time, at the
-    odd times 2k + 1 and at the times 4k + 2 each into a reused buffer
-    of at most BLOCK entries, scanned block by block when the largest
-    numerator could overflow the sum.
-    mu is sieved to N a block at a time once the orbit has passed the
-    word guard, and neither mu nor the orbit is ever held whole."""
+    odd times 2k + 1 and then at the times 4k + 2, into one reused
+    buffer of at most BLOCK entries, scanned block by block when the
+    largest numerator could overflow the sum.
+    mu is read from ``_kernels.mobius_blocks`` once the orbit has passed
+    the word guard: views of the process's kept blocks for N up to
+    2*KEPT_BLOCKS*BLOCK - 1, else sieved a block at a time, each block
+    overwritten by the next. The orbit is never held whole, and mu only
+    as the kept table, whose size does not grow with N."""
     read, dtype = _orbit(params, obs, start, N)
-    # the reads' and the sieve's buffers in one allocation, larger than the
-    # sum's others, which glibc then keeps on its heap from one sum to the
-    # next; apart, they were trimmed off the heap's top after each sum and
-    # faulted in again by the next (1200 faults, about 2 ms, a sum at
-    # N = 5e6 on a 2-core x86 VM)
-    odd, even = (min(_kernels.BLOCK, n) for n in ((N + 1) // 2, (N + 2) // 4))
-    work = np.empty(odd + even + -(-2 * odd // dtype.itemsize), dtype=dtype)
-    odd_buf, even_buf = work[:odd], work[odd : odd + even]
+    # one buffer for both reads: the sum is done with a block's odd-time
+    # values before it asks for its even-time ones. It and the products'
+    # buffer are the sum's two large allocations. glibc hands a free heap
+    # top back to the system once it reaches twice the largest block it
+    # has mmapped and freed, so two of about the same size are faulted in
+    # again by every sum (int16 values from N = 2e6, int32 near 1e6); int8
+    # products take twice the buffer's bytes, and stay on the heap
+    buf = np.empty(min(_kernels.BLOCK, (N + 1) // 2), dtype=dtype)
     grid = _checkpoint_grid(N)
     sums = _kernels.weighted_mobius_sums(
-        (lambda a, b: read(2 * a + 1, 2 * b + 1, 2, odd_buf[: b - a]),
-         lambda a, b: read(4 * a + 2, 4 * b + 2, 4, even_buf[: b - a])),
-        _kernels.mobius_blocks(N, work[odd + even :].view(np.uint8)),
-        np.array(grid, dtype=np.int64)
+        (lambda a, b: read(2 * a + 1, 2 * b + 1, 2, buf[: b - a]),
+         lambda a, b: read(4 * a + 2, 4 * b + 2, 4, buf[: b - a])),
+        _kernels.mobius_blocks(N), np.array(grid, dtype=np.int64)
     )
     checkpoints = tuple(
         (n, _exact(int(s), obs.denom)) for n, s in zip(grid, sums)

@@ -42,6 +42,15 @@ def test_random_generator_is_deterministic_and_bounded():
         assert all(0 <= x <= 4 for x in sa.s)
 
 
+def test_random_constructions_describe_their_h1():
+    # unequal constructions that differ in h1 alone print different names
+    a = cons.ConstructionParams.random_bounded(0, 3, 3, 5)
+    b = cons.ConstructionParams.random_bounded(2, 3, 3, 5)
+    assert a != b
+    assert a.describe() == "random(h1=0,r<=3,s<=3,seed=5)"
+    assert b.describe() == "random(h1=2,r<=3,s<=3,seed=5)"
+
+
 def fresh_draw(seed, r_max, s_max, j):
     rng = random.Random(seed * 1_000_003 + j)
     r = rng.randint(2, r_max)

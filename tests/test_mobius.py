@@ -1,5 +1,9 @@
+import contextlib
+import functools
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -90,14 +94,24 @@ def test_sieve_matches_direct_at_any_size(n_max):
     assert sieve_mobius(n_max).tolist() == DIRECT[: n_max + 1]
 
 
+def streamed(monkeypatch):
+    """With no table kept, every size streams: the sieve runs to n_max
+    itself, with the primes to sqrt(n_max) and the threshold of n_max."""
+    monkeypatch.setattr(_kernels, "KEPT_BLOCKS", 0)
+    monkeypatch.setattr(_kernels, "_kept", ())
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 97, 521, 1009, 2003])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
-def test_sieve_at_prime_square_boundaries(p, offset):
+def test_sieve_at_prime_square_boundaries(monkeypatch, p, offset):
     # n_max around p^2 moves p in or out of the struck primes <= sqrt(n_max);
     # the (n_max + 1)/2 odd n then make one block shorter than p^2, so from
-    # p = 11 on, p^2 is struck as a scalar
+    # p = 11 on, p^2 is struck as a scalar; read from the kept table, then
+    # streamed
     n_max = p * p + offset
     mu = _kernels.sieve_mobius(n_max)
+    streamed(monkeypatch)
+    assert np.array_equal(_kernels.sieve_mobius(n_max), mu)
     if n_max < len(DIRECT):
         assert mu.tolist() == DIRECT[: n_max + 1]
     for k in range(1, n_max // (p * p) + 1):
@@ -163,8 +177,13 @@ SEAMS = [44_100, 2**18, 6 * 44_100, 2 * 2**18, 12 * 44_100, 3 * 2**18,
 
 
 @pytest.mark.parametrize("n_max", [n + d for n in SEAMS for d in (-1, 0, 1)])
-def test_sieve_blocks_match_unsegmented_strike(n_max):
-    assert np.array_equal(_kernels.sieve_mobius(n_max), unsegmented_sieve(n_max))
+def test_sieve_blocks_match_unsegmented_strike(monkeypatch, n_max):
+    # read from the kept table, then streamed
+    want = unsegmented_sieve(n_max)
+    assert np.array_equal(_kernels.sieve_mobius(n_max), want)
+    streamed(monkeypatch)
+    assert np.array_equal(_kernels.sieve_mobius(n_max), want)
+    assert _kernels._kept == ()
 
 
 @pytest.mark.parametrize("n_max,expected", [(1, [0, 1]), (2, [0, 1, -1])])
@@ -211,3 +230,138 @@ def test_invalid_sieve_size():
 def test_table_is_readonly():
     with pytest.raises(ValueError):
         MU[3] = 5
+
+
+# the kept table: KEPT_BLOCKS whole blocks of odd n, to TOP = 6,350,399
+BLOCK, KEPT = _kernels.BLOCK, _kernels.KEPT_BLOCKS
+TOP = 2 * KEPT * BLOCK - 1
+EDGES = [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK - 1, 4 * BLOCK + 1,
+         TOP - 1, TOP, TOP + 1, TOP + 2, TOP + 3]
+ORACLE_TOP = TOP + 3
+
+
+@functools.cache
+def oracle():
+    return unsegmented_sieve(ORACLE_TOP)
+
+
+def odd_mu(n_max):
+    return np.concatenate([np.empty(0, np.int8), *_kernels.mobius_blocks(n_max)])
+
+
+@contextlib.contextmanager
+def table(kept):
+    """The kept table set to ``kept`` for the block, then put back."""
+    saved = _kernels._kept
+    _kernels._kept = kept
+    try:
+        yield
+    finally:
+        _kernels._kept = saved
+
+
+def kept_entries():
+    return sum(map(len, _kernels._kept))
+
+
+def read_halves(vals):
+    """The values at the times 2k + 1 and 4k + 2, k in [a, b), as views."""
+    return (lambda a, b: vals[2 * a : 2 * b : 2], lambda a, b: vals[4 * a + 1 : 4 * b + 1 : 4])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 20_000), st.sampled_from(EDGES),
+                          st.integers(1, ORACLE_TOP)), min_size=1, max_size=4),
+       st.sampled_from(["drawn", "ascending", "descending", "repeated"]),
+       st.integers(0, 2**32 - 1))
+def test_kept_table_serves_any_sequence_of_sizes(sizes, order, seed):
+    # from a cold table, in any order: each sieve is the unsegmented strike,
+    # each sum is the same with the table as it stands and from cold, and
+    # the table never holds more than KEPT_BLOCKS blocks
+    sizes = {"ascending": sorted(sizes), "descending": sorted(sizes, reverse=True),
+             "repeated": [n for n in sizes for _ in range(2)]}.get(order, sizes)
+    vals = np.random.default_rng(seed).integers(-128, 128, size=max(sizes), dtype=np.int8)
+    with table(()):
+        for n_max in sizes:
+            assert np.array_equal(_kernels.sieve_mobius(n_max), oracle()[: n_max + 1]), n_max
+            checkpoints = np.array(sorted({1, n_max // 2 or 1, n_max}), np.int64)
+            warm = _kernels.weighted_mobius_sums(read_halves(vals), _kernels.mobius_blocks(n_max),
+                                                 checkpoints)
+            with table(()):
+                cold = _kernels.weighted_mobius_sums(read_halves(vals),
+                                                     _kernels.mobius_blocks(n_max), checkpoints)
+            assert warm.tolist() == cold.tolist(), n_max
+            assert kept_entries() <= KEPT * BLOCK
+            assert all(len(blk) == BLOCK for blk in _kernels._kept)
+
+
+def test_table_grows_whole_blocks_only_when_asked(monkeypatch):
+    monkeypatch.setattr(_kernels, "_kept", ())
+    assert not list(_kernels.mobius_blocks(0)) and _kernels._kept == ()
+    odd_mu(3000)
+    first = _kernels._kept
+    assert len(first) == 1
+    odd_mu(2 * BLOCK - 1)  # the first block's last odd n
+    assert _kernels._kept is first
+    odd_mu(2 * BLOCK + 1)
+    assert len(_kernels._kept) == 2 and _kernels._kept[0] is first[0]
+    odd_mu(TOP + 2)  # streams, and leaves the table as it was
+    assert len(_kernels._kept) == 2
+    odd_mu(TOP + 1)  # the even n past TOP adds no odd n
+    assert kept_entries() == KEPT * BLOCK
+
+
+def test_a_table_hit_finds_no_primes(monkeypatch):
+    odd_mu(TOP)  # the whole table
+
+    def no_primes(root):
+        raise AssertionError("found primes on a table hit")
+
+    monkeypatch.setattr(_kernels, "_primes", no_primes)
+    for n_max in (1, 3000, 2 * BLOCK, TOP):
+        assert np.array_equal(odd_mu(n_max), oracle()[1 : n_max + 1 : 2])
+    with pytest.raises(AssertionError, match="found primes"):
+        _kernels.mobius_blocks(TOP + 2)  # streams: its primes are found at the call
+
+
+@pytest.mark.parametrize("n_max", [3000, 2 * BLOCK + 1, TOP, TOP + 2])
+def test_blocks_handed_out_are_read_only(monkeypatch, n_max):
+    # views of the table, and the streamed blocks past it
+    monkeypatch.setattr(_kernels, "_kept", ())
+    for blk in _kernels.mobius_blocks(n_max):
+        assert not blk.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            blk[0] = 1
+
+
+def test_threads_growing_the_table_at_once_read_the_same_mu():
+    # more threads than cores, switching often, each from its own point of
+    # a cold table: a torn table or a block still being sieved would show
+    sizes = [3000, 2 * BLOCK + 1, TOP, 4 * BLOCK - 1, TOP + 2, 5000]
+    want, results, errors = oracle(), {}, []
+
+    def work(i):
+        try:
+            for n_max in sizes[i:] + sizes[:i]:
+                results[i, n_max] = np.array_equal(_kernels.sieve_mobius(n_max),
+                                                   want[: n_max + 1])
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with table(()):
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+            assert not any(th.is_alive() for th in threads)
+            assert kept_entries() <= KEPT * BLOCK
+            for blk, lo in zip(_kernels._kept, range(0, KEPT * BLOCK, BLOCK)):
+                assert np.array_equal(blk, want[2 * lo + 1 : 2 * (lo + BLOCK) : 2])
+    finally:
+        sys.setswitchinterval(switch)
+    assert not errors
+    assert len(results) == 4 * len(sizes) and all(results.values())
