@@ -40,28 +40,43 @@ TILE.flags.writeable = False
 
 
 #: whole sieve blocks of mu kept for the process (see mobius_blocks): 3*BLOCK
-#: bytes, which cover the odd n <= 6*BLOCK - 1 = 6,350,399
+#: bytes and 3*2*BLOCK/8 of sign planes, which cover the odd n <= 6*BLOCK - 1
+#: = 6,350,399
 KEPT_BLOCKS = 3
-#: the kept blocks, read-only int8 arrays of BLOCK entries each, k ascending
-_kept = ()
+
+
+class _Table(tuple):
+    """The kept blocks, read-only int8 arrays of BLOCK entries each, k
+    ascending, with ``planes``: block i's read-only sign planes."""
+
+    planes = ()
+
+
+_kept = _Table()
 
 
 def mobius_blocks(n_max: int):
     """mu(2k + 1) for the odd n = 2k + 1 <= n_max, k ascending, as
-    read-only int8 blocks of at most BLOCK entries. The even n follow:
+    read-only pairs (mu, planes): mu an int8 block of at most BLOCK
+    entries, planes its two sign planes, a (2, ceil(len(mu)/64)) uint64
+    array with bit i of word w set in row 0 where mu[64w + i] = +1 and
+    in row 1 where it is -1 (``np.packbits`` with ``bitorder="little"``).
+    The last word's bits past len(mu) are not mu's. The even n follow:
     mu(2m) = -mu(m) for odd m, and mu(4m) = 0.
 
-    The first KEPT_BLOCKS blocks are kept for the process, in a table
-    built on first use that grows a whole block at a time, and only when
-    a call needs more of it. A call whose odd n fit in KEPT_BLOCKS
-    blocks sieves, at the call, the whole blocks the table lacks, and
-    gets views of the table. A call past that streams every block as
-    below, each overwritten by the next, so read it before asking for
-    the next. The table is a tuple of blocks that growth extends and
-    publishes with one rebind, so a concurrent reader sees the old table
-    or the new one, never half of one. Two calls that grow it at once
-    each sieve the blocks they lack into a table of their own, with the
-    same mu, and the later rebind wins: a race can only duplicate work.
+    The first KEPT_BLOCKS blocks and their planes are kept for the
+    process, in a table built on first use that grows a whole block at a
+    time, and only when a call needs more of it. A call whose odd n fit
+    in KEPT_BLOCKS blocks sieves, at the call, the whole blocks the table
+    lacks, and gets views of the table. A call past that streams every
+    block as below, each pair overwritten by the next, so read it before
+    asking for the next: planes never outlive their block. The table is
+    a tuple of blocks that holds their planes, and growth extends it and
+    publishes it with one rebind, so a concurrent reader sees the old
+    table or the new one, never half of one. Two calls that grow it at
+    once each sieve the blocks they lack into a table of their own, with
+    the same mu, and the later rebind wins: a race can only duplicate
+    work.
 
     Let N = n_max and l(x) = floor(2*log2(x)), the bit length of x*x
     less 1. Per odd n, a uint8 holds in bit 7 whether p*p | n for some
@@ -88,9 +103,11 @@ def mobius_blocks(n_max: int):
     TILE starts every block, which then strikes the primes
     7 < p <= sqrt(N) with two strided slices each, stride p from
     k = (p - 1)/2 and stride p*p from k = (p*p - 1)/2, and compares S
-    with l(n) - t + 1 in one slice per run of constant l. The primes
-    are found only when a block is sieved: at the call when it streams,
-    so an invalid n_max fails there, and on growth of the table.
+    with l(n) - t + 1 in one slice per run of constant l. The last two
+    compares, [mu = +1] and [mu = -1], are the planes, packed as they
+    are made. The primes are found only when a block is sieved: at the
+    call when it streams, so an invalid n_max fails there, and on growth
+    of the table.
     """
     n_max = operator.index(n_max)  # an exact int, for bit_length
     t, root = _sieve_bounds(n_max)
@@ -101,7 +118,8 @@ def mobius_blocks(n_max: int):
     kept = _kept  # read once: a concurrent growth may rebind it
     if len(kept) < need:
         kept = _grow(kept, need)
-    return (kept[i][: count - i * BLOCK] for i in range(need))
+    return ((kept[i][: count - i * BLOCK], kept.planes[i][:, : -(-(count - i * BLOCK) // 64)])
+            for i in range(need))
 
 
 def _sieve_bounds(n_max):
@@ -123,19 +141,22 @@ def _primes(root):
 
 
 def _grow(kept, need):
-    """Sieve the blocks ``kept`` lacks up to ``need`` blocks, each into
-    an array of its own, and publish the longer table."""
+    """Sieve the blocks ``kept`` lacks up to ``need`` blocks, each with
+    its planes into arrays of its own, and publish the longer table."""
     global _kept
     top = 2 * need * BLOCK - 1  # the last odd n of the last block
     t, root = _sieve_bounds(top)
-    _kept = kept = kept + tuple(_odd_blocks(top, t, _primes(root), len(kept), keep=True))
-    return kept
+    blocks, planes = zip(*_odd_blocks(top, t, _primes(root), len(kept), keep=True))
+    table = _Table(kept + blocks)
+    table.planes = (kept.planes if kept else ()) + planes
+    _kept = table
+    return table
 
 
 def _odd_blocks(n_max, t, primes, first=0, keep=False):
     """The blocks of mu(2k + 1) for the odd n <= n_max from block
-    ``first`` on, each in an array of its own when ``keep``, else each
-    overwritten by the next."""
+    ``first`` on, with their planes (see mobius_blocks), each pair in
+    arrays of its own when ``keep``, else each overwritten by the next."""
     count = (n_max + 1) // 2
     size = min(BLOCK, count)
     root = math.isqrt(n_max)
@@ -148,6 +169,7 @@ def _odd_blocks(n_max, t, primes, first=0, keep=False):
     for lo in range(first * BLOCK, count, BLOCK):
         if sums is None or keep:
             sums = np.empty(size, dtype=np.uint8)
+            planes = np.empty((2, -(-size // 64)), dtype=np.uint64)
         n = min(BLOCK, count - lo)
         blk, above = sums[:n], flags[:n]
         whole = n - n % TILE_PERIOD
@@ -173,10 +195,14 @@ def _odd_blocks(n_max, t, primes, first=0, keep=False):
         blk ^= above.view(np.uint8)  # 0 or 1 if squarefree, else 128 or 129
         np.equal(blk, 0, out=above)
         np.equal(blk, 1, out=blk.view(bool))
+        rows, packed = planes.view(np.uint8), -(-n // 8)
+        for row, signs in zip(rows, (above, blk.view(bool))):
+            row[:packed] = np.packbits(signs, bitorder="little")
+            row[packed:] = 0  # a short last block leaves the words of the block before
         np.subtract(above.view(np.int8), blk.view(np.int8), out=blk.view(np.int8))
-        mu = blk.view(np.int8)
-        mu.flags.writeable = False
-        yield mu
+        mu, signs = blk.view(np.int8), planes[:, : -(-n // 64)]
+        mu.flags.writeable = signs.flags.writeable = False
+        yield mu, signs
 
 
 def sieve_mobius(n_max: int) -> np.ndarray:
@@ -186,7 +212,7 @@ def sieve_mobius(n_max: int) -> np.ndarray:
     blocks = mobius_blocks(n_max)
     mu = np.zeros(n_max + 1, dtype=np.int8)
     odd, lo = mu[1::2], 0
-    for blk in blocks:
+    for blk, _ in blocks:
         odd[lo : lo + len(blk)] = blk
         lo += len(blk)
     np.negative(mu[1 : n_max // 2 + 1 : 2], out=mu[2::4])
@@ -249,63 +275,126 @@ def class_counts(labels, n_ref):
 
 def weighted_mobius_sums(readers, blocks, checkpoints):
     """Partial sums S_n = sum_{i<=n} v(i)*mu(i) at each of the ascending
-    checkpoints, as int64, with mu read from ``blocks``: the blocks of
-    mu(2k + 1) that ``mobius_blocks`` yields for the last checkpoint or
+    checkpoints, as int64, with mu read from ``blocks``: the (mu, planes)
+    pairs that ``mobius_blocks`` yields for the last checkpoint or
     beyond.
 
-    v(i) is the observable along the orbit at time i, in any integer
-    dtype, and ``readers`` is a pair (odd, even) of callables: for a <=
-    k < b, odd(a, b) gives v(2k + 1) and even(a, b) gives v(4k + 2), as
-    b - a values, read before either reader is called again, so the
-    two may fill one buffer. As
+    v(i) is the observable along the orbit at time i, bool or of any
+    integer dtype, and ``readers`` is a pair (odd, even) of callables:
+    for a <= k < b, odd(a, b) gives v(2k + 1) and even(a, b) gives
+    v(4k + 2), as b - a values, read before either reader is called
+    again, so the two may fill one buffer. As
     mu(2m) = -mu(m) for odd m and mu(4m) = 0, S_n is the sum of
     v(2k + 1)*mu(2k + 1) over k <= (n - 1)/2 less the sum of
     v(4k + 2)*mu(2k + 1) over k <= (n - 2)/4, so each block is read once
     against odd(a, b) and, while 4k + 2 <= n, once against even(a, b),
     both over the block's own k; v at the times 4k is never asked for.
-    Each of the two reads walks a block in chunks split at its cuts;
-    each chunk multiplies mu into one reused buffer of at most 2*BLOCK
-    bytes, one width up from the values (BLOCK int16 products for int8
-    values, int32 for int16, else int64), and is summed exactly: in
-    int32 for int8 values, whose chunk sums stay below 128*BLOCK, else
-    in int64. Besides what the readers hold, a sum to any N holds those
-    2*BLOCK bytes and what ``blocks`` holds: nothing more for blocks of
-    the kept table, 2*BLOCK bytes for streamed ones, never an N-entry mu.
-    Every sum is exact when max|v| * n < 2**63.
+    Each of the two reads is summed in chunks split at its cuts, on one
+    of two paths, picked by the dtype of the first read.
+
+    bool values (an indicator) are packed little-endian, 64 to a uint64
+    word, into one reused buffer of ceil(BLOCK/64) words whose tail past
+    the read is zeroed; a chunk's sum is popcount(v & [mu = +1]) -
+    popcount(v & [mu = -1]) against the block's two sign planes, summed
+    exactly over its whole words, and a cut inside a word masks that
+    word (``_plane_sums``). No product is formed.
+
+    Integer values are multiplied by mu, chunk by chunk, into one reused
+    buffer of at most 2*BLOCK bytes, one width up from the values (BLOCK
+    int16 products for int8 values, int32 for int16, else int64), and
+    each chunk is summed exactly: in int32 for int8 values, whose chunk
+    sums stay below 128*BLOCK, else in int64 (``_product_sums``).
+
+    Besides what the readers hold, a sum to any N holds that one buffer
+    and what ``blocks`` holds: nothing more for blocks of the kept
+    table, one block and its planes for streamed ones, never an N-entry
+    mu. Every sum is exact when max|v| * n < 2**63.
     """
     cps = [int(c) for c in checkpoints]
     # per read: its reader, the cut (first k left out) of each
     # checkpoint, and the sum from the cut before up to each cut
     reads = [(readers[0], [(c - 1) // 2 + 1 for c in cps], [0] * len(cps)),
              (readers[1], [(c - 2) // 4 + 1 for c in cps], [0] * len(cps))]
-    buf = None
+    add = None
     lo = 0
-    for mu in blocks:
+    for mu, planes in blocks:
         hi = lo + len(mu)
         for read, cuts, between in reads:
             end = min(hi, cuts[-1])
             if end <= lo:
                 continue
             vals = read(lo, end)
-            if buf is None:  # the first read gives the values' dtype
-                size = vals.dtype.itemsize
-                wide = np.dtype({1: np.int16, 2: np.int32}.get(size, np.int64))
-                acc_dtype = np.int32 if size == 1 else np.int64
-                step = 2 * BLOCK // wide.itemsize
-                buf = np.empty(min(step, reads[0][1][-1]), dtype=wide)
-            a = lo
-            while a < end:
-                i = bisect.bisect_right(cuts, a)
-                b = min(a + step, end, cuts[i])
-                prods = buf[: b - a]
-                np.multiply(vals[a - lo : b - lo], mu[a - lo : b - lo], out=prods, dtype=wide)
-                between[i] += int(prods.sum(dtype=acc_dtype))
-                a = b
+            if add is None:  # the first read gives the values' dtype
+                size = min(BLOCK, reads[0][1][-1])
+                add = (_plane_sums(size) if vals.dtype == bool
+                       else _product_sums(vals.dtype, size))
+            add(vals, mu, planes, lo, cuts, between)
         lo = hi
     (_, cuts, plus), (_, _, minus) = reads
     if lo < cuts[-1]:
         raise ValueError(f"mu ends at n = {2 * lo - 1}, before checkpoint {cps[-1]}")
     return np.cumsum(plus, dtype=np.int64) - np.cumsum(minus, dtype=np.int64)
+
+
+def _chunks(cuts, a, end, step):
+    """[a, end) split at the ascending ``cuts`` and every ``step``
+    entries, as (i, a, b): cuts[i] is the first cut past a."""
+    while a < end:
+        i = bisect.bisect_right(cuts, a)
+        b = min(a + step, end, cuts[i])
+        yield i, a, b
+        a = b
+
+
+def _product_sums(dtype, size):
+    """add(vals, mu, planes, lo, cuts, between) for values of the integer
+    ``dtype`` at k = lo, lo + 1, ...: adds each chunk's sum of vals*mu to
+    between[i] (see weighted_mobius_sums)."""
+    wide = np.dtype({1: np.int16, 2: np.int32}.get(dtype.itemsize, np.int64))
+    acc_dtype = np.int32 if dtype.itemsize == 1 else np.int64
+    step = 2 * BLOCK // wide.itemsize
+    buf = np.empty(min(step, size), dtype=wide)
+
+    def add(vals, mu, planes, lo, cuts, between):
+        for i, a, b in _chunks(cuts, lo, lo + len(vals), step):
+            prods = buf[: b - a]
+            np.multiply(vals[a - lo : b - lo], mu[a - lo : b - lo], out=prods, dtype=wide)
+            between[i] += int(prods.sum(dtype=acc_dtype))
+
+    return add
+
+
+def _plane_sums(size):
+    """add(vals, mu, planes, lo, cuts, between) for bool values of at most
+    ``size`` entries at k = lo, lo + 1, ...: adds each chunk's popcounts
+    against the sign planes to between[i] (see weighted_mobius_sums)."""
+    words = -(-size // 64)
+    bits, masked = np.empty(words, dtype=np.uint64), np.empty(words, dtype=np.uint64)
+    ones = np.empty((2, words), dtype=np.uint8)  # per word: [mu = +1], [mu = -1]
+
+    def add(vals, mu, planes, lo, cuts, between):
+        n = len(vals)
+        used, raw = -(-n // 64), bits.view(np.uint8)
+        raw[: -(-n // 8)] = np.packbits(vals, bitorder="little")
+        raw[-(-n // 8) : 8 * used] = 0
+        for plane, count in zip(planes, ones):
+            np.bitwise_and(bits[:used], plane[:used], out=masked[:used])
+            np.bitwise_count(masked[:used], out=count[:used])
+        plus, minus = ones
+
+        def below(x):  # the signed count of the bits before x in x's word
+            w, r = divmod(x, 64)
+            if not r:
+                return 0
+            v = int(bits[w]) & ((1 << r) - 1)
+            return (v & int(planes[0, w])).bit_count() - (v & int(planes[1, w])).bit_count()
+
+        for i, a, b in _chunks(cuts, lo, lo + n, n):
+            wa, wb = (a - lo) // 64, (b - lo) // 64
+            between[i] += (int(plus[wa:wb].sum()) - int(minus[wa:wb].sum())
+                           + below(b - lo) - below(a - lo))
+
+    return add
 
 
 def strided_mobius_sum(values, mu, stride, count):

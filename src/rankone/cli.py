@@ -407,7 +407,7 @@ def _cmd_telescope(cfg, out, report):
     d, N, M, start = p["d"], p["N"], p["M"], p["start"]
     _config_checked(sarnak.extension_primes, d, M)  # a composite d takes M = 1 only
     K = p["K"] or tower.orbit_depth(cfg.construction, 1, start, N)  # a given K is >= 1
-    L_K = cons.heights(cfg.construction, K).L(K)  # the indicator checks the word guard
+    L_K = tower.checked_heights(cfg.construction, K).L(K)
     levels = p["levels"] if p["levels"] is not None else range(0, L_K, d)
     obs = sarnak.Observable.indicator(cfg.construction, K, levels)
     rep = sarnak.prime_extension_report(cfg.construction, obs, d, start, N, M)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -229,6 +229,18 @@ def heights(params: ConstructionParams, J: int) -> HeightTable:
     if J < 1:
         raise ValueError("J must be >= 1")
     return HeightTable(tuple(_grow(params, J)[:J]))
+
+
+def heights_within(params: ConstructionParams, J: int, n: int) -> HeightTable:
+    """Level counts L_1..L_J, or L_1..L_m when m < J is the first stage
+    whose L_m passes n: L_j strictly increases, so L_J > n then too. The
+    table is grown no further than that stage."""
+    if J < 1:
+        raise ValueError("J must be >= 1")
+    levels = _level_table(params)
+    while len(levels) < J and levels[-1] <= n:
+        _grow(params, len(levels) + 1)
+    return HeightTable(tuple(levels[: min(J, bisect_right(levels, n) + 1)]))
 
 
 def format_count(n: int) -> str:

@@ -6,26 +6,31 @@ evaluated in exact integer arithmetic: an observable's rational
 coefficients are cleared to their common denominator once, when it is
 built, and every sum runs on those numerators. Both read f(T^i x)
 through one orbit reader, ``_orbit``: one ``tower._decoder`` at depth
-``tower.orbit_depth`` of the numerators in the narrowest signed dtype
-that holds them (int8 for an indicator), spacers valued 0, scanned for
-overflow only when a sum of them could overflow. The weighted sum never
-builds its orbit: it reads mu one sieve block of odd n at a time
+``tower.orbit_depth`` of the numerators in the narrowest dtype that
+holds them (bool for an indicator, whose numerators are all 0 or 1,
+else the narrowest signed integer), spacers valued 0 (False), scanned
+for overflow only when a sum of them could overflow. The weighted sum
+never builds its orbit: it reads mu one sieve block of odd n at a time
 (mu(2m) = -mu(m) for odd m, mu(4m) = 0), and for each block reads the
 values at the odd times 2k + 1 and then at the times 4k + 2 of that
 block's k into one reused buffer of at most BLOCK entries, decoded from
 one stage word of at most BLOCK/4 entries. The values at the times 4k
-are never decoded. It multiplies in one integer width up and sums
-exactly, so its memory is flat in N: it holds no N-entry mu or orbit.
-A strided sum widens the entries it picks a block at a time, so no sum
-holds an N-entry int64 array. The telescoping chain is an algebraic
-identity and its check must not depend on rounding. Only the decay
-traces |S_N|/N are floats. Each sum is fixed by (start, N) and reads
-mu to N through ``_kernels.mobius_blocks`` once the orbit has passed
-the word guard, so an orbit past that guard fails before any sieve.
-mu(2k + 1) for the first KEPT_BLOCKS blocks, the odd n <= 6,350,399,
-is sieved once per process and kept read-only, so every sum and
-telescope of a process reads that prefix without sieving it again;
-past it, mu is sieved to N a block at a time.
+are never decoded. An indicator's values are packed 64 to a word and
+counted against the block's two sign planes, [mu = +1] and [mu = -1],
+by popcount; other values are multiplied by mu one integer width up.
+Both sum exactly, so its memory is flat in N: it holds no N-entry mu or
+orbit. A strided sum widens the entries it picks a block at a time, so
+no sum holds an N-entry int64 array. The telescoping chain is an
+algebraic identity and its check must not depend on rounding. Every
+sum is an exact int or Fraction; only the rows of the decay trace are
+written as floats (S_n and S_n/n). Each sum is fixed by (start, N) and
+reads mu to N through ``_kernels.mobius_blocks`` once the orbit has
+passed the word guard, so an orbit past that guard fails before any
+sieve. mu(2k + 1) for the first KEPT_BLOCKS blocks, the odd n <=
+6,350,399, is sieved once per process and kept read-only with its sign
+planes, so every sum and telescope of a process reads that prefix
+without sieving it again; past it, mu is sieved to N a block at a
+time, each block's planes packed with it and overwritten with it.
 
 There is one telescoping chain, ``prime_extension_report``, which is
 also its one report, with one hypothesis, checked on the orbit:
@@ -158,13 +163,16 @@ def _orbit(params, obs: Observable, start: int, N: int):
     its dtype: read(a, b, step=1, out=None) gives f(T^i x) at the times
     i = a, a + step, ... < b (0 < a <= b <= N + 1), as numerators, into
     ``out`` when given. Decided once: the depth ``orbit_depth``, the
-    narrowest signed dtype holding every numerator and 0, one
-    ``_decoder`` of entries [0, start + N + 1) with spacers valued 0, and
-    whether reads need the overflow scan (max|numerator| * N >= 2**62)."""
+    narrowest dtype holding every numerator and 0 (bool when they are
+    all 0 or 1, as an indicator's are, else int8, int16, int32 or
+    int64), one ``_decoder`` of entries [0, start + N + 1) with spacers
+    valued 0, and whether reads need the overflow scan (max|numerator| *
+    N >= 2**62)."""
     K = orbit_depth(params, obs.stage, start, N)
     lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
-    dtype = next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
-                 if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+    dtype = np.dtype(bool) if 0 <= lo and hi <= 1 else next(
+        np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
     decode = _decoder(params, obs.stage, K, start + N + 1,
                       obs.nums.astype(dtype, copy=False), 0)
     scan = max(-lo, hi) * N >= _INT64_SAFE
@@ -216,20 +224,24 @@ def mobius_weighted_sum(
     reader ``_orbit`` gives the values one mu block at a time, at the
     odd times 2k + 1 and then at the times 4k + 2, into one reused
     buffer of at most BLOCK entries, scanned block by block when the
-    largest numerator could overflow the sum.
+    largest numerator could overflow the sum. An indicator's values are
+    bool, and ``_kernels.weighted_mobius_sums`` counts them against mu's
+    sign planes by popcount; other values it multiplies by mu.
     mu is read from ``_kernels.mobius_blocks`` once the orbit has passed
-    the word guard: views of the process's kept blocks for N up to
-    2*KEPT_BLOCKS*BLOCK - 1, else sieved a block at a time, each block
-    overwritten by the next. The orbit is never held whole, and mu only
-    as the kept table, whose size does not grow with N."""
+    the word guard: views of the process's kept blocks and their planes
+    for N up to 2*KEPT_BLOCKS*BLOCK - 1, else sieved a block at a time,
+    each block and its planes overwritten by the next. The orbit is
+    never held whole, and mu only as the kept table, whose size does not
+    grow with N."""
     read, dtype = _orbit(params, obs, start, N)
     # one buffer for both reads: the sum is done with a block's odd-time
-    # values before it asks for its even-time ones. It and the products'
+    # values before it asks for its even-time ones. It and the kernel's
     # buffer are the sum's two large allocations. glibc hands a free heap
     # top back to the system once it reaches twice the largest block it
     # has mmapped and freed, so two of about the same size are faulted in
     # again by every sum (int16 values from N = 2e6, int32 near 1e6); int8
-    # products take twice the buffer's bytes, and stay on the heap
+    # products take twice the buffer's bytes and bool values' packed words
+    # under a third, and both stay on the heap
     buf = np.empty(min(_kernels.BLOCK, (N + 1) // 2), dtype=dtype)
     grid = _checkpoint_grid(N)
     sums = _kernels.weighted_mobius_sums(

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .construction import ConstructionParams, HeightTable, first_stage_reaching, heights
-from .construction import format_count
+from .construction import format_count, heights_within
 from .errors import DepthTooShallow
 
 #: refuse to materialize words longer than this (memory guard)
@@ -59,12 +59,20 @@ def _heights_from(params: ConstructionParams, j: int, K: int) -> HeightTable:
 
 def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTable:
     """Heights through stage K; ValueError unless 1 <= j <= K or if the
-    stage-K word would exceed MAX_WORD_LENGTH. Correlations never build
-    that word, but this check is what bounds their ``_junction_counts``
-    arrays (see ``correlation_depths``)."""
-    table = _heights_from(params, j, K)
-    if table.L(K) > MAX_WORD_LENGTH:
-        raise ValueError(f"stage-{K} word has {format_count(table.L(K))} levels, over the "
+    stage-K word would exceed MAX_WORD_LENGTH. The table is grown no
+    further than K or the first stage m whose L_m passes that limit,
+    which proves L_K too large and is named when m < K. Correlations
+    never build that word, but this check is what bounds their
+    ``_junction_counts`` arrays (see ``correlation_depths``)."""
+    if not 1 <= j <= K:
+        raise ValueError(f"need 1 <= j <= K, got j={j}, K={K}")
+    table = heights_within(params, K, MAX_WORD_LENGTH)
+    m = table.max_stage
+    if table.L(m) > MAX_WORD_LENGTH:
+        levels = format_count(table.L(m))
+        found = (f"{levels} levels" if m == K
+                 else f"more levels than the {levels} of stage {m}")
+        raise ValueError(f"stage-{K} word has {found}, over the "
                          f"{MAX_WORD_LENGTH} in-memory limit")
     return table
 

@@ -594,6 +594,26 @@ def test_oversized_orbit_fails_before_sieving(tmp_path, monkeypatch,
     assert out.splitlines()[-1].endswith("over the 50000000 in-memory limit")
 
 
+@pytest.mark.parametrize("name,command,params,first,levels", [
+    ("chacon", "mobius-sum", {"stage": 100_000, "N": 10}, 17, 64570081),
+    ("chacon", "correlate", {"j": 2, "K": 100_000, "n": 1}, 17, 64570081),
+    ("class4", "telescope", {"d": 2, "N": 10, "K": 100_000}, 25, 67108862),
+])
+def test_word_guard_grows_no_level_past_the_first_stage_over_it(tmp_path, name, command,
+                                                                params, first, levels):
+    # L_j strictly increases, so the first stage past the limit proves a
+    # deeper one too large: the table stops there, and the message names it
+    cons._level_table.cache_clear()
+    code, out, _ = run_config(
+        tmp_path, make_config(construction={"preset": name}, command=command, params=params))
+    assert code == 3
+    K = params.get("K", params.get("stage"))
+    assert out.splitlines()[-1] == (
+        f"error[ValueError]: stage-{K} word has more levels than the {levels} of stage "
+        f"{first}, over the 50000000 in-memory limit")
+    assert len(cons._level_table(cons.preset(name))) == first
+
+
 def test_factor_odometer_exit_code(tmp_path):
     code, out, _ = run_config(
         tmp_path,
@@ -807,14 +827,14 @@ def test_counts_past_the_print_limit_are_reported_bounded(tmp_path, capsys):
         "0,level,0", "1,level,1", "2,level,0", "3,level,1", "4,spacer,1"]
     assert capsys.readouterr().out.splitlines()[-1] == (
         "labels: stage 1 through depth 20000, L_K=7.96055e+6020 (6021 digits), wrote 5 rows")
-    # the word guard's message: L_5000 has 1506 digits
-    for K, count in (("20000", "7.96055e+6020 (6021 digits)"),
-                     ("5000", "2.82493e+1505 (1506 digits)")):
+    # the word guard's message names class4's first stage past the limit,
+    # L_25 = 67108862, and computes no count of a deeper stage
+    for K in ("20000", "5000"):
         assert cli.main(["telescope", "--preset", "class4", "--d", "2", "--N", "10",
                          "--K", K, "--out", str(tmp_path / "tele")]) == 3
         assert capsys.readouterr().out.splitlines()[-1] == (
-            f"error[ValueError]: stage-{K} word has {count} levels, "
-            "over the 50000000 in-memory limit")
+            f"error[ValueError]: stage-{K} word has more levels than the 67108862 of "
+            "stage 25, over the 50000000 in-memory limit")
     # heights.csv keeps exact counts, so it stops at the first stage it cannot print
     assert cli.main(["heights", "--preset", "class4", "--J", "20000",
                      "--out", str(tmp_path / "heights")]) == 3

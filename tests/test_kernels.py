@@ -193,7 +193,7 @@ def test_chunk_buffer_takes_two_bytes_per_block_entry(dtype):
     # the one block of odd n to 2*BLOCK, sieved before tracing starts, so
     # the peak is the products' buffer alone
     vals = np.ones(2 * BLOCK, dtype=dtype)
-    blocks = [blk.copy() for blk in _kernels.mobius_blocks(2 * BLOCK)]
+    blocks = [(mu.copy(), planes.copy()) for mu, planes in _kernels.mobius_blocks(2 * BLOCK)]
     tracemalloc.start()
     try:
         _kernels.weighted_mobius_sums(readers(vals), blocks,

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,7 +247,8 @@ def oracle():
 
 
 def odd_mu(n_max):
-    return np.concatenate([np.empty(0, np.int8), *_kernels.mobius_blocks(n_max)])
+    blocks = _kernels.mobius_blocks(n_max)
+    return np.concatenate([np.empty(0, np.int8), *(mu for mu, _ in blocks)])
 
 
 @contextlib.contextmanager
@@ -295,6 +297,65 @@ def test_kept_table_serves_any_sequence_of_sizes(sizes, order, seed):
             assert all(len(blk) == BLOCK for blk in _kernels._kept)
 
 
+SEAM_POINTS = [2 * BLOCK, 4 * BLOCK, TOP]
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(st.builds(lambda n, d: n + d, st.sampled_from(SEAM_POINTS),
+                           st.integers(-130, 130)),
+                 st.integers(1, TOP + 130)),
+       st.floats(0, 1), st.integers(0, 2**32 - 1), st.data())
+def test_indicator_sums_by_popcount_match_int8_products_and_the_sieve(N, density, seed, data):
+    # bool values take the sign planes, the same values as int8 take the
+    # products, and both equal the running sum over sieve_mobius: from a
+    # cold table, then warm, then with no table kept, so that every block
+    # streams through one buffer and one pair of planes
+    rng = np.random.default_rng(seed)
+    vals = rng.random(N) < density
+    drawn = data.draw(st.lists(st.integers(1, N), max_size=5))
+    near = [n + d for n in SEAM_POINTS for d in (-65, -1, 0, 1, 63)]
+    checkpoints = np.array(sorted({c for c in (1, 2, 129, N, *drawn, *near) if c <= N}),
+                           np.int64)
+    # 129 cuts the odd read at k = 65 and the even read at k = 32, both
+    # inside a 64-bit word
+    prods = vals.view(np.int8) * sieve_mobius(N)[1:]
+    want = np.add.reduceat(prods, np.r_[0, checkpoints[:-1]], dtype=np.int64).cumsum()
+    modes = [("cold", KEPT), ("warm", KEPT), ("streamed", 0)]
+    for mode, kept in modes:
+        with table(() if mode != "warm" else _kernels._kept), \
+                mock.patch.object(_kernels, "KEPT_BLOCKS", kept):
+            if mode == "warm":
+                list(_kernels.mobius_blocks(N))
+            for v in (vals, vals.view(np.int8)):
+                got = _kernels.weighted_mobius_sums(read_halves(v), _kernels.mobius_blocks(N),
+                                                    checkpoints)
+                assert got.tolist() == want.tolist(), (mode, v.dtype)
+            if mode == "streamed":
+                assert _kernels._kept == ()
+
+
+def test_kept_planes_are_packed_once_per_process(monkeypatch):
+    # each kept block is sieved, and its planes packed, once; every later
+    # sum reads views of those planes
+    packed, sieve = [], _kernels._odd_blocks
+
+    def counted(*args, **kwargs):
+        for mu, planes in sieve(*args, **kwargs):
+            packed.append(planes)
+            yield mu, planes
+
+    monkeypatch.setattr(_kernels, "_odd_blocks", counted)
+    monkeypatch.setattr(_kernels, "_kept", ())
+    vals = np.ones(TOP, dtype=bool)
+    for n_max in (3000, 2 * BLOCK + 1, TOP, TOP - 1, 5000, TOP):
+        _kernels.weighted_mobius_sums(read_halves(vals), _kernels.mobius_blocks(n_max),
+                                      np.array([n_max], np.int64))
+        handed = [planes for _, planes in _kernels.mobius_blocks(n_max)]
+        assert all(np.shares_memory(a, b) for a, b in zip(handed, _kernels._kept.planes))
+    assert len(packed) == KEPT
+    assert all(a is b for a, b in zip(packed, _kernels._kept.planes))
+
+
 def test_table_grows_whole_blocks_only_when_asked(monkeypatch):
     monkeypatch.setattr(_kernels, "_kept", ())
     assert not list(_kernels.mobius_blocks(0)) and _kernels._kept == ()
@@ -326,12 +387,13 @@ def test_a_table_hit_finds_no_primes(monkeypatch):
 
 @pytest.mark.parametrize("n_max", [3000, 2 * BLOCK + 1, TOP, TOP + 2])
 def test_blocks_handed_out_are_read_only(monkeypatch, n_max):
-    # views of the table, and the streamed blocks past it
+    # views of the table, and the streamed blocks past it, with their planes
     monkeypatch.setattr(_kernels, "_kept", ())
-    for blk in _kernels.mobius_blocks(n_max):
-        assert not blk.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            blk[0] = 1
+    for blk, planes in _kernels.mobius_blocks(n_max):
+        for arr in (blk, planes):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
 
 
 def test_threads_growing_the_table_at_once_read_the_same_mu():

@@ -111,8 +111,8 @@ def test_overflow_guard_reads_the_visited_levels():
 
 
 @pytest.mark.parametrize("coeffs, dtype", [
-    ((1, 0, 0, 1), np.int8), ((0, -128, 127, 1), np.int8),
-    ((0, 128, 0, 0), np.int16), ((0, 2**40, 5, 1), np.int64),
+    ((1, 0, 0, 1), np.bool_), ((0, -128, 127, 1), np.int8),
+    ((0, 128, 0, 0), np.int16), ((0, 2**40, 5, 1), np.int64), ((1, 0, 0, 2), np.int8),
 ])
 def test_orbit_values_take_the_narrowest_dtype(coeffs, dtype):
     params, obs = cons.chacon(), sarnak.Observable(2, coeffs)
