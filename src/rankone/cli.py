@@ -20,7 +20,15 @@ The fit commands take one depth param, ``max_shift``; the rest of their
 depth rule, window and tolerances are ``limits`` constants, printed in
 every report.
 
-Exit codes: 0 success, 2 config error, 3 computation error.
+Each handler is a pure function ``handler(cfg) -> (files, lines)``:
+``files`` maps a CSV name to ``(header, rows)`` and ``lines`` are its
+report lines. ``run`` alone does I/O. It formats every file's rows
+through ``_csv_text``, writes the files once all have formatted, then
+prints the report.
+
+Exit codes: 0 success, 2 config error (JSON with an int past the digits
+Python reads, or nested too deep, is one), 3 computation error or an
+unusable output directory.
 """
 
 from __future__ import annotations
@@ -36,9 +44,6 @@ from typing import Callable, NamedTuple
 from . import construction as cons
 from . import limits, sarnak, tower
 from .errors import ConfigError, RankOneError
-
-CSV_NEWLINE = "\n"
-
 
 # ------------------------------------------------------------ validation
 
@@ -205,14 +210,19 @@ class RunConfig:
     out_dir: str = "."
 
 
+def _load_json(what: str, text: str):
+    """``text`` parsed as JSON. Past its digits limit Python reads no
+    int, and deep nesting exhausts the stack: both are ConfigErrors."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+
+
 def parse_config(text: str) -> RunConfig:
     """Validate a JSON config; raises ConfigError naming the offending
     key and location."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    return parse_config_dict(obj)
+    return parse_config_dict(_load_json("config", text))
 
 
 def parse_config_dict(obj) -> RunConfig:
@@ -241,11 +251,25 @@ def parse_config_dict(obj) -> RunConfig:
 
 # --------------------------------------------------------------- helpers
 
-def _write_csv(path: Path, header: tuple[str, ...], rows):
-    """Write the header and rows. Every row is drawn before the file is
-    opened, so a run that fails while drawing them leaves no file."""
-    lines = (",".join(str(x) for x in row) + CSV_NEWLINE for row in (header, *rows))
-    path.write_text("".join(lines), newline="")
+def _csv_text(name: str, header: tuple[str, ...], rows) -> str:
+    """The LF-terminated CSV of ``header`` and ``rows``, drawn one row
+    at a time. The CSVs keep exact counts, so an int cell past the
+    digits Python prints is a ValueError naming the file, the column
+    and the row's cells before it."""
+    lines = [",".join(header)]
+    for row in rows:
+        try:
+            lines.append(",".join(map(str, row)))
+        except ValueError:  # str of an int past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            i = next(i for i, c in enumerate(row)
+                     if isinstance(c, int) and abs(c) >= 10**limit)
+            at = ", ".join(f"{h}={c}" for h, c in zip(header, row[:i])) or f"row {len(lines)}"
+            raise ValueError(f"{name} keeps exact counts, and its {header[i]} at {at} is "
+                             f"{cons.format_count(row[i])}, past the {limit} digits "
+                             "Python prints") from None
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _depth_for(cfg: RunConfig, j: int = 1, n: int = 0) -> int:
@@ -271,138 +295,116 @@ def _conventions(specs: tuple[Param, ...], p: dict) -> str:
 
 # -------------------------------------------------------------- commands
 
-def _check_printable(counts, csv: str):
-    """ValueError naming the first (what, count) of ``counts`` whose
-    count has more digits than Python prints, since ``csv`` keeps exact
-    counts. Run before any row is drawn."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if not limit:
-        return
-    bound = 10**limit
-    for what, count in counts:
-        if count >= bound:
-            raise ValueError(f"{what} = {cons.format_count(count)}, past the "
-                             f"{limit} digits Python prints, and {csv} keeps exact counts")
-
-
-def _cmd_heights(cfg, out, report):
+def _cmd_heights(cfg):
     J = cfg.params["J"]
     table = cons.heights(cfg.construction, J)
-    _check_printable(((f"stage {j} has L_{j}", table.L(j)) for j in range(1, J + 1)),
-                     "heights.csv")
-    _write_csv(out / "heights.csv", ("j", "L", "h"),
-               ((j, table.L(j), table.h(j)) for j in range(1, J + 1)))
-    report.append(f"heights through stage {J}: L_{J} = {cons.format_count(table.L(J))}")
+    rows = ((j, table.L(j), table.h(j)) for j in range(1, J + 1))
+    return ({"heights.csv": (("j", "L", "h"), rows)},
+            [f"heights through stage {J}: L_{J} = {cons.format_count(table.L(J))}"])
 
 
-def _cmd_classify(cfg, out, report):
+def _cmd_classify(cfg):
     horizon, bound = cfg.params["horizon"], cfg.params["bound"]
     label = cons.classify(cfg.construction, horizon, bound)
     profile = cons.bounded_profile(cfg.construction, horizon)
-    _write_csv(out / "classification.csv", ("field", "value"), [
-        ("label", str(label)),
-        ("d", "" if label.d is None else label.d),
-        ("flat", label.flat),
-        ("horizon", horizon),
-        ("r_sup", profile.r_sup),
-        ("s_sup", profile.s_sup),
-    ])
-    report.append(f"classification: {label}")
-    report.append(f"profile: r_sup={profile.r_sup} s_sup={profile.s_sup} "
-                  f"flat={label.flat} (horizon {horizon})")
+    rows = [("label", str(label)), ("d", "" if label.d is None else label.d),
+            ("flat", label.flat), ("horizon", horizon),
+            ("r_sup", profile.r_sup), ("s_sup", profile.s_sup)]
+    return {"classification.csv": (("field", "value"), rows)}, [
+        f"classification: {label}",
+        f"profile: r_sup={profile.r_sup} s_sup={profile.s_sup} "
+        f"flat={label.flat} (horizon {horizon})",
+    ]
 
 
-def _cmd_labels(cfg, out, report):
+def _cmd_labels(cfg):
     j = cfg.params["j"]
     K = _depth_for(cfg, j)
     word = tower.build_labels(cfg.construction, j, K, cfg.params["max_rows"])
-    _write_csv(out / "labels.csv", ("position", "kind", "value"),
-               ((pos, "level", v) if v >= 0 else (pos, "spacer", -v)
-                for pos, v in enumerate(word.tolist())))
+    rows = ((pos, "level", v) if v >= 0 else (pos, "spacer", -v)
+            for pos, v in enumerate(word.tolist()))
     L_K = cons.format_count(cons.heights(cfg.construction, K).L(K))
-    report.append(f"labels: stage {j} through depth {K}, L_K={L_K}, wrote {len(word)} rows")
+    return ({"labels.csv": (("position", "kind", "value"), rows)},
+            [f"labels: stage {j} through depth {K}, L_K={L_K}, wrote {len(word)} rows"])
 
 
-def _cmd_correlate(cfg, out, report):
+def _cmd_correlate(cfg):
     j, n = cfg.params["j"], cfg.params["n"]
     K = _depth_for(cfg, j, n)
     mat = tower.correlation_matrix(cfg.construction, j, K, n)
-    _write_csv(out / "correlation.csv", ("A", "B", "value", "error"),
-               mat.to_csv_rows())
-    report.append(f"correlation: stage {j}, depth {K} (L_K={mat.total}), "
-                  f"shift n={n}, error {mat.error_bound:.3g} = |n|/L_K "
-                  f"{abs(n) / mat.total:.3g} + tail {mat.tail:.3g} "
-                  f"({tower.TAIL_PROBE_STAGES}-stage probe estimate)")
+    return {"correlation.csv": (("A", "B", "value", "error"), mat.to_csv_rows())}, [
+        f"correlation: stage {j}, depth {K} (L_K={mat.total}), "
+        f"shift n={n}, error {mat.error_bound:.3g} = |n|/L_K "
+        f"{abs(n) / mat.total:.3g} + tail {mat.tail:.3g} "
+        f"({tower.TAIL_PROBE_STAGES}-stage probe estimate)"
+    ]
 
 
-def _cmd_weak_limit(cfg, out, report):
+def _cmd_weak_limit(cfg):
     d, tau = cfg.params["d"], limits.SUPPORT_TAU
     res = limits.weak_limit(cfg.construction, d, max_shift=cfg.params["max_shift"])
-    _write_csv(out / "weak_limit.csv", ("z", "a_z"),
-               res.polynomial.to_csv_rows())
-    report.append(f"weak limit of T^({d}*H_j): {res.polynomial}")
-    report.append(res.fit_summary())
-    report.append(f"  support(tau={tau}): {sorted(res.polynomial.support(tau))}")
+    return {"weak_limit.csv": (("z", "a_z"), res.polynomial.to_csv_rows())}, [
+        f"weak limit of T^({d}*H_j): {res.polynomial}",
+        res.fit_summary(),
+        f"  support(tau={tau}): {sorted(res.polynomial.support(tau))}",
+    ]
 
 
-def _cmd_similarity(cfg, out, report):
+def _cmd_similarity(cfg):
     p = cfg.params
     verdict = _config_checked(limits.is_pq_similar, p["Q"], p["P"], p["p"], p["q"])
     witness = sorted((verdict.witness or {}).items())
-    _write_csv(out / "similarity.csv", ("r", "coefficient"),
-               ((r, repr(c)) for r, c in witness))
-    report.append(f"p/q-similar: {verdict.similar} ({verdict.reason})")
-    report.append(f"max coefficient gap: {verdict.max_coeff_gap:.4g}")
+    rows = ((r, repr(c)) for r, c in witness)
+    return {"similarity.csv": (("r", "coefficient"), rows)}, [
+        f"p/q-similar: {verdict.similar} ({verdict.reason})",
+        f"max coefficient gap: {verdict.max_coeff_gap:.4g}",
+    ]
 
 
-def _cmd_disjointness(cfg, out, report):
+def _cmd_disjointness(cfg):
     p = cfg.params
     _config_checked(limits.check_pair, p["p"], p["q"])
     verdict = limits.disjointness_certificate(
         cfg.construction, p["p"], p["q"], max_shift=p["max_shift"],
     )
-    _write_csv(out / "limit_q.csv", ("z", "a_z"),
-               verdict.q_result.polynomial.to_csv_rows())
-    _write_csv(out / "limit_p.csv", ("z", "a_z"),
-               verdict.p_result.polynomial.to_csv_rows())
-    report.append(verdict.diagnostics())
+    return {
+        "limit_q.csv": (("z", "a_z"), verdict.q_result.polynomial.to_csv_rows()),
+        "limit_p.csv": (("z", "a_z"), verdict.p_result.polynomial.to_csv_rows()),
+    }, [verdict.diagnostics()]
 
 
-def _cmd_cascade(cfg, out, report):
+def _cmd_cascade(cfg):
     p = cfg.params
     prime = p["p"]
     res = limits.weak_limit(cfg.construction, 1, max_shift=p["max_shift"])
     support = res.polynomial.support(limits.SUPPORT_TAU)
-    report.append(f"fit of T^(H_j) at stages {list(res.stages)}: {res.polynomial} "
-                  f"support {sorted(support)}")
     level = limits.divisibility_cascade(support, prime, p["levels"])
     consequence = limits.flatness_consequence(cfg.construction, res.stages, prime, level,
                                               p["levels"])
-    _check_printable(((f"level m={m} has modulus {prime}^{m}", prime**m)
-                      for m in range(1, p["levels"] + 1)), "cascade.csv")
-    _write_csv(out / "cascade.csv",
-               ("m", "modulus", "holds", "params_divide", "max_abs_spacer_diff"),
-               consequence.rows())
-    report.append(f"cascade holds through M={level} (p={prime})")
-    report.append(
+    header = ("m", "modulus", "holds", "params_divide", "max_abs_spacer_diff")
+    return {"cascade.csv": (header, consequence.rows())}, [
+        f"fit of T^(H_j) at stages {list(res.stages)}: {res.polynomial} "
+        f"support {sorted(support)}",
+        f"cascade holds through M={level} (p={prime})",
         f"parameter check consistent: {consequence.consistent}; "
         f"all spacer differences flat: {consequence.all_flat}; "
-        f"bounded spacers force flatness from m={consequence.forced_flat_level}"
-    )
+        f"bounded spacers force flatness from m={consequence.forced_flat_level}",
+    ]
 
 
-def _cmd_mobius_sum(cfg, out, report):
+def _cmd_mobius_sum(cfg):
     p = cfg.params
     N, stage, start, levels = p["N"], p["stage"], p["start"], p["levels"]
     obs = sarnak.Observable.indicator(cfg.construction, stage, levels)
     res = sarnak.mobius_weighted_sum(cfg.construction, obs, start, N)
-    _write_csv(out / "decay.csv", ("N", "S_N", "S_N/N"), res.decay_rows())
-    report.append(f"S_N for indicator of stage-{stage} levels {levels}, "
-                  f"start {start}: S_{N} = {res.final}")
-    report.append(f"|S_N|/N = {abs(float(res.final)) / N:.6f}")
+    return {"decay.csv": (("N", "S_N", "S_N/N"), res.decay_rows())}, [
+        f"S_N for indicator of stage-{stage} levels {levels}, "
+        f"start {start}: S_{N} = {res.final}",
+        f"|S_N|/N = {abs(float(res.final)) / N:.6f}",
+    ]
 
 
-def _cmd_telescope(cfg, out, report):
+def _cmd_telescope(cfg):
     p = cfg.params
     d, N, M, start = p["d"], p["N"], p["M"], p["start"]
     _config_checked(sarnak.extension_primes, d, M)  # a composite d takes M = 1 only
@@ -416,35 +418,30 @@ def _cmd_telescope(cfg, out, report):
         rhs, equal = first - second, rep.identity_holds
         rows = [("lhs", rep.s_n), ("rhs", rhs), ("equal", equal), ("first_term", first),
                 ("second_term", second), ("n_first", N // d), ("n_second", N // (d * d))]
-        report.append(f"telescope identity (d={d}, N={N}): "
-                      f"lhs={rep.s_n} rhs={rhs} equal={equal}")
+        line = (f"telescope identity (d={d}, N={N}): "
+                f"lhs={rep.s_n} rhs={rhs} equal={equal}")
     else:
         rows = [("S_N", rep.s_n)]
         rows += [(f"term_{st.depth}(p={st.prime})", st.term) for st in rep.steps]
-        rows += [
-            ("remainder", rep.remainder),
-            ("remainder_bound", float(rep.remainder_bound)),
-            ("identity_holds", rep.identity_holds),
-            ("triangle_holds", rep.triangle_holds),
-        ]
-        report.append(f"prime extension (d={d}, N={N}, M={rep.M}): "
-                      f"identity={rep.identity_holds} "
-                      f"S_N={rep.s_n} remainder_bound={float(rep.remainder_bound)}")
-    _write_csv(out / "telescope.csv", ("quantity", "value"), rows)
+        rows += [("remainder", rep.remainder),
+                 ("remainder_bound", float(rep.remainder_bound)),
+                 ("identity_holds", rep.identity_holds), ("triangle_holds", rep.triangle_holds)]
+        line = (f"prime extension (d={d}, N={N}, M={rep.M}): "
+                f"identity={rep.identity_holds} "
+                f"S_N={rep.s_n} remainder_bound={float(rep.remainder_bound)}")
+    return {"telescope.csv": (("quantity", "value"), rows)}, [line]
 
 
-def _cmd_factor(cfg, out, report):
+def _cmd_factor(cfg):
     K = _depth_for(cfg)
     d = sarnak.compact_factor(cfg.construction, cfg.params["horizon"], K)
-    rows = [(j, col, off) for j in (K, K + 1)
-            for col, off in enumerate(cons.column_offsets(cfg.construction, j), start=2)]
-    _check_printable(((f"stage {j} has column {col} offset", off) for j, col, off in rows),
-                     "factor.csv")
-    _write_csv(out / "factor.csv", ("stage", "column", "offset", "offset_mod_d"),
-               ((j, col, off, off % d) for j, col, off in rows))
-    report.append(f"cyclic factor: d={d}, depth {K} "
-                  f"(L_K={cons.format_count(cons.heights(cfg.construction, K).L(K))}), "
-                  f"offsets verified for stages {K}..{K + 1}")
+    rows = ((j, col, off, off % d) for j in (K, K + 1)
+            for col, off in enumerate(cons.column_offsets(cfg.construction, j), start=2))
+    return {"factor.csv": (("stage", "column", "offset", "offset_mod_d"), rows)}, [
+        f"cyclic factor: d={d}, depth {K} "
+        f"(L_K={cons.format_count(cons.heights(cfg.construction, K).L(K))}), "
+        f"offsets verified for stages {K}..{K + 1}"
+    ]
 
 
 class Command(NamedTuple):
@@ -477,10 +474,8 @@ COMMANDS = {
 
 
 def run(config: RunConfig, stream=None) -> int:
-    """Execute a validated config; returns the process exit code."""
-    stream = stream or sys.stdout
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute a validated config; returns the process exit code. The
+    one write path: every CSV is formatted before any is written."""
     command = COMMANDS[config.command]
     report: list[str] = [
         f"construction: {config.construction.describe()}",
@@ -489,13 +484,19 @@ def run(config: RunConfig, stream=None) -> int:
     ]
     code = 0
     try:
-        command.run(config, out, report)
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        files, lines = command.run(config)
+        texts = {name: _csv_text(name, *table) for name, table in files.items()}
+        for name, text in texts.items():
+            (out / name).write_text(text, newline="")
+        report += lines
     except ConfigError:
         raise
-    except (RankOneError, ValueError) as exc:
+    except (RankOneError, ValueError, OSError) as exc:
         report.append(f"error[{type(exc).__name__}]: {exc}")
         code = 3
-    print("\n".join(report), file=stream)
+    print("\n".join(report), file=stream or sys.stdout)
     return code
 
 
@@ -519,13 +520,6 @@ def _flag_help(s: Param) -> str:
     return text if s.minimum is None else f"{text}; >= {s.minimum}"
 
 
-def _json_arg(flag: str, text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{flag} is not valid JSON: {exc}") from None
-
-
 def _add_construction_flags(sp):
     sp.add_argument("--preset", choices=sorted(cons.PRESETS))
     sp.add_argument("--construction-json",
@@ -535,7 +529,7 @@ def _add_construction_flags(sp):
 
 def _construction_obj(args) -> dict:
     if args.construction_json:
-        return _json_arg("--construction-json", args.construction_json)
+        return _load_json("--construction-json", args.construction_json)
     if args.preset:
         return {"preset": args.preset}
     raise ConfigError("give either --preset or --construction-json")
@@ -574,7 +568,7 @@ def main(argv=None) -> int:
             for s in COMMANDS[args.cmd].params:
                 val = getattr(args, s.name)
                 if val is not None:
-                    params[s.name] = _json_arg(_flag(s), val) if s.kind is _poly else val
+                    params[s.name] = _load_json(_flag(s), val) if s.kind is _poly else val
             config = parse_config_dict({
                 "construction": _construction_obj(args),
                 "command": args.cmd,

@@ -244,8 +244,10 @@ def heights_within(params: ConstructionParams, J: int, n: int) -> HeightTable:
 
 
 def format_count(n: int) -> str:
-    """A count n >= 0 in full up to 30 digits, past that as its leading
+    """A count n in full up to 30 digits, past that as its leading
     digits, exponent and digit count: Python prints no int past 4300."""
+    if n < 0:
+        return "-" + format_count(-n)
     if n < 10**30:
         return str(n)
     shift = int(log10(n)) - 6  # a float log10 can be one off: 6 to 8 digits left

@@ -676,6 +676,43 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     assert cli.main(["run", str(path)]) == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    ("9" * 5000, "Exceeds the limit (4300 digits)"),  # Python reads no int past 4300
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+], ids=["5000-digit-int", "deep-nesting"])
+def test_unreadable_json_is_a_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(make_config(command="heights", params={"J": "JSON"}).replace('"JSON"', text))
+    construction = '{"h1": JSON, "stages": {"kind": "random", "r_max": 2, "s_max": 0}}'
+    for argv, where in (
+        (["run", str(path)], "config"),
+        (["heights", "--construction-json", construction.replace("JSON", text)],
+         "--construction-json"),
+        (["similarity", "--preset", "chacon", "--p", "2", "--q", "3", "--P", "{}",
+          "--Q", text], "--Q"),
+    ):
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where} is not valid JSON: ")
+        assert message in err
+
+
+@pytest.mark.parametrize("out,error", [
+    ("file", "FileExistsError"),
+    ("file/sub", "NotADirectoryError"),
+    ("dir", "IsADirectoryError"),  # dir/heights.csv is a directory
+])
+def test_unusable_output_directory_exits_3(tmp_path, capsys, out, error):
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir" / "heights.csv").mkdir(parents=True)
+    assert cli.main(["heights", "--preset", "chacon", "--J", "3",
+                     "--out", str(tmp_path / out)]) == 3
+    report = capsys.readouterr().out.splitlines()
+    assert report[-1].startswith(f"error[{error}]: [Errno ")
+    assert sum(line.startswith("error[") for line in report) == 1
+    assert (tmp_path / "file").read_text() == ""
+
+
 def test_main_requires_construction(capsys):
     assert cli.main(["classify"]) == 2
 
@@ -839,8 +876,8 @@ def test_counts_past_the_print_limit_are_reported_bounded(tmp_path, capsys):
     assert cli.main(["heights", "--preset", "class4", "--J", "20000",
                      "--out", str(tmp_path / "heights")]) == 3
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "error[ValueError]: stage 14284 has L_14284 = 1.63488e+4300 (4301 digits), past "
-        "the 4300 digits Python prints, and heights.csv keeps exact counts")
+        "error[ValueError]: heights.csv keeps exact counts, and its L at j=14284 is "
+        "1.63488e+4300 (4301 digits), past the 4300 digits Python prints")
     assert not (tmp_path / "heights" / "heights.csv").exists()
 
 
@@ -857,8 +894,8 @@ def test_factor_refuses_offsets_past_the_print_limit(tmp_path, capsys):
         assert cli.main(["factor", "--preset", "class4", "--K", str(K),
                          "--out", str(tmp_path / str(K))]) == 3
         assert capsys.readouterr().out.splitlines()[-1] == (
-            f"error[ValueError]: stage {stage} has column 2 offset = {count}, past "
-            "the 4300 digits Python prints, and factor.csv keeps exact counts")
+            f"error[ValueError]: factor.csv keeps exact counts, and its offset at "
+            f"stage={stage}, column=2 is {count}, past the 4300 digits Python prints")
         assert not (tmp_path / str(K) / "factor.csv").exists()
 
 
@@ -869,10 +906,44 @@ def test_cascade_refuses_moduli_past_the_print_limit(tmp_path, capsys):
         assert cli.main(["cascade", "--preset", "flat3", "--p", "2", "--levels", levels,
                          "--max-shift", "400", "--out", str(tmp_path / levels)]) == 3
         assert capsys.readouterr().out.splitlines()[-1] == (
-            "error[ValueError]: level m=14285 has modulus 2^14285 = 1.63488e+4300 "
-            "(4301 digits), past the 4300 digits Python prints, and cascade.csv keeps "
-            "exact counts")
+            "error[ValueError]: cascade.csv keeps exact counts, and its modulus at m=14285 "
+            "is 1.63488e+4300 (4301 digits), past the 4300 digits Python prints")
         assert not (tmp_path / levels / "cascade.csv").exists()
+
+
+@pytest.mark.parametrize("row,where", [
+    ((2, "b", 10**4300), "count at n=2, tag=b is 1.00000e+4300 (4301 digits)"),
+    ((2, "b", -(10**4300)), "count at n=2, tag=b is -1.00000e+4300 (4301 digits)"),
+    ((10**4300, "b", 5), "n at row 2 is 1.00000e+4300 (4301 digits)"),
+], ids=["last-column", "negative", "first-column"])
+def test_no_command_writes_an_unprintable_int(tmp_path, monkeypatch, capsys, row, where):
+    # every CSV goes through one formatter, so any handler's row with an int
+    # past the 4300 digits Python prints stops the run before a file is written
+    def handler(cfg):
+        rows = iter([(1, "a", 5), row])
+        return ({"first.csv": (("n", "tag", "count"), [(1, "a", 5)]),
+                 "second.csv": (("n", "tag", "count"), rows)}, ["handler line"])
+
+    monkeypatch.setitem(cli.COMMANDS, "heights",
+                        cli.Command(handler, cli.COMMANDS["heights"].params))
+    assert cli.main(["heights", "--preset", "chacon", "--out", str(tmp_path)]) == 3
+    report = capsys.readouterr().out.splitlines()
+    assert report[-1] == (f"error[ValueError]: second.csv keeps exact counts, and its "
+                          f"{where}, past the 4300 digits Python prints")
+    assert "handler line" not in report
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_errors_drawing_rows_pass_through_the_formatter(tmp_path, monkeypatch, capsys):
+    def rows():
+        yield (1,)
+        raise ValueError("no row 2")
+
+    monkeypatch.setitem(cli.COMMANDS, "heights", cli.Command(
+        lambda cfg: ({"a.csv": (("n",), rows())}, []), cli.COMMANDS["heights"].params))
+    assert cli.main(["heights", "--preset", "chacon", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == "error[ValueError]: no row 2"
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_heights_below_the_print_limit_stay_exact(tmp_path, capsys):
