@@ -109,11 +109,17 @@ def mobius_blocks(n_max: int):
     call when it streams, so an invalid n_max fails there, and on growth
     of the table.
     """
+    return _blocks(n_max, pack=True)
+
+
+def _blocks(n_max, pack):
+    """The pairs of ``mobius_blocks``, where a streamed block's planes are
+    packed only when ``pack`` is set, and are None when not."""
     n_max = operator.index(n_max)  # an exact int, for bit_length
     t, root = _sieve_bounds(n_max)
     count = (n_max + 1) // 2  # the odd n <= n_max
     if count > KEPT_BLOCKS * BLOCK:
-        return _odd_blocks(n_max, t, _primes(root))
+        return _odd_blocks(n_max, t, _primes(root), pack=pack)
     need = -(-count // BLOCK)
     kept = _kept  # read once: a concurrent growth may rebind it
     if len(kept) < need:
@@ -146,17 +152,19 @@ def _grow(kept, need):
     global _kept
     top = 2 * need * BLOCK - 1  # the last odd n of the last block
     t, root = _sieve_bounds(top)
-    blocks, planes = zip(*_odd_blocks(top, t, _primes(root), len(kept), keep=True))
+    blocks, planes = zip(*_odd_blocks(top, t, _primes(root), len(kept), keep=True,
+                                      pack=True))
     table = _Table(kept + blocks)
     table.planes = (kept.planes if kept else ()) + planes
     _kept = table
     return table
 
 
-def _odd_blocks(n_max, t, primes, first=0, keep=False):
+def _odd_blocks(n_max, t, primes, first=0, keep=False, *, pack):
     """The blocks of mu(2k + 1) for the odd n <= n_max from block
-    ``first`` on, with their planes (see mobius_blocks), each pair in
-    arrays of its own when ``keep``, else each overwritten by the next."""
+    ``first`` on, with their planes (see mobius_blocks) when ``pack`` is
+    set, else None, each pair in arrays of its own when ``keep``, else
+    each overwritten by the next."""
     count = (n_max + 1) // 2
     size = min(BLOCK, count)
     root = math.isqrt(n_max)
@@ -169,7 +177,7 @@ def _odd_blocks(n_max, t, primes, first=0, keep=False):
     for lo in range(first * BLOCK, count, BLOCK):
         if sums is None or keep:
             sums = np.empty(size, dtype=np.uint8)
-            planes = np.empty((2, -(-size // 64)), dtype=np.uint64)
+            planes = np.empty((2, -(-size // 64)), dtype=np.uint64) if pack else None
         n = min(BLOCK, count - lo)
         blk, above = sums[:n], flags[:n]
         whole = n - n % TILE_PERIOD
@@ -195,21 +203,26 @@ def _odd_blocks(n_max, t, primes, first=0, keep=False):
         blk ^= above.view(np.uint8)  # 0 or 1 if squarefree, else 128 or 129
         np.equal(blk, 0, out=above)
         np.equal(blk, 1, out=blk.view(bool))
-        rows, packed = planes.view(np.uint8), -(-n // 8)
-        for row, signs in zip(rows, (above, blk.view(bool))):
-            row[:packed] = np.packbits(signs, bitorder="little")
-            row[packed:] = 0  # a short last block leaves the words of the block before
+        signs = None
+        if pack:
+            rows, packed = planes.view(np.uint8), -(-n // 8)
+            for row, plane in zip(rows, (above, blk.view(bool))):
+                row[:packed] = np.packbits(plane, bitorder="little")
+                row[packed:] = 0  # a short last block leaves the words of the block before
+            signs = planes[:, : -(-n // 64)]
+            signs.flags.writeable = False
         np.subtract(above.view(np.int8), blk.view(np.int8), out=blk.view(np.int8))
-        mu, signs = blk.view(np.int8), planes[:, : -(-n // 64)]
-        mu.flags.writeable = signs.flags.writeable = False
+        mu = blk.view(np.int8)
+        mu.flags.writeable = False
         yield mu, signs
 
 
 def sieve_mobius(n_max: int) -> np.ndarray:
     """mu(0..n_max) as int8; entry 0 is unused and left 0. The odd
     entries are the blocks of ``mobius_blocks``, scattered, and the even
-    ones follow from them: mu(2m) = -mu(m) for odd m, mu(4m) = 0."""
-    blocks = mobius_blocks(n_max)
+    ones follow from them: mu(2m) = -mu(m) for odd m, mu(4m) = 0. A
+    streamed block's sign planes are not packed: nothing here reads them."""
+    blocks = _blocks(n_max, pack=False)
     mu = np.zeros(n_max + 1, dtype=np.int8)
     odd, lo = mu[1::2], 0
     for blk, _ in blocks:

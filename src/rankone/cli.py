@@ -26,9 +26,10 @@ report lines. ``run`` alone does I/O. It formats every file's rows
 through ``_csv_text``, writes the files once all have formatted, then
 prints the report.
 
-Exit codes: 0 success, 2 config error (JSON with an int past the digits
-Python reads, or nested too deep, is one), 3 computation error or an
-unusable output directory.
+Exit codes: 0 success, 2 config error (a config file that cannot be read
+or is not UTF-8, and JSON with an int past the digits Python reads, or
+nested too deep, are ones), 3 computation error or an unusable output
+directory.
 """
 
 from __future__ import annotations
@@ -557,8 +558,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.cmd == "run":
-            text = (sys.stdin.read() if args.config == "-"
-                    else Path(args.config).read_text())
+            try:  # a config that cannot be read, or is not UTF-8, is a config error
+                text = (sys.stdin.read() if args.config == "-"
+                        else Path(args.config).read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read config {args.config}: {exc}") from None
             config = parse_config(text)
             if args.out is not None:
                 config = RunConfig(config.construction, config.command,

@@ -17,10 +17,14 @@ A fit's one depth param is ``max_shift``: its stages run from j = 1 until
 
 A process fits each (construction, multipliers, admissible stages) once:
 ``weak_limit``, ``disjointness_certificate`` and ``cascade`` reach the fits
-through ``_fit_powers``, which keeps the last 64 fitted walks (about
-9 KiB each under tracemalloc, so about 0.6 MiB in all). Every
-``max_shift`` that admits the same stages shares one result, so results
-are read-only: frozen dataclasses, tuples and read-only coefficient maps.
+through ``_fit_walk``, which keeps the last 64 fitted walks (about
+9 KiB each under tracemalloc, so about 0.6 MiB in all), and
+``disjointness_certificate`` keeps the last 64 certificates, one per
+(construction, p, q, admissible stages). Every ``max_shift`` that admits
+the same stages shares one result, so results are read-only: frozen
+dataclasses, tuples and read-only coefficient and witness maps. A kept
+result formats its CSV rows and report text once, on first use, and
+keeps them with it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .construction import ConstructionParams, first_stage_reaching, heights
+from .construction import ConstructionParams, _grow, first_stage_reaching
 from .errors import StageUnavailable
 from .tower import CorrelationMatrix, correlation_depths
 
@@ -92,13 +96,20 @@ class LimitPolynomial:
         """Shifts carrying more than tau of coefficient mass."""
         return frozenset(z for z, a in self.coeffs.items() if a > tau)
 
-    def to_csv_rows(self):
-        for z in sorted(self.coeffs):
-            yield (str(z), repr(float(self.coeffs[z])))
-        yield ("theta", repr(float(self.theta)))
-        yield ("residual", repr(float(self.fit_residual)))
+    def to_csv_rows(self) -> tuple[tuple[str, str], ...]:
+        return self._csv_rows
+
+    @functools.cached_property
+    def _csv_rows(self):
+        rows = [(str(z), repr(float(self.coeffs[z]))) for z in sorted(self.coeffs)]
+        return (*rows, ("theta", repr(float(self.theta))),
+                ("residual", repr(float(self.fit_residual))))
 
     def __str__(self):
+        return self._text
+
+    @functools.cached_property
+    def _text(self):
         parts = [
             f"{a:.4f}*T^{z}" for z, a in sorted(self.coeffs.items()) if a > 1e-4
         ]
@@ -301,8 +312,8 @@ def fit_for_shift(
 # ------------------------------------------------------------- sequences
 
 def _return_height(params: ConstructionParams, j: int) -> int:
-    """H_j = -(L_j + s_j^min)."""
-    return -(heights(params, j).L(j) + params.stage(j).s_min_first)
+    """H_j = -(L_j + s_j^min), L_j read from the construction's level table."""
+    return -(_grow(params, j)[j - 1] + params.stage(j).s_min_first)
 
 
 def auto_ref_stage(params: ConstructionParams, Z: int) -> int:
@@ -321,6 +332,7 @@ def _select_stages(
     that each shift moves every reference level out of the reference tower.
     |H_j| strictly increases with j (L_{j+1} >= 2L_j + s_j(1)), so the walk
     stops at the first stage beyond max_shift, or an explicit one's last.
+    Each L_j is one read of the level table, so the walk is O(J).
     A multiplier below 1 never passes max_shift, so it raises ValueError."""
     low, high = min(multipliers), max(multipliers)
     if low < 1:
@@ -330,7 +342,7 @@ def _select_stages(
     except StageUnavailable:
         raise ValueError(f"fewer than two admissible stages: the listed stages build "
                          f"no reference tower of 2Z+2={2 * Z + 2} levels") from None
-    floor = heights(params, j_ref).L(j_ref)
+    floor = _grow(params, j_ref)[j_ref - 1]
     walk = (range(1, len(params.stages) + 1) if params.kind == "explicit"
             else itertools.count(1))
     usable = []
@@ -359,6 +371,10 @@ class WeakLimitResult:
     def fit_summary(self) -> str:
         """Two report lines: the fitted stages, shifts and reference
         stage, then the stability, residual and optimality gaps."""
+        return self._summary
+
+    @functools.cached_property
+    def _summary(self):
         return (f"  fitted stages {list(self.stages)}, shifts {list(self.shifts)}, "
                 f"ref stage {self.ref_stage}\n"
                 f"  stability gap {self.stability_gap:.4g}, "
@@ -423,9 +439,13 @@ class SimilarityVerdict:
     series R when it exists."""
 
     similar: bool
-    witness: dict[int, float] | None
+    witness: Mapping[int, float] | None
     max_coeff_gap: float
     reason: str
+
+    def __post_init__(self):
+        if self.witness is not None:
+            object.__setattr__(self, "witness", MappingProxyType(dict(self.witness)))
 
 
 def _check_coprime(p: int, q: int):
@@ -494,6 +514,10 @@ class DisjointnessVerdict:
     notes: tuple[str, ...] = ()
 
     def diagnostics(self) -> str:
+        return self._diagnostics
+
+    @functools.cached_property
+    def _diagnostics(self):
         lines = [f"verdict: {self.verdict.value} (numerical evidence)"]
         for name, k, res in (("Q", self.q, self.q_result), ("P", self.p, self.p_result)):
             lines += [
@@ -519,11 +543,22 @@ def disjointness_certificate(
 ) -> DisjointnessVerdict:
     """Fit Q along T^{q*H_j} and P along T^{p*H_j} on a shared stage
     sequence and compare: non-similar converged limits are evidence
-    that T^q and T^p are disjoint."""
+    that T^q and T^p are disjoint. The walk is checked on every call; the
+    certificate is that of ``_certify``, kept per walk as its fits are."""
     check_pair(p, q)
+    j_ref, walk = _select_stages(params, (q, p), max_shift)
+    return _certify(params, p, q, j_ref, tuple(walk))
 
-    q_result, p_result = _fit_powers(params, (q, p), max_shift)
 
+@functools.lru_cache(maxsize=64)
+def _certify(
+    params: ConstructionParams, p: int, q: int, j_ref: int,
+    walk: tuple[tuple[int, int], ...],
+) -> DisjointnessVerdict:
+    """The certificate of ``disjointness_certificate`` from the fits
+    ``_fit_walk`` keeps for ``walk``. A certificate whose fit raises is
+    not kept."""
+    q_result, p_result = _fit_walk(params, (q, p), j_ref, walk)
     similarity = is_pq_similar(q_result.polynomial, p_result.polynomial, p, q)
 
     notes = []

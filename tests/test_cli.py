@@ -697,6 +697,23 @@ def test_unreadable_json_is_a_config_error(tmp_path, capsys, text, message):
         assert message in err
 
 
+@pytest.mark.parametrize("name,error", [
+    ("missing.json", "No such file or directory"),
+    ("a-dir", "Is a directory"),
+    ("bom.json", "'utf-8' codec can't decode byte 0xff in position 0"),
+])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, name, error):
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "bom.json").write_bytes(b"\xff\xfe")
+    path = tmp_path / name
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read config {path}: ")
+    assert error in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("out,error", [
     ("file", "FileExistsError"),
     ("file/sub", "NotADirectoryError"),

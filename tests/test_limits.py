@@ -283,6 +283,7 @@ def test_random_certificate_takes_few_face_solves(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted)
     params = cons.ConstructionParams.random_bounded(1, 3, 3, 5)
     limits._fit_walk.cache_clear()  # a kept fit would make no solve
+    limits._certify.cache_clear()  # nor would a kept certificate
     verdict = limits.disjointness_certificate(params, 2, 3, max_shift=4000)
     assert verdict.verdict is limits.Verdict.INCONCLUSIVE
     assert 6 <= len(calls) <= 18
@@ -528,6 +529,7 @@ def test_correlations_build_no_long_word(monkeypatch):
     # a large max_shift takes every fit to L_K >= 200|n| >= 1e6
     built.clear()
     limits._fit_walk.cache_clear()  # a kept fit would build no word
+    limits._certify.cache_clear()  # nor would a kept certificate
     verdict = limits.disjointness_certificate(params, 2, 3, max_shift=200_000)
     shifts = verdict.q_result.shifts + verdict.p_result.shifts
     Ks = [limits.depth(params, n, verdict.q_result.ref_stage) for n in shifts]
@@ -743,6 +745,60 @@ def test_kept_fit_is_the_fresh_fit(params, multipliers, max_shift):
     assert limits._fit_powers(params, multipliers, max_shift) is kept
 
 
+def clear_kept():
+    limits._fit_walk.cache_clear()
+    limits._certify.cache_clear()
+
+
+def certificate_texts(verdict):
+    """The report text and both CSV texts a disjointness run writes."""
+    return (verdict.diagnostics(),
+            *(cli._csv_text(name, ("z", "a_z"), res.polynomial.to_csv_rows())
+              for name, res in (("limit_q.csv", verdict.q_result),
+                                ("limit_p.csv", verdict.p_result))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(FIT_CONSTRUCTIONS, st.sampled_from([(2, 3), (3, 4), (2, 5), (3, 5)]),
+       st.integers(200, 6000))
+@example(cons.odometer(2), (2, 3), 2000)  # similar limits: a witness to protect
+def test_kept_certificate_is_the_fresh_certificate(params, pair, max_shift):
+    p, q = pair
+    try:
+        kept = limits.disjointness_certificate(params, p, q, max_shift=max_shift)
+    except ValueError:  # the walk's own checks, made before any fit
+        with pytest.raises(ValueError):
+            limits._select_stages(params, (q, p), max_shift)
+        return
+    assert limits.disjointness_certificate(params, p, q, max_shift=max_shift) is kept
+    texts = certificate_texts(kept)
+    clear_kept()
+    fresh = limits.disjointness_certificate(params, p, q, max_shift=max_shift)
+    assert fresh is not kept and certificate_texts(fresh) == texts
+    assert exact(fresh) == exact(kept)
+    if kept.similarity.witness is not None:
+        with pytest.raises(TypeError):
+            kept.similarity.witness[0] = 1.0
+    with pytest.raises(TypeError):
+        kept.q_result.polynomial.coeffs[0] = 1.0
+    with pytest.raises(TypeError):
+        kept.notes[0] = "note"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        kept.notes = ()
+    # the same walk on the listed stages alone: its deepest fit needs a
+    # depth past them, and a certificate whose fit raises is not kept
+    j_ref, walk = limits._select_stages(params, (q, p), max_shift)
+    listed = cons.ConstructionParams.explicit(
+        params.h1, params.stage_range(1, max(j_ref, walk[-1][0])))
+    assert limits._select_stages(listed, (q, p), max_shift) == (j_ref, walk)
+    before = limits._certify.cache_info()
+    for _ in range(2):
+        with pytest.raises(StageUnavailable):
+            limits.disjointness_certificate(listed, p, q, max_shift=max_shift)
+    after = limits._certify.cache_info()
+    assert (after.currsize, after.hits) == (before.currsize, before.hits)
+
+
 def test_fits_are_kept_per_walk_not_per_max_shift():
     ch = cons.chacon()
     limits._fit_walk.cache_clear()
@@ -792,12 +848,12 @@ def test_a_kept_fit_writes_the_bytes_of_a_fresh_one(tmp_path):
         files = sorted((tmp_path / out).glob("*.csv"))
         return report.getvalue(), {f.name: f.read_bytes() for f in files}
 
-    limits._fit_walk.cache_clear()
+    clear_kept()
     kept = [disjointness(2000, "first"), disjointness(3000, "second")]
-    assert limits._fit_walk.cache_info().hits == 1
+    assert limits._certify.cache_info().hits == 1
     fresh = []
     for max_shift, out in ((2000, "fresh-first"), (3000, "fresh-second")):
-        limits._fit_walk.cache_clear()
+        clear_kept()
         fresh.append(disjointness(max_shift, out))
     assert kept == fresh
     assert sorted(kept[0][1]) == ["limit_p.csv", "limit_q.csv"]

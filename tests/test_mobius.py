@@ -356,6 +356,26 @@ def test_kept_planes_are_packed_once_per_process(monkeypatch):
     assert all(a is b for a, b in zip(packed, _kernels._kept.planes))
 
 
+def test_a_streamed_sieve_packs_no_planes(monkeypatch):
+    # sieve_mobius reads only mu, so the blocks it streams past the table
+    # come without planes; mobius_blocks still hands out its streamed planes
+    handed, sieve = [], _kernels._odd_blocks
+
+    def counted(*args, **kwargs):
+        for mu, planes in sieve(*args, **kwargs):
+            handed.append(planes)
+            yield mu, planes
+
+    monkeypatch.setattr(_kernels, "_odd_blocks", counted)
+    with table(()):
+        assert np.array_equal(_kernels.sieve_mobius(TOP + 2), oracle()[: TOP + 3])
+        assert len(handed) == KEPT + 1 and all(planes is None for planes in handed)
+        assert _kernels._kept == ()
+        handed.clear()
+        assert all(planes is not None for _, planes in _kernels.mobius_blocks(TOP + 2))
+        assert len(handed) == KEPT + 1
+
+
 def test_table_grows_whole_blocks_only_when_asked(monkeypatch):
     monkeypatch.setattr(_kernels, "_kept", ())
     assert not list(_kernels.mobius_blocks(0)) and _kernels._kept == ()
