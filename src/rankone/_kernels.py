@@ -8,6 +8,7 @@ stage m).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 
@@ -45,16 +46,6 @@ TILE.flags.writeable = False
 KEPT_BLOCKS = 3
 
 
-class _Table(tuple):
-    """The kept blocks, read-only int8 arrays of BLOCK entries each, k
-    ascending, with ``planes``: block i's read-only sign planes."""
-
-    planes = ()
-
-
-_kept = _Table()
-
-
 def mobius_blocks(n_max: int):
     """mu(2k + 1) for the odd n = 2k + 1 <= n_max, k ascending, as
     read-only pairs (mu, planes): mu an int8 block of at most BLOCK
@@ -65,18 +56,15 @@ def mobius_blocks(n_max: int):
     mu(2m) = -mu(m) for odd m, and mu(4m) = 0.
 
     The first KEPT_BLOCKS blocks and their planes are kept for the
-    process, in a table built on first use that grows a whole block at a
-    time, and only when a call needs more of it. A call whose odd n fit
-    in KEPT_BLOCKS blocks sieves, at the call, the whole blocks the table
-    lacks, and gets views of the table. A call past that streams every
-    block as below, each pair overwritten by the next, so read it before
-    asking for the next: planes never outlive their block. The table is
-    a tuple of blocks that holds their planes, and growth extends it and
-    publishes it with one rebind, so a concurrent reader sees the old
-    table or the new one, never half of one. Two calls that grow it at
-    once each sieve the blocks they lack into a table of their own, with
-    the same mu, and the later rebind wins: a race can only duplicate
-    work.
+    process: block i is sieved once, on first use, by ``_kept_block(i)``,
+    a ``functools.cache`` of the block index. A call whose odd n fit in
+    KEPT_BLOCKS blocks sieves, at the call, the whole kept blocks it
+    needs that are not cached yet, and gets views of them. A call past
+    that streams every block as below, each pair overwritten by the
+    next, so read it before asking for the next: planes never outlive
+    their block. Two threads that miss on one block at once each sieve
+    it, with the same mu, and the cache keeps one: a race can only
+    duplicate work.
 
     Let N = n_max and l(x) = floor(2*log2(x)), the bit length of x*x
     less 1. Per odd n, a uint8 holds in bit 7 whether p*p | n for some
@@ -96,9 +84,9 @@ def mobius_blocks(n_max: int):
     4, 9, 36, 225 >= 2**(2t - 1), and P_t > 4**t from t = 5 on (P_5 =
     2310, and every later prime exceeds 4). Likewise S <= l(N) + t, so
     S fits 7 bits while l(N) + t < 128, that is N < 2**57; past that,
-    ValueError is raised at the call, before the table is read and
-    before anything is allocated. The table's blocks are sieved with N
-    the last odd n of the last block, so they hold the same mu.
+    ValueError is raised at the call, before a kept block is read and
+    before anything is allocated. Kept block i is sieved with N its own
+    last odd n, 2*(i + 1)*BLOCK - 1, so it holds the same mu.
 
     TILE starts every block, which then strikes the primes
     7 < p <= sqrt(N) with two strided slices each, stride p from
@@ -106,8 +94,8 @@ def mobius_blocks(n_max: int):
     with l(n) - t + 1 in one slice per run of constant l. The last two
     compares, [mu = +1] and [mu = -1], are the planes, packed as they
     are made. The primes are found only when a block is sieved: at the
-    call when it streams, so an invalid n_max fails there, and on growth
-    of the table.
+    call when it streams, so an invalid n_max fails there, and on a kept
+    block's first use.
     """
     return _blocks(n_max, pack=True)
 
@@ -120,12 +108,18 @@ def _blocks(n_max, pack):
     count = (n_max + 1) // 2  # the odd n <= n_max
     if count > KEPT_BLOCKS * BLOCK:
         return _odd_blocks(n_max, t, _primes(root), pack=pack)
-    need = -(-count // BLOCK)
-    kept = _kept  # read once: a concurrent growth may rebind it
-    if len(kept) < need:
-        kept = _grow(kept, need)
-    return ((kept[i][: count - i * BLOCK], kept.planes[i][:, : -(-(count - i * BLOCK) // 64)])
-            for i in range(need))
+    kept = [_kept_block(i) for i in range(-(-count // BLOCK))]
+    return ((mu[: count - lo], planes[:, : -(-(count - lo) // 64)])
+            for (mu, planes), lo in zip(kept, range(0, count, BLOCK)))
+
+
+@functools.cache
+def _kept_block(i):
+    """Block i < KEPT_BLOCKS of ``mobius_blocks`` with its planes, sieved
+    with N its own last odd n into arrays of its own."""
+    top = 2 * (i + 1) * BLOCK - 1
+    t, root = _sieve_bounds(top)
+    return next(_odd_blocks(top, t, _primes(root), i, pack=True))
 
 
 def _sieve_bounds(n_max):
@@ -146,38 +140,24 @@ def _primes(root):
     return [p for p in np.flatnonzero(is_prime).tolist() if p > TILED[-1]]
 
 
-def _grow(kept, need):
-    """Sieve the blocks ``kept`` lacks up to ``need`` blocks, each with
-    its planes into arrays of its own, and publish the longer table."""
-    global _kept
-    top = 2 * need * BLOCK - 1  # the last odd n of the last block
-    t, root = _sieve_bounds(top)
-    blocks, planes = zip(*_odd_blocks(top, t, _primes(root), len(kept), keep=True,
-                                      pack=True))
-    table = _Table(kept + blocks)
-    table.planes = (kept.planes if kept else ()) + planes
-    _kept = table
-    return table
-
-
-def _odd_blocks(n_max, t, primes, first=0, keep=False, *, pack):
+def _odd_blocks(n_max, t, primes, first=0, *, pack):
     """The blocks of mu(2k + 1) for the odd n <= n_max from block
     ``first`` on, with their planes (see mobius_blocks) when ``pack`` is
-    set, else None, each pair in arrays of its own when ``keep``, else
-    each overwritten by the next."""
+    set, else None, each pair overwritten by the next."""
     count = (n_max + 1) // 2
     size = min(BLOCK, count)
     root = math.isqrt(n_max)
-    flags = np.empty(size, dtype=bool)
     sums = None  # the sums, then mu in place
     # a uint8 weight and an explicit out: ``view += w`` would convert a
     # Python int and write the view back through __setitem__ on every call
     weights = np.array([((p * p).bit_length() - 1) | 1 for p in primes], dtype=np.uint8)
     strikes = [(p // 2, p, w, p * p // 2, p * p) for p, w in zip(primes, weights)]
     for lo in range(first * BLOCK, count, BLOCK):
-        if sums is None or keep:
+        if sums is None:
             sums = np.empty(size, dtype=np.uint8)
             planes = np.empty((2, -(-size // 64)), dtype=np.uint64) if pack else None
+            # allocated after the arrays a kept block keeps, so freed it tops the heap
+            flags = np.empty(size, dtype=bool)
         n = min(BLOCK, count - lo)
         blk, above = sums[:n], flags[:n]
         whole = n - n % TILE_PERIOD
@@ -319,9 +299,9 @@ def weighted_mobius_sums(readers, blocks, checkpoints):
     sums stay below 128*BLOCK, else in int64 (``_product_sums``).
 
     Besides what the readers hold, a sum to any N holds that one buffer
-    and what ``blocks`` holds: nothing more for blocks of the kept
-    table, one block and its planes for streamed ones, never an N-entry
-    mu. Every sum is exact when max|v| * n < 2**63.
+    and what ``blocks`` holds: nothing more for kept blocks, one block
+    and its planes for streamed ones, never an N-entry mu. Every sum is
+    exact when max|v| * n < 2**63.
     """
     cps = [int(c) for c in checkpoints]
     # per read: its reader, the cut (first k left out) of each

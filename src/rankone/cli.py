@@ -297,8 +297,11 @@ def _conventions(specs: tuple[Param, ...], p: dict) -> str:
 # -------------------------------------------------------------- commands
 
 def _cmd_heights(cfg):
-    J = cfg.params["J"]
-    table = cons.heights(cfg.construction, J)
+    # grown only through the first L past the digits _csv_text prints
+    J, limit = cfg.params["J"], sys.get_int_max_str_digits()
+    table = (cons.heights_within(cfg.construction, J, 10**limit - 1) if limit
+             else cons.heights(cfg.construction, J))
+    J = table.max_stage
     rows = ((j, table.L(j), table.h(j)) for j in range(1, J + 1))
     return ({"heights.csv": (("j", "L", "h"), rows)},
             [f"heights through stage {J}: L_{J} = {cons.format_count(table.L(J))}"])

@@ -179,12 +179,9 @@ PRESETS = {
 
 
 def preset(name: str) -> ConstructionParams:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown preset {name!r}; valid: {sorted(PRESETS)}"
-        ) from None
+    if not isinstance(name, str) or name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; valid: {sorted(PRESETS)}")
+    return PRESETS[name]()
 
 
 # -------------------------------------------------------------- heights

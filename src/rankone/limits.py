@@ -15,16 +15,14 @@ estimation: verdicts are labeled evidence, never proofs.
 A fit's one depth param is ``max_shift``: its stages run from j = 1 until
 |d*H_j| passes it. Its window Z, thresholds and depth rule are constants.
 
-A process fits each (construction, multipliers, admissible stages) once:
-``weak_limit``, ``disjointness_certificate`` and ``cascade`` reach the fits
-through ``_fit_walk``, which keeps the last 64 fitted walks (about
-9 KiB each under tracemalloc, so about 0.6 MiB in all), and
-``disjointness_certificate`` keeps the last 64 certificates, one per
-(construction, p, q, admissible stages). Every ``max_shift`` that admits
-the same stages shares one result, so results are read-only: frozen
-dataclasses, tuples and read-only coefficient and witness maps. A kept
+A process keeps the last 64 disjointness certificates, one per
+(construction, p, q, admissible stages), in the one cache of this
+module, that of ``_certify``. Every ``max_shift`` that admits the same
+stages shares one certificate, so results are read-only: frozen
+dataclasses, tuples and read-only coefficient and witness maps. A
 result formats its CSV rows and report text once, on first use, and
-keeps them with it.
+keeps them with it. ``weak_limit`` keeps nothing: each call fits its
+walk again.
 """
 
 from __future__ import annotations
@@ -311,9 +309,17 @@ def fit_for_shift(
 
 # ------------------------------------------------------------- sequences
 
-def _return_height(params: ConstructionParams, j: int) -> int:
-    """H_j = -(L_j + s_j^min), L_j read from the construction's level table."""
-    return -(_grow(params, j)[j - 1] + params.stage(j).s_min_first)
+def _return_heights(params: ConstructionParams):
+    """(j, H_j) for j = 1, 2, ..., through an explicit construction's last
+    stage, with H_j = -(L_j + s_j^min). Each L_j is one read of the level
+    table, which is fetched once and again only when it must grow."""
+    levels = _grow(params, 1)
+    walk = (range(1, len(params.stages) + 1) if params.kind == "explicit"
+            else itertools.count(1))
+    for j in walk:
+        if j > len(levels):
+            levels = _grow(params, j)
+        yield j, -(levels[j - 1] + params.stage(j).s_min_first)
 
 
 def auto_ref_stage(params: ConstructionParams, Z: int) -> int:
@@ -332,7 +338,7 @@ def _select_stages(
     that each shift moves every reference level out of the reference tower.
     |H_j| strictly increases with j (L_{j+1} >= 2L_j + s_j(1)), so the walk
     stops at the first stage beyond max_shift, or an explicit one's last.
-    Each L_j is one read of the level table, so the walk is O(J).
+    It reads (j, H_j) from ``_return_heights``, so it is O(J).
     A multiplier below 1 never passes max_shift, so it raises ValueError."""
     low, high = min(multipliers), max(multipliers)
     if low < 1:
@@ -343,11 +349,8 @@ def _select_stages(
         raise ValueError(f"fewer than two admissible stages: the listed stages build "
                          f"no reference tower of 2Z+2={2 * Z + 2} levels") from None
     floor = _grow(params, j_ref)[j_ref - 1]
-    walk = (range(1, len(params.stages) + 1) if params.kind == "explicit"
-            else itertools.count(1))
     usable = []
-    for j in walk:
-        h = _return_height(params, j)
+    for j, h in _return_heights(params):
         if -high * h > max_shift:
             break
         if -low * h >= floor:
@@ -382,24 +385,13 @@ class WeakLimitResult:
                 f"optimality gap {self.polynomial.optimality_gap:.2g}")
 
 
-def _fit_powers(
-    params: ConstructionParams, multipliers: Sequence[int], max_shift: int,
-) -> tuple[WeakLimitResult, ...]:
-    """Fit the series k*H_j of each multiplier k along the stages
-    ``_select_stages`` admits. The walk is checked on every call; its fits
-    are those of ``_fit_walk``, which depend on max_shift only through it."""
-    j_ref, walk = _select_stages(params, multipliers, max_shift)
-    return _fit_walk(params, tuple(multipliers), j_ref, tuple(walk))
-
-
-@functools.lru_cache(maxsize=64)
 def _fit_walk(
-    params: ConstructionParams, multipliers: tuple[int, ...], j_ref: int,
-    walk: tuple[tuple[int, int], ...],
+    params: ConstructionParams, multipliers: Sequence[int], j_ref: int,
+    walk: Sequence[tuple[int, int]],
 ) -> tuple[WeakLimitResult, ...]:
-    """The fits of ``_fit_powers`` along the (j, H_j) of ``walk``, each
-    shift n at the depth ``depth`` gives it, the fits of all series
-    counted by one climb. A fit that raises is not kept."""
+    """Fit the series k*H_j of each multiplier k along the (j, H_j) of
+    ``walk``, the stages ``_select_stages`` admits, each shift n at the
+    depth ``depth`` gives it, the fits of all series counted by one climb."""
     stages = tuple(j for j, _ in walk)
     series = [tuple(k * h for _, h in walk) for k in multipliers]
     shifts = [n for ns in series for n in ns]
@@ -428,7 +420,8 @@ def weak_limit(
     max_shift), reports the maximal coefficient gap between consecutive
     fits, and returns the deepest fit as the limit estimate.
     """
-    return _fit_powers(params, (d,), max_shift)[0]
+    j_ref, walk = _select_stages(params, (d,), max_shift)
+    return _fit_walk(params, (d,), j_ref, walk)[0]
 
 
 # ------------------------------------------------------------ similarity
@@ -544,7 +537,8 @@ def disjointness_certificate(
     """Fit Q along T^{q*H_j} and P along T^{p*H_j} on a shared stage
     sequence and compare: non-similar converged limits are evidence
     that T^q and T^p are disjoint. The walk is checked on every call; the
-    certificate is that of ``_certify``, kept per walk as its fits are."""
+    certificate is that of ``_certify``, which keeps it per walk, so it
+    depends on max_shift only through the stages admitted."""
     check_pair(p, q)
     j_ref, walk = _select_stages(params, (q, p), max_shift)
     return _certify(params, p, q, j_ref, tuple(walk))
@@ -555,9 +549,9 @@ def _certify(
     params: ConstructionParams, p: int, q: int, j_ref: int,
     walk: tuple[tuple[int, int], ...],
 ) -> DisjointnessVerdict:
-    """The certificate of ``disjointness_certificate`` from the fits
-    ``_fit_walk`` keeps for ``walk``. A certificate whose fit raises is
-    not kept."""
+    """The certificate of ``disjointness_certificate`` from the fits of
+    ``_fit_walk`` along ``walk``. A certificate whose fit raises is not
+    kept."""
     q_result, p_result = _fit_walk(params, (q, p), j_ref, walk)
     similarity = is_pq_similar(q_result.polynomial, p_result.polynomial, p, q)
 

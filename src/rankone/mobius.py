@@ -18,8 +18,8 @@ def sieve_mobius(n_max: int) -> np.ndarray:
     """mu(0..n_max) as a read-only int8 array, so that ``mu[n]`` is
     mu(n); entry 0 is unused and left 0 (mu(0) is not defined). The odd
     entries come from ``_kernels.mobius_blocks``, so an n_max up to
-    6,350,399 reads the process's kept table and sieves nothing it
-    already holds; the array itself is new on every call."""
+    6,350,399 reads the process's kept blocks and sieves none it already
+    holds; the array itself is new on every call."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     mu = _kernels.sieve_mobius(n_max)

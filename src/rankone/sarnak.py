@@ -27,8 +27,9 @@ written as floats (S_n and S_n/n). Each sum is fixed by (start, N) and
 reads mu to N through ``_kernels.mobius_blocks`` once the orbit has
 passed the word guard, so an orbit past that guard fails before any
 sieve. mu(2k + 1) for the first KEPT_BLOCKS blocks, the odd n <=
-6,350,399, is sieved once per process and kept read-only with its sign
-planes, so every sum and telescope of a process reads that prefix
+6,350,399, is sieved once per process, a block on its first use, and
+kept read-only with its sign planes in one ``functools`` cache of the
+block index, so every sum and telescope of a process reads that prefix
 without sieving it again; past it, mu is sieved to N a block at a
 time, each block's planes packed with it and overwritten with it.
 
@@ -231,7 +232,7 @@ def mobius_weighted_sum(
     the word guard: views of the process's kept blocks and their planes
     for N up to 2*KEPT_BLOCKS*BLOCK - 1, else sieved a block at a time,
     each block and its planes overwritten by the next. The orbit is
-    never held whole, and mu only as the kept table, whose size does not
+    never held whole, and mu only as the kept blocks, whose size does not
     grow with N."""
     read, dtype = _orbit(params, obs, start, N)
     # one buffer for both reads: the sum is done with a block's odd-time

@@ -139,8 +139,11 @@ def test_plain_poly_keys_are_read(tmp_path, capsys):
 
 
 def test_unknown_preset_rejected():
-    with pytest.raises(ConfigError, match="unknown preset"):
-        cli.parse_config(make_config(construction={"preset": "lebesgue"}))
+    # a JSON list or object is no key of the preset table (it was a
+    # TypeError), nor is a number
+    for name in ("lebesgue", ["chacon"], {"a": 1}, 5):
+        with pytest.raises(ConfigError, match="unknown preset"):
+            cli.parse_config(make_config(construction={"preset": name}))
 
 
 # ------------------------------------------------------------------- runs
@@ -896,6 +899,21 @@ def test_counts_past_the_print_limit_are_reported_bounded(tmp_path, capsys):
         "error[ValueError]: heights.csv keeps exact counts, and its L at j=14284 is "
         "1.63488e+4300 (4301 digits), past the 4300 digits Python prints")
     assert not (tmp_path / "heights" / "heights.csv").exists()
+
+
+def test_heights_grow_no_further_than_the_first_unprintable_count(tmp_path, capsys):
+    # h1 = 9 and 1000 columns without spacers: L_j = 10^(3j - 2), so L_1434
+    # = 10^4300 is the first count of 4301 digits, and the level table stops
+    # there, short of the 3000 stages asked for
+    params = cons.ConstructionParams.periodic(9, [cons.StageParams(1000, (0,) * 1000)])
+    spec = {"h1": 9, "stages": {"kind": "periodic", "pattern": [{"r": 1000, "s": [0] * 1000}]}}
+    assert cli.main(["heights", "--construction-json", json.dumps(spec), "--J", "3000",
+                     "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "error[ValueError]: heights.csv keeps exact counts, and its L at j=1434 is "
+        "1.00000e+4300 (4301 digits), past the 4300 digits Python prints")
+    assert len(cons._level_table(params)) == 1434
+    assert not (tmp_path / "heights.csv").exists()
 
 
 def test_factor_refuses_offsets_past_the_print_limit(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import itertools
 import math
 import random
 from typing import Mapping
@@ -282,8 +283,7 @@ def test_random_certificate_takes_few_face_solves(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted)
     params = cons.ConstructionParams.random_bounded(1, 3, 3, 5)
-    limits._fit_walk.cache_clear()  # a kept fit would make no solve
-    limits._certify.cache_clear()  # nor would a kept certificate
+    limits._certify.cache_clear()  # a kept certificate would make no solve
     verdict = limits.disjointness_certificate(params, 2, 3, max_shift=4000)
     assert verdict.verdict is limits.Verdict.INCONCLUSIVE
     assert 6 <= len(calls) <= 18
@@ -395,9 +395,14 @@ def test_stage_walk_matches_the_filter(selection):
 @given(CONSTRUCTIONS)
 def test_return_height_strictly_decreases(params):
     # the walk may stop at the first stage beyond max_shift only because
-    # |H_j| strictly increases with j
+    # |H_j| strictly increases with j; it reads H_j = -(L_j + s_j^min)
+    # through an explicit construction's last stage
     top = len(params.stages) if params.kind == "explicit" else 30
-    hs = [limits._return_height(params, j) for j in range(1, top + 1)]
+    walk = list(itertools.islice(limits._return_heights(params), 30))
+    table = cons.heights(params, top)
+    assert walk == [(j, -(table.L(j) + params.stage(j).s_min_first))
+                    for j in range(1, top + 1)]
+    hs = [h for _, h in walk]
     assert all(a > b for a, b in zip(hs, hs[1:]))
 
 
@@ -528,8 +533,7 @@ def test_correlations_build_no_long_word(monkeypatch):
     assert built and max(built) <= L_K // 50
     # a large max_shift takes every fit to L_K >= 200|n| >= 1e6
     built.clear()
-    limits._fit_walk.cache_clear()  # a kept fit would build no word
-    limits._certify.cache_clear()  # nor would a kept certificate
+    limits._certify.cache_clear()  # a kept certificate would build no word
     verdict = limits.disjointness_certificate(params, 2, 3, max_shift=200_000)
     shifts = verdict.q_result.shifts + verdict.p_result.shifts
     Ks = [limits.depth(params, n, verdict.q_result.ref_stage) for n in shifts]
@@ -705,7 +709,7 @@ def test_limit_polynomial_coeffs_are_read_only():
         del fitted.coeffs[0]
 
 
-# ---------------------------------------------------------- kept fits
+# -------------------------------------------------- kept certificates
 
 def exact(value):
     """Every field of a fit result, nested, with each float as its hex
@@ -726,28 +730,6 @@ FIT_CONSTRUCTIONS = st.one_of(
     st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
               st.just(3), st.just(3), st.integers(0, 10**6)),
 )
-
-
-@settings(max_examples=40, deadline=None)
-@given(FIT_CONSTRUCTIONS,
-       st.sampled_from([(1,), (3, 2), (4, 3), (5, 2), (5, 3)]),
-       st.integers(200, 6000))
-def test_kept_fit_is_the_fresh_fit(params, multipliers, max_shift):
-    try:
-        kept = limits._fit_powers(params, multipliers, max_shift)
-    except ValueError:  # the walk's own checks, made before any fit
-        with pytest.raises(ValueError):
-            limits._select_stages(params, multipliers, max_shift)
-        return
-    j_ref, walk = limits._select_stages(params, multipliers, max_shift)
-    fresh = limits._fit_walk.__wrapped__(params, multipliers, j_ref, tuple(walk))
-    assert exact(kept) == exact(fresh)
-    assert limits._fit_powers(params, multipliers, max_shift) is kept
-
-
-def clear_kept():
-    limits._fit_walk.cache_clear()
-    limits._certify.cache_clear()
 
 
 def certificate_texts(verdict):
@@ -772,7 +754,7 @@ def test_kept_certificate_is_the_fresh_certificate(params, pair, max_shift):
         return
     assert limits.disjointness_certificate(params, p, q, max_shift=max_shift) is kept
     texts = certificate_texts(kept)
-    clear_kept()
+    limits._certify.cache_clear()
     fresh = limits.disjointness_certificate(params, p, q, max_shift=max_shift)
     assert fresh is not kept and certificate_texts(fresh) == texts
     assert exact(fresh) == exact(kept)
@@ -799,43 +781,6 @@ def test_kept_certificate_is_the_fresh_certificate(params, pair, max_shift):
     assert (after.currsize, after.hits) == (before.currsize, before.hits)
 
 
-def test_fits_are_kept_per_walk_not_per_max_shift():
-    ch = cons.chacon()
-    limits._fit_walk.cache_clear()
-    # |H_j| = L_j = 121, 364, 1093, 3280: max_shift 2000 and 3000 admit
-    # stages 5..7, max_shift 4000 stages 6..8
-    first = limits.weak_limit(ch, 1, max_shift=2000)
-    again = limits.weak_limit(ch, 1, max_shift=3000)
-    info = limits._fit_walk.cache_info()
-    assert (info.hits, info.misses, info.maxsize) == (1, 1, 64)
-    assert again is first and again.stages == (5, 6, 7)
-    moved = limits.weak_limit(ch, 1, max_shift=4000)
-    info = limits._fit_walk.cache_info()
-    assert (info.hits, info.misses) == (1, 2)
-    assert moved.stages == (6, 7, 8)
-    # a walk's checks run on every call, also on a kept walk
-    with pytest.raises(ValueError, match="fewer than two admissible stages"):
-        limits.weak_limit(ch, 1, max_shift=4)
-    assert limits._fit_walk.cache_info().misses == 2
-
-
-def test_a_fit_that_raises_is_not_kept():
-    # 8 listed chacon stages: the walk ends at stage 8, |H_8| = 3280, whose
-    # depth needs L_K >= 656000, past the listed stages
-    listed = cons.ConstructionParams.explicit(0, cons.chacon().stages * 8)
-    limits._fit_walk.cache_clear()
-    before = limits._fit_walk.cache_info()
-    messages = []
-    for _ in range(2):
-        with pytest.raises(StageUnavailable) as err:
-            limits.weak_limit(listed, 1, max_shift=10**9)
-        messages.append(str(err.value))
-    after = limits._fit_walk.cache_info()
-    assert messages[0] == messages[1]
-    assert after.currsize == before.currsize
-    assert after.misses == before.misses + 2
-
-
 def test_a_kept_fit_writes_the_bytes_of_a_fresh_one(tmp_path):
     # chacon at (q, p) = (3, 2) admits stages 4..6 at max_shift 2000 and 3000
     def disjointness(max_shift, out):
@@ -848,12 +793,17 @@ def test_a_kept_fit_writes_the_bytes_of_a_fresh_one(tmp_path):
         files = sorted((tmp_path / out).glob("*.csv"))
         return report.getvalue(), {f.name: f.read_bytes() for f in files}
 
-    clear_kept()
+    limits._certify.cache_clear()
     kept = [disjointness(2000, "first"), disjointness(3000, "second")]
-    assert limits._certify.cache_info().hits == 1
+    info = limits._certify.cache_info()
+    assert (info.hits, info.misses, info.maxsize) == (1, 1, 64)
+    # the walk's checks run on every call, also beside a kept certificate
+    with pytest.raises(ValueError, match="fewer than two admissible stages"):
+        limits.disjointness_certificate(cons.chacon(), 2, 3, max_shift=4)
+    assert limits._certify.cache_info().misses == 1
     fresh = []
     for max_shift, out in ((2000, "fresh-first"), (3000, "fresh-second")):
-        clear_kept()
+        limits._certify.cache_clear()
         fresh.append(disjointness(max_shift, out))
     assert kept == fresh
     assert sorted(kept[0][1]) == ["limit_p.csv", "limit_q.csv"]

@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import hashlib
 import math
@@ -96,10 +95,10 @@ def test_sieve_matches_direct_at_any_size(n_max):
 
 
 def streamed(monkeypatch):
-    """With no table kept, every size streams: the sieve runs to n_max
+    """With no block kept, every size streams: the sieve runs to n_max
     itself, with the primes to sqrt(n_max) and the threshold of n_max."""
     monkeypatch.setattr(_kernels, "KEPT_BLOCKS", 0)
-    monkeypatch.setattr(_kernels, "_kept", ())
+    _kernels._kept_block.cache_clear()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 97, 521, 1009, 2003])
@@ -184,7 +183,7 @@ def test_sieve_blocks_match_unsegmented_strike(monkeypatch, n_max):
     assert np.array_equal(_kernels.sieve_mobius(n_max), want)
     streamed(monkeypatch)
     assert np.array_equal(_kernels.sieve_mobius(n_max), want)
-    assert _kernels._kept == ()
+    assert kept_blocks() == []
 
 
 @pytest.mark.parametrize("n_max,expected", [(1, [0, 1]), (2, [0, 1, -1])])
@@ -251,19 +250,13 @@ def odd_mu(n_max):
     return np.concatenate([np.empty(0, np.int8), *(mu for mu, _ in blocks)])
 
 
-@contextlib.contextmanager
-def table(kept):
-    """The kept table set to ``kept`` for the block, then put back."""
-    saved = _kernels._kept
-    _kernels._kept = kept
-    try:
-        yield
-    finally:
-        _kernels._kept = saved
-
-
-def kept_entries():
-    return sum(map(len, _kernels._kept))
+def kept_blocks():
+    """The (mu, planes) pairs the process keeps, block 0 first, read
+    from the cache without sieving any."""
+    info = _kernels._kept_block.cache_info()
+    kept = [_kernels._kept_block(i) for i in range(info.currsize)]
+    assert _kernels._kept_block.cache_info().misses == info.misses
+    return kept
 
 
 def read_halves(vals):
@@ -277,24 +270,25 @@ def read_halves(vals):
        st.sampled_from(["drawn", "ascending", "descending", "repeated"]),
        st.integers(0, 2**32 - 1))
 def test_kept_table_serves_any_sequence_of_sizes(sizes, order, seed):
-    # from a cold table, in any order: each sieve is the unsegmented strike,
-    # each sum is the same with the table as it stands and from cold, and
-    # the table never holds more than KEPT_BLOCKS blocks
+    # from cold, in any order: each sieve is the unsegmented strike, each
+    # sum is the same with the blocks kept as they stand and from cold, and
+    # the process never keeps more than KEPT_BLOCKS whole blocks
     sizes = {"ascending": sorted(sizes), "descending": sorted(sizes, reverse=True),
              "repeated": [n for n in sizes for _ in range(2)]}.get(order, sizes)
     vals = np.random.default_rng(seed).integers(-128, 128, size=max(sizes), dtype=np.int8)
-    with table(()):
-        for n_max in sizes:
-            assert np.array_equal(_kernels.sieve_mobius(n_max), oracle()[: n_max + 1]), n_max
-            checkpoints = np.array(sorted({1, n_max // 2 or 1, n_max}), np.int64)
-            warm = _kernels.weighted_mobius_sums(read_halves(vals), _kernels.mobius_blocks(n_max),
-                                                 checkpoints)
-            with table(()):
-                cold = _kernels.weighted_mobius_sums(read_halves(vals),
-                                                     _kernels.mobius_blocks(n_max), checkpoints)
-            assert warm.tolist() == cold.tolist(), n_max
-            assert kept_entries() <= KEPT * BLOCK
-            assert all(len(blk) == BLOCK for blk in _kernels._kept)
+    _kernels._kept_block.cache_clear()
+    for n_max in sizes:
+        assert np.array_equal(_kernels.sieve_mobius(n_max), oracle()[: n_max + 1]), n_max
+        checkpoints = np.array(sorted({1, n_max // 2 or 1, n_max}), np.int64)
+        warm = _kernels.weighted_mobius_sums(read_halves(vals), _kernels.mobius_blocks(n_max),
+                                             checkpoints)
+        _kernels._kept_block.cache_clear()
+        cold = _kernels.weighted_mobius_sums(read_halves(vals), _kernels.mobius_blocks(n_max),
+                                             checkpoints)
+        assert warm.tolist() == cold.tolist(), n_max
+        kept = kept_blocks()
+        assert len(kept) <= KEPT
+        assert all(len(blk) == BLOCK for blk, _ in kept)
 
 
 SEAM_POINTS = [2 * BLOCK, 4 * BLOCK, TOP]
@@ -307,8 +301,8 @@ SEAM_POINTS = [2 * BLOCK, 4 * BLOCK, TOP]
        st.floats(0, 1), st.integers(0, 2**32 - 1), st.data())
 def test_indicator_sums_by_popcount_match_int8_products_and_the_sieve(N, density, seed, data):
     # bool values take the sign planes, the same values as int8 take the
-    # products, and both equal the running sum over sieve_mobius: from a
-    # cold table, then warm, then with no table kept, so that every block
+    # products, and both equal the running sum over sieve_mobius: from
+    # cold, then warm, then with no block kept, so that every block
     # streams through one buffer and one pair of planes
     rng = np.random.default_rng(seed)
     vals = rng.random(N) < density
@@ -322,16 +316,16 @@ def test_indicator_sums_by_popcount_match_int8_products_and_the_sieve(N, density
     want = np.add.reduceat(prods, np.r_[0, checkpoints[:-1]], dtype=np.int64).cumsum()
     modes = [("cold", KEPT), ("warm", KEPT), ("streamed", 0)]
     for mode, kept in modes:
-        with table(() if mode != "warm" else _kernels._kept), \
-                mock.patch.object(_kernels, "KEPT_BLOCKS", kept):
-            if mode == "warm":
-                list(_kernels.mobius_blocks(N))
+        with mock.patch.object(_kernels, "KEPT_BLOCKS", kept):
+            if mode == "cold":
+                _kernels._kept_block.cache_clear()
+            before = _kernels._kept_block.cache_info()
             for v in (vals, vals.view(np.int8)):
                 got = _kernels.weighted_mobius_sums(read_halves(v), _kernels.mobius_blocks(N),
                                                     checkpoints)
                 assert got.tolist() == want.tolist(), (mode, v.dtype)
-            if mode == "streamed":
-                assert _kernels._kept == ()
+            if mode != "cold":  # warm reads its blocks, streamed reads none
+                assert _kernels._kept_block.cache_info().misses == before.misses
 
 
 def test_kept_planes_are_packed_once_per_process(monkeypatch):
@@ -345,15 +339,16 @@ def test_kept_planes_are_packed_once_per_process(monkeypatch):
             yield mu, planes
 
     monkeypatch.setattr(_kernels, "_odd_blocks", counted)
-    monkeypatch.setattr(_kernels, "_kept", ())
+    _kernels._kept_block.cache_clear()
     vals = np.ones(TOP, dtype=bool)
     for n_max in (3000, 2 * BLOCK + 1, TOP, TOP - 1, 5000, TOP):
         _kernels.weighted_mobius_sums(read_halves(vals), _kernels.mobius_blocks(n_max),
                                       np.array([n_max], np.int64))
         handed = [planes for _, planes in _kernels.mobius_blocks(n_max)]
-        assert all(np.shares_memory(a, b) for a, b in zip(handed, _kernels._kept.planes))
+        kept = [planes for _, planes in kept_blocks()]
+        assert all(np.shares_memory(a, b) for a, b in zip(handed, kept))
     assert len(packed) == KEPT
-    assert all(a is b for a, b in zip(packed, _kernels._kept.planes))
+    assert all(a is b for a, b in zip(packed, kept))
 
 
 def test_a_streamed_sieve_packs_no_planes(monkeypatch):
@@ -367,29 +362,31 @@ def test_a_streamed_sieve_packs_no_planes(monkeypatch):
             yield mu, planes
 
     monkeypatch.setattr(_kernels, "_odd_blocks", counted)
-    with table(()):
-        assert np.array_equal(_kernels.sieve_mobius(TOP + 2), oracle()[: TOP + 3])
-        assert len(handed) == KEPT + 1 and all(planes is None for planes in handed)
-        assert _kernels._kept == ()
-        handed.clear()
-        assert all(planes is not None for _, planes in _kernels.mobius_blocks(TOP + 2))
-        assert len(handed) == KEPT + 1
+    _kernels._kept_block.cache_clear()
+    assert np.array_equal(_kernels.sieve_mobius(TOP + 2), oracle()[: TOP + 3])
+    assert len(handed) == KEPT + 1 and all(planes is None for planes in handed)
+    assert kept_blocks() == []
+    handed.clear()
+    assert all(planes is not None for _, planes in _kernels.mobius_blocks(TOP + 2))
+    assert len(handed) == KEPT + 1
 
 
-def test_table_grows_whole_blocks_only_when_asked(monkeypatch):
-    monkeypatch.setattr(_kernels, "_kept", ())
-    assert not list(_kernels.mobius_blocks(0)) and _kernels._kept == ()
+def test_table_grows_whole_blocks_only_when_asked():
+    _kernels._kept_block.cache_clear()
+    assert not list(_kernels.mobius_blocks(0)) and kept_blocks() == []
     odd_mu(3000)
-    first = _kernels._kept
-    assert len(first) == 1
+    first = kept_blocks()
+    assert len(first) == 1 and len(first[0][0]) == BLOCK
     odd_mu(2 * BLOCK - 1)  # the first block's last odd n
-    assert _kernels._kept is first
+    assert _kernels._kept_block.cache_info().misses == 1
     odd_mu(2 * BLOCK + 1)
-    assert len(_kernels._kept) == 2 and _kernels._kept[0] is first[0]
-    odd_mu(TOP + 2)  # streams, and leaves the table as it was
-    assert len(_kernels._kept) == 2
+    kept = kept_blocks()
+    assert len(kept) == 2 and kept[0] is first[0]
+    odd_mu(TOP + 2)  # streams, and leaves the blocks kept as they were
+    assert len(kept_blocks()) == 2
     odd_mu(TOP + 1)  # the even n past TOP adds no odd n
-    assert kept_entries() == KEPT * BLOCK
+    assert [len(blk) for blk, _ in kept_blocks()] == [BLOCK] * KEPT
+    assert _kernels._kept_block.cache_info().misses == KEPT
 
 
 def test_a_table_hit_finds_no_primes(monkeypatch):
@@ -406,9 +403,10 @@ def test_a_table_hit_finds_no_primes(monkeypatch):
 
 
 @pytest.mark.parametrize("n_max", [3000, 2 * BLOCK + 1, TOP, TOP + 2])
-def test_blocks_handed_out_are_read_only(monkeypatch, n_max):
-    # views of the table, and the streamed blocks past it, with their planes
-    monkeypatch.setattr(_kernels, "_kept", ())
+def test_blocks_handed_out_are_read_only(n_max):
+    # views of the kept blocks, and the streamed blocks past them, with
+    # their planes
+    _kernels._kept_block.cache_clear()
     for blk, planes in _kernels.mobius_blocks(n_max):
         for arr in (blk, planes):
             assert not arr.flags.writeable
@@ -433,16 +431,17 @@ def test_threads_growing_the_table_at_once_read_the_same_mu():
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with table(()):
-            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=120)
-            assert not any(th.is_alive() for th in threads)
-            assert kept_entries() <= KEPT * BLOCK
-            for blk, lo in zip(_kernels._kept, range(0, KEPT * BLOCK, BLOCK)):
-                assert np.array_equal(blk, want[2 * lo + 1 : 2 * (lo + BLOCK) : 2])
+        _kernels._kept_block.cache_clear()
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+        kept = kept_blocks()
+        assert len(kept) <= KEPT
+        for (blk, _), lo in zip(kept, range(0, KEPT * BLOCK, BLOCK)):
+            assert np.array_equal(blk, want[2 * lo + 1 : 2 * (lo + BLOCK) : 2])
     finally:
         sys.setswitchinterval(switch)
     assert not errors

@@ -161,22 +161,22 @@ def test_weighted_sum_memory_is_flat_in_N():
 
 
 @pytest.mark.parametrize("N", [_kernels.BLOCK, 5_000_000, 6_350_400, 30_000_000])
-def test_weighted_sum_memory_is_flat_in_N_besides_the_kept_table(monkeypatch, N):
-    # from a cold table and then warm: the sum's own buffers, and the
-    # sieve's when it streams, stay under the bound of the test above; the
-    # table it grows (at most KEPT_BLOCKS*BLOCK bytes) is kept for later sums
+def test_weighted_sum_memory_is_flat_in_N_besides_the_kept_table(N):
+    # from cold and then warm: the sum's own buffers, and the sieve's when
+    # it streams, stay under the bound of the test above; the blocks it
+    # sieves to keep (at most KEPT_BLOCKS*BLOCK bytes) are kept for later sums
     params, BLOCK = cons.chacon(), _kernels.BLOCK
     obs = sarnak.Observable.indicator(params, 2, [0, 3])
-    monkeypatch.setattr(_kernels, "_kept", ())
+    _kernels._kept_block.cache_clear()
     for state in ("cold", "warm"):
-        before = sum(map(len, _kernels._kept))
+        before = _kernels._kept_block.cache_info().currsize
         tracemalloc.start()
         try:
             sarnak.mobius_weighted_sum(params, obs, 0, N)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        added = sum(map(len, _kernels._kept)) - before
+        added = (_kernels._kept_block.cache_info().currsize - before) * BLOCK
         blocks = -(-((N + 1) // 2) // BLOCK)  # of odd n to N
         assert added == (blocks * BLOCK if state == "cold" and blocks <= _kernels.KEPT_BLOCKS
                          else 0)
