@@ -24,7 +24,8 @@ Each handler is a pure function ``handler(cfg) -> (files, lines)``:
 ``files`` maps a CSV name to ``(header, rows)`` and ``lines`` are its
 report lines. ``run`` alone does I/O. It formats every file's rows
 through ``_csv_text``, writes the files once all have formatted, then
-prints the report.
+prints the report. It writes each file's UTF-8 bytes through the os
+calls alone, into ``output.dir``, where "" is the current directory.
 
 Exit codes: 0 success, 2 config error (a config file that cannot be read
 or is not UTF-8, and JSON with an int past the digits Python reads, or
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from copy import copy
 from dataclasses import dataclass
@@ -48,10 +50,8 @@ from .errors import ConfigError, RankOneError
 
 # ------------------------------------------------------------ validation
 
-def _expect(cond: bool, message: str):
-    if not cond:
-        raise ConfigError(message)
-
+# Each check formats its message only when it fails: the checks run on
+# every op, and most messages name the value or the allowed keys.
 
 def _config_checked(fn, *args):
     """fn(*args), a ValueError it raises turned into a ConfigError."""
@@ -62,8 +62,9 @@ def _config_checked(fn, *args):
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str):
-    unknown = sorted(set(obj) - allowed)
-    _expect(not unknown, f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+    if not allowed.issuperset(obj):
+        raise ConfigError(f"unknown key(s) {sorted(set(obj) - allowed)} in {where}; "
+                          f"allowed: {sorted(allowed)}")
 
 
 # Param kinds: each checks the JSON value of ``key`` in ``where`` and
@@ -71,37 +72,44 @@ def _check_keys(obj: dict, allowed: set[str], where: str):
 # booleans out of integers and numbers.
 
 def _int(v, key, where) -> int:
-    _expect(type(v) is int, f"'{key}' in {where} must be an integer, got {v!r}")
+    if type(v) is not int:
+        raise ConfigError(f"'{key}' in {where} must be an integer, got {v!r}")
     return v
 
 
 def _float(v, key, where) -> float:
-    _expect(type(v) in (int, float), f"'{key}' in {where} must be a number, got {v!r}")
-    _expect(abs(v) <= sys.float_info.max, f"'{key}' in {where} must be finite, got {v!r}")
+    if type(v) not in (int, float):
+        raise ConfigError(f"'{key}' in {where} must be a number, got {v!r}")
+    if not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"'{key}' in {where} must be finite, got {v!r}")
     return float(v)
 
 
 def _ints(v, key, where) -> list[int]:
     # the entry types are collected at C speed, with no Python loop:
     # telescope levels run to ~1e4 entries
-    _expect(type(v) is list and set(map(type, v)) <= {int},
-            f"'{key}' in {where} must be a list of integers")
+    if not (type(v) is list and set(map(type, v)) <= {int}):
+        raise ConfigError(f"'{key}' in {where} must be a list of integers")
     return v
 
 
 def _poly(v, key, where) -> limits.LimitPolynomial:
     where = f"{where}.{key}"
-    _expect(isinstance(v, dict), f"{where} must be an object")
+    if not isinstance(v, dict):
+        raise ConfigError(f"{where} must be an object")
     _check_keys(v, {"coeffs", "theta"}, where)
     raw = v.get("coeffs", {})
-    _expect(isinstance(raw, dict), f"'{where}.coeffs' must be an object")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"'{where}.coeffs' must be an object")
     coeffs = {}
     for k, c in raw.items():
         try:  # only the plain spelling: int() also reads "01" as 1, "1_0" as 10
             plain = str(int(k)) == k
         except ValueError:
             plain = False
-        _expect(plain, f"'{where}.coeffs' key {k!r} is not a plain integer like '3' or '-2'")
+        if not plain:
+            raise ConfigError(f"'{where}.coeffs' key {k!r} is not a plain integer "
+                              "like '3' or '-2'")
         coeffs[int(k)] = _float(c, f"coeffs[{k}]", where)
     theta = _float(v["theta"], "theta", where) if "theta" in v else 0.0
     return limits.LimitPolynomial(coeffs=coeffs, theta=theta, fit_residual=0.0)
@@ -134,7 +142,8 @@ def _resolve(obj: dict, specs: tuple[Param, ...], where: str) -> dict:
             if floor is not None and v < floor:
                 raise ConfigError(f"'{s.name}' in {where} must be >= {floor}, got {v}")
         else:
-            _expect(s.default is not REQUIRED, f"missing required key '{s.name}' in {where}")
+            if s.default is REQUIRED:
+                raise ConfigError(f"missing required key '{s.name}' in {where}")
             v = copy(s.default)
         out[s.name] = v
     return out
@@ -147,7 +156,8 @@ _RANDOM = (Param("r_max", _int, REQUIRED, 2), Param("s_max", _int, REQUIRED, 0),
 
 
 def _parse_stage(entry, where) -> cons.StageParams:
-    _expect(isinstance(entry, dict), f"{where} must be an object with 'r' and 's'")
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object with 'r' and 's'")
     _check_keys(entry, {"r", "s"}, where)
     v = _resolve(entry, _STAGE, where)
     try:
@@ -158,17 +168,20 @@ def _parse_stage(entry, where) -> cons.StageParams:
 
 def _parse_construction(obj) -> cons.ConstructionParams:
     where = "construction"
-    _expect(isinstance(obj, dict), f"{where} must be an object")
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
     if "preset" in obj:
         _check_keys(obj, {"preset"}, where)
         return _config_checked(cons.preset, obj["preset"])
     _check_keys(obj, {"h1", "stages"}, where)
     h1 = _resolve(obj, (_H1,), where)["h1"]
     stages = obj.get("stages")
-    _expect(isinstance(stages, dict), f"'{where}.stages' must be an object")
+    if not isinstance(stages, dict):
+        raise ConfigError(f"'{where}.stages' must be an object")
     kind = stages.get("kind")
-    _expect(kind in ("periodic", "explicit", "random"),
-            f"'{where}.stages.kind' must be periodic|explicit|random, got {kind!r}")
+    if kind not in ("periodic", "explicit", "random"):
+        raise ConfigError(f"'{where}.stages.kind' must be periodic|explicit|random, "
+                          f"got {kind!r}")
     if kind == "random":
         _check_keys(stages, {"kind", "r_max", "s_max", "seed"}, f"{where}.stages")
         try:
@@ -179,8 +192,8 @@ def _parse_construction(obj) -> cons.ConstructionParams:
     key = "pattern" if kind == "periodic" else "stages"
     _check_keys(stages, {"kind", key}, f"{where}.stages")
     entries = stages.get(key)
-    _expect(isinstance(entries, list) and entries,
-            f"'{where}.stages.{key}' must be a non-empty list")
+    if not (isinstance(entries, list) and entries):
+        raise ConfigError(f"'{where}.stages.{key}' must be a non-empty list")
     parsed = [
         _parse_stage(e, f"{where}.stages.{key}[{i}]") for i, e in enumerate(entries)
     ]
@@ -227,25 +240,30 @@ def parse_config(text: str) -> RunConfig:
 
 
 def parse_config_dict(obj) -> RunConfig:
-    _expect(isinstance(obj, dict), "config must be a JSON object")
+    if not isinstance(obj, dict):
+        raise ConfigError("config must be a JSON object")
     _check_keys(obj, {"construction", "command", "params", "output"}, "config")
-    _expect("construction" in obj, "missing required key 'construction' in config")
-    _expect("command" in obj, "missing required key 'command' in config")
+    for key in ("construction", "command"):
+        if key not in obj:
+            raise ConfigError(f"missing required key '{key}' in config")
     construction = _parse_construction(obj["construction"])
     command = obj["command"]
-    _expect(isinstance(command, str) and command in COMMANDS,
-            f"unknown command {command!r}; valid commands: {sorted(COMMANDS)}")
+    if not (isinstance(command, str) and command in COMMANDS):
+        raise ConfigError(f"unknown command {command!r}; valid commands: {sorted(COMMANDS)}")
     params = obj.get("params", {})
-    _expect(isinstance(params, dict), "'params' must be an object")
+    if not isinstance(params, dict):
+        raise ConfigError("'params' must be an object")
     specs = COMMANDS[command].params
     _check_keys(params, {s.name for s in specs}, f"params for command '{command}'")
     params = _resolve(params, specs, "params")
     out_dir = "."
     if "output" in obj:
-        _expect(isinstance(obj["output"], dict), "'output' must be an object")
+        if not isinstance(obj["output"], dict):
+            raise ConfigError("'output' must be an object")
         _check_keys(obj["output"], {"dir"}, "output")
         out_dir = obj["output"].get("dir", ".")
-        _expect(isinstance(out_dir, str), "'output.dir' must be a string")
+        if not isinstance(out_dir, str):
+            raise ConfigError("'output.dir' must be a string")
     return RunConfig(construction=construction, command=command,
                      params=params, out_dir=out_dir)
 
@@ -297,12 +315,15 @@ def _conventions(specs: tuple[Param, ...], p: dict) -> str:
 # -------------------------------------------------------------- commands
 
 def _cmd_heights(cfg):
-    # grown only through the first L past the digits _csv_text prints
+    # grown only through the first L past the digits _csv_text prints; a
+    # table that ends on such an L hands over that row alone, which
+    # _csv_text refuses without converting the printable rows before it
     J, limit = cfg.params["J"], sys.get_int_max_str_digits()
     table = (cons.heights_within(cfg.construction, J, 10**limit - 1) if limit
              else cons.heights(cfg.construction, J))
     J = table.max_stage
-    rows = ((j, table.L(j), table.h(j)) for j in range(1, J + 1))
+    first = J if limit and table.L(J) >= 10**limit else 1
+    rows = ((j, table.L(j), table.h(j)) for j in range(first, J + 1))
     return ({"heights.csv": (("j", "L", "h"), rows)},
             [f"heights through stage {J}: L_{J} = {cons.format_count(table.L(J))}"])
 
@@ -477,6 +498,23 @@ COMMANDS = {
 }
 
 
+#: O_BINARY keeps os.write from turning LF into CRLF where the OS would
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_bytes(path: str, data: bytes):
+    """``data`` as the whole content of the file at ``path``, through
+    the os calls alone: a kept answer's op is mostly its file writes,
+    and ``open`` adds a buffered text layer the bytes do not need."""
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:  # os.write may write less than it is given
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def run(config: RunConfig, stream=None) -> int:
     """Execute a validated config; returns the process exit code. The
     one write path: every CSV is formatted before any is written."""
@@ -488,12 +526,12 @@ def run(config: RunConfig, stream=None) -> int:
     ]
     code = 0
     try:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        if config.out_dir:  # "" is the current directory, which exists
+            os.makedirs(config.out_dir, exist_ok=True)
         files, lines = command.run(config)
         texts = {name: _csv_text(name, *table) for name, table in files.items()}
         for name, text in texts.items():
-            (out / name).write_text(text, newline="")
+            _write_bytes(os.path.join(config.out_dir, name), text.encode())
         report += lines
     except ConfigError:
         raise

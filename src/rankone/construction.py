@@ -169,19 +169,21 @@ def class4() -> ConstructionParams:
     return cyclic_factor_preset(2)
 
 
+#: each preset built once: a kept result is looked up by the very
+#: instance it was computed for, with no field-by-field comparison
 PRESETS = {
-    "chacon": chacon,
-    "odometer2": lambda: odometer(2),
-    "odometer3": lambda: odometer(3),
-    "flat3": flat3,
-    "class4": class4,
+    "chacon": chacon(),
+    "odometer2": odometer(2),
+    "odometer3": odometer(3),
+    "flat3": flat3(),
+    "class4": class4(),
 }
 
 
 def preset(name: str) -> ConstructionParams:
     if not isinstance(name, str) or name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; valid: {sorted(PRESETS)}")
-    return PRESETS[name]()
+    return PRESETS[name]
 
 
 # -------------------------------------------------------------- heights

@@ -733,6 +733,53 @@ def test_unusable_output_directory_exits_3(tmp_path, capsys, out, error):
     assert (tmp_path / "file").read_text() == ""
 
 
+@pytest.mark.parametrize("out", ["", "a/b/c"], ids=["current-dir", "missing-nested-dirs"])
+def test_run_writes_into_the_output_dir(tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    cfg = cli.parse_config_dict({"construction": {"preset": "chacon"}, "command": "heights",
+                                 "params": {"J": 3}, "output": {"dir": out}})
+    assert cli.run(cfg, stream=io.StringIO()) == 0
+    assert [p.name for p in (tmp_path / out).iterdir()] == ["heights.csv"]
+    assert (tmp_path / out / "heights.csv").read_bytes() == b"j,L,h\n1,1,0\n2,4,3\n3,13,12\n"
+
+
+def test_each_file_holds_the_bytes_of_its_csv_text(tmp_path, monkeypatch):
+    # LF line endings, no BOM and a final newline, each file whole even when
+    # every os.write writes at most 7 bytes
+    writes = []
+    write = cli.os.write
+
+    def short_write(fd, data):
+        writes.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(cli.os, "write", short_write)
+    cfg = cli.parse_config_dict({
+        "construction": {"preset": "chacon"}, "command": "disjointness",
+        "params": {"p": 2, "q": 3}, "output": {"dir": str(tmp_path)}})
+    assert cli.run(cfg, stream=io.StringIO()) == 0
+    files, _ = cli.COMMANDS["disjointness"].run(cfg)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for name, table in files.items():
+        data = (tmp_path / name).read_bytes()
+        assert data == cli._csv_text(name, *table).encode()
+        assert b"\r" not in data and data.endswith(b"\n") and data[:1] == b"z"
+    assert max(writes) > 7 and sum(min(n, 7) for n in writes) == sum(
+        (tmp_path / name).stat().st_size for name in files)
+
+
+def test_a_config_parsed_twice_reads_one_kept_certificate(tmp_path):
+    text = make_config(command="disjointness", params={"p": 2, "q": 3})
+    limits._certify.cache_clear()
+    first, second = cli.parse_config(text), cli.parse_config(text)
+    assert first.construction is second.construction
+    for i, cfg in enumerate((first, second)):
+        cfg = cli.RunConfig(cfg.construction, cfg.command, cfg.params, str(tmp_path / str(i)))
+        assert cli.run(cfg, stream=io.StringIO()) == 0
+    info = limits._certify.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+
+
 def test_main_requires_construction(capsys):
     assert cli.main(["classify"]) == 2
 
@@ -914,6 +961,26 @@ def test_heights_grow_no_further_than_the_first_unprintable_count(tmp_path, caps
         "1.00000e+4300 (4301 digits), past the 4300 digits Python prints")
     assert len(cons._level_table(params)) == 1434
     assert not (tmp_path / "heights.csv").exists()
+
+
+def test_heights_past_the_print_limit_format_only_the_last_row(tmp_path, monkeypatch,
+                                                              capsys):
+    # the level table of h1 = 9 and 1000 columns ends on L_1434 = 10^4300,
+    # so heights hands the formatter that row alone, not the 1433 before it
+    seen = []
+    csv_text = cli._csv_text
+
+    def spy(name, header, rows):
+        seen.append(list(rows))
+        return csv_text(name, header, seen[-1])
+
+    monkeypatch.setattr(cli, "_csv_text", spy)
+    spec = {"h1": 9, "stages": {"kind": "periodic", "pattern": [{"r": 1000, "s": [0] * 1000}]}}
+    assert cli.main(["heights", "--construction-json", json.dumps(spec), "--J", "3000",
+                     "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "error[ValueError]: heights.csv keeps exact counts, and its L at j=1434 is ")
+    assert [[row[0] for row in rows] for rows in seen] == [[1434]]
 
 
 def test_factor_refuses_offsets_past_the_print_limit(tmp_path, capsys):

@@ -25,6 +25,15 @@ def test_stage_params_validation():
         cons.StageParams(2, (0, -1))
 
 
+def test_each_preset_is_one_instance():
+    fresh = {"chacon": cons.chacon(), "odometer2": cons.odometer(2),
+             "odometer3": cons.odometer(3), "flat3": cons.flat3(), "class4": cons.class4()}
+    assert sorted(fresh) == sorted(PRESET_NAMES) == sorted(cons.PRESETS)
+    for name in PRESET_NAMES:
+        assert cons.preset(name) is cons.preset(name)
+        assert cons.preset(name) == fresh[name] and cons.preset(name) is not fresh[name]
+
+
 def test_explicit_generator_exhausts():
     p = cons.ConstructionParams.explicit(0, [cons.StageParams(2, (0, 0))])
     assert p.stage(1).r == 2
