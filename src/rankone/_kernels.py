@@ -97,17 +97,11 @@ def mobius_blocks(n_max: int):
     call when it streams, so an invalid n_max fails there, and on a kept
     block's first use.
     """
-    return _blocks(n_max, pack=True)
-
-
-def _blocks(n_max, pack):
-    """The pairs of ``mobius_blocks``, where a streamed block's planes are
-    packed only when ``pack`` is set, and are None when not."""
     n_max = operator.index(n_max)  # an exact int, for bit_length
     t, root = _sieve_bounds(n_max)
     count = (n_max + 1) // 2  # the odd n <= n_max
     if count > KEPT_BLOCKS * BLOCK:
-        return _odd_blocks(n_max, t, _primes(root), pack=pack)
+        return _odd_blocks(n_max, t, _primes(root))
     kept = [_kept_block(i) for i in range(-(-count // BLOCK))]
     return ((mu[: count - lo], planes[:, : -(-(count - lo) // 64)])
             for (mu, planes), lo in zip(kept, range(0, count, BLOCK)))
@@ -119,7 +113,7 @@ def _kept_block(i):
     with N its own last odd n into arrays of its own."""
     top = 2 * (i + 1) * BLOCK - 1
     t, root = _sieve_bounds(top)
-    return next(_odd_blocks(top, t, _primes(root), i, pack=True))
+    return next(_odd_blocks(top, t, _primes(root), i))
 
 
 def _sieve_bounds(n_max):
@@ -140,10 +134,10 @@ def _primes(root):
     return [p for p in np.flatnonzero(is_prime).tolist() if p > TILED[-1]]
 
 
-def _odd_blocks(n_max, t, primes, first=0, *, pack):
+def _odd_blocks(n_max, t, primes, first=0):
     """The blocks of mu(2k + 1) for the odd n <= n_max from block
-    ``first`` on, with their planes (see mobius_blocks) when ``pack`` is
-    set, else None, each pair overwritten by the next."""
+    ``first`` on, with their planes (see mobius_blocks), each pair
+    overwritten by the next."""
     count = (n_max + 1) // 2
     size = min(BLOCK, count)
     root = math.isqrt(n_max)
@@ -155,7 +149,7 @@ def _odd_blocks(n_max, t, primes, first=0, *, pack):
     for lo in range(first * BLOCK, count, BLOCK):
         if sums is None:
             sums = np.empty(size, dtype=np.uint8)
-            planes = np.empty((2, -(-size // 64)), dtype=np.uint64) if pack else None
+            planes = np.empty((2, -(-size // 64)), dtype=np.uint64)
             # allocated after the arrays a kept block keeps, so freed it tops the heap
             flags = np.empty(size, dtype=bool)
         n = min(BLOCK, count - lo)
@@ -183,14 +177,12 @@ def _odd_blocks(n_max, t, primes, first=0, *, pack):
         blk ^= above.view(np.uint8)  # 0 or 1 if squarefree, else 128 or 129
         np.equal(blk, 0, out=above)
         np.equal(blk, 1, out=blk.view(bool))
-        signs = None
-        if pack:
-            rows, packed = planes.view(np.uint8), -(-n // 8)
-            for row, plane in zip(rows, (above, blk.view(bool))):
-                row[:packed] = np.packbits(plane, bitorder="little")
-                row[packed:] = 0  # a short last block leaves the words of the block before
-            signs = planes[:, : -(-n // 64)]
-            signs.flags.writeable = False
+        rows, packed = planes.view(np.uint8), -(-n // 8)
+        for row, plane in zip(rows, (above, blk.view(bool))):
+            row[:packed] = np.packbits(plane, bitorder="little")
+            row[packed:] = 0  # a short last block leaves the words of the block before
+        signs = planes[:, : -(-n // 64)]
+        signs.flags.writeable = False
         np.subtract(above.view(np.int8), blk.view(np.int8), out=blk.view(np.int8))
         mu = blk.view(np.int8)
         mu.flags.writeable = False
@@ -200,9 +192,8 @@ def _odd_blocks(n_max, t, primes, first=0, *, pack):
 def sieve_mobius(n_max: int) -> np.ndarray:
     """mu(0..n_max) as int8; entry 0 is unused and left 0. The odd
     entries are the blocks of ``mobius_blocks``, scattered, and the even
-    ones follow from them: mu(2m) = -mu(m) for odd m, mu(4m) = 0. A
-    streamed block's sign planes are not packed: nothing here reads them."""
-    blocks = _blocks(n_max, pack=False)
+    ones follow from them: mu(2m) = -mu(m) for odd m, mu(4m) = 0."""
+    blocks = mobius_blocks(n_max)
     mu = np.zeros(n_max + 1, dtype=np.int8)
     odd, lo = mu[1::2], 0
     for blk, _ in blocks:
@@ -266,24 +257,23 @@ def class_counts(labels, n_ref):
     return np.bincount(c, minlength=n_ref + 1).astype(np.int64)
 
 
-def weighted_mobius_sums(readers, blocks, checkpoints):
+def weighted_mobius_sums(read, checkpoints):
     """Partial sums S_n = sum_{i<=n} v(i)*mu(i) at each of the ascending
-    checkpoints, as int64, with mu read from ``blocks``: the (mu, planes)
-    pairs that ``mobius_blocks`` yields for the last checkpoint or
-    beyond.
+    checkpoints, as int64, with mu read from ``mobius_blocks`` to the
+    last checkpoint.
 
     v(i) is the observable along the orbit at time i, bool or of any
-    integer dtype, and ``readers`` is a pair (odd, even) of callables:
-    for a <= k < b, odd(a, b) gives v(2k + 1) and even(a, b) gives
-    v(4k + 2), as b - a values, read before either reader is called
-    again, so the two may fill one buffer. As
+    integer dtype, and read(a, b, step) gives v at the times a,
+    a + step, ... < b. Each read's values are used up before ``read`` is
+    called again, so every read may fill one buffer. As
     mu(2m) = -mu(m) for odd m and mu(4m) = 0, S_n is the sum of
     v(2k + 1)*mu(2k + 1) over k <= (n - 1)/2 less the sum of
-    v(4k + 2)*mu(2k + 1) over k <= (n - 2)/4, so each block is read once
-    against odd(a, b) and, while 4k + 2 <= n, once against even(a, b),
-    both over the block's own k; v at the times 4k is never asked for.
-    Each of the two reads is summed in chunks split at its cuts, on one
-    of two paths, picked by the dtype of the first read.
+    v(4k + 2)*mu(2k + 1) over k <= (n - 2)/4, so each block of
+    mu(2k + 1) is read once against v at the times 2k + 1 (step 2) and,
+    while 4k + 2 <= n, once against v at the times 4k + 2 (step 4), both
+    over the block's own k; v at the times 4k is never asked for. Each
+    of the two reads is summed in chunks split at its cuts, on one of
+    two paths, picked by the dtype of the first read.
 
     bool values (an indicator) are packed little-endian, 64 to a uint64
     word, into one reused buffer of ceil(BLOCK/64) words whose tail past
@@ -298,34 +288,33 @@ def weighted_mobius_sums(readers, blocks, checkpoints):
     each chunk is summed exactly: in int32 for int8 values, whose chunk
     sums stay below 128*BLOCK, else in int64 (``_product_sums``).
 
-    Besides what the readers hold, a sum to any N holds that one buffer
-    and what ``blocks`` holds: nothing more for kept blocks, one block
-    and its planes for streamed ones, never an N-entry mu. Every sum is
-    exact when max|v| * n < 2**63.
+    Besides what ``read`` holds, a sum to any N holds that one buffer
+    and what ``mobius_blocks`` hands out: nothing more for kept blocks,
+    one block and its planes for streamed ones, never an N-entry mu.
+    Every sum is exact when max|v| * n < 2**63.
     """
     cps = [int(c) for c in checkpoints]
-    # per read: its reader, the cut (first k left out) of each
-    # checkpoint, and the sum from the cut before up to each cut
-    reads = [(readers[0], [(c - 1) // 2 + 1 for c in cps], [0] * len(cps)),
-             (readers[1], [(c - 2) // 4 + 1 for c in cps], [0] * len(cps))]
+    # per read: its step, the cut (first k left out) of each checkpoint,
+    # and the sum from the cut before up to each cut; the times are
+    # step*k + step/2
+    reads = [(step, [(c - step // 2) // step + 1 for c in cps], [0] * len(cps))
+             for step in (2, 4)]
     add = None
     lo = 0
-    for mu, planes in blocks:
+    for mu, planes in mobius_blocks(cps[-1]):
         hi = lo + len(mu)
-        for read, cuts, between in reads:
+        for step, cuts, between in reads:
             end = min(hi, cuts[-1])
             if end <= lo:
                 continue
-            vals = read(lo, end)
+            vals = read(step * lo + step // 2, step * end + step // 2, step)
             if add is None:  # the first read gives the values' dtype
                 size = min(BLOCK, reads[0][1][-1])
                 add = (_plane_sums(size) if vals.dtype == bool
                        else _product_sums(vals.dtype, size))
             add(vals, mu, planes, lo, cuts, between)
         lo = hi
-    (_, cuts, plus), (_, _, minus) = reads
-    if lo < cuts[-1]:
-        raise ValueError(f"mu ends at n = {2 * lo - 1}, before checkpoint {cps[-1]}")
+    (_, _, plus), (_, _, minus) = reads
     return np.cumsum(plus, dtype=np.int64) - np.cumsum(minus, dtype=np.int64)
 
 

@@ -328,7 +328,23 @@ def _cmd_heights(cfg):
             [f"heights through stage {J}: L_{J} = {cons.format_count(table.L(J))}"])
 
 
+def _check_horizon(cfg):
+    """ValueError when the horizon reaches a stage whose L_j has more
+    digits than Python prints, naming the first such stage, past which
+    the level table is not grown: the stage walks of ``classify`` and
+    ``factor`` grow faster than linearly with the horizon."""
+    horizon, limit = cfg.params["horizon"], sys.get_int_max_str_digits()
+    if limit:
+        table = cons.heights_within(cfg.construction, horizon, 10**limit - 1)
+        J = table.max_stage
+        if table.L(J) >= 10**limit:
+            raise ValueError(f"horizon {horizon} reaches stage {J}, whose L_{J} = "
+                             f"{cons.format_count(table.L(J))} is past the {limit} "
+                             "digits Python prints")
+
+
 def _cmd_classify(cfg):
+    _check_horizon(cfg)
     horizon, bound = cfg.params["horizon"], cfg.params["bound"]
     label = cons.classify(cfg.construction, horizon, bound)
     profile = cons.bounded_profile(cfg.construction, horizon)
@@ -458,6 +474,7 @@ def _cmd_telescope(cfg):
 
 
 def _cmd_factor(cfg):
+    _check_horizon(cfg)
     K = _depth_for(cfg)
     d = sarnak.compact_factor(cfg.construction, cfg.params["horizon"], K)
     rows = ((j, col, off, off % d) for j in (K, K + 1)

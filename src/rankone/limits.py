@@ -86,10 +86,6 @@ class LimitPolynomial:
     def a(self, z: int) -> float:
         return float(self.coeffs.get(z, 0.0))
 
-    @property
-    def mass(self) -> float:
-        return float(sum(self.coeffs.values()) + self.theta)
-
     def support(self, tau: float) -> frozenset[int]:
         """Shifts carrying more than tau of coefficient mass."""
         return frozenset(z for z, a in self.coeffs.items() if a > tau)

@@ -9,29 +9,16 @@ through one orbit reader, ``_orbit``: one ``tower._decoder`` at depth
 ``tower.orbit_depth`` of the numerators in the narrowest dtype that
 holds them (bool for an indicator, whose numerators are all 0 or 1,
 else the narrowest signed integer), spacers valued 0 (False), scanned
-for overflow only when a sum of them could overflow. The weighted sum
-never builds its orbit: it reads mu one sieve block of odd n at a time
-(mu(2m) = -mu(m) for odd m, mu(4m) = 0), and for each block reads the
-values at the odd times 2k + 1 and then at the times 4k + 2 of that
-block's k into one reused buffer of at most BLOCK entries, decoded from
-one stage word of at most BLOCK/4 entries. The values at the times 4k
-are never decoded. An indicator's values are packed 64 to a word and
-counted against the block's two sign planes, [mu = +1] and [mu = -1],
-by popcount; other values are multiplied by mu one integer width up.
-Both sum exactly, so its memory is flat in N: it holds no N-entry mu or
-orbit. A strided sum widens the entries it picks a block at a time, so
-no sum holds an N-entry int64 array. The telescoping chain is an
-algebraic identity and its check must not depend on rounding. Every
-sum is an exact int or Fraction; only the rows of the decay trace are
-written as floats (S_n and S_n/n). Each sum is fixed by (start, N) and
-reads mu to N through ``_kernels.mobius_blocks`` once the orbit has
-passed the word guard, so an orbit past that guard fails before any
-sieve. mu(2k + 1) for the first KEPT_BLOCKS blocks, the odd n <=
-6,350,399, is sieved once per process, a block on its first use, and
-kept read-only with its sign planes in one ``functools`` cache of the
-block index, so every sum and telescope of a process reads that prefix
-without sieving it again; past it, mu is sieved to N a block at a
-time, each block's planes packed with it and overwritten with it.
+for overflow only when a sum of them could overflow. Each sum is fixed
+by (start, N), and its orbit meets the word guard before any sieve.
+The weighted sum hands that reader to ``_kernels.weighted_mobius_sums``,
+which owns the layout of mu and of the times it reads (see there), with
+one reused buffer for the values: it never builds its orbit, and its
+memory is flat in N. The telescoping chain is an algebraic identity and
+its check must not depend on rounding; a strided sum widens the entries
+it picks a block at a time, so no sum holds an N-entry int64 array.
+Every sum is an exact int or Fraction; only the rows of the decay trace
+are written as floats (S_n and S_n/n).
 
 There is one telescoping chain, ``prime_extension_report``, which is
 also its one report, with one hypothesis, checked on the orbit:
@@ -222,34 +209,26 @@ def mobius_weighted_sum(
 ) -> MobiusSumResult:
     """S_N = sum_{i=1..N} f(T^i x) mu(i), exactly, for x the point at
     level ``start``; checkpoints at n = 100, 1000, ... and N. The orbit
-    reader ``_orbit`` gives the values one mu block at a time, at the
-    odd times 2k + 1 and then at the times 4k + 2, into one reused
-    buffer of at most BLOCK entries, scanned block by block when the
-    largest numerator could overflow the sum. An indicator's values are
-    bool, and ``_kernels.weighted_mobius_sums`` counts them against mu's
-    sign planes by popcount; other values it multiplies by mu.
-    mu is read from ``_kernels.mobius_blocks`` once the orbit has passed
-    the word guard: views of the process's kept blocks and their planes
-    for N up to 2*KEPT_BLOCKS*BLOCK - 1, else sieved a block at a time,
-    each block and its planes overwritten by the next. The orbit is
-    never held whole, and mu only as the kept blocks, whose size does not
-    grow with N."""
+    reader ``_orbit`` gives ``_kernels.weighted_mobius_sums`` the values
+    at the times it asks for, into one reused buffer of at most BLOCK
+    entries, scanned read by read when the largest numerator could
+    overflow the sum; the kernel reads mu itself. The orbit is never
+    held whole, and mu only as the process's kept blocks, whose size
+    does not grow with N."""
     read, dtype = _orbit(params, obs, start, N)
-    # one buffer for both reads: the sum is done with a block's odd-time
-    # values before it asks for its even-time ones. It and the kernel's
-    # buffer are the sum's two large allocations. glibc hands a free heap
-    # top back to the system once it reaches twice the largest block it
-    # has mmapped and freed, so two of about the same size are faulted in
-    # again by every sum (int16 values from N = 2e6, int32 near 1e6); int8
-    # products take twice the buffer's bytes and bool values' packed words
-    # under a third, and both stay on the heap
+    # one buffer for every read, each used up before the next, as long as
+    # the kernel's longest: one mu block, or the odd n to N. It and the
+    # kernel's buffer are the sum's two large allocations. glibc hands a
+    # free heap top back to the system once it reaches twice the largest
+    # block it has mmapped and freed, so two of about the same size are
+    # faulted in again by every sum (int16 values from N = 2e6, int32 near
+    # 1e6); int8 products take twice the buffer's bytes and bool values'
+    # packed words under a third, and both stay on the heap
     buf = np.empty(min(_kernels.BLOCK, (N + 1) // 2), dtype=dtype)
     grid = _checkpoint_grid(N)
     sums = _kernels.weighted_mobius_sums(
-        (lambda a, b: read(2 * a + 1, 2 * b + 1, 2, buf[: b - a]),
-         lambda a, b: read(4 * a + 2, 4 * b + 2, 4, buf[: b - a])),
-        _kernels.mobius_blocks(N), np.array(grid, dtype=np.int64)
-    )
+        lambda a, b, step: read(a, b, step, buf[: -((a - b) // step)]),
+        np.array(grid, dtype=np.int64))
     checkpoints = tuple(
         (n, _exact(int(s), obs.denom)) for n, s in zip(grid, sums)
     )

@@ -107,7 +107,7 @@ def test_c04_correlation_depth_stability():
 def assert_fit_constraints(poly):
     assert all(a >= -1e-9 for a in poly.coeffs.values())
     assert poly.theta >= -1e-9
-    assert abs(poly.mass - 1) <= 1e-6
+    assert abs(sum(poly.coeffs.values()) + poly.theta - 1) <= 1e-6
 
 
 def test_c05_fit_constraints():

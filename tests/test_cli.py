@@ -2,6 +2,7 @@ import filecmp
 import io
 import json
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -999,6 +1000,28 @@ def test_factor_refuses_offsets_past_the_print_limit(tmp_path, capsys):
             f"error[ValueError]: factor.csv keeps exact counts, and its offset at "
             f"stage={stage}, column=2 is {count}, past the 4300 digits Python prints")
         assert not (tmp_path / str(K) / "factor.csv").exists()
+
+
+def test_classify_and_factor_refuse_horizons_past_the_print_limit(tmp_path, capsys):
+    # chacon's L_9014 is its first count past the 4300 digits Python prints:
+    # a horizon that reaches it is refused once the level table has grown that
+    # far, and no further, however far the horizon lies
+    assert cli.main(["classify", "--preset", "chacon", "--horizon", "9013",
+                     "--out", str(tmp_path / "fine")]) == 0
+    assert (tmp_path / "fine" / "classification.csv").exists()
+    capsys.readouterr()
+    for command, horizon in (("classify", 9014), ("classify", 100_000_000),
+                             ("factor", 100_000)):
+        cons._level_table.cache_clear()
+        start = time.perf_counter()
+        assert cli.main([command, "--preset", "chacon", "--horizon", str(horizon),
+                         "--out", str(tmp_path / command)]) == 3
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"error[ValueError]: horizon {horizon} reaches stage 9014, whose L_9014 = "
+            "2.95093e+4300 (4301 digits) is past the 4300 digits Python prints")
+        assert len(cons._level_table(cons.chacon())) == 9014
+        assert list((tmp_path / command).glob("*.csv")) == []
 
 
 def test_cascade_refuses_moduli_past_the_print_limit(tmp_path, capsys):

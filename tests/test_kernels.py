@@ -100,9 +100,10 @@ def test_class_counts_match_python_count():
     assert _kernels.class_counts(labels, 7).tolist() == want
 
 
-def readers(vals):
-    """The values at the times 2k + 1 and 4k + 2, k in [a, b), as views."""
-    return (lambda a, b: vals[2 * a : 2 * b : 2], lambda a, b: vals[4 * a + 1 : 4 * b + 1 : 4])
+def reader(vals):
+    """read(a, b, step): the values at the times a, a + step, ... < b, as
+    a view, with vals[i - 1] the value at time i."""
+    return lambda a, b, step: vals[a - 1 : b - 1 : step]
 
 
 def mu_direct(n_max):
@@ -119,10 +120,7 @@ def test_weighted_mobius_sums_match_running_sum():
     for i in range(1, 3001):
         acc += int(vals[i - 1]) * mobius_direct(i)
         running[i] = acc
-    got = _kernels.weighted_mobius_sums(
-        readers(vals), _kernels.mobius_blocks(3000),
-        np.array(checkpoints, dtype=np.int64)
-    )
+    got = _kernels.weighted_mobius_sums(reader(vals), np.array(checkpoints, dtype=np.int64))
     assert got.tolist() == [running[n] for n in checkpoints]
 
 
@@ -144,8 +142,7 @@ def test_chunked_mobius_sums_match_unchunked_running_sum(dtype, N, seed):
     checkpoints = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, N]
     running = np.cumsum(vals.astype(np.int64) * MU_CHUNKS[1 : N + 1])
     want = [0] + running[np.array(checkpoints[1:]) - 1].tolist()
-    got = _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(N),
-                                        np.array(checkpoints, np.int64))
+    got = _kernels.weighted_mobius_sums(reader(vals), np.array(checkpoints, np.int64))
     assert got.dtype == np.int64 and got.tolist() == want
 
 
@@ -168,8 +165,7 @@ def test_block_fed_sums_match_cumsum_over_the_whole_sieve(dtype, seam, offset, s
     near = range(seam - 3, seam + 4)
     checkpoints = sorted({1, 2, N, *drawn, *(n for n in near if n <= N)})
     running = np.cumsum(vals.astype(np.int64) * _kernels.sieve_mobius(N)[1:])
-    got = _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(N),
-                                        np.array(checkpoints, np.int64))
+    got = _kernels.weighted_mobius_sums(reader(vals), np.array(checkpoints, np.int64))
     assert got.tolist() == running[np.array(checkpoints) - 1].tolist()
 
 
@@ -182,22 +178,20 @@ def test_chunk_products_hold_the_dtype_minimum_times_minus_one(dtype):
     minus = MU_CHUNKS[1 : N + 1] == -1
     vals = np.where(minus, lowest, 0).astype(dtype)
     checkpoints = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, N]
-    got = _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(N),
-                                        np.array(checkpoints, np.int64))
+    got = _kernels.weighted_mobius_sums(reader(vals), np.array(checkpoints, np.int64))
     want = [-lowest * sum(minus[:cp].tolist()) for cp in checkpoints]
     assert got.tolist() == want
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
 def test_chunk_buffer_takes_two_bytes_per_block_entry(dtype):
-    # the one block of odd n to 2*BLOCK, sieved before tracing starts, so
+    # the one block of odd n to 2*BLOCK, kept before tracing starts, so
     # the peak is the products' buffer alone
     vals = np.ones(2 * BLOCK, dtype=dtype)
-    blocks = [(mu.copy(), planes.copy()) for mu, planes in _kernels.mobius_blocks(2 * BLOCK)]
+    _kernels._kept_block(0)
     tracemalloc.start()
     try:
-        _kernels.weighted_mobius_sums(readers(vals), blocks,
-                                      np.array([2 * BLOCK], np.int64))
+        _kernels.weighted_mobius_sums(reader(vals), np.array([2 * BLOCK], np.int64))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -212,9 +206,7 @@ def test_weighted_sum_never_holds_mu_whole():
     for N in sizes:
         tracemalloc.start()
         try:
-            got = _kernels.weighted_mobius_sums(readers(values[N]),
-                                                _kernels.mobius_blocks(N),
-                                                np.array([N], np.int64))
+            got = _kernels.weighted_mobius_sums(reader(values[N]), np.array([N], np.int64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,20 +214,12 @@ def test_weighted_sum_never_holds_mu_whole():
         assert got.tolist() == [int(_kernels.sieve_mobius(N).sum(dtype=np.int64))]
 
 
-def test_weighted_sum_refuses_checkpoints_past_the_blocks():
-    with pytest.raises(ValueError, match="mu ends at n = 99, before checkpoint 101"):
-        vals = np.ones(101, np.int8)
-        _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(100),
-                                      np.array([50, 101], np.int64))
-
-
 def test_int8_values_sum_past_the_int8_range():
     # +-127 against mu's sign: every squarefree time adds 127
     N = 2 * BLOCK + 7
     squarefree = int(np.count_nonzero(MU_CHUNKS[1 : N + 1]))
     vals = (127 * MU_CHUNKS[1 : N + 1]).astype(np.int8)
-    got = _kernels.weighted_mobius_sums(readers(vals), _kernels.mobius_blocks(N),
-                                        np.array([BLOCK, N], np.int64))
+    got = _kernels.weighted_mobius_sums(reader(vals), np.array([BLOCK, N], np.int64))
     assert got[-1] == 127 * squarefree
     stride, count = 2, N // 2
     vals = np.full(N, -127, dtype=np.int8)

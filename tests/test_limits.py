@@ -61,7 +61,7 @@ def test_fit_constraints_hold():
             poly = limits.fit_for_shift(params, 3, 10, n, Z=5)
             assert all(a >= -1e-9 for a in poly.coeffs.values())
             assert poly.theta >= -1e-9
-            assert abs(poly.mass - 1) <= 1e-6
+            assert abs(sum(poly.coeffs.values()) + poly.theta - 1) <= 1e-6
 
 
 def test_fit_residual_monotone_in_window():
@@ -428,7 +428,7 @@ def test_weak_limit_chacon_identity_component():
     assert res.polynomial.a(0) >= 0.25
     assert res.polynomial.fit_residual <= 0.05
     assert res.stability_gap <= 0.02
-    assert abs(res.polynomial.mass - 1) <= 1e-6
+    assert abs(sum(res.polynomial.coeffs.values()) + res.polynomial.theta - 1) <= 1e-6
 
 
 # ------------------------------------------------------------ similarity

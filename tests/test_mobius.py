@@ -259,9 +259,10 @@ def kept_blocks():
     return kept
 
 
-def read_halves(vals):
-    """The values at the times 2k + 1 and 4k + 2, k in [a, b), as views."""
-    return (lambda a, b: vals[2 * a : 2 * b : 2], lambda a, b: vals[4 * a + 1 : 4 * b + 1 : 4])
+def reader(vals):
+    """read(a, b, step): the values at the times a, a + step, ... < b, as
+    a view, with vals[i - 1] the value at time i."""
+    return lambda a, b, step: vals[a - 1 : b - 1 : step]
 
 
 @settings(max_examples=20, deadline=None)
@@ -280,11 +281,9 @@ def test_kept_table_serves_any_sequence_of_sizes(sizes, order, seed):
     for n_max in sizes:
         assert np.array_equal(_kernels.sieve_mobius(n_max), oracle()[: n_max + 1]), n_max
         checkpoints = np.array(sorted({1, n_max // 2 or 1, n_max}), np.int64)
-        warm = _kernels.weighted_mobius_sums(read_halves(vals), _kernels.mobius_blocks(n_max),
-                                             checkpoints)
+        warm = _kernels.weighted_mobius_sums(reader(vals), checkpoints)
         _kernels._kept_block.cache_clear()
-        cold = _kernels.weighted_mobius_sums(read_halves(vals), _kernels.mobius_blocks(n_max),
-                                             checkpoints)
+        cold = _kernels.weighted_mobius_sums(reader(vals), checkpoints)
         assert warm.tolist() == cold.tolist(), n_max
         kept = kept_blocks()
         assert len(kept) <= KEPT
@@ -321,8 +320,7 @@ def test_indicator_sums_by_popcount_match_int8_products_and_the_sieve(N, density
                 _kernels._kept_block.cache_clear()
             before = _kernels._kept_block.cache_info()
             for v in (vals, vals.view(np.int8)):
-                got = _kernels.weighted_mobius_sums(read_halves(v), _kernels.mobius_blocks(N),
-                                                    checkpoints)
+                got = _kernels.weighted_mobius_sums(reader(v), checkpoints)
                 assert got.tolist() == want.tolist(), (mode, v.dtype)
             if mode != "cold":  # warm reads its blocks, streamed reads none
                 assert _kernels._kept_block.cache_info().misses == before.misses
@@ -342,33 +340,12 @@ def test_kept_planes_are_packed_once_per_process(monkeypatch):
     _kernels._kept_block.cache_clear()
     vals = np.ones(TOP, dtype=bool)
     for n_max in (3000, 2 * BLOCK + 1, TOP, TOP - 1, 5000, TOP):
-        _kernels.weighted_mobius_sums(read_halves(vals), _kernels.mobius_blocks(n_max),
-                                      np.array([n_max], np.int64))
+        _kernels.weighted_mobius_sums(reader(vals), np.array([n_max], np.int64))
         handed = [planes for _, planes in _kernels.mobius_blocks(n_max)]
         kept = [planes for _, planes in kept_blocks()]
         assert all(np.shares_memory(a, b) for a, b in zip(handed, kept))
     assert len(packed) == KEPT
     assert all(a is b for a, b in zip(packed, kept))
-
-
-def test_a_streamed_sieve_packs_no_planes(monkeypatch):
-    # sieve_mobius reads only mu, so the blocks it streams past the table
-    # come without planes; mobius_blocks still hands out its streamed planes
-    handed, sieve = [], _kernels._odd_blocks
-
-    def counted(*args, **kwargs):
-        for mu, planes in sieve(*args, **kwargs):
-            handed.append(planes)
-            yield mu, planes
-
-    monkeypatch.setattr(_kernels, "_odd_blocks", counted)
-    _kernels._kept_block.cache_clear()
-    assert np.array_equal(_kernels.sieve_mobius(TOP + 2), oracle()[: TOP + 3])
-    assert len(handed) == KEPT + 1 and all(planes is None for planes in handed)
-    assert kept_blocks() == []
-    handed.clear()
-    assert all(planes is not None for _, planes in _kernels.mobius_blocks(TOP + 2))
-    assert len(handed) == KEPT + 1
 
 
 def test_table_grows_whole_blocks_only_when_asked():
