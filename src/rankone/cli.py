@@ -314,13 +314,25 @@ def _conventions(specs: tuple[Param, ...], p: dict) -> str:
 
 # -------------------------------------------------------------- commands
 
+def _printable_heights(params, J: int, what: str = "") -> cons.HeightTable:
+    """L_1..L_J, grown no further than the first L_j with more digits than
+    Python prints, which then ends the table. With ``what``, such an L_j is
+    a ValueError naming its stage: no count or offset from there on can be
+    written, and the stage walks grow faster than linearly with J."""
+    limit = sys.get_int_max_str_digits()
+    table = cons.heights_within(params, J, 10**limit - 1) if limit else cons.heights(params, J)
+    m = table.max_stage
+    if what and limit and table.L(m) >= 10**limit:
+        raise ValueError(f"{what} reaches stage {m}, whose L_{m} = {cons.format_count(table.L(m))}"
+                         f" is past the {limit} digits Python prints")
+    return table
+
+
 def _cmd_heights(cfg):
-    # grown only through the first L past the digits _csv_text prints; a
-    # table that ends on such an L hands over that row alone, which
+    # a table ending on an unprintable L hands over that row alone, which
     # _csv_text refuses without converting the printable rows before it
-    J, limit = cfg.params["J"], sys.get_int_max_str_digits()
-    table = (cons.heights_within(cfg.construction, J, 10**limit - 1) if limit
-             else cons.heights(cfg.construction, J))
+    limit = sys.get_int_max_str_digits()
+    table = _printable_heights(cfg.construction, cfg.params["J"])
     J = table.max_stage
     first = J if limit and table.L(J) >= 10**limit else 1
     rows = ((j, table.L(j), table.h(j)) for j in range(first, J + 1))
@@ -328,24 +340,9 @@ def _cmd_heights(cfg):
             [f"heights through stage {J}: L_{J} = {cons.format_count(table.L(J))}"])
 
 
-def _check_horizon(cfg):
-    """ValueError when the horizon reaches a stage whose L_j has more
-    digits than Python prints, naming the first such stage, past which
-    the level table is not grown: the stage walks of ``classify`` and
-    ``factor`` grow faster than linearly with the horizon."""
-    horizon, limit = cfg.params["horizon"], sys.get_int_max_str_digits()
-    if limit:
-        table = cons.heights_within(cfg.construction, horizon, 10**limit - 1)
-        J = table.max_stage
-        if table.L(J) >= 10**limit:
-            raise ValueError(f"horizon {horizon} reaches stage {J}, whose L_{J} = "
-                             f"{cons.format_count(table.L(J))} is past the {limit} "
-                             "digits Python prints")
-
-
 def _cmd_classify(cfg):
-    _check_horizon(cfg)
     horizon, bound = cfg.params["horizon"], cfg.params["bound"]
+    _printable_heights(cfg.construction, horizon, f"horizon {horizon}")
     label = cons.classify(cfg.construction, horizon, bound)
     profile = cons.bounded_profile(cfg.construction, horizon)
     rows = [("label", str(label)), ("d", "" if label.d is None else label.d),
@@ -474,14 +471,15 @@ def _cmd_telescope(cfg):
 
 
 def _cmd_factor(cfg):
-    _check_horizon(cfg)
+    horizon = cfg.params["horizon"]
+    _printable_heights(cfg.construction, horizon, f"horizon {horizon}")
     K = _depth_for(cfg)
-    d = sarnak.compact_factor(cfg.construction, cfg.params["horizon"], K)
+    L_K = _printable_heights(cfg.construction, K, f"depth K={K}").L(K)
+    d = sarnak.compact_factor(cfg.construction, horizon, K)
     rows = ((j, col, off, off % d) for j in (K, K + 1)
             for col, off in enumerate(cons.column_offsets(cfg.construction, j), start=2))
     return {"factor.csv": (("stage", "column", "offset", "offset_mod_d"), rows)}, [
-        f"cyclic factor: d={d}, depth {K} "
-        f"(L_K={cons.format_count(cons.heights(cfg.construction, K).L(K))}), "
+        f"cyclic factor: d={d}, depth {K} (L_K={cons.format_count(L_K)}), "
         f"offsets verified for stages {K}..{K + 1}"
     ]
 

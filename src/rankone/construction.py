@@ -20,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, log10
+from math import gcd, inf, log10
 
 from .errors import NotBounded, OdometerCase, StageUnavailable
 
@@ -84,6 +84,13 @@ class ConstructionParams:
             raise ValueError("need at least one stage")
         if self.kind is _Kind.RANDOM and self.r_max < MIN_COLUMNS:
             raise ValueError(f"r_max must be >= {MIN_COLUMNS}")
+        # hashed once, not per lookup of a kept table: the generated hash
+        # walks every stage. Ints only, since str hashes differ per process.
+        object.__setattr__(self, "_hash", hash(
+            (self.h1, self.stages, self.r_max, self.s_max, self.seed)))
+
+    def __hash__(self):
+        return self._hash
 
     # -- constructors -------------------------------------------------
 
@@ -213,11 +220,12 @@ def _level_table(params: ConstructionParams) -> list[int]:
     return [params.h1 + 1]
 
 
-def _grow(params: ConstructionParams, J: int, n: int = 0) -> list[int]:
-    """The level table, grown through stage J and on until it reaches
-    n levels, by the exact recursion L_{j+1} = L_j r_j + sum_i s_j(i)."""
+def _grow(params: ConstructionParams, J: int, n: float = inf) -> list[int]:
+    """The level table, grown by the exact recursion L_{j+1} = L_j r_j +
+    sum_i s_j(i) through stage J, or only until an L_j passes n, whichever
+    comes first. The one loop that grows it: one lookup per call."""
     levels = _level_table(params)
-    while len(levels) < J or levels[-1] < n:
+    while len(levels) < J and levels[-1] <= n:
         st = params.stage(len(levels))
         levels.append(levels[-1] * st.r + sum(st.s))
     return levels
@@ -236,9 +244,7 @@ def heights_within(params: ConstructionParams, J: int, n: int) -> HeightTable:
     table is grown no further than that stage."""
     if J < 1:
         raise ValueError("J must be >= 1")
-    levels = _level_table(params)
-    while len(levels) < J and levels[-1] <= n:
-        _grow(params, len(levels) + 1)
+    levels = _grow(params, J, n)
     return HeightTable(tuple(levels[: min(J, bisect_right(levels, n) + 1)]))
 
 
@@ -259,7 +265,8 @@ def first_stage_reaching(params: ConstructionParams, n: int, start: int = 1) -> 
     bisection, since L_j strictly increases."""
     if start < 1:
         raise ValueError(f"start must be >= 1, got {start}")
-    return max(start, bisect_left(_grow(params, start, n), n) + 1)
+    _grow(params, start)
+    return max(start, bisect_left(_grow(params, inf, n - 1), n) + 1)
 
 
 # -------------------------------------------------------------- bounded

@@ -37,7 +37,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .construction import ConstructionParams, _grow, first_stage_reaching
+from .construction import ConstructionParams, first_stage_reaching, heights, heights_within
 from .errors import StageUnavailable
 from .tower import CorrelationMatrix, correlation_depths
 
@@ -305,19 +305,6 @@ def fit_for_shift(
 
 # ------------------------------------------------------------- sequences
 
-def _return_heights(params: ConstructionParams):
-    """(j, H_j) for j = 1, 2, ..., through an explicit construction's last
-    stage, with H_j = -(L_j + s_j^min). Each L_j is one read of the level
-    table, which is fetched once and again only when it must grow."""
-    levels = _grow(params, 1)
-    walk = (range(1, len(params.stages) + 1) if params.kind == "explicit"
-            else itertools.count(1))
-    for j in walk:
-        if j > len(levels):
-            levels = _grow(params, j)
-        yield j, -(levels[j - 1] + params.stage(j).s_min_first)
-
-
 def auto_ref_stage(params: ConstructionParams, Z: int) -> int:
     """Smallest reference stage whose level count exceeds 2Z+1, so that
     the basis shifts |z| <= Z stay distinct even on periodic words
@@ -334,7 +321,9 @@ def _select_stages(
     that each shift moves every reference level out of the reference tower.
     |H_j| strictly increases with j (L_{j+1} >= 2L_j + s_j(1)), so the walk
     stops at the first stage beyond max_shift, or an explicit one's last.
-    It reads (j, H_j) from ``_return_heights``, so it is O(J).
+    Its L_j are one ``heights_within`` table, grown no further than the
+    first L_j past max_shift // max(multipliers), as |H_j| >= L_j: by stage
+    max_shift.bit_length() + 1 at the latest, since L_j >= 2^(j-1).
     A multiplier below 1 never passes max_shift, so it raises ValueError."""
     low, high = min(multipliers), max(multipliers)
     if low < 1:
@@ -344,9 +333,12 @@ def _select_stages(
     except StageUnavailable:
         raise ValueError(f"fewer than two admissible stages: the listed stages build "
                          f"no reference tower of 2Z+2={2 * Z + 2} levels") from None
-    floor = _grow(params, j_ref)[j_ref - 1]
+    floor = heights(params, j_ref).L(j_ref)
+    last = (len(params.stages) if params.kind == "explicit"
+            else max_shift.bit_length() + 1)
     usable = []
-    for j, h in _return_heights(params):
+    for j, L in enumerate(heights_within(params, last, max_shift // high).levels, 1):
+        h = -(L + params.stage(j).s_min_first)
         if -high * h > max_shift:
             break
         if -low * h >= floor:

@@ -992,13 +992,20 @@ def test_factor_refuses_offsets_past_the_print_limit(tmp_path, capsys):
     last = (tmp_path / "fine" / "factor.csv").read_text().splitlines()[-1]
     assert last == f"14283,2,{cons.column_offsets(cons.class4(), 14283)[0]},0"
     capsys.readouterr()
-    for K, stage, count in ((14283, 14284, "1.63488e+4300 (4301 digits)"),
-                            (15000, 15000, "5.63592e+4515 (4516 digits)")):
+    # a K past the first unprintable L_K, each offset of stage K being at
+    # least L_K, is refused with the level table grown no further than that
+    # L; K = 14283 gets as far as the CSV, which cannot print stage K + 1
+    for K, message in (
+            (14283, "factor.csv keeps exact counts, and its offset at stage=14284, "
+                    "column=2 is 1.63488e+4300 (4301 digits), past"),
+            (15000, "depth K=15000 reaches stage 14284, whose L_14284 = "
+                    "1.63488e+4300 (4301 digits) is past")):
+        cons._level_table.cache_clear()
         assert cli.main(["factor", "--preset", "class4", "--K", str(K),
                          "--out", str(tmp_path / str(K))]) == 3
         assert capsys.readouterr().out.splitlines()[-1] == (
-            f"error[ValueError]: factor.csv keeps exact counts, and its offset at "
-            f"stage={stage}, column=2 is {count}, past the 4300 digits Python prints")
+            f"error[ValueError]: {message} the 4300 digits Python prints")
+        assert len(cons._level_table(cons.class4())) == 14284
         assert not (tmp_path / str(K) / "factor.csv").exists()
 
 

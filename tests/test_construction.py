@@ -1,6 +1,10 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,32 @@ def test_each_preset_is_one_instance():
     for name in PRESET_NAMES:
         assert cons.preset(name) is cons.preset(name)
         assert cons.preset(name) == fresh[name] and cons.preset(name) is not fresh[name]
+
+
+def test_a_construction_is_hashed_once(monkeypatch):
+    # a kept table or certificate is looked up by the construction's hash,
+    # which walks no stage after construction
+    calls = []
+    stage_hash = cons.StageParams.__hash__
+    monkeypatch.setattr(cons.StageParams, "__hash__",
+                        lambda st: calls.append(st) or stage_hash(st))
+    params = cons.ConstructionParams.explicit(0, [cons.StageParams(2, (0, 1))] * 100)
+    equal = cons.ConstructionParams.explicit(0, [cons.StageParams(2, (0, 1))] * 100)
+    calls.clear()
+    assert hash(params) == hash(equal) and params == equal
+    cons.heights(params, 50)
+    assert calls == []
+
+
+def test_a_construction_hashes_alike_in_every_process():
+    # str hashes differ per process, so the hash reads the int fields alone,
+    # and a pickled construction keeps a valid hash in another process
+    code = "from rankone import construction as c; print(hash(c.chacon()))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cons.__file__).parents[1]))
+    for seed in ("0", "1"):
+        out = subprocess.run([sys.executable, "-c", code], env=dict(env, PYTHONHASHSEED=seed),
+                             capture_output=True, text=True, check=True).stdout
+        assert out == f"{hash(cons.chacon())}\n"
 
 
 def test_explicit_generator_exhausts():
@@ -200,6 +230,21 @@ def test_first_stage_reaching_is_the_linear_walk(params, queries):
     for n, start in queries:
         got = outcome(lambda: cons.first_stage_reaching(params, n, start))
         assert same(got, outcome(lambda: naive_first_stage(params, n, start)))
+
+
+@pytest.mark.parametrize("read", [
+    lambda params: cons.heights(params, 2000).L(2000) == 2**2000 - 1,
+    lambda params: cons.heights_within(params, 2000, 2**1999).max_stage == 2000,
+    lambda params: cons.first_stage_reaching(params, 2**1999) == 2000,
+])
+def test_one_walk_of_the_table_looks_it_up_a_constant_number_of_times(read):
+    # L_j = 2^j - 1: each read grows a fresh table through stage 2000, and
+    # fetches it a fixed number of times, not once per stage
+    params = cons.ConstructionParams.explicit(0, [cons.StageParams(2, (0, 1))] * 2000)
+    cons._level_table.cache_clear()
+    assert read(params)
+    info = cons._level_table.cache_info()
+    assert info.hits + info.misses <= 2
 
 
 # --------------------------------------------------------- bounded/flat
