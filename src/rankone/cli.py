@@ -21,10 +21,11 @@ depth rule, window and tolerances are ``limits`` constants, printed in
 every report.
 
 Each handler is a pure function ``handler(cfg) -> (files, lines)``:
-``files`` maps a CSV name to ``(header, rows)`` and ``lines`` are its
-report lines. ``run`` alone does I/O. It formats every file's rows
-through ``_csv_text``, writes the files once all have formatted, then
-prints the report. It writes each file's UTF-8 bytes through the os
+``files`` maps a CSV name to ``(header, rows)``, or to the bytes of a
+CSV a fitted polynomial keeps, and ``lines`` are its report lines.
+``run`` alone does I/O. It formats every other file's rows through
+``_csv_text``, writes the files once all have formatted, then prints
+the report. It writes each file's UTF-8 bytes through the os
 calls alone, into ``output.dir``, where "" is the current directory.
 
 Exit codes: 0 success, 2 config error (a config file that cannot be read
@@ -381,7 +382,7 @@ def _cmd_correlate(cfg):
 def _cmd_weak_limit(cfg):
     d, tau = cfg.params["d"], limits.SUPPORT_TAU
     res = limits.weak_limit(cfg.construction, d, max_shift=cfg.params["max_shift"])
-    return {"weak_limit.csv": (("z", "a_z"), res.polynomial.to_csv_rows())}, [
+    return {"weak_limit.csv": res.polynomial.to_csv()}, [
         f"weak limit of T^({d}*H_j): {res.polynomial}",
         res.fit_summary(),
         f"  support(tau={tau}): {sorted(res.polynomial.support(tau))}",
@@ -406,8 +407,8 @@ def _cmd_disjointness(cfg):
         cfg.construction, p["p"], p["q"], max_shift=p["max_shift"],
     )
     return {
-        "limit_q.csv": (("z", "a_z"), verdict.q_result.polynomial.to_csv_rows()),
-        "limit_p.csv": (("z", "a_z"), verdict.p_result.polynomial.to_csv_rows()),
+        "limit_q.csv": verdict.q_result.polynomial.to_csv(),
+        "limit_p.csv": verdict.p_result.polynomial.to_csv(),
     }, [verdict.diagnostics()]
 
 
@@ -532,7 +533,8 @@ def _write_bytes(path: str, data: bytes):
 
 def run(config: RunConfig, stream=None) -> int:
     """Execute a validated config; returns the process exit code. The
-    one write path: every CSV is formatted before any is written."""
+    one write path: every CSV is formatted before any is written, and a
+    kept one is written as it is."""
     command = COMMANDS[config.command]
     report: list[str] = [
         f"construction: {config.construction.describe()}",
@@ -544,9 +546,10 @@ def run(config: RunConfig, stream=None) -> int:
         if config.out_dir:  # "" is the current directory, which exists
             os.makedirs(config.out_dir, exist_ok=True)
         files, lines = command.run(config)
-        texts = {name: _csv_text(name, *table) for name, table in files.items()}
-        for name, text in texts.items():
-            _write_bytes(os.path.join(config.out_dir, name), text.encode())
+        data = {name: table if isinstance(table, bytes) else _csv_text(name, *table).encode()
+                for name, table in files.items()}
+        for name, blob in data.items():
+            _write_bytes(os.path.join(config.out_dir, name), blob)
         report += lines
     except ConfigError:
         raise

@@ -20,8 +20,8 @@ A process keeps the last 64 disjointness certificates, one per
 module, that of ``_certify``. Every ``max_shift`` that admits the same
 stages shares one certificate, so results are read-only: frozen
 dataclasses, tuples and read-only coefficient and witness maps. A
-result formats its CSV rows and report text once, on first use, and
-keeps them with it. ``weak_limit`` keeps nothing: each call fits its
+result formats its CSV and report text once, on first use, and keeps
+them with it. ``weak_limit`` keeps nothing: each call fits its
 walk again.
 """
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .construction import ConstructionParams, first_stage_reaching, heights, heights_within
 from .errors import StageUnavailable
-from .tower import CorrelationMatrix, correlation_depths
+from .tower import CorrelationMatrix, _counted
 
 
 #: the depth rule: a shift n is counted at the first depth K with
@@ -93,11 +93,20 @@ class LimitPolynomial:
     def to_csv_rows(self) -> tuple[tuple[str, str], ...]:
         return self._csv_rows
 
+    def to_csv(self) -> bytes:
+        """The CSV file of ``to_csv_rows`` under the header z,a_z: UTF-8,
+        LF-terminated lines, the bytes ``cli.run`` writes."""
+        return self._csv
+
     @functools.cached_property
     def _csv_rows(self):
         rows = [(str(z), repr(float(self.coeffs[z]))) for z in sorted(self.coeffs)]
         return (*rows, ("theta", repr(float(self.theta))),
                 ("residual", repr(float(self.fit_residual))))
+
+    @functools.cached_property
+    def _csv(self):
+        return "\n".join(["z,a_z", *map(",".join, self._csv_rows), ""]).encode()
 
     def __str__(self):
         return self._text
@@ -266,8 +275,13 @@ def fit_limit_polynomial(
     A[:-2] /= target.total
     A[-1] /= target.total
     np.outer(measures, measures, out=rows[-2])
-    x, gap = _solve_simplex_qp(A)
+    return _fit_rows(A, zs)
 
+
+def _fit_rows(A: np.ndarray, zs: Sequence[int]) -> LimitPolynomial:
+    """The fit of ``fit_limit_polynomial`` on its rows A: the basis C_z/L_K
+    for z in zs, M_Theta, then the target C_n/L_K."""
+    x, gap = _solve_simplex_qp(A)
     residual = float(np.linalg.norm(x @ A[:-1] - A[-1]))
     coeffs = {z: float(x[i]) for i, z in enumerate(zs)}
     return LimitPolynomial(
@@ -283,16 +297,32 @@ def _fit_shifts(
     at its depth K from ``depths``; one climb counts every fit. A lazy
     ``depths`` finds each K just before its request is checked, so the
     error raised is that of the first fit that fails, as when each fit
-    was counted alone. The class measures nu(A) are the diagonal of C_0,
-    which counts each class of the depth-K word once."""
+    was counted alone. The fits read the climb's counts (``tower._counted``)
+    with no matrix object, one depth at a time into one array: the rows of
+    ``fit_limit_polynomial``, the basis and M_Theta written once per depth
+    (the class measures nu(A) are the diagonal of C_0, which counts each
+    class of the depth-K word once), and each fit's target in the last."""
     if Z < 0:
         raise ValueError(f"window Z={Z} must be >= 0")
     window = range(-Z, Z + 1)
     requests = ((K, [n, *window]) for n, K in zip(shifts, depths))
-    fits = []
-    for n, mats in zip(shifts, correlation_depths(params, j, requests)):
-        measures = np.diag(mats[0].counts) / mats[0].total
-        fits.append(fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures))
+    asked, counts = _counted(params, j, requests)
+    at_depth = {}
+    for i, (n, (K, total, _)) in enumerate(zip(shifts, asked)):
+        at_depth.setdefault((K, total), []).append((i, n))
+    side = len(counts[asked[0][0]][0])
+    rows = np.empty((len(window) + 2, side, side))
+    fits = [None] * len(asked)
+    for (K, total), targets in at_depth.items():
+        at = counts[K]
+        np.stack([at[z] if z >= 0 else at[-z].T for z in window], out=rows[:-2])
+        rows[:-2] /= total
+        measures = np.diag(at[0]) / total
+        np.outer(measures, measures, out=rows[-2])
+        for i, n in targets:
+            rows[-1] = at[n] if n >= 0 else at[-n].T
+            rows[-1] /= total
+            fits[i] = _fit_rows(rows.reshape(len(rows), -1), window)
     return fits
 
 

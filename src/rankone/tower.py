@@ -7,8 +7,12 @@ Words are handed out as plain read-only arrays, each cut by ``_cut``
 only as far as it is read, and past STAGE_WORD_MAX entries decoded
 from one shorter stage word; level measures come from the parameters.
 Correlations are exact pair counts of this word, carried to depth K by
-the stage recursion from a short base word, with error |n|/L_K (top
-exit) plus an estimate of the relative mass added after stage K.
+the stage recursion from a short base word: a climb counts each
+distinct junction state once, as rows of one junction block held in
+groups of at most JUNCTION_BYTES, and ``_counted`` gives its counts to
+the matrices here and to the fits of ``limits`` alike. A matrix carries
+the error |n|/L_K (top exit) plus an estimate of the relative mass
+added after stage K.
 
 Encoding: labels[l] >= 0 is a reference-level index; labels[l] = -m is
 a spacer inserted at stage m.
@@ -39,6 +43,11 @@ TAIL_PROBE_STAGES = 8
 #: reference stages larger than this would make dense matrices unwieldy
 MAX_DENSE_LEVELS = 512
 
+#: bytes a climb holds at once for one group of junction rows, with
+#: their bins (``_climb``), and for the pair codes of one count
+#: (``_pair_bins``); a row or column past it is a group of its own
+JUNCTION_BYTES = 1 << 20
+
 #: a cut ending past this many entries is decoded from one stage word of
 #: at most this many (``_decoder``): a quarter of a sieve block, so a
 #: Mobius sum's reads of one block meet a few dozen of its copies
@@ -62,8 +71,8 @@ def checked_heights(params: ConstructionParams, K: int, j: int = 1) -> HeightTab
     stage-K word would exceed MAX_WORD_LENGTH. The table is grown no
     further than K or the first stage m whose L_m passes that limit,
     which proves L_K too large and is named when m < K. Correlations
-    never build that word, but this check is what bounds their
-    ``_junction_counts`` arrays (see ``correlation_depths``)."""
+    never build that word, but this check is what bounds the base word
+    and the junction rows of their climb (see ``correlation_depths``)."""
     if not 1 <= j <= K:
         raise ValueError(f"need 1 <= j <= K, got j={j}, K={K}")
     table = heights_within(params, K, MAX_WORD_LENGTH)
@@ -273,90 +282,141 @@ class CorrelationMatrix:
                 )
 
 
-def _junction_counts(junction, W, end, zs, side):
-    """Pairs (junction[l], junction[l+z]) with W-z <= l < end and l+z in
-    range, for every z in ``zs`` in one bincount."""
-    lo = W - zs
-    lengths = np.minimum(end, len(junction) - zs) - lo
-    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - lo, lengths)
-    zi = np.repeat(np.arange(len(zs)), lengths)
-    flat = (zi * side + junction[pos]) * side + junction[pos + zs[zi]]
-    return np.bincount(flat, minlength=len(zs) * side * side).reshape(len(zs), side, side)
+def _pair_bins(pairs, size):
+    """np.bincount over ``size`` bins of the pair codes left + right, for
+    every (left, right) of two slices of one shape in ``pairs``. The codes
+    are summed into one intp buffer, which np.bincount reads without a
+    copy, of at most JUNCTION_BYTES (or one column of the tallest slice):
+    a slice that does not fit is cut along its last axis, and the buffer
+    is counted each time it fills."""
+    tall = max(left.size // max(left.shape[-1], 1) for left, _ in pairs)
+    buf = np.empty(min(sum(left.size for left, _ in pairs), max(JUNCTION_BYTES // 8, tall)),
+                   dtype=np.intp)
+    bins, used = None, 0
+    for left, right in pairs:
+        width = left.shape[-1]
+        rows, a = left.size // max(width, 1), 0
+        while rows and a < width:
+            if used + rows > len(buf):
+                part, used = np.bincount(buf[:used], minlength=size), 0
+                bins = part if bins is None else bins + part
+            b = min(width, a + (len(buf) - used) // rows)
+            out = buf[used : used + rows * (b - a)].reshape(*left.shape[:-1], b - a)
+            np.add(left[..., a:b], right[..., a:b], out=out)
+            used, a = used + out.size, b
+    part = np.bincount(buf[:used], minlength=size)
+    return part if bins is None else bins + part
 
 
 def _climb(params: ConstructionParams, j: int, wanted: dict[int, set[int]]) -> dict[int, dict]:
-    """Pair counts {K: {z: counts}} of the stage-K word relative to stage
-    j, for every depth K in ``wanted`` and (at least) each z in wanted[K],
-    0 <= z < L_K; each depth's counts are read-only.
+    """Read-only pair counts {K: {z: counts}} of the stage-K word relative
+    to stage j, for each depth K in ``wanted`` and z in wanted[K], z < L_K.
 
-    Only W_m0, the first stage word with L_m0 >= W = max z, is built,
-    with every spacer set to the spacer class n_ref, and counted. For
-    0 <= z <= W <= L_m the stage recursion gives
-    C_{m+1}(z) = r_m C_m(z) + sum_i junction_i(z), where junction i is
-    suf_W(W_m) + s_m(i) spacers + pre_W(W_m) (no prefix after the last
-    copy), counted from its last z copy entries on. So a stage's
-    junction counts, and the suffix it leaves, depend only on its
-    spacers and on the suffix it restacks; a state that repeats (as it
-    does on periodic constructions) reuses them. One climb to the
-    deepest K passes every depth from m0 on; a depth below m0 gets a
-    climb of its own.
+    Only W_m0, the first stage word with L_m0 >= W = max z, is built, its
+    spacers in the spacer class n_ref. For z <= W <= L_m the recursion is
+    C_{m+1}(z) = r_m C_m(z) + J_m(z): J_m counts the pairs that start in
+    junction i = suf_W(W_m) + s_m(i) spacers + pre_W(W_m) (no prefix
+    after the last copy) and end past its suffix. So J_m depends only on
+    the state (s_m, suf_W(W_m)), and a stage leaves the last W entries of
+    that suffix and s_m(r_m) spacers. The climb walks the suffixes first,
+    keeps each distinct state once with its weight in each C_K (the sum,
+    over the stages m < K that meet it, of prod_{m < u < K} r_u), and
+    lays out its r junctions as rows of one junction block
+    (``_junction_block``) with the state in the bin index. Per shift z,
+    one ``_pair_bins`` count over W_m0, ``code[:L - z] + word[z:]``, and
+    the rows, times the weights, gives the counts of the depths that ask
+    for z, the only ones kept. Rows are grouped within JUNCTION_BYTES,
+    each group built once. A depth below m0 gets a climb of its own.
     """
     n_ref = heights(params, j).L(j)
     W = max(max(zs) for zs in wanted.values())
     m0 = first_stage_reaching(params, W, j)
     found = {K: _climb(params, j, {K: zs})[K] for K, zs in wanted.items() if K < m0}
-    deep = {K: zs for K, zs in wanted.items() if K >= m0}
-    zs = np.array(sorted(set().union(*deep.values())), dtype=np.int64)
-    word = _cut(params, j, m0, fill=n_ref)
-    counts = np.stack([_kernels.pair_counts(word, int(z), n_ref) for z in zs])
-    pre, suf = word[:W], word[len(word) - W:]
-
-    def add_junctions(into, suf, st):  # returns the suffix the stage leaves
-        for i, s in enumerate(st.s):
-            junction = np.concatenate([suf, np.full(s, n_ref), pre[: W * (i < st.r - 1)]])
-            into += _junction_counts(junction, W, W + s, zs, n_ref + 1)
-        return junction[len(junction) - W:]  # the last copy has no prefix
-
-    # per state (spacers, suffix bytes): the suffix it leaves, and its
-    # junction counts once it repeats; a first state is counted in place
-    leaves, kept = {}, {}
-    for m in range(m0, max(deep) + 1):
-        if m > m0:
-            st = params.stage(m - 1)
-            key = (st.s, suf.tobytes())
-            counts *= st.r
-            if key in leaves and key not in kept:
-                kept[key] = np.zeros_like(counts)
-                add_junctions(kept[key], suf, st)
-            if key in kept:
-                counts += kept[key]
-                suf = leaves[key]
+    deep = sorted(K for K in wanted if K >= m0)
+    side, ext = n_ref + 1, n_ref + 2
+    word = _cut(params, j, m0, base=np.arange(n_ref, dtype=np.int16), fill=n_ref)
+    pre, suf = word[:W], word[len(word) - W :]
+    # the distinct states (stage, suffix) from m0 on, and the weights of
+    # W_m0 and of each state in the counts at each depth
+    index, states, leaves, weights, v = {}, [], [], [], [1]
+    for m, st in enumerate(params.stage_range(m0, deep[-1] - 1), m0):
+        if m in wanted:
+            weights.append(v)
+        k = index.setdefault((st.s, suf.tobytes()), len(states))
+        if k == len(states):
+            states.append((st, suf))
+            s = st.s[-1]
+            leaves.append(np.concatenate([suf, np.full(s, n_ref, dtype=suf.dtype)])[s:])
+            v = v + [0]
+        v = [x * st.r for x in v]
+        v[1 + k] += 1
+        suf = leaves[k]
+    weights.append(v)
+    # exact in float: each weight and count is at most L_K <= MAX_WORD_LENGTH < 2**53
+    weights = np.array([w + [0] * (len(v) - len(w)) for w in weights], dtype=float)
+    asked = {z: [d for d, K in enumerate(deep) if z in wanted[K]]
+             for z in sorted(set().union(*(wanted[K] for K in deep)))}
+    code = np.multiply(word, ext, dtype=np.int32)
+    rows = [(k, s, i == st.r - 1) for k, (st, _) in enumerate(states) for i, s in enumerate(st.s)]
+    s_max = max((s for _, s, _ in rows), default=0)
+    sufs = np.stack([s for _, s in states]) if states else None
+    # a group holds its rows' codes, labels and gathered suffixes, 8 bytes
+    # an entry, and int and float bins for at most one state per row
+    per_group = max(1, JUNCTION_BYTES // (8 * (W + s_max) + 16 * ext * ext))
+    counts = {}
+    for a in range(0, max(len(rows), 1), per_group):
+        group = rows[a : a + per_group]
+        ks = range(group[0][0], group[-1][0] + 1) if group else range(0)
+        left, right = _junction_block(group, sufs, pre, s_max, n_ref, ks.start - 1)
+        of = weights[:, [0, *(1 + k for k in ks)]]
+        for z, ds in asked.items():
+            pairs = [(left[:, W - z :], right[:, : z + s_max])]
+            if a == 0:  # W_m0's pairs go with the first group
+                pairs.insert(0, (code[: len(word) - z], word[z:]))
+            bins = _pair_bins(pairs, (1 + len(ks)) * ext * ext)
+            C = (of[ds] @ bins.reshape(-1, ext * ext)).reshape(len(ds), ext, ext)
+            if a == 0:
+                counts[z] = C[:, :side, :side].astype(np.int64)
             else:
-                suf = leaves[key] = add_junctions(counts, suf, st)
-        if m in deep:
-            snapshot = counts.copy()
-            snapshot.flags.writeable = False
-            found[m] = dict(zip(zs.tolist(), snapshot))
+                np.add(counts[z], C[:, :side, :side], out=counts[z], casting="unsafe")
+    for z, ds in asked.items():
+        counts[z].flags.writeable = False
+        for d, C in zip(ds, counts[z]):
+            found.setdefault(deep[d], {})[z] = C
     return found
 
 
-def correlation_depths(
-    params: ConstructionParams, j: int,
-    requests: Iterable[tuple[int, Sequence[int]]],
-) -> list[dict[int, CorrelationMatrix]]:
-    """For each request (K, shifts), in order, the matrices {n: C} of
-    nu(T^n A intersect B) over stage-j classes at depth K:
-    C(A,B) = #{l : labels[l]=A, labels[l+n]=B} / L_K.
+def _junction_block(rows, sufs, pre, s_max, n_ref, k0):
+    """The left codes and right labels of the junction rows (state k,
+    spacers, last copy) of ``_climb``, each W + s_max wide: left, the
+    suffix sufs[k] and the spacers, a*(n_ref+2) + (k - k0)*(n_ref+2)**2
+    for class a; right, the spacers and the prefix ``pre``. The prefix on
+    the left, a last copy's missing prefix and the padding are in the
+    discarded class n_ref+1."""
+    W, side, ext = len(pre), n_ref + 1, n_ref + 2
+    state = np.array([k for k, _, _ in rows], dtype=np.int64)
+    spacer = np.arange(s_max) < np.array([s for _, s, _ in rows], dtype=np.int64)[:, None]
+    left = np.empty((len(rows), W + s_max), dtype=np.int32)
+    if rows:
+        np.multiply(sufs[state], ext, out=left[:, :W])
+    left[:, W:] = np.where(spacer, n_ref * ext, side * ext)
+    left += ((state - k0) * ext * ext)[:, None]
+    right = np.full((len(rows), W + s_max), side, dtype=np.int16)
+    right[:, :s_max] = np.where(spacer, n_ref, side)
+    for i, (_, s, last) in enumerate(rows):
+        if not last:
+            right[i, s : s + W] = pre
+    return left, right
 
-    Each request is checked as it is drawn from ``requests``, before any
-    counting, so a lazy iterable raises its own errors in turn. No word is
-    built, yet the L_K check of ``checked_heights`` bounds memory: |n| <
-    L_K caps the ``_junction_counts`` index arrays, about six int64 arrays
-    per junction, each of (z + s) entries summed over the shifts z. All
-    requests are then counted by one stage-recursion climb (``_climb``)
-    over |n|, with C(-n) the read-only view C(n)^T, and ``tail_bound``
-    runs once per distinct K.
-    """
+
+def _counted(
+    params: ConstructionParams, j: int, requests: Iterable[tuple[int, Sequence[int]]],
+) -> tuple[list[tuple[int, int, Sequence[int]]], dict[int, dict]]:
+    """Each request (K, shifts) checked as it is drawn, as (K, L_K,
+    shifts) in order, and the read-only pair counts {K: {|n|: counts}} of
+    one climb (``_climb``) over all of them. Checks: ``checked_heights``
+    (1 <= j <= K, L_K within MAX_WORD_LENGTH), at most MAX_DENSE_LEVELS
+    reference levels, and |n| < L_K (DepthTooShallow)."""
     asked = []
     wanted: dict[int, set[int]] = {}
     for K, shifts in requests:
@@ -372,7 +432,26 @@ def correlation_depths(
                 raise DepthTooShallow(f"|n|={abs(n)} needs a deeper tower than L_K={total}")
         asked.append((K, total, shifts))
         wanted.setdefault(K, set()).update(abs(n) for n in shifts)
-    counts = _climb(params, j, wanted)  # ValueError when a request has no shift
+    return asked, _climb(params, j, wanted)  # ValueError when a request has no shift
+
+
+def correlation_depths(
+    params: ConstructionParams, j: int,
+    requests: Iterable[tuple[int, Sequence[int]]],
+) -> list[dict[int, CorrelationMatrix]]:
+    """For each request (K, shifts), in order, the matrices {n: C} of
+    nu(T^n A intersect B) over stage-j classes at depth K:
+    C(A,B) = #{l : labels[l]=A, labels[l+n]=B} / L_K.
+
+    The counts are those of ``_counted``, which the fits read too: each
+    request is checked as it is drawn from ``requests``, before any
+    counting, so a lazy iterable raises its own errors in turn, and all
+    are then counted by one climb over |n|. No word past W_m0 is built:
+    the L_K check bounds it and each junction row (|n| < L_K), and
+    JUNCTION_BYTES the rows held at once. C(-n) is the read-only view
+    C(n)^T, and ``tail_bound`` runs once per distinct K.
+    """
+    asked, counts = _counted(params, j, requests)
     tails = {K: tail_bound(params, K) for K in counts}
     return [
         {

@@ -1,6 +1,7 @@
 import filecmp
 import io
 import json
+import os
 import re
 import time
 import tracemalloc
@@ -760,10 +761,14 @@ def test_each_file_holds_the_bytes_of_its_csv_text(tmp_path, monkeypatch):
         "params": {"p": 2, "q": 3}, "output": {"dir": str(tmp_path)}})
     assert cli.run(cfg, stream=io.StringIO()) == 0
     files, _ = cli.COMMANDS["disjointness"].run(cfg)
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
-    for name, table in files.items():
+    verdict = limits.disjointness_certificate(cfg.construction, 2, 3)
+    fits = {"limit_q.csv": verdict.q_result, "limit_p.csv": verdict.p_result}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files) == sorted(fits)
+    for name, res in fits.items():
         data = (tmp_path / name).read_bytes()
-        assert data == cli._csv_text(name, *table).encode()
+        # the kept bytes are those the formatter makes of the rows
+        assert data == files[name] == cli._csv_text(
+            name, ("z", "a_z"), res.polynomial.to_csv_rows()).encode()
         assert b"\r" not in data and data.endswith(b"\n") and data[:1] == b"z"
     assert max(writes) > 7 and sum(min(n, 7) for n in writes) == sum(
         (tmp_path / name).stat().st_size for name in files)
@@ -779,6 +784,39 @@ def test_a_config_parsed_twice_reads_one_kept_certificate(tmp_path):
         assert cli.run(cfg, stream=io.StringIO()) == 0
     info = limits._certify.cache_info()
     assert (info.hits, info.misses) == (1, 1)
+
+
+def test_a_kept_certificate_formats_no_row_again(tmp_path, monkeypatch):
+    # the second op of a repeated config writes the CSV bytes its kept
+    # certificate holds: no row of limit_q.csv or limit_p.csv is joined or
+    # encoded again, and the bytes are those the formatter makes of the rows
+    formatted, written = [], []
+    csv_text, write_bytes = cli._csv_text, cli._write_bytes
+
+    def format_spy(name, header, rows):
+        formatted.append(name)
+        return csv_text(name, header, rows)
+
+    def write_spy(path, data):
+        written.append((os.path.basename(path), data))
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(cli, "_csv_text", format_spy)
+    monkeypatch.setattr(cli, "_write_bytes", write_spy)
+    limits._certify.cache_clear()
+    text = make_config(command="disjointness", params={"p": 2, "q": 3})
+    for i in range(2):
+        cfg = cli.parse_config(text)
+        cfg = cli.RunConfig(cfg.construction, cfg.command, cfg.params, str(tmp_path / str(i)))
+        assert cli.run(cfg, stream=io.StringIO()) == 0
+    assert formatted == [] and limits._certify.cache_info().hits == 1
+    verdict = limits.disjointness_certificate(cfg.construction, 2, 3)
+    kept = {"limit_q.csv": verdict.q_result.polynomial, "limit_p.csv": verdict.p_result.polynomial}
+    assert [name for name, _ in written] == [*kept, *kept]
+    for name, data in written[2:]:
+        assert data is kept[name].to_csv()
+        assert data == csv_text(name, ("z", "a_z"), kept[name].to_csv_rows()).encode()
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "0" / name).read_bytes() == data
 
 
 def test_main_requires_construction(capsys):

@@ -251,6 +251,44 @@ def test_active_set_fit_is_optimal(request):
     assert poly.fit_residual == pytest.approx(math.sqrt(objective(x)), abs=1e-12)
 
 
+@st.composite
+def fit_walks(draw):
+    """A construction, a reference stage, a window Z and fits (n, K) at
+    depths drawn with repeats, each |n| < L_K <= 200000 and Z < L_K."""
+    params = draw(st.one_of(
+        st.builds(cons.ConstructionParams.random_bounded, st.integers(0, 3),
+                  st.integers(2, 3), st.integers(0, 3), st.integers(0, 10**6)),
+        st.builds(cons.ConstructionParams.periodic, st.integers(0, 3), st.lists(
+            st.lists(st.integers(0, 4), min_size=2, max_size=4).map(
+                lambda s: cons.StageParams(len(s), tuple(s))),
+            min_size=1, max_size=3)),
+    ))
+    j = draw(st.integers(1, 3))
+    Z = draw(st.integers(0, 8))
+    deep = [K for K in range(j, 40) if Z < cons.heights(params, K).L(K) <= 200_000]
+    fits = draw(st.lists(st.sampled_from(deep).flatmap(lambda K: st.tuples(
+        st.integers(1 - cons.heights(params, K).L(K), cons.heights(params, K).L(K) - 1),
+        st.just(K))), min_size=1, max_size=6))
+    return params, j, Z, fits
+
+
+@settings(max_examples=60, deadline=None)
+@given(fit_walks())
+def test_fits_read_the_climb_as_the_matrices_do(walk):
+    # the fits read the climb's counts with no matrix object; each must be
+    # the fit of fit_limit_polynomial on the matrices of the same requests,
+    # bit for bit: coefficients, theta, residual and optimality gap
+    params, j, Z, fits = walk
+    window = range(-Z, Z + 1)
+    got = limits._fit_shifts(params, j, [n for n, _ in fits], [K for _, K in fits], Z)
+    found = tower.correlation_depths(params, j, [(K, [n, *window]) for n, K in fits])
+    assert len(got) == len(found) == len(fits)
+    for poly, (n, _), mats in zip(got, fits, found):
+        measures = np.diag(mats[0].counts) / mats[0].total
+        want = limits.fit_limit_polynomial(mats[n], {z: mats[z] for z in window}, measures)
+        assert exact(poly) == exact(want)
+
+
 def test_fit_terminates_on_a_singular_gram():
     # keys 1 and 2 carry the same matrix, so every face holding both has
     # a singular KKT system; fitting C_1, any split between them is optimal

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -347,25 +348,28 @@ def test_one_climb_matches_each_depth_alone(request):
 def test_climb_reuses_an_alternating_state(monkeypatch):
     # both stages end on 0 spacers, so each leaves the suffix it restacked
     # and the states (stage A, suffix) and (stage B, suffix) alternate. Each
-    # state's r junctions are counted in place when it is first met and
-    # apart when it is met again, then reused: 2 * (r_A + r_B) = 10 junctions
-    # however deep the climb goes
+    # distinct state's r junctions are rows of the junction block once, and
+    # a state met again only adds to its weight: r_A + r_B = 5 rows however
+    # deep the climb goes
     params = cons.ConstructionParams.periodic(
         1, [cons.StageParams(2, (1, 0)), cons.StageParams(3, (2, 1, 0))])
-    counted = []
-    junction_counts = tower._junction_counts
+    rows = []
+    junction_block = tower._junction_block
 
-    def spy(junction, W, end, zs, side):
-        counted.append(end - W)
-        return junction_counts(junction, W, end, zs, side)
+    def spy(group, *args):
+        rows.extend(s for _, s, _ in group)
+        return junction_block(group, *args)
 
-    monkeypatch.setattr(tower, "_junction_counts", spy)
+    monkeypatch.setattr(tower, "_junction_block", spy)
     shifts = [-3, 0, 1, 2, 5, 6]
     m0 = cons.first_stage_reaching(params, 6, 1)
     depths = [K for K in range(m0, 20) if cons.heights(params, K).L(K) <= 200_000]
     assert len(depths) >= 6
-    found = tower.correlation_depths(params, 1, [(K, shifts) for K in depths])
-    assert sorted(counted) == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
+    for deepest in (depths[2], depths[-1]):
+        rows.clear()
+        found = tower.correlation_depths(
+            params, 1, [(K, shifts) for K in depths if K <= deepest])
+        assert sorted(rows) == [0, 0, 1, 1, 2]
     n_ref = cons.heights(params, 1).L(1)
     for K, mats in zip(depths, found):
         word = tower.build_labels(params, 1, K)
@@ -374,18 +378,20 @@ def test_climb_reuses_an_alternating_state(monkeypatch):
 
 
 def test_one_climb_counts_each_shift_once(monkeypatch):
+    # each shift's pass over the junction block also counts W_m0's pairs,
+    # code[:L - z] + word[z:], first: its length names the shift
     counted, built = [], []
-    pair_counts, build_word = _kernels.pair_counts, _kernels.build_word
+    pair_bins, build_word = tower._pair_bins, _kernels.build_word
 
-    def count_spy(word, z, n_ref):
-        counted.append(z)
-        return pair_counts(word, z, n_ref)
+    def count_spy(pairs, size):
+        counted.append(364 - len(pairs[0][0]))
+        return pair_bins(pairs, size)
 
     def build_spy(*args):
         built.append(args[5])
         return build_word(*args)
 
-    monkeypatch.setattr(_kernels, "pair_counts", count_spy)
+    monkeypatch.setattr(tower, "_pair_bins", count_spy)
     monkeypatch.setattr(_kernels, "build_word", build_spy)
     params, window = cons.chacon(), [*range(-8, 9)]
     found = tower.correlation_depths(
@@ -394,6 +400,77 @@ def test_one_climb_counts_each_shift_once(monkeypatch):
     assert built == [364]  # W_m0 at L_m0 = 364, the largest |n|
     assert found[0][-121].depth == found[2][40].depth == 9
     assert found[1][-364].depth == 10
+    n_ref = cons.heights(params, 2).L(2)
+    for K, mats in zip((9, 10, 9), found):
+        word = tower.build_labels(params, 2, K)
+        for n, mat in mats.items():
+            assert np.array_equal(mat.counts, _kernels.pair_counts(word, n, n_ref)), (K, n)
+
+
+@pytest.mark.parametrize("params,j,requests", [
+    (cons.chacon(), 2, [(9, [-121, *range(-8, 9)]), (10, [-364, 5]), (9, [40])]),
+    (PERIODIC, 1, [(6, [0, 1, 7, -50]), (7, [3, 120]), (9, [2, 0])]),
+    (EXPLICIT, 2, [(6, [0, 1, -9, 400]), (8, [8, 1000])]),
+    (cons.ConstructionParams.random_bounded(1, 3, 3, 5), 2,
+     [(9, [0, 1, -8, 700]), (11, [2, 3000])]),
+], ids=["chacon", "periodic", "explicit", "random"])
+def test_a_small_byte_budget_splits_the_rows_and_keeps_the_counts(monkeypatch, params, j,
+                                                                  requests):
+    # at the default budget each of these climbs builds one junction group
+    # and counts each shift in one piece; at 256 bytes every row is a group
+    # of its own and every pass is cut into pieces of 32 codes, with the
+    # same counts
+    blocks, pieces = [], []
+    junction_block, bincount = tower._junction_block, np.bincount
+
+    def block_spy(group, *args):
+        if group:  # a climb of no stage has no rows
+            blocks.append(len(group))
+        return junction_block(group, *args)
+
+    def bincount_spy(*args, **kwargs):
+        pieces.append(len(args[0]))
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(tower, "_junction_block", block_spy)
+    wide = tower.correlation_depths(params, j, requests)
+    groups, blocks[:] = list(blocks), []
+    monkeypatch.setattr(tower, "JUNCTION_BYTES", 256)
+    monkeypatch.setattr(np, "bincount", bincount_spy)
+    narrow = tower.correlation_depths(params, j, requests)
+    monkeypatch.undo()
+    assert set(blocks) == {1} and len(blocks) == sum(groups) > len(groups)
+    assert max(pieces) <= 32 and len(pieces) > 2 * len(blocks)
+    for (K, shifts), a, b in zip(requests, wide, narrow):
+        for n in shifts:
+            assert np.array_equal(a[n].counts, b[n].counts), (K, n)
+        if cons.heights(params, K).L(K) <= MAX_LK:
+            word = tower.build_labels(params, j, K)
+            n_ref = cons.heights(params, j).L(j)
+            for n in shifts:
+                assert np.array_equal(a[n].counts, _kernels.pair_counts(word, n, n_ref))
+
+
+def test_a_shift_of_a_million_climbs_in_bounded_memory():
+    # chacon at j = 2, depth 16 (L_16 = 21523361): W_m0 = W_14 has 2391484
+    # entries and each junction row about 10**6. The climb that counted
+    # each junction in index arrays of every shift peaked at 94.5 MiB of
+    # traced memory here; grouped under JUNCTION_BYTES it stays far below
+    params, K = cons.chacon(), 16
+    cons.heights(params, K + 1)
+    shifts = [*range(9), 10**6]
+    tracemalloc.start()
+    try:
+        counts = tower._climb(params, 2, {K: set(shifts)})[K]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+    total, copies = cons.heights(params, K).L(K), 3 ** (K - 2)
+    assert np.diag(counts[0])[:-1].tolist() == [copies] * 4
+    assert counts[0][-1, -1] == total - 4 * copies
+    for z in shifts:
+        assert counts[z].sum() == total - z
 
 
 def test_returned_counts_are_read_only():
