@@ -6,10 +6,11 @@ stage-j tower has L_j = h_j + 1 levels, with
 
     L_{j+1} = L_j * r_j + sum_i s_j(i).
 
-All height arithmetic is exact (python ints). "Eventually ..." style
-conditions are evaluated on a finite horizon H by requiring the
-property on the tail window [max(1, floor(H/2)), H]; no claim is made
-beyond the horizon.
+All height arithmetic is exact (python ints), kept once per construction
+with its random stages (``_level_table``) and read in place. "Eventually
+..." style conditions are evaluated on a finite horizon H by requiring
+the property on the tail window [max(1, floor(H/2)), H]; no claim is
+made beyond the horizon.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ class ConstructionParams:
     # -- stage access --------------------------------------------------
 
     def stage(self, j: int) -> StageParams:
+        """Stage j. A random construction draws it from random.Random(seed
+        * 1_000_003 + j) once, into the keep of its levels (``_level_table``)."""
         if j < 1:
             raise ValueError("stage index starts at 1")
         if self.kind is _Kind.PERIODIC:
@@ -120,7 +123,12 @@ class ConstructionParams:
                     f"stage {j} requested"
                 )
             return self.stages[j - 1]
-        return _random_stage(self.seed, self.r_max, self.s_max, j)
+        drawn = _level_table(self)[1]
+        if j not in drawn:
+            rng = random.Random(self.seed * 1_000_003 + j)
+            r = rng.randint(MIN_COLUMNS, self.r_max)
+            drawn[j] = StageParams(r, tuple(rng.randint(0, self.s_max) for _ in range(r)))
+        return drawn[j]
 
     def stage_range(self, j0: int, j1: int) -> list[StageParams]:
         return [self.stage(j) for j in range(j0, j1 + 1)]
@@ -132,15 +140,6 @@ class ConstructionParams:
             return f"random(h1={self.h1},r<={self.r_max},s<={self.s_max},seed={self.seed})"
         body = ";".join(f"r={st.r},s={','.join(map(str, st.s))}" for st in self.stages)
         return f"{self.kind.value}(h1={self.h1},{body})"
-
-
-@lru_cache(maxsize=1024)
-def _random_stage(seed: int, r_max: int, s_max: int, j: int) -> StageParams:
-    """Stage j of a random construction, drawn from its own seeded RNG."""
-    rng = random.Random(seed * 1_000_003 + j)
-    r = rng.randint(MIN_COLUMNS, r_max)
-    s = tuple(rng.randint(0, s_max) for _ in range(r))
-    return StageParams(r, s)
 
 
 # ------------------------------------------------------------- presets
@@ -195,36 +194,42 @@ def preset(name: str) -> ConstructionParams:
 
 # -------------------------------------------------------------- heights
 
-@dataclass(frozen=True)
 class HeightTable:
-    """Level counts L_j = h_j + 1 for stages 1..max_stage, exact ints."""
+    """Level counts L_j = h_j + 1 for stages 1..max_stage, exact ints, read
+    in place from the kept table, which only grows: ``levels`` alone copies
+    them, and two tables are equal when their ``levels`` are."""
 
-    levels: tuple[int, ...]
+    def __init__(self, kept: list[int], max_stage: int):
+        self._kept, self.max_stage = kept, max_stage
 
     @property
-    def max_stage(self) -> int:
-        return len(self.levels)
+    def levels(self) -> tuple[int, ...]:
+        return tuple(self._kept[: self.max_stage])
+
+    def __eq__(self, other):
+        return isinstance(other, HeightTable) and self.levels == other.levels
 
     def L(self, j: int) -> int:
         if not 1 <= j <= self.max_stage:
             raise ValueError(f"stage {j} outside 1..{self.max_stage}")
-        return self.levels[j - 1]
+        return self._kept[j - 1]
 
     def h(self, j: int) -> int:
         return self.L(j) - 1
 
 
 @lru_cache(maxsize=256)
-def _level_table(params: ConstructionParams) -> list[int]:
-    """L_1, L_2, ... of one construction, grown in place by ``_grow``."""
-    return [params.h1 + 1]
+def _level_table(params: ConstructionParams) -> tuple[list[int], dict[int, StageParams]]:
+    """The one keep of a construction: its levels L_1, L_2, ..., grown in
+    place by ``_grow``, and a random one's stages drawn so far, by index."""
+    return [params.h1 + 1], {}
 
 
 def _grow(params: ConstructionParams, J: int, n: float = inf) -> list[int]:
     """The level table, grown by the exact recursion L_{j+1} = L_j r_j +
     sum_i s_j(i) through stage J, or only until an L_j passes n, whichever
     comes first. The one loop that grows it: one lookup per call."""
-    levels = _level_table(params)
+    levels = _level_table(params)[0]
     while len(levels) < J and levels[-1] <= n:
         st = params.stage(len(levels))
         levels.append(levels[-1] * st.r + sum(st.s))
@@ -232,20 +237,20 @@ def _grow(params: ConstructionParams, J: int, n: float = inf) -> list[int]:
 
 
 def heights(params: ConstructionParams, J: int) -> HeightTable:
-    """Level counts L_1..L_J."""
+    """Level counts L_1..L_J, a view of the kept table."""
     if J < 1:
         raise ValueError("J must be >= 1")
-    return HeightTable(tuple(_grow(params, J)[:J]))
+    return HeightTable(_grow(params, J), J)
 
 
 def heights_within(params: ConstructionParams, J: int, n: int) -> HeightTable:
     """Level counts L_1..L_J, or L_1..L_m when m < J is the first stage
     whose L_m passes n: L_j strictly increases, so L_J > n then too. The
-    table is grown no further than that stage."""
+    table is grown no further than that stage, and read in place."""
     if J < 1:
         raise ValueError("J must be >= 1")
     levels = _grow(params, J, n)
-    return HeightTable(tuple(levels[: min(J, bisect_right(levels, n) + 1)]))
+    return HeightTable(levels, min(J, bisect_right(levels, n) + 1))
 
 
 def format_count(n: int) -> str:

@@ -4,17 +4,17 @@ Both the weighted Birkhoff sums S_N = sum_{i<=N} f(T^i x) mu(i) and
 the telescoping identities of the prime-extension argument are
 evaluated in exact integer arithmetic: an observable's rational
 coefficients are cleared to their common denominator once, when it is
-built, and every sum runs on those numerators. Both read f(T^i x)
-through one orbit reader, ``_orbit``: one ``tower._decoder`` at depth
-``tower.orbit_depth`` of the numerators in the narrowest dtype that
-holds them (bool for an indicator, whose numerators are all 0 or 1,
-else the narrowest signed integer), spacers valued 0 (False), scanned
-for overflow only when a sum of them could overflow. Each sum is fixed
-by (start, N), and its orbit meets the word guard before any sieve.
-The weighted sum hands that reader to ``_kernels.weighted_mobius_sums``,
-which owns the layout of mu and of the times it reads (see there), with
-one reused buffer for the values: it never builds its orbit, and its
-memory is flat in N. The telescoping chain is an algebraic identity and
+built, into the narrowest dtype that holds them (bool for an indicator,
+whose numerators are all 0 or 1, else the narrowest signed integer),
+and every sum runs on those numerators. Both read f(T^i x) through one
+orbit reader, ``_orbit``: one ``tower._decoder`` at depth
+``tower.orbit_depth`` of the numerators, spacers valued 0 (False),
+scanned for overflow only when a sum of them could overflow. Each sum
+is fixed by (start, N), and its orbit meets the word guard before any
+sieve. The weighted sum hands that reader, which fills one buffer of
+its own, to ``_kernels.weighted_mobius_sums`` as its ``read``, which
+owns the layout of mu and of the times it reads (see there): it never
+builds its orbit, and its memory is flat in N. The telescoping chain is an algebraic identity and
 its check must not depend on rounding; a strided sum widens the entries
 it picks a block at a time, so no sum holds an N-entry int64 array.
 Every sum is an exact int or Fraction; only the rows of the decay trace
@@ -51,42 +51,43 @@ from .tower import MAX_WORD_LENGTH, _decoder, checked_heights, orbit_depth
 _INT64_SAFE = 2**62
 
 
-def _clear_denominators(coeffs) -> tuple[np.ndarray, int]:
-    """Exact coefficients as int64 numerators over the lcm of their
-    reduced denominators."""
+def _clear_denominators(coeffs) -> tuple[np.ndarray, int, int]:
+    """Exact coefficients as numerators over the lcm of their reduced
+    denominators, in the narrowest dtype that holds them and 0 (bool when
+    they are all 0 or 1, else int8, int16, int32 or int64), and the bound
+    max|numerator|."""
     coeffs = tuple(coeffs)
     if not all(issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))):
         raise ValueError("coefficients must be ints or Fractions")
     denom = lcm(*(c.denominator for c in coeffs))
     ints = [c.numerator * (denom // c.denominator) for c in coeffs]
-    if ints and max(map(abs, ints)) >= _INT64_SAFE:
+    lo, hi = min(ints, default=0), max(ints, default=0)
+    if (bound := max(-lo, hi)) >= _INT64_SAFE:
         raise ValueError("observable coefficients too large for exact int64 path")
-    return np.array(ints, dtype=np.int64), denom
+    dtype = bool if 0 <= lo and hi <= 1 else next(
+        t for t in (np.int8, np.int16, np.int32, np.int64)
+        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
+    return np.array(ints, dtype=dtype), denom, bound
 
 
 class Observable:
     """Finite observable: one exact coefficient per stage-j level;
     spacers evaluate to 0.
 
-    Built from a tuple of ints or Fractions, it holds them as int64
-    numerators ``nums`` over one denominator ``denom``, the lcm of the
-    reduced coefficient denominators; ``coeffs`` gives the exact tuple
-    back.
+    Built from a tuple of ints or Fractions, it holds them as numerators
+    ``nums`` over one denominator ``denom``, the lcm of the reduced
+    coefficient denominators, in the narrowest dtype that holds them
+    (bool for an indicator), with their bound max|numerator| as
+    ``bound``; ``coeffs`` gives the exact tuple back.
     """
 
     def __init__(self, stage: int, coeffs: tuple):
-        nums, denom = _clear_denominators(coeffs)
-        self._set(stage, nums, denom)
+        self._set(stage, *_clear_denominators(coeffs))
 
-    @classmethod
-    def _from_nums(cls, stage: int, nums: np.ndarray, denom: int) -> "Observable":
-        obs = cls.__new__(cls)
-        obs._set(stage, nums, denom)
-        return obs
-
-    def _set(self, stage, nums, denom):
+    def _set(self, stage, nums, denom, bound):
         nums.flags.writeable = False
-        self.stage, self.nums, self.denom = stage, nums, denom
+        self.stage, self.nums, self.denom, self.bound = stage, nums, denom, bound
+        return self
 
     def __repr__(self):
         return (f"Observable(stage={self.stage}, levels={len(self.nums)}, "
@@ -94,15 +95,14 @@ class Observable:
 
     @cached_property
     def coeffs(self) -> tuple:
+        ints = self.nums.astype(np.int64, copy=False).tolist()
         if self.denom == 1:
-            return tuple(self.nums.tolist())
-        return tuple(_exact(v, self.denom) for v in self.nums.tolist())
+            return tuple(ints)
+        return tuple(_exact(v, self.denom) for v in ints)
 
     @property
     def sup_norm(self):
-        # no |nums| copy; numerators are below 2**62, so -min cannot overflow
-        return _exact(int(max(-self.nums.min(initial=0), self.nums.max(initial=0))),
-                      self.denom)
+        return _exact(self.bound, self.denom)
 
     @classmethod
     def indicator(cls, params: ConstructionParams, stage: int, indices) -> "Observable":
@@ -136,9 +136,9 @@ class Observable:
         if idx is None or (idx.size and (idx.min() < 0 or idx.max() >= n)):
             bad = sorted({int(i) for i in indices if not 0 <= i < n})
             raise ValueError(f"level indices {bad} outside 0..{n - 1}")
-        nums = np.zeros(n, dtype=np.int64)
-        nums[idx] = 1
-        return cls._from_nums(stage, nums, 1)
+        nums = np.zeros(n, dtype=bool)
+        nums[idx] = True
+        return cls.__new__(cls)._set(stage, nums, 1, int(idx.size > 0))
 
     def scaled_ints(self) -> tuple[np.ndarray, int]:
         """Numerators with a trailing 0 slot for the spacer class, and
@@ -147,31 +147,39 @@ class Observable:
 
 
 def _orbit(params, obs: Observable, start: int, N: int):
-    """The one reader of the orbit of the point at level ``start``, and
-    its dtype: read(a, b, step=1, out=None) gives f(T^i x) at the times
-    i = a, a + step, ... < b (0 < a <= b <= N + 1), as numerators, into
-    ``out`` when given. Decided once: the depth ``orbit_depth``, the
-    narrowest dtype holding every numerator and 0 (bool when they are
-    all 0 or 1, as an indicator's are, else int8, int16, int32 or
-    int64), one ``_decoder`` of entries [0, start + N + 1) with spacers
-    valued 0, and whether reads need the overflow scan (max|numerator| *
-    N >= 2**62)."""
-    K = orbit_depth(params, obs.stage, start, N)
-    lo, hi = int(obs.nums.min(initial=0)), int(obs.nums.max(initial=0))
-    dtype = np.dtype(bool) if 0 <= lo and hi <= 1 else next(
-        np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
-        if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max)
-    decode = _decoder(params, obs.stage, K, start + N + 1,
-                      obs.nums.astype(dtype, copy=False), 0)
-    scan = max(-lo, hi) * N >= _INT64_SAFE
+    """The one reader of the orbit of the point at level ``start``:
+    read(a, b, step=1) gives f(T^i x) at the times i = a, a + step, ... < b
+    (0 < a <= b <= N + 1), as numerators in the observable's dtype, with
+    the signature ``_kernels.weighted_mobius_sums`` reads. Decided once:
+    the depth ``orbit_depth``, one ``_decoder`` of entries
+    [0, start + N + 1) with spacers valued 0, and whether reads need the
+    overflow scan (max|numerator| * N >= 2**62).
 
-    def read(a, b, step=1, out=None):
-        vals = decode(start + a, start + b, step, out)
+    Every read fills one buffer of the reader's own, grown to the longest
+    read so far, so a result stays valid until the next read. For the
+    Möbius sum that is one mu block, or the odd n to N, and it and the
+    kernel's buffer are the sum's two large allocations. glibc hands a
+    free heap top back to the system once it reaches twice the largest
+    block it has mmapped and freed, so two of about the same size are
+    faulted in again by every sum (int16 values from N = 2e6, int32 near
+    1e6); int8 products take twice the buffer's bytes and bool values'
+    packed words under a third, and both stay on the heap."""
+    K = orbit_depth(params, obs.stage, start, N)
+    decode = _decoder(params, obs.stage, K, start + N + 1, obs.nums, 0)
+    scan = obs.bound * N >= _INT64_SAFE
+    buf = np.empty(0, dtype=obs.nums.dtype)
+
+    def read(a, b, step=1):
+        nonlocal buf
+        n = -((a - b) // step)
+        if n > len(buf):
+            buf = np.empty(n, dtype=buf.dtype)
+        vals = decode(start + a, start + b, step, buf[:n])
         if scan and max(-int(vals.min(initial=0)), int(vals.max(initial=0))) * N >= _INT64_SAFE:
             raise ValueError("sum could overflow the exact int64 path")
         return vals
 
-    return read, dtype
+    return read
 
 
 def _exact(value: int, denom: int):
@@ -209,26 +217,14 @@ def mobius_weighted_sum(
 ) -> MobiusSumResult:
     """S_N = sum_{i=1..N} f(T^i x) mu(i), exactly, for x the point at
     level ``start``; checkpoints at n = 100, 1000, ... and N. The orbit
-    reader ``_orbit`` gives ``_kernels.weighted_mobius_sums`` the values
-    at the times it asks for, into one reused buffer of at most BLOCK
-    entries, scanned read by read when the largest numerator could
-    overflow the sum; the kernel reads mu itself. The orbit is never
-    held whole, and mu only as the process's kept blocks, whose size
-    does not grow with N."""
-    read, dtype = _orbit(params, obs, start, N)
-    # one buffer for every read, each used up before the next, as long as
-    # the kernel's longest: one mu block, or the odd n to N. It and the
-    # kernel's buffer are the sum's two large allocations. glibc hands a
-    # free heap top back to the system once it reaches twice the largest
-    # block it has mmapped and freed, so two of about the same size are
-    # faulted in again by every sum (int16 values from N = 2e6, int32 near
-    # 1e6); int8 products take twice the buffer's bytes and bool values'
-    # packed words under a third, and both stay on the heap
-    buf = np.empty(min(_kernels.BLOCK, (N + 1) // 2), dtype=dtype)
+    reader ``_orbit`` is ``_kernels.weighted_mobius_sums``' ``read``, which
+    fills the reader's one buffer, scanned when the largest numerator
+    could overflow the sum; the kernel reads mu itself. The orbit is never
+    held whole, and mu only as the process's kept blocks, whose size does
+    not grow with N."""
     grid = _checkpoint_grid(N)
-    sums = _kernels.weighted_mobius_sums(
-        lambda a, b, step: read(a, b, step, buf[: -((a - b) // step)]),
-        np.array(grid, dtype=np.int64))
+    sums = _kernels.weighted_mobius_sums(_orbit(params, obs, start, N),
+                                         np.array(grid, dtype=np.int64))
     checkpoints = tuple(
         (n, _exact(int(s), obs.denom)) for n, s in zip(grid, sums)
     )
@@ -334,8 +330,7 @@ def prime_extension_report(
     F and its bound (N//d)*||f||.
     """
     primes = extension_primes(d, M)
-    read, _ = _orbit(params, obs, start, N)
-    vals = read(1, N + 1)
+    vals = _orbit(params, obs, start, N)(1, N + 1)
     if np.count_nonzero(vals) != np.count_nonzero(vals[d - 1::d]):
         times = np.flatnonzero(vals) + 1
         raise ConsistencyFailure(

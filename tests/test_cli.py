@@ -616,7 +616,7 @@ def test_word_guard_grows_no_level_past_the_first_stage_over_it(tmp_path, name, 
     assert out.splitlines()[-1] == (
         f"error[ValueError]: stage-{K} word has more levels than the {levels} of stage "
         f"{first}, over the 50000000 in-memory limit")
-    assert len(cons._level_table(cons.preset(name))) == first
+    assert len(cons._level_table(cons.preset(name))[0]) == first
 
 
 def test_factor_odometer_exit_code(tmp_path):
@@ -998,7 +998,7 @@ def test_heights_grow_no_further_than_the_first_unprintable_count(tmp_path, caps
     assert capsys.readouterr().out.splitlines()[-1] == (
         "error[ValueError]: heights.csv keeps exact counts, and its L at j=1434 is "
         "1.00000e+4300 (4301 digits), past the 4300 digits Python prints")
-    assert len(cons._level_table(params)) == 1434
+    assert len(cons._level_table(params)[0]) == 1434
     assert not (tmp_path / "heights.csv").exists()
 
 
@@ -1043,7 +1043,7 @@ def test_factor_refuses_offsets_past_the_print_limit(tmp_path, capsys):
                          "--out", str(tmp_path / str(K))]) == 3
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"error[ValueError]: {message} the 4300 digits Python prints")
-        assert len(cons._level_table(cons.class4())) == 14284
+        assert len(cons._level_table(cons.class4())[0]) == 14284
         assert not (tmp_path / str(K) / "factor.csv").exists()
 
 
@@ -1065,7 +1065,7 @@ def test_classify_and_factor_refuse_horizons_past_the_print_limit(tmp_path, caps
         assert capsys.readouterr().out.splitlines()[-1] == (
             f"error[ValueError]: horizon {horizon} reaches stage 9014, whose L_9014 = "
             "2.95093e+4300 (4301 digits) is past the 4300 digits Python prints")
-        assert len(cons._level_table(cons.chacon())) == 9014
+        assert len(cons._level_table(cons.chacon())[0]) == 9014
         assert list((tmp_path / command).glob("*.csv")) == []
 
 

@@ -3,8 +3,10 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,6 +109,28 @@ def test_cached_random_stage_is_the_seeded_draw(seed):
                 assert params.stage(j) == fresh_draw(seed, r_max, s_max, j)
 
 
+def test_random_stages_are_drawn_once_per_construction(monkeypatch):
+    # a stage sits with the levels in the construction's one keep: the tail
+    # window walks the stages the profile drew, and equal constructions built
+    # apart share their draws
+    seeds = []
+
+    def spy(seed):
+        seeds.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(cons, "random", SimpleNamespace(Random=spy))
+    cons._level_table.cache_clear()
+    cons.classify(cons.ConstructionParams.random_bounded(1, 3, 3, 5), 2000)
+    assert len(seeds) == 2000
+    seeds.clear()
+    a, b = (cons.ConstructionParams.random_bounded(2, 3, 3, 11) for _ in range(2))
+    assert a is not b
+    for params in (a, b):
+        assert params.stage_range(1, 50) == [fresh_draw(11, 3, 3, j) for j in range(1, 51)]
+    assert sorted(seeds) == [11 * 1_000_003 + j for j in range(1, 51)]
+
+
 # -------------------------------------------------------------- heights
 
 def test_height_examples():
@@ -114,6 +138,26 @@ def test_height_examples():
     assert cons.heights(cons.chacon(), 5).levels == (1, 4, 13, 40, 121)
     one = cons.ConstructionParams.explicit(1, [cons.StageParams(2, (1, 1))])
     assert cons.heights(one, 2).L(2) == 6
+
+
+def test_height_tables_are_read_in_place():
+    # grown once, the table is handed out by reference: 100 reads copy less
+    # than the one 5000-entry tuple each read used to build
+    cons.heights(cons.chacon(), 5000)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            cons.heights(cons.chacon(), 5000).L(5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sys.getsizeof(tuple(range(5000)))
+    p = cons.chacon()
+    five = cons.heights(p, 5)
+    assert five == cons.heights(p, 5) != cons.heights(cons.odometer(3), 5)
+    assert five != cons.heights(p, 6)
+    cons.heights(p, 50)
+    assert five.max_stage == 5 and five.levels == (1, 4, 13, 40, 121)
 
 
 def test_chacon_closed_form():

@@ -116,16 +116,29 @@ def test_overflow_guard_reads_the_visited_levels():
 ])
 def test_orbit_values_take_the_narrowest_dtype(coeffs, dtype):
     params, obs = cons.chacon(), sarnak.Observable(2, coeffs)
-    read, orbit_dtype = sarnak._orbit(params, obs, 0, 30)
+    read = sarnak._orbit(params, obs, 0, 30)
     vals = read(1, 31)
     full = tower.build_labels(params, 2, 5, 31)[1:]
     want = np.append(np.array(coeffs, dtype=np.int64), 0)[np.where(full >= 0, full, 4)]
-    assert vals.dtype == orbit_dtype == dtype and obs.denom == 1
+    assert vals.dtype == obs.nums.dtype == dtype and obs.denom == 1
     assert vals.tolist() == want.tolist()
-    # a strided read into a given buffer: the times 2, 5, ..., 29
-    out = np.empty(10, dtype=dtype)
-    assert read(2, 31, 3, out) is out
-    assert out.tolist() == want[1::3].tolist()
+    # a strided read: the times 2, 5, ..., 29
+    assert read(2, 31, 3).tolist() == want[1::3].tolist()
+
+
+def test_indicator_holds_one_bool_per_level():
+    # chacon's stage-16 tower has 21,523,361 levels; an int64 indicator took
+    # eight bytes a level
+    params = cons.chacon()
+    L = cons.heights(params, 16).L(16)
+    tracemalloc.start()
+    try:
+        obs = sarnak.Observable.indicator(params, 16, [0, 5, 7])
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert obs.nums.dtype == bool and held <= peak < 2 * L
+    assert obs.bound == obs.sup_norm == 1 and obs.coeffs[:8] == (1, 0, 0, 0, 0, 1, 0, 1)
 
 
 def test_weighted_sum_holds_no_int64_orbit_word():
