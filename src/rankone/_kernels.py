@@ -282,16 +282,15 @@ def weighted_mobius_sums(read, checkpoints):
     exactly over its whole words, and a cut inside a word masks that
     word (``_plane_sums``). No product is formed.
 
-    Integer values are multiplied by mu, chunk by chunk, into one reused
-    buffer of at most 2*BLOCK bytes, one width up from the values (BLOCK
-    int16 products for int8 values, int32 for int16, else int64), and
-    each chunk is summed exactly: in int32 for int8 values, whose chunk
-    sums stay below 128*BLOCK, else in int64 (``_product_sums``).
+    Integer values are summed against mu as one exact inner product per
+    chunk, ``np.einsum`` in int32 for int8 values, whose chunk sums stay
+    below 128*BLOCK, else in int64; einsum widens a bounded buffer of
+    entries at a time, so no product array is built (``_product_sums``).
 
-    Besides what ``read`` holds, a sum to any N holds that one buffer
-    and what ``mobius_blocks`` hands out: nothing more for kept blocks,
-    one block and its planes for streamed ones, never an N-entry mu.
-    Every sum is exact when max|v| * n < 2**63.
+    Besides what ``read`` holds, a sum to any N holds the bool path's
+    word buffers and what ``mobius_blocks`` hands out: nothing more for
+    kept blocks, one block and its planes for streamed ones, never an
+    N-entry mu. Every sum is exact when max|v| * n < 2**63.
     """
     cps = [int(c) for c in checkpoints]
     # per read: its step, the cut (first k left out) of each checkpoint,
@@ -309,41 +308,31 @@ def weighted_mobius_sums(read, checkpoints):
                 continue
             vals = read(step * lo + step // 2, step * end + step // 2, step)
             if add is None:  # the first read gives the values' dtype
-                size = min(BLOCK, reads[0][1][-1])
-                add = (_plane_sums(size) if vals.dtype == bool
-                       else _product_sums(vals.dtype, size))
+                add = (_plane_sums(min(BLOCK, reads[0][1][-1])) if vals.dtype == bool
+                       else _product_sums)
             add(vals, mu, planes, lo, cuts, between)
         lo = hi
     (_, _, plus), (_, _, minus) = reads
     return np.cumsum(plus, dtype=np.int64) - np.cumsum(minus, dtype=np.int64)
 
 
-def _chunks(cuts, a, end, step):
-    """[a, end) split at the ascending ``cuts`` and every ``step``
-    entries, as (i, a, b): cuts[i] is the first cut past a."""
+def _chunks(cuts, a, end):
+    """[a, end) split at the ascending ``cuts``, as (i, a, b): cuts[i] is
+    the first cut past a."""
     while a < end:
         i = bisect.bisect_right(cuts, a)
-        b = min(a + step, end, cuts[i])
+        b = min(end, cuts[i])
         yield i, a, b
         a = b
 
 
-def _product_sums(dtype, size):
-    """add(vals, mu, planes, lo, cuts, between) for values of the integer
-    ``dtype`` at k = lo, lo + 1, ...: adds each chunk's sum of vals*mu to
-    between[i] (see weighted_mobius_sums)."""
-    wide = np.dtype({1: np.int16, 2: np.int32}.get(dtype.itemsize, np.int64))
-    acc_dtype = np.int32 if dtype.itemsize == 1 else np.int64
-    step = 2 * BLOCK // wide.itemsize
-    buf = np.empty(min(step, size), dtype=wide)
-
-    def add(vals, mu, planes, lo, cuts, between):
-        for i, a, b in _chunks(cuts, lo, lo + len(vals), step):
-            prods = buf[: b - a]
-            np.multiply(vals[a - lo : b - lo], mu[a - lo : b - lo], out=prods, dtype=wide)
-            between[i] += int(prods.sum(dtype=acc_dtype))
-
-    return add
+def _product_sums(vals, mu, planes, lo, cuts, between):
+    """Adds each chunk's sum of vals*mu, for integer values at k = lo,
+    lo + 1, ..., to between[i] (see weighted_mobius_sums)."""
+    acc = np.int32 if vals.dtype.itemsize == 1 else np.int64
+    for i, a, b in _chunks(cuts, lo, lo + len(vals)):
+        between[i] += int(np.einsum("i,i->", vals[a - lo : b - lo], mu[a - lo : b - lo],
+                                    dtype=acc))
 
 
 def _plane_sums(size):
@@ -371,7 +360,7 @@ def _plane_sums(size):
             v = int(bits[w]) & ((1 << r) - 1)
             return (v & int(planes[0, w])).bit_count() - (v & int(planes[1, w])).bit_count()
 
-        for i, a, b in _chunks(cuts, lo, lo + n, n):
+        for i, a, b in _chunks(cuts, lo, lo + n):
             wa, wb = (a - lo) // 64, (b - lo) // 64
             between[i] += (int(plus[wa:wb].sum()) - int(minus[wa:wb].sum())
                            + below(b - lo) - below(a - lo))
@@ -380,12 +369,8 @@ def _plane_sums(size):
 
 
 def strided_mobius_sum(values, mu, stride, count):
-    """sum_{k=1..count} values[stride*k - 1] * mu(k), exact in int64;
-    the picks are widened BLOCK at a time, so no count-entry int64
-    array is built."""
-    total = 0
-    for a in range(1, count + 1, BLOCK):
-        b = min(a + BLOCK, count + 1)
-        picked = values[stride * a - 1 : stride * b - 1 : stride].astype(np.int64)
-        total += int(np.dot(picked, mu[a:b].astype(np.int64)))
-    return total
+    """sum_{k=1..count} values[stride*k - 1] * mu[k], exact in int64: one
+    inner product over the strided view, which einsum widens a bounded
+    buffer at a time, so no count-entry int64 array is built."""
+    return int(np.einsum("i,i->", values[stride - 1 : stride * (count + 1) - 1 : stride],
+                         mu[1 : count + 1], dtype=np.int64))

@@ -185,11 +185,9 @@ def _parse_construction(obj) -> cons.ConstructionParams:
                           f"got {kind!r}")
     if kind == "random":
         _check_keys(stages, {"kind", "r_max", "s_max", "seed"}, f"{where}.stages")
-        try:
-            return cons.ConstructionParams.random_bounded(
-                h1, **_resolve(stages, _RANDOM, f"{where}.stages"))
-        except ValueError as exc:
-            raise ConfigError(f"{where}.stages: {exc}") from None
+        # _H1's and _RANDOM's minimums refuse all that random_bounded does
+        return cons.ConstructionParams.random_bounded(
+            h1, **_resolve(stages, _RANDOM, f"{where}.stages"))
     key = "pattern" if kind == "periodic" else "stages"
     _check_keys(stages, {"kind", key}, f"{where}.stages")
     entries = stages.get(key)

@@ -14,9 +14,10 @@ is fixed by (start, N), and its orbit meets the word guard before any
 sieve. The weighted sum hands that reader, which fills one buffer of
 its own, to ``_kernels.weighted_mobius_sums`` as its ``read``, which
 owns the layout of mu and of the times it reads (see there): it never
-builds its orbit, and its memory is flat in N. The telescoping chain is an algebraic identity and
-its check must not depend on rounding; a strided sum widens the entries
-it picks a block at a time, so no sum holds an N-entry int64 array.
+builds its orbit, and its memory is flat in N. The telescoping chain is
+an algebraic identity and its check must not depend on rounding; each
+of its strided sums is one exact inner product, which numpy widens a
+bounded buffer at a time, so no sum holds an N-entry int64 array.
 Every sum is an exact int or Fraction; only the rows of the decay trace
 are written as floats (S_n and S_n/n).
 
@@ -157,13 +158,9 @@ def _orbit(params, obs: Observable, start: int, N: int):
 
     Every read fills one buffer of the reader's own, grown to the longest
     read so far, so a result stays valid until the next read. For the
-    Möbius sum that is one mu block, or the odd n to N, and it and the
-    kernel's buffer are the sum's two large allocations. glibc hands a
-    free heap top back to the system once it reaches twice the largest
-    block it has mmapped and freed, so two of about the same size are
-    faulted in again by every sum (int16 values from N = 2e6, int32 near
-    1e6); int8 products take twice the buffer's bytes and bool values'
-    packed words under a third, and both stay on the heap."""
+    Möbius sum that is one mu block, or the odd n to N, and it is the
+    sum's one large allocation: the kernel forms no products, and a bool
+    sum's packed words take under a third of it."""
     K = orbit_depth(params, obs.stage, start, N)
     decode = _decoder(params, obs.stage, K, start + N + 1, obs.nums, 0)
     scan = obs.bound * N >= _INT64_SAFE
@@ -279,16 +276,21 @@ class PrimeExtensionReport:
 
 def extension_primes(d: int, M: int) -> list[int]:
     """The chain's primes: d, M times, for prime d; the prime factors of
-    a composite d, nondecreasing, which takes M = 1 only. A d past
-    MAX_WORD_LENGTH is refused before it is factored: an orbit the word
-    guard admits has start + N + 1 <= MAX_WORD_LENGTH, so no time of it
-    is a multiple of such a d, and the hypothesis could hold only
-    vacuously."""
+    a composite d, nondecreasing, which takes M = 1 only. An orbit the
+    word guard admits has start + N + 1 <= MAX_WORD_LENGTH, so a d past
+    MAX_WORD_LENGTH, refused before it is factored, divides none of its
+    times, and the hypothesis could hold only vacuously; and an M past
+    m = MAX_WORD_LENGTH.bit_length() is refused, as N < 2**m <= d**m and
+    from step m on no step reads a time."""
     if M < 1 or d < 2:
         raise ValueError(f"need M >= 1 and d >= 2, got M={M}, d={d}")
     if d > MAX_WORD_LENGTH:
         raise ValueError(f"d={d} is past the {MAX_WORD_LENGTH} orbit entries the word "
                          "guard admits, so no time of an orbit is a multiple of it")
+    if M > (m := MAX_WORD_LENGTH.bit_length()):
+        raise ValueError(f"M={M} is past {m}: the times of an orbit the word guard admits "
+                         f"are below {MAX_WORD_LENGTH} < 2**{m}, so from step {m} on no "
+                         "step reads a time")
     factors = prime_factors(d)
     if M != 1 and factors != [d]:
         raise ValueError(f"M={M} applies to prime d only; d={d} unfolds once per "

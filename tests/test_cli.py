@@ -148,6 +148,71 @@ def test_unknown_preset_rejected():
             cli.parse_config(make_config(construction={"preset": name}))
 
 
+CHACON = {"preset": "chacon"}
+SIMILAR = {"P": {"coeffs": {"0": 1}}, "p": 2, "q": 3}
+CONFIG_ERRORS = [
+    ({"construction": CHACON, "command": "heights", "params": {"J": 1.5}},
+     "'J' in params must be an integer, got 1.5"),
+    ({"construction": CHACON, "command": "heights", "params": {"J": True}},
+     "'J' in params must be an integer, got True"),
+    ({"construction": CHACON, "command": "similarity", "params": {**SIMILAR, "Q": 3}},
+     "params.Q must be an object"),
+    ({"construction": CHACON, "command": "similarity",
+      "params": {**SIMILAR, "Q": {"coeffs": [0.5]}}},
+     "'params.Q.coeffs' must be an object"),
+    ({"construction": CHACON, "command": "disjointness", "params": {"q": 3}},
+     "missing required key 'p' in params"),
+    ({"construction": {"h1": 0, "stages": {"kind": "periodic", "pattern": [3]}},
+      "command": "heights"},
+     "construction.stages.pattern[0] must be an object with 'r' and 's'"),
+    ({"construction": "chacon", "command": "heights"}, "construction must be an object"),
+    ({"construction": {"h1": 0, "stages": [{"r": 3, "s": [0, 1, 0]}]}, "command": "heights"},
+     "'construction.stages' must be an object"),
+    ({"construction": {"h1": 0, "stages": {"kind": "cyclic"}}, "command": "heights"},
+     "'construction.stages.kind' must be periodic|explicit|random, got 'cyclic'"),
+    ({"construction": {"h1": 0, "stages": {"kind": "periodic", "pattern": []}},
+      "command": "heights"},
+     "'construction.stages.pattern' must be a non-empty list"),
+    (["heights"], "config must be a JSON object"),
+    ({"command": "heights"}, "missing required key 'construction' in config"),
+    ({"construction": CHACON}, "missing required key 'command' in config"),
+    ({"construction": CHACON, "command": "heights", "params": [5]},
+     "'params' must be an object"),
+    ({"construction": CHACON, "command": "heights", "output": "out"},
+     "'output' must be an object"),
+    ({"construction": CHACON, "command": "heights", "output": {"dir": 5}},
+     "'output.dir' must be a string"),
+]
+
+
+@pytest.mark.parametrize("obj,message", CONFIG_ERRORS, ids=[m for _, m in CONFIG_ERRORS])
+def test_malformed_configs_name_what_is_wrong(obj, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        cli.parse_config(json.dumps(obj))
+
+
+def test_a_malformed_config_exits_2_writing_no_csv(tmp_path, capsys):
+    obj = {"construction": CHACON, "command": "heights", "params": {"J": 1.5},
+           "output": {"dir": str(tmp_path / "out")}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: 'J' in params must be an integer, got 1.5\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value,floor", [("h1", -1, 0), ("r_max", 1, 2), ("s_max", -1, 0)])
+def test_random_construction_minimums_name_the_key(tmp_path, capsys, key, value, floor):
+    spec = {"h1": 1, "stages": {"kind": "random", "r_max": 3, "s_max": 3, "seed": 5}}
+    (spec if key == "h1" else spec["stages"])[key] = value
+    where = "construction" if key == "h1" else "construction.stages"
+    assert cli.main(["heights", "--construction-json", json.dumps(spec), "--J", "3",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: '{key}' in {where} must be >= {floor}, got {value}\n")
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- runs
 
 def run_config(tmp_path, text, sub="out"):
@@ -301,6 +366,19 @@ def test_telescope_composite_d_with_M_is_a_config_error(tmp_path, capsys, constr
     err = capsys.readouterr().err
     assert err.startswith(f"config error: M={M} applies to prime d only; d={d} unfolds "
                           "once per prime factor")
+    assert not (tmp_path / "telescope.csv").exists()
+
+
+def test_telescope_refuses_an_M_past_the_word_guard(tmp_path, capsys):
+    # from step 26 on, the stride d**u >= 2**26 passes every admitted time,
+    # so a large M is refused at once, not unfolded step by step
+    started = time.perf_counter()
+    assert cli.main(["telescope", "--preset", "class4", "--d", "2", "--N", "100",
+                     "--M", "1000000", "--out", str(tmp_path)]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == (
+        "config error: M=1000000 is past 26: the times of an orbit the word guard admits "
+        "are below 50000000 < 2**26, so from step 26 on no step reads a time\n")
     assert not (tmp_path / "telescope.csv").exists()
 
 

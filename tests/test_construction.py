@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -332,6 +333,29 @@ def test_flatness_examples():
     mixed = cons.ConstructionParams.periodic(
         0, [cons.StageParams(3, (1, 1, 0)), cons.StageParams(3, (0, 1, 0))])
     assert cons.flatness(mixed, (3, 3)) and not cons.flatness(mixed, (3, 4))
+
+
+LIBRARY_CHECKS = [
+    (lambda: cons.ConstructionParams.periodic(-1, [cons.StageParams(2, (0, 1))]),
+     "h1 must be >= 0"),
+    (lambda: cons.ConstructionParams.explicit(0, []), "need at least one stage"),
+    (lambda: cons.ConstructionParams.random_bounded(1, 1, 3, seed=5), "r_max must be >= 2"),
+    (lambda: cons.chacon().stage(0), "stage index starts at 1"),
+    (lambda: cons.cyclic_factor_preset(1), "d must be >= 2"),
+    (lambda: cons.heights(cons.chacon(), 3).L(4), "stage 4 outside 1..3"),
+    (lambda: cons.heights(cons.chacon(), 3).L(0), "stage 0 outside 1..3"),
+    (lambda: cons.heights(cons.chacon(), 0), "J must be >= 1"),
+    (lambda: cons.heights_within(cons.chacon(), 0, 100), "J must be >= 1"),
+    (lambda: cons.bounded_profile(cons.chacon(), 0), "J must be >= 1"),
+    (lambda: cons.flatness(cons.chacon(), (3, 2)), "bad window [3,2]"),
+]
+
+
+@pytest.mark.parametrize("call,message", LIBRARY_CHECKS,
+                         ids=[f"{i}-{m}" for i, (_, m) in enumerate(LIBRARY_CHECKS)])
+def test_library_checks_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ------------------------------------------------ return times / order

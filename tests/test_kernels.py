@@ -133,9 +133,9 @@ NARROW = {np.int8: 2**7, np.int16: 2**15, np.int64: 2**40}
 @given(st.sampled_from(list(NARROW)), st.integers(2 * BLOCK, 3 * BLOCK),
        st.integers(0, 2**32 - 1))
 def test_chunked_mobius_sums_match_unchunked_running_sum(dtype, N, seed):
-    # chunks of 2*BLOCK bytes of products (BLOCK int8 values, BLOCK/4
-    # int64 ones) over the odd times, split at checkpoints on both sides
-    # of the seam between the sieve's first two blocks at n = 2*BLOCK
+    # one inner product per chunk of a block of odd times, split at
+    # checkpoints on both sides of the seam between the sieve's first two
+    # blocks at n = 2*BLOCK
     rng = np.random.default_rng(seed)
     bound = NARROW[dtype]
     vals = rng.integers(-bound, bound, size=N, endpoint=False).astype(dtype)
@@ -172,7 +172,7 @@ def test_block_fed_sums_match_cumsum_over_the_whole_sieve(dtype, seam, offset, s
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
 def test_chunk_products_hold_the_dtype_minimum_times_minus_one(dtype):
     # min * -1 = -min is one past the dtype's range, so every product at a
-    # time with mu = -1 needs the wider chunk buffer
+    # time with mu = -1 must be formed in the wider accumulator
     N = 2 * BLOCK + 7
     lowest = int(np.iinfo(dtype).min)
     minus = MU_CHUNKS[1 : N + 1] == -1
@@ -184,23 +184,31 @@ def test_chunk_products_hold_the_dtype_minimum_times_minus_one(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
-def test_chunk_buffer_takes_two_bytes_per_block_entry(dtype):
-    # the one block of odd n to 2*BLOCK, kept before tracing starts, so
-    # the peak is the products' buffer alone
-    vals = np.ones(2 * BLOCK, dtype=dtype)
+def test_integer_sum_holds_no_products_buffer(dtype):
+    # the one block of odd n to 2*BLOCK, kept before tracing starts: each
+    # chunk is one inner product, widened a bounded buffer at a time, so
+    # the peak is numpy's cast buffers, far below BLOCK products; so is a
+    # strided sum's over 2*BLOCK picks
+    vals = np.ones(4 * BLOCK, dtype=dtype)
+    mu = _kernels.sieve_mobius(2 * BLOCK)
     _kernels._kept_block(0)
     tracemalloc.start()
     try:
         _kernels.weighted_mobius_sums(reader(vals), np.array([2 * BLOCK], np.int64))
         peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        strided = _kernels.strided_mobius_sum(vals, mu, 2, 2 * BLOCK)
+        strided_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 2 * BLOCK <= peak < 2 * BLOCK + 2**18  # plus numpy's cast buffers
+    assert peak < 2**18 and strided_peak < 2**18
+    assert strided == int(mu.sum(dtype=np.int64))
 
 
 def test_weighted_sum_never_holds_mu_whole():
-    # the sieve's two block buffers and 2*BLOCK bytes of products: the
-    # same bound whether the orbit spans one block of odd n or four
+    # the sieve's two block buffers and numpy's cast buffers, with no
+    # products: the same bound whether the orbit spans one block of odd n
+    # or four
     sizes = (2 * BLOCK, 8 * BLOCK)
     values = {N: np.ones(N, dtype=np.int8) for N in sizes}
     for N in sizes:

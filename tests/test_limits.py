@@ -80,6 +80,10 @@ def test_fit_window_infeasible():
         limits.fit_limit_polynomial(target, {**basis, 13: basis[0]}, measures)
     with pytest.raises(ValueError, match="must be >= 0"):
         limits.fit_for_shift(params, 1, 3, 1, Z=-1)
+    # one basis matrix counted at depth 4 beside a depth-3 target
+    deeper = tower.correlation_matrix(params, 1, 4, 1)
+    with pytest.raises(ValueError, match="^basis C_1 built at a different stage/depth$"):
+        limits.fit_limit_polynomial(target, {**basis, 1: deeper}, measures)
 
 
 @pytest.mark.parametrize("name", ["chacon", "flat3", "odometer2"])

@@ -227,6 +227,12 @@ def test_invalid_sieve_size():
         sieve_mobius(0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_direct_oracle_refuses_n_below_one(n):
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        mobius_direct(n)
+
+
 def test_table_is_readonly():
     with pytest.raises(ValueError):
         MU[3] = 5

@@ -383,6 +383,25 @@ def test_extension_primes():
             sarnak.extension_primes(d, M)
 
 
+def test_an_M_past_the_word_guard_is_refused():
+    # an admitted orbit's times are below MAX_WORD_LENGTH < 2**26 <= d**26,
+    # so no step from the 26th on reads one: M = 26 is the last M taken
+    m = tower.MAX_WORD_LENGTH.bit_length()
+    assert m == 26 and 2 ** (m - 1) <= tower.MAX_WORD_LENGTH < 2**m
+    assert sarnak.extension_primes(2, m) == [2] * m
+    for d, M in ((2, m + 1), (3, 10**6)):
+        msg = (f"M={M} is past 26: the times of an orbit the word guard admits are below "
+               "50000000 < 2**26, so from step 26 on no step reads a time")
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            sarnak.extension_primes(d, M)
+    # the last M taken: the steps past log2(N) read no time, and add 0
+    params = cons.class4()
+    obs = indicator_of_base(params, 2, 7)
+    rep = sarnak.prime_extension_report(params, obs, 2, 0, 100, m)
+    assert rep.M == m and rep.identity_holds
+    assert all(st.term == 0 for st in rep.steps[6:]) and rep.remainder == 0
+
+
 def test_a_d_past_the_word_guard_is_refused_before_it_is_factored(monkeypatch):
     # an admitted orbit has start + N + 1 <= MAX_WORD_LENGTH entries, so no
     # time of it is a multiple of a larger d; trial division of the prime

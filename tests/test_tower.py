@@ -204,6 +204,9 @@ def test_depth_stability_of_entries():
 def test_correlation_errors():
     with pytest.raises(DepthTooShallow):
         tower.correlation_matrix(cons.chacon(), 1, 2, 10)
+    # a reference stage past the depth: checked_heights' j <= K check
+    with pytest.raises(ValueError, match="^need 1 <= j <= K, got j=5, K=3$"):
+        tower.correlation_matrix(cons.chacon(), 5, 3, 1)
 
 
 def test_correlation_guards_run_before_any_word(monkeypatch):
