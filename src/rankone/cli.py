@@ -87,11 +87,26 @@ def _float(v, key, where) -> float:
 
 
 def _ints(v, key, where) -> list[int]:
-    # the entry types are collected at C speed, with no Python loop:
-    # telescope levels run to ~1e4 entries
+    # the entry types are collected at C speed, with no Python loop; the
+    # ints stay Python ints, so that heights stay exact
     if not (type(v) is list and set(map(type, v)) <= {int}):
         raise ConfigError(f"'{key}' in {where} must be a list of integers")
     return v
+
+
+def _levels(v, key, where):
+    """A list of level indices as ``sarnak.level_array``'s read-only
+    int64 array, the one conversion of a list that runs to ~1e4 entries.
+    A list of ints with one past int64 is kept as it is, for the
+    indicator to name the levels outside its stage."""
+    if type(v) is list:
+        try:
+            return sarnak.level_array(v)
+        except OverflowError:
+            return v
+        except ValueError:
+            pass
+    raise ConfigError(f"'{key}' in {where} must be a list of integers")
 
 
 def _poly(v, key, where) -> limits.LimitPolynomial:
@@ -123,12 +138,13 @@ class Param(NamedTuple):
     """One param: JSON key ``name``, checked by ``kind``. A ``default``
     of None leaves the value unset (or to the handler, which derives
     it from the construction). ``minimum`` is a number or the name of
-    an earlier param of the same command."""
+    an earlier param of the same command; ``maximum`` is a number."""
 
     name: str
     kind: Callable
     default: object = REQUIRED
     minimum: int | str | None = None
+    maximum: int | None = None
 
 
 def _resolve(obj: dict, specs: tuple[Param, ...], where: str) -> dict:
@@ -142,6 +158,8 @@ def _resolve(obj: dict, specs: tuple[Param, ...], where: str) -> dict:
             floor = out[s.minimum] if isinstance(s.minimum, str) else s.minimum
             if floor is not None and v < floor:
                 raise ConfigError(f"'{s.name}' in {where} must be >= {floor}, got {v}")
+            if s.maximum is not None and v > s.maximum:
+                raise ConfigError(f"'{s.name}' in {where} must be <= {s.maximum}, got {v}")
         else:
             if s.default is REQUIRED:
                 raise ConfigError(f"missing required key '{s.name}' in {where}")
@@ -152,7 +170,8 @@ def _resolve(obj: dict, specs: tuple[Param, ...], where: str) -> dict:
 
 _H1 = Param("h1", _int, REQUIRED, 0)
 _STAGE = (Param("r", _int), Param("s", _ints))
-_RANDOM = (Param("r_max", _int, REQUIRED, 2), Param("s_max", _int, REQUIRED, 0),
+_RANDOM = (Param("r_max", _int, REQUIRED, cons.MIN_COLUMNS, cons.MAX_RANDOM_COLUMNS),
+           Param("s_max", _int, REQUIRED, 0),
            Param("seed", _int, 0))
 
 
@@ -185,7 +204,7 @@ def _parse_construction(obj) -> cons.ConstructionParams:
                           f"got {kind!r}")
     if kind == "random":
         _check_keys(stages, {"kind", "r_max", "s_max", "seed"}, f"{where}.stages")
-        # _H1's and _RANDOM's minimums refuse all that random_bounded does
+        # _H1's and _RANDOM's bounds refuse all that random_bounded does
         return cons.ConstructionParams.random_bounded(
             h1, **_resolve(stages, _RANDOM, f"{where}.stages"))
     key = "pattern" if kind == "periodic" else "stages"
@@ -434,8 +453,9 @@ def _cmd_mobius_sum(cfg):
     N, stage, start, levels = p["N"], p["stage"], p["start"], p["levels"]
     obs = sarnak.Observable.indicator(cfg.construction, stage, levels)
     res = sarnak.mobius_weighted_sum(cfg.construction, obs, start, N)
+    shown = levels if isinstance(levels, list) else levels.tolist()  # as given
     return {"decay.csv": (("N", "S_N", "S_N/N"), res.decay_rows())}, [
-        f"S_N for indicator of stage-{stage} levels {levels}, "
+        f"S_N for indicator of stage-{stage} levels {shown}, "
         f"start {start}: S_{N} = {res.final}",
         f"|S_N|/N = {abs(float(res.final)) / N:.6f}",
     ]
@@ -503,11 +523,11 @@ COMMANDS = {
                                       Param("levels", _int, 3, 1), _MAX_SHIFT)),
     "mobius-sum": Command(_cmd_mobius_sum, (Param("N", _int, 100_000, 1),
                                             Param("stage", _int, 1, 1), _START,
-                                            Param("levels", _ints, [0]))),
+                                            Param("levels", _levels, [0]))),
     "telescope": Command(_cmd_telescope, (Param("d", _int, REQUIRED, 2),
                                           Param("N", _int, 10_000, 1),
                                           Param("M", _int, 1, 1), _START, _K,
-                                          Param("levels", _ints, None))),
+                                          Param("levels", _levels, None))),
     "factor": Command(_cmd_factor, (_HORIZON, _K)),
 }
 
@@ -563,7 +583,7 @@ def run(config: RunConfig, stream=None) -> int:
 #: argparse arguments of each kind's flag
 _FLAG_ARGS = {
     _int: {"type": int},
-    _ints: {"type": int, "nargs": "+"},
+    _levels: {"type": int, "nargs": "+"},
     _poly: {"metavar": "JSON"},
 }
 

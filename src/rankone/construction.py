@@ -26,6 +26,10 @@ from math import gcd, inf, log10
 from .errors import NotBounded, OdometerCase, StageUnavailable
 
 MIN_COLUMNS = 2
+#: the largest r_max of a random construction: drawing a stage takes its
+#: r + 1 draws in Python, and one of r = 2**20 columns took 0.37 s on a
+#: 2-core x86 VM, so no stage draw nears a second
+MAX_RANDOM_COLUMNS = 2**20
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,8 @@ class ConstructionParams:
             raise ValueError("need at least one stage")
         if self.kind is _Kind.RANDOM and self.r_max < MIN_COLUMNS:
             raise ValueError(f"r_max must be >= {MIN_COLUMNS}")
+        if self.kind is _Kind.RANDOM and self.r_max > MAX_RANDOM_COLUMNS:
+            raise ValueError(f"r_max must be <= {MAX_RANDOM_COLUMNS}, got {self.r_max}")
         # hashed once, not per lookup of a kept table: the generated hash
         # walks every stage. Ints only, since str hashes differ per process.
         object.__setattr__(self, "_hash", hash(

@@ -1,3 +1,4 @@
+import contextlib
 import filecmp
 import io
 import json
@@ -5,11 +6,13 @@ import os
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rankone import _kernels, cli, limits, tower
+from rankone import _kernels, cli, limits, sarnak, tower
 from rankone import construction as cons
 from rankone.errors import ConfigError
 
@@ -210,6 +213,18 @@ def test_random_construction_minimums_name_the_key(tmp_path, capsys, key, value,
                      "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         f"config error: '{key}' in {where} must be >= {floor}, got {value}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_random_construction_r_max_is_bounded(tmp_path, capsys):
+    # each stage draws up to r_max spacers, so an r_max of 1e9 would not finish
+    spec = {"h1": 1, "stages": {"kind": "random", "r_max": 10**9, "s_max": 1, "seed": 1}}
+    started = time.perf_counter()
+    assert cli.main(["heights", "--construction-json", json.dumps(spec), "--J", "3",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == (
+        f"config error: 'r_max' in construction.stages must be <= {2**20}, got {10**9}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -425,6 +440,32 @@ def test_out_of_range_levels_exit_3(tmp_path, capsys, argv, message):
     assert cli.main([*argv, "--out", str(tmp_path)]) == 3
     assert capsys.readouterr().out.splitlines()[-1] == f"error[ValueError]: {message}"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,params", [
+    ("mobius-sum", {"N": 1000, "stage": 2, "levels": [0, 2]}),
+    ("telescope", {"d": 2, "N": 100, "K": 4, "levels": [0, 2, 4]}),
+])
+def test_levels_reach_the_indicator_as_a_read_only_int64_array(tmp_path, monkeypatch,
+                                                                command, params):
+    # the CLI converts a levels list once, at parse time, by flags or by JSON
+    seen, indicator = [], sarnak.Observable.indicator
+    monkeypatch.setattr(sarnak.Observable, "indicator", classmethod(
+        lambda cls, p, stage, indices: seen.append(indices) or indicator(p, stage, indices)))
+    argv = [command, "--preset", "class4", "--out", str(tmp_path / "flags")]
+    for key, value in params.items():
+        argv += [f"--{key}", *map(str, value if isinstance(value, list) else [value])]
+    config = tmp_path / "config.json"
+    config.write_text(make_config(construction={"preset": "class4"}, command=command,
+                                  params=params, output={"dir": str(tmp_path / "json")}))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+        assert cli.main(["run", str(config)]) == 0
+    assert len(seen) == 2
+    for indices in seen:
+        assert type(indices) is np.ndarray and indices.dtype == np.int64
+        assert not indices.flags.writeable
+        assert indices.tolist() == params["levels"]
 
 
 def test_factor_run(tmp_path):
@@ -976,7 +1017,7 @@ def test_booleans_and_non_finite_numbers_rejected(construction, command, params,
 # minimums and differs from every default
 SAMPLES = {
     cli._int: (7, ["7"]),
-    cli._ints: ([0, 2], ["0", "2"]),
+    cli._levels: ([0, 2], ["0", "2"]),
     cli._poly: ({"coeffs": {"0": 0.5, "3": 0.5}, "theta": 0.25},
                 ['{"coeffs": {"0": 0.5, "3": 0.5}, "theta": 0.25}']),
 }
@@ -1001,8 +1042,20 @@ def test_flags_and_json_give_the_same_params(tmp_path, monkeypatch, command, spe
         "construction": {"preset": "class4"}, "command": command,
         "params": json_params, "output": {"dir": str(tmp_path)},
     })
-    assert seen == [expected]
-    assert expected.params[spec.name] != spec.default
+    # a levels array is compared by np.array_equal: == on it is elementwise
+    [got] = seen
+    assert got.params.keys() == expected.params.keys()
+    for key, value in expected.params.items():
+        assert type(got.params[key]) is type(value)
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(got.params[key], value)
+        else:
+            assert got.params[key] == value
+    assert replace(got, params={}) == replace(expected, params={})
+    if isinstance(expected.params[spec.name], np.ndarray):
+        assert not np.array_equal(expected.params[spec.name], spec.default)
+    else:
+        assert expected.params[spec.name] != spec.default
 
 
 REMOVED_DEPTH_CASES = [(c, key) for c in ("weak-limit", "disjointness", "cascade")

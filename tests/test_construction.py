@@ -348,6 +348,8 @@ LIBRARY_CHECKS = [
     (lambda: cons.heights_within(cons.chacon(), 0, 100), "J must be >= 1"),
     (lambda: cons.bounded_profile(cons.chacon(), 0), "J must be >= 1"),
     (lambda: cons.flatness(cons.chacon(), (3, 2)), "bad window [3,2]"),
+    (lambda: cons.ConstructionParams.random_bounded(1, 2**20 + 1, 3, seed=5),
+     "r_max must be <= 1048576, got 1048577"),
 ]
 
 
