@@ -40,31 +40,37 @@ for _p in TILED:
 TILE.flags.writeable = False
 
 
-#: whole sieve blocks of mu kept for the process (see mobius_blocks): 3*BLOCK
-#: bytes and 3*2*BLOCK/8 of sign planes, which cover the odd n <= 6*BLOCK - 1
-#: = 6,350,399
-KEPT_BLOCKS = 3
+#: whole sieve blocks kept for the process as their sign planes (see
+#: mobius_blocks): 24*2*ceil(BLOCK/64) words, 6,350,592 bytes, which cover
+#: the odd n <= 48*BLOCK - 1 = 50,803,199, past tower.MAX_WORD_LENGTH = 5e7
+KEPT_BLOCKS = 24
+#: the kept blocks whose int8 mu is kept too, derived from their planes on
+#: its first read (see _int8_mu): 3*BLOCK bytes, the odd n <= 6,350,399
+KEPT_INT8_BLOCKS = 3
+#: entries of mu unpacked from the planes per step: two 64 kB temporaries
+UNPACK = 1 << 16
 
 
 def mobius_blocks(n_max: int):
-    """mu(2k + 1) for the odd n = 2k + 1 <= n_max, k ascending, as
-    read-only pairs (mu, planes): mu an int8 block of at most BLOCK
-    entries, planes its two sign planes, a (2, ceil(len(mu)/64)) uint64
-    array with bit i of word w set in row 0 where mu[64w + i] = +1 and
-    in row 1 where it is -1 (``np.packbits`` with ``bitorder="little"``).
-    The last word's bits past len(mu) are not mu's. The even n follow:
-    mu(2m) = -mu(m) for odd m, and mu(4m) = 0.
+    """mu(2k + 1) for the odd n = 2k + 1 <= n_max, k ascending, one block
+    of n <= BLOCK entries at a time, as read-only pairs (planes, n):
+    planes is the block's two sign planes, a (2, ceil(n/64)) uint64
+    array with bit i of word w set in row 0 where mu(2k + 1) = +1 and in
+    row 1 where it is -1, for k = lo + 64w + i and lo the block's first k
+    (``np.packbits`` with ``bitorder="little"``). The last word's bits
+    past n are not mu's. The even n follow: mu(2m) = -mu(m) for odd m,
+    and mu(4m) = 0. ``_int8_mu`` reads a block as int8 mu.
 
-    The first KEPT_BLOCKS blocks and their planes are kept for the
-    process: block i is sieved once, on first use, by ``_kept_block(i)``,
-    a ``functools.cache`` of the block index. A call whose odd n fit in
-    KEPT_BLOCKS blocks sieves, at the call, the whole kept blocks it
-    needs that are not cached yet, and gets views of them. A call past
-    that streams every block as below, each pair overwritten by the
-    next, so read it before asking for the next: planes never outlive
-    their block. Two threads that miss on one block at once each sieve
-    it, with the same mu, and the cache keeps one: a race can only
-    duplicate work.
+    The planes of the first KEPT_BLOCKS blocks, which cover every odd n
+    <= tower.MAX_WORD_LENGTH, are kept for the process: block i is sieved
+    once, on first use, by ``_kept_block(i)``, a ``functools.cache`` of
+    the block index, which keeps the planes alone. A call whose odd n fit
+    in KEPT_BLOCKS blocks sieves, at the call, the whole kept blocks it
+    needs that are not cached yet, and gets views of their planes. A call
+    past that streams every block as below, each overwritten by the next,
+    so read it before asking for the next. Two threads that miss on one
+    block at once each sieve it, with the same mu, and the cache keeps
+    one: a race can only duplicate work.
 
     Let N = n_max and l(x) = floor(2*log2(x)), the bit length of x*x
     less 1. Per odd n, a uint8 holds in bit 7 whether p*p | n for some
@@ -103,17 +109,67 @@ def mobius_blocks(n_max: int):
     if count > KEPT_BLOCKS * BLOCK:
         return _odd_blocks(n_max, t, _primes(root))
     kept = [_kept_block(i) for i in range(-(-count // BLOCK))]
-    return ((mu[: count - lo], planes[:, : -(-(count - lo) // 64)])
-            for (mu, planes), lo in zip(kept, range(0, count, BLOCK)))
+    sizes = (min(BLOCK, count - lo) for lo in range(0, count, BLOCK))
+    return ((planes[:, : -(-n // 64)], n) for planes, n in zip(kept, sizes))
 
 
 @functools.cache
 def _kept_block(i):
-    """Block i < KEPT_BLOCKS of ``mobius_blocks`` with its planes, sieved
-    with N its own last odd n into arrays of its own."""
+    """The planes of block i < KEPT_BLOCKS of ``mobius_blocks``, sieved
+    with N its own last odd n into an array of their own; the sieve's
+    other buffers are freed."""
     top = 2 * (i + 1) * BLOCK - 1
     t, root = _sieve_bounds(top)
-    return next(_odd_blocks(top, t, _primes(root), i))
+    planes, _ = next(_odd_blocks(top, t, _primes(root), i))
+    return planes
+
+
+def _int8_mu(n_max):
+    """mu(i, planes, n): block i of ``mobius_blocks(n_max)``, given as its
+    planes and length, as read-only int8 mu. While n_max's blocks are
+    kept, block i < KEPT_INT8_BLOCKS is ``_kept_int8(i)``, derived once
+    per process; every other block is unpacked into one buffer, grown to
+    the longest block, so a result stays valid until the next block is
+    asked for. Asking for one block twice in a row unpacks it once."""
+    kept = KEPT_INT8_BLOCKS if (n_max + 1) // 2 <= KEPT_BLOCKS * BLOCK else 0
+    buf = last = None
+
+    def mu(i, planes, n):
+        nonlocal buf, last
+        if i < kept:
+            return _kept_int8(i)[:n]
+        if last != (i, n):
+            if buf is None or n > len(buf):
+                buf = np.empty(n, dtype=np.int8)
+            _unpack(planes, n, buf)
+            last = (i, n)
+        out = buf[:n]
+        out.flags.writeable = False
+        return out
+
+    return mu
+
+
+@functools.cache
+def _kept_int8(i):
+    """Kept block i < KEPT_INT8_BLOCKS as int8 mu, derived from its planes
+    into an array of its own."""
+    mu = np.empty(BLOCK, dtype=np.int8)
+    _unpack(_kept_block(i), BLOCK, mu)
+    mu.flags.writeable = False
+    return mu
+
+
+def _unpack(planes, n, out):
+    """out[:n] = [mu = +1] - [mu = -1], read from the planes UNPACK
+    entries at a time."""
+    plus, minus = (row.view(np.uint8) for row in planes)
+    raw = out.view(np.uint8)  # 0 - 1 wraps to 255, the byte of int8 -1
+    for a in range(0, n, UNPACK):
+        b = min(n, a + UNPACK)
+        np.subtract(np.unpackbits(plus[a // 8 : -(-b // 8)], count=b - a, bitorder="little"),
+                    np.unpackbits(minus[a // 8 : -(-b // 8)], count=b - a, bitorder="little"),
+                    out=raw[a:b])
 
 
 def _sieve_bounds(n_max):
@@ -136,21 +192,21 @@ def _primes(root):
 
 def _odd_blocks(n_max, t, primes, first=0):
     """The blocks of mu(2k + 1) for the odd n <= n_max from block
-    ``first`` on, with their planes (see mobius_blocks), each pair
-    overwritten by the next."""
+    ``first`` on, as (planes, n) (see mobius_blocks), each overwritten by
+    the next."""
     count = (n_max + 1) // 2
     size = min(BLOCK, count)
     root = math.isqrt(n_max)
-    sums = None  # the sums, then mu in place
+    planes = None
     # a uint8 weight and an explicit out: ``view += w`` would convert a
     # Python int and write the view back through __setitem__ on every call
     weights = np.array([((p * p).bit_length() - 1) | 1 for p in primes], dtype=np.uint8)
     strikes = [(p // 2, p, w, p * p // 2, p * p) for p, w in zip(primes, weights)]
     for lo in range(first * BLOCK, count, BLOCK):
-        if sums is None:
-            sums = np.empty(size, dtype=np.uint8)
+        if planes is None:
             planes = np.empty((2, -(-size // 64)), dtype=np.uint64)
-            # allocated after the arrays a kept block keeps, so freed it tops the heap
+            # allocated after the planes a kept block keeps, so freed they top the heap
+            sums = np.empty(size, dtype=np.uint8)  # the sums, then [mu = -1]
             flags = np.empty(size, dtype=bool)
         n = min(BLOCK, count - lo)
         blk, above = sums[:n], flags[:n]
@@ -183,22 +239,20 @@ def _odd_blocks(n_max, t, primes, first=0):
             row[packed:] = 0  # a short last block leaves the words of the block before
         signs = planes[:, : -(-n // 64)]
         signs.flags.writeable = False
-        np.subtract(above.view(np.int8), blk.view(np.int8), out=blk.view(np.int8))
-        mu = blk.view(np.int8)
-        mu.flags.writeable = False
-        yield mu, signs
+        yield signs, n
 
 
 def sieve_mobius(n_max: int) -> np.ndarray:
     """mu(0..n_max) as int8; entry 0 is unused and left 0. The odd
-    entries are the blocks of ``mobius_blocks``, scattered, and the even
-    ones follow from them: mu(2m) = -mu(m) for odd m, mu(4m) = 0."""
+    entries are the blocks of ``mobius_blocks`` read as int8 by
+    ``_int8_mu``, scattered, and the even ones follow from them:
+    mu(2m) = -mu(m) for odd m, mu(4m) = 0."""
     blocks = mobius_blocks(n_max)
+    int8 = _int8_mu(n_max)
     mu = np.zeros(n_max + 1, dtype=np.int8)
-    odd, lo = mu[1::2], 0
-    for blk, _ in blocks:
-        odd[lo : lo + len(blk)] = blk
-        lo += len(blk)
+    odd = mu[1::2]
+    for i, (planes, n) in enumerate(blocks):
+        odd[i * BLOCK : i * BLOCK + n] = int8(i, planes, n)
     np.negative(mu[1 : n_max // 2 + 1 : 2], out=mu[2::4])
     return mu
 
@@ -282,15 +336,17 @@ def weighted_mobius_sums(read, checkpoints):
     exactly over its whole words, and a cut inside a word masks that
     word (``_plane_sums``). No product is formed.
 
-    Integer values are summed against mu as one exact inner product per
-    chunk, ``np.einsum`` in int32 for int8 values, whose chunk sums stay
-    below 128*BLOCK, else in int64; einsum widens a bounded buffer of
-    entries at a time, so no product array is built (``_product_sums``).
+    Integer values are summed against the block's int8 mu, read from its
+    planes by ``_int8_mu``, as one exact inner product per chunk,
+    ``np.einsum`` in int32 for int8 values, whose chunk sums stay below
+    128*BLOCK, else in int64; einsum widens a bounded buffer of entries
+    at a time, so no product array is built (``_product_sums``).
 
     Besides what ``read`` holds, a sum to any N holds the bool path's
-    word buffers and what ``mobius_blocks`` hands out: nothing more for
-    kept blocks, one block and its planes for streamed ones, never an
-    N-entry mu. Every sum is exact when max|v| * n < 2**63.
+    word buffers, or the integer path's one int8 block past the kept
+    int8 blocks, and what ``mobius_blocks`` hands out: nothing more for
+    kept blocks, one block's planes for streamed ones, never an N-entry
+    mu. Every sum is exact when max|v| * n < 2**63.
     """
     cps = [int(c) for c in checkpoints]
     # per read: its step, the cut (first k left out) of each checkpoint,
@@ -299,19 +355,17 @@ def weighted_mobius_sums(read, checkpoints):
     reads = [(step, [(c - step // 2) // step + 1 for c in cps], [0] * len(cps))
              for step in (2, 4)]
     add = None
-    lo = 0
-    for mu, planes in mobius_blocks(cps[-1]):
-        hi = lo + len(mu)
+    for i, (planes, n) in enumerate(mobius_blocks(cps[-1])):
+        lo = i * BLOCK
         for step, cuts, between in reads:
-            end = min(hi, cuts[-1])
+            end = min(lo + n, cuts[-1])
             if end <= lo:
                 continue
             vals = read(step * lo + step // 2, step * end + step // 2, step)
             if add is None:  # the first read gives the values' dtype
                 add = (_plane_sums(min(BLOCK, reads[0][1][-1])) if vals.dtype == bool
-                       else _product_sums)
-            add(vals, mu, planes, lo, cuts, between)
-        lo = hi
+                       else _product_sums(_int8_mu(cps[-1])))
+            add(vals, i, planes, n, cuts, between)
     (_, _, plus), (_, _, minus) = reads
     return np.cumsum(plus, dtype=np.int64) - np.cumsum(minus, dtype=np.int64)
 
@@ -326,25 +380,33 @@ def _chunks(cuts, a, end):
         a = b
 
 
-def _product_sums(vals, mu, planes, lo, cuts, between):
-    """Adds each chunk's sum of vals*mu, for integer values at k = lo,
-    lo + 1, ..., to between[i] (see weighted_mobius_sums)."""
-    acc = np.int32 if vals.dtype.itemsize == 1 else np.int64
-    for i, a, b in _chunks(cuts, lo, lo + len(vals)):
-        between[i] += int(np.einsum("i,i->", vals[a - lo : b - lo], mu[a - lo : b - lo],
-                                    dtype=acc))
+def _product_sums(int8):
+    """add(vals, i, planes, n, cuts, between) for integer values at the k
+    of block i from its first, lo = i*BLOCK, on: adds each chunk's sum of
+    vals*mu, with mu = int8(i, planes, n), to between[c] (see
+    weighted_mobius_sums)."""
+
+    def add(vals, i, planes, n, cuts, between):
+        mu, lo = int8(i, planes, n), i * BLOCK
+        acc = np.int32 if vals.dtype.itemsize == 1 else np.int64
+        for c, a, b in _chunks(cuts, lo, lo + len(vals)):
+            between[c] += int(np.einsum("i,i->", vals[a - lo : b - lo], mu[a - lo : b - lo],
+                                        dtype=acc))
+
+    return add
 
 
 def _plane_sums(size):
-    """add(vals, mu, planes, lo, cuts, between) for bool values of at most
-    ``size`` entries at k = lo, lo + 1, ...: adds each chunk's popcounts
-    against the sign planes to between[i] (see weighted_mobius_sums)."""
+    """add(vals, i, planes, n, cuts, between) for bool values of at most
+    ``size`` entries at the k of block i from its first, lo = i*BLOCK,
+    on: adds each chunk's popcounts against the sign planes to
+    between[c] (see weighted_mobius_sums)."""
     words = -(-size // 64)
     bits, masked = np.empty(words, dtype=np.uint64), np.empty(words, dtype=np.uint64)
     ones = np.empty((2, words), dtype=np.uint8)  # per word: [mu = +1], [mu = -1]
 
-    def add(vals, mu, planes, lo, cuts, between):
-        n = len(vals)
+    def add(vals, i, planes, _, cuts, between):
+        n, lo = len(vals), i * BLOCK
         used, raw = -(-n // 64), bits.view(np.uint8)
         raw[: -(-n // 8)] = np.packbits(vals, bitorder="little")
         raw[-(-n // 8) : 8 * used] = 0
@@ -360,9 +422,9 @@ def _plane_sums(size):
             v = int(bits[w]) & ((1 << r) - 1)
             return (v & int(planes[0, w])).bit_count() - (v & int(planes[1, w])).bit_count()
 
-        for i, a, b in _chunks(cuts, lo, lo + n):
+        for c, a, b in _chunks(cuts, lo, lo + n):
             wa, wb = (a - lo) // 64, (b - lo) // 64
-            between[i] += (int(plus[wa:wb].sum()) - int(minus[wa:wb].sum())
+            between[c] += (int(plus[wa:wb].sum()) - int(minus[wa:wb].sum())
                            + below(b - lo) - below(a - lo))
 
     return add

@@ -94,11 +94,17 @@ def test_sieve_matches_direct_at_any_size(n_max):
     assert sieve_mobius(n_max).tolist() == DIRECT[: n_max + 1]
 
 
+def clear_kept():
+    """Drops the kept planes and the int8 mu kept from them."""
+    _kernels._kept_block.cache_clear()
+    _kernels._kept_int8.cache_clear()
+
+
 def streamed(monkeypatch):
     """With no block kept, every size streams: the sieve runs to n_max
     itself, with the primes to sqrt(n_max) and the threshold of n_max."""
     monkeypatch.setattr(_kernels, "KEPT_BLOCKS", 0)
-    _kernels._kept_block.cache_clear()
+    clear_kept()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 31, 97, 521, 1009, 2003])
@@ -238,12 +244,16 @@ def test_table_is_readonly():
         MU[3] = 5
 
 
-# the kept table: KEPT_BLOCKS whole blocks of odd n, to TOP = 6,350,399
-BLOCK, KEPT = _kernels.BLOCK, _kernels.KEPT_BLOCKS
+# the kept table: KEPT_BLOCKS whole blocks of odd n as their sign planes,
+# to TOP = 50,803,199, and the first KEPT_INT8 of them as int8 mu as well,
+# to INT8_TOP = 6,350,399, where the unsegmented oracle stops
+BLOCK, KEPT, KEPT_INT8 = _kernels.BLOCK, _kernels.KEPT_BLOCKS, _kernels.KEPT_INT8_BLOCKS
 TOP = 2 * KEPT * BLOCK - 1
+INT8_TOP = 2 * KEPT_INT8 * BLOCK - 1
+PLANES = (2, -(-BLOCK // 64))  # the shape of a kept block's planes
 EDGES = [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK - 1, 4 * BLOCK + 1,
-         TOP - 1, TOP, TOP + 1, TOP + 2, TOP + 3]
-ORACLE_TOP = TOP + 3
+         INT8_TOP - 1, INT8_TOP, INT8_TOP + 1, INT8_TOP + 2, INT8_TOP + 3]
+ORACLE_TOP = INT8_TOP + 3
 
 
 @functools.cache
@@ -251,24 +261,65 @@ def oracle():
     return unsegmented_sieve(ORACLE_TOP)
 
 
-def odd_mu(n_max):
+def int8_blocks(n_max):
+    """The blocks of ``mobius_blocks(n_max)`` read as int8 mu, each
+    copied out of the one buffer that the blocks past the kept int8 share."""
     blocks = _kernels.mobius_blocks(n_max)
-    return np.concatenate([np.empty(0, np.int8), *(mu for mu, _ in blocks)])
+    int8 = _kernels._int8_mu(n_max)
+    return (int8(i, planes, n).copy() for i, (planes, n) in enumerate(blocks))
+
+
+def odd_mu(n_max):
+    return np.concatenate([np.empty(0, np.int8), *int8_blocks(n_max)])
+
+
+def handed(n_max):
+    """The planes ``mobius_blocks(n_max)`` hands out, with their lengths."""
+    return list(_kernels.mobius_blocks(n_max))
+
+
+def cached(cache):
+    """What a cache of the block index holds, block 0 first, read
+    without computing any."""
+    info = cache.cache_info()
+    kept = [cache(i) for i in range(info.currsize)]
+    assert cache.cache_info().misses == info.misses
+    return kept
 
 
 def kept_blocks():
-    """The (mu, planes) pairs the process keeps, block 0 first, read
-    from the cache without sieving any."""
-    info = _kernels._kept_block.cache_info()
-    kept = [_kernels._kept_block(i) for i in range(info.currsize)]
-    assert _kernels._kept_block.cache_info().misses == info.misses
-    return kept
+    """The kept planes, block 0 first."""
+    return cached(_kernels._kept_block)
+
+
+def kept_int8():
+    """The kept int8 mu, block 0 first."""
+    return cached(_kernels._kept_int8)
 
 
 def reader(vals):
     """read(a, b, step): the values at the times a, a + step, ... < b, as
     a view, with vals[i - 1] the value at time i."""
     return lambda a, b, step: vals[a - 1 : b - 1 : step]
+
+
+ONES = np.ones(BLOCK, dtype=bool)
+
+
+def ones(a, b, step):
+    """read(a, b, step) of the indicator that is 1 at every time; a read
+    spans at most one block of odd n."""
+    return ONES[: -((a - b) // step)]
+
+
+DRAWN = np.random.default_rng(5).integers(-128, 128, size=BLOCK + 64, dtype=np.int8)
+
+
+def drawn(a, b, step):
+    """read(a, b, step) of int8 values fixed by the read alone, so every
+    sum that makes the same reads reads the same values; a read spans at
+    most one block of odd n."""
+    return DRAWN[a % 64 :][: -((a - b) // step)]
 
 
 @settings(max_examples=20, deadline=None)
@@ -279,30 +330,32 @@ def reader(vals):
 def test_kept_table_serves_any_sequence_of_sizes(sizes, order, seed):
     # from cold, in any order: each sieve is the unsegmented strike, each
     # sum is the same with the blocks kept as they stand and from cold, and
-    # the process never keeps more than KEPT_BLOCKS whole blocks
+    # the process never keeps more than KEPT_BLOCKS whole planes and
+    # KEPT_INT8 whole int8 blocks
     sizes = {"ascending": sorted(sizes), "descending": sorted(sizes, reverse=True),
              "repeated": [n for n in sizes for _ in range(2)]}.get(order, sizes)
     vals = np.random.default_rng(seed).integers(-128, 128, size=max(sizes), dtype=np.int8)
-    _kernels._kept_block.cache_clear()
+    clear_kept()
     for n_max in sizes:
         assert np.array_equal(_kernels.sieve_mobius(n_max), oracle()[: n_max + 1]), n_max
         checkpoints = np.array(sorted({1, n_max // 2 or 1, n_max}), np.int64)
         warm = _kernels.weighted_mobius_sums(reader(vals), checkpoints)
-        _kernels._kept_block.cache_clear()
+        clear_kept()
         cold = _kernels.weighted_mobius_sums(reader(vals), checkpoints)
         assert warm.tolist() == cold.tolist(), n_max
-        kept = kept_blocks()
-        assert len(kept) <= KEPT
-        assert all(len(blk) == BLOCK for blk, _ in kept)
+        kept, mus = kept_blocks(), kept_int8()
+        assert len(kept) <= KEPT and len(mus) <= KEPT_INT8
+        assert all(planes.shape == PLANES for planes in kept)
+        assert all(len(mu) == BLOCK for mu in mus)
 
 
-SEAM_POINTS = [2 * BLOCK, 4 * BLOCK, TOP]
+SEAM_POINTS = [2 * BLOCK, 4 * BLOCK, INT8_TOP]
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.one_of(st.builds(lambda n, d: n + d, st.sampled_from(SEAM_POINTS),
                            st.integers(-130, 130)),
-                 st.integers(1, TOP + 130)),
+                 st.integers(1, INT8_TOP + 130)),
        st.floats(0, 1), st.integers(0, 2**32 - 1), st.data())
 def test_indicator_sums_by_popcount_match_int8_products_and_the_sieve(N, density, seed, data):
     # bool values take the sign planes, the same values as int8 take the
@@ -323,7 +376,7 @@ def test_indicator_sums_by_popcount_match_int8_products_and_the_sieve(N, density
     for mode, kept in modes:
         with mock.patch.object(_kernels, "KEPT_BLOCKS", kept):
             if mode == "cold":
-                _kernels._kept_block.cache_clear()
+                clear_kept()
             before = _kernels._kept_block.cache_info()
             for v in (vals, vals.view(np.int8)):
                 got = _kernels.weighted_mobius_sums(reader(v), checkpoints)
@@ -338,37 +391,44 @@ def test_kept_planes_are_packed_once_per_process(monkeypatch):
     packed, sieve = [], _kernels._odd_blocks
 
     def counted(*args, **kwargs):
-        for mu, planes in sieve(*args, **kwargs):
+        for planes, n in sieve(*args, **kwargs):
             packed.append(planes)
-            yield mu, planes
+            yield planes, n
 
     monkeypatch.setattr(_kernels, "_odd_blocks", counted)
-    _kernels._kept_block.cache_clear()
-    vals = np.ones(TOP, dtype=bool)
+    clear_kept()
     for n_max in (3000, 2 * BLOCK + 1, TOP, TOP - 1, 5000, TOP):
-        _kernels.weighted_mobius_sums(reader(vals), np.array([n_max], np.int64))
-        handed = [planes for _, planes in _kernels.mobius_blocks(n_max)]
-        kept = [planes for _, planes in kept_blocks()]
-        assert all(np.shares_memory(a, b) for a, b in zip(handed, kept))
+        _kernels.weighted_mobius_sums(ones, np.array([n_max], np.int64))
+        kept = kept_blocks()
+        assert all(np.shares_memory(a, b) for (a, _), b in zip(handed(n_max), kept))
     assert len(packed) == KEPT
     assert all(a is b for a, b in zip(packed, kept))
+    assert kept_int8() == []  # an indicator reads no int8 mu
 
 
 def test_table_grows_whole_blocks_only_when_asked():
-    _kernels._kept_block.cache_clear()
-    assert not list(_kernels.mobius_blocks(0)) and kept_blocks() == []
-    odd_mu(3000)
+    clear_kept()
+    assert handed(0) == [] and kept_blocks() == []
+    handed(3000)
     first = kept_blocks()
-    assert len(first) == 1 and len(first[0][0]) == BLOCK
-    odd_mu(2 * BLOCK - 1)  # the first block's last odd n
+    assert len(first) == 1 and first[0].shape == PLANES
+    handed(2 * BLOCK - 1)  # the first block's last odd n
     assert _kernels._kept_block.cache_info().misses == 1
-    odd_mu(2 * BLOCK + 1)
+    handed(2 * BLOCK + 1)
     kept = kept_blocks()
     assert len(kept) == 2 and kept[0] is first[0]
-    odd_mu(TOP + 2)  # streams, and leaves the blocks kept as they were
+    handed(TOP + 2)  # streams, and leaves the blocks kept as they were
     assert len(kept_blocks()) == 2
-    odd_mu(TOP + 1)  # the even n past TOP adds no odd n
-    assert [len(blk) for blk, _ in kept_blocks()] == [BLOCK] * KEPT
+    handed(TOP + 1)  # the even n past TOP adds no odd n
+    assert [planes.shape for planes in kept_blocks()] == [PLANES] * KEPT
+    assert _kernels._kept_block.cache_info().misses == KEPT
+    # int8 mu is derived from the kept planes on its first read, and kept
+    # for the first KEPT_INT8 blocks alone
+    assert kept_int8() == []
+    odd_mu(2 * BLOCK + 1)
+    assert len(kept_int8()) == 2
+    odd_mu(TOP)
+    assert [len(mu) for mu in kept_int8()] == [BLOCK] * KEPT_INT8
     assert _kernels._kept_block.cache_info().misses == KEPT
 
 
@@ -379,28 +439,76 @@ def test_a_table_hit_finds_no_primes(monkeypatch):
         raise AssertionError("found primes on a table hit")
 
     monkeypatch.setattr(_kernels, "_primes", no_primes)
-    for n_max in (1, 3000, 2 * BLOCK, TOP):
+    for n_max in (1, 3000, 2 * BLOCK, INT8_TOP, ORACLE_TOP):
         assert np.array_equal(odd_mu(n_max), oracle()[1 : n_max + 1 : 2])
+    assert len(odd_mu(TOP)) == KEPT * BLOCK
     with pytest.raises(AssertionError, match="found primes"):
         _kernels.mobius_blocks(TOP + 2)  # streams: its primes are found at the call
 
 
-@pytest.mark.parametrize("n_max", [3000, 2 * BLOCK + 1, TOP, TOP + 2])
+@pytest.mark.parametrize("n_max", [3000, 2 * BLOCK + 1, INT8_TOP, INT8_TOP + 2, TOP, TOP + 2])
 def test_blocks_handed_out_are_read_only(n_max):
-    # views of the kept blocks, and the streamed blocks past them, with
-    # their planes
-    _kernels._kept_block.cache_clear()
-    for blk, planes in _kernels.mobius_blocks(n_max):
-        for arr in (blk, planes):
+    # views of the kept planes, and the streamed planes past them, and
+    # the int8 mu read from either: kept or in the one buffer
+    clear_kept()
+    blocks = _kernels.mobius_blocks(n_max)
+    int8 = _kernels._int8_mu(n_max)
+    for i, (planes, n) in enumerate(blocks):
+        for arr in (planes, int8(i, planes, n)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 
 
+def mu_at(n_max, ns):
+    """{n: mu(n)} for the odd n in ``ns``, read as int8 from the blocks
+    of ``mobius_blocks(n_max)``."""
+    got = {}
+    for i, mu in enumerate(int8_blocks(n_max)):
+        lo = i * BLOCK
+        got.update({n: int(mu[n // 2 - lo]) for n in ns if lo <= n // 2 < lo + len(mu)})
+    return got
+
+
+# the odd n on both sides of each seam between kept blocks, and about the top
+KEPT_SEAMS = sorted({2 * i * BLOCK + d for i in range(1, KEPT) for d in (-1, 1)}
+                    | {TOP - 2, TOP})
+
+
+def test_int8_mu_from_the_planes_matches_the_oracle_at_every_seam():
+    # kept int8 blocks and unpacked ones, from cold and warm, and the
+    # streamed blocks past the kept ones, past the top too
+    want = {n: mobius_direct(n) for n in (*KEPT_SEAMS, TOP + 2)}
+    clear_kept()
+    for _ in ("cold", "warm"):
+        assert mu_at(TOP, KEPT_SEAMS) == {n: want[n] for n in KEPT_SEAMS}
+    assert mu_at(TOP + 2, want) == want
+
+
+def test_integer_sums_read_warm_equal_those_read_cold_across_the_seams(monkeypatch):
+    # at each kept-block seam and at the top, for both reads (odd and even
+    # times), with int8 and wider values; and the same with every block
+    # streamed through one buffer
+    checkpoints = np.array(sorted({1, *(n + d for n in KEPT_SEAMS for d in (0, 1)), TOP}),
+                           np.int64)
+    wide = lambda a, b, step: drawn(a, b, step).astype(np.int64) << 20
+    sums = {}
+    for read in (drawn, wide):
+        clear_kept()
+        for state in ("cold", "warm"):
+            sums[read, state] = _kernels.weighted_mobius_sums(read, checkpoints).tolist()
+        assert len(kept_int8()) == KEPT_INT8
+    streamed(monkeypatch)
+    for read in (drawn, wide):
+        sums[read, "streamed"] = _kernels.weighted_mobius_sums(read, checkpoints).tolist()
+        assert sums[read, "cold"] == sums[read, "warm"] == sums[read, "streamed"]
+    assert sums[wide, "cold"] == [s << 20 for s in sums[drawn, "cold"]]
+
+
 def test_threads_growing_the_table_at_once_read_the_same_mu():
     # more threads than cores, switching often, each from its own point of
     # a cold table: a torn table or a block still being sieved would show
-    sizes = [3000, 2 * BLOCK + 1, TOP, 4 * BLOCK - 1, TOP + 2, 5000]
+    sizes = [3000, 2 * BLOCK + 1, INT8_TOP, 4 * BLOCK - 1, ORACLE_TOP, 5000]
     want, results, errors = oracle(), {}, []
 
     def work(i):
@@ -414,17 +522,17 @@ def test_threads_growing_the_table_at_once_read_the_same_mu():
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        _kernels._kept_block.cache_clear()
+        clear_kept()
         threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
         for th in threads:
             th.start()
         for th in threads:
             th.join(timeout=120)
         assert not any(th.is_alive() for th in threads)
-        kept = kept_blocks()
-        assert len(kept) <= KEPT
-        for (blk, _), lo in zip(kept, range(0, KEPT * BLOCK, BLOCK)):
-            assert np.array_equal(blk, want[2 * lo + 1 : 2 * (lo + BLOCK) : 2])
+        kept, mus = kept_blocks(), kept_int8()
+        assert len(kept) <= KEPT and len(mus) == KEPT_INT8
+        for mu, lo in zip(mus, range(0, KEPT_INT8 * BLOCK, BLOCK)):
+            assert np.array_equal(mu, want[2 * lo + 1 : 2 * (lo + BLOCK) : 2])
     finally:
         sys.setswitchinterval(switch)
     assert not errors

@@ -156,13 +156,15 @@ def test_weighted_sum_holds_no_int64_orbit_word():
     assert peak < 4 * N
 
 
-def test_weighted_sum_memory_is_flat_in_N():
-    # the two reads' buffers and the sieve's (4*BLOCK bytes), the products
-    # (2*BLOCK) and chacon's stage-11 word of 88573 entries with its step
-    # classes: one bound from one block of odd n to past the word guard's
-    # half, where the whole int8 orbit alone would take 3e7 bytes
+def test_weighted_sum_memory_is_flat_in_N(monkeypatch):
+    # with every block streamed: the two reads' buffers and the packed
+    # words, the sieve's (2.25*BLOCK bytes) and chacon's stage-11 word of
+    # 88573 entries with its step classes: one bound from one block of odd
+    # n to past the word guard's half, where the whole int8 orbit alone
+    # would take 3e7 bytes
     params, BLOCK = cons.chacon(), _kernels.BLOCK
     obs = sarnak.Observable.indicator(params, 2, [0, 3])
+    monkeypatch.setattr(_kernels, "KEPT_BLOCKS", 0)
     for N in (2 * BLOCK, 8 * BLOCK, 30_000_000):
         tracemalloc.start()
         try:
@@ -173,14 +175,24 @@ def test_weighted_sum_memory_is_flat_in_N():
         assert peak < 7 * BLOCK, N
 
 
+#: the bytes of one kept block: its two sign planes
+PLANE_BYTES = 2 * -(-_kernels.BLOCK // 64) * 8
+
+
+def clear_kept():
+    _kernels._kept_block.cache_clear()
+    _kernels._kept_int8.cache_clear()
+
+
 @pytest.mark.parametrize("N", [_kernels.BLOCK, 5_000_000, 6_350_400, 30_000_000])
 def test_weighted_sum_memory_is_flat_in_N_besides_the_kept_table(N):
-    # from cold and then warm: the sum's own buffers, and the sieve's when
-    # it streams, stay under the bound of the test above; the blocks it
-    # sieves to keep (at most KEPT_BLOCKS*BLOCK bytes) are kept for later sums
+    # from cold and then warm: the sum's own buffers, and the sieve's, stay
+    # under the bound of the test above; the planes it sieves to keep
+    # (PLANE_BYTES a block, for at most KEPT_BLOCKS blocks) are kept for
+    # later sums
     params, BLOCK = cons.chacon(), _kernels.BLOCK
     obs = sarnak.Observable.indicator(params, 2, [0, 3])
-    _kernels._kept_block.cache_clear()
+    clear_kept()
     for state in ("cold", "warm"):
         before = _kernels._kept_block.cache_info().currsize
         tracemalloc.start()
@@ -189,11 +201,59 @@ def test_weighted_sum_memory_is_flat_in_N_besides_the_kept_table(N):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        added = (_kernels._kept_block.cache_info().currsize - before) * BLOCK
+        added = (_kernels._kept_block.cache_info().currsize - before) * PLANE_BYTES
         blocks = -(-((N + 1) // 2) // BLOCK)  # of odd n to N
-        assert added == (blocks * BLOCK if state == "cold" and blocks <= _kernels.KEPT_BLOCKS
-                         else 0)
+        assert added == (blocks * PLANE_BYTES if state == "cold"
+                         and blocks <= _kernels.KEPT_BLOCKS else 0)
         assert peak - added < 7 * BLOCK, (N, state)
+
+
+def test_kept_planes_cover_the_word_guard():
+    # every odd n a sum can reach is in a kept block, and the last kept
+    # block holds some of them
+    BLOCK, KEPT = _kernels.BLOCK, _kernels.KEPT_BLOCKS
+    assert 2 * (KEPT - 1) * BLOCK - 1 < tower.MAX_WORD_LENGTH <= 2 * KEPT * BLOCK - 1
+
+
+@pytest.mark.parametrize("N,s_n", [(7_000_000, -1298), (30_000_000, -765)])
+def test_warm_indicator_sums_past_the_int8_blocks_run_no_sieve(monkeypatch, N, s_n):
+    # a warm sum reads kept planes alone, and equals the same sum with
+    # every block streamed
+    params = cons.chacon()
+    obs = sarnak.Observable.indicator(params, 2, [0, 1, 3])
+    sarnak.mobius_weighted_sum(params, obs, 5, N)
+    sieved, sieve = [], _kernels._odd_blocks
+
+    def spy(*args):
+        sieved.append(args[0])
+        return sieve(*args)
+
+    monkeypatch.setattr(_kernels, "_odd_blocks", spy)
+    warm = sarnak.mobius_weighted_sum(params, obs, 5, N)
+    assert sieved == [] and warm.final == s_n
+    monkeypatch.setattr(_kernels, "KEPT_BLOCKS", 0)
+    assert sarnak.mobius_weighted_sum(params, obs, 5, N) == warm
+    assert sieved == [N]
+
+
+def test_an_indicator_sum_keeps_its_planes_alone():
+    # to N = 49,000,000 from cold: every kept block, as its planes, and no
+    # int8 mu; numpy's own trace domain holds the array data
+    params, N = cons.chacon(), 49_000_000
+    obs = sarnak.Observable.indicator(params, 2, [0, 1, 3])
+    sarnak.mobius_weighted_sum(params, obs, 5, N)  # grows the level table
+    clear_kept()
+    tracemalloc.start()
+    try:
+        res = sarnak.mobius_weighted_sum(params, obs, 5, N)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    arrays = snapshot.filter_traces([tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    assert res.final == -2131
+    assert _kernels._kept_block.cache_info().currsize == _kernels.KEPT_BLOCKS
+    assert _kernels._kept_int8.cache_info().currsize == 0
+    assert sum(trace.size for trace in arrays.traces) <= _kernels.KEPT_BLOCKS * PLANE_BYTES
 
 
 # ----------------------------------------------------------- cyclic factor
