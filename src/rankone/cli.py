@@ -315,19 +315,27 @@ def _depth_for(cfg: RunConfig, j: int = 1, n: int = 0) -> int:
     return limits.depth(cfg.construction, n, j) if K is None else K
 
 
-def _conventions(specs: tuple[Param, ...], p: dict) -> str:
-    """The fixed tolerances and depth rule of the fits, with the run's
-    max_shift when its command takes one."""
-    max_shift = f" max_shift={p['max_shift']}" if _MAX_SHIFT in specs else ""
-    return "\n".join([
+#: the report's conventions header, split where a fit command's max_shift
+#: goes: the fixed tolerances and depth rule of the fits
+_CONVENTIONS = (
+    "\n".join([
         "conventions:",
         "  level count L_j = h_j + 1; return powers H_j = -(L_j + min s_j(1..r_j-1))",
         f"  tolerances: tau={limits.SUPPORT_TAU} coeff={limits.COEFF_TOL} "
         f"stability={limits.STABILITY_TOL} residual={limits.RESIDUAL_TOL}",
-        f"  depth policy: min_levels={limits.MIN_LEVELS} "
-        f"shift_factor={limits.SHIFT_FACTOR}{max_shift} "
-        f"fit_count={limits.FIT_COUNT} Z={limits.Z}",
-    ])
+        f"  depth policy: min_levels={limits.MIN_LEVELS} shift_factor={limits.SHIFT_FACTOR}",
+    ]),
+    f" fit_count={limits.FIT_COUNT} Z={limits.Z}",
+)
+
+
+def _conventions(specs: tuple[Param, ...], p: dict) -> str:
+    """The conventions header, with the run's max_shift when its command
+    takes one: formatted once, but for that value."""
+    head, tail = _CONVENTIONS
+    if _MAX_SHIFT in specs:
+        return f"{head} max_shift={p['max_shift']}{tail}"
+    return head + tail
 
 
 # -------------------------------------------------------------- commands

@@ -225,10 +225,13 @@ class HeightTable:
 
 
 @lru_cache(maxsize=256)
-def _level_table(params: ConstructionParams) -> tuple[list[int], dict[int, StageParams]]:
+def _level_table(
+    params: ConstructionParams,
+) -> tuple[list[int], dict[int, StageParams], list[int]]:
     """The one keep of a construction: its levels L_1, L_2, ..., grown in
-    place by ``_grow``, and a random one's stages drawn so far, by index."""
-    return [params.h1 + 1], {}
+    place by ``_grow``, a random one's stages drawn so far, by index, and
+    its return heights |H_1|, |H_2|, ..., grown by ``return_heights``."""
+    return [params.h1 + 1], {}, []
 
 
 def _grow(params: ConstructionParams, J: int, n: float = inf) -> list[int]:
@@ -240,6 +243,19 @@ def _grow(params: ConstructionParams, J: int, n: float = inf) -> list[int]:
         st = params.stage(len(levels))
         levels.append(levels[-1] * st.r + sum(st.s))
     return levels
+
+
+def return_heights(params: ConstructionParams, J: int, n: int) -> list[int]:
+    """The kept return heights |H_j| = L_j + min s_j(1..r_j-1), which
+    strictly increase with j, grown through stage J or only until one
+    passes n, whichever comes first. The levels are grown no further than
+    ``heights_within(params, J, n)`` grows them, as |H_j| >= L_j, and a
+    stage is drawn only for them or for the |H_j| kept."""
+    levels = _grow(params, J, n)
+    kept = _level_table(params)[2]
+    while len(kept) < min(J, len(levels)) and not (kept and kept[-1] > n):
+        kept.append(levels[len(kept)] + params.stage(len(kept) + 1).s_min_first)
+    return kept
 
 
 def heights(params: ConstructionParams, J: int) -> HeightTable:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import gcd
 from types import MappingProxyType
@@ -37,7 +38,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .construction import ConstructionParams, first_stage_reaching, heights, heights_within
+from .construction import ConstructionParams, first_stage_reaching, heights, return_heights
 from .errors import StageUnavailable
 from .tower import CorrelationMatrix, _counted
 
@@ -349,11 +350,14 @@ def _select_stages(
     """The reference stage j_ref and (j, H_j) of the last FIT_COUNT stages j
     with L_{j_ref} <= k*|H_j| <= max_shift for every k in ``multipliers``, so
     that each shift moves every reference level out of the reference tower.
-    |H_j| strictly increases with j (L_{j+1} >= 2L_j + s_j(1)), so the walk
-    stops at the first stage beyond max_shift, or an explicit one's last.
-    Its L_j are one ``heights_within`` table, grown no further than the
-    first L_j past max_shift // max(multipliers), as |H_j| >= L_j: by stage
-    max_shift.bit_length() + 1 at the latest, since L_j >= 2^(j-1).
+    |H_j| strictly increases with j (L_{j+1} >= 2L_j + s_j(1)), so these
+    stages are one run, found by two bisections of the construction's kept
+    |H_j| (``return_heights``), which end at the first stage beyond
+    max_shift, or an explicit one's last. The keep is grown, and stages
+    drawn, no further than j_ref and the first L_j past max_shift //
+    max(multipliers), its |H_j| no further than the first one past it:
+    as |H_j| >= L_j, by stage max_shift.bit_length() + 1 at the latest,
+    since L_j >= 2^(j-1).
     A multiplier below 1 never passes max_shift, so it raises ValueError."""
     low, high = min(multipliers), max(multipliers)
     if low < 1:
@@ -366,17 +370,14 @@ def _select_stages(
     floor = heights(params, j_ref).L(j_ref)
     last = (len(params.stages) if params.kind == "explicit"
             else max_shift.bit_length() + 1)
-    usable = []
-    for j, L in enumerate(heights_within(params, last, max_shift // high).levels, 1):
-        h = -(L + params.stage(j).s_min_first)
-        if -high * h > max_shift:
-            break
-        if -low * h >= floor:
-            usable.append((j, h))
-    if len(usable) < 2:
+    kept = return_heights(params, last, max_shift // high)
+    # stages first+1..end have floor <= low*|H_j| and high*|H_j| <= max_shift
+    first = bisect_left(kept, -(-floor // low))
+    end = min(bisect_right(kept, max_shift // high), last)
+    if end - first < 2:
         raise ValueError(f"fewer than two admissible stages j with L_{j_ref}={floor} <= "
                          f"{low}*|H_j| and {high}*|H_j| <= max_shift={max_shift}")
-    return j_ref, usable[-FIT_COUNT:]
+    return j_ref, [(j, -kept[j - 1]) for j in range(max(first, end - FIT_COUNT) + 1, end + 1)]
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ whose numerators are all 0 or 1, else the narrowest signed integer),
 and every sum runs on those numerators. Both read f(T^i x) through one
 orbit reader, ``_orbit``: one ``tower._decoder`` at depth
 ``tower.orbit_depth`` of the numerators, spacers valued 0 (False),
-scanned for overflow only when a sum of them could overflow. Each sum
+scanned for overflow only when a sum of them could overflow, and read
+in place when the orbit lies in the observable's own stage. Each sum
 is fixed by (start, N), and its orbit meets the word guard before any
-sieve. The weighted sum hands that reader, which fills one buffer of
-its own, to ``_kernels.weighted_mobius_sums`` as its ``read``, which
+sieve. The weighted sum hands that reader, which fills the decoder's one
+buffer, to ``_kernels.weighted_mobius_sums`` as its ``read``, which
 owns the layout of mu and of the times it reads (see there): it never
 builds its orbit, and its memory is flat in N. An indicator's sum reads
 mu as the sign planes the process keeps for every n the word guard
@@ -177,22 +178,19 @@ def _orbit(params, obs: Observable, start: int, N: int):
     [0, start + N + 1) with spacers valued 0, and whether reads need the
     overflow scan (max|numerator| * N >= 2**62).
 
-    Every read fills one buffer of the reader's own, grown to the longest
-    read so far, so a result stays valid until the next read. For the
-    Möbius sum that is one mu block, or the odd n to N, and it is the
-    sum's one large allocation: the kernel forms no products, and a bool
-    sum's packed words take under a third of it."""
+    A read is the decoder's: a view of ``obs.nums`` when the orbit lies
+    in the observable's own stage, and of the one word the decoder built
+    when that is the stage-K word; else the decoder's one buffer, grown
+    to the longest read so far, so a result stays valid until the next
+    read. For the Möbius sum that is one mu block, or the odd n to N, and
+    it is the sum's one large allocation: the kernel forms no products,
+    and a bool sum's packed words take under a third of it."""
     K = orbit_depth(params, obs.stage, start, N)
     decode = _decoder(params, obs.stage, K, start + N + 1, obs.nums, 0)
     scan = obs.bound * N >= _INT64_SAFE
-    buf = np.empty(0, dtype=obs.nums.dtype)
 
     def read(a, b, step=1):
-        nonlocal buf
-        n = -((a - b) // step)
-        if n > len(buf):
-            buf = np.empty(n, dtype=buf.dtype)
-        vals = decode(start + a, start + b, step, buf[:n])
+        vals = decode(start + a, start + b, step)
         if scan and max(-int(vals.min(initial=0)), int(vals.max(initial=0))) * N >= _INT64_SAFE:
             raise ValueError("sum could overflow the exact int64 path")
         return vals
@@ -201,6 +199,8 @@ def _orbit(params, obs: Observable, start: int, N: int):
 
 
 def _exact(value: int, denom: int):
+    if denom == 1:
+        return value
     f = Fraction(value, denom)
     return int(f) if f.denominator == 1 else f
 
@@ -361,7 +361,7 @@ def prime_extension_report(
             f"d={d}; the telescoping identity needs f to vanish there")
     mu = sieve_mobius(N)
     s_n = _kernels.strided_mobius_sum(vals, mu, 1, N)
-    cur, stride, steps, holds = s_n, 1, [], True
+    cur, stride, steps, holds, spread = s_n, 1, [], True, 0
     for u, p in enumerate(primes, 1):
         F = _kernels.strided_mobius_sum(vals, mu, stride * p, N // (stride * p))
         G = _kernels.strided_mobius_sum(
@@ -370,15 +370,15 @@ def prime_extension_report(
         holds &= cur == -(F - G)  # mu(p) = -1
         stride *= p
         steps.append(ExtensionStep(depth=u, prime=p, term=_exact(-F, obs.denom)))
+        spread += abs(F)
         cur = G if p == d else F
-    norm = Fraction(obs.sup_norm)
-    bound = N * norm / stride if primes[0] == d else (N // stride) * norm
+    # the bound is top/(q*denom), and the triangle is checked on ints in
+    # units of 1/(q*denom), with no Fraction arithmetic
+    q, top = (stride, N * obs.bound) if primes[0] == d else (1, N // stride * obs.bound)
     return PrimeExtensionReport(
         M=len(steps), s_n=_exact(s_n, obs.denom), steps=tuple(steps),
-        remainder=_exact(cur, obs.denom), remainder_bound=bound,
-        identity_holds=holds,
-        triangle_holds=abs(Fraction(s_n, obs.denom))
-        <= sum(abs(Fraction(st.term)) for st in steps) + bound,
+        remainder=_exact(cur, obs.denom), remainder_bound=Fraction(top, q * obs.denom),
+        identity_holds=holds, triangle_holds=abs(s_n) * q <= spread * q + top,
     )
 
 

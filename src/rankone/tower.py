@@ -90,27 +90,29 @@ def _decoder(params: ConstructionParams, j: int, K: int, hi: int | None = None,
              base=None, fill=None):
     """A decoder of entries [0, hi) (hi <= L_K, by default L_K) of the
     stage-j word ``base`` cut and stacked through stage K, W_K.
-    decode(lo, b, step, out) gives W_K[lo:b:step] for lo <= b <= hi (by
-    default b = hi and step = 1), written into ``out`` when one is
-    given. Stage m stacks column 1, s_m(1) spacers, ..., column r_m,
-    s_m(r_m) spacers. By default ``base`` is the level indices
-    0..L_j-1, built only below hi, and a spacer inserted at stage m is
-    -m: the label word. A given ``fill`` is every spacer's value and
-    must fit ``base``'s dtype.
+    decode(lo, b, step) gives W_K[lo:b:step] for lo <= b <= hi (by
+    default b = hi and step = 1): a read-only view when the one word the
+    decoder holds is W_K, else written into one buffer of the decoder's
+    own, grown to the longest read so far, so that a result stays valid
+    until the next read. Stage m stacks column 1, s_m(1) spacers, ...,
+    column r_m, s_m(r_m) spacers. By default ``base`` is the level
+    indices 0..L_j-1, built only below hi, and a spacer inserted at
+    stage m is -m: the label word. A given ``fill`` is every spacer's
+    value and must fit ``base``'s dtype.
 
-    One word is built, once, by ``_kernels.build_word``: W_K up to hi
-    when hi <= STAGE_WORD_MAX, and decode then reads it (as a view when
-    no ``out`` is given). Past that it builds W_c alone, for the last
-    stage c < K with L_c <= STAGE_WORD_MAX (c = j when L_j is past it),
-    or for the stage after it when that word is shorter than
-    STAGE_COPY_MIN (W_K up to hi when that stage is K), so that a read
-    meets few copies of W_c. decode walks the recursion W_{m+1} = W_m,
-    s_m(1) fills, ..., W_m, s_m(r_m) fills from W_K down to W_c over
-    [lo, b) alone, never building [0, lo) (``_emit``): each stage
-    bisects its copy starts for the first copy the read meets, each
-    piece of a copy of W_c is one contiguous slice of its step class
-    W_c[q::step], split off once per step, and each run of fills is
-    one slice fill.
+    When j == K no stage restacks ``base``: it is W_K, read in place, and
+    no word and no stage array is built. Else one word is built, once, by
+    ``_kernels.build_word``: W_K up to hi when hi <= STAGE_WORD_MAX. Past
+    that it builds W_c alone, for the last stage c < K with L_c <=
+    STAGE_WORD_MAX (c = j when L_j is past it), or for the stage after it
+    when that word is shorter than STAGE_COPY_MIN (W_K up to hi when that
+    stage is K), so that a read meets few copies of W_c. decode walks the
+    recursion W_{m+1} = W_m, s_m(1) fills, ..., W_m, s_m(r_m) fills from
+    W_K down to W_c over [lo, b) alone, never building [0, lo)
+    (``_emit``): each stage bisects its copy starts for the first copy
+    the read meets, each piece of a copy of W_c is one contiguous slice
+    of its step class W_c[q::step], split off once per step, and each run
+    of fills is one slice fill.
 
     Nothing is built before the checks: 1 <= j <= K, hi within
     MAX_WORD_LENGTH, and one ``base`` value per stage-j level.
@@ -125,38 +127,46 @@ def _decoder(params: ConstructionParams, j: int, K: int, hi: int | None = None,
         base = np.arange(min(L_j, hi), dtype=np.int64)
     elif len(base) != L_j:
         raise ValueError(f"{len(base)} values given for the {L_j} levels of stage {j}")
-    fills = (-np.arange(j, K, dtype=np.int64) if fill is None
-             else np.full(K - j, fill, dtype=np.int64))
-    c = K
-    if hi > STAGE_WORD_MAX:
-        c = j
-        while c + 1 < K and table.L(c + 1) <= STAGE_WORD_MAX:
-            c += 1
-        if table.L(c) < STAGE_COPY_MIN:
-            c += 1
-    stages = params.stage_range(j, K - 1)
-    below = stages[: c - j]
-    r_arr = np.array([st.r for st in below], dtype=np.int64)
-    s_flat = np.array([x for st in below for x in st.s], dtype=np.int64)
-    s_ptr = np.cumsum([0] + [st.r for st in below[:-1]], dtype=np.int64)
-    # length goes by position: perfbench/spans.py counts entries from the args
-    word = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills[: c - j],
-                               min(hi, table.L(c)))
+    if j == K:
+        c, word = K, base[:hi]
+    else:
+        fills = (-np.arange(j, K, dtype=np.int64) if fill is None
+                 else np.full(K - j, fill, dtype=np.int64))
+        c = K
+        if hi > STAGE_WORD_MAX:
+            c = j
+            while c + 1 < K and table.L(c + 1) <= STAGE_WORD_MAX:
+                c += 1
+            if table.L(c) < STAGE_COPY_MIN:
+                c += 1
+        stages = params.stage_range(j, K - 1)
+        below = stages[: c - j]
+        r_arr = np.array([st.r for st in below], dtype=np.int64)
+        s_flat = np.array([x for st in below for x in st.s], dtype=np.int64)
+        s_ptr = np.cumsum([0] + [st.r for st in below[:-1]], dtype=np.int64)
+        # length goes by position: perfbench/spans.py counts entries from the args
+        word = _kernels.build_word(base, r_arr, s_flat, s_ptr, fills[: c - j],
+                                   min(hi, table.L(c)))
+    word.flags.writeable = False
+    if c == K:
+        return lambda lo=0, b=hi, step=1: word[lo:b:step]
     # above[m - 1 - c] stacks W_{m-1} into W_m: L_{m-1}, the starts of
     # its copies, s_{m-1} and the fill
     above = [(table.L(m), list(accumulate((table.L(m) + x for x in st.s[:-1]), initial=0)),
               st.s, f)
              for m, st, f in zip(range(c, K), stages[c - j :], fills[c - j :].tolist())]
     classes = {1: [word]}
+    buf = np.empty(0, dtype=word.dtype)
 
-    def decode(lo=0, b=hi, step=1, out=None):
-        if out is None:
-            if c == K:
-                return word[lo:b:step]
-            out = np.empty(-((lo - b) // step), dtype=word.dtype)
+    def decode(lo=0, b=hi, step=1):
+        nonlocal buf
+        n = -((lo - b) // step)
+        if n > len(buf):
+            buf = np.empty(n, dtype=word.dtype)
         parts = classes.get(step)
         if parts is None:
             parts = classes[step] = [word[q::step].copy() for q in range(step)]
+        out = buf[:n]
         _emit(out, lo, step, parts, above, c, K, 0, lo, b)
         return out
 

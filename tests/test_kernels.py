@@ -205,20 +205,33 @@ def test_integer_sum_holds_no_products_buffer(dtype):
     assert strided == int(mu.sum(dtype=np.int64))
 
 
+#: bytes of one kept block's two sign planes
+PLANE_BYTES = 2 * -(-BLOCK // 64) * 8
+
+
 def test_weighted_sum_never_holds_mu_whole():
     # the sieve's two block buffers and numpy's cast buffers, with no
     # products: the same bound whether the orbit spans one block of odd n
-    # or four
-    sizes = (2 * BLOCK, 8 * BLOCK)
+    # or four, besides what each sum leaves in the process's keep, from a
+    # cleared one: block 0's planes and int8 mu, then blocks 1-3's planes
+    # and blocks 1-2's int8 mu (block 3 is past the int8 blocks)
+    _kernels._kept_block.cache_clear()
+    _kernels._kept_int8.cache_clear()
+    sizes = {2 * BLOCK: PLANE_BYTES + BLOCK, 8 * BLOCK: 3 * PLANE_BYTES + 2 * BLOCK}
     values = {N: np.ones(N, dtype=np.int8) for N in sizes}
-    for N in sizes:
+    for N, kept in sizes.items():
+        before = (_kernels._kept_block.cache_info().currsize,
+                  _kernels._kept_int8.cache_info().currsize)
         tracemalloc.start()
         try:
             got = _kernels.weighted_mobius_sums(reader(values[N]), np.array([N], np.int64))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * BLOCK, N  # mu to 8*BLOCK alone would take 8*BLOCK
+        added = ((_kernels._kept_block.cache_info().currsize - before[0]) * PLANE_BYTES
+                 + (_kernels._kept_int8.cache_info().currsize - before[1]) * BLOCK)
+        assert added == kept, N
+        assert peak - added < 5 * BLOCK, N  # mu to 8*BLOCK alone would take 8*BLOCK
         assert got.tolist() == [int(_kernels.sieve_mobius(N).sum(dtype=np.int64))]
 
 

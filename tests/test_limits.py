@@ -432,6 +432,46 @@ def test_stage_walk_matches_the_filter(selection):
         assert all(floor <= -min(multipliers) * h for _, h in walk)
 
 
+def walk_bound(params, multipliers, max_shift, j_ref):
+    """The last stage a walk may grow the kept table to, or draw: j_ref, or
+    the first stage whose L_j passes max_shift // max(multipliers), by
+    stage max_shift.bit_length() + 1 or an explicit construction's last."""
+    last = (len(params.stages) if params.kind == "explicit"
+            else max_shift.bit_length() + 1)
+    table = cons.heights(params, last)
+    past = [j for j in range(1, last + 1) if table.L(j) > max_shift // max(multipliers)]
+    return max(j_ref, min([last, *past]))
+
+
+@pytest.mark.parametrize("params", [
+    cons.ConstructionParams.periodic(2, [cons.StageParams(3, (1, 0, 2)),
+                                         cons.StageParams(2, (0, 3))]),
+    cons.ConstructionParams.random_bounded(2, 3, 3, 424242),
+    cons.ConstructionParams.explicit(1, [cons.StageParams(2 + j % 2, (j % 3,) * (2 + j % 2))
+                                         for j in range(12)]),
+], ids=["periodic", "random", "explicit"])
+def test_stage_walks_grow_one_kept_table_no_further_than_they_read(params):
+    # a small walk, a large one, then the small one again, which reads the
+    # |H_j| the large one kept and grows nothing: each walk is the filter's,
+    # and after each the table holds no level, |H_j| or drawn stage past the
+    # bound of the largest walk so far. The filter grows the table itself,
+    # so it runs last.
+    cons._level_table.cache_clear()
+    walks = (((2, 3), 600), ((3,), 10**6), ((2, 3), 600))
+    got, sizes = [], []
+    for multipliers, max_shift in walks:
+        got.append(limits._select_stages(params, multipliers, max_shift))
+        levels, drawn, kept = cons._level_table(params)
+        sizes.append((len(levels), len(kept), max(drawn, default=0)))
+    assert sizes[2] == sizes[1]
+    bound = 0
+    for (multipliers, max_shift), walk, size in zip(walks, got, sizes):
+        assert walk == filtered_stages(params, multipliers, max_shift)
+        bound = max(bound, walk_bound(params, multipliers, max_shift, walk[0]))
+        assert max(size) <= bound
+    assert max(sizes[0]) < max(sizes[1])
+
+
 @settings(max_examples=100, deadline=None)
 @given(CONSTRUCTIONS)
 def test_return_height_strictly_decreases(params):

@@ -605,6 +605,38 @@ def test_unfold_accepts_exactly_the_orbits_off_multiples_of_d(inputs):
     assert rep.identity_holds
 
 
+@pytest.mark.parametrize("start,N,M", [(0, 10_000, 1), (6, 30_000, 3), (0, 32_765, 2)])
+def test_a_chain_reads_an_orbit_in_its_own_stage_in_place(monkeypatch, start, N, M):
+    # the telescope's default observable, the even levels of the first
+    # class4 stage that holds the orbit: every sum of the chain reads a
+    # view of its numerators, and no word is built. N = 32765 ends at the
+    # last entry of stage 14, L_14 - 1.
+    params, d = cons.class4(), 2
+    K = tower.orbit_depth(params, 1, start, N)
+    assert tower.orbit_depth(params, K, start, N) == K
+    obs = sarnak.Observable.indicator(params, K, range(0, cons.heights(params, K).L(K), d))
+    read = sarnak._orbit(params, obs, start, N)(1, N + 1)
+    assert np.shares_memory(read, obs.nums)
+    assert read.tolist() == obs.nums[start + 1 : start + N + 1].tolist()
+    views, strided = [], _kernels.strided_mobius_sum
+
+    def spy(values, *args):
+        views.append(np.shares_memory(values, obs.nums))
+        return strided(values, *args)
+
+    def no_word(*args):
+        raise AssertionError("built a word for an orbit in the observable's own stage")
+
+    monkeypatch.setattr(_kernels, "strided_mobius_sum", spy)
+    monkeypatch.setattr(_kernels, "build_word", no_word)
+    rep = sarnak.prime_extension_report(params, obs, d, start, N, M)
+    assert views == [True] * (1 + 2 * M)
+    monkeypatch.undo()
+    s_n, terms, rem = chain_oracle(params, obs, d, [d] * M, start, N, K)
+    assert (rep.s_n, rep.remainder) == (s_n, rem)
+    assert [st.term for st in rep.steps] == [t for _, _, t in terms]
+
+
 @pytest.mark.parametrize("name,K", [("chacon", 12), ("class4", 16)])
 def test_decay_trend_presets(name, K):
     # trend check only: |S_N|/N falls between N=1e3 and N=1e5; the o(N)

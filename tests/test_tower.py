@@ -672,12 +672,19 @@ def test_decoded_cut_matches_the_word(params, j, step, values, caps, data):
         cut = tower._cut(params, j, K, lo, hi, base, fill)
         decode = tower._decoder(params, j, K, hi, base, fill)
         read = decode(lo, hi, step)
-        into = decode(lo, hi, step, np.empty(len(want), dtype=word.dtype))
+        assert read.dtype == word.dtype and np.array_equal(read, want)
+        # a read after another of the whole word: the decoder's one buffer
+        # holds the last read
+        decode(0, hi)
+        again = decode(lo, hi, step)
     assert cut.dtype == word.dtype and np.array_equal(cut, word[lo:hi])
     assert not cut.flags.writeable
-    for got in (read, into):
-        assert got.dtype == word.dtype and np.array_equal(got, want)
-    if hi > cap:  # the last stage word within the cap (the base word when
+    assert again.dtype == word.dtype and np.array_equal(again, want)
+    if j == K:  # no stage restacks the base word: it is read in place
+        assert built == []
+        if base is not None and lo < hi:
+            assert np.shares_memory(cut, base) and np.shares_memory(again, base)
+    elif hi > cap:  # the last stage word within the cap (the base word when
         # that is longer), or the next one, cut at hi, when it is too short
         c = max((m for m in range(j, K) if m == j or table.L(m) <= cap), default=j)
         if table.L(c) < copy_min:
