@@ -115,13 +115,15 @@ class Observable:
         (list, tuple, range), an integer array or any other iterable (a
         set, an iterator), which is read once as a list; repeats count
         once. Floats and bools raise ValueError, as do indices outside
-        0..L_j-1, named, sorted. No loop runs in Python: an array's dtype
-        (a range is read as one) gives its type, and a sequence is copied
-        by ``level_array``."""
+        0..L_j-1, named, sorted. No loop runs in Python: a range (the
+        CLI's default levels) is set as one slice between its ends, with
+        no index array, an array's dtype gives its type, and a sequence
+        is copied by ``level_array``."""
         n = checked_heights(params, stage).L(stage)
-        if isinstance(indices, range):  # the CLI's default levels
-            indices = np.arange(indices.start, indices.stop, indices.step)
-        if isinstance(indices, np.ndarray):
+        if isinstance(indices, range):
+            lo, hi = sorted((indices[0], indices[-1])) if indices else (0, -1)
+            idx = slice(lo, hi + 1, abs(indices.step))
+        elif isinstance(indices, np.ndarray):
             _check_integer_kinds({indices.dtype.type})
             idx = indices
         else:
@@ -131,12 +133,14 @@ class Observable:
                 idx = level_array(indices)
             except OverflowError:  # an index beyond int64 is outside
                 idx = None
-        if idx is None or (idx.size and (idx.min() < 0 or idx.max() >= n)):
+        if isinstance(idx, np.ndarray):
+            lo, hi = (idx.min(), idx.max()) if idx.size else (0, -1)
+        if idx is None or lo < 0 or hi >= n:
             bad = sorted({int(i) for i in indices if not 0 <= i < n})
             raise ValueError(f"level indices {bad} outside 0..{n - 1}")
         nums = np.zeros(n, dtype=bool)
         nums[idx] = True
-        return cls.__new__(cls)._set(stage, nums, 1, int(idx.size > 0))
+        return cls.__new__(cls)._set(stage, nums, 1, int(lo <= hi))
 
     def scaled_ints(self) -> tuple[np.ndarray, int]:
         """Numerators with a trailing 0 slot for the spacer class, and

@@ -136,6 +136,7 @@ def test_plain_poly_keys_are_read(tmp_path, capsys):
               "P": {"coeffs": {"0": 1}}, "p": 2, "q": 3}
     cfg = cli.parse_config(make_config(command="similarity", params=params))
     assert cfg.params["Q"].coeffs == {-2: 0.25, 0: 0.25, 10: 0.5}
+    # a key int() would read as another ("01" as 1) is a config error
     code = cli.main(["similarity", "--preset", "chacon", "--p", "2", "--q", "3",
                      "--Q", '{"coeffs": {"1": 0.2, "01": 0.3}}', "--P", '{"coeffs": {"0": 1}}',
                      "--out", str(tmp_path)])
@@ -375,6 +376,8 @@ def test_telescope_identity_rows_are_the_one_step_report(tmp_path, capsys, argv,
     ('{"h1":3,"stages":{"kind":"periodic","pattern":[{"r":2,"s":[0,4]}]}}', 4, 5),
 ])
 def test_telescope_composite_d_with_M_is_a_config_error(tmp_path, capsys, construction, d, M):
+    # a composite d unfolds once per prime factor, so an M other than 1 is refused, not
+    # silently dropped
     argv = ["telescope", "--construction-json", construction, "--d", str(d),
             "--N", "1000", "--M", str(M), "--out", str(tmp_path)]
     assert cli.main(argv) == 2
@@ -403,11 +406,14 @@ EXPLICIT_CHACON8 = {"h1": 0, "stages": {"kind": "explicit", "stages": [{"r": 3, 
 @pytest.mark.parametrize("argv,lhs", [
     # the default K is the orbit's depth, here stage 9 with L_9 = 9841
     (["--construction-json", json.dumps(EXPLICIT_CHACON8), "--d", "2", "--N", "9840"], 8),
-    # the orbit values vanish off multiples of d, whatever the column offsets
+    # the orbit values vanish off multiples of d, whatever the column offsets: chacon
+    # has no cyclic factor, but the indicator of its even stage-K levels vanishes at
+    # every odd time of an orbit inside the stage-K word
     (["--preset", "chacon", "--d", "2", "--N", "100"], 8),
     (["--preset", "class4", "--d", "3", "--N", "100"], 5),
     (["--preset", "class4", "--d", "3", "--N", "10000"], 3),
-    # levels and start off E: the odd levels, from level 1
+    # levels and start off E: the odd levels, from level 1, meet the orbit only at
+    # even times, though neither lies in E
     (["--preset", "class4", "--d", "2", "--N", "100", "--start", "1",
       "--levels", "1", "3", "5", "7", "9", "11", "13", "15", "--K", "5"], 2),
 ], ids=["explicit-chacon8", "chacon-d2", "class4-d3-N100", "class4-d3-N10000",

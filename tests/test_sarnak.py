@@ -141,6 +141,38 @@ def test_indicator_holds_one_bool_per_level():
     assert obs.bound == obs.sup_norm == 1 and obs.coeffs[:8] == (1, 0, 0, 0, 0, 1, 0, 1)
 
 
+def test_a_range_indicator_holds_no_index_array():
+    # the telescope's default levels, range(0, L_K, 2): an int64 index
+    # array of L_K / 2 entries took four bytes a level beside the bool one
+    params = cons.class4()
+    L = cons.heights(params, 20).L(20)
+    tracemalloc.start()
+    try:
+        obs = sarnak.Observable.indicator(params, 20, range(0, L, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * L
+    assert obs.nums.tolist() == [i % 2 == 0 for i in range(L)] and obs.bound == 1
+
+
+@pytest.mark.parametrize("levels", [range(0), range(5, 5), range(3, 0, 2), range(12, -1, -3),
+                                    range(12, 0, -5), range(1, 13, 4), range(12, 13)])
+def test_a_range_indicator_is_its_list_indicator(levels):
+    params = cons.chacon()
+    got = sarnak.Observable.indicator(params, 3, levels)
+    want = sarnak.Observable.indicator(params, 3, list(levels))
+    assert got.nums.tolist() == want.nums.tolist() and got.bound == want.bound
+    assert not got.nums.flags.writeable
+
+
+@pytest.mark.parametrize("levels,bad", [(range(-2, 3), [-2, -1]), (range(10, 16, 2), [14]),
+                                        (range(14, -3, -4), [-2, 14])])
+def test_a_range_outside_the_levels_names_them(levels, bad):
+    with pytest.raises(ValueError, match=re.escape(f"level indices {bad} outside 0..12")):
+        sarnak.Observable.indicator(cons.chacon(), 3, levels)
+
+
 def test_weighted_sum_holds_no_int64_orbit_word():
     # the int8 orbit word, the int8 mu and the sieve's or the sum's
     # block buffers; N int64 words of values and products would take 16
