@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 
@@ -58,19 +59,20 @@ def mobius_blocks(n_max: int):
     array with bit i of word w set in row 0 where mu(2k + 1) = +1 and in
     row 1 where it is -1, for k = lo + 64w + i and lo the block's first k
     (``np.packbits`` with ``bitorder="little"``). The last word's bits
-    past n are not mu's. The even n follow: mu(2m) = -mu(m) for odd m,
-    and mu(4m) = 0. ``_int8_mu`` reads a block as int8 mu.
+    past n are not mu's. The even n follow: mu(2m) = -mu(m) for odd m, and
+    mu(4m) = 0. ``_int8_mu`` reads a block as int8 mu.
 
-    The planes of the first KEPT_BLOCKS blocks, which cover every odd n
-    <= tower.MAX_WORD_LENGTH, are kept for the process: block i is sieved
-    once, on first use, by ``_kept_block(i)``, a ``functools.cache`` of
-    the block index, which keeps the planes alone. A call whose odd n fit
-    in KEPT_BLOCKS blocks sieves, at the call, the whole kept blocks it
-    needs that are not cached yet, and gets views of their planes. A call
-    past that streams every block as below, each overwritten by the next,
-    so read it before asking for the next. Two threads that miss on one
-    block at once each sieve it, with the same mu, and the cache keeps
-    one: a race can only duplicate work.
+    Every block comes from one function, ``_sieve_block(i, n_max)``,
+    which sieves it into arrays of its own, so no block shares a buffer
+    with another and each stays valid while it is held. The first
+    KEPT_BLOCKS blocks, which cover every odd n <= tower.MAX_WORD_LENGTH,
+    are kept for the process: block i is ``_kept_block(i)``, a
+    ``functools.cache`` of the block index, sieved whole once, at the
+    first call that needs it, before any block is handed out, and handed
+    out as a view. A block past them is sieved afresh each time it is
+    read. Two threads that miss on one kept block at once each sieve it,
+    with the same mu, and the cache keeps one: a race can only duplicate
+    work.
 
     Let N = n_max and l(x) = floor(2*log2(x)), the bit length of x*x
     less 1. Per odd n, a uint8 holds in bit 7 whether p*p | n for some
@@ -90,62 +92,44 @@ def mobius_blocks(n_max: int):
     4, 9, 36, 225 >= 2**(2t - 1), and P_t > 4**t from t = 5 on (P_5 =
     2310, and every later prime exceeds 4). Likewise S <= l(N) + t, so
     S fits 7 bits while l(N) + t < 128, that is N < 2**57; past that,
-    ValueError is raised at the call, before a kept block is read and
-    before anything is allocated. Kept block i is sieved with N its own
-    last odd n, 2*(i + 1)*BLOCK - 1, so it holds the same mu.
-
-    TILE starts every block, which then strikes the primes
-    7 < p <= sqrt(N) with two strided slices each, stride p from
-    k = (p - 1)/2 and stride p*p from k = (p*p - 1)/2, and compares S
-    with l(n) - t + 1 in one slice per run of constant l. The last two
-    compares, [mu = +1] and [mu = -1], are the planes, packed as they
-    are made. The primes are found only when a block is sieved: at the
-    call when it streams, so an invalid n_max fails there, and on a kept
-    block's first use.
+    ValueError is raised at the call, before any block is read and
+    before anything is allocated. Any N at least a block's last n gives
+    the block the same mu, so each block is sieved with N the least of
+    its own last odd n and n_max, which never passes the guard.
     """
     n_max = operator.index(n_max)  # an exact int, for bit_length
-    t, root = _sieve_bounds(n_max)
+    _sieve_bounds(n_max)
     count = (n_max + 1) // 2  # the odd n <= n_max
-    if count > KEPT_BLOCKS * BLOCK:
-        return _odd_blocks(n_max, t, _primes(root))
-    kept = [_kept_block(i) for i in range(-(-count // BLOCK))]
+    blocks = -(-count // BLOCK)
+    kept = [_kept_block(i) for i in range(min(blocks, KEPT_BLOCKS))]
+    fresh = (_sieve_block(i, n_max) for i in range(len(kept), blocks))
     sizes = (min(BLOCK, count - lo) for lo in range(0, count, BLOCK))
-    return ((planes[:, : -(-n // 64)], n) for planes, n in zip(kept, sizes))
+    return ((planes[:, : -(-n // 64)], n)
+            for planes, n in zip(itertools.chain(kept, fresh), sizes))
 
 
 @functools.cache
 def _kept_block(i):
-    """The planes of block i < KEPT_BLOCKS of ``mobius_blocks``, sieved
-    with N its own last odd n into an array of their own; the sieve's
-    other buffers are freed."""
-    top = 2 * (i + 1) * BLOCK - 1
-    t, root = _sieve_bounds(top)
-    planes, _ = next(_odd_blocks(top, t, _primes(root), i))
-    return planes
+    """The planes of block i < KEPT_BLOCKS of ``mobius_blocks``, whole:
+    ``_sieve_block`` with N its own last odd n."""
+    return _sieve_block(i, 2 * (i + 1) * BLOCK - 1)
 
 
-def _int8_mu(n_max):
-    """mu(i, planes, n): block i of ``mobius_blocks(n_max)``, given as its
-    planes and length, as read-only int8 mu. While n_max's blocks are
-    kept, block i < KEPT_INT8_BLOCKS is ``_kept_int8(i)``, derived once
-    per process; every other block is unpacked into one buffer, grown to
-    the longest block, so a result stays valid until the next block is
-    asked for. Asking for one block twice in a row unpacks it once."""
-    kept = KEPT_INT8_BLOCKS if (n_max + 1) // 2 <= KEPT_BLOCKS * BLOCK else 0
-    buf = last = None
+def _int8_mu():
+    """mu(i, planes, n): block i of ``mobius_blocks``, given as its
+    planes and length, as read-only int8 mu. Block i < KEPT_INT8_BLOCKS
+    is ``_kept_int8(i)``, derived once per process; every other block is
+    unpacked into an array of its own. The last one is held, so asking
+    for one block twice in a row unpacks it once."""
+    last = {}
 
     def mu(i, planes, n):
-        nonlocal buf, last
-        if i < kept:
+        if i < KEPT_INT8_BLOCKS:
             return _kept_int8(i)[:n]
-        if last != (i, n):
-            if buf is None or n > len(buf):
-                buf = np.empty(n, dtype=np.int8)
-            _unpack(planes, n, buf)
-            last = (i, n)
-        out = buf[:n]
-        out.flags.writeable = False
-        return out
+        if i not in last:
+            last.clear()  # frees the block before first
+            last[i] = _unpacked(planes, n)
+        return last[i]
 
     return mu
 
@@ -154,15 +138,13 @@ def _int8_mu(n_max):
 def _kept_int8(i):
     """Kept block i < KEPT_INT8_BLOCKS as int8 mu, derived from its planes
     into an array of its own."""
-    mu = np.empty(BLOCK, dtype=np.int8)
-    _unpack(_kept_block(i), BLOCK, mu)
-    mu.flags.writeable = False
-    return mu
+    return _unpacked(_kept_block(i), BLOCK)
 
 
-def _unpack(planes, n, out):
-    """out[:n] = [mu = +1] - [mu = -1], read from the planes UNPACK
-    entries at a time."""
+def _unpacked(planes, n):
+    """[mu = +1] - [mu = -1] of the first n entries of the planes, as a
+    new read-only int8 array, read UNPACK entries at a time."""
+    out = np.empty(n, dtype=np.int8)
     plus, minus = (row.view(np.uint8) for row in planes)
     raw = out.view(np.uint8)  # 0 - 1 wraps to 255, the byte of int8 -1
     for a in range(0, n, UNPACK):
@@ -170,6 +152,8 @@ def _unpack(planes, n, out):
         np.subtract(np.unpackbits(plus[a // 8 : -(-b // 8)], count=b - a, bitorder="little"),
                     np.unpackbits(minus[a // 8 : -(-b // 8)], count=b - a, bitorder="little"),
                     out=raw[a:b])
+    out.flags.writeable = False
+    return out
 
 
 def _sieve_bounds(n_max):
@@ -190,56 +174,58 @@ def _primes(root):
     return [p for p in np.flatnonzero(is_prime).tolist() if p > TILED[-1]]
 
 
-def _odd_blocks(n_max, t, primes, first=0):
-    """The blocks of mu(2k + 1) for the odd n <= n_max from block
-    ``first`` on, as (planes, n) (see mobius_blocks), each overwritten by
-    the next."""
-    count = (n_max + 1) // 2
-    size = min(BLOCK, count)
-    root = math.isqrt(n_max)
-    planes = None
+def _sieve_block(i, n_max):
+    """The read-only sign planes of block i of ``mobius_blocks(n_max)``,
+    sieved with N = min(its own last odd n, n_max) into arrays of their
+    own; the sieve's other buffers are freed (see mobius_blocks).
+
+    TILE starts the block, which then strikes the primes
+    7 < p <= sqrt(N) with two strided slices each, stride p from
+    k = (p - 1)/2 and stride p*p from k = (p*p - 1)/2, and compares S
+    with l(n) - t + 1 in one slice per run of constant l. The last two
+    compares, [mu = +1] and [mu = -1], are the planes, packed as they
+    are made. The primes are found here, so a kept block that is read
+    again finds none."""
+    lo = i * BLOCK
+    top = min(2 * (lo + BLOCK) - 1, n_max)
+    t, root = _sieve_bounds(top)
+    n = (top + 1) // 2 - lo
+    planes = np.zeros((2, -(-n // 64)), dtype=np.uint64)
+    # allocated after the planes a kept block keeps, so freed they top the heap
+    blk = np.empty(n, dtype=np.uint8)  # the sums, then [mu = -1]
+    above = np.empty(n, dtype=bool)
+    whole = n - n % TILE_PERIOD
+    blk[:whole].reshape(-1, TILE_PERIOD)[:] = TILE
+    blk[whole:] = TILE[: n - whole]
+    primes = _primes(root)
     # a uint8 weight and an explicit out: ``view += w`` would convert a
     # Python int and write the view back through __setitem__ on every call
     weights = np.array([((p * p).bit_length() - 1) | 1 for p in primes], dtype=np.uint8)
-    strikes = [(p // 2, p, w, p * p // 2, p * p) for p, w in zip(primes, weights)]
-    for lo in range(first * BLOCK, count, BLOCK):
-        if planes is None:
-            planes = np.empty((2, -(-size // 64)), dtype=np.uint64)
-            # allocated after the planes a kept block keeps, so freed they top the heap
-            sums = np.empty(size, dtype=np.uint8)  # the sums, then [mu = -1]
-            flags = np.empty(size, dtype=bool)
-        n = min(BLOCK, count - lo)
-        blk, above = sums[:n], flags[:n]
-        whole = n - n % TILE_PERIOD
-        blk[:whole].reshape(-1, TILE_PERIOD)[:] = TILE
-        blk[whole:] = TILE[: n - whole]
-        for r, p, w, r2, sq in strikes:
-            hits = blk[(r - lo) % p :: p]
-            np.add(hits, w, out=hits)
-            if sq < size:
-                blk[(r2 - lo) % sq :: sq] = 128  # later weights keep it below 256
-            elif (i := (r2 - lo) % sq) < n:  # at most one hit per block
-                blk[i] = 128
-        bound = above.view(np.uint8)  # l(n) - t + 1, then the comparison in place
-        a = max(lo, (root + 1) // 2)  # no n <= sqrt(N) has a prime factor above it
-        bound[: a - lo] = 0
-        j = ((2 * a + 1) ** 2).bit_length()  # l(2a + 1) + 1
-        while a < lo + n:
-            b = min(lo + n, (math.isqrt((1 << j) - 1) + 1) // 2)  # the first k with l(2k + 1) >= j
-            bound[a - lo : b - lo].fill(j - t)
-            a, j = b, j + 1
-        np.less(blk, bound, out=above)  # a prime factor above sqrt(N)
-        np.bitwise_and(blk, 129, out=blk)
-        blk ^= above.view(np.uint8)  # 0 or 1 if squarefree, else 128 or 129
-        np.equal(blk, 0, out=above)
-        np.equal(blk, 1, out=blk.view(bool))
-        rows, packed = planes.view(np.uint8), -(-n // 8)
-        for row, plane in zip(rows, (above, blk.view(bool))):
-            row[:packed] = np.packbits(plane, bitorder="little")
-            row[packed:] = 0  # a short last block leaves the words of the block before
-        signs = planes[:, : -(-n // 64)]
-        signs.flags.writeable = False
-        yield signs, n
+    for p, w in zip(primes, weights):
+        hits = blk[(p // 2 - lo) % p :: p]
+        np.add(hits, w, out=hits)
+        sq = p * p
+        if sq < n:
+            blk[(sq // 2 - lo) % sq :: sq] = 128  # later weights keep it below 256
+        elif (at := (sq // 2 - lo) % sq) < n:  # at most one hit per block
+            blk[at] = 128
+    bound = above.view(np.uint8)  # l(n) - t + 1, then the comparison in place
+    a = max(lo, (root + 1) // 2)  # no n <= sqrt(N) has a prime factor above it
+    bound[: a - lo] = 0
+    j = ((2 * a + 1) ** 2).bit_length()  # l(2a + 1) + 1
+    while a < lo + n:
+        b = min(lo + n, (math.isqrt((1 << j) - 1) + 1) // 2)  # the first k with l(2k + 1) >= j
+        bound[a - lo : b - lo].fill(j - t)
+        a, j = b, j + 1
+    np.less(blk, bound, out=above)  # a prime factor above sqrt(N)
+    np.bitwise_and(blk, 129, out=blk)
+    blk ^= above.view(np.uint8)  # 0 or 1 if squarefree, else 128 or 129
+    np.equal(blk, 0, out=above)
+    np.equal(blk, 1, out=blk.view(bool))
+    for row, plane in zip(planes.view(np.uint8), (above, blk.view(bool))):
+        row[: -(-n // 8)] = np.packbits(plane, bitorder="little")
+    planes.flags.writeable = False
+    return planes
 
 
 def sieve_mobius(n_max: int) -> np.ndarray:
@@ -248,7 +234,7 @@ def sieve_mobius(n_max: int) -> np.ndarray:
     ``_int8_mu``, scattered, and the even ones follow from them:
     mu(2m) = -mu(m) for odd m, mu(4m) = 0."""
     blocks = mobius_blocks(n_max)
-    int8 = _int8_mu(n_max)
+    int8 = _int8_mu()
     mu = np.zeros(n_max + 1, dtype=np.int8)
     odd = mu[1::2]
     for i, (planes, n) in enumerate(blocks):
@@ -345,8 +331,9 @@ def weighted_mobius_sums(read, checkpoints):
     Besides what ``read`` holds, a sum to any N holds the bool path's
     word buffers, or the integer path's one int8 block past the kept
     int8 blocks, and what ``mobius_blocks`` hands out: nothing more for
-    kept blocks, one block's planes for streamed ones, never an N-entry
-    mu. Every sum is exact when max|v| * n < 2**63.
+    kept blocks; past them, the planes of the block it reads and, while
+    the next is sieved, that one's, never an N-entry mu. Every sum is
+    exact when max|v| * n < 2**63.
     """
     cps = [int(c) for c in checkpoints]
     # per read: its step, the cut (first k left out) of each checkpoint,
@@ -364,7 +351,7 @@ def weighted_mobius_sums(read, checkpoints):
             vals = read(step * lo + step // 2, step * end + step // 2, step)
             if add is None:  # the first read gives the values' dtype
                 add = (_plane_sums(min(BLOCK, reads[0][1][-1])) if vals.dtype == bool
-                       else _product_sums(_int8_mu(cps[-1])))
+                       else _product_sums(_int8_mu()))
             add(vals, i, planes, n, cuts, between)
     (_, _, plus), (_, _, minus) = reads
     return np.cumsum(plus, dtype=np.int64) - np.cumsum(minus, dtype=np.int64)

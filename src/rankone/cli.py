@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from copy import copy
@@ -445,8 +446,16 @@ def _cmd_cascade(cfg):
     level = limits.divisibility_cascade(support, prime, p["levels"])
     consequence = limits.flatness_consequence(cfg.construction, res.stages, prime, level,
                                               p["levels"])
+    # past the print limit, _csv_text gets the first unprintable modulus's row
+    # alone and refuses it, as heights.csv's last L: it converts no row before
+    first = 1
+    if limit := sys.get_int_max_str_digits():
+        m = max(1, math.ceil(limit / math.log10(prime)) - 2)  # a float: at most 2 below
+        while prime**m < 10**limit:
+            m += 1
+        first = m if m <= p["levels"] else 1
     header = ("m", "modulus", "holds", "params_divide", "max_abs_spacer_diff")
-    return {"cascade.csv": (header, consequence.rows())}, [
+    return {"cascade.csv": (header, consequence.rows(first))}, [
         f"fit of T^(H_j) at stages {list(res.stages)}: {res.polynomial} "
         f"support {sorted(support)}",
         f"cascade holds through M={level} (p={prime})",

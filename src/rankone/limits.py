@@ -655,9 +655,9 @@ class FlatnessConsequence:
     def all_flat(self) -> bool:
         return self.max_abs_diff == 0
 
-    def rows(self):
-        """(m, p^m, cascade holds, params divide, max |difference|), m <= levels."""
-        for m in range(1, self.levels + 1):
+    def rows(self, first: int = 1):
+        """(m, p^m, cascade holds, params divide, max |difference|), first <= m <= levels."""
+        for m in range(first, self.levels + 1):
             yield (m, self.p**m, m <= self.cascade_level, m <= self.params_level,
                    self.max_abs_diff)
 

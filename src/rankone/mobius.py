@@ -17,11 +17,11 @@ from . import _kernels
 def sieve_mobius(n_max: int) -> np.ndarray:
     """mu(0..n_max) as a read-only int8 array, so that ``mu[n]`` is
     mu(n); entry 0 is unused and left 0 (mu(0) is not defined). The odd
-    entries are ``_kernels.mobius_blocks``' sign planes read as int8, so
-    an n_max up to 50,803,199 reads the process's kept planes and sieves
-    no block it already holds; to 6,350,399 it reads the int8 mu kept
-    from them, and past that each block is unpacked again. The array
-    itself is new on every call."""
+    entries are ``_kernels.mobius_blocks``' sign planes read as int8:
+    the process's kept planes for the odd n up to 50,803,199, sieved
+    once each, and past them blocks sieved afresh. To 6,350,399 it reads
+    the int8 mu kept from the planes, and past that each block is
+    unpacked again. The array itself is new on every call."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     mu = _kernels.sieve_mobius(n_max)

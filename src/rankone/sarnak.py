@@ -15,13 +15,15 @@ is fixed by (start, N), and its orbit meets the word guard before any
 sieve. The weighted sum hands that reader, which fills the decoder's one
 buffer, to ``_kernels.weighted_mobius_sums`` as its ``read``, which
 owns the layout of mu and of the times it reads (see there): it never
-builds its orbit, and its memory is flat in N. An indicator's sum reads
-mu as the sign planes the process keeps for every n the word guard
-admits, so no such sum sieves a block the process has sieved before;
-an integer sum reads int8 mu unpacked from them. The telescoping chain is
-an algebraic identity and its check must not depend on rounding; each
-of its strided sums is one exact inner product, which numpy widens a
-bounded buffer at a time, so no sum holds an N-entry int64 array.
+builds its orbit, and its memory is flat in N. Every block of mu comes
+from one sieve, ``_kernels._sieve_block``, into arrays of its own. An
+indicator's sum reads mu as the sign planes the process keeps of them
+for every n the word guard admits, so no such sum sieves a block the
+process has sieved before; an integer sum reads int8 mu unpacked from
+them. The telescoping chain is an algebraic identity and its check
+must not depend on rounding; each of its strided sums is one exact
+inner product, which numpy widens a bounded buffer at a time, so no
+sum holds an N-entry int64 array.
 Every sum is an exact int or Fraction; only the rows of the decay trace
 are written as floats (S_n and S_n/n).
 

@@ -1218,6 +1218,28 @@ def test_cascade_refuses_moduli_past_the_print_limit(tmp_path, capsys):
         assert not (tmp_path / levels / "cascade.csv").exists()
 
 
+def test_cascade_past_the_print_limit_draws_only_the_first_unprintable_row(tmp_path,
+                                                                           monkeypatch, capsys):
+    # 2^14285 is the first modulus of 4301 digits, so cascade hands the
+    # formatter that row alone, not the 14284 printable ones before it
+    drawn = []
+    csv_text = cli._csv_text
+
+    def spy(name, header, rows):
+        def counted():
+            for row in rows:
+                drawn.append(row[0])
+                yield row
+        return csv_text(name, header, counted())
+
+    monkeypatch.setattr(cli, "_csv_text", spy)
+    assert cli.main(["cascade", "--preset", "flat3", "--p", "2", "--levels", "20000",
+                     "--max-shift", "400", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().out.splitlines()[-1].startswith(
+        "error[ValueError]: cascade.csv keeps exact counts, and its modulus at m=14285 is ")
+    assert drawn == [14285]
+
+
 @pytest.mark.parametrize("row,where", [
     ((2, "b", 10**4300), "count at n=2, tag=b is 1.00000e+4300 (4301 digits)"),
     ((2, "b", -(10**4300)), "count at n=2, tag=b is -1.00000e+4300 (4301 digits)"),

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import math
 import sys
 import threading
@@ -64,7 +65,9 @@ def test_sieve_refuses_sizes_past_its_uint8_sums_before_allocating(monkeypatch):
     def first_allocation(*args, **kwargs):
         raise MemoryError("first allocation")
 
-    monkeypatch.setattr(_kernels.np, "ones", first_allocation)
+    # sieve_mobius's first allocation is its N-entry mu, after the call
+    # to mobius_blocks that checks the guard
+    monkeypatch.setattr(_kernels.np, "zeros", first_allocation)
     tracemalloc.start()
     try:
         for n_max in (2**57, 2**64):
@@ -101,9 +104,11 @@ def clear_kept():
 
 
 def streamed(monkeypatch):
-    """With no block kept, every size streams: the sieve runs to n_max
-    itself, with the primes to sqrt(n_max) and the threshold of n_max."""
+    """Nothing kept: every block, as planes or as int8 mu, is sieved
+    afresh into arrays of its own, the last one with N = n_max, and so
+    with the primes to sqrt(n_max) and the threshold of n_max."""
     monkeypatch.setattr(_kernels, "KEPT_BLOCKS", 0)
+    monkeypatch.setattr(_kernels, "KEPT_INT8_BLOCKS", 0)
     clear_kept()
 
 
@@ -113,7 +118,7 @@ def test_sieve_at_prime_square_boundaries(monkeypatch, p, offset):
     # n_max around p^2 moves p in or out of the struck primes <= sqrt(n_max);
     # the (n_max + 1)/2 odd n then make one block shorter than p^2, so from
     # p = 11 on, p^2 is struck as a scalar; read from the kept table, then
-    # streamed
+    # sieved afresh with N = n_max
     n_max = p * p + offset
     mu = _kernels.sieve_mobius(n_max)
     streamed(monkeypatch)
@@ -184,7 +189,7 @@ SEAMS = [44_100, 2**18, 6 * 44_100, 2 * 2**18, 12 * 44_100, 3 * 2**18,
 
 @pytest.mark.parametrize("n_max", [n + d for n in SEAMS for d in (-1, 0, 1)])
 def test_sieve_blocks_match_unsegmented_strike(monkeypatch, n_max):
-    # read from the kept table, then streamed
+    # read from the kept table, then sieved afresh with N = n_max
     want = unsegmented_sieve(n_max)
     assert np.array_equal(_kernels.sieve_mobius(n_max), want)
     streamed(monkeypatch)
@@ -262,11 +267,10 @@ def oracle():
 
 
 def int8_blocks(n_max):
-    """The blocks of ``mobius_blocks(n_max)`` read as int8 mu, each
-    copied out of the one buffer that the blocks past the kept int8 share."""
+    """The blocks of ``mobius_blocks(n_max)`` read as int8 mu."""
     blocks = _kernels.mobius_blocks(n_max)
-    int8 = _kernels._int8_mu(n_max)
-    return (int8(i, planes, n).copy() for i, (planes, n) in enumerate(blocks))
+    int8 = _kernels._int8_mu()
+    return (int8(i, planes, n) for i, (planes, n) in enumerate(blocks))
 
 
 def odd_mu(n_max):
@@ -360,8 +364,8 @@ SEAM_POINTS = [2 * BLOCK, 4 * BLOCK, INT8_TOP]
 def test_indicator_sums_by_popcount_match_int8_products_and_the_sieve(N, density, seed, data):
     # bool values take the sign planes, the same values as int8 take the
     # products, and both equal the running sum over sieve_mobius: from
-    # cold, then warm, then with no block kept, so that every block
-    # streams through one buffer and one pair of planes
+    # cold, then warm, then with nothing kept, so that every block is
+    # sieved afresh
     rng = np.random.default_rng(seed)
     vals = rng.random(N) < density
     drawn = data.draw(st.lists(st.integers(1, N), max_size=5))
@@ -372,30 +376,30 @@ def test_indicator_sums_by_popcount_match_int8_products_and_the_sieve(N, density
     # inside a 64-bit word
     prods = vals.view(np.int8) * sieve_mobius(N)[1:]
     want = np.add.reduceat(prods, np.r_[0, checkpoints[:-1]], dtype=np.int64).cumsum()
-    modes = [("cold", KEPT), ("warm", KEPT), ("streamed", 0)]
-    for mode, kept in modes:
-        with mock.patch.object(_kernels, "KEPT_BLOCKS", kept):
+    modes = [("cold", KEPT, KEPT_INT8), ("warm", KEPT, KEPT_INT8), ("streamed", 0, 0)]
+    for mode, kept, kept_int8 in modes:
+        with mock.patch.object(_kernels, "KEPT_BLOCKS", kept), \
+             mock.patch.object(_kernels, "KEPT_INT8_BLOCKS", kept_int8):
             if mode == "cold":
                 clear_kept()
             before = _kernels._kept_block.cache_info()
             for v in (vals, vals.view(np.int8)):
                 got = _kernels.weighted_mobius_sums(reader(v), checkpoints)
                 assert got.tolist() == want.tolist(), (mode, v.dtype)
-            if mode != "cold":  # warm reads its blocks, streamed reads none
+            if mode != "cold":  # warm reads its blocks, streamed keeps none
                 assert _kernels._kept_block.cache_info().misses == before.misses
 
 
 def test_kept_planes_are_packed_once_per_process(monkeypatch):
     # each kept block is sieved, and its planes packed, once; every later
     # sum reads views of those planes
-    packed, sieve = [], _kernels._odd_blocks
+    packed, sieve = [], _kernels._sieve_block
 
-    def counted(*args, **kwargs):
-        for planes, n in sieve(*args, **kwargs):
-            packed.append(planes)
-            yield planes, n
+    def counted(i, n_max):
+        packed.append(sieve(i, n_max))
+        return packed[-1]
 
-    monkeypatch.setattr(_kernels, "_odd_blocks", counted)
+    monkeypatch.setattr(_kernels, "_sieve_block", counted)
     clear_kept()
     for n_max in (3000, 2 * BLOCK + 1, TOP, TOP - 1, 5000, TOP):
         _kernels.weighted_mobius_sums(ones, np.array([n_max], np.int64))
@@ -417,10 +421,10 @@ def test_table_grows_whole_blocks_only_when_asked():
     handed(2 * BLOCK + 1)
     kept = kept_blocks()
     assert len(kept) == 2 and kept[0] is first[0]
-    handed(TOP + 2)  # streams, and leaves the blocks kept as they were
-    assert len(kept_blocks()) == 2
-    handed(TOP + 1)  # the even n past TOP adds no odd n
+    handed(TOP + 2)  # fills the table, and sieves the one block past it afresh
     assert [planes.shape for planes in kept_blocks()] == [PLANES] * KEPT
+    assert all(a is b for a, b in zip(kept_blocks(), kept))
+    handed(TOP + 1)  # the even n past TOP adds no odd n
     assert _kernels._kept_block.cache_info().misses == KEPT
     # int8 mu is derived from the kept planes on its first read, and kept
     # for the first KEPT_INT8 blocks alone
@@ -442,17 +446,58 @@ def test_a_table_hit_finds_no_primes(monkeypatch):
     for n_max in (1, 3000, 2 * BLOCK, INT8_TOP, ORACLE_TOP):
         assert np.array_equal(odd_mu(n_max), oracle()[1 : n_max + 1 : 2])
     assert len(odd_mu(TOP)) == KEPT * BLOCK
+    blocks = _kernels.mobius_blocks(TOP + 2)
+    assert [n for _, n in itertools.islice(blocks, KEPT)] == [BLOCK] * KEPT
     with pytest.raises(AssertionError, match="found primes"):
-        _kernels.mobius_blocks(TOP + 2)  # streams: its primes are found at the call
+        next(blocks)  # past the table: its primes are found when it is sieved
+
+
+def test_a_call_past_the_table_reads_the_kept_planes_themselves(monkeypatch):
+    # the first KEPT blocks of a call past the table are views of the
+    # kept planes, and the one block past them is the only one sieved
+    kept = [_kernels._kept_block(i) for i in range(KEPT)]
+    sieved, sieve = [], _kernels._sieve_block
+
+    def spy(i, n_max):
+        sieved.append(i)
+        return sieve(i, n_max)
+
+    monkeypatch.setattr(_kernels, "_sieve_block", spy)
+    blocks = handed(TOP + 2)
+    assert [n for _, n in blocks] == [BLOCK] * KEPT + [1]
+    assert all(np.shares_memory(planes, k) for (planes, _), k in zip(blocks, kept))
+    assert sieved == [KEPT]
+
+
+def test_blocks_past_the_table_stay_as_they_were_while_held():
+    # each block past the table, as its planes and as its int8 mu, is an
+    # array of its own: reading the next block changes none that is held
+    n_max = 2 * (KEPT + 3) * BLOCK - 1
+    int8, held, copies = _kernels._int8_mu(), [], []
+    for i, (planes, n) in enumerate(_kernels.mobius_blocks(n_max)):
+        if i >= KEPT:
+            held.append((planes, int8(i, planes, n)))
+            copies.append(tuple(a.copy() for a in held[-1]))
+    assert len(held) == 3
+    for (planes, mu), (planes_read, mu_read) in zip(held, copies):
+        assert np.array_equal(planes, planes_read) and np.array_equal(mu, mu_read)
+    # and they hold mu: at both ends of each, against the oracle
+    ends = {2 * i * BLOCK + d for i in (KEPT, KEPT + 1, KEPT + 2, KEPT + 3) for d in (-1, 1)}
+    want = {n: mobius_direct(n) for n in ends if TOP < n <= n_max}
+    assert len(want) == 6
+    got = {n: int(mu[n // 2 - (KEPT + k) * BLOCK])
+           for k, (_, mu) in enumerate(held) for n in want
+           if 0 <= n // 2 - (KEPT + k) * BLOCK < BLOCK}
+    assert got == want
 
 
 @pytest.mark.parametrize("n_max", [3000, 2 * BLOCK + 1, INT8_TOP, INT8_TOP + 2, TOP, TOP + 2])
 def test_blocks_handed_out_are_read_only(n_max):
-    # views of the kept planes, and the streamed planes past them, and
-    # the int8 mu read from either: kept or in the one buffer
+    # views of the kept planes, and the planes sieved afresh past them,
+    # and the int8 mu read from either: kept or unpacked afresh
     clear_kept()
     blocks = _kernels.mobius_blocks(n_max)
-    int8 = _kernels._int8_mu(n_max)
+    int8 = _kernels._int8_mu()
     for i, (planes, n) in enumerate(blocks):
         for arr in (planes, int8(i, planes, n)):
             assert not arr.flags.writeable
@@ -477,7 +522,7 @@ KEPT_SEAMS = sorted({2 * i * BLOCK + d for i in range(1, KEPT) for d in (-1, 1)}
 
 def test_int8_mu_from_the_planes_matches_the_oracle_at_every_seam():
     # kept int8 blocks and unpacked ones, from cold and warm, and the
-    # streamed blocks past the kept ones, past the top too
+    # blocks sieved afresh past the kept ones, past the top too
     want = {n: mobius_direct(n) for n in (*KEPT_SEAMS, TOP + 2)}
     clear_kept()
     for _ in ("cold", "warm"):
@@ -487,8 +532,7 @@ def test_int8_mu_from_the_planes_matches_the_oracle_at_every_seam():
 
 def test_integer_sums_read_warm_equal_those_read_cold_across_the_seams(monkeypatch):
     # at each kept-block seam and at the top, for both reads (odd and even
-    # times), with int8 and wider values; and the same with every block
-    # streamed through one buffer
+    # times), with int8 and wider values; and the same with nothing kept
     checkpoints = np.array(sorted({1, *(n + d for n in KEPT_SEAMS for d in (0, 1)), TOP}),
                            np.int64)
     wide = lambda a, b, step: drawn(a, b, step).astype(np.int64) << 20

@@ -189,8 +189,8 @@ def test_weighted_sum_holds_no_int64_orbit_word():
 
 
 def test_weighted_sum_memory_is_flat_in_N(monkeypatch):
-    # with every block streamed: the two reads' buffers and the packed
-    # words, the sieve's (2.25*BLOCK bytes) and chacon's stage-11 word of
+    # with nothing kept: the two reads' buffers and the packed words, the
+    # sieve's (2.5*BLOCK bytes) and chacon's stage-11 word of
     # 88573 entries with its step classes: one bound from one block of odd
     # n to past the word guard's half, where the whole int8 orbit alone
     # would take 3e7 bytes
@@ -250,22 +250,23 @@ def test_kept_planes_cover_the_word_guard():
 @pytest.mark.parametrize("N,s_n", [(7_000_000, -1298), (30_000_000, -765)])
 def test_warm_indicator_sums_past_the_int8_blocks_run_no_sieve(monkeypatch, N, s_n):
     # a warm sum reads kept planes alone, and equals the same sum with
-    # every block streamed
+    # nothing kept, which sieves every block afresh to N
     params = cons.chacon()
     obs = sarnak.Observable.indicator(params, 2, [0, 1, 3])
     sarnak.mobius_weighted_sum(params, obs, 5, N)
-    sieved, sieve = [], _kernels._odd_blocks
+    sieved, sieve = [], _kernels._sieve_block
 
-    def spy(*args):
-        sieved.append(args[0])
-        return sieve(*args)
+    def spy(i, n_max):
+        sieved.append((i, n_max))
+        return sieve(i, n_max)
 
-    monkeypatch.setattr(_kernels, "_odd_blocks", spy)
+    monkeypatch.setattr(_kernels, "_sieve_block", spy)
     warm = sarnak.mobius_weighted_sum(params, obs, 5, N)
     assert sieved == [] and warm.final == s_n
     monkeypatch.setattr(_kernels, "KEPT_BLOCKS", 0)
     assert sarnak.mobius_weighted_sum(params, obs, 5, N) == warm
-    assert sieved == [N]
+    blocks = -(-((N + 1) // 2) // _kernels.BLOCK)
+    assert sieved == [(i, N) for i in range(blocks)]
 
 
 def test_an_indicator_sum_keeps_its_planes_alone():
